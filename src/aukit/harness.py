@@ -1,18 +1,21 @@
 """Training loop, WAR/UAR evaluation, lambda sweep, strategy comparison, and
 report artifacts (confusion CSV + SVG heatmap, embedding export)."""
 
-import logging
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .domain import ContractError, EXPRESSIONS, NUM_EXPRESSIONS
+from .domain import (
+    ContractError,
+    EXPRESSIONS,
+    MAJOR_CLASSES,
+    NUM_EXPRESSIONS,
+    NumericFailure,
+)
 from .labeling import STRATEGIES, compute_pos_weights, pos_weight_none
 from .losses import au_loss, combined_loss, expression_loss
 from .model import OptimizerState, backward, forward, init_params, optimizer_step
-
-log = logging.getLogger(__name__)
 
 DEFAULT_LAMBDA_GRID = tuple(round(0.1 * i, 1) for i in range(10))
 
@@ -86,6 +89,11 @@ def evaluate_predictions(true_labels, predicted):
     predicted = np.asarray(predicted, dtype=np.int64)
     if true_labels.size == 0:
         raise ContractError("cannot evaluate an empty dataset")
+    if true_labels.shape != predicted.shape:
+        raise ContractError("true and predicted labels differ in length")
+    for labels in (true_labels, predicted):
+        if np.any((labels < 0) | (labels >= NUM_EXPRESSIONS)):
+            raise ContractError("expression label out of range")
     confusion = np.zeros((NUM_EXPRESSIONS, NUM_EXPRESSIONS), dtype=np.int64)
     np.add.at(confusion, (true_labels, predicted), 1)
     row_totals = confusion.sum(axis=1)
@@ -116,8 +124,8 @@ def evaluate(params, features, labels):
 def train(config, data):
     """Run the combined-loss loop; lambda = 0 is the expression-only baseline.
 
-    Returns (params, state, list of EpochLog). Aborts on non-finite loss,
-    returning the last finite-loss parameters.
+    Returns (params, state, list of EpochLog). Raises NumericFailure on a
+    non-finite loss, gradient or optimizer moment.
     """
     features = np.asarray(data.features, dtype=np.float64)
     expr_labels = np.asarray(data.expr_labels, dtype=np.int64)
@@ -141,29 +149,27 @@ def train(config, data):
         order = rng.permutation(n)
         sum_e = sum_au = 0.0
         batches = 0
-        aborted = False
         for lo in range(0, n, config.batch_size):
             idx = order[lo:lo + config.batch_size]
             batch_x = features[idx]
+            batch_expr = expr_labels[idx]
             expr_logits, au_logits, _, acts = forward(
                 params, batch_x, return_hidden=True
             )
             loss_e, grad_e = expression_loss(
-                expr_logits, expr_labels[idx], factor=config.factor
+                expr_logits, batch_expr, factor=config.factor
             )
             loss_au, grad_au = au_loss(
                 au_logits,
                 au_labels[idx],
-                expr_labels[idx],
+                batch_expr,
                 data.knowledge,
                 pos_weights,
                 reduction=config.au_loss_reduction,
             )
             total = combined_loss(loss_e, loss_au, config.lam)
             if not np.isfinite(total):
-                log.error("non-finite loss at epoch %d; aborting", epoch)
-                aborted = True
-                break
+                raise NumericFailure(f"non-finite loss at epoch {epoch}")
             grads = backward(
                 params,
                 batch_x,
@@ -175,10 +181,8 @@ def train(config, data):
             sum_e += loss_e
             sum_au += loss_au
             batches += 1
-        if aborted:
-            break
-        mean_e = sum_e / batches
-        mean_au = sum_au / batches
+        mean_e = float(sum_e / batches)
+        mean_au = float(sum_au / batches)
         entry = EpochLog(
             epoch=epoch,
             loss_expression=mean_e,
@@ -199,6 +203,15 @@ def train(config, data):
     return params, state, logs
 
 
+def _train_and_score(config, data):
+    """Train one run, then evaluate it on the test split, or on the training
+    split when there is none."""
+    params, _, _ = train(config, data)
+    if data.test_features is not None:
+        return evaluate(params, data.test_features, data.test_expr_labels)
+    return evaluate(params, data.features, data.expr_labels)
+
+
 def lambda_sweep(config, data, grid=DEFAULT_LAMBDA_GRID):
     """One full train+evaluate per grid point with a fixed seed set.
 
@@ -208,12 +221,7 @@ def lambda_sweep(config, data, grid=DEFAULT_LAMBDA_GRID):
         raise ContractError("lambda grid must be nonempty")
     rows = []
     for lam in grid:
-        run_config = replace(config, lam=float(lam))
-        params, _, _ = train(run_config, data)
-        if data.test_features is not None:
-            report = evaluate(params, data.test_features, data.test_expr_labels)
-        else:
-            report = evaluate(params, data.features, data.expr_labels)
+        report = _train_and_score(replace(config, lam=float(lam)), data)
         rows.append(
             {
                 "lambda": float(lam),
@@ -233,13 +241,9 @@ def strategy_compare(config, data, train_au_label_list, strategies=STRATEGIES):
     rows = []
     for strategy in strategies:
         spec = compute_pos_weights(train_au_label_list, strategy)
-        run_config = replace(config, strategy=strategy)
-        run_data = replace_data_pos_weights(data, spec)
-        params, _, _ = train(run_config, run_data)
-        if data.test_features is not None:
-            report = evaluate(params, data.test_features, data.test_expr_labels)
-        else:
-            report = evaluate(params, data.features, data.expr_labels)
+        report = _train_and_score(
+            replace(config, strategy=strategy), replace(data, pos_weights=spec)
+        )
         rows.append(
             {
                 "strategy": strategy,
@@ -250,24 +254,12 @@ def strategy_compare(config, data, train_au_label_list, strategies=STRATEGIES):
                     all(
                         np.all(spec.values[i] == 1.0)
                         for i, name in enumerate(EXPRESSIONS)
-                        if name in {"Happy", "Sad", "Angry", "Neutral"}
+                        if name in MAJOR_CLASSES
                     )
                 ),
             }
         )
     return rows
-
-
-def replace_data_pos_weights(data, spec):
-    return TrainData(
-        features=data.features,
-        expr_labels=data.expr_labels,
-        au_labels=data.au_labels,
-        knowledge=data.knowledge,
-        pos_weights=spec,
-        test_features=data.test_features,
-        test_expr_labels=data.test_expr_labels,
-    )
 
 
 def write_metric_rows(rows, path, key_column):

@@ -1,8 +1,9 @@
 """Composite training loss: softmax expression loss, knowledge-weighted AU
 loss, their convex combination, and a central finite-difference verifier.
 
-All log-sigmoid terms use the stable softplus form (never a naive log of a
-sigmoid), so losses and gradients stay finite for any logit magnitude.
+All log-sigmoid terms use the stable form min(x, 0) - log1p(exp(-|x|))
+(never a naive log of a sigmoid), so losses and gradients stay finite for any
+logit magnitude.
 """
 
 from dataclasses import dataclass
@@ -10,20 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import ContractError, NUM_AUS, NUM_EXPRESSIONS, NumericFailure
+from .knowledge import sigmoid
 
 AU_LOSS_REDUCTIONS = ("mean-elements", "mean-samples")
-
-
-@dataclass
-class LossBreakdown:
-    """Scalar components of one combined-loss evaluation."""
-
-    expression: float
-    au: float
-    lam: float
-    total: float
-    batch_size: int
-    factor: float = 5.0
 
 
 @dataclass
@@ -43,8 +33,9 @@ def softmax(logits):
 
 
 def log_sigmoid(x):
-    """log(sigmoid(x)) = -softplus(-x), computed without overflow."""
-    return -np.logaddexp(0.0, -x)
+    """log(sigmoid(x)) = min(x, 0) - log(1 + exp(-|x|)), computed without
+    overflow."""
+    return np.minimum(x, 0.0) - np.log1p(np.exp(-np.abs(x)))
 
 
 def expression_loss(expr_logits, labels, factor=5.0):
@@ -62,19 +53,22 @@ def expression_loss(expr_logits, labels, factor=5.0):
         raise ContractError("empty batch")
     if labels.shape != (n,):
         raise ContractError("labels must be a length-N vector")
-    if np.any(labels < 0) or np.any(labels >= NUM_EXPRESSIONS):
+    if labels.min() < 0 or labels.max() >= NUM_EXPRESSIONS:
         raise ContractError("expression label out of range")
     if factor <= 0:
         raise ContractError("factor must be > 0")
 
-    # log p_target via the log-sum-exp identity, no explicit division
+    # log p_target via the log-sum-exp identity; the same exponentials give
+    # the softmax of the gradient
+    rows = np.arange(n)
     shifted = expr_logits - expr_logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1))
-    log_p = shifted[np.arange(n), labels] - log_z
-    loss = -(np.log(factor) + log_p).mean()
+    e = np.exp(shifted)
+    z = e.sum(axis=1, keepdims=True)
+    log_p = shifted[rows, labels] - np.log(z[:, 0])
+    loss = -(np.log(factor) + log_p).sum() / n
 
-    grad = softmax(expr_logits)
-    grad[np.arange(n), labels] -= 1.0
+    grad = e / z
+    grad[rows, labels] -= 1.0
     grad /= n
     return loss, grad
 
@@ -115,14 +109,17 @@ def au_loss(au_logits, au_labels, expr_labels, knowledge, pos_weights,
     pw = pw_values[expr_labels]          # N x 18
 
     x = au_logits
-    y = au_labels
-    terms = pw * y * log_sigmoid(x) + (1.0 - y) * log_sigmoid(-x)
+    pos = pw * au_labels
+    neg = 1.0 - au_labels
+    # one log-sigmoid serves both terms: log(1 - s(x)) = log s(-x) = log s(x) - x
+    log_s = log_sigmoid(x)
+    terms = pos * log_s + neg * (log_s - x)
     denom = n * NUM_AUS if reduction == "mean-elements" else n
     loss = -(k * terms).sum() / denom
 
-    s = 0.5 * (1.0 + np.tanh(0.5 * x))
+    s = sigmoid(x)
     # d/dx log s(x) = 1 - s;  d/dx log(1 - s(x)) = -s
-    grad = -k * (pw * y * (1.0 - s) - (1.0 - y) * s) / denom
+    grad = -k * (pos * (1.0 - s) - neg * s) / denom
     return loss, grad
 
 

@@ -1,60 +1,92 @@
 """Desk-scale dual-head network over precomputed features.
 
 A small multilayer perceptron (affine + ReLU hidden layers) feeds two linear
-heads: a 7-way expression head and an 18-way AU head. Gradients are written
-out by hand so they can be verified against finite differences, and the
-AdamW-style optimizer keeps training bit-reproducible.
+heads: a 7-way expression head and an 18-way AU head. Every trainable array
+is a view into one contiguous float64 vector, so gradients, AdamW moments and
+checkpoints share a single layout. Gradients are written out by hand so they
+can be verified against finite differences, and the AdamW-style optimizer
+keeps training bit-reproducible.
 """
 
 import hashlib
-import io
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .domain import ContractError, NUM_AUS, NUM_EXPRESSIONS, NumericFailure
 
 CHECKPOINT_MAGIC = b"AUKITCKPT"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+
+# the OptimizerState fields a checkpoint header records
+OPTIMIZER_FIELDS = ("learning_rate", "beta1", "beta2", "eps", "weight_decay", "step")
 
 DEFAULT_FEATURE_DIM = 1024
 DEFAULT_HIDDEN = (128,)
 
 
-@dataclass
-class ModelParams:
-    """All trainable arrays plus the layout they were built with."""
+def param_layout(feature_dim, hidden):
+    """name -> (offset, shape) of every trainable array, in sorted-name order."""
+    widths = [feature_dim] + list(hidden)
+    shapes = {}
+    for i, (fan_in, fan_out) in enumerate(zip(widths, widths[1:])):
+        shapes[f"hidden.{i}.w"] = (fan_out, fan_in)
+        shapes[f"hidden.{i}.b"] = (fan_out,)
+    shapes["expr.w"] = (NUM_EXPRESSIONS, widths[-1])
+    shapes["expr.b"] = (NUM_EXPRESSIONS,)
+    shapes["au.w"] = (NUM_AUS, widths[-1])
+    shapes["au.b"] = (NUM_AUS,)
+    layout = {}
+    offset = 0
+    for name in sorted(shapes):
+        layout[name] = (offset, shapes[name])
+        offset += math.prod(shapes[name])
+    return layout
 
-    feature_dim: int
-    hidden: tuple
-    hidden_weights: list  # [out x in] per hidden layer
-    hidden_biases: list
-    expr_weight: np.ndarray  # 7 x F'
-    expr_bias: np.ndarray
-    au_weight: np.ndarray  # 18 x F'
-    au_bias: np.ndarray
-    seed: int = 0
+
+class ModelParams:
+    """One contiguous float64 parameter vector plus its name -> (offset, shape)
+    layout. The named arrays are views into `vector`: write through them,
+    never rebind them."""
+
+    def __init__(self, feature_dim, hidden, seed=0):
+        self.feature_dim = feature_dim
+        self.hidden = tuple(hidden)
+        self.seed = seed
+        self.layout = param_layout(feature_dim, self.hidden)
+        self.vector = np.zeros(sum(math.prod(s) for _, s in self.layout.values()))
+        named = self.views(self.vector)
+        self.hidden_weights = [named[f"hidden.{i}.w"] for i in range(len(self.hidden))]
+        self.hidden_biases = [named[f"hidden.{i}.b"] for i in range(len(self.hidden))]
+        self.expr_weight = named["expr.w"]  # 7 x F'
+        self.expr_bias = named["expr.b"]
+        self.au_weight = named["au.w"]  # 18 x F'
+        self.au_bias = named["au.b"]
 
     @property
     def embedding_dim(self):
         return self.hidden[-1] if self.hidden else self.feature_dim
 
+    def views(self, flat):
+        """name -> view of `flat`, a vector in this parameter layout."""
+        return {
+            name: flat[offset:offset + math.prod(shape)].reshape(shape)
+            for name, (offset, shape) in self.layout.items()
+        }
+
     def as_dict(self):
-        out = {}
-        for i, (w, b) in enumerate(zip(self.hidden_weights, self.hidden_biases)):
-            out[f"hidden.{i}.w"] = w
-            out[f"hidden.{i}.b"] = b
-        out["expr.w"] = self.expr_weight
-        out["expr.b"] = self.expr_bias
-        out["au.w"] = self.au_weight
-        out["au.b"] = self.au_bias
-        return out
+        return self.views(self.vector)
 
 
 @dataclass
 class OptimizerState:
-    """Moment accumulators and hyperparameters for the adaptive update."""
+    """Moment accumulators and hyperparameters for the adaptive update.
+
+    m and v are flat vectors in the parameter layout, allocated at the first
+    step.
+    """
 
     learning_rate: float = 1e-3
     beta1: float = 0.9
@@ -62,8 +94,8 @@ class OptimizerState:
     eps: float = 1e-8
     weight_decay: float = 0.05
     step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: np.ndarray = None
+    v: np.ndarray = None
 
 
 def _glorot(rng, shape):
@@ -73,31 +105,21 @@ def _glorot(rng, shape):
 
 
 def init_params(seed, feature_dim=DEFAULT_FEATURE_DIM, hidden=DEFAULT_HIDDEN):
-    """Seeded uniform fan-based init; biases start at zero."""
+    """Seeded uniform fan-based init; biases start at zero.
+
+    Weights are drawn hidden layers first, then the expression head, then the
+    AU head, whatever their places in the flat vector.
+    """
     if feature_dim < 1:
         raise ContractError("feature_dim must be >= 1")
     hidden = tuple(int(h) for h in hidden)
     if any(h < 1 for h in hidden):
         raise ContractError("hidden sizes must be >= 1")
     rng = np.random.default_rng(seed)
-    widths = [feature_dim] + list(hidden)
-    hidden_weights = []
-    hidden_biases = []
-    for fan_in, fan_out in zip(widths, widths[1:]):
-        hidden_weights.append(_glorot(rng, (fan_out, fan_in)))
-        hidden_biases.append(np.zeros(fan_out))
-    last = widths[-1]
-    return ModelParams(
-        feature_dim=feature_dim,
-        hidden=hidden,
-        hidden_weights=hidden_weights,
-        hidden_biases=hidden_biases,
-        expr_weight=_glorot(rng, (NUM_EXPRESSIONS, last)),
-        expr_bias=np.zeros(NUM_EXPRESSIONS),
-        au_weight=_glorot(rng, (NUM_AUS, last)),
-        au_bias=np.zeros(NUM_AUS),
-        seed=seed,
-    )
+    params = ModelParams(feature_dim, hidden, seed=seed)
+    for w in params.hidden_weights + [params.expr_weight, params.au_weight]:
+        w[...] = _glorot(rng, w.shape)
+    return params
 
 
 def forward(params, features, return_hidden=False):
@@ -127,8 +149,8 @@ def backward(params, features, d_expr, d_au, activations=None):
     """Exact gradients of the combined loss wrt every parameter.
 
     d_expr and d_au are the loss gradients at the two heads; both flow back
-    into the shared hidden pathway. Returns a name -> array dict matching
-    params.as_dict().
+    into the shared hidden pathway. Returns one flat gradient vector in the
+    layout of params.vector (params.views(grad) names its parts).
     """
     features = np.asarray(features, dtype=np.float64)
     d_expr = np.asarray(d_expr, dtype=np.float64)
@@ -139,128 +161,105 @@ def backward(params, features, d_expr, d_au, activations=None):
     if activations is None:
         _, _, _, activations = forward(params, features, return_hidden=True)
 
+    grad = np.empty_like(params.vector)
+    named = params.views(grad)
     h = activations[-1]
-    grads = {
-        "expr.w": d_expr.T @ h,
-        "expr.b": d_expr.sum(axis=0),
-        "au.w": d_au.T @ h,
-        "au.b": d_au.sum(axis=0),
-    }
+    np.matmul(d_expr.T, h, out=named["expr.w"])
+    d_expr.sum(axis=0, out=named["expr.b"])
+    np.matmul(d_au.T, h, out=named["au.w"])
+    d_au.sum(axis=0, out=named["au.b"])
     dh = d_expr @ params.expr_weight + d_au @ params.au_weight
     for i in reversed(range(len(params.hidden_weights))):
         dz = dh * (activations[i + 1] > 0.0)
-        grads[f"hidden.{i}.w"] = dz.T @ activations[i]
-        grads[f"hidden.{i}.b"] = dz.sum(axis=0)
-        dh = dz @ params.hidden_weights[i]
-    return grads
+        np.matmul(dz.T, activations[i], out=named[f"hidden.{i}.w"])
+        dz.sum(axis=0, out=named[f"hidden.{i}.b"])
+        if i > 0:  # the gradient wrt the input features is never used
+            dh = dz @ params.hidden_weights[i]
+    return grad
+
+
+def _check_finite(params, flat, what):
+    """NumericFailure naming the first array of `flat` with a non-finite entry."""
+    finite = np.isfinite(flat)
+    if not finite.all():
+        bad = np.flatnonzero(~finite)[0]
+        name = next(name for name, (offset, shape) in params.layout.items()
+                    if bad < offset + math.prod(shape))
+        raise NumericFailure(f"non-finite {what} for {name}")
 
 
 def optimizer_step(params, grads, state):
-    """One bias-corrected adaptive update with decoupled weight decay (in place)."""
-    tensors = params.as_dict()
-    if set(grads) != set(tensors):
-        raise ContractError("gradient keys do not match parameter keys")
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise NumericFailure(f"non-finite gradient for {name}")
+    """One bias-corrected adaptive update with decoupled weight decay (in place).
+
+    grads is a flat vector in the layout of params.vector. The update is the
+    per-tensor AdamW arithmetic, operation for operation, in one pass over
+    the whole vector.
+    """
+    p = params.vector
+    grads = np.asarray(grads, dtype=np.float64)
+    if grads.shape != p.shape:
+        raise ContractError(
+            f"gradient of shape {grads.shape} does not match {p.shape} parameters"
+        )
+    _check_finite(params, grads, "gradient")
+    if state.m is None:
+        state.m = np.zeros_like(p)
+        state.v = np.zeros_like(p)
     state.step += 1
     t = state.step
     lr = state.learning_rate
-    for name, p in tensors.items():
-        g = np.asarray(grads[name], dtype=np.float64)
-        if name not in state.m:
-            state.m[name] = np.zeros_like(p)
-            state.v[name] = np.zeros_like(p)
-        m = state.m[name]
-        v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        m_hat = m / (1.0 - state.beta1 ** t)
-        v_hat = v / (1.0 - state.beta2 ** t)
-        p -= lr * state.weight_decay * p
-        p -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    m, v = state.m, state.v
+    update = np.empty_like(p)
+    scratch = np.empty_like(p)
+
+    m *= state.beta1
+    np.multiply(grads, 1.0 - state.beta1, out=update)
+    m += update
+    v *= state.beta2
+    np.multiply(grads, 1.0 - state.beta2, out=update)
+    update *= grads
+    v += update
+    _check_finite(params, v, "second moment (gradient too large)")
+    # update = lr * m_hat / (sqrt(v_hat) + eps)
+    np.divide(m, 1.0 - state.beta1 ** t, out=update)
+    update *= lr
+    np.divide(v, 1.0 - state.beta2 ** t, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    scratch += state.eps
+    update /= scratch
+    np.multiply(p, lr * state.weight_decay, out=scratch)
+    p -= scratch
+    p -= update
     return params, state
 
 
-def _params_arrays(params):
-    arrays = dict(params.as_dict())
-    return arrays
-
-
-def _serialize_arrays(arrays):
-    # deliberately not np.savez: zip entries carry timestamps, which would
-    # break bit-identical checkpoints across reruns
-    out = io.BytesIO()
-    for name in sorted(arrays):
-        arr = np.ascontiguousarray(arrays[name], dtype=np.float64)
-        encoded = name.encode("utf-8")
-        out.write(len(encoded).to_bytes(4, "little"))
-        out.write(encoded)
-        out.write(arr.ndim.to_bytes(1, "little"))
-        for dim in arr.shape:
-            out.write(int(dim).to_bytes(8, "little"))
-        data = arr.tobytes(order="C")
-        out.write(len(data).to_bytes(8, "little"))
-        out.write(data)
-    return out.getvalue()
-
-
-def _deserialize_arrays(payload):
-    arrays = {}
-    view = memoryview(payload)
-    offset = 0
-    try:
-        while offset < len(view):
-            name_len = int.from_bytes(view[offset:offset + 4], "little")
-            offset += 4
-            name = bytes(view[offset:offset + name_len]).decode("utf-8")
-            offset += name_len
-            ndim = view[offset]
-            offset += 1
-            shape = []
-            for _ in range(ndim):
-                shape.append(int.from_bytes(view[offset:offset + 8], "little"))
-                offset += 8
-            data_len = int.from_bytes(view[offset:offset + 8], "little")
-            offset += 8
-            if offset + data_len > len(view):
-                raise ContractError("corrupt checkpoint: truncated array")
-            arrays[name] = np.frombuffer(
-                view[offset:offset + data_len], dtype=np.float64
-            ).reshape(shape).copy()
-            offset += data_len
-    except (IndexError, ValueError) as exc:
-        raise ContractError(f"corrupt checkpoint: {exc}") from exc
-    return arrays
-
-
 def save_checkpoint(params, state, path):
-    """Versioned binary checkpoint with a SHA-256 integrity trailer."""
+    """Versioned binary checkpoint with a SHA-256 integrity trailer.
+
+    Layout: magic, header length, JSON header (parameter layout, optimizer
+    hyperparameters, names of the payload blobs), payload length, payload,
+    SHA-256 of everything before it. The payload is the parameter vector,
+    then the optimizer's m and v vectors when it has taken a step, each as
+    little-endian float64. Deliberately not np.savez: zip entries carry
+    timestamps, which would break bit-identical checkpoints across reruns.
+    """
     header = {
         "version": CHECKPOINT_VERSION,
         "seed": params.seed,
         "feature_dim": params.feature_dim,
         "hidden": list(params.hidden),
+        "layout": params.layout,
+        "blobs": ["params"],
         "optimizer": None,
     }
-    arrays = _params_arrays(params)
+    blobs = [params.vector]
     if state is not None:
-        header["optimizer"] = {
-            "learning_rate": state.learning_rate,
-            "beta1": state.beta1,
-            "beta2": state.beta2,
-            "eps": state.eps,
-            "weight_decay": state.weight_decay,
-            "step": state.step,
-        }
-        for name, arr in state.m.items():
-            arrays[f"opt.m.{name}"] = arr
-        for name, arr in state.v.items():
-            arrays[f"opt.v.{name}"] = arr
+        header["optimizer"] = {k: getattr(state, k) for k in OPTIMIZER_FIELDS}
+        if state.m is not None:
+            header["blobs"] += ["m", "v"]
+            blobs += [state.m, state.v]
 
-    payload = _serialize_arrays(arrays)
+    payload = b"".join(np.asarray(blob, dtype="<f8").tobytes() for blob in blobs)
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     body = (
         CHECKPOINT_MAGIC
@@ -275,7 +274,7 @@ def save_checkpoint(params, state, path):
 
 
 def load_checkpoint(path):
-    """Inverse of save_checkpoint; rejects truncated or tampered files."""
+    """Inverse of save_checkpoint; rejects truncated, tampered or v1 files."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < len(CHECKPOINT_MAGIC) + 8 + 32:
@@ -297,39 +296,22 @@ def load_checkpoint(path):
     payload = body[offset:offset + payload_len]
     if len(payload) != payload_len:
         raise ContractError("corrupt checkpoint: truncated payload")
-    arrays = _deserialize_arrays(payload)
 
-    hidden = tuple(header["hidden"])
-    params = ModelParams(
-        feature_dim=header["feature_dim"],
-        hidden=hidden,
-        hidden_weights=[arrays[f"hidden.{i}.w"] for i in range(len(hidden))],
-        hidden_biases=[arrays[f"hidden.{i}.b"] for i in range(len(hidden))],
-        expr_weight=arrays["expr.w"],
-        expr_bias=arrays["expr.b"],
-        au_weight=arrays["au.w"],
-        au_bias=arrays["au.b"],
-        seed=header["seed"],
-    )
+    params = ModelParams(header["feature_dim"], header["hidden"], seed=header["seed"])
+    if header["layout"] != json.loads(json.dumps(params.layout)):
+        raise ContractError("corrupt checkpoint: layout does not match the model")
+    names = header["blobs"]
+    size = params.vector.size
+    if names not in (["params"], ["params", "m", "v"]) or (
+        payload_len != len(names) * size * 8
+    ):
+        raise ContractError("corrupt checkpoint: payload does not match the header")
+    vectors = np.frombuffer(payload, dtype="<f8").reshape(len(names), size)
+    params.vector[...] = vectors[0]
     state = None
-    if header.get("optimizer") is not None:
-        opt = header["optimizer"]
-        state = OptimizerState(
-            learning_rate=opt["learning_rate"],
-            beta1=opt["beta1"],
-            beta2=opt["beta2"],
-            eps=opt["eps"],
-            weight_decay=opt["weight_decay"],
-            step=opt["step"],
-            m={
-                k[len("opt.m."):]: v for k, v in arrays.items()
-                if k.startswith("opt.m.")
-            },
-            v={
-                k[len("opt.v."):]: v for k, v in arrays.items()
-                if k.startswith("opt.v.")
-            },
-        )
+    if header["optimizer"] is not None:
+        m, v = vectors[1:].copy() if len(names) == 3 else (None, None)
+        state = OptimizerState(**header["optimizer"], m=m, v=v)
     return params, state
 
 
@@ -350,8 +332,7 @@ def save_features(features, path):
 
 def load_features(path):
     if str(path).endswith(".csv"):
-        data = np.loadtxt(path, delimiter=",", dtype=np.float64)
-        return np.atleast_2d(data)
+        return np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
     with open(path, "rb") as fh:
         blob = fh.read()
     if not blob.startswith(b"AUKITFEAT1"):

@@ -54,17 +54,6 @@ def report(line):
     print(f"\n[acceptance] {line}")
 
 
-def params_to_vector(params):
-    return np.concatenate([a.ravel() for _, a in sorted(params.as_dict().items())])
-
-
-def write_params_vector(params, vector):
-    offset = 0
-    for _, arr in sorted(params.as_dict().items()):
-        arr[...] = vector[offset:offset + arr.size].reshape(arr.shape)
-        offset += arr.size
-
-
 def test_criterion_1_gradient_correctness():
     """Analytic gradients match central finite differences on 100 instances."""
     start = time.perf_counter()
@@ -108,18 +97,15 @@ def test_criterion_1_gradient_correctness():
         lam = float(rng.uniform(0.1, 0.9))
 
         def evaluator(vector):
-            write_params_vector(params, vector)
+            params.vector[...] = vector
             expr_logits, au_logits, _, acts = forward(params, x, return_hidden=True)
             loss_e, grad_e = expression_loss(expr_logits, labels)
             loss_au, grad_au = au_loss(au_logits, au_labels, labels, knowledge, pw)
             grads = backward(params, x, (1 - lam) * grad_e, lam * grad_au,
                              activations=acts)
-            flat = np.concatenate(
-                [grads[k].ravel() for k, _ in sorted(params.as_dict().items())]
-            )
-            return combined_loss(loss_e, loss_au, lam), flat
+            return combined_loss(loss_e, loss_au, lam), grads
 
-        check = finite_difference_check(evaluator, params_to_vector(params))
+        check = finite_difference_check(evaluator, params.vector.copy())
         worst_model = max(worst_model, check.max_relative_error)
     elapsed = time.perf_counter() - start
     assert worst_model < 1e-4

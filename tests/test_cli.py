@@ -1,11 +1,13 @@
 """Command-line smoke tests: end-to-end flows and exit-code mapping."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
 
-from aukit.cli import EXIT_CONTRACT, EXIT_IO, EXIT_OK, main
+from aukit.cli import EXIT_CONTRACT, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
+from aukit.model import load_features, save_features
 
 
 def run(*argv):
@@ -51,6 +53,49 @@ def test_train_eval_flow(synth_dirs, tmp_path):
     for name in ("metrics.csv", "confusion.csv", "confusion.svg"):
         assert (eval_dir / name).exists()
     assert (eval_dir / "confusion.svg").read_text().count('class="cell"') == 49
+
+
+def test_epochs_csv_cells_are_plain_numbers(synth_dirs, tmp_path):
+    train_dir, test_dir = synth_dirs
+    run_dir = tmp_path / "run"
+    assert run("train", "--data", train_dir, "--test-data", test_dir,
+               "--epochs", 2, "--seed", 0, "--out", run_dir) == EXIT_OK
+    rows = (run_dir / "epochs.csv").read_text().splitlines()[2:]
+    assert len(rows) == 2
+    for row in rows:
+        for cell in row.split(","):
+            float(cell)
+
+
+def _with_features(train_dir, out_dir, edit):
+    shutil.copytree(train_dir, out_dir)
+    features = load_features(out_dir / "features.bin")
+    save_features(edit(features), out_dir / "features.bin")
+    return out_dir
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_nan_feature_is_numeric_failure(synth_dirs, tmp_path):
+    def put_nan(features):
+        features[3, 2] = np.nan
+        return features
+
+    data = _with_features(synth_dirs[0], tmp_path / "nan", put_nan)
+    run_dir = tmp_path / "run"
+    assert run("train", "--data", data, "--epochs", 2, "--seed", 0,
+               "--out", run_dir) == EXIT_NUMERIC
+    assert not (run_dir / "checkpoint.bin").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_huge_features_overflowing_optimizer_are_numeric_failure(
+    synth_dirs, tmp_path
+):
+    data = _with_features(synth_dirs[0], tmp_path / "huge", lambda f: f * 1e300)
+    run_dir = tmp_path / "run"
+    assert run("train", "--data", data, "--epochs", 2, "--seed", 0,
+               "--out", run_dir) == EXIT_NUMERIC
+    assert not (run_dir / "checkpoint.bin").exists()
 
 
 def test_train_deterministic_outputs(synth_dirs, tmp_path):

@@ -1,9 +1,11 @@
 """Training loop, WAR/UAR evaluation, and report-artifact tests."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from aukit.domain import ContractError, EXPRESSIONS, NUM_EXPRESSIONS
+from aukit.domain import ContractError, EXPRESSIONS, NUM_EXPRESSIONS, NumericFailure
 from aukit.harness import (
     DEFAULT_LAMBDA_GRID,
     EvalReport,
@@ -86,6 +88,16 @@ class TestEvaluate:
         with pytest.raises(ContractError):
             evaluate_predictions([], [])
 
+    @pytest.mark.parametrize("true_labels, predicted", [
+        ([0, 1, 2], [0, 7, 2]),
+        ([0, 1, 2], [0, -1, 2]),
+        ([0, 9, 2], [0, 1, 2]),
+        ([0, 1, 2], [0, 1]),
+    ])
+    def test_malformed_labels_rejected(self, true_labels, predicted):
+        with pytest.raises(ContractError):
+            evaluate_predictions(true_labels, predicted)
+
     def test_war_is_accuracy(self, rng):
         true_labels = rng.integers(0, NUM_EXPRESSIONS, size=200)
         predicted = rng.integers(0, NUM_EXPRESSIONS, size=200)
@@ -145,6 +157,28 @@ class TestTrain:
         params_b, _, _ = train(config, flipped)
         for key, value in params_a.as_dict().items():
             assert np.array_equal(value, params_b.as_dict()[key])
+
+    def test_trained_parameters_golden_hash(self):
+        # sha256 of the float64 parameter vector (sorted-name order) after a
+        # seeded run; recorded from the per-tensor optimizer and the
+        # two-log-sigmoid AU loss, which the flat update and the fused loss
+        # must reproduce bit for bit
+        params, state, _ = train(
+            TrainConfig(epochs=3, hidden=(8,), seed=7, lam=0.3),
+            small_train_data(),
+        )
+        assert state.step == 15
+        assert hashlib.sha256(params.vector.tobytes()).hexdigest() == (
+            "384cb68b0988c3ecf6aefd13a6183d6d88ad5504f478b527d29d1a814d17f86e"
+        )
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_non_finite_loss_raises(self):
+        data = small_train_data()
+        data.features = data.features.copy()
+        data.features[5, 0] = np.inf
+        with pytest.raises(NumericFailure, match="non-finite loss at epoch 0"):
+            train(TrainConfig(epochs=2, seed=0), data)
 
     def test_shape_mismatch_rejected(self):
         data = small_train_data()

@@ -1,9 +1,13 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from aukit.domain import ContractError, NumericFailure
 from aukit.losses import au_loss, combined_loss, expression_loss
 from aukit.model import (
+    CHECKPOINT_MAGIC,
     OptimizerState,
     backward,
     forward,
@@ -18,16 +22,29 @@ from aukit.domain import KnowledgeMatrix
 from aukit.labeling import PosWeightSpec
 
 
-def params_to_vector(params):
-    return np.concatenate([a.ravel() for _, a in sorted(params.as_dict().items())])
+def reference_optimizer_step(tensors, grads, state):
+    """The per-tensor AdamW loop, kept as the reference for the flat update.
 
-
-def vector_to_params(params, vector):
-    offset = 0
-    for name, arr in sorted(params.as_dict().items()):
-        arr[...] = vector[offset:offset + arr.size].reshape(arr.shape)
-        offset += arr.size
-    return params
+    tensors, grads, state.m and state.v are name -> array dicts.
+    """
+    state.step += 1
+    t = state.step
+    lr = state.learning_rate
+    for name, p in tensors.items():
+        g = grads[name]
+        if name not in state.m:
+            state.m[name] = np.zeros_like(p)
+            state.v[name] = np.zeros_like(p)
+        m = state.m[name]
+        v = state.v[name]
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * g * g
+        m_hat = m / (1.0 - state.beta1 ** t)
+        v_hat = v / (1.0 - state.beta2 ** t)
+        p -= lr * state.weight_decay * p
+        p -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
 
 
 class TestInitParams:
@@ -39,6 +56,17 @@ class TestInitParams:
         ):
             assert ka == kb
             assert np.array_equal(va, vb)
+
+    def test_named_arrays_are_views_in_sorted_name_order(self):
+        p = init_params(2, feature_dim=5, hidden=(4, 3))
+        named = p.as_dict()
+        assert list(named) == sorted(named)
+        flat = np.concatenate([a.ravel() for a in named.values()])
+        assert np.array_equal(flat, p.vector)
+        p.hidden_weights[1][0, 0] = 42.0
+        offset, _ = p.layout["hidden.1.w"]
+        assert p.vector[offset] == 42.0
+        assert p.vector.size == 4 * 5 + 4 + 3 * 4 + 3 + 7 * 3 + 7 + 18 * 3 + 18
 
     def test_no_hidden_layers(self):
         p = init_params(0, feature_dim=12, hidden=())
@@ -90,7 +118,7 @@ class TestBackward:
     def _combined_evaluator(self, params, x, expr_labels, au_labels, knowledge,
                             pw, lam):
         def evaluator(vector):
-            vector_to_params(params, vector)
+            params.vector[...] = vector
             expr_logits, au_logits, _, acts = forward(params, x, return_hidden=True)
             loss_e, grad_e = expression_loss(expr_logits, expr_labels)
             loss_au, grad_au = au_loss(au_logits, au_labels, expr_labels,
@@ -98,10 +126,7 @@ class TestBackward:
             total = combined_loss(loss_e, loss_au, lam)
             grads = backward(params, x, (1 - lam) * grad_e, lam * grad_au,
                              activations=acts)
-            flat = np.concatenate(
-                [grads[name].ravel() for name, _ in sorted(params.as_dict().items())]
-            )
-            return total, flat
+            return total, grads
 
         return evaluator
 
@@ -119,7 +144,7 @@ class TestBackward:
         evaluator = self._combined_evaluator(
             params, x, expr_labels, au_labels, knowledge, pw, lam=0.3
         )
-        report = finite_difference_check(evaluator, params_to_vector(params))
+        report = finite_difference_check(evaluator, params.vector.copy())
         assert report.max_relative_error < 1e-4
 
     def test_lambda_zero_au_head_gradients_zero(self, rng):
@@ -128,7 +153,9 @@ class TestBackward:
         expr_labels = rng.integers(0, 7, size=6)
         expr_logits, au_logits, _, acts = forward(params, x, return_hidden=True)
         _, grad_e = expression_loss(expr_logits, expr_labels)
-        grads = backward(params, x, grad_e, np.zeros((6, 18)), activations=acts)
+        grads = params.views(
+            backward(params, x, grad_e, np.zeros((6, 18)), activations=acts)
+        )
         assert np.all(grads["au.w"] == 0) and np.all(grads["au.b"] == 0)
         assert np.any(grads["hidden.0.w"] != 0)
 
@@ -144,8 +171,12 @@ class TestBackward:
         expr_logits, au_logits, _, acts = forward(params, x, return_hidden=True)
         _, grad_e = expression_loss(expr_logits, expr_labels)
         _, grad_au = au_loss(au_logits, au_labels, expr_labels, knowledge, pw)
-        base = backward(params, x, grad_e, np.zeros((6, 18)), activations=acts)
-        mixed = backward(params, x, 0.8 * grad_e, 0.2 * grad_au, activations=acts)
+        base = params.views(
+            backward(params, x, grad_e, np.zeros((6, 18)), activations=acts)
+        )
+        mixed = params.views(
+            backward(params, x, 0.8 * grad_e, 0.2 * grad_au, activations=acts)
+        )
         assert not np.allclose(base["hidden.0.w"], mixed["hidden.0.w"])
 
     def test_duplicated_sample_doubles_contribution(self, rng):
@@ -154,15 +185,17 @@ class TestBackward:
         labels = np.array([3])
         expr_logits, _, _, acts = forward(params, x, return_hidden=True)
         _, grad_e = expression_loss(expr_logits, labels)
-        single = backward(params, x, grad_e, np.zeros((1, 18)), activations=acts)
+        single = params.views(
+            backward(params, x, grad_e, np.zeros((1, 18)), activations=acts)
+        )
         x2 = np.repeat(x, 2, axis=0)
         expr_logits2, _, _, acts2 = forward(params, x2, return_hidden=True)
         # use sum-scaled gradients (no 1/N) to see pure additivity
         g = grad_e * 1.0
-        doubled = backward(
+        doubled = params.views(backward(
             params, x2, np.repeat(g, 2, axis=0), np.zeros((2, 18)),
             activations=acts2,
-        )
+        ))
         assert np.allclose(doubled["expr.w"], 2.0 * single["expr.w"])
 
 
@@ -170,31 +203,24 @@ class TestOptimizer:
     def test_zero_gradient_fixed_point(self):
         params = init_params(1, feature_dim=4, hidden=())
         state = OptimizerState(weight_decay=0.0)
-        before = {k: v.copy() for k, v in params.as_dict().items()}
-        grads = {k: np.zeros_like(v) for k, v in params.as_dict().items()}
-        optimizer_step(params, grads, state)
-        for k, v in params.as_dict().items():
-            assert np.array_equal(v, before[k])
+        before = params.vector.copy()
+        optimizer_step(params, np.zeros_like(params.vector), state)
+        assert np.array_equal(params.vector, before)
 
     def test_first_step_approx_lr_sign(self):
         params = init_params(1, feature_dim=4, hidden=())
         state = OptimizerState(learning_rate=1e-3, weight_decay=0.0)
-        before = {k: v.copy() for k, v in params.as_dict().items()}
-        grads = {
-            k: np.full_like(v, 0.37) for k, v in params.as_dict().items()
-        }
-        optimizer_step(params, grads, state)
-        for k, v in params.as_dict().items():
-            step = before[k] - v
-            # bias correction makes m_hat = g, v_hat = g^2 -> update = lr*sign(g)
-            assert np.allclose(step, 1e-3 * 0.37 / (0.37 + 1e-8))
+        before = params.vector.copy()
+        optimizer_step(params, np.full_like(params.vector, 0.37), state)
+        step = before - params.vector
+        # bias correction makes m_hat = g, v_hat = g^2 -> update = lr*sign(g)
+        assert np.allclose(step, 1e-3 * 0.37 / (0.37 + 1e-8))
 
     def test_hand_computed_first_update(self):
         params = init_params(1, feature_dim=2, hidden=())
         state = OptimizerState(learning_rate=0.01, weight_decay=0.1)
         w0 = params.expr_weight.copy()
-        grads = {k: np.ones_like(v) for k, v in params.as_dict().items()}
-        optimizer_step(params, grads, state)
+        optimizer_step(params, np.ones_like(params.vector), state)
         expected = w0 - 0.01 * 0.1 * w0 - 0.01 * (1.0 / (1.0 + 1e-8))
         assert np.allclose(params.expr_weight, expected, atol=1e-12)
 
@@ -205,19 +231,48 @@ class TestOptimizer:
             state = OptimizerState()
             grad_rng = np.random.default_rng(42)
             for _ in range(10):
-                grads = {
-                    k: grad_rng.normal(size=v.shape)
-                    for k, v in params.as_dict().items()
-                }
+                grads = grad_rng.normal(size=params.vector.size)
                 optimizer_step(params, grads, state)
-            results.append(params_to_vector(params))
+            results.append(params.vector.copy())
         assert np.array_equal(results[0], results[1])
+
+    @pytest.mark.parametrize("hidden", [(), (3,), (8, 4)])
+    def test_flat_update_bitwise_equals_per_tensor_reference(self, hidden):
+        params = init_params(9, feature_dim=5, hidden=hidden)
+        reference = {k: v.copy() for k, v in params.as_dict().items()}
+        state = OptimizerState(learning_rate=0.01, weight_decay=0.05)
+        ref_state = OptimizerState(learning_rate=0.01, weight_decay=0.05, m={}, v={})
+        grad_rng = np.random.default_rng(42)
+        for _ in range(10):
+            grads = grad_rng.normal(scale=3.0, size=params.vector.size)
+            optimizer_step(params, grads, state)
+            reference_optimizer_step(reference, params.views(grads), ref_state)
+        assert state.step == ref_state.step == 10
+        for name, value in params.as_dict().items():
+            assert value.tobytes() == reference[name].tobytes()
+            assert params.views(state.m)[name].tobytes() == ref_state.m[name].tobytes()
+            assert params.views(state.v)[name].tobytes() == ref_state.v[name].tobytes()
+
+    def test_gradient_size_mismatch_rejected(self):
+        params = init_params(1, feature_dim=4, hidden=())
+        with pytest.raises(ContractError):
+            optimizer_step(params, np.zeros(params.vector.size - 1), OptimizerState())
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_second_moment_overflow_rejected(self):
+        params = init_params(1, feature_dim=4, hidden=(3,))
+        before = params.vector.copy()
+        grads = np.zeros_like(params.vector)
+        params.views(grads)["hidden.0.b"][1] = 1e200  # squared: inf
+        with pytest.raises(NumericFailure, match="hidden.0.b"):
+            optimizer_step(params, grads, OptimizerState())
+        assert np.array_equal(params.vector, before)
 
     def test_non_finite_gradient_rejected(self):
         params = init_params(1, feature_dim=4, hidden=())
         state = OptimizerState()
-        grads = {k: np.zeros_like(v) for k, v in params.as_dict().items()}
-        grads["expr.w"][0, 0] = np.nan
+        grads = np.zeros_like(params.vector)
+        params.views(grads)["expr.w"][0, 0] = np.nan
         with pytest.raises(NumericFailure, match="expr.w"):
             optimizer_step(params, grads, state)
 
@@ -226,8 +281,7 @@ class TestCheckpoint:
     def test_roundtrip_exact(self, rng, tmp_path):
         params = init_params(11, feature_dim=1024, hidden=(128,))
         state = OptimizerState(step=5)
-        grads = {k: rng.normal(size=v.shape) for k, v in params.as_dict().items()}
-        optimizer_step(params, grads, state)
+        optimizer_step(params, rng.normal(size=params.vector.size), state)
         path = tmp_path / "ckpt.bin"
         save_checkpoint(params, state, path)
         loaded_params, loaded_state = load_checkpoint(path)
@@ -239,8 +293,29 @@ class TestCheckpoint:
         ):
             assert ka == kb and np.array_equal(va, vb)
         assert loaded_state.step == state.step
-        for k in state.m:
-            assert np.array_equal(state.m[k], loaded_state.m[k])
+        assert loaded_params.vector.tobytes() == params.vector.tobytes()
+        assert loaded_state.m.tobytes() == state.m.tobytes()
+        assert loaded_state.v.tobytes() == state.v.tobytes()
+
+    def test_roundtrip_before_first_step(self, tmp_path):
+        params = init_params(4, feature_dim=6, hidden=(3,))
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(params, OptimizerState(learning_rate=0.02), path)
+        loaded_params, loaded_state = load_checkpoint(path)
+        assert loaded_params.vector.tobytes() == params.vector.tobytes()
+        assert loaded_state.learning_rate == 0.02
+        assert loaded_state.m is None and loaded_state.v is None
+
+    def test_version_1_rejected(self, tmp_path):
+        # a well-formed file in the per-array v1 layout, checksum included
+        header = json.dumps({"version": 1, "seed": 0, "feature_dim": 4,
+                             "hidden": [], "optimizer": None}).encode("utf-8")
+        body = (CHECKPOINT_MAGIC + len(header).to_bytes(8, "little") + header
+                + (0).to_bytes(8, "little"))
+        path = tmp_path / "v1.bin"
+        path.write_bytes(body + hashlib.sha256(body).digest())
+        with pytest.raises(ContractError, match="version mismatch: 1"):
+            load_checkpoint(path)
 
     def test_corrupted_tail_rejected(self, tmp_path):
         params = init_params(1, feature_dim=8, hidden=())
@@ -280,6 +355,11 @@ class TestFeatureFiles:
         path = tmp_path / "f.csv"
         save_features(features, path)
         assert np.allclose(load_features(path), features)
+
+    def test_single_column_csv_is_n_by_1(self, tmp_path):
+        path = tmp_path / "one.csv"
+        path.write_text("1.5\n2.5\n3.5\n")
+        assert load_features(path).shape == (3, 1)
 
     def test_truncated_binary_rejected(self, rng, tmp_path):
         path = tmp_path / "features.bin"
