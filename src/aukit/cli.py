@@ -13,7 +13,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import harness, ingest, knowledge, labeling, model, synth
-from .domain import ContractError, EXPRESSIONS, NumericFailure, expression_index
+from .domain import ContractError, EXPRESSIONS, NumericFailure
 from .losses import expression_loss, finite_difference_check
 
 EXIT_OK = 0
@@ -22,16 +22,20 @@ EXIT_NUMERIC = 2
 EXIT_IO = 3
 
 
+def _reject_unknown_keys(values, cls, what):
+    """ContractError naming the keys of `values` that are not fields of `cls`."""
+    unknown = set(values) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ContractError(f"unknown {what} keys: {sorted(unknown)}")
+
+
 def _load_config(args):
     """Build a TrainConfig from --config JSON overridden by CLI flags."""
     values = {}
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
             values.update(json.load(fh))
-    known = {f.name for f in fields(harness.TrainConfig)}
-    unknown = set(values) - known
-    if unknown:
-        raise ContractError(f"unknown config keys: {sorted(unknown)}")
+    _reject_unknown_keys(values, harness.TrainConfig, "config")
     for name in ("seed", "lam", "strategy", "epochs"):
         override = getattr(args, name, None)
         if override is not None:
@@ -42,22 +46,17 @@ def _load_config(args):
 
 
 def _load_frames_dir(frames_dir):
-    records = []
-    for name in sorted(os.listdir(frames_dir)):
-        if name.endswith(".ndjson"):
-            records.extend(ingest.read_frame_store(os.path.join(frames_dir, name)))
-    if not records:
-        raise ContractError(f"no frame stores (*.ndjson) found in {frames_dir}")
-    return records
-
-
-def _group_by_video(records):
-    groups = {}
-    for r in records:
-        groups.setdefault(r.video_id, []).append(r)
-    for video_records in groups.values():
-        video_records.sort(key=lambda r: r.frame_index)
-    return groups
+    """(video_id, frames) for every frame store in frames_dir, by video id."""
+    suffix = ingest.FRAME_STORE_SUFFIX
+    video_ids = sorted(
+        name[:-len(suffix)] for name in os.listdir(frames_dir) if name.endswith(suffix)
+    )
+    if not video_ids:
+        raise ContractError(f"no frame stores (*{suffix}) found in {frames_dir}")
+    return [
+        (video_id, ingest.read_frame_store(os.path.join(frames_dir, video_id + suffix)))
+        for video_id in video_ids
+    ]
 
 
 def cmd_ingest(args):
@@ -65,23 +64,25 @@ def cmd_ingest(args):
     for path in args.inputs:
         video_id = os.path.splitext(os.path.basename(path))[0]
         with open(path, "r", encoding="utf-8") as fh:
-            records = ingest.parse_openface_csv(fh, video_id)
-        repaired, flags = ingest.interpolate_zero_intensities(records)
+            frames = ingest.parse_openface_csv(fh, video_id)
+        repaired, flags = ingest.interpolate_zero_intensities(frames, video_id)
         for flag in flags:
             print(f"warning: {flag}", file=sys.stderr)
-        out_path = os.path.join(args.out, video_id + ".ndjson")
+        out_path = os.path.join(args.out, video_id + ingest.FRAME_STORE_SUFFIX)
         ingest.write_frame_store(repaired, out_path)
         print(f"{video_id}: {len(repaired)} frames -> {out_path}")
     return EXIT_OK
 
 
 def cmd_extract_knowledge(args):
-    records = _load_frames_dir(args.frames)
-    records = ingest.reliable_detections(records, min_confidence=args.min_confidence)
+    videos = [
+        (video_id, ingest.reliable_detections(frames, args.min_confidence))
+        for video_id, frames in _load_frames_dir(args.frames)
+    ]
     with open(args.preds, "r", encoding="utf-8") as fh:
         predictions = ingest.load_frame_predictions(fh)
     reliable = knowledge.filter_reliable_frames(predictions, args.theta)
-    matrix = knowledge.compute_dataset_knowledge(records, reliable)
+    matrix = knowledge.compute_dataset_knowledge(videos, reliable)
     knowledge.export_knowledge(matrix, args.out)
     print(f"knowledge matrix (per-dataset) -> {args.out}")
     return EXIT_OK
@@ -99,17 +100,16 @@ def cmd_aggregate_knowledge(args):
 
 
 def cmd_pseudo_label(args):
-    groups = _group_by_video(_load_frames_dir(args.frames))
-    expr_by_video = {}
-    if args.video_labels:
-        with open(args.video_labels, "r", encoding="utf-8") as fh:
-            for line in fh.read().splitlines()[1:]:
-                if line.strip():
-                    video_id, label = line.split(",")[:2]
-                    expr_by_video[video_id] = expression_index(label)
+    videos = _load_frames_dir(args.frames)
+    expr_by_video = labeling.read_video_labels_csv(args.video_labels)
+    missing = [video_id for video_id, _ in videos if video_id not in expr_by_video]
+    if missing:
+        raise ContractError(
+            f"no label in {args.video_labels} for videos: {', '.join(missing)}"
+        )
     labels = [
-        labeling.derive_video_au_labels(records, expr_by_video.get(video_id, 0))
-        for video_id, records in sorted(groups.items())
+        labeling.derive_video_au_labels(frames, video_id, expr_by_video[video_id])
+        for video_id, frames in videos
     ]
     labeling.write_labels_csv(labels, args.out)
     print(f"{len(labels)} video AU labels -> {args.out}")
@@ -130,6 +130,7 @@ def cmd_synth_gen(args):
     if args.spec:
         with open(args.spec, "r", encoding="utf-8") as fh:
             loaded = json.load(fh)
+        _reject_unknown_keys(loaded, synth.SynthSpec, "spec")
         if "class_proportions" in loaded:
             loaded["class_proportions"] = np.array(loaded["class_proportions"])
         spec_kwargs.update(loaded)
@@ -156,9 +157,12 @@ def cmd_synth_gen(args):
 
 def _load_dataset_dir(path):
     features = model.load_features(os.path.join(path, "features.bin"))
-    expr_labels = np.loadtxt(
-        os.path.join(path, "expression_labels.csv"), dtype=np.int64, comments="#"
-    )
+    try:
+        expr_labels = np.loadtxt(
+            os.path.join(path, "expression_labels.csv"), dtype=np.int64, comments="#"
+        )
+    except ValueError as exc:
+        raise ContractError(f"corrupt expression label file: {exc}") from None
     au_label_list = labeling.read_labels_csv(os.path.join(path, "au_labels.csv"))
     au_labels = np.stack([lab.y for lab in au_label_list])
     return features, np.atleast_1d(expr_labels), au_labels, au_label_list
@@ -334,7 +338,7 @@ def build_parser():
 
     p = add("pseudo-label", cmd_pseudo_label)
     p.add_argument("--frames", required=True)
-    p.add_argument("--video-labels", default=None)
+    p.add_argument("--video-labels", required=True)
 
     p = add("pos-weights", cmd_pos_weights)
     p.add_argument("--labels", required=True)

@@ -36,6 +36,14 @@ class NumericFailure(RuntimeError):
     """A computation produced non-finite or otherwise unusable values."""
 
 
+def parse_numbers(cells, what, kind=float):
+    """Table cells as numbers of `kind`; ContractError naming the file otherwise."""
+    try:
+        return [kind(cell) for cell in cells]
+    except ValueError:
+        raise ContractError(f"corrupt {what}: non-numeric cell") from None
+
+
 def expression_index(name):
     """Map an expression label (case-insensitive) to its canonical index 0..6."""
     try:

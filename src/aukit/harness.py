@@ -12,6 +12,7 @@ from .domain import (
     MAJOR_CLASSES,
     NUM_EXPRESSIONS,
     NumericFailure,
+    parse_numbers,
 )
 from .labeling import STRATEGIES, compute_pos_weights, pos_weight_none
 from .losses import au_loss, combined_loss, expression_loss
@@ -290,7 +291,11 @@ def read_confusion_csv(path):
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln for ln in fh.read().splitlines() if ln and not ln.startswith("#")]
     rows = [ln.split(",")[1:] for ln in lines[1:]]
-    return np.array(rows, dtype=np.int64)
+    if len(rows) != NUM_EXPRESSIONS or any(len(r) != NUM_EXPRESSIONS for r in rows):
+        raise ContractError("corrupt confusion file: expected 7 rows of 7 counts")
+    return np.array(
+        [parse_numbers(row, "confusion file", int) for row in rows], dtype=np.int64
+    )
 
 
 def write_confusion_svg(report, path, cell=48, margin=72):

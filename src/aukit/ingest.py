@@ -1,16 +1,17 @@
 """Parsing of OpenFace-style per-frame AU tracks and frame-level predictions.
 
 OpenFace 2.2.0 writes one comma-separated file per video with a header row;
-columns are addressed by name so column order never matters. Zero-valued
-intensities are the tool's known failure mode and are repaired by within-video
-linear interpolation.
+columns are addressed by name so column order never matters. A video's frames
+are one 1-D array of FRAME_DTYPE rows, kept on disk as a sealed frame store.
+Zero-valued intensities are the tool's known failure mode and are repaired by
+within-video linear interpolation.
 """
 
 import csv
 import io
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,40 +24,28 @@ from .domain import (
     NUM_INTENSITY_AUS,
     expression_index,
 )
+from .sealed import read_sealed, write_sealed
 
 log = logging.getLogger(__name__)
 
+# one row per video frame; a video's frames are a 1-D array of this dtype
+FRAME_DTYPE = np.dtype([
+    ("frame_index", "<i8"),
+    ("timestamp", "<f8"),
+    ("confidence", "<f8"),
+    ("success", "?"),
+    ("intensities", "<f8", (NUM_INTENSITY_AUS,)),
+    ("presences", "u1", (NUM_AUS,)),
+    ("interpolated", "?", (NUM_INTENSITY_AUS,)),
+])
+
+FRAME_STORE_MAGIC = b"AUKITFRAMES"
 FRAME_STORE_FORMAT = "aukit-frames"
-FRAME_STORE_VERSION = 1
+FRAME_STORE_VERSION = 2
+FRAME_STORE_SUFFIX = ".frames"
 
 INTENSITY_COLUMNS = tuple(f"{n}_r" for n in INTENSITY_AU_NAMES)
 PRESENCE_COLUMNS = tuple(f"{n}_c" for n in AU_NAMES)
-
-
-@dataclass
-class FrameAURecord:
-    """One video frame's AU intensities (17) and presence flags (18)."""
-
-    video_id: str
-    frame_index: int
-    timestamp: float
-    confidence: float
-    success: bool
-    intensities: np.ndarray
-    presences: np.ndarray
-    interpolated_mask: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        self.intensities = np.asarray(self.intensities, dtype=np.float64)
-        self.presences = np.asarray(self.presences, dtype=np.int64)
-        if self.intensities.shape != (NUM_INTENSITY_AUS,):
-            raise ContractError("intensities must be a 17-vector")
-        if self.presences.shape != (NUM_AUS,):
-            raise ContractError("presences must be an 18-vector")
-        if self.interpolated_mask is None:
-            self.interpolated_mask = np.zeros(NUM_INTENSITY_AUS, dtype=bool)
-        else:
-            self.interpolated_mask = np.asarray(self.interpolated_mask, dtype=bool)
 
 
 @dataclass
@@ -87,7 +76,7 @@ def _cell_float(row, column, row_number):
 
 
 def parse_openface_csv(stream, video_id):
-    """Parse one video's OpenFace output into FrameAURecords.
+    """Parse one video's OpenFace output into an array of FRAME_DTYPE rows.
 
     Accepts a text or byte stream. Rows with success = 0 are retained but
     flagged; rows for secondary faces (face_id > 0) are dropped with a warning.
@@ -111,7 +100,7 @@ def parse_openface_csv(stream, video_id):
     if missing:
         raise ContractError(f'missing column "{missing[0]}"')
 
-    records = []
+    rows = []
     for row_number, row in enumerate(reader, start=2):
         if "face_id" in header and _cell_float(row, "face_id", row_number) > 0:
             log.warning("%s row %d: dropping secondary face", video_id, row_number)
@@ -124,50 +113,38 @@ def parse_openface_csv(stream, video_id):
                     f"row {row_number}: intensity {col} = {v} outside [0, 5]"
                 )
             intensities[k] = v
-        presences = np.empty(NUM_AUS, dtype=np.int64)
+        presences = np.empty(NUM_AUS, dtype=np.uint8)
         for k, col in enumerate(PRESENCE_COLUMNS):
             v = _cell_float(row, col, row_number)
             if v not in (0.0, 1.0):
                 raise ContractError(
                     f"row {row_number}: presence {col} = {v} not in {{0, 1}}"
                 )
-            presences[k] = int(v)
-        records.append(
-            FrameAURecord(
-                video_id=video_id,
-                frame_index=int(_cell_float(row, "frame", row_number)),
-                timestamp=_cell_float(row, "timestamp", row_number)
-                if "timestamp" in header
-                else 0.0,
-                confidence=_cell_float(row, "confidence", row_number),
-                success=_cell_float(row, "success", row_number) != 0.0,
-                intensities=intensities,
-                presences=presences,
-            )
-        )
-    return records
+            presences[k] = v
+        rows.append((
+            int(_cell_float(row, "frame", row_number)),
+            _cell_float(row, "timestamp", row_number) if "timestamp" in header else 0.0,
+            _cell_float(row, "confidence", row_number),
+            _cell_float(row, "success", row_number) != 0.0,
+            intensities,
+            presences,
+            False,
+        ))
+    return np.array(rows, dtype=FRAME_DTYPE)
 
 
-def interpolate_zero_intensities(records):
+def interpolate_zero_intensities(frames, video_id):
     """Repair exactly-zero intensities by per-AU linear interpolation.
 
-    Returns (repaired records, flags). Leading/trailing zeros take the nearest
+    Returns (repaired copy, flags). Leading/trailing zeros take the nearest
     nonzero value; an all-zero AU series is left unchanged and flagged.
-    Input must be one video sorted by frame_index.
+    Input must be one video's frames sorted by frame_index.
     """
-    if not records:
-        return [], []
-    video_ids = {r.video_id for r in records}
-    if len(video_ids) > 1:
-        raise ContractError(f"records span multiple videos: {sorted(video_ids)}")
-    frames = [r.frame_index for r in records]
-    if any(b <= a for a, b in zip(frames, frames[1:])):
-        raise ContractError("records must be sorted by frame_index")
-
-    video_id = records[0].video_id
-    series = np.stack([r.intensities for r in records])  # n x 17
-    mask = np.stack([r.interpolated_mask for r in records])
-    positions = np.asarray(frames, dtype=np.float64)
+    if np.any(np.diff(frames["frame_index"]) <= 0):
+        raise ContractError("frames must be sorted by frame_index")
+    repaired = frames.copy()
+    series, mask = repaired["intensities"], repaired["interpolated"]  # n x 17 views
+    positions = frames["frame_index"].astype(np.float64)
     flags = []
     for j, name in enumerate(INTENSITY_AU_NAMES):
         col = series[:, j]
@@ -182,20 +159,6 @@ def interpolate_zero_intensities(records):
             positions[zero], positions[known], col[known]
         )
         mask[zero, j] = True
-
-    repaired = [
-        FrameAURecord(
-            video_id=r.video_id,
-            frame_index=r.frame_index,
-            timestamp=r.timestamp,
-            confidence=r.confidence,
-            success=r.success,
-            intensities=series[i],
-            presences=r.presences.copy(),
-            interpolated_mask=mask[i],
-        )
-        for i, r in enumerate(records)
-    ]
     for flag in flags:
         log.warning(flag)
     return repaired, flags
@@ -240,69 +203,36 @@ def load_frame_predictions(stream):
     return predictions
 
 
-def write_frame_store(records, path):
-    """Serialize records as newline-delimited JSON with a versioned header."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(
-            json.dumps({"format": FRAME_STORE_FORMAT, "version": FRAME_STORE_VERSION})
-            + "\n"
-        )
-        for r in records:
-            fh.write(
-                json.dumps(
-                    {
-                        "video_id": r.video_id,
-                        "frame": r.frame_index,
-                        "timestamp": r.timestamp,
-                        "confidence": r.confidence,
-                        "success": r.success,
-                        "intensities": [repr(float(v)) for v in r.intensities],
-                        "presences": r.presences.tolist(),
-                        "interpolated": r.interpolated_mask.tolist(),
-                    }
-                )
-                + "\n"
-            )
+def write_frame_store(frames, path):
+    """One video's frames as a sealed file (see aukit.sealed).
+
+    The header names the format, version and row dtype; the payload is the
+    rows' bytes. The video id is the file's stem.
+    """
+    if frames.dtype != FRAME_DTYPE or frames.ndim != 1:
+        raise ContractError("frame store rows must be a 1-D FRAME_DTYPE array")
+    header = {
+        "format": FRAME_STORE_FORMAT,
+        "version": FRAME_STORE_VERSION,
+        "dtype": FRAME_DTYPE.descr,
+    }
+    write_sealed(path, FRAME_STORE_MAGIC, header, frames.tobytes())
 
 
 def read_frame_store(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        header_line = fh.readline()
-        if not header_line:
-            raise ContractError("corrupt frame store: empty file")
-        try:
-            header = json.loads(header_line)
-        except json.JSONDecodeError:
-            raise ContractError("corrupt frame store: bad header") from None
-        if header.get("format") != FRAME_STORE_FORMAT:
-            raise ContractError("corrupt frame store: unknown format")
-        if header.get("version") != FRAME_STORE_VERSION:
-            raise ContractError(
-                f"frame store version mismatch: {header.get('version')}"
-            )
-        records = []
-        for line in fh:
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError:
-                raise ContractError("corrupt frame store: bad record line") from None
-            records.append(
-                FrameAURecord(
-                    video_id=obj["video_id"],
-                    frame_index=obj["frame"],
-                    timestamp=obj["timestamp"],
-                    confidence=obj["confidence"],
-                    success=obj["success"],
-                    intensities=np.array([float(v) for v in obj["intensities"]]),
-                    presences=np.array(obj["presences"], dtype=np.int64),
-                    interpolated_mask=np.array(obj["interpolated"], dtype=bool),
-                )
-            )
-    return records
+    """Inverse of write_frame_store; rejects tampered, truncated or v1 files."""
+    header, payload = read_sealed(path, FRAME_STORE_MAGIC, "frame store")
+    if header.get("format") != FRAME_STORE_FORMAT:
+        raise ContractError("corrupt frame store: unknown format")
+    if header.get("version") != FRAME_STORE_VERSION:
+        raise ContractError(f"frame store version mismatch: {header.get('version')}")
+    if header.get("dtype") != json.loads(json.dumps(FRAME_DTYPE.descr)):
+        raise ContractError("corrupt frame store: unknown row dtype")
+    if len(payload) % FRAME_DTYPE.itemsize:
+        raise ContractError("corrupt frame store: payload is not whole rows")
+    return np.frombuffer(payload, dtype=FRAME_DTYPE).copy()
 
 
-def reliable_detections(records, min_confidence=0.8):
+def reliable_detections(frames, min_confidence=0.8):
     """Frames usable for knowledge extraction: successful and confident."""
-    return [r for r in records if r.success and r.confidence >= min_confidence]
+    return frames[frames["success"] & (frames["confidence"] >= min_confidence)]

@@ -21,7 +21,7 @@ from .domain import (
     KnowledgeMatrix,
     NUM_AUS,
     NUM_EXPRESSIONS,
-    NUM_INTENSITY_AUS,
+    parse_numbers,
 )
 
 log = logging.getLogger(__name__)
@@ -54,27 +54,38 @@ class ReliableFrameSet:
 
 
 def filter_reliable_frames(predictions, theta, dataset_id="dataset"):
-    """Keep frames with scores[asserted_label] > theta (strict)."""
+    """Keep frames with scores[asserted_label] > theta (strict).
+
+    Two predictions for one (video, frame) are a contract violation.
+    """
     if not 0.0 <= theta <= 1.0:
         raise ContractError(f"theta must be in [0, 1], got {theta}")
     members = {}
+    seen = set()
     for p in predictions:
+        key = (p.video_id, p.frame_index)
+        if key in seen:
+            raise ContractError(
+                f"duplicate prediction for video {p.video_id!r} frame {p.frame_index}"
+            )
+        seen.add(key)
         if p.scores[p.asserted_label] > theta:
-            members[(p.video_id, p.frame_index)] = p.asserted_label
+            members[key] = p.asserted_label
     result = ReliableFrameSet(dataset_id=dataset_id, theta=theta, members=members)
     if not members:
         log.warning("no frames survive theta = %s", theta)
     return result
 
 
-def compute_dataset_knowledge(records, reliable, theta=None, classes=None):
+def compute_dataset_knowledge(videos, reliable, theta=None, classes=None):
     """Per-dataset 18x7 knowledge matrix from one dataset's frames.
 
-    Every expression class must have at least one reliable frame; classes
-    without any are reported rather than silently imputed. A corpus that
-    deliberately covers only a subset of classes can declare that subset via
-    `classes`; the remaining columns come out as the uninformative 0.5 with
-    zero support, and the centering midpoint ignores them.
+    `videos` is a list of (video_id, frames) pairs. Every expression class
+    must have at least one reliable frame; classes without any are reported
+    rather than silently imputed. A corpus that deliberately covers only a
+    subset of classes can declare that subset via `classes`; the remaining
+    columns come out as the uninformative 0.5 with zero support, and the
+    centering midpoint ignores them.
     """
     theta = reliable.theta if theta is None else theta
     if classes is None:
@@ -82,29 +93,31 @@ def compute_dataset_knowledge(records, reliable, theta=None, classes=None):
     classes = tuple(sorted(set(int(c) for c in classes)))
     if any(c < 0 or c >= NUM_EXPRESSIONS for c in classes) or not classes:
         raise ContractError(f"invalid class subset: {classes}")
-    by_class = [[] for _ in range(NUM_EXPRESSIONS)]
-    for r in records:
-        label = reliable.members.get((r.video_id, r.frame_index))
-        if label is not None:
-            by_class[label].append(r.intensities)
+    # each frame's reliable label, -1 for frames outside the reliable set
+    labels = np.array([
+        reliable.members.get((video_id, frame), -1)
+        for video_id, frames in videos
+        for frame in frames["frame_index"].tolist()
+    ], dtype=np.int64)
+    counts = np.bincount(labels + 1, minlength=NUM_EXPRESSIONS + 1)[1:]
 
-    empty = [EXPRESSIONS[c] for c in classes if not by_class[c]]
+    empty = [EXPRESSIONS[c] for c in classes if not counts[c]]
     if empty:
         raise ContractError(
             f"no reliable frames for classes: {', '.join(empty)}"
         )
 
+    intensities = np.concatenate([frames["intensities"] for _, frames in videos])
     raw = np.empty((NUM_AUS, NUM_EXPRESSIONS))
     populated = np.zeros(NUM_EXPRESSIONS, dtype=bool)
     populated[list(classes)] = True
     support = np.zeros((NUM_AUS, NUM_EXPRESSIONS), dtype=np.int64)
     for c in classes:
-        stacked = np.stack(by_class[c])  # frames x 17
-        medians = np.median(stacked, axis=0)
+        medians = np.median(intensities[labels == c], axis=0)
         raw[INTENSITY_TO_PRESENCE, c] = medians
         # AU28 has no intensity track; stand in with the mean of the 17 medians
         raw[AU28_INDEX, c] = medians.mean()
-        support[:, c] = stacked.shape[0]
+        support[:, c] = counts[c]
 
     midpoint = 0.5 * (raw[:, populated].max() + raw[:, populated].min())
     values = np.full((NUM_AUS, NUM_EXPRESSIONS), 0.5)
@@ -184,10 +197,24 @@ def export_knowledge(matrix, path):
             fh.write(name + "," + ",".join(str(v) for v in matrix.support[i]) + "\n")
 
 
+def _au_table(lines, what, kind=float):
+    """The 18x7 body (rows 'AUxx,v1,...,v7') of a knowledge or support file."""
+    rows = [ln.split(",") for ln in lines if ln.strip() and not ln.startswith("#")]
+    if any(len(row) != 1 + NUM_EXPRESSIONS for row in rows):
+        raise ContractError(f"corrupt {what}: bad row width")
+    if len(rows) != NUM_AUS:
+        raise ContractError(f"corrupt {what}: expected {NUM_AUS} rows, got {len(rows)}")
+    for row, expected in zip(rows, AU_NAMES):
+        if row[0] != expected:
+            raise ContractError(f"corrupt {what}: unexpected row {row[0]!r}")
+    return np.array([parse_numbers(row[1:], what, kind) for row in rows])
+
+
 def import_knowledge(path):
-    """Read back a knowledge file; lossless inverse of export_knowledge."""
-    meta = {}
-    rows = []
+    """Read back a knowledge file; lossless inverse of export_knowledge.
+
+    A missing support sidecar reads as zero support; a malformed one fails.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -198,50 +225,24 @@ def import_knowledge(path):
     version = lines[0].split("v")[-1].strip()
     if version != str(KNOWLEDGE_FILE_VERSION):
         raise ContractError(f"knowledge file version mismatch: {version}")
+    meta = {}
     for line in lines[1:]:
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" in body:
-                key, value = body.split("=", 1)
-                meta[key.strip()] = value.strip()
-            continue
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 1 + NUM_EXPRESSIONS:
-            raise ContractError("corrupt knowledge file: bad row width")
-        try:
-            rows.append((parts[0], [float(v) for v in parts[1:]]))
-        except ValueError:
-            raise ContractError("corrupt knowledge file: non-numeric cell") from None
+        if line.startswith("#") and "=" in line:
+            key, value = line[1:].split("=", 1)
+            meta[key.strip()] = value.strip()
     if "stage" not in meta:
         raise ContractError("corrupt knowledge file: stage missing")
-    if len(rows) != NUM_AUS:
-        raise ContractError(
-            f"corrupt knowledge file: expected {NUM_AUS} rows, got {len(rows)}"
-        )
-    for (name, _), expected in zip(rows, AU_NAMES):
-        if name != expected:
-            raise ContractError(f"corrupt knowledge file: unexpected row {name!r}")
-    values = np.array([v for _, v in rows])
-
-    support = np.zeros((NUM_AUS, NUM_EXPRESSIONS), dtype=np.int64)
+    values = _au_table(lines, "knowledge file")
     try:
         with open(_support_path(path), "r", encoding="utf-8") as fh:
-            support_rows = [
-                line.split(",")[1:]
-                for line in fh.read().splitlines()
-                if line and not line.startswith("#")
-            ]
-        if len(support_rows) == NUM_AUS:
-            support = np.array(support_rows, dtype=np.int64)
-    except OSError:
-        pass
-
+            support = _au_table(fh.read().splitlines(), "knowledge support file", int)
+    except FileNotFoundError:
+        support = None  # zero support
+    datasets, theta = meta.get("datasets", "1"), meta.get("theta", "0.5")
     return KnowledgeMatrix(
         values=values,
         stage=meta["stage"],
-        dataset_count=int(meta.get("datasets", 1)),
-        theta=float(meta.get("theta", 0.5)),
+        dataset_count=parse_numbers([datasets], "knowledge file", int)[0],
+        theta=parse_numbers([theta], "knowledge file")[0],
         support=support,
     )

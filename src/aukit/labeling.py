@@ -15,6 +15,7 @@ from .domain import (
     expression_index,
     expression_name,
     is_major_class,
+    parse_numbers,
 )
 
 log = logging.getLogger(__name__)
@@ -61,21 +62,14 @@ class PosWeightSpec:
             self.sample_counts = np.zeros(NUM_EXPRESSIONS, dtype=np.int64)
 
 
-def derive_video_au_labels(records, expression_label):
+def derive_video_au_labels(frames, video_id, expression_label):
     """AU j is labeled 1 iff its presence sum over the video is >= half the frames."""
-    if not records:
-        raise ContractError("empty video: no frames to label")
-    video_ids = {r.video_id for r in records}
-    if len(video_ids) > 1:
-        raise ContractError(f"records span multiple videos: {sorted(video_ids)}")
-    n = len(records)
-    sums = np.sum([r.presences for r in records], axis=0)
-    y = (sums >= 0.5 * n).astype(np.int64)
+    n = len(frames)
+    if not n:
+        raise ContractError(f"empty video {video_id!r}: no frames to label")
+    y = (frames["presences"].sum(axis=0) >= 0.5 * n).astype(np.int64)
     return VideoAULabel(
-        video_id=records[0].video_id,
-        y=y,
-        frame_count=n,
-        expression_label=expression_label,
+        video_id=video_id, y=y, frame_count=n, expression_label=expression_label
     )
 
 
@@ -188,15 +182,37 @@ def read_labels_csv(path):
         parts = line.split(",")
         if len(parts) != 3 + NUM_AUS:
             raise ContractError("corrupt label file: bad row width")
+        counts = parse_numbers(parts[2:], "label file", int)
         labels.append(
             VideoAULabel(
                 video_id=parts[0],
-                y=np.array([int(v) for v in parts[3:]], dtype=np.int64),
-                frame_count=int(parts[2]),
+                y=np.array(counts[1:], dtype=np.int64),
+                frame_count=counts[0],
                 expression_label=expression_index(parts[1]),
             )
         )
     return labels
+
+
+def read_video_labels_csv(path):
+    """video_id -> expression index from a `video_id,label` file, one row per video."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines or lines[0].split(",") != ["video_id", "label"]:
+        raise ContractError(f"{path}: header must be 'video_id,label'")
+    expr_by_video = {}
+    for line_number, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        cells = line.split(",")
+        if len(cells) != 2 or not cells[0]:
+            raise ContractError(f"{path} line {line_number}: expected 'video_id,label'")
+        if cells[0] in expr_by_video:
+            raise ContractError(
+                f"{path} line {line_number}: duplicate video {cells[0]!r}"
+            )
+        expr_by_video[cells[0]] = expression_index(cells[1])
+    return expr_by_video
 
 
 def write_pos_weights_csv(spec, path):
@@ -219,5 +235,8 @@ def read_pos_weights_csv(path):
     rows = [ln for ln in lines[1:] if ln.strip() and not ln.startswith("expression,")]
     if len(rows) != NUM_EXPRESSIONS:
         raise ContractError("corrupt pos-weight file: bad row count")
-    values = np.array([[float(v) for v in row.split(",")[1:]] for row in rows])
+    cells = [row.split(",")[1:] for row in rows]
+    if any(len(row) != NUM_AUS for row in cells):
+        raise ContractError("corrupt pos-weight file: bad row width")
+    values = np.array([parse_numbers(row, "pos-weight file") for row in cells])
     return PosWeightSpec(strategy=strategy, values=values)

@@ -8,7 +8,6 @@ can be verified against finite differences, and the AdamW-style optimizer
 keeps training bit-reproducible.
 """
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -16,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import ContractError, NUM_AUS, NUM_EXPRESSIONS, NumericFailure
+from .sealed import read_sealed, write_sealed
 
 CHECKPOINT_MAGIC = b"AUKITCKPT"
 CHECKPOINT_VERSION = 2
@@ -216,9 +216,10 @@ def optimizer_step(params, grads, state):
     np.multiply(grads, 1.0 - state.beta1, out=update)
     m += update
     v *= state.beta2
-    np.multiply(grads, 1.0 - state.beta2, out=update)
-    update *= grads
-    v += update
+    with np.errstate(over="ignore"):  # an overflow fails the check below
+        np.multiply(grads, 1.0 - state.beta2, out=update)
+        update *= grads
+        v += update
     _check_finite(params, v, "second moment (gradient too large)")
     # update = lr * m_hat / (sqrt(v_hat) + eps)
     np.divide(m, 1.0 - state.beta1 ** t, out=update)
@@ -234,14 +235,14 @@ def optimizer_step(params, grads, state):
 
 
 def save_checkpoint(params, state, path):
-    """Versioned binary checkpoint with a SHA-256 integrity trailer.
+    """Versioned sealed binary checkpoint (see aukit.sealed for the framing).
 
-    Layout: magic, header length, JSON header (parameter layout, optimizer
-    hyperparameters, names of the payload blobs), payload length, payload,
-    SHA-256 of everything before it. The payload is the parameter vector,
-    then the optimizer's m and v vectors when it has taken a step, each as
-    little-endian float64. Deliberately not np.savez: zip entries carry
-    timestamps, which would break bit-identical checkpoints across reruns.
+    The JSON header holds the parameter layout, the optimizer
+    hyperparameters and the names of the payload blobs. The payload is the
+    parameter vector, then the optimizer's m and v vectors when it has taken
+    a step, each as little-endian float64. Deliberately not np.savez: zip
+    entries carry timestamps, which would break bit-identical checkpoints
+    across reruns.
     """
     header = {
         "version": CHECKPOINT_VERSION,
@@ -258,52 +259,22 @@ def save_checkpoint(params, state, path):
         if state.m is not None:
             header["blobs"] += ["m", "v"]
             blobs += [state.m, state.v]
-
     payload = b"".join(np.asarray(blob, dtype="<f8").tobytes() for blob in blobs)
-    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    body = (
-        CHECKPOINT_MAGIC
-        + len(header_bytes).to_bytes(8, "little")
-        + header_bytes
-        + len(payload).to_bytes(8, "little")
-        + payload
-    )
-    digest = hashlib.sha256(body).digest()
-    with open(path, "wb") as fh:
-        fh.write(body + digest)
+    write_sealed(path, CHECKPOINT_MAGIC, header, payload)
 
 
 def load_checkpoint(path):
     """Inverse of save_checkpoint; rejects truncated, tampered or v1 files."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < len(CHECKPOINT_MAGIC) + 8 + 32:
-        raise ContractError("corrupt checkpoint: truncated")
-    if not blob.startswith(CHECKPOINT_MAGIC):
-        raise ContractError("corrupt checkpoint: bad magic")
-    body, digest = blob[:-32], blob[-32:]
-    if hashlib.sha256(body).digest() != digest:
-        raise ContractError("corrupt checkpoint: checksum mismatch")
-    offset = len(CHECKPOINT_MAGIC)
-    header_len = int.from_bytes(body[offset:offset + 8], "little")
-    offset += 8
-    header = json.loads(body[offset:offset + header_len].decode("utf-8"))
-    offset += header_len
+    header, payload = read_sealed(path, CHECKPOINT_MAGIC, "checkpoint")
     if header.get("version") != CHECKPOINT_VERSION:
         raise ContractError(f"checkpoint version mismatch: {header.get('version')}")
-    payload_len = int.from_bytes(body[offset:offset + 8], "little")
-    offset += 8
-    payload = body[offset:offset + payload_len]
-    if len(payload) != payload_len:
-        raise ContractError("corrupt checkpoint: truncated payload")
-
     params = ModelParams(header["feature_dim"], header["hidden"], seed=header["seed"])
     if header["layout"] != json.loads(json.dumps(params.layout)):
         raise ContractError("corrupt checkpoint: layout does not match the model")
     names = header["blobs"]
     size = params.vector.size
     if names not in (["params"], ["params", "m", "v"]) or (
-        payload_len != len(names) * size * 8
+        len(payload) != len(names) * size * 8
     ):
         raise ContractError("corrupt checkpoint: payload does not match the header")
     vectors = np.frombuffer(payload, dtype="<f8").reshape(len(names), size)

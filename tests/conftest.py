@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from aukit.domain import AU_NAMES, INTENSITY_AU_NAMES
-from aukit.ingest import FrameAURecord
+from aukit.ingest import FRAME_DTYPE
 
 
 def openface_csv(rows, include=None, exclude=()):
@@ -39,21 +39,34 @@ def openface_csv(rows, include=None, exclude=()):
     return "\n".join(lines) + "\n"
 
 
+def make_frames(n=1, frame_index=None, intensities=None, presences=None,
+                confidence=0.98, success=True):
+    """n frames of one video; each field broadcasts over the rows."""
+    frames = np.zeros(n, dtype=FRAME_DTYPE)
+    frames["frame_index"] = np.arange(1, n + 1) if frame_index is None else frame_index
+    frames["timestamp"] = 0.04 * (frames["frame_index"] - 1)
+    frames["confidence"] = confidence
+    frames["success"] = success
+    frames["intensities"] = 1.0 if intensities is None else intensities
+    frames["presences"] = 0 if presences is None else presences
+    return frames
+
+
 def make_record(video_id="v0", frame_index=1, intensities=None, presences=None,
                 confidence=0.98, success=True):
-    if intensities is None:
-        intensities = np.ones(17)
-    if presences is None:
-        presences = np.zeros(18, dtype=np.int64)
-    return FrameAURecord(
-        video_id=video_id,
-        frame_index=frame_index,
-        timestamp=0.04 * (frame_index - 1),
-        confidence=confidence,
-        success=success,
-        intensities=np.asarray(intensities, dtype=np.float64),
-        presences=np.asarray(presences, dtype=np.int64),
+    """One frame as a (video_id, frames) pair."""
+    return video_id, make_frames(
+        frame_index=frame_index, intensities=intensities, presences=presences,
+        confidence=confidence, success=success,
     )
+
+
+def group_videos(records):
+    """(video_id, frames) pairs, one per video id, rows in the order given."""
+    groups = {}
+    for video_id, frames in records:
+        groups.setdefault(video_id, []).append(frames)
+    return [(video_id, np.concatenate(parts)) for video_id, parts in groups.items()]
 
 
 @pytest.fixture

@@ -45,7 +45,7 @@ from aukit.losses import (
 from aukit.model import backward, forward, init_params
 from aukit.synth import SynthSpec, generate_dataset
 
-from conftest import make_record
+from conftest import group_videos, make_frames, make_record
 
 MINOR_INDICES = [4, 5, 6]
 
@@ -211,7 +211,7 @@ def test_criterion_4_knowledge_pipeline_oracle():
             )
             index += 1
     reliable = filter_reliable_frames(predictions, 0.5)
-    matrix = compute_dataset_knowledge(records, reliable, classes=(1, 5))
+    matrix = compute_dataset_knowledge(group_videos(records), reliable, classes=(1, 5))
 
     raw = {}
     for c, class_frames in frames.items():
@@ -248,12 +248,11 @@ def test_criterion_5_half_frames_boundary():
     for n in range(1, 201):
         at_boundary = math.ceil(0.5 * n)     # smallest sum with sum >= 0.5 n
         for sum_value, expected in ((at_boundary, 1), (at_boundary - 1, 0)):
-            records = [
-                make_record(video_id="v", frame_index=i + 1,
-                            presences=np.full(18, 1 if i < sum_value else 0))
-                for i in range(n)
-            ]
-            label = derive_video_au_labels(records, expression_label=0)
+            presences = np.zeros((n, 18))
+            presences[:sum_value] = 1
+            label = derive_video_au_labels(
+                make_frames(n, presences=presences), "v", expression_label=0
+            )
             assert np.all(label.y == expected), (n, sum_value)
         if n % 2 == 0:
             # for even n the inclusive boundary sits exactly at 0.5 n
@@ -281,7 +280,7 @@ def test_criterion_6_range_invariants():
                 )
                 index += 1
         reliable = filter_reliable_frames(predictions, 0.5)
-        per_dataset = compute_dataset_knowledge(records, reliable)
+        per_dataset = compute_dataset_knowledge(group_videos(records), reliable)
         assert np.all(per_dataset.values > 0.0)
         assert np.all(per_dataset.values < 1.0)
         copies = [per_dataset] * (1 + trial % 3)

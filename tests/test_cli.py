@@ -1,11 +1,15 @@
 """Command-line smoke tests: end-to-end flows and exit-code mapping."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import aukit
 from aukit.cli import EXIT_CONTRACT, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 from aukit.model import load_features, save_features
 
@@ -87,15 +91,25 @@ def test_nan_feature_is_numeric_failure(synth_dirs, tmp_path):
     assert not (run_dir / "checkpoint.bin").exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_huge_features_overflowing_optimizer_are_numeric_failure(
     synth_dirs, tmp_path
 ):
     data = _with_features(synth_dirs[0], tmp_path / "huge", lambda f: f * 1e300)
     run_dir = tmp_path / "run"
-    assert run("train", "--data", data, "--epochs", 2, "--seed", 0,
-               "--out", run_dir) == EXIT_NUMERIC
+    # a child process, so numpy warnings reach stderr as they would in a
+    # shell; unweighted AU loss, so no pos-weight fallback is logged either
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(aukit.__file__)))
+    result = subprocess.run(
+        [sys.executable, "-m", "aukit.cli", "train", "--data", str(data),
+         "--strategy", "none", "--epochs", "2", "--seed", "0",
+         "--out", str(run_dir)],
+        capture_output=True, text=True, env=env,
+    )
+    assert result.returncode == EXIT_NUMERIC
     assert not (run_dir / "checkpoint.bin").exists()
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1, result.stderr
+    assert lines[0].startswith("numeric failure: non-finite second moment")
 
 
 def test_train_deterministic_outputs(synth_dirs, tmp_path):
@@ -186,3 +200,106 @@ def test_bad_config_key_rejected(synth_dirs, tmp_path):
     cfg.write_text(json.dumps({"bogus_knob": 1}))
     assert run("train", "--data", train_dir, "--config", cfg,
                "--out", tmp_path / "z") == EXIT_CONTRACT
+
+
+def _edit_copy(src, dst, old, new):
+    text = src.read_text()
+    assert old in text
+    dst.write_text(text.replace(old, new, 1))
+    return dst
+
+
+def _pos_weights_file(tmp_path, old, new):
+    from aukit.labeling import pos_weight_none, write_pos_weights_csv
+    good = tmp_path / "good_pw.csv"
+    write_pos_weights_csv(pos_weight_none(), good)
+    return _edit_copy(good, tmp_path / "pw.csv", old, new)
+
+
+def _knowledge_file(train_dir, tmp_path, old="", new="", support=None):
+    path = _edit_copy(train_dir / "knowledge.csv", tmp_path / "k.csv", old, new)
+    sidecar = (train_dir / "knowledge.csv.support.csv").read_text()
+    if support is not None:
+        assert support[0] in sidecar
+        sidecar = sidecar.replace(*support, 1)
+    (tmp_path / "k.csv.support.csv").write_text(sidecar)
+    return path
+
+
+def _confusion_file(tmp_path, edit):
+    names = "Happy,Sad,Neutral,Angry,Surprise,Disgust,Fear".split(",")
+    rows = [name + "," + ",".join(["3"] * 7) for name in names]
+    rows[2] = edit(rows[2])
+    path = tmp_path / "confusion.csv"
+    path.write_text("# aukit confusion v1 rows=true cols=predicted\n"
+                    "true," + ",".join(names) + "\n" + "\n".join(rows) + "\n")
+    return path
+
+
+def _expression_labels_dir(train_dir, tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(train_dir, data)
+    _edit_copy(train_dir / "expression_labels.csv",
+               data / "expression_labels.csv", "\n0\n", "\nabc\n")
+    return data
+
+
+# case -> (argv as a function of (train_dir, tmp_path), expected message)
+MALFORMED_TABLES = {
+    "pos_weights_non_numeric": (lambda d, t: [
+        "train", "--data", d, "--epochs", 1,
+        "--pos-weights-file", _pos_weights_file(t, "1.0", "one")],
+        "pos-weight file: non-numeric"),
+    "pos_weights_short_row": (lambda d, t: [
+        "train", "--data", d, "--epochs", 1,
+        "--pos-weights-file", _pos_weights_file(t, ",1.0\n", "\n")],
+        "pos-weight file: bad row width"),
+    "au_labels_non_numeric": (lambda d, t: [
+        "pos-weights", "--out", t / "pw",
+        "--labels", _edit_copy(d / "au_labels.csv", t / "l.csv", ",0\n", ",zero\n")],
+        "label file: non-numeric"),
+    "expression_labels_non_numeric": (lambda d, t: [
+        "train", "--data", _expression_labels_dir(d, t), "--epochs", 1],
+        "expression label file"),
+    "knowledge_datasets_not_integer": (lambda d, t: [
+        "train", "--data", d, "--epochs", 1,
+        "--knowledge", _knowledge_file(d, t, "# datasets=1", "# datasets=abc")],
+        "knowledge file: non-numeric"),
+    "knowledge_support_non_integer": (lambda d, t: [
+        "train", "--data", d, "--epochs", 1,
+        "--knowledge", _knowledge_file(d, t, support=("AU02,", "AU02,x"))],
+        "support file"),
+    "knowledge_support_missing_row": (lambda d, t: [
+        "train", "--data", d, "--epochs", 1,
+        "--knowledge", _knowledge_file(d, t, support=("AU45,", "#AU45,"))],
+        "support file"),
+    "confusion_short_row": (lambda d, t: [
+        "export-confusion", "--out", t / "c",
+        "--confusion", _confusion_file(t, lambda row: row.rsplit(",", 1)[0])],
+        "confusion file"),
+    "confusion_non_numeric": (lambda d, t: [
+        "export-confusion", "--out", t / "c",
+        "--confusion", _confusion_file(t, lambda row: row.replace(",3", ",x", 1))],
+        "confusion file"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_TABLES))
+def test_malformed_table_is_one_line_contract_error(case, synth_dirs, tmp_path,
+                                                    capsys):
+    build, message = MALFORMED_TABLES[case]
+    argv = build(synth_dirs[0], tmp_path)
+    capsys.readouterr()
+    assert run(*argv) == EXIT_CONTRACT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert message in err
+
+
+def test_synth_gen_rejects_unknown_spec_key(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"sample_seed": 1, "bogus_knob": 2}))
+    assert run("synth-gen", "--n", 20, "--spec", spec,
+               "--out", tmp_path / "out") == EXIT_CONTRACT
+    assert "bogus_knob" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -16,7 +16,7 @@ from aukit.knowledge import (
     sigmoid,
 )
 
-from conftest import make_record
+from conftest import group_videos, make_record
 
 
 def ref_sigmoid(x):
@@ -43,6 +43,11 @@ class TestFilterReliableFrames:
     def test_theta_one_empty(self):
         kept = filter_reliable_frames([make_prediction("v", 1, 0, 0.99)], 1.0)
         assert not kept.members
+
+    def test_duplicate_frame_rejected(self):
+        preds = [make_prediction("v", 1, 0, 0.9), make_prediction("v", 1, 2, 0.3)]
+        with pytest.raises(ContractError, match="duplicate prediction.*'v' frame 1"):
+            filter_reliable_frames(preds, 0.5)
 
     def test_per_class_counts(self):
         preds = [
@@ -132,14 +137,14 @@ class TestComputeDatasetKnowledge:
     def test_constant_matrix_maps_to_half(self):
         records, predictions = self._full_corpus([2.0] * 7)
         reliable = filter_reliable_frames(predictions, 0.5)
-        matrix = compute_dataset_knowledge(records, reliable)
+        matrix = compute_dataset_knowledge(group_videos(records), reliable)
         assert np.allclose(matrix.values, 0.5, atol=1e-12)
 
     def test_two_point_medians_map_to_hand_values(self):
         # medians 1.0 and 3.0: midpoint 2.0, centered to -1/+1
         records, predictions = self._full_corpus([1.0, 3.0, 1.0, 3.0, 1.0, 3.0, 1.0])
         reliable = filter_reliable_frames(predictions, 0.5)
-        matrix = compute_dataset_knowledge(records, reliable)
+        matrix = compute_dataset_knowledge(group_videos(records), reliable)
         low = 1.0 / (1.0 + math.exp(1.0))
         high = 1.0 / (1.0 + math.exp(-1.0))
         assert matrix.values[0, 0] == pytest.approx(low, abs=1e-9)
@@ -162,7 +167,7 @@ class TestComputeDatasetKnowledge:
             frames[c] = [np.full(17, 2.5)]
             next_frame += 1
         reliable = filter_reliable_frames(predictions, 0.5)
-        matrix = compute_dataset_knowledge(records, reliable)
+        matrix = compute_dataset_knowledge(group_videos(records), reliable)
         oracle = brute_force_knowledge(frames)
         for i in range(18):
             for j in range(7):
@@ -172,12 +177,12 @@ class TestComputeDatasetKnowledge:
         frames, records, predictions = two_class_corpus()
         reliable = filter_reliable_frames(predictions, 0.5)
         with pytest.raises(ContractError, match="Sad"):
-            compute_dataset_knowledge(records, reliable)
+            compute_dataset_knowledge(group_videos(records), reliable)
 
     def test_support_counts(self):
         records, predictions = self._full_corpus([2.0] * 7)
         reliable = filter_reliable_frames(predictions, 0.5)
-        matrix = compute_dataset_knowledge(records, reliable)
+        matrix = compute_dataset_knowledge(group_videos(records), reliable)
         assert np.all(matrix.support == 1)
 
     def test_median_even_count_mean_of_middle(self):
@@ -195,7 +200,7 @@ class TestComputeDatasetKnowledge:
             )
             predictions.append(make_prediction(f"p{c}", 50 + c, c, 0.9))
         reliable = filter_reliable_frames(predictions, 0.5)
-        matrix = compute_dataset_knowledge(records, reliable)
+        matrix = compute_dataset_knowledge(group_videos(records), reliable)
         # raw median for class 0 is 3.0 everywhere, same as all other classes
         assert np.allclose(matrix.values, 0.5, atol=1e-12)
 

@@ -21,15 +21,11 @@ from aukit.labeling import (
     write_pos_weights_csv,
 )
 
-from conftest import make_record
+from conftest import make_frames
 
 
-def video(video_id, presence_rows, expression=0):
-    records = [
-        make_record(video_id=video_id, frame_index=i + 1, presences=row)
-        for i, row in enumerate(presence_rows)
-    ]
-    return records, expression
+def video(presence_rows, expression=0):
+    return make_frames(len(presence_rows), presences=presence_rows), expression
 
 
 def label_of(y, expression=0, video_id="v"):
@@ -46,32 +42,28 @@ class TestDeriveVideoAULabels:
         return rows
 
     def test_exact_half_is_one(self):
-        records, expr = video("v", self._presence(10, 5))
-        assert derive_video_au_labels(records, expr).y[5] == 1
+        frames, expr = video(self._presence(10, 5))
+        assert derive_video_au_labels(frames, "v", expr).y[5] == 1
 
     def test_below_half_is_zero(self):
-        records, expr = video("v", self._presence(10, 4))
-        assert derive_video_au_labels(records, expr).y[5] == 0
+        frames, expr = video(self._presence(10, 4))
+        assert derive_video_au_labels(frames, "v", expr).y[5] == 0
 
     def test_single_frame(self):
-        records, expr = video("v", self._presence(1, 1))
-        assert derive_video_au_labels(records, expr).y[5] == 1
+        frames, expr = video(self._presence(1, 1))
+        assert derive_video_au_labels(frames, "v", expr).y[5] == 1
 
     def test_empty_video_rejected(self):
         with pytest.raises(ContractError, match="empty"):
-            derive_video_au_labels([], 0)
+            derive_video_au_labels(make_frames(0), "v", 0)
 
     def test_frame_order_invariant(self, rng):
         rows = rng.integers(0, 2, size=(9, 18))
-        records = [
-            make_record(video_id="v", frame_index=i + 1, presences=rows[i])
-            for i in range(9)
-        ]
-        forward_label = derive_video_au_labels(records, 0)
-        permuted = [records[i] for i in rng.permutation(9)]
-        for i, r in enumerate(permuted):
-            r.frame_index = i + 1
-        permuted_label = derive_video_au_labels(permuted, 0)
+        frames = make_frames(9, presences=rows)
+        forward_label = derive_video_au_labels(frames, "v", 0)
+        permuted = frames[rng.permutation(9)]
+        permuted["frame_index"] = np.arange(1, 10)
+        permuted_label = derive_video_au_labels(permuted, "v", 0)
         assert np.array_equal(forward_label.y, permuted_label.y)
 
     @settings(max_examples=60, deadline=None)
@@ -82,18 +74,12 @@ class TestDeriveVideoAULabels:
         half = (n + 1) // 2 if n % 2 else n // 2
         rows = np.zeros((n, 18), dtype=np.int64)
         rows[:half, 0] = 1
-        records = [
-            make_record(video_id="v", frame_index=i + 1, presences=rows[i])
-            for i in range(n)
-        ]
-        assert derive_video_au_labels(records, 0).y[0] == 1
+        assert derive_video_au_labels(make_frames(n, presences=rows), "v", 0).y[0] == 1
         if half >= 1 and (half - 1) < 0.5 * n:
             rows[half - 1, 0] = 0
-            records = [
-                make_record(video_id="v", frame_index=i + 1, presences=rows[i])
-                for i in range(n)
-            ]
-            assert derive_video_au_labels(records, 0).y[0] == 0
+            assert derive_video_au_labels(
+                make_frames(n, presences=rows), "v", 0
+            ).y[0] == 0
 
 
 class TestPosWeightGlobal:

@@ -258,7 +258,6 @@ class TestOptimizer:
         with pytest.raises(ContractError):
             optimizer_step(params, np.zeros(params.vector.size - 1), OptimizerState())
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_second_moment_overflow_rejected(self):
         params = init_params(1, feature_dim=4, hidden=(3,))
         before = params.vector.copy()

@@ -13,7 +13,7 @@ from aukit.synth import (
     largest_remainder_counts,
 )
 
-from conftest import make_record
+from conftest import group_videos, make_frames, make_record
 
 
 def test_default_ground_truth_valid():
@@ -79,8 +79,8 @@ def test_presence_through_eq4_single_frame_videos():
     for i in range(0, 70, 11):
         presence = np.zeros(18, dtype=np.int64)
         presence[:] = dataset.au_presence[i]
-        record = make_record(video_id=f"s{i}", frame_index=1, presences=presence)
-        label = derive_video_au_labels([record], int(dataset.expr_labels[i]))
+        label = derive_video_au_labels(make_frames(presences=presence), f"s{i}",
+                                       int(dataset.expr_labels[i]))
         assert np.array_equal(label.y, dataset.au_presence[i])
 
 
@@ -106,7 +106,7 @@ def test_knowledge_closure_argmax_recovery():
                             asserted_label=int(dataset.expr_labels[i]))
         )
     reliable = filter_reliable_frames(predictions, 0.5)
-    matrix = compute_dataset_knowledge(records, reliable)
+    matrix = compute_dataset_knowledge(group_videos(records), reliable)
     g = spec.ground_truth_knowledge.values
     for c in range(7):
         if np.ptp(g[:, c]) < 1e-9:
