@@ -13,7 +13,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import harness, ingest, knowledge, labeling, model, synth
-from .domain import ContractError, EXPRESSIONS, NumericFailure
+from .domain import ContractError, EXPRESSIONS, NumericFailure, parse_numbers
 from .losses import expression_loss, finite_difference_check
 
 EXIT_OK = 0
@@ -22,26 +22,71 @@ EXIT_NUMERIC = 2
 EXIT_IO = 3
 
 
-def _reject_unknown_keys(values, cls, what):
-    """ContractError naming the keys of `values` that are not fields of `cls`."""
-    unknown = set(values) - {f.name for f in fields(cls)}
+# dataclass field type -> (accepts a JSON value, converts it, what it expects);
+# exact type tests, because JSON's true and false are Python ints
+_JSON_FIELD_TYPES = {
+    int: (lambda v: type(v) is int, int, "an integer"),
+    float: (lambda v: type(v) in (int, float), float, "a number"),
+    str: (lambda v: type(v) is str, str, "a string"),
+    tuple: (lambda v: type(v) is list and all(type(x) is int for x in v), tuple,
+            "a list of integers"),
+    np.ndarray: (lambda v: type(v) is list and all(type(x) in (int, float) for x in v),
+                 np.array, "a list of numbers"),
+}
+
+
+def _load_json_fields(path, cls, what):
+    """The JSON object in `path` as keyword arguments of the dataclass `cls`.
+
+    Raises ContractError, naming the key, on a document that is not an
+    object, an unknown key, or a value that is not of the field's type (null
+    only where the field defaults to None).
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            values = json.load(fh)
+        except ValueError as exc:
+            raise ContractError(f"{what} {path} is not valid JSON: {exc}") from None
+    if not isinstance(values, dict):
+        raise ContractError(
+            f"{what} {path} must hold a JSON object, got {type(values).__name__}"
+        )
+    declared = {f.name: f for f in fields(cls)}
+    unknown = set(values) - set(declared)
     if unknown:
         raise ContractError(f"unknown {what} keys: {sorted(unknown)}")
+    for key, value in values.items():
+        if value is None and declared[key].default is None:
+            continue
+        if declared[key].type not in _JSON_FIELD_TYPES:
+            raise ContractError(f"{what} key {key!r} cannot be set from JSON")
+        accepts, convert, expected = _JSON_FIELD_TYPES[declared[key].type]
+        if not accepts(value):
+            raise ContractError(
+                f"{what} key {key!r} must be {expected}, got {json.dumps(value)}"
+            )
+        values[key] = convert(value)
+    return values
 
 
 def _load_config(args):
-    """Build a TrainConfig from --config JSON overridden by CLI flags."""
+    """Build a TrainConfig from --config JSON overridden by CLI flags.
+
+    A --pos-weights-file replaces the strategy's pos-weights, so naming a
+    strategy as well (flag or config key) is a contract error.
+    """
     values = {}
-    if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            values.update(json.load(fh))
-    _reject_unknown_keys(values, harness.TrainConfig, "config")
+    if args.config:
+        values = _load_json_fields(args.config, harness.TrainConfig, "config")
     for name in ("seed", "lam", "strategy", "epochs"):
-        override = getattr(args, name, None)
+        override = getattr(args, name)
         if override is not None:
             values[name] = override
-    if "hidden" in values:
-        values["hidden"] = tuple(values["hidden"])
+    if args.pos_weights_file and "strategy" in values:
+        raise ContractError(
+            "--pos-weights-file replaces the strategy's pos-weights; "
+            "give a strategy or the file, not both"
+        )
     return harness.TrainConfig(**values)
 
 
@@ -128,12 +173,7 @@ def cmd_pos_weights(args):
 def cmd_synth_gen(args):
     spec_kwargs = {"total": args.n, "seed": args.seed if args.seed is not None else 0}
     if args.spec:
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
-        _reject_unknown_keys(loaded, synth.SynthSpec, "spec")
-        if "class_proportions" in loaded:
-            loaded["class_proportions"] = np.array(loaded["class_proportions"])
-        spec_kwargs.update(loaded)
+        spec_kwargs.update(_load_json_fields(args.spec, synth.SynthSpec, "spec"))
     spec = synth.SynthSpec(**spec_kwargs)
     dataset = synth.generate_dataset(spec)
     os.makedirs(args.out, exist_ok=True)
@@ -168,15 +208,18 @@ def _load_dataset_dir(path):
     return features, np.atleast_1d(expr_labels), au_labels, au_label_list
 
 
-def _build_train_data(args, config):
+def _build_train_data(args, strategy):
+    """TrainData of --data (and --test-data) with the pos-weights of
+    --pos-weights-file, else of `strategy`, else none."""
     features, expr_labels, au_labels, au_label_list = _load_dataset_dir(args.data)
     kn = knowledge.import_knowledge(
         args.knowledge or os.path.join(args.data, "knowledge.csv")
     )
+    spec = None
     if args.pos_weights_file:
         spec = labeling.read_pos_weights_csv(args.pos_weights_file)
-    else:
-        spec = labeling.compute_pos_weights(au_label_list, config.strategy)
+    elif strategy is not None:
+        spec = labeling.compute_pos_weights(au_label_list, strategy)
     data = harness.TrainData(
         features=features,
         expr_labels=expr_labels,
@@ -193,7 +236,7 @@ def _build_train_data(args, config):
 
 def cmd_train(args):
     config = _load_config(args)
-    data, _ = _build_train_data(args, config)
+    data, _ = _build_train_data(args, config.strategy)
     params, state, logs = harness.train(config, data)
     os.makedirs(args.out, exist_ok=True)
     model.save_checkpoint(params, state, os.path.join(args.out, "checkpoint.bin"))
@@ -233,8 +276,8 @@ def cmd_eval(args):
 
 def cmd_sweep(args):
     config = _load_config(args)
-    data, _ = _build_train_data(args, config)
-    grid = [float(v) for v in args.grid.split(",")] if args.grid else list(
+    data, _ = _build_train_data(args, config.strategy)
+    grid = parse_numbers(args.grid.split(","), "--grid") if args.grid else list(
         harness.DEFAULT_LAMBDA_GRID
     )
     rows = harness.lambda_sweep(config, data, grid=grid)
@@ -245,8 +288,13 @@ def cmd_sweep(args):
 
 
 def cmd_compare_strategies(args):
+    if args.pos_weights_file:
+        raise ContractError(
+            "compare-strategies computes each strategy's pos-weights; "
+            "--pos-weights-file does not apply"
+        )
     config = _load_config(args)
-    data, au_label_list = _build_train_data(args, config)
+    data, au_label_list = _build_train_data(args, None)
     strategies = args.strategies.split(",") if args.strategies else list(
         labeling.STRATEGIES
     )

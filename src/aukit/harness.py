@@ -16,9 +16,21 @@ from .domain import (
 )
 from .labeling import STRATEGIES, compute_pos_weights, pos_weight_none
 from .losses import au_loss, combined_loss, expression_loss
-from .model import OptimizerState, backward, forward, init_params, optimizer_step
+from .model import (
+    OptimizerState,
+    backward,
+    forward,
+    init_params,
+    optimizer_step,
+    stack_params,
+)
 
 DEFAULT_LAMBDA_GRID = tuple(round(0.1 * i, 1) for i in range(10))
+
+# TrainConfig fields that fix a run's shapes or schedule; runs trained
+# together in one stack must share them
+SHARED_FIELDS = ("hidden", "epochs", "batch_size", "learning_rate", "weight_decay",
+                 "factor", "au_loss_reduction")
 
 
 @dataclass
@@ -122,107 +134,158 @@ def evaluate(params, features, labels):
     return evaluate_predictions(labels, predict(params, features))
 
 
-def train(config, data):
-    """Run the combined-loss loop; lambda = 0 is the expression-only baseline.
+def _lockstep(configs, data, pos_weights):
+    """Train the runs of `configs` together on `data` as one stack.
 
-    Returns (params, state, list of EpochLog). Raises NumericFailure on a
-    non-finite loss, gradient or optimizer moment.
+    Parameters, AdamW moments and batches carry a leading run axis, so each
+    step is one forward, backward and optimizer call for all runs. Each run
+    keeps its own seed (initialisation and batch order), lambda and
+    pos-weight table (one per run; None is unweighted), so its parameters
+    equal, bit for bit, those of training it alone. Yields (epoch, params,
+    state, loss_e, loss_au) after each epoch: the stacked parameters and
+    optimizer state, and each run's mean batch losses.
     """
+    first = configs[0]
+    for name in SHARED_FIELDS:
+        if any(getattr(config, name) != getattr(first, name) for config in configs):
+            raise ContractError(f"runs trained together must share {name}")
     features = np.asarray(data.features, dtype=np.float64)
     expr_labels = np.asarray(data.expr_labels, dtype=np.int64)
     au_labels = np.asarray(data.au_labels, dtype=np.float64)
     n, feature_dim = features.shape
     if expr_labels.shape != (n,) or au_labels.shape[0] != n:
         raise ContractError("data shapes inconsistent")
+    if n == 0:
+        raise ContractError("cannot train on an empty dataset")
 
-    pos_weights = data.pos_weights
-    if pos_weights is None:
-        pos_weights = pos_weight_none()
-
-    params = init_params(config.seed, feature_dim=feature_dim, hidden=config.hidden)
+    params = stack_params([
+        init_params(config.seed, feature_dim=feature_dim, hidden=first.hidden)
+        for config in configs
+    ])
     state = OptimizerState(
-        learning_rate=config.learning_rate, weight_decay=config.weight_decay
+        learning_rate=first.learning_rate, weight_decay=first.weight_decay
     )
-    rng = np.random.default_rng(config.seed)
-    logs = []
-    for epoch in range(config.epochs):
-        start = time.perf_counter()
-        order = rng.permutation(n)
+    rngs = [np.random.default_rng(config.seed) for config in configs]
+    lam = np.array([config.lam for config in configs])
+    expr_scale = (1.0 - lam)[:, None, None]
+    au_scale = lam[:, None, None]
+    tables = [pos_weight_none() if spec is None else spec for spec in pos_weights]
+    pw = np.stack([getattr(table, "values", table) for table in tables])
+    for epoch in range(first.epochs):
+        orders = np.stack([rng.permutation(n) for rng in rngs])
         sum_e = sum_au = 0.0
         batches = 0
-        for lo in range(0, n, config.batch_size):
-            idx = order[lo:lo + config.batch_size]
+        for lo in range(0, n, first.batch_size):
+            idx = orders[:, lo:lo + first.batch_size]
             batch_x = features[idx]
             batch_expr = expr_labels[idx]
             expr_logits, au_logits, _, acts = forward(
                 params, batch_x, return_hidden=True
             )
             loss_e, grad_e = expression_loss(
-                expr_logits, batch_expr, factor=config.factor
+                expr_logits, batch_expr, factor=first.factor
             )
             loss_au, grad_au = au_loss(
                 au_logits,
                 au_labels[idx],
                 batch_expr,
                 data.knowledge,
-                pos_weights,
-                reduction=config.au_loss_reduction,
+                pw,
+                reduction=first.au_loss_reduction,
             )
-            total = combined_loss(loss_e, loss_au, config.lam)
-            if not np.isfinite(total):
-                raise NumericFailure(f"non-finite loss at epoch {epoch}")
+            finite = np.isfinite(combined_loss(loss_e, loss_au, lam))
+            if not finite.all():
+                run = np.flatnonzero(~finite)[0]
+                where = f" in run {run}" if len(configs) > 1 else ""
+                raise NumericFailure(f"non-finite loss at epoch {epoch}{where}")
             grads = backward(
                 params,
                 batch_x,
-                (1.0 - config.lam) * grad_e,
-                config.lam * grad_au,
+                expr_scale * grad_e,
+                au_scale * grad_au,
                 activations=acts,
             )
             params, state = optimizer_step(params, grads, state)
             sum_e += loss_e
             sum_au += loss_au
             batches += 1
-        mean_e = float(sum_e / batches)
-        mean_au = float(sum_au / batches)
+        yield epoch, params, state, sum_e / batches, sum_au / batches
+
+
+def train(config, data):
+    """Run the combined-loss loop; lambda = 0 is the expression-only baseline.
+
+    Evaluates the training split, and the test split if there is one, after
+    every epoch. Returns (params, state, list of EpochLog). Raises
+    NumericFailure on a non-finite loss, gradient or optimizer moment.
+    """
+    logs = []
+    start = time.perf_counter()
+    for epoch, stack, state, loss_e, loss_au in _lockstep(
+        [config], data, [data.pos_weights]
+    ):
+        params = stack.run(0)
+        mean_e = float(loss_e[0])
+        mean_au = float(loss_au[0])
+        train_report = evaluate(params, data.features, data.expr_labels)
         entry = EpochLog(
             epoch=epoch,
             loss_expression=mean_e,
             loss_au=mean_au,
             loss_total=combined_loss(mean_e, mean_au, config.lam),
-            train_war=float("nan"),
-            train_uar=float("nan"),
+            train_war=train_report.war,
+            train_uar=train_report.uar,
         )
-        train_report = evaluate(params, features, expr_labels)
-        entry.train_war = train_report.war
-        entry.train_uar = train_report.uar
         if data.test_features is not None:
             test_report = evaluate(params, data.test_features, data.test_expr_labels)
             entry.test_war = test_report.war
             entry.test_uar = test_report.uar
         entry.seconds = time.perf_counter() - start
         logs.append(entry)
-    return params, state, logs
+        start = time.perf_counter()
+    return params, state.run(0), logs
 
 
-def _train_and_score(config, data):
-    """Train one run, then evaluate it on the test split, or on the training
-    split when there is none."""
-    params, _, _ = train(config, data)
+def train_stacked(configs, data, pos_weights=None):
+    """Train several runs on one dataset together, in lockstep.
+
+    The runs may differ in seed, lambda and pos-weights (`pos_weights`: one
+    PosWeightSpec, or None for unweighted, per run; by default
+    `data.pos_weights` for every run) and must share every field of
+    SHARED_FIELDS. Nothing is evaluated. Returns one (params, state) per
+    run, bit-identical to what `train` returns for that run alone.
+    """
+    if not configs:
+        raise ContractError("no runs to train")
+    if pos_weights is None:
+        pos_weights = [data.pos_weights] * len(configs)
+    if len(pos_weights) != len(configs):
+        raise ContractError("one pos-weight table per run expected")
+    for _, params, state, _, _ in _lockstep(configs, data, pos_weights):
+        pass
+    return [(params.run(r), state.run(r)) for r in range(len(configs))]
+
+
+def _score(params, data):
+    """Evaluate a trained run on the test split, or on the training split
+    when there is none."""
     if data.test_features is not None:
         return evaluate(params, data.test_features, data.test_expr_labels)
     return evaluate(params, data.features, data.expr_labels)
 
 
 def lambda_sweep(config, data, grid=DEFAULT_LAMBDA_GRID):
-    """One full train+evaluate per grid point with a fixed seed set.
+    """One run per grid point with a fixed seed set, trained together, each
+    evaluated once at the end.
 
     Returns rows of (lambda, WAR, UAR, per-class recalls).
     """
     if len(grid) == 0:
         raise ContractError("lambda grid must be nonempty")
+    runs = train_stacked([replace(config, lam=float(lam)) for lam in grid], data)
     rows = []
-    for lam in grid:
-        report = _train_and_score(replace(config, lam=float(lam)), data)
+    for lam, (params, _) in zip(grid, runs):
+        report = _score(params, data)
         rows.append(
             {
                 "lambda": float(lam),
@@ -235,16 +298,18 @@ def lambda_sweep(config, data, grid=DEFAULT_LAMBDA_GRID):
 
 
 def strategy_compare(config, data, train_au_label_list, strategies=STRATEGIES):
-    """Per-strategy WAR/UAR and per-class recall rows, one table row each."""
+    """Per-strategy WAR/UAR and per-class recall rows, one table row each;
+    the runs train together and are evaluated once at the end."""
     unknown = [s for s in strategies if s not in STRATEGIES]
     if unknown:
         raise ContractError(f"unknown strategies: {unknown}")
+    specs = [compute_pos_weights(train_au_label_list, s) for s in strategies]
+    runs = train_stacked(
+        [replace(config, strategy=s) for s in strategies], data, specs
+    )
     rows = []
-    for strategy in strategies:
-        spec = compute_pos_weights(train_au_label_list, strategy)
-        report = _train_and_score(
-            replace(config, strategy=strategy), replace(data, pos_weights=spec)
-        )
+    for strategy, spec, (params, _) in zip(strategies, specs, runs):
+        report = _score(params, data)
         rows.append(
             {
                 "strategy": strategy,

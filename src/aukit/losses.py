@@ -42,16 +42,17 @@ def expression_loss(expr_logits, labels, factor=5.0):
     """Mean negative log(factor * p_target) with softmax probabilities.
 
     Returns (scalar loss, analytic gradient wrt logits). The factor shifts the
-    loss by -log(factor) per sample and leaves the gradient untouched.
+    loss by -log(factor) per sample and leaves the gradient untouched. The
+    R x N x 7 logits and R x N labels of a stack of runs give R losses.
     """
     expr_logits = np.asarray(expr_logits, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    if expr_logits.ndim != 2 or expr_logits.shape[1] != NUM_EXPRESSIONS:
+    if expr_logits.ndim < 2 or expr_logits.shape[-1] != NUM_EXPRESSIONS:
         raise ContractError(f"expr_logits must be Nx{NUM_EXPRESSIONS}")
-    n = expr_logits.shape[0]
+    n = expr_logits.shape[-2]
     if n < 1:
         raise ContractError("empty batch")
-    if labels.shape != (n,):
+    if labels.shape != expr_logits.shape[:-1]:
         raise ContractError("labels must be a length-N vector")
     if labels.min() < 0 or labels.max() >= NUM_EXPRESSIONS:
         raise ContractError("expression label out of range")
@@ -60,15 +61,15 @@ def expression_loss(expr_logits, labels, factor=5.0):
 
     # log p_target via the log-sum-exp identity; the same exponentials give
     # the softmax of the gradient
-    rows = np.arange(n)
-    shifted = expr_logits - expr_logits.max(axis=1, keepdims=True)
+    target = labels[..., None] == np.arange(NUM_EXPRESSIONS)  # one-hot
+    shifted = expr_logits - expr_logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    z = e.sum(axis=1, keepdims=True)
-    log_p = shifted[rows, labels] - np.log(z[:, 0])
-    loss = -(np.log(factor) + log_p).sum() / n
+    z = e.sum(axis=-1, keepdims=True)
+    log_p = shifted[target].reshape(labels.shape) - np.log(z[..., 0])
+    loss = -(np.log(factor) + log_p).sum(axis=-1) / n
 
     grad = e / z
-    grad[rows, labels] -= 1.0
+    grad -= target
     grad /= n
     return loss, grad
 
@@ -82,16 +83,18 @@ def au_loss(au_logits, au_labels, expr_labels, knowledge, pos_weights,
                         + (1 - Y_ij) * log(1 - s(x_ij)))
     negated and averaged over all N*18 elements ('mean-elements', default) or
     over samples only ('mean-samples'). Returns (scalar, gradient wrt logits).
+    A stack of R runs passes R x N x ... batches and R x 7 x 18 pos-weights
+    and gets R losses.
     """
     au_logits = np.asarray(au_logits, dtype=np.float64)
     au_labels = np.asarray(au_labels, dtype=np.float64)
     expr_labels = np.asarray(expr_labels, dtype=np.int64)
-    if au_logits.ndim != 2 or au_logits.shape[1] != NUM_AUS:
+    if au_logits.ndim < 2 or au_logits.shape[-1] != NUM_AUS:
         raise ContractError(f"au_logits must be Nx{NUM_AUS}")
-    n = au_logits.shape[0]
-    if au_labels.shape != (n, NUM_AUS):
+    n = au_logits.shape[-2]
+    if au_labels.shape != au_logits.shape:
         raise ContractError("au_labels shape mismatch")
-    if expr_labels.shape != (n,):
+    if expr_labels.shape != au_logits.shape[:-1]:
         raise ContractError("expr_labels must be a length-N vector")
     if knowledge.stage != "loss-scaled":
         raise ContractError(
@@ -102,11 +105,16 @@ def au_loss(au_logits, au_labels, expr_labels, knowledge, pos_weights,
 
     pw_values = pos_weights.values if hasattr(pos_weights, "values") else pos_weights
     pw_values = np.asarray(pw_values, dtype=np.float64)
-    if pw_values.shape != (NUM_EXPRESSIONS, NUM_AUS):
-        raise ContractError(f"pos-weights must be {NUM_EXPRESSIONS}x{NUM_AUS}")
+    if pw_values.shape != expr_labels.shape[:-1] + (NUM_EXPRESSIONS, NUM_AUS):
+        raise ContractError(
+            f"pos-weights must be {NUM_EXPRESSIONS}x{NUM_AUS}, one table per run"
+        )
 
     k = knowledge.values.T[expr_labels]  # N x 18, per-sample expression column
-    pw = pw_values[expr_labels]          # N x 18
+    if pw_values.ndim == 2:
+        pw = pw_values[expr_labels]  # N x 18
+    else:  # a stack: R x N x 18 from each run's table
+        pw = pw_values[np.arange(len(pw_values))[:, None], expr_labels]
 
     x = au_logits
     pos = pw * au_labels
@@ -115,7 +123,7 @@ def au_loss(au_logits, au_labels, expr_labels, knowledge, pos_weights,
     log_s = log_sigmoid(x)
     terms = pos * log_s + neg * (log_s - x)
     denom = n * NUM_AUS if reduction == "mean-elements" else n
-    loss = -(k * terms).sum() / denom
+    loss = -(k * terms).sum(axis=(-2, -1)) / denom
 
     s = sigmoid(x)
     # d/dx log s(x) = 1 - s;  d/dx log(1 - s(x)) = -s
@@ -124,8 +132,8 @@ def au_loss(au_logits, au_labels, expr_labels, knowledge, pos_weights,
 
 
 def combined_loss(expression, au, lam):
-    """(1 - lambda) * L_e + lambda * L_AU."""
-    if not 0.0 <= lam <= 1.0:
+    """(1 - lambda) * L_e + lambda * L_AU, elementwise over the runs of a stack."""
+    if not np.all((lam >= 0.0) & (lam <= 1.0)):
         raise ContractError(f"lambda must be in [0, 1], got {lam}")
     return (1.0 - lam) * expression + lam * au
 

@@ -10,7 +10,7 @@ keeps training bit-reproducible.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,14 +49,21 @@ def param_layout(feature_dim, hidden):
 class ModelParams:
     """One contiguous float64 parameter vector plus its name -> (offset, shape)
     layout. The named arrays are views into `vector`: write through them,
-    never rebind them."""
+    never rebind them.
 
-    def __init__(self, feature_dim, hidden, seed=0):
+    A stack of R runs trained together has an R x P `vector`, one row and
+    one seed per run, and its named arrays carry the same leading run axis;
+    forward, backward and optimizer_step take a stack as they take one run.
+    """
+
+    def __init__(self, feature_dim, hidden, seed=0, vector=None):
         self.feature_dim = feature_dim
         self.hidden = tuple(hidden)
         self.seed = seed
         self.layout = param_layout(feature_dim, self.hidden)
-        self.vector = np.zeros(sum(math.prod(s) for _, s in self.layout.values()))
+        if vector is None:
+            vector = np.zeros(sum(math.prod(s) for _, s in self.layout.values()))
+        self.vector = vector
         named = self.views(self.vector)
         self.hidden_weights = [named[f"hidden.{i}.w"] for i in range(len(self.hidden))]
         self.hidden_biases = [named[f"hidden.{i}.b"] for i in range(len(self.hidden))]
@@ -70,22 +77,43 @@ class ModelParams:
         return self.hidden[-1] if self.hidden else self.feature_dim
 
     def views(self, flat):
-        """name -> view of `flat`, a vector in this parameter layout."""
+        """name -> view of `flat`, a vector (or a stack of vectors) in this
+        parameter layout."""
+        lead = flat.shape[:-1]
         return {
-            name: flat[offset:offset + math.prod(shape)].reshape(shape)
+            name: flat[..., offset:offset + math.prod(shape)].reshape(lead + shape)
             for name, (offset, shape) in self.layout.items()
         }
 
     def as_dict(self):
         return self.views(self.vector)
 
+    def run(self, r):
+        """Run r of a stack; its arrays are views into the stack's vector."""
+        return ModelParams(self.feature_dim, self.hidden, self.seed[r], self.vector[r])
+
+
+def stack_params(runs):
+    """The runs' parameters as one stack: their vectors on a leading run axis."""
+    first = runs[0]
+    shape = (first.feature_dim, first.hidden)
+    if any((p.feature_dim, p.hidden) != shape for p in runs):
+        raise ContractError("stacked runs must share feature_dim and hidden sizes")
+    return ModelParams(
+        first.feature_dim,
+        first.hidden,
+        seed=tuple(p.seed for p in runs),
+        vector=np.stack([p.vector for p in runs]),
+    )
+
 
 @dataclass
 class OptimizerState:
     """Moment accumulators and hyperparameters for the adaptive update.
 
-    m and v are flat vectors in the parameter layout, allocated at the first
-    step.
+    m and v are flat vectors in the parameter layout (R x P for a stack of R
+    runs, which share the hyperparameters and the step count), allocated at
+    the first step.
     """
 
     learning_rate: float = 1e-3
@@ -96,6 +124,11 @@ class OptimizerState:
     step: int = 0
     m: np.ndarray = None
     v: np.ndarray = None
+
+    def run(self, r):
+        """Run r's state in a stepped stack; its moments are views into the
+        stack's."""
+        return replace(self, m=self.m[r], v=self.v[r])
 
 
 def _glorot(rng, shape):
@@ -122,24 +155,33 @@ def init_params(seed, feature_dim=DEFAULT_FEATURE_DIM, hidden=DEFAULT_HIDDEN):
     return params
 
 
+def _affine(x, w, b):
+    """x @ w.T + b, for one run or a stack of runs."""
+    return x @ w.swapaxes(-1, -2) + b[..., None, :]
+
+
 def forward(params, features, return_hidden=False):
     """Run the shared pathway and both heads.
 
     Returns (expr_logits Nx7, au_logits Nx18, embeddings NxF'); with
     return_hidden=True also returns the per-layer activations for backprop.
+    A stack of R runs takes R x N x F features and returns R x N x ...
+    outputs.
     """
     features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[1] != params.feature_dim:
+    if features.ndim != params.vector.ndim + 1 or (
+        features.shape[-1] != params.feature_dim
+    ):
         raise ContractError(
             f"features must be Nx{params.feature_dim}, got {features.shape}"
         )
     activations = [features]
     h = features
     for w, b in zip(params.hidden_weights, params.hidden_biases):
-        h = np.maximum(h @ w.T + b, 0.0)
+        h = np.maximum(_affine(h, w, b), 0.0)
         activations.append(h)
-    expr_logits = h @ params.expr_weight.T + params.expr_bias
-    au_logits = h @ params.au_weight.T + params.au_bias
+    expr_logits = _affine(h, params.expr_weight, params.expr_bias)
+    au_logits = _affine(h, params.au_weight, params.au_bias)
     if return_hidden:
         return expr_logits, au_logits, h, activations
     return expr_logits, au_logits, h
@@ -150,13 +192,16 @@ def backward(params, features, d_expr, d_au, activations=None):
 
     d_expr and d_au are the loss gradients at the two heads; both flow back
     into the shared hidden pathway. Returns one flat gradient vector in the
-    layout of params.vector (params.views(grad) names its parts).
+    layout of params.vector (params.views(grad) names its parts); a stack
+    takes R x N x ... batches and returns R x P gradients.
     """
     features = np.asarray(features, dtype=np.float64)
     d_expr = np.asarray(d_expr, dtype=np.float64)
     d_au = np.asarray(d_au, dtype=np.float64)
-    n = features.shape[0]
-    if d_expr.shape != (n, NUM_EXPRESSIONS) or d_au.shape != (n, NUM_AUS):
+    n = features.shape[-2]
+    if d_expr.shape[-2:] != (n, NUM_EXPRESSIONS) or (
+        d_au.shape != d_expr.shape[:-1] + (NUM_AUS,)
+    ):
         raise ContractError("head gradient shapes inconsistent with the batch")
     if activations is None:
         _, _, _, activations = forward(params, features, return_hidden=True)
@@ -164,36 +209,38 @@ def backward(params, features, d_expr, d_au, activations=None):
     grad = np.empty_like(params.vector)
     named = params.views(grad)
     h = activations[-1]
-    np.matmul(d_expr.T, h, out=named["expr.w"])
-    d_expr.sum(axis=0, out=named["expr.b"])
-    np.matmul(d_au.T, h, out=named["au.w"])
-    d_au.sum(axis=0, out=named["au.b"])
+    np.matmul(d_expr.swapaxes(-1, -2), h, out=named["expr.w"])
+    d_expr.sum(axis=-2, out=named["expr.b"])
+    np.matmul(d_au.swapaxes(-1, -2), h, out=named["au.w"])
+    d_au.sum(axis=-2, out=named["au.b"])
     dh = d_expr @ params.expr_weight + d_au @ params.au_weight
     for i in reversed(range(len(params.hidden_weights))):
         dz = dh * (activations[i + 1] > 0.0)
-        np.matmul(dz.T, activations[i], out=named[f"hidden.{i}.w"])
-        dz.sum(axis=0, out=named[f"hidden.{i}.b"])
+        np.matmul(dz.swapaxes(-1, -2), activations[i], out=named[f"hidden.{i}.w"])
+        dz.sum(axis=-2, out=named[f"hidden.{i}.b"])
         if i > 0:  # the gradient wrt the input features is never used
             dh = dz @ params.hidden_weights[i]
     return grad
 
 
 def _check_finite(params, flat, what):
-    """NumericFailure naming the first array of `flat` with a non-finite entry."""
+    """NumericFailure naming the first array of `flat` with a non-finite entry
+    (and its run, in a stack)."""
     finite = np.isfinite(flat)
     if not finite.all():
-        bad = np.flatnonzero(~finite)[0]
+        run, bad = divmod(int(np.flatnonzero(~finite)[0]), flat.shape[-1])
         name = next(name for name, (offset, shape) in params.layout.items()
                     if bad < offset + math.prod(shape))
-        raise NumericFailure(f"non-finite {what} for {name}")
+        where = f" in run {run}" if flat.ndim > 1 else ""
+        raise NumericFailure(f"non-finite {what} for {name}{where}")
 
 
 def optimizer_step(params, grads, state):
     """One bias-corrected adaptive update with decoupled weight decay (in place).
 
-    grads is a flat vector in the layout of params.vector. The update is the
-    per-tensor AdamW arithmetic, operation for operation, in one pass over
-    the whole vector.
+    grads is a flat vector in the layout of params.vector (R x P for a stack).
+    The update is the per-tensor AdamW arithmetic, operation for operation,
+    in one pass over the whole vector or stack.
     """
     p = params.vector
     grads = np.asarray(grads, dtype=np.float64)

@@ -20,6 +20,7 @@ from aukit.harness import (
     lambda_sweep,
     strategy_compare,
     train,
+    train_stacked,
     write_confusion_svg,
 )
 from aukit.ingest import FramePrediction
@@ -294,28 +295,34 @@ def test_criterion_6_range_invariants():
     report("criterion 6 PASS range invariants (1000 randomized pipelines)")
 
 
-def _benchmark_run(structure_seed, lam, strategy):
+def _benchmark_pair(structure_seed):
+    """The baseline (lambda 0, unweighted) and the auxiliary (lambda 0.2,
+    distinct pos-weights) run of one seed, trained together on shared data;
+    (UAR, minor-class recall) of each on the test split."""
     train_set = generate_dataset(
         SynthSpec(total=2000, seed=structure_seed, sample_seed=11)
     )
     test_set = generate_dataset(
         SynthSpec(total=2100, seed=structure_seed, sample_seed=22)
     )
-    pos_weights = (
-        compute_pos_weights(train_set.au_labels(), strategy)
-        if strategy != "none" else None
-    )
-    config = TrainConfig(lam=lam, strategy=strategy, seed=structure_seed)
     data = TrainData(
         features=train_set.features,
         expr_labels=train_set.expr_labels,
         au_labels=train_set.au_presence.astype(float),
         knowledge=train_set.knowledge,
-        pos_weights=pos_weights,
     )
-    params, _, _ = train(config, data)
-    result = evaluate(params, test_set.features, test_set.expr_labels)
-    return result.uar, float(np.nanmean(result.per_class_recall[MINOR_INDICES]))
+    configs = [
+        TrainConfig(lam=0.0, strategy="none", seed=structure_seed),
+        TrainConfig(lam=0.2, strategy="distinct", seed=structure_seed),
+    ]
+    pos_weights = [None, compute_pos_weights(train_set.au_labels(), "distinct")]
+    results = []
+    for params, _ in train_stacked(configs, data, pos_weights):
+        result = evaluate(params, test_set.features, test_set.expr_labels)
+        results.append(
+            (result.uar, float(np.nanmean(result.per_class_recall[MINOR_INDICES])))
+        )
+    return results
 
 
 def test_criterion_7_imbalance_effect():
@@ -323,8 +330,7 @@ def test_criterion_7_imbalance_effect():
     start = time.perf_counter()
     gains, baseline_minor, weighted_minor = [], [], []
     for seed in range(5):
-        base_uar, base_minor = _benchmark_run(seed, lam=0.0, strategy="none")
-        aux_uar, aux_minor = _benchmark_run(seed, lam=0.2, strategy="distinct")
+        (base_uar, base_minor), (aux_uar, aux_minor) = _benchmark_pair(seed)
         gains.append(aux_uar - base_uar)
         baseline_minor.append(base_minor)
         weighted_minor.append(aux_minor)

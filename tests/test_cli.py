@@ -1,5 +1,6 @@
 """Command-line smoke tests: end-to-end flows and exit-code mapping."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -141,6 +142,30 @@ def test_compare_strategies_rows(synth_dirs, tmp_path):
     lines = (out / "strategies.csv").read_text().splitlines()
     assert [ln.split(",")[0] for ln in lines[2:]] == \
         ["none", "global", "distinct", "minor"]
+
+
+def test_sweep_and_strategy_tables_golden(synth_dirs, tmp_path):
+    # sha256 of the two metric tables; recorded when every run was trained
+    # on its own, one after another, which training the runs of a sweep or a
+    # comparison together must reproduce byte for byte
+    train_dir, test_dir = synth_dirs
+    common = ["--data", train_dir, "--test-data", test_dir, "--epochs", 3,
+              "--seed", 4]
+    assert run("sweep", *common, "--grid", "0.0,0.5,1.0",
+               "--out", tmp_path / "sweep") == EXIT_OK
+    assert run("compare-strategies", *common, "--lam", 0.3,
+               "--strategies", "none,global,distinct,minor",
+               "--out", tmp_path / "compare") == EXIT_OK
+    digests = {
+        name: hashlib.sha256((tmp_path / sub / name).read_bytes()).hexdigest()
+        for sub, name in (("sweep", "sweep.csv"), ("compare", "strategies.csv"))
+    }
+    assert digests == {
+        "sweep.csv":
+            "1a9bb2e34474bc30c3e2fa714686aaf6fd949603f237e7d559288e009a1f26f1",
+        "strategies.csv":
+            "3ddbb6117fef1b4e04d1b52e657a6f1e116b7410c3e6e38b6e035d6968cbebce",
+    }
 
 
 def test_pos_weights_command(synth_dirs, tmp_path):
@@ -303,3 +328,92 @@ def test_synth_gen_rejects_unknown_spec_key(tmp_path, capsys):
                "--out", tmp_path / "out") == EXIT_CONTRACT
     assert "bogus_knob" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# case -> (subcommand, option, file content, text the message must name)
+MALFORMED_JSON = {
+    "config_not_an_object": ("train", "--config", "[1]", "JSON object"),
+    "config_epochs_not_integer": ("train", "--config", '{"epochs": "x"}', "'epochs'"),
+    "config_hidden_not_a_list": ("train", "--config", '{"hidden": 5}', "'hidden'"),
+    "config_bool_not_integer": (
+        "train", "--config", '{"batch_size": true}', "'batch_size'"),
+    "config_not_json": ("sweep", "--config", "{epochs: 2", "not valid JSON"),
+    "spec_total_not_integer": ("synth-gen", "--spec", '{"total": "abc"}', "'total'"),
+    "spec_knowledge_not_settable": (
+        "synth-gen", "--spec", '{"ground_truth_knowledge": [1]}',
+        "'ground_truth_knowledge'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_JSON))
+def test_malformed_json_is_one_line_contract_error(case, synth_dirs, tmp_path,
+                                                   capsys):
+    command, option, content, named = MALFORMED_JSON[case]
+    path = tmp_path / "in.json"
+    path.write_text(content)
+    argv = [command, option, path, "--out", tmp_path / "out"]
+    if command != "synth-gen":
+        argv += ["--data", synth_dirs[0], "--epochs", 1]
+    capsys.readouterr()
+    assert run(*argv) == EXIT_CONTRACT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert named in err
+
+
+def test_non_numeric_sweep_grid_is_contract_error(synth_dirs, tmp_path, capsys):
+    capsys.readouterr()
+    assert run("sweep", "--data", synth_dirs[0], "--epochs", 1, "--grid", "0.1,x",
+               "--out", tmp_path / "out") == EXIT_CONTRACT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "--grid" in err
+
+
+def test_json_config_values_are_converted(synth_dirs, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"hidden": [4], "lam": 0, "batch_size": 100}))
+    assert run("train", "--data", synth_dirs[0], "--config", cfg, "--epochs", 1,
+               "--out", tmp_path / "run") == EXIT_OK
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("train", ["--strategy", "distinct"]),
+    ("sweep", ["--strategy", "none"]),
+    ("compare-strategies", []),
+])
+def test_pos_weights_file_conflict_rejected(command, extra, synth_dirs, tmp_path,
+                                            capsys):
+    train_dir, _ = synth_dirs
+    assert run("pos-weights", "--labels", train_dir / "au_labels.csv",
+               "--out", tmp_path / "pw") == EXIT_OK
+    capsys.readouterr()
+    assert run(command, "--data", train_dir, "--epochs", 1, *extra,
+               "--pos-weights-file", tmp_path / "pw" / "pos_weights.csv",
+               "--out", tmp_path / "out") == EXIT_CONTRACT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "--pos-weights-file" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_pos_weights_file_conflicts_with_config_strategy(synth_dirs, tmp_path):
+    train_dir, _ = synth_dirs
+    assert run("pos-weights", "--labels", train_dir / "au_labels.csv",
+               "--out", tmp_path / "pw") == EXIT_OK
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"strategy": "minor"}))
+    assert run("train", "--data", train_dir, "--epochs", 1, "--config", cfg,
+               "--pos-weights-file", tmp_path / "pw" / "pos_weights.csv",
+               "--out", tmp_path / "out") == EXIT_CONTRACT
+
+
+def test_compare_strategies_computes_only_the_compared_strategies(tmp_path, caplog):
+    # on 20 samples the distinct strategy (the config default) falls back for
+    # many cells and logs each; comparing only 'none' must not compute it
+    data = tmp_path / "tiny"
+    assert run("synth-gen", "--n", 20, "--seed", 0, "--out", data) == EXIT_OK
+    caplog.clear()
+    assert run("compare-strategies", "--data", data, "--strategies", "none",
+               "--epochs", 1, "--out", tmp_path / "out") == EXIT_OK
+    assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == []

@@ -1,6 +1,7 @@
 """Training loop, WAR/UAR evaluation, and report-artifact tests."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from aukit.harness import (
     read_confusion_csv,
     strategy_compare,
     train,
+    train_stacked,
     write_confusion_svg,
     write_metric_rows,
 )
@@ -191,6 +193,17 @@ class TestTrain:
         with pytest.raises(ContractError):
             train(TrainConfig(epochs=1), bad)
 
+    def test_empty_dataset_rejected(self):
+        data = small_train_data()
+        empty = TrainData(
+            features=data.features[:0],
+            expr_labels=data.expr_labels[:0],
+            au_labels=data.au_labels[:0],
+            knowledge=data.knowledge,
+        )
+        with pytest.raises(ContractError, match="empty"):
+            train(TrainConfig(epochs=1), empty)
+
     def test_config_validation(self):
         with pytest.raises(ContractError):
             TrainConfig(lam=1.5)
@@ -204,6 +217,75 @@ class TestTrain:
         params, _, _ = train(TrainConfig(epochs=1, seed=0), data)
         labels = predict(params, data.features)
         assert labels.min() >= 0 and labels.max() < NUM_EXPRESSIONS
+
+
+def strategy_specs(strategies, seed=0, total=300):
+    """Pos-weights of each strategy on the labels of small_train_data."""
+    ds = generate_dataset(SynthSpec(total=total, seed=seed, sample_seed=1))
+    return [compute_pos_weights(ds.au_labels(), s) for s in strategies]
+
+
+class TestTrainStacked:
+    def assert_equal_to_sequential(self, configs, data, pos_weights):
+        runs = train_stacked(configs, data, pos_weights)
+        assert len(runs) == len(configs)
+        for config, spec, (params, state) in zip(configs, pos_weights, runs):
+            alone, alone_state, _ = train(config, replace(data, pos_weights=spec))
+            assert params.seed == alone.seed == config.seed
+            assert params.vector.tobytes() == alone.vector.tobytes()
+            assert state.step == alone_state.step
+            assert state.m.tobytes() == alone_state.m.tobytes()
+            assert state.v.tobytes() == alone_state.v.tobytes()
+
+    def test_strategies_with_one_seed_match_sequential(self):
+        strategies = ("none", "global", "minor")
+        configs = [
+            TrainConfig(epochs=4, seed=3, lam=0.3, strategy=s, hidden=(8,))
+            for s in strategies
+        ]
+        self.assert_equal_to_sequential(
+            configs, small_train_data(), strategy_specs(strategies)
+        )
+
+    def test_seeds_per_run_match_sequential(self):
+        # different seeds give each run its own initialisation and its own
+        # batch order; two hidden layers, and a last batch shorter than the rest
+        data = small_train_data()
+        configs = [
+            TrainConfig(epochs=3, seed=seed, lam=0.2, hidden=(16, 8), batch_size=48)
+            for seed in (3, 4, 5)
+        ]
+        self.assert_equal_to_sequential(configs, data, [data.pos_weights] * 3)
+
+    def test_lambda_endpoints_match_sequential(self):
+        data = small_train_data()
+        configs = [TrainConfig(epochs=4, seed=2, lam=lam) for lam in (0.0, 1.0)]
+        self.assert_equal_to_sequential(configs, data, [data.pos_weights] * 2)
+
+    @pytest.mark.parametrize("field, value", [
+        ("hidden", (16,)), ("epochs", 3), ("batch_size", 32),
+    ])
+    def test_runs_with_other_shapes_or_schedule_rejected(self, field, value):
+        configs = [TrainConfig(epochs=2, seed=0), TrainConfig(epochs=2, seed=1)]
+        configs[1] = replace(configs[1], **{field: value})
+        with pytest.raises(ContractError, match=f"must share {field}"):
+            train_stacked(configs, small_train_data())
+
+    def test_empty_or_mismatched_runs_rejected(self):
+        data = small_train_data()
+        with pytest.raises(ContractError):
+            train_stacked([], data)
+        with pytest.raises(ContractError):
+            train_stacked([TrainConfig(epochs=1)] * 2, data, [None])
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_non_finite_loss_names_the_epoch(self):
+        data = small_train_data()
+        data.features = data.features.copy()
+        data.features[5, 0] = np.inf
+        configs = [TrainConfig(epochs=2, seed=seed) for seed in (0, 1)]
+        with pytest.raises(NumericFailure, match="non-finite loss at epoch 0 in run"):
+            train_stacked(configs, data)
 
 
 class TestSweepAndCompare:
