@@ -152,18 +152,21 @@ def cmd_pseudo_label(args):
         raise ContractError(
             f"no label in {args.video_labels} for videos: {', '.join(missing)}"
         )
-    labels = [
-        labeling.derive_video_au_labels(frames, video_id, expr_by_video[video_id])
-        for video_id, frames in videos
-    ]
-    labeling.write_labels_csv(labels, args.out)
-    print(f"{len(labels)} video AU labels -> {args.out}")
+    table = labeling.label_table(
+        [video_id for video_id, _ in videos],
+        [expr_by_video[video_id] for video_id, _ in videos],
+        [len(frames) for _, frames in videos],
+        [labeling.derive_video_au_labels(frames, video_id)
+         for video_id, frames in videos],
+    )
+    labeling.write_labels_csv(table, args.out)
+    print(f"{len(table)} video AU labels -> {args.out}")
     return EXIT_OK
 
 
 def cmd_pos_weights(args):
-    labels = labeling.read_labels_csv(args.labels)
-    spec = labeling.compute_pos_weights(labels, args.strategy)
+    table = labeling.read_labels_csv(args.labels)
+    spec = labeling.compute_pos_weights(table["y"], table["expression"], args.strategy)
     os.makedirs(args.out, exist_ok=True)
     labeling.write_pos_weights_csv(spec, os.path.join(args.out, "pos_weights.csv"))
     print(f"pos-weights ({args.strategy}) -> {args.out}")
@@ -185,9 +188,9 @@ def cmd_synth_gen(args):
         header="expression_index",
         comments="# ",
     )
-    labeling.write_labels_csv(
-        dataset.au_labels(), os.path.join(args.out, "au_labels.csv")
-    )
+    ids = [f"synth-{i:05d}" for i in range(spec.total)]  # one-frame videos
+    table = labeling.label_table(ids, dataset.expr_labels, 1, dataset.au_presence)
+    labeling.write_labels_csv(table, os.path.join(args.out, "au_labels.csv"))
     knowledge.export_knowledge(
         dataset.knowledge, os.path.join(args.out, "knowledge.csv")
     )
@@ -196,22 +199,29 @@ def cmd_synth_gen(args):
 
 
 def _load_dataset_dir(path):
+    """Features, expression labels and N x 18 AU bits of a dataset directory,
+    whose au_labels.csv must list the expressions of expression_labels.csv."""
     features = model.load_features(os.path.join(path, "features.bin"))
     try:
-        expr_labels = np.loadtxt(
-            os.path.join(path, "expression_labels.csv"), dtype=np.int64, comments="#"
-        )
+        expr_labels = np.loadtxt(os.path.join(path, "expression_labels.csv"),
+                                 dtype=np.int64, comments="#", ndmin=1)
     except ValueError as exc:
         raise ContractError(f"corrupt expression label file: {exc}") from None
-    au_label_list = labeling.read_labels_csv(os.path.join(path, "au_labels.csv"))
-    au_labels = np.stack([lab.y for lab in au_label_list])
-    return features, np.atleast_1d(expr_labels), au_labels, au_label_list
+    table = labeling.read_labels_csv(os.path.join(path, "au_labels.csv"))
+    if len(table) != len(expr_labels):
+        raise ContractError(f"{path}: au_labels.csv has {len(table)} rows, "
+                            f"expression_labels.csv {len(expr_labels)}")
+    differ = np.flatnonzero(table["expression"] != expr_labels)
+    if differ.size:
+        raise ContractError(f"{path}: au_labels.csv and expression_labels.csv "
+                            f"disagree on the expression of video {differ[0] + 1}")
+    return features, expr_labels, table["y"]
 
 
 def _build_train_data(args, strategy):
     """TrainData of --data (and --test-data) with the pos-weights of
     --pos-weights-file, else of `strategy`, else none."""
-    features, expr_labels, au_labels, au_label_list = _load_dataset_dir(args.data)
+    features, expr_labels, au_labels = _load_dataset_dir(args.data)
     kn = knowledge.import_knowledge(
         args.knowledge or os.path.join(args.data, "knowledge.csv")
     )
@@ -219,7 +229,7 @@ def _build_train_data(args, strategy):
     if args.pos_weights_file:
         spec = labeling.read_pos_weights_csv(args.pos_weights_file)
     elif strategy is not None:
-        spec = labeling.compute_pos_weights(au_label_list, strategy)
+        spec = labeling.compute_pos_weights(au_labels, expr_labels, strategy)
     data = harness.TrainData(
         features=features,
         expr_labels=expr_labels,
@@ -228,15 +238,15 @@ def _build_train_data(args, strategy):
         pos_weights=spec,
     )
     if args.test_data:
-        test_features, test_labels, _, _ = _load_dataset_dir(args.test_data)
+        test_features, test_labels, _ = _load_dataset_dir(args.test_data)
         data.test_features = test_features
         data.test_expr_labels = test_labels
-    return data, au_label_list
+    return data
 
 
 def cmd_train(args):
     config = _load_config(args)
-    data, _ = _build_train_data(args, config.strategy)
+    data = _build_train_data(args, config.strategy)
     params, state, logs = harness.train(config, data)
     os.makedirs(args.out, exist_ok=True)
     model.save_checkpoint(params, state, os.path.join(args.out, "checkpoint.bin"))
@@ -255,7 +265,7 @@ def cmd_train(args):
 
 def cmd_eval(args):
     params, _ = model.load_checkpoint(args.checkpoint)
-    features, expr_labels, _, _ = _load_dataset_dir(args.data)
+    features, expr_labels, _ = _load_dataset_dir(args.data)
     report = harness.evaluate(params, features, expr_labels)
     os.makedirs(args.out, exist_ok=True)
     harness.export_confusion(
@@ -276,7 +286,7 @@ def cmd_eval(args):
 
 def cmd_sweep(args):
     config = _load_config(args)
-    data, _ = _build_train_data(args, config.strategy)
+    data = _build_train_data(args, config.strategy)
     grid = parse_numbers(args.grid.split(","), "--grid") if args.grid else list(
         harness.DEFAULT_LAMBDA_GRID
     )
@@ -294,11 +304,11 @@ def cmd_compare_strategies(args):
             "--pos-weights-file does not apply"
         )
     config = _load_config(args)
-    data, au_label_list = _build_train_data(args, None)
+    data = _build_train_data(args, None)
     strategies = args.strategies.split(",") if args.strategies else list(
         labeling.STRATEGIES
     )
-    rows = harness.strategy_compare(config, data, au_label_list, strategies)
+    rows = harness.strategy_compare(config, data, strategies)
     os.makedirs(args.out, exist_ok=True)
     harness.write_metric_rows(
         rows, os.path.join(args.out, "strategies.csv"), "strategy"
@@ -348,7 +358,7 @@ def cmd_export_confusion(args):
 
 def cmd_export_embeddings(args):
     params, _ = model.load_checkpoint(args.checkpoint)
-    features, expr_labels, _, _ = _load_dataset_dir(args.data)
+    features, expr_labels, _ = _load_dataset_dir(args.data)
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "embeddings.csv")
     harness.export_embeddings(params, features, expr_labels, out_path)

@@ -9,6 +9,8 @@ NUM_EXPRESSIONS = 7
 
 MAJOR_CLASSES = frozenset({"Happy", "Sad", "Angry", "Neutral"})
 MINOR_CLASSES = frozenset({"Surprise", "Disgust", "Fear"})
+# boolean mask over expression indices: True for the major classes
+MAJOR_MASK = np.array([name in MAJOR_CLASSES for name in EXPRESSIONS])
 
 # 18 presence AUs in ascending numeric order; AU28 has no intensity track.
 AU_NAMES = (
@@ -42,6 +44,17 @@ def parse_numbers(cells, what, kind=float):
         return [kind(cell) for cell in cells]
     except ValueError:
         raise ContractError(f"corrupt {what}: non-numeric cell") from None
+
+
+def video_table(video_ids, fields, **columns):
+    """A 1-D structured array: a video_id field as wide as the longest id,
+    then `fields` (numpy field specs) filled from the same-named `columns`."""
+    video_ids = np.asarray(video_ids, dtype=str)
+    table = np.empty(len(video_ids), dtype=[("video_id", video_ids.dtype), *fields])
+    table["video_id"] = video_ids
+    for name, *_ in fields:
+        table[name] = columns[name]
+    return table
 
 
 def expression_index(name):
@@ -113,12 +126,6 @@ class KnowledgeMatrix:
         support.setflags(write=False)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "support", support)
-
-    def column(self, expr_index):
-        """Per-expression 18-vector of AU weights."""
-        if not 0 <= expr_index < NUM_EXPRESSIONS:
-            raise ContractError(f"expression index out of range: {expr_index}")
-        return self.values[:, expr_index]
 
 
 def knowledge_value_bounds(stage):

@@ -9,7 +9,7 @@ import numpy as np
 from .domain import (
     ContractError,
     EXPRESSIONS,
-    MAJOR_CLASSES,
+    MAJOR_MASK,
     NUM_EXPRESSIONS,
     NumericFailure,
     parse_numbers,
@@ -297,13 +297,15 @@ def lambda_sweep(config, data, grid=DEFAULT_LAMBDA_GRID):
     return rows
 
 
-def strategy_compare(config, data, train_au_label_list, strategies=STRATEGIES):
+def strategy_compare(config, data, strategies=STRATEGIES):
     """Per-strategy WAR/UAR and per-class recall rows, one table row each;
+    each strategy's pos-weights come from the training split's labels, and
     the runs train together and are evaluated once at the end."""
     unknown = [s for s in strategies if s not in STRATEGIES]
     if unknown:
         raise ContractError(f"unknown strategies: {unknown}")
-    specs = [compute_pos_weights(train_au_label_list, s) for s in strategies]
+    specs = [compute_pos_weights(data.au_labels, data.expr_labels, s)
+             for s in strategies]
     runs = train_stacked(
         [replace(config, strategy=s) for s in strategies], data, specs
     )
@@ -317,11 +319,7 @@ def strategy_compare(config, data, train_au_label_list, strategies=STRATEGIES):
                 "uar": report.uar,
                 "per_class_recall": report.per_class_recall,
                 "major_pos_weights_all_one": bool(
-                    all(
-                        np.all(spec.values[i] == 1.0)
-                        for i, name in enumerate(EXPRESSIONS)
-                        if name in MAJOR_CLASSES
-                    )
+                    np.all(spec.values[MAJOR_MASK] == 1.0)
                 ),
             }
         )

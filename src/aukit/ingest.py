@@ -7,11 +7,12 @@ Zero-valued intensities are the tool's known failure mode and are repaired by
 within-video linear interpolation.
 """
 
+import array
 import csv
 import io
 import json
 import logging
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .domain import (
     NUM_EXPRESSIONS,
     NUM_INTENSITY_AUS,
     expression_index,
+    video_table,
 )
 from .sealed import read_sealed, write_sealed
 
@@ -46,21 +48,17 @@ FRAME_STORE_SUFFIX = ".frames"
 
 INTENSITY_COLUMNS = tuple(f"{n}_r" for n in INTENSITY_AU_NAMES)
 PRESENCE_COLUMNS = tuple(f"{n}_c" for n in AU_NAMES)
+SCORE_COLUMNS = tuple(f"s{j}" for j in range(NUM_EXPRESSIONS))
+SCORE_SUM_TOLERANCE = 1e-3
+PREDICTION_FIELDS = [("frame_index", "<i8"), ("label", "<i8"),
+                     ("scores", "<f8", (NUM_EXPRESSIONS,))]
 
 
-@dataclass
-class FramePrediction:
-    """External per-frame expression scores plus the asserted label."""
-
-    video_id: str
-    frame_index: int
-    scores: np.ndarray
-    asserted_label: int
-
-    def __post_init__(self):
-        self.scores = np.asarray(self.scores, dtype=np.float64)
-        if self.scores.shape != (NUM_EXPRESSIONS,):
-            raise ContractError("scores must be a 7-vector")
+def prediction_table(video_ids, frame_indices, labels, scores):
+    """Per-frame expression predictions as one table (see domain.video_table):
+    video_id, frame_index, label (the asserted expression index), scores."""
+    return video_table(video_ids, PREDICTION_FIELDS, frame_index=frame_indices,
+                       label=labels, scores=scores)
 
 
 def _cell_float(row, column, row_number):
@@ -68,11 +66,44 @@ def _cell_float(row, column, row_number):
     if raw is None or raw.strip() == "":
         raise ContractError(f"row {row_number}: empty cell in column {column!r}")
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ContractError(
             f"row {row_number}: non-numeric value {raw!r} in column {column!r}"
         ) from None
+    if not math.isfinite(value):
+        raise ContractError(
+            f"row {row_number}: non-finite value {raw!r} in column {column!r}"
+        )
+    return value
+
+
+def _cell_int(row, column, row_number):
+    value = _cell_float(row, column, row_number)
+    if value.is_integer() and abs(value) < 2**63:
+        return int(value)
+    raise ContractError(
+        f"row {row_number}: non-integer value {row[column]!r} in column {column!r}"
+    )
+
+
+def _csv_reader(stream, required):
+    """A csv.DictReader over text, bytes or a text or byte stream, whose
+    header (stripped of spaces) names every `required` column."""
+    if isinstance(stream, (bytes, bytearray)):
+        stream = stream.decode("utf-8")
+    if isinstance(stream, str):
+        stream = io.StringIO(stream)
+    elif isinstance(stream.read(0), bytes):
+        stream = io.TextIOWrapper(stream, encoding="utf-8")
+    reader = csv.DictReader(stream, skipinitialspace=True)
+    if reader.fieldnames is None:
+        raise ContractError("empty input: no header row")
+    reader.fieldnames = [h.strip() for h in reader.fieldnames]
+    missing = [c for c in required if c not in reader.fieldnames]
+    if missing:
+        raise ContractError(f'missing column "{missing[0]}"')
+    return reader
 
 
 def parse_openface_csv(stream, video_id):
@@ -81,48 +112,28 @@ def parse_openface_csv(stream, video_id):
     Accepts a text or byte stream. Rows with success = 0 are retained but
     flagged; rows for secondary faces (face_id > 0) are dropped with a warning.
     """
-    if isinstance(stream, (bytes, bytearray)):
-        stream = io.StringIO(stream.decode("utf-8"))
-    elif isinstance(stream, str):
-        stream = io.StringIO(stream)
-    elif hasattr(stream, "read") and isinstance(stream.read(0), bytes):
-        stream = io.TextIOWrapper(stream, encoding="utf-8")
-
-    reader = csv.DictReader(stream, skipinitialspace=True)
-    if reader.fieldnames is None:
-        raise ContractError("empty input: no header row")
-    header = [h.strip() for h in reader.fieldnames]
-    reader.fieldnames = header
-
-    required = ["frame", "confidence", "success"]
-    required += list(INTENSITY_COLUMNS) + list(PRESENCE_COLUMNS)
-    missing = [c for c in required if c not in header]
-    if missing:
-        raise ContractError(f'missing column "{missing[0]}"')
-
+    required = ("frame", "confidence", "success") + INTENSITY_COLUMNS + PRESENCE_COLUMNS
+    reader = _csv_reader(stream, required)
+    header = reader.fieldnames
     rows = []
     for row_number, row in enumerate(reader, start=2):
         if "face_id" in header and _cell_float(row, "face_id", row_number) > 0:
             log.warning("%s row %d: dropping secondary face", video_id, row_number)
             continue
-        intensities = np.empty(NUM_INTENSITY_AUS)
-        for k, col in enumerate(INTENSITY_COLUMNS):
-            v = _cell_float(row, col, row_number)
+        intensities = [_cell_float(row, col, row_number) for col in INTENSITY_COLUMNS]
+        for col, v in zip(INTENSITY_COLUMNS, intensities):
             if not 0.0 <= v <= 5.0:
                 raise ContractError(
                     f"row {row_number}: intensity {col} = {v} outside [0, 5]"
                 )
-            intensities[k] = v
-        presences = np.empty(NUM_AUS, dtype=np.uint8)
-        for k, col in enumerate(PRESENCE_COLUMNS):
-            v = _cell_float(row, col, row_number)
+        presences = [_cell_float(row, col, row_number) for col in PRESENCE_COLUMNS]
+        for col, v in zip(PRESENCE_COLUMNS, presences):
             if v not in (0.0, 1.0):
                 raise ContractError(
                     f"row {row_number}: presence {col} = {v} not in {{0, 1}}"
                 )
-            presences[k] = v
         rows.append((
-            int(_cell_float(row, "frame", row_number)),
+            _cell_int(row, "frame", row_number),
             _cell_float(row, "timestamp", row_number) if "timestamp" in header else 0.0,
             _cell_float(row, "confidence", row_number),
             _cell_float(row, "success", row_number) != 0.0,
@@ -165,42 +176,31 @@ def interpolate_zero_intensities(frames, video_id):
 
 
 def load_frame_predictions(stream):
-    """Load per-frame expression predictions (video_id, frame, label, s0..s6)."""
-    if isinstance(stream, (bytes, bytearray)):
-        stream = io.StringIO(stream.decode("utf-8"))
-    elif isinstance(stream, str):
-        stream = io.StringIO(stream)
-    reader = csv.DictReader(stream, skipinitialspace=True)
-    if reader.fieldnames is None:
-        raise ContractError("empty input: no header row")
-    score_cols = [f"s{j}" for j in range(NUM_EXPRESSIONS)]
-    missing = [
-        c for c in ["video_id", "frame", "label"] + score_cols
-        if c not in reader.fieldnames
-    ]
-    if missing:
-        raise ContractError(f'missing column "{missing[0]}"')
-
-    predictions = []
+    """Load per-frame expression predictions (video_id, frame, label, s0..s6)
+    as a prediction_table. Cells are checked row by row; then the scores must
+    be non-negative and sum to 1 within SCORE_SUM_TOLERANCE, and are
+    renormalised to sum to 1."""
+    reader = _csv_reader(stream, ("video_id", "frame", "label") + SCORE_COLUMNS)
+    # scores go into one flat buffer, not a list per row, which spares the
+    # allocator one small object per row and per score
+    video_ids, frame_indices, labels, scores = [], [], [], array.array("d")
     for row_number, row in enumerate(reader, start=2):
-        scores = np.array([_cell_float(row, c, row_number) for c in score_cols])
-        if np.any(scores < 0):
-            raise ContractError(f"row {row_number}: negative score")
-        total = scores.sum()
-        if abs(total - 1.0) > 1e-3:
-            raise ContractError(
-                f"row {row_number}: scores sum to {total}, outside tolerance"
-            )
-        scores = scores / total
-        predictions.append(
-            FramePrediction(
-                video_id=row["video_id"].strip(),
-                frame_index=int(_cell_float(row, "frame", row_number)),
-                scores=scores,
-                asserted_label=expression_index(row["label"]),
-            )
+        video_ids.append((row["video_id"] or "").strip())
+        frame_indices.append(_cell_int(row, "frame", row_number))
+        labels.append(expression_index(row["label"]))
+        scores.extend([_cell_float(row, c, row_number) for c in SCORE_COLUMNS])
+    scores = np.frombuffer(scores).reshape(-1, NUM_EXPRESSIONS)
+    # table row i (from 0) is file row i + 2, below the header
+    negative = np.flatnonzero((scores < 0).any(axis=1))
+    if negative.size:
+        raise ContractError(f"row {negative[0] + 2}: negative score")
+    totals = scores.sum(axis=1)
+    off = np.flatnonzero(np.abs(totals - 1.0) > SCORE_SUM_TOLERANCE)
+    if off.size:
+        raise ContractError(
+            f"row {off[0] + 2}: scores sum to {totals[off[0]]}, outside tolerance"
         )
-    return predictions
+    return prediction_table(video_ids, frame_indices, labels, scores / totals[:, None])
 
 
 def write_frame_store(frames, path):

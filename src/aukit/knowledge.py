@@ -8,7 +8,7 @@ squash again. A final x5 puts the weights back on the OpenFace intensity scale.
 """
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,44 +37,43 @@ def sigmoid(x):
     return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
+def _pair_codes(video_ids, frame_indices):
+    """Dense integer codes of (video_id, frame_index) pairs, equal iff the
+    pairs are: video ids and frame indices are each ranked in sorted order,
+    so a pair packs into one int64."""
+    _, videos = np.unique(video_ids, return_inverse=True)
+    values, frames = np.unique(frame_indices, return_inverse=True)
+    return np.unique(videos * len(values) + frames, return_inverse=True)[1]
+
+
 @dataclass
 class ReliableFrameSet:
-    """Frames whose asserted-label score strictly exceeded theta."""
+    """Predictions whose asserted-label score strictly exceeded theta."""
 
-    dataset_id: str
     theta: float
-    members: dict  # (video_id, frame_index) -> expression index
-    per_class_counts: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        counts = np.zeros(NUM_EXPRESSIONS, dtype=np.int64)
-        for label in self.members.values():
-            counts[label] += 1
-        self.per_class_counts = counts
+    members: np.ndarray  # the kept rows of the prediction table
 
 
-def filter_reliable_frames(predictions, theta, dataset_id="dataset"):
-    """Keep frames with scores[asserted_label] > theta (strict).
+def filter_reliable_frames(predictions, theta):
+    """Keep the rows of a prediction table (see ingest.prediction_table)
+    whose scores[label] > theta (strict).
 
     Two predictions for one (video, frame) are a contract violation.
     """
     if not 0.0 <= theta <= 1.0:
         raise ContractError(f"theta must be in [0, 1], got {theta}")
-    members = {}
-    seen = set()
-    for p in predictions:
-        key = (p.video_id, p.frame_index)
-        if key in seen:
-            raise ContractError(
-                f"duplicate prediction for video {p.video_id!r} frame {p.frame_index}"
-            )
-        seen.add(key)
-        if p.scores[p.asserted_label] > theta:
-            members[key] = p.asserted_label
-    result = ReliableFrameSet(dataset_id=dataset_id, theta=theta, members=members)
-    if not members:
+    codes = _pair_codes(predictions["video_id"], predictions["frame_index"])
+    repeated = np.flatnonzero(np.bincount(codes)[codes] > 1)
+    if repeated.size:
+        video_id, frame = predictions[["video_id", "frame_index"]][repeated[0]].tolist()
+        raise ContractError(
+            f"duplicate prediction for video {video_id!r} frame {frame}"
+        )
+    asserted = predictions["scores"][np.arange(len(predictions)), predictions["label"]]
+    members = predictions[asserted > theta]
+    if not len(members):
         log.warning("no frames survive theta = %s", theta)
-    return result
+    return ReliableFrameSet(theta=theta, members=members)
 
 
 def compute_dataset_knowledge(videos, reliable, theta=None, classes=None):
@@ -93,12 +92,25 @@ def compute_dataset_knowledge(videos, reliable, theta=None, classes=None):
     classes = tuple(sorted(set(int(c) for c in classes)))
     if any(c < 0 or c >= NUM_EXPRESSIONS for c in classes) or not classes:
         raise ContractError(f"invalid class subset: {classes}")
-    # each frame's reliable label, -1 for frames outside the reliable set
-    labels = np.array([
-        reliable.members.get((video_id, frame), -1)
-        for video_id, frames in videos
-        for frame in frames["frame_index"].tolist()
-    ], dtype=np.int64)
+    members = reliable.members
+    n = sum(len(frames) for _, frames in videos)
+    # video ids coded once, so that each frame carries an integer, not a string
+    _, video_codes = np.unique(np.concatenate(
+        [[video_id for video_id, _ in videos], members["video_id"]]
+    ), return_inverse=True)
+    # each frame's reliable label, -1 for frames outside the reliable set,
+    # through one join of frames and members on their (video, frame) codes
+    codes = _pair_codes(
+        np.concatenate([
+            np.repeat(video_codes[:len(videos)], [len(f) for _, f in videos]),
+            video_codes[len(videos):],
+        ]),
+        np.concatenate([frames["frame_index"] for _, frames in videos]
+                       + [members["frame_index"]]),
+    )
+    label_of = np.full(len(codes), -1)
+    label_of[codes[n:]] = members["label"]
+    labels = label_of[codes[:n]]
     counts = np.bincount(labels + 1, minlength=NUM_EXPRESSIONS + 1)[1:]
 
     empty = [EXPRESSIONS[c] for c in classes if not counts[c]]

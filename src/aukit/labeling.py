@@ -1,7 +1,7 @@
 """Video-level AU pseudo-labels and the three positive-class-weight strategies."""
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -9,13 +9,13 @@ from .domain import (
     AU_NAMES,
     ContractError,
     EXPRESSIONS,
-    MAJOR_CLASSES,
+    MAJOR_MASK,
     NUM_AUS,
     NUM_EXPRESSIONS,
     expression_index,
     expression_name,
-    is_major_class,
     parse_numbers,
+    video_table,
 )
 
 log = logging.getLogger(__name__)
@@ -24,22 +24,14 @@ STRATEGIES = ("none", "global", "distinct", "minor")
 
 PW_FLOOR = 1e-6
 
+LABEL_FIELDS = [("expression", "<i8"), ("n", "<i8"), ("y", "u1", (NUM_AUS,))]
 
-@dataclass
-class VideoAULabel:
-    """18-bit per-video AU label from frame-presence majorities."""
 
-    video_id: str
-    y: np.ndarray
-    frame_count: int
-    expression_label: int
-
-    def __post_init__(self):
-        self.y = np.asarray(self.y, dtype=np.int64)
-        if self.y.shape != (NUM_AUS,):
-            raise ContractError("y must be an 18-vector")
-        if self.frame_count < 1:
-            raise ContractError("frame_count must be >= 1")
+def label_table(video_ids, expressions, frame_counts, au_labels):
+    """Video AU labels as one table (see domain.video_table): video_id,
+    expression (index 0..6), n (the video's frame count), y (18 AU bits)."""
+    return video_table(video_ids, LABEL_FIELDS, expression=expressions,
+                       n=frame_counts, y=au_labels)
 
 
 @dataclass
@@ -48,7 +40,6 @@ class PosWeightSpec:
 
     strategy: str
     values: np.ndarray
-    sample_counts: np.ndarray = field(default=None)
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
@@ -58,87 +49,69 @@ class PosWeightSpec:
             raise ContractError(f"values must be {NUM_EXPRESSIONS}x{NUM_AUS}")
         if not np.all(np.isfinite(self.values)) or np.any(self.values <= 0):
             raise ContractError("pos-weights must be finite and > 0")
-        if self.sample_counts is None:
-            self.sample_counts = np.zeros(NUM_EXPRESSIONS, dtype=np.int64)
 
 
-def derive_video_au_labels(frames, video_id, expression_label):
-    """AU j is labeled 1 iff its presence sum over the video is >= half the frames."""
+def derive_video_au_labels(frames, video_id):
+    """A video's 18 AU bits: AU j is 1 iff its presence sum over the video is
+    >= half the frames."""
     n = len(frames)
     if not n:
         raise ContractError(f"empty video {video_id!r}: no frames to label")
-    y = (frames["presences"].sum(axis=0) >= 0.5 * n).astype(np.int64)
-    return VideoAULabel(
-        video_id=video_id, y=y, frame_count=n, expression_label=expression_label
-    )
+    return (frames["presences"].sum(axis=0) >= 0.5 * n).astype(np.uint8)
 
 
 def _ratio_weights(positives, count, context):
     """(negatives / positives) per AU with loud fallbacks for empty sides."""
-    weights = np.empty(NUM_AUS)
-    for j in range(NUM_AUS):
-        pos = positives[j]
-        if pos == 0:
-            weights[j] = float(count)
-            log.warning(
-                "%s: no positive videos for %s; falling back to pw = %d",
-                context, AU_NAMES[j], count,
-            )
-        elif pos == count:
-            weights[j] = PW_FLOOR
-            log.warning(
-                "%s: every video positive for %s; flooring pw at %g",
-                context, AU_NAMES[j], PW_FLOOR,
-            )
+    none, every = positives == 0, positives == count
+    for j in np.flatnonzero(none | every):
+        if none[j]:
+            log.warning("%s: no positive videos for %s; falling back to pw = %d",
+                        context, AU_NAMES[j], count)
         else:
-            weights[j] = (count - pos) / pos
-    return weights
+            log.warning("%s: every video positive for %s; flooring pw at %g",
+                        context, AU_NAMES[j], PW_FLOOR)
+    ratios = (count - positives) / np.maximum(positives, 1)
+    return np.select([none, every], [float(count), PW_FLOOR], ratios)
 
 
-def pos_weight_global(labels):
+def _label_columns(au_labels, expr_labels):
+    """N x 18 AU bits as integers and N >= 1 expression labels, checked."""
+    au_labels, expr_labels = np.asarray(au_labels), np.asarray(expr_labels)
+    n = len(expr_labels)
+    if not n or expr_labels.shape != (n,) or au_labels.shape != (n, NUM_AUS):
+        raise ContractError(
+            f"pos-weights need N >= 1 expression labels and N x {NUM_AUS} AU labels"
+        )
+    if np.any((expr_labels < 0) | (expr_labels >= NUM_EXPRESSIONS)):
+        raise ContractError("expression label out of range")
+    return au_labels.astype(np.int64), expr_labels
+
+
+def pos_weight_global(au_labels, expr_labels):
     """One negative/positive ratio per AU, shared by all 7 classes."""
-    if not labels:
-        raise ContractError("pos_weight_global needs a nonempty label list")
-    c = len(labels)
-    positives = np.sum([lab.y for lab in labels], axis=0)
-    row = _ratio_weights(positives, c, "global")
-    counts = np.zeros(NUM_EXPRESSIONS, dtype=np.int64)
-    for lab in labels:
-        counts[lab.expression_label] += 1
-    return PosWeightSpec(
-        strategy="global",
-        values=np.tile(row, (NUM_EXPRESSIONS, 1)),
-        sample_counts=counts,
-    )
+    au_labels, _ = _label_columns(au_labels, expr_labels)
+    row = _ratio_weights(au_labels.sum(axis=0), len(au_labels), "global")
+    return PosWeightSpec(strategy="global", values=np.tile(row, (NUM_EXPRESSIONS, 1)))
 
 
-def pos_weight_distinct(labels):
+def pos_weight_distinct(au_labels, expr_labels):
     """Per-class negative/positive ratios; unpopulated classes get all-ones rows."""
-    if not labels:
-        raise ContractError("pos_weight_distinct needs a nonempty label list")
+    au_labels, expr_labels = _label_columns(au_labels, expr_labels)
     values = np.ones((NUM_EXPRESSIONS, NUM_AUS))
-    counts = np.zeros(NUM_EXPRESSIONS, dtype=np.int64)
     for i in range(NUM_EXPRESSIONS):
-        class_labels = [lab for lab in labels if lab.expression_label == i]
-        counts[i] = len(class_labels)
-        if not class_labels:
+        in_class = au_labels[expr_labels == i]
+        if not len(in_class):
             log.warning("no videos labeled %s; pos-weights left at 1", EXPRESSIONS[i])
             continue
-        positives = np.sum([lab.y for lab in class_labels], axis=0)
-        values[i] = _ratio_weights(positives, len(class_labels), EXPRESSIONS[i])
-    return PosWeightSpec(strategy="distinct", values=values, sample_counts=counts)
+        values[i] = _ratio_weights(in_class.sum(axis=0), len(in_class), EXPRESSIONS[i])
+    return PosWeightSpec(strategy="distinct", values=values)
 
 
-def pos_weight_minor(labels):
+def pos_weight_minor(au_labels, expr_labels):
     """Distinct weights on the three minor classes; major-class rows stay at 1."""
-    distinct = pos_weight_distinct(labels)
-    values = distinct.values.copy()
-    for i in range(NUM_EXPRESSIONS):
-        if is_major_class(i):
-            values[i] = 1.0
-    return PosWeightSpec(
-        strategy="minor", values=values, sample_counts=distinct.sample_counts
-    )
+    values = pos_weight_distinct(au_labels, expr_labels).values
+    values[MAJOR_MASK] = 1.0
+    return PosWeightSpec(strategy="minor", values=values)
 
 
 def pos_weight_none():
@@ -148,50 +121,62 @@ def pos_weight_none():
     )
 
 
-def compute_pos_weights(labels, strategy):
+def compute_pos_weights(au_labels, expr_labels, strategy):
+    """The 7x18 pos-weights of `strategy` from N x 18 AU bits and their N
+    expression labels."""
     if strategy == "none":
         return pos_weight_none()
     if strategy == "global":
-        return pos_weight_global(labels)
+        return pos_weight_global(au_labels, expr_labels)
     if strategy == "distinct":
-        return pos_weight_distinct(labels)
+        return pos_weight_distinct(au_labels, expr_labels)
     if strategy == "minor":
-        return pos_weight_minor(labels)
+        return pos_weight_minor(au_labels, expr_labels)
     raise ContractError(f"unknown strategy: {strategy!r}")
 
 
-def write_labels_csv(labels, path):
+def write_labels_csv(table, path):
+    """A label_table as CSV: video_id, expression name, n, then the 18 AU bits."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("video_id,expression,n," + ",".join(AU_NAMES) + "\n")
-        for lab in labels:
+        for row in table:
             fh.write(
-                f"{lab.video_id},{expression_name(lab.expression_label)},"
-                f"{lab.frame_count}," + ",".join(str(v) for v in lab.y) + "\n"
+                f"{row['video_id']},{expression_name(row['expression'])},"
+                f"{row['n']}," + ",".join(str(v) for v in row["y"]) + "\n"
             )
 
 
 def read_labels_csv(path):
-    labels = []
+    """Inverse of write_labels_csv; n must be >= 1 and every AU cell 0 or 1."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or not lines[0].startswith("video_id,"):
         raise ContractError("corrupt label file: missing header")
-    for line in lines[1:]:
+    video_ids, expressions, counts, au_labels = [], [], [], []
+    for line_number, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         parts = line.split(",")
         if len(parts) != 3 + NUM_AUS:
             raise ContractError("corrupt label file: bad row width")
-        counts = parse_numbers(parts[2:], "label file", int)
-        labels.append(
-            VideoAULabel(
-                video_id=parts[0],
-                y=np.array(counts[1:], dtype=np.int64),
-                frame_count=counts[0],
-                expression_label=expression_index(parts[1]),
+        numbers = parse_numbers(parts[2:], "label file", int)
+        if numbers[0] < 1:
+            raise ContractError(
+                f"corrupt label file line {line_number}: n = {numbers[0]} < 1"
             )
-        )
-    return labels
+        bad = [j for j, v in enumerate(numbers[1:]) if v not in (0, 1)]
+        if bad:
+            raise ContractError(
+                f"corrupt label file line {line_number}: "
+                f"{AU_NAMES[bad[0]]} = {numbers[1 + bad[0]]} not in {{0, 1}}"
+            )
+        video_ids.append(parts[0])
+        expressions.append(expression_index(parts[1]))
+        counts.append(numbers[0])
+        au_labels.append(numbers[1:])
+    return label_table(
+        video_ids, expressions, counts, np.reshape(au_labels, (-1, NUM_AUS))
+    )
 
 
 def read_video_labels_csv(path):

@@ -25,13 +25,6 @@ class GradReport:
     epsilon: float
 
 
-def softmax(logits):
-    logits = np.asarray(logits, dtype=np.float64)
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def log_sigmoid(x):
     """log(sigmoid(x)) = min(x, 0) - log(1 + exp(-|x|)), computed without
     overflow."""

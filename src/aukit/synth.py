@@ -19,7 +19,6 @@ from .domain import (
     NUM_AUS,
     NUM_EXPRESSIONS,
 )
-from .labeling import VideoAULabel
 
 PRESENCE_THRESHOLD = 2.5  # midpoint of the [0, 5] intensity scale
 
@@ -94,18 +93,6 @@ class SynthDataset:
     expr_labels: np.ndarray    # N ints
     au_presence: np.ndarray    # N x 18 ints
     knowledge: KnowledgeMatrix
-
-    def au_labels(self, prefix="synth"):
-        """Wrap each sample as a single-frame video-level AU label."""
-        return [
-            VideoAULabel(
-                video_id=f"{prefix}-{i:05d}",
-                y=self.au_presence[i],
-                frame_count=1,
-                expression_label=int(self.expr_labels[i]),
-            )
-            for i in range(len(self.expr_labels))
-        ]
 
 
 def largest_remainder_counts(proportions, total):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from aukit.domain import AU_NAMES, INTENSITY_AU_NAMES
-from aukit.ingest import FRAME_DTYPE
+from aukit.ingest import FRAME_DTYPE, prediction_table
 
 
 def openface_csv(rows, include=None, exclude=()):
@@ -67,6 +67,11 @@ def group_videos(records):
     for video_id, frames in records:
         groups.setdefault(video_id, []).append(frames)
     return [(video_id, np.concatenate(parts)) for video_id, parts in groups.items()]
+
+
+def make_predictions(rows):
+    """A prediction table from (video_id, frame_index, label, scores) rows."""
+    return prediction_table(*(list(column) for column in zip(*rows)))
 
 
 @pytest.fixture

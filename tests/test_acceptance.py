@@ -23,7 +23,6 @@ from aukit.harness import (
     train_stacked,
     write_confusion_svg,
 )
-from aukit.ingest import FramePrediction
 from aukit.knowledge import (
     aggregate_knowledge,
     compute_dataset_knowledge,
@@ -33,7 +32,6 @@ from aukit.knowledge import (
 from aukit.labeling import (
     PosWeightSpec,
     STRATEGIES,
-    VideoAULabel,
     compute_pos_weights,
     derive_video_au_labels,
 )
@@ -46,7 +44,7 @@ from aukit.losses import (
 from aukit.model import backward, forward, init_params
 from aukit.synth import SynthSpec, generate_dataset
 
-from conftest import group_videos, make_frames, make_record
+from conftest import group_videos, make_frames, make_predictions, make_record
 
 MINOR_INDICES = [4, 5, 6]
 
@@ -140,47 +138,46 @@ def test_criterion_2_factor_invariance():
 def test_criterion_3_pos_weight_oracles():
     """Strategy outputs equal exact rational hand enumeration on a toy set."""
     rng = np.random.default_rng(17)
-    labels = []
+    labels = []  # (AU bits, expression) per video
     counts = [9, 8, 7, 6, 8, 5, 7]  # 50 videos over the 7 classes
     video = 0
     for c, count in enumerate(counts):
         for _ in range(count):
             y = rng.integers(0, 2, size=18)
             y[0] = video % 2  # AU01 mixed within every class
-            labels.append(
-                VideoAULabel(video_id=f"t{video:03d}", y=y, frame_count=3,
-                             expression_label=c)
-            )
+            labels.append((y, c))
             video += 1
+    au_labels = np.array([y for y, _ in labels])
+    expr_labels = np.array([c for _, c in labels])
 
     total = len(labels)
     global_pos = [
-        sum(int(lab.y[j]) for lab in labels) for j in range(18)
+        sum(int(y[j]) for y, _ in labels) for j in range(18)
     ]
     exact_global = [
         float(Fraction(total - s, s)) if 0 < s < total
         else (float(total) if s == 0 else 1e-6)
         for s in global_pos
     ]
-    got_global = compute_pos_weights(labels, "global")
+    got_global = compute_pos_weights(au_labels, expr_labels, "global")
     for j, value in enumerate(exact_global):
         assert all(got_global.values[c, j] == value for c in range(7))
 
     exact_distinct = np.empty((7, 18))
     for c, count in enumerate(counts):
-        class_labels = [lab for lab in labels if lab.expression_label == c]
+        class_labels = [y for y, label in labels if label == c]
         for j in range(18):
-            s = sum(int(lab.y[j]) for lab in class_labels)
+            s = sum(int(y[j]) for y in class_labels)
             if s == 0:
                 exact_distinct[c, j] = float(count)
             elif s == count:
                 exact_distinct[c, j] = 1e-6
             else:
                 exact_distinct[c, j] = float(Fraction(count - s, s))
-    got_distinct = compute_pos_weights(labels, "distinct")
+    got_distinct = compute_pos_weights(au_labels, expr_labels, "distinct")
     assert np.array_equal(got_distinct.values, exact_distinct)
 
-    got_minor = compute_pos_weights(labels, "minor")
+    got_minor = compute_pos_weights(au_labels, expr_labels, "minor")
     for c in (0, 1, 2, 3):  # Happy, Sad, Neutral, Angry
         assert np.all(got_minor.values[c] == 1.0)
     for c in MINOR_INDICES:
@@ -206,12 +203,9 @@ def test_criterion_4_knowledge_pipeline_oracle():
             )
             scores = np.full(7, 0.01)
             scores[c] = 0.94
-            predictions.append(
-                FramePrediction(video_id=f"v{c}", frame_index=index,
-                                scores=scores, asserted_label=c)
-            )
+            predictions.append((f"v{c}", index, c, scores))
             index += 1
-    reliable = filter_reliable_frames(predictions, 0.5)
+    reliable = filter_reliable_frames(make_predictions(predictions), 0.5)
     matrix = compute_dataset_knowledge(group_videos(records), reliable, classes=(1, 5))
 
     raw = {}
@@ -251,10 +245,8 @@ def test_criterion_5_half_frames_boundary():
         for sum_value, expected in ((at_boundary, 1), (at_boundary - 1, 0)):
             presences = np.zeros((n, 18))
             presences[:sum_value] = 1
-            label = derive_video_au_labels(
-                make_frames(n, presences=presences), "v", expression_label=0
-            )
-            assert np.all(label.y == expected), (n, sum_value)
+            y = derive_video_au_labels(make_frames(n, presences=presences), "v")
+            assert np.all(y == expected), (n, sum_value)
         if n % 2 == 0:
             # for even n the inclusive boundary sits exactly at 0.5 n
             assert at_boundary * 2 == n
@@ -275,12 +267,9 @@ def test_criterion_6_range_invariants():
                 )
                 scores = np.full(7, 0.01)
                 scores[c] = 0.9
-                predictions.append(
-                    FramePrediction(video_id=f"v{c}", frame_index=index,
-                                    scores=scores, asserted_label=c)
-                )
+                predictions.append((f"v{c}", index, c, scores))
                 index += 1
-        reliable = filter_reliable_frames(predictions, 0.5)
+        reliable = filter_reliable_frames(make_predictions(predictions), 0.5)
         per_dataset = compute_dataset_knowledge(group_videos(records), reliable)
         assert np.all(per_dataset.values > 0.0)
         assert np.all(per_dataset.values < 1.0)
@@ -315,7 +304,10 @@ def _benchmark_pair(structure_seed):
         TrainConfig(lam=0.0, strategy="none", seed=structure_seed),
         TrainConfig(lam=0.2, strategy="distinct", seed=structure_seed),
     ]
-    pos_weights = [None, compute_pos_weights(train_set.au_labels(), "distinct")]
+    pos_weights = [
+        None,
+        compute_pos_weights(train_set.au_presence, train_set.expr_labels, "distinct"),
+    ]
     results = []
     for params, _ in train_stacked(configs, data, pos_weights):
         result = evaluate(params, test_set.features, test_set.expr_labels)
@@ -392,7 +384,7 @@ def test_criterion_9_artifact_fidelity(tmp_path):
     assert [row["lambda"] for row in sweep_rows] == [
         round(0.1 * i, 1) for i in range(10)
     ]
-    strategy_rows = strategy_compare(config, data, dataset.au_labels())
+    strategy_rows = strategy_compare(config, data)
     assert [row["strategy"] for row in strategy_rows] == list(STRATEGIES)
     for row in strategy_rows:
         assert row["per_class_recall"].shape == (NUM_EXPRESSIONS,)

@@ -269,6 +269,15 @@ def _expression_labels_dir(train_dir, tmp_path):
     return data
 
 
+def _au_labels_dir(train_dir, tmp_path, edit):
+    """A copy of the dataset directory with au_labels.csv edited."""
+    data = tmp_path / "data"
+    shutil.copytree(train_dir, data)
+    path = data / "au_labels.csv"
+    path.write_text(edit(path.read_text()))
+    return data
+
+
 # case -> (argv as a function of (train_dir, tmp_path), expected message)
 MALFORMED_TABLES = {
     "pos_weights_non_numeric": (lambda d, t: [
@@ -283,6 +292,20 @@ MALFORMED_TABLES = {
         "pos-weights", "--out", t / "pw",
         "--labels", _edit_copy(d / "au_labels.csv", t / "l.csv", ",0\n", ",zero\n")],
         "label file: non-numeric"),
+    "au_labels_non_binary": (lambda d, t: [
+        "pos-weights", "--out", t / "pw",
+        "--labels", _edit_copy(d / "au_labels.csv", t / "l.csv", ",0\n", ",2\n")],
+        "AU45 = 2 not in {0, 1}"),
+    "au_labels_expression_disagrees": (lambda d, t: [
+        "train", "--data", _au_labels_dir(
+            d, t, lambda text: text.replace("synth-00000,Happy,", "synth-00000,Sad,")),
+        "--epochs", 1],
+        "disagree on the expression of video 1"),
+    "au_labels_row_missing": (lambda d, t: [
+        "train", "--data", _au_labels_dir(
+            d, t, lambda text: text.rstrip("\n").rsplit("\n", 1)[0] + "\n"),
+        "--epochs", 1],
+        "au_labels.csv has 249 rows, expression_labels.csv 250"),
     "expression_labels_non_numeric": (lambda d, t: [
         "train", "--data", _expression_labels_dir(d, t), "--epochs", 1],
         "expression label file"),

@@ -1,0 +1,110 @@
+"""Property test: malformed or truncated inputs to the table readers never
+escape the CLI as a traceback.
+
+Each case starts from a valid input file, then either truncates it at a
+drawn offset or replaces one drawn cell with a drawn bad value. Whatever
+the outcome, `aukit` must return a documented exit code, and a failure must
+end stderr with its one-line message.
+"""
+
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from aukit.cli import EXIT_CONTRACT, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
+from aukit.domain import EXPRESSIONS, INTENSITY_AU_NAMES
+
+from conftest import openface_csv
+
+BAD_CELLS = ("nan", "inf", "1.5", "-1", "x", "")
+MESSAGE_PREFIXES = ("error:", "numeric failure:", "i/o error:")
+
+
+def run(*argv):
+    """(exit code, stderr) of one CLI call, stdout discarded."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    """One three-frame video per class: OpenFace CSVs, their frame stores,
+    frame predictions, video labels and the derived AU labels."""
+    root = tmp_path_factory.mktemp("robustness")
+    csvs, preds, video_labels = [], ["video_id,frame,label," + ",".join(
+        f"s{j}" for j in range(7))], ["video_id,label"]
+    for c, name in enumerate(EXPRESSIONS):
+        rows = [
+            {f"{INTENSITY_AU_NAMES[c]}_r": "3.5", "AU01_c": f"{i % 2}.0"}
+            for i in range(3)
+        ]
+        csvs.append(root / f"v{c}.csv")
+        csvs[-1].write_text(openface_csv(rows))
+        for frame in (1, 2, 3):
+            scores = ["0.02"] * 7
+            scores[c] = "0.88"
+            preds.append(f"v{c},{frame},{name}," + ",".join(scores))
+        video_labels.append(f"v{c},{name}")
+    files = {
+        "openface": csvs[0],
+        "preds": root / "scores.csv",
+        "video_labels": root / "video_labels.csv",
+        "au_labels": root / "au_labels.csv",
+    }
+    files["preds"].write_text("\n".join(preds) + "\n")
+    files["video_labels"].write_text("\n".join(video_labels) + "\n")
+    store = root / "store"
+    assert run("ingest", *csvs, "--out", store)[0] == EXIT_OK
+    assert run("pseudo-label", "--frames", store, "--video-labels",
+               files["video_labels"], "--out", files["au_labels"])[0] == EXIT_OK
+    return files, store
+
+
+# input file -> the command that reads it, given (its path, store, output dir)
+COMMANDS = {
+    "openface": lambda path, store, out: ["ingest", path, "--out", out / "store"],
+    "preds": lambda path, store, out: [
+        "extract-knowledge", "--frames", store, "--preds", path,
+        "--out", out / "knowledge.csv"],
+    "video_labels": lambda path, store, out: [
+        "pseudo-label", "--frames", store, "--video-labels", path,
+        "--out", out / "au_labels.csv"],
+    "au_labels": lambda path, store, out: [
+        "pos-weights", "--labels", path, "--out", out / "pw"],
+}
+
+
+def mutate(data, text):
+    """`text` truncated at a drawn offset, or with one drawn cell replaced."""
+    if data.draw(st.booleans(), label="truncate"):
+        return text[:data.draw(st.integers(0, len(text)), label="offset")]
+    lines = text.splitlines()
+    row = data.draw(st.integers(0, len(lines) - 1), label="line")
+    cells = lines[row].split(",")
+    column = data.draw(st.integers(0, len(cells) - 1), label="cell")
+    cells[column] = data.draw(st.sampled_from(BAD_CELLS), label="value")
+    lines[row] = ",".join(cells)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("source", sorted(COMMANDS))
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_malformed_input_exits_with_one_line_message(source, corpus, data):
+    files, store = corpus
+    text = mutate(data, files[source].read_text())
+    with tempfile.TemporaryDirectory() as scratch:
+        out = Path(scratch)
+        path = out / files[source].name
+        path.write_text(text)
+        code, err = run(*COMMANDS[source](path, store, out))
+    assert code in (EXIT_OK, EXIT_CONTRACT, EXIT_NUMERIC, EXIT_IO)
+    if code != EXIT_OK:
+        assert err.splitlines()[-1].startswith(MESSAGE_PREFIXES), err

@@ -157,3 +157,45 @@ def test_pseudo_label_requires_video_labels(two_video_store, tmp_path):
     with pytest.raises(SystemExit):
         run("pseudo-label", "--frames", two_video_store,
             "--out", tmp_path / "au_labels.csv")
+
+
+def _openface_with(tmp_path, column, value):
+    """`ingest` of a four-frame video whose third row has `column` = value."""
+    rows = [{} for _ in range(4)]
+    rows[2][column] = value
+    path = tmp_path / "v.csv"
+    path.write_text(openface_csv(rows))
+    return ["ingest", path, "--out", tmp_path / "store"]
+
+
+def _scores_with(tmp_path, column, value):
+    """`extract-knowledge` on the corpus with one prediction cell replaced."""
+    videos, preds, _ = build_corpus(tmp_path)
+    store = tmp_path / "store"
+    assert run("ingest", *videos, "--out", store) == EXIT_OK
+    lines = preds["A"].read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[lines[0].split(",").index(column)] = value
+    lines[3] = ",".join(cells)
+    preds["A"].write_text("\n".join(lines) + "\n")
+    return ["extract-knowledge", "--frames", store, "--preds", preds["A"],
+            "--out", tmp_path / "k.csv"]
+
+
+@pytest.mark.parametrize("build, column, value, kind", [
+    (_openface_with, "frame", "nan", "non-finite"),
+    (_openface_with, "frame", "2.5", "non-integer"),
+    (_openface_with, "success", "nan", "non-finite"),
+    (_openface_with, "timestamp", "inf", "non-finite"),
+    (_scores_with, "s0", "nan", "non-finite"),
+    (_scores_with, "frame", "1.5", "non-integer"),
+], ids=["frame_nan", "frame_fractional", "success_nan", "timestamp_inf",
+        "score_nan", "prediction_frame_fractional"])
+def test_non_finite_or_fractional_cell_is_one_line_error(tmp_path, capsys, build,
+                                                         column, value, kind):
+    argv = build(tmp_path, column, value)
+    capsys.readouterr()
+    assert run(*argv) == EXIT_CONTRACT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"row 4: {kind} value {value!r} in column {column!r}" in err

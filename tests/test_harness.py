@@ -49,7 +49,7 @@ def small_train_data(seed=0, total=300, **spec_overrides):
         expr_labels=ds.expr_labels,
         au_labels=ds.au_presence.astype(float),
         knowledge=ds.knowledge,
-        pos_weights=compute_pos_weights(ds.au_labels(), "distinct"),
+        pos_weights=compute_pos_weights(ds.au_presence, ds.expr_labels, "distinct"),
     )
 
 
@@ -222,7 +222,7 @@ class TestTrain:
 def strategy_specs(strategies, seed=0, total=300):
     """Pos-weights of each strategy on the labels of small_train_data."""
     ds = generate_dataset(SynthSpec(total=total, seed=seed, sample_seed=1))
-    return [compute_pos_weights(ds.au_labels(), s) for s in strategies]
+    return [compute_pos_weights(ds.au_presence, ds.expr_labels, s) for s in strategies]
 
 
 class TestTrainStacked:
@@ -314,9 +314,7 @@ class TestSweepAndCompare:
             au_labels=ds.au_presence.astype(float),
             knowledge=ds.knowledge,
         )
-        rows = strategy_compare(
-            TrainConfig(epochs=1, seed=0), data, ds.au_labels()
-        )
+        rows = strategy_compare(TrainConfig(epochs=1, seed=0), data)
         assert [row["strategy"] for row in rows] == list(STRATEGIES)
         minor_row = next(row for row in rows if row["strategy"] == "minor")
         assert minor_row["major_pos_weights_all_one"] is True
@@ -324,7 +322,7 @@ class TestSweepAndCompare:
     def test_compare_rejects_unknown_strategy(self):
         data = small_train_data(total=200)
         with pytest.raises(ContractError):
-            strategy_compare(TrainConfig(epochs=1), data, [], strategies=("bogus",))
+            strategy_compare(TrainConfig(epochs=1), data, strategies=("bogus",))
 
 
 class TestArtifacts:

@@ -150,13 +150,14 @@ class TestLoadFramePredictions:
     def test_valid_simplex_point(self):
         text = self.HEADER + "\nv1,1,Happy,0.7,0.05,0.05,0.05,0.05,0.05,0.05\n"
         preds = load_frame_predictions(text)
-        assert preds[0].asserted_label == 0
-        assert preds[0].scores[0] == pytest.approx(0.7)
+        assert preds[0]["video_id"] == "v1" and preds[0]["frame_index"] == 1
+        assert preds[0]["label"] == 0
+        assert preds[0]["scores"][0] == pytest.approx(0.7)
 
     def test_renormalizes_within_tolerance(self):
         text = self.HEADER + "\nv1,1,Sad,0.2005,0.3,0.1,0.1,0.1,0.1,0.1\n"
         preds = load_frame_predictions(text)
-        assert preds[0].scores.sum() == pytest.approx(1.0, abs=1e-12)
+        assert preds[0]["scores"].sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_bad_sum(self):
         text = self.HEADER + "\nv1,1,Sad,0.5,0.3,0.1,0.1,0.1,0.1,0.1\n"

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from aukit.domain import AU28_INDEX, ContractError, KnowledgeMatrix, validate_knowledge
-from aukit.ingest import FramePrediction
 from aukit.knowledge import (
     aggregate_knowledge,
     compute_dataset_knowledge,
@@ -16,7 +15,7 @@ from aukit.knowledge import (
     sigmoid,
 )
 
-from conftest import group_videos, make_record
+from conftest import group_videos, make_frames, make_predictions, make_record
 
 
 def ref_sigmoid(x):
@@ -24,30 +23,41 @@ def ref_sigmoid(x):
 
 
 def make_prediction(video_id, frame, label, score):
+    """One prediction as (video_id, frame, label, scores)."""
     scores = np.full(7, (1.0 - score) / 6.0)
     scores[label] = score
-    return FramePrediction(
-        video_id=video_id, frame_index=frame, scores=scores, asserted_label=label
-    )
+    return video_id, frame, label, scores
+
+
+def class_counts(reliable):
+    return np.bincount(reliable.members["label"], minlength=7)
 
 
 class TestFilterReliableFrames:
     def test_strictly_above_kept(self):
-        kept = filter_reliable_frames([make_prediction("v", 1, 0, 0.9)], 0.5)
-        assert ("v", 1) in kept.members
+        preds = make_predictions([make_prediction("v", 1, 0, 0.9)])
+        kept = filter_reliable_frames(preds, 0.5)
+        assert kept.members[["video_id", "frame_index"]].tolist() == [("v", 1)]
 
     def test_equal_dropped(self):
-        kept = filter_reliable_frames([make_prediction("v", 1, 0, 0.5)], 0.5)
-        assert not kept.members
+        preds = make_predictions([make_prediction("v", 1, 0, 0.5)])
+        kept = filter_reliable_frames(preds, 0.5)
+        assert not len(kept.members)
 
     def test_theta_one_empty(self):
-        kept = filter_reliable_frames([make_prediction("v", 1, 0, 0.99)], 1.0)
-        assert not kept.members
+        preds = make_predictions([make_prediction("v", 1, 0, 0.99)])
+        kept = filter_reliable_frames(preds, 1.0)
+        assert not len(kept.members)
 
     def test_duplicate_frame_rejected(self):
-        preds = [make_prediction("v", 1, 0, 0.9), make_prediction("v", 1, 2, 0.3)]
+        preds = [
+            make_prediction("w", 1, 0, 0.9),
+            make_prediction("v", 1, 0, 0.9),
+            make_prediction("v", 2, 0, 0.9),
+            make_prediction("v", 1, 2, 0.3),
+        ]
         with pytest.raises(ContractError, match="duplicate prediction.*'v' frame 1"):
-            filter_reliable_frames(preds, 0.5)
+            filter_reliable_frames(make_predictions(preds), 0.5)
 
     def test_per_class_counts(self):
         preds = [
@@ -55,18 +65,18 @@ class TestFilterReliableFrames:
             make_prediction("v", 2, 0, 0.9),
             make_prediction("v", 3, 4, 0.9),
         ]
-        kept = filter_reliable_frames(preds, 0.5)
-        assert kept.per_class_counts[0] == 2
-        assert kept.per_class_counts[4] == 1
+        kept = filter_reliable_frames(make_predictions(preds), 0.5)
+        assert class_counts(kept)[0] == 2
+        assert class_counts(kept)[4] == 1
 
     def test_monotone_in_theta(self, rng):
-        preds = [
+        preds = make_predictions([
             make_prediction("v", i, int(rng.integers(0, 7)), float(rng.uniform(0.2, 1)))
             for i in range(200)
-        ]
+        ])
         previous = None
         for theta in (0.1, 0.3, 0.5, 0.7, 0.9):
-            counts = filter_reliable_frames(preds, theta).per_class_counts
+            counts = class_counts(filter_reliable_frames(preds, theta))
             if previous is not None:
                 assert np.all(counts <= previous)
             previous = counts
@@ -136,14 +146,14 @@ class TestComputeDatasetKnowledge:
 
     def test_constant_matrix_maps_to_half(self):
         records, predictions = self._full_corpus([2.0] * 7)
-        reliable = filter_reliable_frames(predictions, 0.5)
+        reliable = filter_reliable_frames(make_predictions(predictions), 0.5)
         matrix = compute_dataset_knowledge(group_videos(records), reliable)
         assert np.allclose(matrix.values, 0.5, atol=1e-12)
 
     def test_two_point_medians_map_to_hand_values(self):
         # medians 1.0 and 3.0: midpoint 2.0, centered to -1/+1
         records, predictions = self._full_corpus([1.0, 3.0, 1.0, 3.0, 1.0, 3.0, 1.0])
-        reliable = filter_reliable_frames(predictions, 0.5)
+        reliable = filter_reliable_frames(make_predictions(predictions), 0.5)
         matrix = compute_dataset_knowledge(group_videos(records), reliable)
         low = 1.0 / (1.0 + math.exp(1.0))
         high = 1.0 / (1.0 + math.exp(-1.0))
@@ -166,7 +176,7 @@ class TestComputeDatasetKnowledge:
             predictions.append(make_prediction(f"pad{c}", next_frame, c, 0.9))
             frames[c] = [np.full(17, 2.5)]
             next_frame += 1
-        reliable = filter_reliable_frames(predictions, 0.5)
+        reliable = filter_reliable_frames(make_predictions(predictions), 0.5)
         matrix = compute_dataset_knowledge(group_videos(records), reliable)
         oracle = brute_force_knowledge(frames)
         for i in range(18):
@@ -175,13 +185,13 @@ class TestComputeDatasetKnowledge:
 
     def test_empty_class_fails_listing_names(self):
         frames, records, predictions = two_class_corpus()
-        reliable = filter_reliable_frames(predictions, 0.5)
+        reliable = filter_reliable_frames(make_predictions(predictions), 0.5)
         with pytest.raises(ContractError, match="Sad"):
             compute_dataset_knowledge(group_videos(records), reliable)
 
     def test_support_counts(self):
         records, predictions = self._full_corpus([2.0] * 7)
-        reliable = filter_reliable_frames(predictions, 0.5)
+        reliable = filter_reliable_frames(make_predictions(predictions), 0.5)
         matrix = compute_dataset_knowledge(group_videos(records), reliable)
         assert np.all(matrix.support == 1)
 
@@ -199,10 +209,35 @@ class TestComputeDatasetKnowledge:
                             intensities=np.full(17, 3.0))
             )
             predictions.append(make_prediction(f"p{c}", 50 + c, c, 0.9))
-        reliable = filter_reliable_frames(predictions, 0.5)
+        reliable = filter_reliable_frames(make_predictions(predictions), 0.5)
         matrix = compute_dataset_knowledge(group_videos(records), reliable)
         # raw median for class 0 is 3.0 everywhere, same as all other classes
         assert np.allclose(matrix.values, 0.5, atol=1e-12)
+
+
+    def test_join_matches_per_frame_lookup(self, rng):
+        # videos with interleaved ids and frame numbers shared across videos;
+        # predictions shuffled, some frames unpredicted, some predictions
+        # for frames no video has
+        videos, preds = [], []
+        for v in range(12):
+            video_id = f"v{v % 5}x{v}" if v % 2 else f"w{v}"
+            frame_index = np.sort(rng.choice(40, size=8, replace=False)) - 5
+            videos.append((video_id, make_frames(8, frame_index=frame_index)))
+            for f in frame_index[:6].tolist() + [100 + v]:
+                preds.append(make_prediction(video_id, f, int(rng.integers(0, 7)), 0.9))
+        preds = [preds[i] for i in rng.permutation(len(preds))]
+        reliable = filter_reliable_frames(make_predictions(preds), 0.5)
+        lookup = {(p[0], p[1]): p[2] for p in preds}
+        expected = np.zeros(7, dtype=np.int64)
+        for video_id, frames in videos:
+            for f in frames["frame_index"].tolist():
+                if (video_id, f) in lookup:
+                    expected[lookup[(video_id, f)]] += 1
+        matrix = compute_dataset_knowledge(
+            videos, reliable, classes=np.flatnonzero(expected)
+        )
+        assert np.array_equal(matrix.support[0], expected)
 
 
 class TestAggregate:

@@ -11,7 +11,6 @@ from aukit.losses import (
     expression_loss,
     finite_difference_check,
     log_sigmoid,
-    softmax,
 )
 
 
@@ -206,12 +205,6 @@ class TestFiniteDifferenceCheck:
 
         with pytest.raises(NumericFailure):
             finite_difference_check(evaluator, np.array([1.0]))
-
-
-def test_softmax_rows_sum_to_one(rng):
-    p = softmax(rng.normal(0, 10, size=(5, 7)))
-    assert np.allclose(p.sum(axis=1), 1.0)
-    assert np.all(p > 0)
 
 
 def test_log_sigmoid_stable():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from aukit.domain import AU28_INDEX, ContractError, validate_knowledge
-from aukit.ingest import FramePrediction
+from aukit.ingest import prediction_table
 from aukit.knowledge import compute_dataset_knowledge, filter_reliable_frames
 from aukit.labeling import derive_video_au_labels
 from aukit.synth import (
@@ -79,9 +79,8 @@ def test_presence_through_eq4_single_frame_videos():
     for i in range(0, 70, 11):
         presence = np.zeros(18, dtype=np.int64)
         presence[:] = dataset.au_presence[i]
-        label = derive_video_au_labels(make_frames(presences=presence), f"s{i}",
-                                       int(dataset.expr_labels[i]))
-        assert np.array_equal(label.y, dataset.au_presence[i])
+        y = derive_video_au_labels(make_frames(presences=presence), f"s{i}")
+        assert np.array_equal(y, dataset.au_presence[i])
 
 
 def test_knowledge_closure_argmax_recovery():
@@ -89,7 +88,7 @@ def test_knowledge_closure_argmax_recovery():
     spec = SynthSpec(total=700, au_noise_sd=0.0, feature_noise_sd=0.0,
                      class_proportions=np.full(7, 1 / 7), seed=4)
     dataset = generate_dataset(spec)
-    records, predictions = [], []
+    records = []
     for i in range(spec.total):
         latent = np.zeros(17)
         # reconstruct the intensity view (17 AUs, skipping AU28)
@@ -99,12 +98,10 @@ def test_knowledge_closure_argmax_recovery():
         records.append(
             make_record(video_id=f"v{i}", frame_index=1, intensities=latent)
         )
-        scores = np.zeros(7)
-        scores[dataset.expr_labels[i]] = 1.0
-        predictions.append(
-            FramePrediction(video_id=f"v{i}", frame_index=1, scores=scores,
-                            asserted_label=int(dataset.expr_labels[i]))
-        )
+    predictions = prediction_table(
+        [f"v{i}" for i in range(spec.total)], 1, dataset.expr_labels,
+        np.eye(7)[dataset.expr_labels],
+    )
     reliable = filter_reliable_frames(predictions, 0.5)
     matrix = compute_dataset_knowledge(group_videos(records), reliable)
     g = spec.ground_truth_knowledge.values
