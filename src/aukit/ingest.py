@@ -49,6 +49,8 @@ FRAME_STORE_SUFFIX = ".frames"
 INTENSITY_COLUMNS = tuple(f"{n}_r" for n in INTENSITY_AU_NAMES)
 PRESENCE_COLUMNS = tuple(f"{n}_c" for n in AU_NAMES)
 SCORE_COLUMNS = tuple(f"s{j}" for j in range(NUM_EXPRESSIONS))
+# the OpenFace columns every file must have, in the block parse's column order
+OPENFACE_REQUIRED = ("frame", "confidence", "success") + INTENSITY_COLUMNS + PRESENCE_COLUMNS
 SCORE_SUM_TOLERANCE = 1e-3
 PREDICTION_FIELDS = [("frame_index", "<i8"), ("label", "<i8"),
                      ("scores", "<f8", (NUM_EXPRESSIONS,))]
@@ -87,16 +89,28 @@ def _cell_int(row, column, row_number):
     )
 
 
-def _csv_reader(stream, required):
-    """A csv.DictReader over text, bytes or a text or byte stream, whose
-    header (stripped of spaces) names every `required` column."""
+class _RowParse(Exception):
+    """A block parse met input only the row-by-row parse can decide on."""
+
+
+def _read_text(stream):
+    """The whole input as one str: text, UTF-8 bytes, or a text or byte stream."""
     if isinstance(stream, (bytes, bytearray)):
-        stream = stream.decode("utf-8")
+        return stream.decode("utf-8")
     if isinstance(stream, str):
-        stream = io.StringIO(stream)
-    elif isinstance(stream.read(0), bytes):
-        stream = io.TextIOWrapper(stream, encoding="utf-8")
-    reader = csv.DictReader(stream, skipinitialspace=True)
+        return stream
+    if isinstance(stream.read(0), bytes):
+        wrapper = io.TextIOWrapper(stream, encoding="utf-8")
+        text = wrapper.read()
+        wrapper.detach()  # a collected wrapper would close the caller's stream
+        return text
+    return stream.read()
+
+
+def _csv_reader(text, required):
+    """A csv.DictReader over text whose header (stripped of spaces) names
+    every `required` column."""
+    reader = csv.DictReader(io.StringIO(text), skipinitialspace=True)
     if reader.fieldnames is None:
         raise ContractError("empty input: no header row")
     reader.fieldnames = [h.strip() for h in reader.fieldnames]
@@ -106,17 +120,109 @@ def _csv_reader(stream, required):
     return reader
 
 
+def _records(text, start):
+    """The non-blank lines of text from offset `start` on (csv skips blank
+    lines too), split about 64 KiB at a time so no list of all lines is held."""
+    while start < len(text):
+        stop = text.find("\n", start + 65536)
+        if stop < 0:
+            stop = len(text)
+        yield from filter(None, text[start:stop].split("\n"))
+        start = stop + 1
+
+
+def _block_parse(text, numbers, strings=(), optional=()):
+    """The cells of every record below the header, one np.loadtxt call per
+    cell type: (float column names: `numbers`, then the `optional` ones the
+    header has; their cells as an n x k float array; the `strings` cells as
+    an n x m array of str objects).
+
+    Raises _RowParse where csv and loadtxt could read the text differently
+    (a quote or carriage return, which csv reads specially, or NUL, which
+    csv before Python 3.11 rejects), where the header lacks a column, or
+    where loadtxt cannot read a cell. As in a DictReader, a duplicated
+    header name means its last column.
+    """
+    if '"' in text or "\r" in text or "\0" in text:
+        raise _RowParse
+    start = text.find("\n") + 1 or len(text)
+    header = next(csv.reader([text[:start]], skipinitialspace=True), [])
+    index = {name.strip(): i for i, name in enumerate(header)}
+    names = numbers + tuple(c for c in optional if c in index)
+    if any(c not in index for c in names + strings):
+        raise _RowParse
+    if text.count("\n", start) == len(text) - start:  # blank body: loadtxt would warn
+        return names, np.empty((0, len(names))), np.empty((0, len(strings)), object)
+    try:
+        floats = np.loadtxt(_records(text, start), delimiter=",", comments=None,
+                            ndmin=2, usecols=[index[c] for c in names])
+        cells = np.loadtxt(_records(text, start), dtype=object, delimiter=",",
+                           comments=None, ndmin=2, usecols=[index[c] for c in strings]
+                           ) if strings else np.empty((len(floats), 0), object)
+    except ValueError:
+        raise _RowParse from None
+    return names, floats, cells
+
+
+def _integral(values):
+    """Mask of the values that are integers below 2**63 in magnitude."""
+    return (values == np.trunc(values)) & (np.abs(values) < 2**63)
+
+
 def parse_openface_csv(stream, video_id):
     """Parse one video's OpenFace output into an array of FRAME_DTYPE rows.
 
-    Accepts a text or byte stream. Rows with success = 0 are retained but
-    flagged; rows for secondary faces (face_id > 0) are dropped with a warning.
+    Accepts text, bytes, or a text or byte stream. Rows with success = 0 are
+    retained but flagged; rows for secondary faces (face_id > 0) are dropped
+    with a warning. The body is parsed as one numeric block and checked as
+    column masks; input the block parse cannot read, or that fails a check,
+    goes through the row-by-row reference parse, which words the error.
     """
-    required = ("frame", "confidence", "success") + INTENSITY_COLUMNS + PRESENCE_COLUMNS
-    reader = _csv_reader(stream, required)
+    text = _read_text(stream)
+    try:
+        return _openface_block(text, video_id)
+    except _RowParse:
+        return _openface_rows(text, video_id)
+
+
+def _openface_block(text, video_id):
+    """parse_openface_csv as one np.loadtxt block checked by column masks."""
+    names, cells, _ = _block_parse(text, OPENFACE_REQUIRED, optional=("face_id", "timestamp"))
+    face = cells[:, names.index("face_id")] if "face_id" in names else np.zeros(len(cells))
+    secondary = face > 0
+    kept = cells[~secondary]  # cells of dropped rows are never checked
+    frame, confidence, success = kept[:, 0], kept[:, 1], kept[:, 2]
+    intensities = kept[:, 3:3 + NUM_INTENSITY_AUS]
+    presences = kept[:, 3 + NUM_INTENSITY_AUS:3 + NUM_INTENSITY_AUS + NUM_AUS]
+    if not (np.isfinite(face).all() and np.isfinite(kept).all()
+            and ((intensities >= 0.0) & (intensities <= 5.0)).all()
+            and ((presences == 0.0) | (presences == 1.0)).all()
+            and _integral(frame).all()):
+        raise _RowParse
+    frames = np.zeros(len(kept), dtype=FRAME_DTYPE)
+    frames["frame_index"] = frame.astype(np.int64)
+    if "timestamp" in names:
+        frames["timestamp"] = kept[:, names.index("timestamp")]
+    frames["confidence"] = confidence
+    frames["success"] = success != 0.0
+    frames["intensities"] = intensities
+    frames["presences"] = presences
+    if secondary.any():
+        # file line of each record: blank lines are no records
+        line_numbers = np.flatnonzero([line != "" for line in text.split("\n")[1:]]) + 2
+        for line_number in line_numbers[secondary].tolist():
+            log.warning("%s row %d: dropping secondary face", video_id, line_number)
+    return frames
+
+
+def _openface_rows(text, video_id):
+    """The reference parse of parse_openface_csv: one csv record at a time,
+    each cell through float(), rows numbered by file line."""
+    reader = _csv_reader(text, OPENFACE_REQUIRED)
     header = reader.fieldnames
     rows = []
-    for row_number, row in enumerate(reader, start=2):
+    for row in reader:
+        row_number = reader.line_num
         if "face_id" in header and _cell_float(row, "face_id", row_number) > 0:
             log.warning("%s row %d: dropping secondary face", video_id, row_number)
             continue
@@ -177,28 +283,73 @@ def interpolate_zero_intensities(frames, video_id):
 
 def load_frame_predictions(stream):
     """Load per-frame expression predictions (video_id, frame, label, s0..s6)
-    as a prediction_table. Cells are checked row by row; then the scores must
-    be non-negative and sum to 1 within SCORE_SUM_TOLERANCE, and are
-    renormalised to sum to 1."""
-    reader = _csv_reader(stream, ("video_id", "frame", "label") + SCORE_COLUMNS)
+    as a prediction_table. Every cell is checked; then the scores must be
+    non-negative and sum to 1 within SCORE_SUM_TOLERANCE, and are
+    renormalised to sum to 1. Parsed as blocks like parse_openface_csv, with
+    the same row-by-row reference parse behind them."""
+    text = _read_text(stream)
+    try:
+        columns = _prediction_columns(text)
+    except _RowParse:
+        return _predictions_rows(text)
+    return prediction_table(*columns)
+
+
+def _score_totals(scores):
+    """Row sums of finite, non-negative scores; a sum past the float range
+    is inf, which the tolerance check rejects, not a numpy warning."""
+    with np.errstate(over="ignore"):
+        return scores.sum(axis=1)
+
+
+def _prediction_columns(text):
+    """The prediction_table columns from np.loadtxt blocks checked by column
+    masks; the blocks are freed before the table is built."""
+    _, numbers, cells = _block_parse(text, ("frame",) + SCORE_COLUMNS,
+                                     strings=("video_id", "label"))
+    # scores as a contiguous copy: its row sums then add in the same order
+    # as the row parse's, so the renormalised scores are bit-identical
+    frame, scores = numbers[:, 0], np.ascontiguousarray(numbers[:, 1:])
+    labels = cells[:, 1].tolist()
+    try:
+        code = {name: expression_index(name) for name in set(labels)}
+    except ContractError:
+        raise _RowParse from None
+    if not (np.isfinite(numbers).all() and _integral(frame).all()
+            and (scores >= 0.0).all()):
+        raise _RowParse
+    totals = _score_totals(scores)
+    if not (np.abs(totals - 1.0) <= SCORE_SUM_TOLERANCE).all():
+        raise _RowParse
+    scores /= totals[:, None]
+    video_ids = [v.strip() for v in cells[:, 0].tolist()]
+    return video_ids, frame.astype(np.int64), [code[name] for name in labels], scores
+
+
+def _predictions_rows(text):
+    """The reference parse of load_frame_predictions: one csv record at a
+    time, rows numbered by file line."""
+    reader = _csv_reader(text, ("video_id", "frame", "label") + SCORE_COLUMNS)
     # scores go into one flat buffer, not a list per row, which spares the
     # allocator one small object per row and per score
     video_ids, frame_indices, labels, scores = [], [], [], array.array("d")
-    for row_number, row in enumerate(reader, start=2):
+    row_numbers = []
+    for row in reader:
+        row_number = reader.line_num
+        row_numbers.append(row_number)
         video_ids.append((row["video_id"] or "").strip())
         frame_indices.append(_cell_int(row, "frame", row_number))
         labels.append(expression_index(row["label"]))
         scores.extend([_cell_float(row, c, row_number) for c in SCORE_COLUMNS])
     scores = np.frombuffer(scores).reshape(-1, NUM_EXPRESSIONS)
-    # table row i (from 0) is file row i + 2, below the header
     negative = np.flatnonzero((scores < 0).any(axis=1))
     if negative.size:
-        raise ContractError(f"row {negative[0] + 2}: negative score")
-    totals = scores.sum(axis=1)
+        raise ContractError(f"row {row_numbers[negative[0]]}: negative score")
+    totals = _score_totals(scores)
     off = np.flatnonzero(np.abs(totals - 1.0) > SCORE_SUM_TOLERANCE)
     if off.size:
         raise ContractError(
-            f"row {off[0] + 2}: scores sum to {totals[off[0]]}, outside tolerance"
+            f"row {row_numbers[off[0]]}: scores sum to {totals[off[0]]}, outside tolerance"
         )
     return prediction_table(video_ids, frame_indices, labels, scores / totals[:, None])
 

@@ -55,7 +55,10 @@ def expression_loss(expr_logits, labels, factor=5.0):
     # log p_target via the log-sum-exp identity; the same exponentials give
     # the softmax of the gradient
     target = labels[..., None] == np.arange(NUM_EXPRESSIONS)  # one-hot
-    shifted = expr_logits - expr_logits.max(axis=-1, keepdims=True)
+    # the row max over a contiguous logits-first copy: one vector op per
+    # logit, where max(axis=-1) runs a 7-long loop per row; same values
+    row_max = np.ascontiguousarray(expr_logits.T).max(axis=0).T
+    shifted = expr_logits - row_max[..., None]
     e = np.exp(shifted)
     z = e.sum(axis=-1, keepdims=True)
     log_p = shifted[target].reshape(labels.shape) - np.log(z[..., 0])

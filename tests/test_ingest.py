@@ -1,12 +1,14 @@
 import hashlib
 import io
+import logging
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aukit.domain import ContractError
+from aukit import ingest
+from aukit.domain import AU_NAMES, EXPRESSIONS, INTENSITY_AU_NAMES, ContractError
 from aukit.ingest import (
     FRAME_DTYPE,
     FRAME_STORE_FORMAT,
@@ -83,6 +85,45 @@ class TestParseOpenfaceCsv:
         blob = openface_csv([{}]).encode("utf-8")
         frames = parse_openface_csv(io.BytesIO(blob), "v1")
         assert len(frames) == 1
+
+    @pytest.mark.parametrize("form", [str, str.encode, lambda t: io.StringIO(t),
+                                      lambda t: io.BytesIO(t.encode())])
+    def test_input_forms_agree(self, form):
+        text = openface_csv([{"AU12_r": "2.5"}, {"face_id": "1"}, {}])
+        expected = parse_openface_csv(text, "v1")
+        assert parse_openface_csv(form(text), "v1").tobytes() == expected.tobytes()
+
+    def test_byte_stream_left_open(self):
+        stream = io.BytesIO(openface_csv([{}]).encode("utf-8"))
+        parse_openface_csv(stream, "v1")
+        assert not stream.closed
+
+    def test_rows_numbered_by_file_line(self):
+        # file line 3 is blank, so the bad row is file line 4
+        lines = openface_csv([{}, {"AU12_r": "6.3"}]).splitlines()
+        text = "\n".join(lines[:2] + [""] + lines[2:]) + "\n"
+        with pytest.raises(ContractError, match="^row 4: intensity AU12_r"):
+            parse_openface_csv(text, "v1")
+
+    def test_secondary_face_warning_cites_file_line(self, caplog):
+        lines = openface_csv([{}, {"face_id": "1"}]).splitlines()
+        text = "\n".join(lines[:2] + ["", ""] + lines[2:]) + "\n"
+        with caplog.at_level(logging.WARNING, logger="aukit.ingest"):
+            frames = parse_openface_csv(text, "v1")
+        assert len(frames) == 1
+        assert caplog.messages == ["v1 row 5: dropping secondary face"]
+
+    def test_header_only(self):
+        for text in (openface_csv([]), openface_csv([]).rstrip("\n"), openface_csv([]) + "\n\n"):
+            frames = parse_openface_csv(text, "v1")
+            assert frames.dtype == FRAME_DTYPE and frames.shape == (0,)
+
+    def test_valid_input_takes_block_parse(self, monkeypatch):
+        def row_parse(*args):
+            raise AssertionError("row-by-row parse used")
+        monkeypatch.setattr(ingest, "_openface_rows", row_parse)
+        text = openface_csv([{}, {"face_id": "1"}, {"timestamp": "1e0"}])
+        assert len(parse_openface_csv(text, "v1")) == 2
 
 
 class TestInterpolation:
@@ -173,6 +214,179 @@ class TestLoadFramePredictions:
         text = self.HEADER + "\nv1,1,Calm,0.4,0.1,0.1,0.1,0.1,0.1,0.1\n"
         with pytest.raises(ContractError, match="Calm"):
             load_frame_predictions(text)
+
+    def test_score_sum_past_float_range_is_contract_error(self):
+        # the sum overflows to inf: rejected by the tolerance, with no numpy warning
+        text = self.HEADER + "\nv1,1,Sad,1e308,1e308,0,0,0,0,0\n"
+        with pytest.raises(ContractError, match="^row 2: scores sum to inf"):
+            load_frame_predictions(text)
+
+    ROW = "v1,1,Happy,0.4,0.1,0.1,0.1,0.1,0.1,0.1"
+
+    @pytest.mark.parametrize("bad_row, message", [
+        ("v1,2,Happy,x,0.1,0.1,0.1,0.1,0.1,0.1", "^row 4: non-numeric value 'x' in column 's0'"),
+        ("v1,2,Happy,-0.1,0.5,0.1,0.1,0.1,0.2,0.1", "^row 4: negative score$"),
+        ("v1,2,Happy,0.5,0.5,0.1,0.1,0.1,0.1,0.1", "^row 4: scores sum to"),
+    ])
+    def test_rows_numbered_by_file_line(self, bad_row, message):
+        # file line 3 is blank, so the bad row is file line 4
+        text = "\n".join([self.HEADER, self.ROW, "", bad_row]) + "\n"
+        with pytest.raises(ContractError, match=message):
+            load_frame_predictions(text)
+
+    def test_header_only(self):
+        for text in (self.HEADER, self.HEADER + "\n", self.HEADER + "\n\n"):
+            preds = load_frame_predictions(text)
+            assert preds.shape == (0,)
+            assert preds.tobytes() == ingest._predictions_rows(text).tobytes()
+
+    def test_valid_input_takes_block_parse(self, monkeypatch):
+        def row_parse(*args):
+            raise AssertionError("row-by-row parse used")
+        monkeypatch.setattr(ingest, "_predictions_rows", row_parse)
+        text = "\n".join([self.HEADER, self.ROW, "v2, 7, sad ," + self.ROW[11:]])
+        preds = load_frame_predictions(text)
+        assert preds["video_id"].tolist() == ["v1", "v2"]
+        assert preds["label"].tolist() == [0, 1]
+
+
+# --- block parse against the row-by-row reference parse ---------------------
+
+# spellings float() and np.loadtxt may read differently, and values a check rejects
+EDGE_CELLS = (" 1.0", "1e0", "-0.0", "1_0", '"1.0"', "\uff11", "nan", "1e400", "",
+              "0.5", "5.5", "-1")
+OPENFACE_COLUMNS = (["frame", "face_id", "timestamp", "confidence", "success"]
+                    + [f"{n}_r" for n in INTENSITY_AU_NAMES] + [f"{n}_c" for n in AU_NAMES])
+PREDICTION_COLUMNS = ["video_id", "frame", "label"] + [f"s{j}" for j in range(7)]
+
+
+def _spellings(values):
+    """Each value spelled the ways numeric CSV writers spell numbers."""
+    return [f(v) for v in values for f in (repr, "{:.2f}".format, "{:e}".format)]
+
+
+# sampled rather than drawn per cell, which keeps 40-column rows cheap
+INTENSITY_CELLS = _spellings(np.random.default_rng(0).uniform(0, 5, 40).tolist()) + ["0", "5", "5.0"]
+
+
+def _openface_cell(column):
+    if column == "face_id":
+        return st.sampled_from(["0", "0", "0", "1"])
+    if column == "frame":
+        return st.integers(0, 10**6).map(str)
+    if column.endswith("_c") or column == "success":
+        return st.sampled_from(["0", "1", "0.0", "1.0"])
+    if column.endswith("_r"):
+        return st.sampled_from(INTENSITY_CELLS)
+    return st.floats(0, 1e4).map(repr)
+
+
+def _prediction_cells(draw):
+    weights = draw(st.lists(st.integers(0, 1000), min_size=7, max_size=7))
+    total = sum(weights)
+    scores = [f"{w / total:.6f}" for w in weights] if total else ["0"] * 7
+    label = draw(st.sampled_from(EXPRESSIONS + ("happy", " Sad ", "Calm")))
+    cells = [draw(st.sampled_from(["v1", " v2", "A_long_video_id"])),
+             str(draw(st.integers(0, 10**6))), label] + scores
+    return dict(zip(PREDICTION_COLUMNS, cells))
+
+
+@st.composite
+def csv_variants(draw, columns, rows, targets):
+    """A CSV text of `rows` (column -> cell dicts) over `columns`, varied the
+    ways a real file varies: shuffled and duplicated columns, edge cells in
+    the `targets` columns, extra trailing cells, short rows, blank lines,
+    CRLF."""
+    columns = list(draw(st.permutations(columns)))
+    if draw(st.booleans()):  # a DictReader keeps the last of a duplicated name
+        columns.append(draw(st.sampled_from(columns)))
+    lines = [columns] + [[row[c] for c in columns] for row in rows]
+    faces = [i for i, c in enumerate(columns) if c == "face_id"]
+    face = faces[-1] if faces else None  # the one a DictReader reads
+    for cells in lines[1:]:
+        if face is not None and cells[face] == "1" and draw(st.booleans()):
+            # cells of a dropped secondary-face row are never read
+            cells[:] = [c if i == face else "garbage" for i, c in enumerate(cells)]
+        if draw(st.integers(0, 9)) == 0:
+            cells.append("extra")
+    if len(lines) > 1:
+        for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2]))):
+            target = draw(st.sampled_from(targets))
+            at = draw(st.sampled_from([i for i, c in enumerate(columns) if c == target]))
+            lines[draw(st.integers(1, len(lines) - 1))][at] = draw(st.sampled_from(EDGE_CELLS))
+        if draw(st.integers(0, 7)) == 0:
+            cells = lines[draw(st.integers(1, len(lines) - 1))]
+            del cells[draw(st.integers(0, len(cells) - 1)):]
+    sep = draw(st.sampled_from([",", ", "]))
+    text = [sep.join(cells) for cells in lines]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        text.insert(draw(st.integers(1, len(text))), "")
+    newline = draw(st.sampled_from(["\n", "\n", "\n", "\r\n"]))
+    return newline.join(text) + draw(st.sampled_from(["", newline]))
+
+
+def _outcome(read, text):
+    """What a reader makes of text: its table's bytes and warnings, or its error."""
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    logger = logging.getLogger("aukit.ingest")
+    logger.addHandler(handler)
+    try:
+        table = read(text)
+    except ContractError as exc:
+        return "error", str(exc), [r.getMessage() for r in records]
+    finally:
+        logger.removeHandler(handler)
+    return table.dtype.descr, table.tobytes(), [r.getMessage() for r in records]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_openface_block_parse_matches_row_parse(data):
+    rows = data.draw(st.lists(st.fixed_dictionaries(
+        {c: _openface_cell(c) for c in OPENFACE_COLUMNS}), max_size=4))
+    text = data.draw(csv_variants(OPENFACE_COLUMNS, rows, targets=(
+        "frame", "face_id", "timestamp", "confidence", "success", "AU01_r", "AU45_r",
+        "AU01_c", "AU28_c")))
+    assert (_outcome(lambda t: parse_openface_csv(t, "v"), text)
+            == _outcome(lambda t: ingest._openface_rows(t, "v"), text))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_prediction_block_parse_matches_row_parse(data):
+    rows = [_prediction_cells(data.draw) for _ in range(data.draw(st.integers(0, 4)))]
+    text = data.draw(csv_variants(PREDICTION_COLUMNS, rows, targets=PREDICTION_COLUMNS))
+    assert _outcome(load_frame_predictions, text) == _outcome(ingest._predictions_rows, text)
+
+
+def test_records_split_across_chunks():
+    # about 140 kB of lines of every length, blank ones included: several chunks
+    text = "\n".join("x" * (i % 97) for i in range(3000)) + "\n"
+    for start in (0, 1, 65535, 65536, 65537, len(text) - 1):
+        assert list(ingest._records(text, start)) == [
+            line for line in text[start:].split("\n") if line]
+
+
+def test_openface_edge_cells_match_row_parse():
+    for column in ("frame", "face_id", "timestamp", "confidence", "success", "AU12_r", "AU28_c"):
+        for cell in EDGE_CELLS:
+            for rows in ([{}, {column: cell}], [{}, {"face_id": "1", column: cell}]):
+                text = openface_csv(rows)
+                assert (_outcome(lambda t: parse_openface_csv(t, "v"), text)
+                        == _outcome(lambda t: ingest._openface_rows(t, "v"), text)), text
+
+
+def test_prediction_edge_cells_match_row_parse():
+    header = ",".join(PREDICTION_COLUMNS)
+    valid = "v1,1,Happy,0.4,0.1,0.1,0.1,0.1,0.1,0.1"
+    for at in range(len(PREDICTION_COLUMNS)):
+        for cell in EDGE_CELLS:
+            row = valid.split(",")
+            row[at] = cell
+            text = "\n".join([header, valid, ",".join(row)]) + "\n"
+            assert _outcome(load_frame_predictions, text) == _outcome(ingest._predictions_rows, text), text
 
 
 def random_frames(rng, n):
