@@ -8,11 +8,8 @@ from .domain import (
     EXPRESSIONS,
     KnowledgeMatrix,
     NumericFailure,
-    au_index,
-    au_name,
     expression_index,
     expression_name,
-    is_major_class,
     validate_knowledge,
 )
 
@@ -22,11 +19,8 @@ __all__ = [
     "EXPRESSIONS",
     "KnowledgeMatrix",
     "NumericFailure",
-    "au_index",
-    "au_name",
     "expression_index",
     "expression_name",
-    "is_major_class",
     "validate_knowledge",
     "__version__",
 ]

@@ -13,8 +13,16 @@ from dataclasses import fields
 import numpy as np
 
 from . import harness, ingest, knowledge, labeling, model, synth
-from .domain import ContractError, EXPRESSIONS, NumericFailure, parse_numbers
-from .losses import expression_loss, finite_difference_check
+from .domain import (
+    ContractError,
+    EXPRESSIONS,
+    KnowledgeMatrix,
+    NUM_AUS,
+    NUM_EXPRESSIONS,
+    NumericFailure,
+    parse_numbers,
+)
+from .losses import au_loss, combined_loss, expression_loss, finite_difference_check
 
 EXIT_OK = 0
 EXIT_CONTRACT = 1
@@ -218,9 +226,9 @@ def _load_dataset_dir(path):
     return features, expr_labels, table["y"]
 
 
-def _build_train_data(args, strategy):
+def _build_train_data(args):
     """TrainData of --data (and --test-data) with the pos-weights of
-    --pos-weights-file, else of `strategy`, else none."""
+    --pos-weights-file; without one, training takes the config's strategy's."""
     features, expr_labels, au_labels = _load_dataset_dir(args.data)
     kn = knowledge.import_knowledge(
         args.knowledge or os.path.join(args.data, "knowledge.csv")
@@ -228,8 +236,6 @@ def _build_train_data(args, strategy):
     spec = None
     if args.pos_weights_file:
         spec = labeling.read_pos_weights_csv(args.pos_weights_file)
-    elif strategy is not None:
-        spec = labeling.compute_pos_weights(au_labels, expr_labels, strategy)
     data = harness.TrainData(
         features=features,
         expr_labels=expr_labels,
@@ -246,7 +252,7 @@ def _build_train_data(args, strategy):
 
 def cmd_train(args):
     config = _load_config(args)
-    data = _build_train_data(args, config.strategy)
+    data = _build_train_data(args)
     params, state, logs = harness.train(config, data)
     os.makedirs(args.out, exist_ok=True)
     model.save_checkpoint(params, state, os.path.join(args.out, "checkpoint.bin"))
@@ -286,7 +292,7 @@ def cmd_eval(args):
 
 def cmd_sweep(args):
     config = _load_config(args)
-    data = _build_train_data(args, config.strategy)
+    data = _build_train_data(args)
     grid = parse_numbers(args.grid.split(","), "--grid") if args.grid else list(
         harness.DEFAULT_LAMBDA_GRID
     )
@@ -304,7 +310,7 @@ def cmd_compare_strategies(args):
             "--pos-weights-file does not apply"
         )
     config = _load_config(args)
-    data = _build_train_data(args, None)
+    data = _build_train_data(args)
     strategies = args.strategies.split(",") if args.strategies else list(
         labeling.STRATEGIES
     )
@@ -317,27 +323,68 @@ def cmd_compare_strategies(args):
     return EXIT_OK
 
 
+# bound on each gradient check's max relative error; the model's is looser,
+# as in the acceptance gate, since its differences pass through ReLU kinks
+GRADCHECK_BOUNDS = {"expression_loss": 1e-5, "au_loss": 1e-5, "model": 1e-4}
+
+
 def cmd_gradcheck(args):
-    rng = np.random.default_rng(args.seed if args.seed is not None else 0)
-    logits = rng.normal(size=(args.batch, 7))
-    labels = rng.integers(0, 7, size=args.batch)
-
-    def evaluator(x):
-        return expression_loss(x, labels)
-
-    report = finite_difference_check(evaluator, logits, epsilon=args.eps)
-    print(
-        json.dumps(
-            {
-                "max_relative_error": report.max_relative_error,
-                "parameters_checked": report.parameters_checked,
-                "epsilon": report.epsilon,
-            }
-        )
+    """Check, in float64, the analytic gradients of what a training step
+    uses against central differences: expression_loss and au_loss wrt their
+    logits, and forward/backward's combined-loss gradient wrt every model
+    parameter."""
+    if args.batch < 1:
+        raise ContractError("--batch must be >= 1")
+    seed = args.seed if args.seed is not None else 0
+    rng = np.random.default_rng(seed)
+    batch = args.batch
+    labels = rng.integers(0, NUM_EXPRESSIONS, size=batch)
+    au_labels = rng.integers(0, 2, size=(batch, NUM_AUS)).astype(np.float64)
+    kn = KnowledgeMatrix(
+        values=rng.uniform(0.2, 4.8, (NUM_AUS, NUM_EXPRESSIONS)), stage="loss-scaled"
     )
-    if report.max_relative_error > 1e-5:
-        return EXIT_NUMERIC
-    return EXIT_OK
+    pw = rng.uniform(0.5, 6.0, (NUM_EXPRESSIONS, NUM_AUS))
+    config = harness.TrainConfig()
+    lam = config.lam
+    params = model.init_params(seed, feature_dim=6, hidden=(4,))
+    features = rng.normal(size=(batch, 6))
+
+    def au(x):
+        return au_loss(x, au_labels, labels, kn, pw,
+                       reduction=config.au_loss_reduction)
+
+    def combined(vector):
+        params.vector[...] = vector
+        expr_logits, au_logits, _, acts = model.forward(
+            params, features, return_hidden=True
+        )
+        loss_e, grad_e = expression_loss(expr_logits, labels, factor=config.factor)
+        loss_au, grad_au = au(au_logits)
+        grads = model.backward(params, features, (1 - lam) * grad_e, lam * grad_au,
+                               activations=acts)
+        return combined_loss(loss_e, loss_au, lam), grads
+
+    checks = {
+        "expression_loss": (
+            lambda x: expression_loss(x, labels, factor=config.factor),
+            rng.normal(scale=2.0, size=(batch, NUM_EXPRESSIONS)),
+        ),
+        "au_loss": (au, rng.normal(scale=2.0, size=(batch, NUM_AUS))),
+        "model": (combined, params.vector.copy()),
+    }
+    results = {}
+    for name, (evaluator, point) in checks.items():
+        report = finite_difference_check(evaluator, point, epsilon=args.eps)
+        error = float(report.max_relative_error)
+        results[name] = {
+            "max_relative_error": error,
+            "parameters_checked": report.parameters_checked,
+            "bound": GRADCHECK_BOUNDS[name],
+            "passed": error <= GRADCHECK_BOUNDS[name],
+        }
+    passed = all(result["passed"] for result in results.values())
+    print(json.dumps({"passed": passed, "epsilon": args.eps, "checks": results}))
+    return EXIT_OK if passed else EXIT_NUMERIC
 
 
 def cmd_export_confusion(args):
@@ -431,7 +478,9 @@ def build_parser():
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
 
-    p = add("gradcheck", cmd_gradcheck)
+    p = add("gradcheck", cmd_gradcheck,
+            help="check expression_loss, au_loss and the model's gradients "
+                 "against central differences, in float64")
     p.add_argument("--batch", type=int, default=8)
     p.add_argument("--eps", type=float, default=1e-5)
 

@@ -8,7 +8,6 @@ EXPRESSIONS = ("Happy", "Sad", "Neutral", "Angry", "Surprise", "Disgust", "Fear"
 NUM_EXPRESSIONS = 7
 
 MAJOR_CLASSES = frozenset({"Happy", "Sad", "Angry", "Neutral"})
-MINOR_CLASSES = frozenset({"Surprise", "Disgust", "Fear"})
 # boolean mask over expression indices: True for the major classes
 MAJOR_MASK = np.array([name in MAJOR_CLASSES for name in EXPRESSIONS])
 
@@ -27,7 +26,6 @@ INTENSITY_TO_PRESENCE = tuple(AU_NAMES.index(n) for n in INTENSITY_AU_NAMES)
 KNOWLEDGE_STAGES = ("per-dataset", "aggregate", "loss-scaled")
 
 _EXPR_LOOKUP = {name.lower(): i for i, name in enumerate(EXPRESSIONS)}
-_AU_LOOKUP = {name: i for i, name in enumerate(AU_NAMES)}
 
 
 class ContractError(ValueError):
@@ -44,6 +42,15 @@ def parse_numbers(cells, what, kind=float):
         return [kind(cell) for cell in cells]
     except ValueError:
         raise ContractError(f"corrupt {what}: non-numeric cell") from None
+
+
+def float_array(x):
+    """x as a floating array: a float32 or float64 array keeps its dtype,
+    anything else (lists, integers, booleans) becomes float64."""
+    x = np.asarray(x)
+    if x.dtype in (np.float32, np.float64):
+        return x
+    return x.astype(np.float64)
 
 
 def video_table(video_ids, fields, **columns):
@@ -69,29 +76,6 @@ def expression_name(index):
     if not 0 <= index < NUM_EXPRESSIONS:
         raise ContractError(f"expression index out of range: {index}")
     return EXPRESSIONS[index]
-
-
-def au_index(name):
-    """Map an AU name ('AU01'..'AU45') to its canonical index 0..17."""
-    try:
-        return _AU_LOOKUP[str(name).strip().upper()]
-    except KeyError:
-        raise ContractError(f"unknown AU: {name!r}") from None
-
-
-def au_name(index):
-    if not 0 <= index < NUM_AUS:
-        raise ContractError(f"AU index out of range: {index}")
-    return AU_NAMES[index]
-
-
-def is_major_class(expr):
-    """True iff the class is one of the four high-frequency expressions."""
-    if isinstance(expr, (int, np.integer)):
-        expr = expression_name(int(expr))
-    else:
-        expr = expression_name(expression_index(expr))
-    return expr in MAJOR_CLASSES
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,8 @@ from .domain import (
     NumericFailure,
     parse_numbers,
 )
-from .labeling import STRATEGIES, compute_pos_weights, pos_weight_none
-from .losses import au_loss, combined_loss, expression_loss
+from .labeling import STRATEGIES, compute_pos_weights
+from .losses import au_loss, combined_loss, expression_loss, loss_knowledge
 from .model import (
     OptimizerState,
     backward,
@@ -26,6 +26,10 @@ from .model import (
 )
 
 DEFAULT_LAMBDA_GRID = tuple(round(0.1 * i, 1) for i in range(10))
+
+# the dtype of a training step: parameters, moments, batches, losses and
+# gradients; initialisation, evaluation and checkpoints stay float64
+TRAIN_DTYPE = np.float32
 
 # TrainConfig fields that fix a run's shapes or schedule; runs trained
 # together in one stack must share them
@@ -68,7 +72,7 @@ class TrainData:
     expr_labels: np.ndarray       # N
     au_labels: np.ndarray         # N x 18 binary
     knowledge: object             # loss-scaled KnowledgeMatrix
-    pos_weights: object = None    # PosWeightSpec; filled from strategy if None
+    pos_weights: object = None    # PosWeightSpec; the config's strategy's if None
     test_features: np.ndarray = None
     test_expr_labels: np.ndarray = None
 
@@ -140,40 +144,48 @@ def _lockstep(configs, data, pos_weights):
     Parameters, AdamW moments and batches carry a leading run axis, so each
     step is one forward, backward and optimizer call for all runs. Each run
     keeps its own seed (initialisation and batch order), lambda and
-    pos-weight table (one per run; None is unweighted), so its parameters
-    equal, bit for bit, those of training it alone. Yields (epoch, params,
+    pos-weight table (`pos_weights`: R x 7 x 18), so its parameters equal,
+    bit for bit, those of training it alone.
+
+    Steps run in TRAIN_DTYPE. Everything stepped is cast once, before the
+    first epoch: the features (batches are gathered from that copy), AU
+    labels, lambda scales, pos-weights and the knowledge table; the float64
+    parameters init_params draws are rounded to it. Yields (epoch, params,
     state, loss_e, loss_au) after each epoch: the stacked parameters and
-    optimizer state, and each run's mean batch losses.
+    optimizer state, in TRAIN_DTYPE, and each run's mean batch losses.
     """
     first = configs[0]
-    for name in SHARED_FIELDS:
-        if any(getattr(config, name) != getattr(first, name) for config in configs):
-            raise ContractError(f"runs trained together must share {name}")
-    features = np.asarray(data.features, dtype=np.float64)
-    expr_labels = np.asarray(data.expr_labels, dtype=np.int64)
-    au_labels = np.asarray(data.au_labels, dtype=np.float64)
+    source = np.asarray(data.features, dtype=np.float64)
+    with np.errstate(over="ignore"):  # an overflow fails the check below
+        features = source.astype(TRAIN_DTYPE)
+    if np.isinf(features).any():
+        overflowed = np.isinf(features) & np.isfinite(source)
+        if overflowed.any():
+            raise NumericFailure(
+                f"features outside the {np.dtype(TRAIN_DTYPE).name} range "
+                f"(|x| up to {np.abs(source[overflowed]).max():.3g})"
+            )
     n, feature_dim = features.shape
-    if expr_labels.shape != (n,) or au_labels.shape[0] != n:
-        raise ContractError("data shapes inconsistent")
-    if n == 0:
-        raise ContractError("cannot train on an empty dataset")
+    expr_labels = np.asarray(data.expr_labels, dtype=np.int64)
+    au_labels = np.asarray(data.au_labels, dtype=TRAIN_DTYPE)
+    knowledge = loss_knowledge(data.knowledge).astype(TRAIN_DTYPE)
+    pw = pos_weights.astype(TRAIN_DTYPE)
+    lam = np.array([config.lam for config in configs])
+    expr_scale = (1.0 - lam).astype(TRAIN_DTYPE)[:, None, None]
+    au_scale = lam.astype(TRAIN_DTYPE)[:, None, None]
 
     params = stack_params([
         init_params(config.seed, feature_dim=feature_dim, hidden=first.hidden)
         for config in configs
-    ])
+    ]).astype(TRAIN_DTYPE)
     state = OptimizerState(
         learning_rate=first.learning_rate, weight_decay=first.weight_decay
     )
     rngs = [np.random.default_rng(config.seed) for config in configs]
-    lam = np.array([config.lam for config in configs])
-    expr_scale = (1.0 - lam)[:, None, None]
-    au_scale = lam[:, None, None]
-    tables = [pos_weight_none() if spec is None else spec for spec in pos_weights]
-    pw = np.stack([getattr(table, "values", table) for table in tables])
     for epoch in range(first.epochs):
         orders = np.stack([rng.permutation(n) for rng in rngs])
-        sum_e = sum_au = 0.0
+        sum_e = np.zeros(len(configs))
+        sum_au = np.zeros(len(configs))
         batches = 0
         for lo in range(0, n, first.batch_size):
             idx = orders[:, lo:lo + first.batch_size]
@@ -189,11 +201,11 @@ def _lockstep(configs, data, pos_weights):
                 au_logits,
                 au_labels[idx],
                 batch_expr,
-                data.knowledge,
+                knowledge,
                 pw,
                 reduction=first.au_loss_reduction,
             )
-            finite = np.isfinite(combined_loss(loss_e, loss_au, lam))
+            finite = np.isfinite(loss_e) & np.isfinite(loss_au)
             if not finite.all():
                 run = np.flatnonzero(~finite)[0]
                 where = f" in run {run}" if len(configs) > 1 else ""
@@ -212,19 +224,57 @@ def _lockstep(configs, data, pos_weights):
         yield epoch, params, state, sum_e / batches, sum_au / batches
 
 
+def _train_together(configs, data, pos_weights):
+    """_lockstep's epochs for the runs of `configs` on `data`, once the runs
+    and data are checked and each run's pos-weight table is resolved.
+
+    This is the one place a run's table is chosen: its entry of
+    `pos_weights` (a PosWeightSpec or 7 x 18 values) if it has one, else,
+    for None, the table of its config's strategy from data's labels
+    (computed once per strategy).
+    """
+    if not configs:
+        raise ContractError("no runs to train")
+    if len(pos_weights) != len(configs):
+        raise ContractError("one pos-weight table per run expected")
+    first = configs[0]
+    for name in SHARED_FIELDS:
+        if any(getattr(config, name) != getattr(first, name) for config in configs):
+            raise ContractError(f"runs trained together must share {name}")
+    if np.ndim(data.features) != 2:
+        raise ContractError("features must be N x F")
+    n = len(data.features)
+    if np.shape(data.expr_labels) != (n,) or np.shape(data.au_labels)[:1] != (n,):
+        raise ContractError("data shapes inconsistent")
+    if n == 0:
+        raise ContractError("cannot train on an empty dataset")
+    runs = list(zip(configs, pos_weights))
+    computed = {
+        strategy: compute_pos_weights(data.au_labels, data.expr_labels, strategy)
+        for strategy in dict.fromkeys(c.strategy for c, table in runs if table is None)
+    }
+    tables = [computed[c.strategy] if table is None else table for c, table in runs]
+    return _lockstep(configs, data,
+                     np.stack([getattr(table, "values", table) for table in tables]))
+
+
 def train(config, data):
     """Run the combined-loss loop; lambda = 0 is the expression-only baseline.
 
-    Evaluates the training split, and the test split if there is one, after
-    every epoch. Returns (params, state, list of EpochLog). Raises
-    NumericFailure on a non-finite loss, gradient or optimizer moment.
+    The AU loss uses `data.pos_weights`, or, if None, the table of
+    `config.strategy` from the training labels. Training steps run in
+    TRAIN_DTYPE; the parameters are evaluated in float64, on the training
+    split, and the test split if there is one, after every epoch. Returns
+    (params, state, list of EpochLog), params and state in float64. Raises
+    NumericFailure on features outside TRAIN_DTYPE's range, or a non-finite
+    loss, gradient or optimizer moment.
     """
     logs = []
     start = time.perf_counter()
-    for epoch, stack, state, loss_e, loss_au in _lockstep(
+    for epoch, stack, state, loss_e, loss_au in _train_together(
         [config], data, [data.pos_weights]
     ):
-        params = stack.run(0)
+        params = stack.run(0).astype(np.float64)
         mean_e = float(loss_e[0])
         mean_au = float(loss_au[0])
         train_report = evaluate(params, data.features, data.expr_labels)
@@ -243,26 +293,24 @@ def train(config, data):
         entry.seconds = time.perf_counter() - start
         logs.append(entry)
         start = time.perf_counter()
-    return params, state.run(0), logs
+    return params, state.run(0).astype(np.float64), logs
 
 
 def train_stacked(configs, data, pos_weights=None):
     """Train several runs on one dataset together, in lockstep.
 
     The runs may differ in seed, lambda and pos-weights (`pos_weights`: one
-    PosWeightSpec, or None for unweighted, per run; by default
-    `data.pos_weights` for every run) and must share every field of
+    PosWeightSpec per run, or None for the table of the run's strategy; by
+    default `data.pos_weights` for every run) and must share every field of
     SHARED_FIELDS. Nothing is evaluated. Returns one (params, state) per
-    run, bit-identical to what `train` returns for that run alone.
+    run, in float64, bit-identical to what `train` returns for that run
+    alone.
     """
-    if not configs:
-        raise ContractError("no runs to train")
     if pos_weights is None:
         pos_weights = [data.pos_weights] * len(configs)
-    if len(pos_weights) != len(configs):
-        raise ContractError("one pos-weight table per run expected")
-    for _, params, state, _, _ in _lockstep(configs, data, pos_weights):
+    for _, params, state, _, _ in _train_together(configs, data, pos_weights):
         pass
+    params, state = params.astype(np.float64), state.astype(np.float64)
     return [(params.run(r), state.run(r)) for r in range(len(configs))]
 
 

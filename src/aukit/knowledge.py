@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import __version__
 from .domain import (
     AU28_INDEX,
     AU_NAMES,
@@ -21,19 +22,19 @@ from .domain import (
     KnowledgeMatrix,
     NUM_AUS,
     NUM_EXPRESSIONS,
+    float_array,
     parse_numbers,
 )
 
 log = logging.getLogger(__name__)
 
 KNOWLEDGE_FILE_VERSION = 1
-TOOL_VERSION = "aukit 0.1.0"
 
 MIDPOINT_POLICIES = ("compat", "general")
 
 
 def sigmoid(x):
-    x = np.asarray(x, dtype=np.float64)
+    x = float_array(x)
     return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
@@ -199,7 +200,7 @@ def export_knowledge(matrix, path):
         fh.write(f"# stage={matrix.stage}\n")
         fh.write(f"# datasets={matrix.dataset_count}\n")
         fh.write(f"# theta={matrix.theta!r}\n")
-        fh.write(f"# tool={TOOL_VERSION}\n")
+        fh.write(f"# tool=aukit {__version__}\n")
         fh.write("# columns=" + ",".join(EXPRESSIONS) + "\n")
         for i, name in enumerate(AU_NAMES):
             fh.write(name + "," + ",".join(repr(float(v)) for v in matrix.values[i]) + "\n")

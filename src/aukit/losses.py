@@ -4,13 +4,18 @@ loss, their convex combination, and a central finite-difference verifier.
 All log-sigmoid terms use the stable form min(x, 0) - log1p(exp(-|x|))
 (never a naive log of a sigmoid), so losses and gradients stay finite for any
 logit magnitude.
+
+The losses compute in their logits' dtype: float32 logits (a training step)
+give float32 losses and gradients, float64 ones float64; logits given as
+lists or integers are taken as float64.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import ContractError, NUM_AUS, NUM_EXPRESSIONS, NumericFailure
+from .domain import ContractError, NUM_AUS, NUM_EXPRESSIONS, NumericFailure, float_array
 from .knowledge import sigmoid
 
 AU_LOSS_REDUCTIONS = ("mean-elements", "mean-samples")
@@ -38,7 +43,7 @@ def expression_loss(expr_logits, labels, factor=5.0):
     loss by -log(factor) per sample and leaves the gradient untouched. The
     R x N x 7 logits and R x N labels of a stack of runs give R losses.
     """
-    expr_logits = np.asarray(expr_logits, dtype=np.float64)
+    expr_logits = float_array(expr_logits)
     labels = np.asarray(labels, dtype=np.int64)
     if expr_logits.ndim < 2 or expr_logits.shape[-1] != NUM_EXPRESSIONS:
         raise ContractError(f"expr_logits must be Nx{NUM_EXPRESSIONS}")
@@ -62,12 +67,22 @@ def expression_loss(expr_logits, labels, factor=5.0):
     e = np.exp(shifted)
     z = e.sum(axis=-1, keepdims=True)
     log_p = shifted[target].reshape(labels.shape) - np.log(z[..., 0])
-    loss = -(np.log(factor) + log_p).sum(axis=-1) / n
+    loss = -(math.log(factor) + log_p).sum(axis=-1) / n
 
     grad = e / z
     grad -= target
     grad /= n
     return loss, grad
+
+
+def loss_knowledge(knowledge):
+    """The 18 x 7 values of a loss-scaled knowledge matrix; ContractError for
+    a matrix of any other stage."""
+    if knowledge.stage != "loss-scaled":
+        raise ContractError(
+            f"au_loss expects a loss-scaled knowledge matrix, got {knowledge.stage!r}"
+        )
+    return knowledge.values
 
 
 def au_loss(au_logits, au_labels, expr_labels, knowledge, pos_weights,
@@ -80,10 +95,12 @@ def au_loss(au_logits, au_labels, expr_labels, knowledge, pos_weights,
     negated and averaged over all N*18 elements ('mean-elements', default) or
     over samples only ('mean-samples'). Returns (scalar, gradient wrt logits).
     A stack of R runs passes R x N x ... batches and R x 7 x 18 pos-weights
-    and gets R losses.
+    and gets R losses. `knowledge` is a loss-scaled KnowledgeMatrix or its
+    18 x 7 values (see loss_knowledge), `pos_weights` a PosWeightSpec or its
+    values.
     """
-    au_logits = np.asarray(au_logits, dtype=np.float64)
-    au_labels = np.asarray(au_labels, dtype=np.float64)
+    au_logits = float_array(au_logits)
+    au_labels = np.asarray(au_labels, dtype=au_logits.dtype)
     expr_labels = np.asarray(expr_labels, dtype=np.int64)
     if au_logits.ndim < 2 or au_logits.shape[-1] != NUM_AUS:
         raise ContractError(f"au_logits must be Nx{NUM_AUS}")
@@ -92,21 +109,22 @@ def au_loss(au_logits, au_labels, expr_labels, knowledge, pos_weights,
         raise ContractError("au_labels shape mismatch")
     if expr_labels.shape != au_logits.shape[:-1]:
         raise ContractError("expr_labels must be a length-N vector")
-    if knowledge.stage != "loss-scaled":
-        raise ContractError(
-            f"au_loss expects a loss-scaled knowledge matrix, got {knowledge.stage!r}"
-        )
+    if hasattr(knowledge, "stage"):
+        knowledge = loss_knowledge(knowledge)
+    knowledge = np.asarray(knowledge, dtype=au_logits.dtype)
+    if knowledge.shape != (NUM_AUS, NUM_EXPRESSIONS):
+        raise ContractError(f"knowledge must be {NUM_AUS}x{NUM_EXPRESSIONS}")
     if reduction not in AU_LOSS_REDUCTIONS:
         raise ContractError(f"unknown reduction: {reduction!r}")
 
     pw_values = pos_weights.values if hasattr(pos_weights, "values") else pos_weights
-    pw_values = np.asarray(pw_values, dtype=np.float64)
+    pw_values = np.asarray(pw_values, dtype=au_logits.dtype)
     if pw_values.shape != expr_labels.shape[:-1] + (NUM_EXPRESSIONS, NUM_AUS):
         raise ContractError(
             f"pos-weights must be {NUM_EXPRESSIONS}x{NUM_AUS}, one table per run"
         )
 
-    k = knowledge.values.T[expr_labels]  # N x 18, per-sample expression column
+    k = knowledge.T[expr_labels]  # N x 18, per-sample expression column
     if pw_values.ndim == 2:
         pw = pw_values[expr_labels]  # N x 18
     else:  # a stack: R x N x 18 from each run's table
@@ -115,15 +133,21 @@ def au_loss(au_logits, au_labels, expr_labels, knowledge, pos_weights,
     x = au_logits
     pos = pw * au_labels
     neg = 1.0 - au_labels
-    # one log-sigmoid serves both terms: log(1 - s(x)) = log s(-x) = log s(x) - x
-    log_s = log_sigmoid(x)
-    terms = pos * log_s + neg * (log_s - x)
+    both = pos + neg
+    # one log-sigmoid serves both terms: log(1 - s(x)) = log s(-x) = log s(x) - x,
+    # so pos log s(x) + neg log(1 - s(x)) = (pos + neg) log s(x) - neg x
+    terms = both * log_sigmoid(x)
+    terms -= neg * x
+    terms *= k
     denom = n * NUM_AUS if reduction == "mean-elements" else n
-    loss = -(k * terms).sum(axis=(-2, -1)) / denom
+    loss = -terms.sum(axis=(-2, -1)) / denom
 
-    s = sigmoid(x)
-    # d/dx log s(x) = 1 - s;  d/dx log(1 - s(x)) = -s
-    grad = -k * (pos * (1.0 - s) - neg * s) / denom
+    # d/dx log s(x) = 1 - s and d/dx log(1 - s(x)) = -s give the derivative
+    # pos (1 - s) - neg s = pos - (pos + neg) s of each term
+    grad = both * sigmoid(x)
+    grad -= pos
+    grad *= k
+    grad /= denom
     return loss, grad
 
 
@@ -140,6 +164,8 @@ def finite_difference_check(evaluator, point, epsilon=1e-5):
     evaluator(x) must return (loss, gradient) and be deterministic. Relative
     error per coordinate is |a - f| / max(1e-8, |a| + |f|).
     """
+    if not 0.0 < epsilon < math.inf:
+        raise ContractError(f"epsilon must be positive and finite, got {epsilon}")
     point = np.asarray(point, dtype=np.float64)
     loss, grad = evaluator(point)
     if not np.isfinite(loss):
@@ -147,6 +173,9 @@ def finite_difference_check(evaluator, point, epsilon=1e-5):
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != point.shape:
         raise ContractError("gradient shape does not match the probe point")
+    if not np.isfinite(grad).all():
+        # a NaN coordinate's relative error would be NaN, which max() skips
+        raise NumericFailure("non-finite analytic gradient at probe point")
 
     flat = point.ravel().copy()
     max_rel = 0.0

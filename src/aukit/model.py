@@ -2,14 +2,17 @@
 
 A small multilayer perceptron (affine + ReLU hidden layers) feeds two linear
 heads: a 7-way expression head and an 18-way AU head. Every trainable array
-is a view into one contiguous float64 vector, so gradients, AdamW moments and
-checkpoints share a single layout. Gradients are written out by hand so they
-can be verified against finite differences, and the AdamW-style optimizer
-keeps training bit-reproducible.
+is a view into one contiguous float vector, so gradients, AdamW moments and
+checkpoints share a single layout. Parameters are float64, except while a
+training step runs in float32 (harness.TRAIN_DTYPE); forward, backward and
+optimizer_step compute in their parameters' dtype. Gradients are written out
+by hand so they can be verified against finite differences, and the
+AdamW-style optimizer keeps training bit-reproducible.
 """
 
 import json
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -47,9 +50,9 @@ def param_layout(feature_dim, hidden):
 
 
 class ModelParams:
-    """One contiguous float64 parameter vector plus its name -> (offset, shape)
-    layout. The named arrays are views into `vector`: write through them,
-    never rebind them.
+    """One contiguous parameter vector (float64 unless cast with astype) plus
+    its name -> (offset, shape) layout. The named arrays are views into
+    `vector`: write through them, never rebind them.
 
     A stack of R runs trained together has an R x P `vector`, one row and
     one seed per run, and its named arrays carry the same leading run axis;
@@ -92,6 +95,11 @@ class ModelParams:
         """Run r of a stack; its arrays are views into the stack's vector."""
         return ModelParams(self.feature_dim, self.hidden, self.seed[r], self.vector[r])
 
+    def astype(self, dtype):
+        """A copy of these parameters with the vector cast to `dtype`."""
+        return ModelParams(self.feature_dim, self.hidden, self.seed,
+                           self.vector.astype(dtype))
+
 
 def stack_params(runs):
     """The runs' parameters as one stack: their vectors on a leading run axis."""
@@ -111,9 +119,9 @@ def stack_params(runs):
 class OptimizerState:
     """Moment accumulators and hyperparameters for the adaptive update.
 
-    m and v are flat vectors in the parameter layout (R x P for a stack of R
-    runs, which share the hyperparameters and the step count), allocated at
-    the first step.
+    m and v are flat vectors in the parameter layout and dtype (R x P for a
+    stack of R runs, which share the hyperparameters and the step count),
+    allocated at the first step.
     """
 
     learning_rate: float = 1e-3
@@ -129,6 +137,10 @@ class OptimizerState:
         """Run r's state in a stepped stack; its moments are views into the
         stack's."""
         return replace(self, m=self.m[r], v=self.v[r])
+
+    def astype(self, dtype):
+        """A copy of this stepped state with the moments cast to `dtype`."""
+        return replace(self, m=self.m.astype(dtype), v=self.v.astype(dtype))
 
 
 def _glorot(rng, shape):
@@ -168,7 +180,7 @@ def forward(params, features, return_hidden=False):
     A stack of R runs takes R x N x F features and returns R x N x ...
     outputs.
     """
-    features = np.asarray(features, dtype=np.float64)
+    features = np.asarray(features, dtype=params.vector.dtype)
     if features.ndim != params.vector.ndim + 1 or (
         features.shape[-1] != params.feature_dim
     ):
@@ -195,9 +207,10 @@ def backward(params, features, d_expr, d_au, activations=None):
     layout of params.vector (params.views(grad) names its parts); a stack
     takes R x N x ... batches and returns R x P gradients.
     """
-    features = np.asarray(features, dtype=np.float64)
-    d_expr = np.asarray(d_expr, dtype=np.float64)
-    d_au = np.asarray(d_au, dtype=np.float64)
+    dtype = params.vector.dtype
+    features = np.asarray(features, dtype=dtype)
+    d_expr = np.asarray(d_expr, dtype=dtype)
+    d_au = np.asarray(d_au, dtype=dtype)
     n = features.shape[-2]
     if d_expr.shape[-2:] != (n, NUM_EXPRESSIONS) or (
         d_au.shape != d_expr.shape[:-1] + (NUM_AUS,)
@@ -208,16 +221,19 @@ def backward(params, features, d_expr, d_au, activations=None):
 
     grad = np.empty_like(params.vector)
     named = params.views(grad)
+    # bias gradients sum over the batch as a product with a row of ones: one
+    # BLAS call per run, where sum(axis=-2) loops over the batch's rows
+    ones = np.ones(n, dtype=dtype)
     h = activations[-1]
     np.matmul(d_expr.swapaxes(-1, -2), h, out=named["expr.w"])
-    d_expr.sum(axis=-2, out=named["expr.b"])
+    np.matmul(ones, d_expr, out=named["expr.b"])
     np.matmul(d_au.swapaxes(-1, -2), h, out=named["au.w"])
-    d_au.sum(axis=-2, out=named["au.b"])
+    np.matmul(ones, d_au, out=named["au.b"])
     dh = d_expr @ params.expr_weight + d_au @ params.au_weight
     for i in reversed(range(len(params.hidden_weights))):
         dz = dh * (activations[i + 1] > 0.0)
         np.matmul(dz.swapaxes(-1, -2), activations[i], out=named[f"hidden.{i}.w"])
-        dz.sum(axis=-2, out=named[f"hidden.{i}.b"])
+        np.matmul(ones, dz, out=named[f"hidden.{i}.b"])
         if i > 0:  # the gradient wrt the input features is never used
             dh = dz @ params.hidden_weights[i]
     return grad
@@ -243,7 +259,7 @@ def optimizer_step(params, grads, state):
     in one pass over the whole vector or stack.
     """
     p = params.vector
-    grads = np.asarray(grads, dtype=np.float64)
+    grads = np.asarray(grads, dtype=p.dtype)
     if grads.shape != p.shape:
         raise ContractError(
             f"gradient of shape {grads.shape} does not match {p.shape} parameters"
@@ -352,15 +368,17 @@ def load_features(path):
     if str(path).endswith(".csv"):
         return np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if not blob.startswith(b"AUKITFEAT1"):
-        raise ContractError("corrupt feature file: bad magic")
-    n = int.from_bytes(blob[10:18], "little")
-    f = int.from_bytes(blob[18:26], "little")
-    if blob[26:28] != b"f8":
-        raise ContractError("corrupt feature file: unknown dtype tag")
-    expected = n * f * 8
-    payload = blob[28:]
-    if len(payload) != expected:
-        raise ContractError("corrupt feature file: truncated payload")
-    return np.frombuffer(payload, dtype=np.float64).reshape(n, f).copy()
+        head = fh.read(28)
+        if not head.startswith(b"AUKITFEAT1"):
+            raise ContractError("corrupt feature file: bad magic")
+        n = int.from_bytes(head[10:18], "little")
+        f = int.from_bytes(head[18:26], "little")
+        if head[26:28] != b"f8":
+            raise ContractError("corrupt feature file: unknown dtype tag")
+        if os.fstat(fh.fileno()).st_size - len(head) != n * f * 8:
+            raise ContractError("corrupt feature file: truncated payload")
+        # read the payload straight into the array, holding no second copy
+        features = np.empty((n, f))
+        if fh.readinto(features) != features.nbytes:
+            raise ContractError("corrupt feature file: truncated payload")
+    return features

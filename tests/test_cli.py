@@ -92,10 +92,10 @@ def test_nan_feature_is_numeric_failure(synth_dirs, tmp_path):
     assert not (run_dir / "checkpoint.bin").exists()
 
 
-def test_huge_features_overflowing_optimizer_are_numeric_failure(
-    synth_dirs, tmp_path
-):
-    data = _with_features(synth_dirs[0], tmp_path / "huge", lambda f: f * 1e300)
+def _train_scaled_features_in_child(synth_dirs, tmp_path, scale):
+    """Exit code and stderr lines of `aukit train` on the training features
+    times `scale`, and whether it wrote a checkpoint."""
+    data = _with_features(synth_dirs[0], tmp_path / "scaled", lambda f: f * scale)
     run_dir = tmp_path / "run"
     # a child process, so numpy warnings reach stderr as they would in a
     # shell; unweighted AU loss, so no pos-weight fallback is logged either
@@ -106,10 +106,31 @@ def test_huge_features_overflowing_optimizer_are_numeric_failure(
          "--out", str(run_dir)],
         capture_output=True, text=True, env=env,
     )
-    assert result.returncode == EXIT_NUMERIC
-    assert not (run_dir / "checkpoint.bin").exists()
-    lines = result.stderr.splitlines()
-    assert len(lines) == 1, result.stderr
+    return (result.returncode, result.stderr.splitlines(),
+            (run_dir / "checkpoint.bin").exists())
+
+
+def test_huge_features_overflowing_optimizer_are_numeric_failure(
+    synth_dirs, tmp_path
+):
+    # 1e300 is beyond float32, the dtype training steps run in: the features
+    # are rejected before the first step, with no overflow warning
+    code, lines, wrote = _train_scaled_features_in_child(synth_dirs, tmp_path, 1e300)
+    assert code == EXIT_NUMERIC
+    assert not wrote
+    assert len(lines) == 1, lines
+    assert lines[0].startswith("numeric failure: features outside the float32 range")
+
+
+def test_float32_features_overflowing_second_moment_are_numeric_failure(
+    synth_dirs, tmp_path
+):
+    # 1e25 fits float32, but the squares of its gradients do not (features of
+    # 1e21 and up overflow the float32 second moment; 1e20 trains)
+    code, lines, wrote = _train_scaled_features_in_child(synth_dirs, tmp_path, 1e25)
+    assert code == EXIT_NUMERIC
+    assert not wrote
+    assert len(lines) == 1, lines
     assert lines[0].startswith("numeric failure: non-finite second moment")
 
 
@@ -123,6 +144,32 @@ def test_train_deterministic_outputs(synth_dirs, tmp_path):
         (dirs[1] / "checkpoint.bin").read_bytes()
     assert (dirs[0] / "epochs.csv").read_text() == \
         (dirs[1] / "epochs.csv").read_text()
+
+
+def test_train_strategy_equals_its_pos_weights_file(synth_dirs, tmp_path):
+    train_dir, _ = synth_dirs
+    assert run("pos-weights", "--labels", train_dir / "au_labels.csv",
+               "--strategy", "minor", "--out", tmp_path / "pw") == EXIT_OK
+    common = ["--data", train_dir, "--epochs", 2, "--seed", 1]
+    assert run("train", *common, "--strategy", "minor",
+               "--out", tmp_path / "strategy") == EXIT_OK
+    assert run("train", *common, "--pos-weights-file",
+               tmp_path / "pw" / "pos_weights.csv", "--out", tmp_path / "file") == EXIT_OK
+    assert (tmp_path / "strategy" / "checkpoint.bin").read_bytes() == \
+        (tmp_path / "file" / "checkpoint.bin").read_bytes()
+
+
+def test_eval_reproduces_training_evaluation(synth_dirs, tmp_path):
+    # training steps in float32, but evaluates the float64 parameters it
+    # checkpoints, so eval on the test split repeats the last epoch's numbers
+    train_dir, test_dir = synth_dirs
+    assert run("train", "--data", train_dir, "--test-data", test_dir,
+               "--epochs", 3, "--seed", 2, "--out", tmp_path / "run") == EXIT_OK
+    assert run("eval", "--checkpoint", tmp_path / "run" / "checkpoint.bin",
+               "--data", test_dir, "--out", tmp_path / "eval") == EXIT_OK
+    last_epoch = (tmp_path / "run" / "epochs.csv").read_text().splitlines()[-1]
+    metrics = (tmp_path / "eval" / "metrics.csv").read_text().splitlines()[-1]
+    assert last_epoch.split(",")[-2:] == metrics.split(",")[:2]
 
 
 def test_sweep_row_count(synth_dirs, tmp_path):
@@ -180,7 +227,38 @@ def test_pos_weights_command(synth_dirs, tmp_path):
 def test_gradcheck_json(capsys):
     assert run("gradcheck", "--batch", 4, "--seed", 0) == EXIT_OK
     payload = json.loads(capsys.readouterr().out.strip())
-    assert payload["max_relative_error"] < 1e-5
+    assert payload["passed"] is True
+    assert payload["checks"]["expression_loss"]["max_relative_error"] < 1e-5
+
+
+def test_gradcheck_checks_both_losses_and_the_model(capsys):
+    assert run("gradcheck", "--batch", 3, "--seed", 2) == EXIT_OK
+    checks = json.loads(capsys.readouterr().out.strip())["checks"]
+    # every logit of a 3-sample batch, and every parameter of the 6-4 model
+    assert {name: check["parameters_checked"] for name, check in checks.items()} == {
+        "expression_loss": 3 * 7, "au_loss": 3 * 18,
+        "model": 6 * 4 + 4 + 7 * 4 + 7 + 18 * 4 + 18,
+    }
+    for check in checks.values():
+        assert check["passed"] is True
+        assert 0.0 <= check["max_relative_error"] <= check["bound"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--batch", -1], "--batch must be >= 1"),
+    (["--eps", 0], "epsilon"),
+])
+def test_gradcheck_bad_argument_is_contract_error(argv, message, capsys):
+    assert run("gradcheck", *argv) == EXIT_CONTRACT
+    assert message in capsys.readouterr().err
+
+
+def test_gradcheck_over_bound_is_numeric_failure(capsys):
+    # central differences 1.0 apart are far from the analytic gradient
+    assert run("gradcheck", "--eps", 1.0) == EXIT_NUMERIC
+    payload = json.loads(capsys.readouterr().out.strip())
+    assert payload["passed"] is False
+    assert not any(check["passed"] for check in payload["checks"].values())
 
 
 def test_export_confusion_roundtrip(synth_dirs, tmp_path):

@@ -7,12 +7,9 @@ from aukit.domain import (
     EXPRESSIONS,
     KnowledgeMatrix,
     MAJOR_CLASSES,
-    MINOR_CLASSES,
-    au_index,
-    au_name,
+    MAJOR_MASK,
     expression_index,
     expression_name,
-    is_major_class,
     validate_knowledge,
 )
 
@@ -38,35 +35,17 @@ def test_expression_roundtrip():
         assert expression_index(expression_name(i)) == i
 
 
-def test_au_index_cases():
-    assert au_index("AU01") == 0
-    assert au_index("AU28") == 16
-    assert au_index("AU45") == 17
-    with pytest.raises(ContractError):
-        au_index("AU03")
-
-
-def test_au_roundtrip():
-    for i in range(18):
-        assert au_index(au_name(i)) == i
-
-
 def test_au_ascending_order():
     numbers = [int(n[2:]) for n in AU_NAMES]
     assert numbers == sorted(numbers)
 
 
 def test_major_minor_partition():
-    assert MAJOR_CLASSES | MINOR_CLASSES == set(EXPRESSIONS)
-    assert not MAJOR_CLASSES & MINOR_CLASSES
+    assert MAJOR_CLASSES < set(EXPRESSIONS)
     assert len(MAJOR_CLASSES) == 4
-    assert sum(is_major_class(c) for c in EXPRESSIONS) == 4
-
-
-def test_is_major_class_examples():
-    assert is_major_class("Happy")
-    assert not is_major_class("Disgust")
-    assert is_major_class(2)  # Neutral by index
+    assert [name for name, major in zip(EXPRESSIONS, MAJOR_MASK) if major] == [
+        "Happy", "Sad", "Neutral", "Angry"
+    ]
 
 
 def test_validate_knowledge_interior_point():

@@ -25,7 +25,9 @@ from aukit.harness import (
     write_confusion_svg,
     write_metric_rows,
 )
+from aukit import harness
 from aukit.labeling import STRATEGIES, compute_pos_weights
+from aukit.model import ModelParams, OptimizerState
 from aukit.synth import SynthSpec, generate_dataset
 
 
@@ -162,16 +164,15 @@ class TestTrain:
 
     def test_trained_parameters_golden_hash(self):
         # sha256 of the float64 parameter vector (sorted-name order) after a
-        # seeded run; recorded from the per-tensor optimizer and the
-        # two-log-sigmoid AU loss, which the flat update and the fused loss
-        # must reproduce bit for bit
+        # seeded run, its steps in float32; re-recorded when training moved
+        # from float64 to float32 steps
         params, state, _ = train(
             TrainConfig(epochs=3, hidden=(8,), seed=7, lam=0.3),
             small_train_data(),
         )
         assert state.step == 15
         assert hashlib.sha256(params.vector.tobytes()).hexdigest() == (
-            "384cb68b0988c3ecf6aefd13a6183d6d88ad5504f478b527d29d1a814d17f86e"
+            "a126ed39c3a5637fa8da74e3a67e19980ab8ff50b676b089b6d1aa27736bbbd9"
         )
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
@@ -286,6 +287,94 @@ class TestTrainStacked:
         configs = [TrainConfig(epochs=2, seed=seed) for seed in (0, 1)]
         with pytest.raises(NumericFailure, match="non-finite loss at epoch 0 in run"):
             train_stacked(configs, data)
+
+
+class TestPosWeightResolution:
+    """A run without an explicit pos-weight table gets its strategy's."""
+
+    def test_strategy_fills_a_missing_table(self):
+        # a missing table once trained unweighted, whatever the strategy
+        data = small_train_data()
+        config = TrainConfig(epochs=2, seed=3, strategy="distinct", hidden=(8,))
+        explicit, _, _ = train(config, data)
+        resolved, _, _ = train(config, replace(data, pos_weights=None))
+        unweighted, _, _ = train(replace(config, strategy="none"),
+                                 replace(data, pos_weights=None))
+        assert resolved.vector.tobytes() == explicit.vector.tobytes()
+        assert resolved.vector.tobytes() != unweighted.vector.tobytes()
+
+    def test_explicit_table_wins_over_the_strategy(self):
+        data = small_train_data()
+        config = TrainConfig(epochs=2, seed=3, hidden=(8,))
+        explicit, _, _ = train(replace(config, strategy="none"), data)
+        resolved, _, _ = train(config, replace(data, pos_weights=None))
+        assert explicit.vector.tobytes() == resolved.vector.tobytes()
+
+    def test_stacked_runs_resolve_their_own_strategies(self):
+        strategies = ("none", "global", "minor")
+        configs = [TrainConfig(epochs=2, seed=3, lam=0.3, strategy=s, hidden=(8,))
+                   for s in strategies]
+        data = replace(small_train_data(), pos_weights=None)
+        resolved = train_stacked(configs, data)
+        explicit = train_stacked(configs, data, strategy_specs(strategies))
+        for (params, _), (expected, _) in zip(resolved, explicit):
+            assert params.vector.tobytes() == expected.vector.tobytes()
+
+
+def step_arrays(value):
+    """The arrays a training-step argument or result holds."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, ModelParams):
+        return [value.vector]
+    if isinstance(value, OptimizerState):
+        return [a for a in (value.m, value.v) if a is not None]
+    if isinstance(value, (list, tuple)):
+        return [a for item in value for a in step_arrays(item)]
+    values = getattr(value, "values", None)  # a KnowledgeMatrix or PosWeightSpec
+    return [values] if isinstance(values, np.ndarray) else []
+
+
+class TestTrainingPrecision:
+    STEP_FUNCTIONS = ("forward", "expression_loss", "au_loss", "backward",
+                      "optimizer_step")
+
+    def test_every_step_array_is_float32(self, monkeypatch):
+        seen = {}
+
+        def spy(name, fn):
+            def wrapper(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                for array in step_arrays([args, list(kwargs.values()), result]):
+                    if array.dtype.kind != "i":  # labels and batch indices
+                        seen.setdefault(name, set()).add(array.dtype)
+                return result
+            return wrapper
+
+        for name in self.STEP_FUNCTIONS:
+            monkeypatch.setattr(harness, name, spy(name, getattr(harness, name)))
+        # no evaluation, which runs forward in float64
+        configs = [TrainConfig(epochs=1, seed=seed, lam=0.3, hidden=(8,))
+                   for seed in (0, 1)]
+        train_stacked(configs, small_train_data())
+        assert seen == {name: {np.dtype(np.float32)} for name in self.STEP_FUNCTIONS}
+
+    def test_train_returns_float64_holding_float32_values(self):
+        data = small_train_data()
+        config = TrainConfig(epochs=2, seed=0, hidden=(8,))
+        params, state, _ = train(config, data)
+        ((stacked, stacked_state),) = train_stacked([config], data)
+        for vector in (params.vector, state.m, state.v,
+                       stacked.vector, stacked_state.m, stacked_state.v):
+            assert vector.dtype == np.float64
+            assert np.array_equal(vector, vector.astype(np.float32))
+
+    def test_features_beyond_float32_rejected_without_warning(self):
+        data = small_train_data()
+        data.features = data.features.copy()
+        data.features[7, 3] = 1e39
+        with pytest.raises(NumericFailure, match="outside the float32 range"):
+            train(TrainConfig(epochs=1, seed=0), data)
 
 
 class TestSweepAndCompare:

@@ -206,6 +206,23 @@ class TestFiniteDifferenceCheck:
         with pytest.raises(NumericFailure):
             finite_difference_check(evaluator, np.array([1.0]))
 
+    def test_non_finite_gradient_rejected(self):
+        # a NaN coordinate's relative error is NaN, which a running max skips
+        def evaluator(x):
+            return float(np.sum(x * x)), np.array([2.0 * x[0], np.nan])
+
+        with pytest.raises(NumericFailure, match="non-finite analytic gradient"):
+            finite_difference_check(evaluator, np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("epsilon", [0.0, -1e-5, float("nan"), float("inf")])
+    def test_step_must_be_positive_and_finite(self, epsilon):
+        # a zero step divides by zero and once passed every check
+        def evaluator(x):
+            return float(np.sum(x * x)), 3.0 * x  # deliberately wrong
+
+        with pytest.raises(ContractError, match="epsilon"):
+            finite_difference_check(evaluator, np.array([1.0, 2.0]), epsilon=epsilon)
+
 
 def test_log_sigmoid_stable():
     assert log_sigmoid(np.array([1000.0])) == pytest.approx(0.0)
