@@ -98,18 +98,18 @@ def _load_config(args):
     return harness.TrainConfig(**values)
 
 
-def _load_frames_dir(frames_dir):
-    """(video_id, frames) for every frame store in frames_dir, by video id."""
+def _frame_stores(frames_dir):
+    """(video_id, path) of every frame store in frames_dir, by video id; the
+    callers read one store at a time, so no list of every video's frames is
+    held at once."""
     suffix = ingest.FRAME_STORE_SUFFIX
     video_ids = sorted(
         name[:-len(suffix)] for name in os.listdir(frames_dir) if name.endswith(suffix)
     )
     if not video_ids:
         raise ContractError(f"no frame stores (*{suffix}) found in {frames_dir}")
-    return [
-        (video_id, ingest.read_frame_store(os.path.join(frames_dir, video_id + suffix)))
-        for video_id in video_ids
-    ]
+    return [(video_id, os.path.join(frames_dir, video_id + suffix))
+            for video_id in video_ids]
 
 
 def cmd_ingest(args):
@@ -129,8 +129,9 @@ def cmd_ingest(args):
 
 def cmd_extract_knowledge(args):
     videos = [
-        (video_id, ingest.reliable_detections(frames, args.min_confidence))
-        for video_id, frames in _load_frames_dir(args.frames)
+        (video_id,
+         ingest.reliable_detections(ingest.read_frame_store(path), args.min_confidence))
+        for video_id, path in _frame_stores(args.frames)
     ]
     with open(args.preds, "r", encoding="utf-8") as fh:
         predictions = ingest.load_frame_predictions(fh)
@@ -153,19 +154,22 @@ def cmd_aggregate_knowledge(args):
 
 
 def cmd_pseudo_label(args):
-    videos = _load_frames_dir(args.frames)
+    stores = _frame_stores(args.frames)
+    video_ids = [video_id for video_id, _ in stores]
     expr_by_video = labeling.read_video_labels_csv(args.video_labels)
-    missing = [video_id for video_id, _ in videos if video_id not in expr_by_video]
+    missing = [video_id for video_id in video_ids if video_id not in expr_by_video]
     if missing:
         raise ContractError(
             f"no label in {args.video_labels} for videos: {', '.join(missing)}"
         )
+    lengths, au_labels = [], []
+    for video_id, path in stores:
+        frames = ingest.read_frame_store(path)
+        lengths.append(len(frames))
+        au_labels.append(labeling.derive_video_au_labels(frames, video_id))
     table = labeling.label_table(
-        [video_id for video_id, _ in videos],
-        [expr_by_video[video_id] for video_id, _ in videos],
-        [len(frames) for _, frames in videos],
-        [labeling.derive_video_au_labels(frames, video_id)
-         for video_id, frames in videos],
+        video_ids, [expr_by_video[video_id] for video_id in video_ids], lengths,
+        au_labels,
     )
     labeling.write_labels_csv(table, args.out)
     print(f"{len(table)} video AU labels -> {args.out}")
@@ -207,9 +211,11 @@ def cmd_synth_gen(args):
 
 
 def _load_dataset_dir(path):
-    """Features, expression labels and N x 18 AU bits of a dataset directory,
-    whose au_labels.csv must list the expressions of expression_labels.csv."""
-    features = model.load_features(os.path.join(path, "features.bin"))
+    """Features (in harness.TRAIN_DTYPE, which training and evaluation run
+    in), expression labels and N x 18 AU bits of a dataset directory, whose
+    au_labels.csv must list the expressions of expression_labels.csv."""
+    features = model.load_features(os.path.join(path, "features.bin"),
+                                   dtype=harness.TRAIN_DTYPE)
     try:
         expr_labels = np.loadtxt(os.path.join(path, "expression_labels.csv"),
                                  dtype=np.int64, comments="#", ndmin=1)
@@ -420,10 +426,12 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
+    def add(name, fn, seed=False, **kwargs):
+        """A subcommand; only those that read a seed take --seed."""
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(fn=fn)
-        p.add_argument("--seed", type=int, default=None)
+        if seed:
+            p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default="out")
         return p
 
@@ -451,7 +459,7 @@ def build_parser():
         "--strategy", choices=list(labeling.STRATEGIES), default="distinct"
     )
 
-    p = add("synth-gen", cmd_synth_gen)
+    p = add("synth-gen", cmd_synth_gen, seed=True)
     p.add_argument("--spec", default=None)
     p.add_argument("--n", type=int, default=2000)
 
@@ -460,7 +468,7 @@ def build_parser():
         ("sweep", cmd_sweep),
         ("compare-strategies", cmd_compare_strategies),
     ):
-        p = add(name, fn)
+        p = add(name, fn, seed=True)
         p.add_argument("--data", required=True)
         p.add_argument("--test-data", default=None)
         p.add_argument("--knowledge", default=None)
@@ -478,7 +486,7 @@ def build_parser():
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
 
-    p = add("gradcheck", cmd_gradcheck,
+    p = add("gradcheck", cmd_gradcheck, seed=True,
             help="check expression_loss, au_loss and the model's gradients "
                  "against central differences, in float64")
     p.add_argument("--batch", type=int, default=8)
@@ -497,7 +505,14 @@ def build_parser():
 def main(argv=None):
     logging.basicConfig(level=logging.WARNING)
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its message; it exits 2 on a usage error, which
+        # is the numeric-failure code here, and 0 after --help
+        if exc.code:
+            raise SystemExit(EXIT_CONTRACT) from None
+        raise
     try:
         return args.fn(args)
     except ContractError as exc:

@@ -19,6 +19,7 @@ from .losses import au_loss, combined_loss, expression_loss, loss_knowledge
 from .model import (
     OptimizerState,
     backward,
+    cast_features,
     forward,
     init_params,
     optimizer_step,
@@ -27,8 +28,9 @@ from .model import (
 
 DEFAULT_LAMBDA_GRID = tuple(round(0.1 * i, 1) for i in range(10))
 
-# the dtype of a training step: parameters, moments, batches, losses and
-# gradients; initialisation, evaluation and checkpoints stay float64
+# the dtype of training steps and evaluation: features, parameters, moments,
+# batches, losses, gradients and predictions; initialisation, checkpoints and
+# gradient checks stay float64
 TRAIN_DTYPE = np.float32
 
 # TrainConfig fields that fix a run's shapes or schedule; runs trained
@@ -128,9 +130,17 @@ def evaluate_predictions(true_labels, predicted):
     )
 
 
+def _forward_in_train_dtype(params, features):
+    """forward in TRAIN_DTYPE. Float64 parameters are rounded to it, exactly
+    for trained ones and checkpoints, which hold TRAIN_DTYPE values; features
+    go through cast_features. Neither is copied if already in TRAIN_DTYPE."""
+    return forward(params.astype(TRAIN_DTYPE), cast_features(features, TRAIN_DTYPE))
+
+
 def predict(params, features):
-    """Argmax expression prediction; ties go to the lowest class index."""
-    expr_logits, _, _ = forward(params, features)
+    """Argmax expression prediction, computed in TRAIN_DTYPE; ties go to the
+    lowest class index."""
+    expr_logits, _, _ = _forward_in_train_dtype(params, features)
     return np.argmax(expr_logits, axis=1)
 
 
@@ -147,24 +157,16 @@ def _lockstep(configs, data, pos_weights):
     pos-weight table (`pos_weights`: R x 7 x 18), so its parameters equal,
     bit for bit, those of training it alone.
 
-    Steps run in TRAIN_DTYPE. Everything stepped is cast once, before the
-    first epoch: the features (batches are gathered from that copy), AU
-    labels, lambda scales, pos-weights and the knowledge table; the float64
-    parameters init_params draws are rounded to it. Yields (epoch, params,
-    state, loss_e, loss_au) after each epoch: the stacked parameters and
-    optimizer state, in TRAIN_DTYPE, and each run's mean batch losses.
+    Steps run in TRAIN_DTYPE, which `data.features` arrive in (batches are
+    gathered from them). Everything else stepped is cast once, before the
+    first epoch: AU labels, lambda scales, pos-weights and the knowledge
+    table; the float64 parameters init_params draws are rounded to it.
+    Yields (epoch, params, state, loss_e, loss_au) after each epoch: the
+    stacked parameters and optimizer state, in TRAIN_DTYPE, and each run's
+    mean batch losses.
     """
     first = configs[0]
-    source = np.asarray(data.features, dtype=np.float64)
-    with np.errstate(over="ignore"):  # an overflow fails the check below
-        features = source.astype(TRAIN_DTYPE)
-    if np.isinf(features).any():
-        overflowed = np.isinf(features) & np.isfinite(source)
-        if overflowed.any():
-            raise NumericFailure(
-                f"features outside the {np.dtype(TRAIN_DTYPE).name} range "
-                f"(|x| up to {np.abs(source[overflowed]).max():.3g})"
-            )
+    features = data.features
     n, feature_dim = features.shape
     expr_labels = np.asarray(data.expr_labels, dtype=np.int64)
     au_labels = np.asarray(data.au_labels, dtype=TRAIN_DTYPE)
@@ -225,8 +227,10 @@ def _lockstep(configs, data, pos_weights):
 
 
 def _train_together(configs, data, pos_weights):
-    """_lockstep's epochs for the runs of `configs` on `data`, once the runs
-    and data are checked and each run's pos-weight table is resolved.
+    """`data` with its features and test features in TRAIN_DTYPE (cast once,
+    no copy if they already are), and _lockstep's epochs for the runs of
+    `configs` on it, once the runs and data are checked and each run's
+    pos-weight table is resolved.
 
     This is the one place a run's table is chosen: its entry of
     `pos_weights` (a PosWeightSpec or 7 x 18 values) if it has one, else,
@@ -254,27 +258,33 @@ def _train_together(configs, data, pos_weights):
         for strategy in dict.fromkeys(c.strategy for c, table in runs if table is None)
     }
     tables = [computed[c.strategy] if table is None else table for c, table in runs]
-    return _lockstep(configs, data,
-                     np.stack([getattr(table, "values", table) for table in tables]))
+    data = replace(
+        data,
+        features=cast_features(data.features, TRAIN_DTYPE),
+        test_features=None if data.test_features is None
+        else cast_features(data.test_features, TRAIN_DTYPE),
+    )
+    return data, _lockstep(
+        configs, data, np.stack([getattr(table, "values", table) for table in tables])
+    )
 
 
 def train(config, data):
     """Run the combined-loss loop; lambda = 0 is the expression-only baseline.
 
     The AU loss uses `data.pos_weights`, or, if None, the table of
-    `config.strategy` from the training labels. Training steps run in
-    TRAIN_DTYPE; the parameters are evaluated in float64, on the training
-    split, and the test split if there is one, after every epoch. Returns
-    (params, state, list of EpochLog), params and state in float64. Raises
-    NumericFailure on features outside TRAIN_DTYPE's range, or a non-finite
-    loss, gradient or optimizer moment.
+    `config.strategy` from the training labels. Training steps and
+    evaluation run in TRAIN_DTYPE: the parameters are evaluated as they
+    train, on the training split, and the test split if there is one, after
+    every epoch. Returns (params, state, list of EpochLog), params and state
+    upcast to float64. Raises NumericFailure on features outside
+    TRAIN_DTYPE's range, or a non-finite loss, gradient or optimizer moment.
     """
     logs = []
     start = time.perf_counter()
-    for epoch, stack, state, loss_e, loss_au in _train_together(
-        [config], data, [data.pos_weights]
-    ):
-        params = stack.run(0).astype(np.float64)
+    data, epochs = _train_together([config], data, [data.pos_weights])
+    for epoch, stack, state, loss_e, loss_au in epochs:
+        params = stack.run(0)
         mean_e = float(loss_e[0])
         mean_au = float(loss_au[0])
         train_report = evaluate(params, data.features, data.expr_labels)
@@ -293,7 +303,7 @@ def train(config, data):
         entry.seconds = time.perf_counter() - start
         logs.append(entry)
         start = time.perf_counter()
-    return params, state.run(0).astype(np.float64), logs
+    return params.astype(np.float64), state.run(0).astype(np.float64), logs
 
 
 def train_stacked(configs, data, pos_weights=None):
@@ -308,7 +318,8 @@ def train_stacked(configs, data, pos_weights=None):
     """
     if pos_weights is None:
         pos_weights = [data.pos_weights] * len(configs)
-    for _, params, state, _, _ in _train_together(configs, data, pos_weights):
+    _, epochs = _train_together(configs, data, pos_weights)
+    for _, params, state, _, _ in epochs:
         pass
     params, state = params.astype(np.float64), state.astype(np.float64)
     return [(params.run(r), state.run(r)) for r in range(len(configs))]
@@ -446,8 +457,9 @@ def write_confusion_svg(report, path, cell=48, margin=72):
 
 
 def export_embeddings(params, features, labels, path):
-    """Per-sample embeddings plus labels, for external projection tools."""
-    _, _, embeddings = forward(params, features)
+    """Per-sample embeddings plus labels, for external projection tools;
+    computed in TRAIN_DTYPE, as predictions are."""
+    _, _, embeddings = _forward_in_train_dtype(params, features)
     labels = np.asarray(labels, dtype=np.int64)
     with open(path, "w", encoding="utf-8") as fh:
         width = embeddings.shape[1]

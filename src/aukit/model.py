@@ -3,11 +3,11 @@
 A small multilayer perceptron (affine + ReLU hidden layers) feeds two linear
 heads: a 7-way expression head and an 18-way AU head. Every trainable array
 is a view into one contiguous float vector, so gradients, AdamW moments and
-checkpoints share a single layout. Parameters are float64, except while a
-training step runs in float32 (harness.TRAIN_DTYPE); forward, backward and
-optimizer_step compute in their parameters' dtype. Gradients are written out
-by hand so they can be verified against finite differences, and the
-AdamW-style optimizer keeps training bit-reproducible.
+checkpoints share a single layout. Parameters are float64, except while
+training steps and evaluation run in float32 (harness.TRAIN_DTYPE); forward,
+backward and optimizer_step compute in their parameters' dtype. Gradients
+are written out by hand so they can be verified against finite differences,
+and the AdamW-style optimizer keeps training bit-reproducible.
 """
 
 import json
@@ -28,6 +28,9 @@ OPTIMIZER_FIELDS = ("learning_rate", "beta1", "beta2", "eps", "weight_decay", "s
 
 DEFAULT_FEATURE_DIM = 1024
 DEFAULT_HIDDEN = (128,)
+
+# load_features reads a feature file's float64 payload in blocks of this size
+FEATURE_BLOCK_BYTES = 1 << 20
 
 
 def param_layout(feature_dim, hidden):
@@ -96,7 +99,10 @@ class ModelParams:
         return ModelParams(self.feature_dim, self.hidden, self.seed[r], self.vector[r])
 
     def astype(self, dtype):
-        """A copy of these parameters with the vector cast to `dtype`."""
+        """These parameters with the vector in `dtype`: a copy, unless the
+        vector already is."""
+        if self.vector.dtype == dtype:
+            return self
         return ModelParams(self.feature_dim, self.hidden, self.seed,
                            self.vector.astype(dtype))
 
@@ -364,9 +370,52 @@ def save_features(features, path):
         fh.write(features.tobytes(order="C"))
 
 
-def load_features(path):
+def cast_features(features, dtype):
+    """`features` as `dtype`, with no copy if they already are.
+
+    Finite values beyond `dtype`'s range raise NumericFailure, with no
+    overflow warning; nan and inf pass through.
+    """
+    features = np.asarray(features)
+    if features.dtype == dtype:
+        return features
+    with np.errstate(over="ignore"):  # an overflow fails the check below
+        cast = features.astype(dtype)
+    overflowed = np.isinf(cast)
+    if overflowed.any():
+        overflowed &= np.isfinite(features)
+        if overflowed.any():
+            raise NumericFailure(
+                f"features outside the {np.dtype(dtype).name} range "
+                f"(|x| = {np.abs(features[overflowed][0]):.3g})"
+            )
+    return cast
+
+
+def _reject_non_finite_cells(values, path, first_row):
+    """ContractError naming the first nan or inf cell of `values`, rows
+    `first_row` on of the feature file `path` (numbered from 1)."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        row, column = np.argwhere(bad)[0]
+        raise ContractError(
+            f"{path}: non-finite feature {values[row, column]} at row "
+            f"{first_row + row + 1}, column {column + 1}"
+        )
+
+
+def load_features(path, dtype=np.float64):
+    """The N x F matrix of a feature file (save_features' format), as `dtype`.
+
+    A nan or inf cell is a ContractError naming its row and column; the cast
+    goes through cast_features. The binary payload is read and cast a block
+    of rows at a time, so a narrower `dtype` never holds a float64 copy of
+    the whole matrix.
+    """
     if str(path).endswith(".csv"):
-        return np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+        values = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+        _reject_non_finite_cells(values, path, 0)
+        return cast_features(values, dtype)
     with open(path, "rb") as fh:
         head = fh.read(28)
         if not head.startswith(b"AUKITFEAT1"):
@@ -377,8 +426,13 @@ def load_features(path):
             raise ContractError("corrupt feature file: unknown dtype tag")
         if os.fstat(fh.fileno()).st_size - len(head) != n * f * 8:
             raise ContractError("corrupt feature file: truncated payload")
-        # read the payload straight into the array, holding no second copy
-        features = np.empty((n, f))
-        if fh.readinto(features) != features.nbytes:
-            raise ContractError("corrupt feature file: truncated payload")
+        features = np.empty((n, f), dtype=dtype)
+        rows = max(1, min(n, FEATURE_BLOCK_BYTES // max(8 * f, 1)))
+        block = np.empty((rows, f))
+        for lo in range(0, n, rows):
+            part = block[:n - lo]
+            if fh.readinto(part) != part.nbytes:
+                raise ContractError("corrupt feature file: truncated payload")
+            _reject_non_finite_cells(part, path, lo)
+            features[lo:lo + len(part)] = cast_features(part, dtype)
     return features

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import aukit
-from aukit.cli import EXIT_CONTRACT, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
+from aukit.cli import EXIT_CONTRACT, EXIT_IO, EXIT_NUMERIC, EXIT_OK, build_parser, main
 from aukit.model import load_features, save_features
 
 
@@ -79,17 +79,54 @@ def _with_features(train_dir, out_dir, edit):
     return out_dir
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered")
-def test_nan_feature_is_numeric_failure(synth_dirs, tmp_path):
-    def put_nan(features):
-        features[3, 2] = np.nan
+def _put(row, column, value):
+    """A _with_features edit that sets one cell."""
+    def edit(features):
+        features[row, column] = value
         return features
+    return edit
 
-    data = _with_features(synth_dirs[0], tmp_path / "nan", put_nan)
+
+def test_nan_feature_is_contract_error(synth_dirs, tmp_path, capsys):
+    data = _with_features(synth_dirs[0], tmp_path / "nan", _put(3, 2, np.nan))
     run_dir = tmp_path / "run"
+    capsys.readouterr()
     assert run("train", "--data", data, "--epochs", 2, "--seed", 0,
-               "--out", run_dir) == EXIT_NUMERIC
+               "--out", run_dir) == EXIT_CONTRACT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"{data / 'features.bin'}: non-finite feature nan at row 4, column 3" in err
     assert not (run_dir / "checkpoint.bin").exists()
+
+
+@pytest.mark.parametrize("edit, cell", [
+    (lambda f: np.full_like(f, np.nan), "nan at row 1, column 1"),
+    (_put(5, 7, -np.inf), "-inf at row 6, column 8"),
+], ids=["all_nan", "one_negative_inf"])
+def test_eval_on_non_finite_features_is_contract_error(edit, cell, synth_dirs,
+                                                       tmp_path, capsys):
+    train_dir, test_dir = synth_dirs
+    assert run("train", "--data", train_dir, "--epochs", 1, "--seed", 0,
+               "--out", tmp_path / "run") == EXIT_OK
+    data = _with_features(test_dir, tmp_path / "bad", edit)
+    capsys.readouterr()
+    assert run("eval", "--checkpoint", tmp_path / "run" / "checkpoint.bin",
+               "--data", data, "--out", tmp_path / "eval") == EXIT_CONTRACT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"non-finite feature {cell}" in err
+    assert not (tmp_path / "eval" / "metrics.csv").exists()
+
+
+def _aukit_in_child(*argv):
+    """Exit code and stderr lines of `aukit argv` run as a child process, so
+    numpy warnings reach stderr as they would in a shell."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(aukit.__file__)))
+    result = subprocess.run(
+        [sys.executable, "-m", "aukit.cli", *map(str, argv)],
+        capture_output=True, text=True, env=env,
+    )
+    return result.returncode, result.stderr.splitlines()
 
 
 def _train_scaled_features_in_child(synth_dirs, tmp_path, scale):
@@ -97,17 +134,10 @@ def _train_scaled_features_in_child(synth_dirs, tmp_path, scale):
     times `scale`, and whether it wrote a checkpoint."""
     data = _with_features(synth_dirs[0], tmp_path / "scaled", lambda f: f * scale)
     run_dir = tmp_path / "run"
-    # a child process, so numpy warnings reach stderr as they would in a
-    # shell; unweighted AU loss, so no pos-weight fallback is logged either
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(aukit.__file__)))
-    result = subprocess.run(
-        [sys.executable, "-m", "aukit.cli", "train", "--data", str(data),
-         "--strategy", "none", "--epochs", "2", "--seed", "0",
-         "--out", str(run_dir)],
-        capture_output=True, text=True, env=env,
-    )
-    return (result.returncode, result.stderr.splitlines(),
-            (run_dir / "checkpoint.bin").exists())
+    # unweighted AU loss, so no pos-weight fallback is logged
+    code, lines = _aukit_in_child("train", "--data", data, "--strategy", "none",
+                                  "--epochs", 2, "--seed", 0, "--out", run_dir)
+    return code, lines, (run_dir / "checkpoint.bin").exists()
 
 
 def test_huge_features_overflowing_optimizer_are_numeric_failure(
@@ -118,6 +148,21 @@ def test_huge_features_overflowing_optimizer_are_numeric_failure(
     code, lines, wrote = _train_scaled_features_in_child(synth_dirs, tmp_path, 1e300)
     assert code == EXIT_NUMERIC
     assert not wrote
+    assert len(lines) == 1, lines
+    assert lines[0].startswith("numeric failure: features outside the float32 range")
+
+
+def test_eval_on_features_beyond_float32_is_numeric_failure(synth_dirs, tmp_path):
+    # eval loads features in float32, as training does, so 1e39 fails in the
+    # load's cast with one line and no overflow warning
+    train_dir, test_dir = synth_dirs
+    assert run("train", "--data", train_dir, "--epochs", 1, "--seed", 0,
+               "--out", tmp_path / "run") == EXIT_OK
+    data = _with_features(test_dir, tmp_path / "huge", lambda f: f * 1e39)
+    code, lines = _aukit_in_child("eval", "--checkpoint",
+                                  tmp_path / "run" / "checkpoint.bin",
+                                  "--data", data, "--out", tmp_path / "eval")
+    assert code == EXIT_NUMERIC
     assert len(lines) == 1, lines
     assert lines[0].startswith("numeric failure: features outside the float32 range")
 
@@ -160,8 +205,9 @@ def test_train_strategy_equals_its_pos_weights_file(synth_dirs, tmp_path):
 
 
 def test_eval_reproduces_training_evaluation(synth_dirs, tmp_path):
-    # training steps in float32, but evaluates the float64 parameters it
-    # checkpoints, so eval on the test split repeats the last epoch's numbers
+    # training and eval both evaluate in float32, on features loaded as
+    # float32, and the checkpoint holds the float32 parameters exactly, so
+    # eval on the test split repeats the last epoch's numbers
     train_dir, test_dir = synth_dirs
     assert run("train", "--data", train_dir, "--test-data", test_dir,
                "--epochs", 3, "--seed", 2, "--out", tmp_path / "run") == EXIT_OK
@@ -290,6 +336,63 @@ def test_contract_error_exit_code(synth_dirs, tmp_path):
     train_dir, _ = synth_dirs
     assert run("train", "--data", train_dir, "--lam", 2.0,
                "--out", tmp_path / "x") == EXIT_CONTRACT
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["train", "--data", "d", "--bogus"], "unrecognized arguments: --bogus"),
+    (["train"], "the following arguments are required: --data"),
+    ([], "the following arguments are required: command"),
+], ids=["unknown_flag", "missing_data", "no_command"])
+def test_usage_error_exits_contract(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_CONTRACT
+    err = capsys.readouterr().err
+    assert err.startswith("usage: aukit") and f": error: {message}" in err, err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--help"])
+    assert exc.value.code == EXIT_OK
+    assert "--data" in capsys.readouterr().out
+
+
+# each subcommand with its required arguments; only the ones that read a
+# seed take --seed
+SUBCOMMANDS = {
+    "ingest": ["a.csv"],
+    "extract-knowledge": ["--frames", "s", "--preds", "p.csv"],
+    "aggregate-knowledge": ["k.csv"],
+    "pseudo-label": ["--frames", "s", "--video-labels", "l.csv"],
+    "pos-weights": ["--labels", "l.csv"],
+    "synth-gen": [],
+    "train": ["--data", "d"],
+    "sweep": ["--data", "d"],
+    "compare-strategies": ["--data", "d"],
+    "eval": ["--checkpoint", "c.bin", "--data", "d"],
+    "gradcheck": [],
+    "export-confusion": ["--confusion", "c.csv"],
+    "export-embeddings": ["--checkpoint", "c.bin", "--data", "d"],
+}
+SEEDED = {"synth-gen", "train", "sweep", "compare-strategies", "gradcheck"}
+
+
+def test_every_subcommand_is_listed():
+    choices = build_parser()._subparsers._group_actions[0].choices
+    assert set(choices) == set(SUBCOMMANDS)
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+def test_seed_only_where_a_command_reads_it(command, capsys):
+    argv = [command, *SUBCOMMANDS[command], "--seed", "5"]
+    if command in SEEDED:
+        assert build_parser().parse_args(argv).seed == 5
+        return
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_CONTRACT
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
 
 
 def test_io_error_exit_code(tmp_path):

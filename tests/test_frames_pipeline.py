@@ -12,6 +12,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from aukit import ingest, labeling
 from aukit.cli import EXIT_CONTRACT, EXIT_OK, main
 from aukit.domain import EXPRESSIONS, INTENSITY_AU_NAMES
 
@@ -125,6 +126,35 @@ def test_frames_pipeline_golden_hashes(tmp_path):
         for name in GOLDEN
     }
     assert hashes == GOLDEN
+
+
+def test_frame_stores_are_read_one_at_a_time(tmp_path, monkeypatch):
+    # each video's store is reduced, to its reliable frames or to its AU
+    # labels, before the next is read, so no command holds every video's
+    # full frames at once
+    videos, preds, video_labels = build_corpus(tmp_path)
+    store = tmp_path / "store"
+    assert run("ingest", *videos, "--out", store) == EXIT_OK
+    events = []
+
+    def spy(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            events.append(name)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    spy(ingest, "read_frame_store")
+    spy(ingest, "reliable_detections")
+    spy(labeling, "derive_video_au_labels")
+    assert run("extract-knowledge", "--frames", store, "--preds", preds["A"],
+               "--out", tmp_path / "k.csv") == EXIT_OK
+    assert events == ["read_frame_store", "reliable_detections"] * len(videos)
+    events.clear()
+    assert run("pseudo-label", "--frames", store, "--video-labels", video_labels,
+               "--out", tmp_path / "au_labels.csv") == EXIT_OK
+    assert events == ["read_frame_store", "derive_video_au_labels"] * len(videos)
 
 
 @pytest.fixture

@@ -353,11 +353,36 @@ class TestTrainingPrecision:
 
         for name in self.STEP_FUNCTIONS:
             monkeypatch.setattr(harness, name, spy(name, getattr(harness, name)))
-        # no evaluation, which runs forward in float64
+        # train_stacked evaluates nothing; test_train_evaluates_in_float32
+        # covers the forward passes of evaluation
         configs = [TrainConfig(epochs=1, seed=seed, lam=0.3, hidden=(8,))
                    for seed in (0, 1)]
         train_stacked(configs, small_train_data())
         assert seen == {name: {np.dtype(np.float32)} for name in self.STEP_FUNCTIONS}
+
+    def test_train_evaluates_in_float32(self, monkeypatch):
+        # float64 features in, as a library caller passes them: every forward
+        # pass, the per-epoch evaluations of both splits included, takes and
+        # returns float32 arrays only
+        calls = []
+        forward = harness.forward
+
+        def spy(params, features, **kwargs):
+            result = forward(params, features, **kwargs)
+            dtypes = {a.dtype for a in step_arrays([params, features, result])}
+            calls.append((len(features), dtypes))
+            return result
+
+        monkeypatch.setattr(harness, "forward", spy)
+        data = small_train_data()
+        test = small_train_data(total=120)
+        data.test_features, data.test_expr_labels = test.features, test.expr_labels
+        train(TrainConfig(epochs=2, seed=0, hidden=(8,)), data)
+        evaluated = sorted(rows for rows, _ in calls if rows in (300, 120))
+        assert evaluated == [120, 120, 300, 300]  # each split after each epoch
+        assert {dtype for _, dtypes in calls for dtype in dtypes} == {
+            np.dtype(np.float32)
+        }
 
     def test_train_returns_float64_holding_float32_values(self):
         data = small_train_data()

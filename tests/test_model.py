@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from aukit import model
 from aukit.domain import ContractError, NumericFailure
 from aukit.losses import au_loss, combined_loss, expression_loss
 from aukit.model import (
@@ -366,3 +367,28 @@ class TestFeatureFiles:
         path.write_bytes(path.read_bytes()[:-9])
         with pytest.raises(ContractError, match="truncated"):
             load_features(path)
+
+    def test_float32_load_in_blocks_equals_one_cast(self, rng, tmp_path,
+                                                   monkeypatch):
+        monkeypatch.setattr(model, "FEATURE_BLOCK_BYTES", 3 * 6 * 8)  # 3 rows
+        features = rng.normal(size=(13, 6))
+        path = tmp_path / "features.bin"
+        save_features(features, path)
+        loaded = load_features(path, dtype=np.float32)
+        assert loaded.dtype == np.float32
+        assert np.array_equal(loaded, features.astype(np.float32))
+
+    @pytest.mark.parametrize("value, error, message", [
+        (np.nan, ContractError, "non-finite feature nan at row 11, column 5"),
+        (-np.inf, ContractError, "non-finite feature -inf at row 11, column 5"),
+        (1e39, NumericFailure, "features outside the float32 range"),
+    ], ids=["nan", "negative_inf", "beyond_float32"])
+    def test_bad_cell_in_a_later_block_rejected(self, value, error, message, rng,
+                                                tmp_path, monkeypatch):
+        monkeypatch.setattr(model, "FEATURE_BLOCK_BYTES", 3 * 6 * 8)
+        features = rng.normal(size=(13, 6))
+        features[10, 4] = value
+        path = tmp_path / "features.bin"
+        save_features(features, path)
+        with pytest.raises(error, match=message):
+            load_features(path, dtype=np.float32)
