@@ -118,9 +118,7 @@ def cmd_ingest(args):
         video_id = os.path.splitext(os.path.basename(path))[0]
         with open(path, "r", encoding="utf-8") as fh:
             frames = ingest.parse_openface_csv(fh, video_id)
-        repaired, flags = ingest.interpolate_zero_intensities(frames, video_id)
-        for flag in flags:
-            print(f"warning: {flag}", file=sys.stderr)
+        repaired, _ = ingest.interpolate_zero_intensities(frames, video_id)
         out_path = os.path.join(args.out, video_id + ingest.FRAME_STORE_SUFFIX)
         ingest.write_frame_store(repaired, out_path)
         print(f"{video_id}: {len(repaired)} frames -> {out_path}")
@@ -128,14 +126,16 @@ def cmd_ingest(args):
 
 
 def cmd_extract_knowledge(args):
-    videos = [
-        (video_id,
-         ingest.reliable_detections(ingest.read_frame_store(path), args.min_confidence))
-        for video_id, path in _frame_stores(args.frames)
-    ]
     with open(args.preds, "r", encoding="utf-8") as fh:
         predictions = ingest.load_frame_predictions(fh)
     reliable = knowledge.filter_reliable_frames(predictions, args.theta)
+    # only the stores of videos with a reliable prediction can add a frame
+    named = set(reliable.members["video_id"].tolist())
+    videos = [
+        (video_id,
+         ingest.reliable_detections(ingest.read_frame_store(path), args.min_confidence))
+        for video_id, path in _frame_stores(args.frames) if video_id in named
+    ]
     matrix = knowledge.compute_dataset_knowledge(videos, reliable)
     knowledge.export_knowledge(matrix, args.out)
     print(f"knowledge matrix (per-dataset) -> {args.out}")
@@ -356,8 +356,7 @@ def cmd_gradcheck(args):
     features = rng.normal(size=(batch, 6))
 
     def au(x):
-        return au_loss(x, au_labels, labels, kn, pw,
-                       reduction=config.au_loss_reduction)
+        return au_loss(x, au_labels, labels, kn, pw)
 
     def combined(vector):
         params.vector[...] = vector

@@ -36,7 +36,7 @@ TRAIN_DTYPE = np.float32
 # TrainConfig fields that fix a run's shapes or schedule; runs trained
 # together in one stack must share them
 SHARED_FIELDS = ("hidden", "epochs", "batch_size", "learning_rate", "weight_decay",
-                 "factor", "au_loss_reduction")
+                 "factor")
 
 
 @dataclass
@@ -52,10 +52,6 @@ class TrainConfig:
     seed: int = 0
     hidden: tuple = (32,)
     factor: float = 5.0
-    # the per-sample reduction is what the combined objective's N-normalised
-    # form writes; the per-element mean stays available for parity with the
-    # common binary-cross-entropy utilities
-    au_loss_reduction: str = "mean-samples"
 
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
@@ -205,7 +201,6 @@ def _lockstep(configs, data, pos_weights):
                 batch_expr,
                 knowledge,
                 pw,
-                reduction=first.au_loss_reduction,
             )
             finite = np.isfinite(loss_e) & np.isfinite(loss_au)
             if not finite.all():

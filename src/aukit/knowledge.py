@@ -38,35 +38,33 @@ def sigmoid(x):
     return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
-def _pair_codes(video_ids, frame_indices):
-    """Dense integer codes of (video_id, frame_index) pairs, equal iff the
-    pairs are: video ids and frame indices are each ranked in sorted order,
-    so a pair packs into one int64."""
-    _, videos = np.unique(video_ids, return_inverse=True)
-    values, frames = np.unique(frame_indices, return_inverse=True)
-    return np.unique(videos * len(values) + frames, return_inverse=True)[1]
-
-
 @dataclass
 class ReliableFrameSet:
     """Predictions whose asserted-label score strictly exceeded theta."""
 
     theta: float
-    members: np.ndarray  # the kept rows of the prediction table
+    # the kept rows of the prediction table, sorted by (video_id, frame_index)
+    members: np.ndarray
 
 
 def filter_reliable_frames(predictions, theta):
     """Keep the rows of a prediction table (see ingest.prediction_table)
-    whose scores[label] > theta (strict).
+    whose scores[label] > theta (strict). `members` holds them sorted by
+    (video_id, frame_index), the order compute_dataset_knowledge looks
+    them up in.
 
     Two predictions for one (video, frame) are a contract violation.
     """
     if not 0.0 <= theta <= 1.0:
         raise ContractError(f"theta must be in [0, 1], got {theta}")
-    codes = _pair_codes(predictions["video_id"], predictions["frame_index"])
-    repeated = np.flatnonzero(np.bincount(codes)[codes] > 1)
-    if repeated.size:
-        video_id, frame = predictions[["video_id", "frame_index"]][repeated[0]].tolist()
+    predictions = predictions[
+        np.lexsort((predictions["frame_index"], predictions["video_id"]))
+    ]
+    # sorted, a duplicate sits next to its twin
+    video_ids, frames = predictions["video_id"], predictions["frame_index"]
+    twins = np.flatnonzero((video_ids[1:] == video_ids[:-1]) & (frames[1:] == frames[:-1]))
+    if twins.size:
+        video_id, frame = predictions[["video_id", "frame_index"]][twins[0]].tolist()
         raise ContractError(
             f"duplicate prediction for video {video_id!r} frame {frame}"
         )
@@ -77,42 +75,41 @@ def filter_reliable_frames(predictions, theta):
     return ReliableFrameSet(theta=theta, members=members)
 
 
-def compute_dataset_knowledge(videos, reliable, theta=None, classes=None):
+def compute_dataset_knowledge(videos, reliable, classes=None):
     """Per-dataset 18x7 knowledge matrix from one dataset's frames.
 
-    `videos` is a list of (video_id, frames) pairs. Every expression class
-    must have at least one reliable frame; classes without any are reported
-    rather than silently imputed. A corpus that deliberately covers only a
-    subset of classes can declare that subset via `classes`; the remaining
-    columns come out as the uninformative 0.5 with zero support, and the
-    centering midpoint ignores them.
+    `videos` is a list of (video_id, frames) pairs; a frame counts for the
+    class of the reliable prediction for its (video_id, frame_index), if
+    there is one. Every expression class must have at least one reliable
+    frame; classes without any are reported rather than silently imputed. A
+    corpus that deliberately covers only a subset of classes can declare
+    that subset via `classes`; the remaining columns come out as the
+    uninformative 0.5 with zero support, and the centering midpoint ignores
+    them.
     """
-    theta = reliable.theta if theta is None else theta
     if classes is None:
         classes = tuple(range(NUM_EXPRESSIONS))
     classes = tuple(sorted(set(int(c) for c in classes)))
     if any(c < 0 or c >= NUM_EXPRESSIONS for c in classes) or not classes:
         raise ContractError(f"invalid class subset: {classes}")
     members = reliable.members
-    n = sum(len(frames) for _, frames in videos)
-    # video ids coded once, so that each frame carries an integer, not a string
-    _, video_codes = np.unique(np.concatenate(
-        [[video_id for video_id, _ in videos], members["video_id"]]
-    ), return_inverse=True)
-    # each frame's reliable label, -1 for frames outside the reliable set,
-    # through one join of frames and members on their (video, frame) codes
-    codes = _pair_codes(
-        np.concatenate([
-            np.repeat(video_codes[:len(videos)], [len(f) for _, f in videos]),
-            video_codes[len(videos):],
-        ]),
-        np.concatenate([frames["frame_index"] for _, frames in videos]
-                       + [members["frame_index"]]),
-    )
-    label_of = np.full(len(codes), -1)
-    label_of[codes[n:]] = members["label"]
-    labels = label_of[codes[:n]]
-    counts = np.bincount(labels + 1, minlength=NUM_EXPRESSIONS + 1)[1:]
+    # members are sorted by (video_id, frame_index): each video's predictions
+    # are one slice, with its frame indices in order
+    ids, starts = np.unique(members["video_id"], return_index=True)
+    predicted_of = dict(zip(ids.tolist(), np.split(members, starts[1:])))
+    # the empty seed lets a dataset that matches no frame concatenate
+    intensities, labels = [], [np.empty(0, dtype=np.int64)]
+    for video_id, frames in videos:
+        predicted = predicted_of.get(video_id)
+        if predicted is None:
+            continue
+        at = np.searchsorted(predicted["frame_index"], frames["frame_index"])
+        at = np.minimum(at, len(predicted) - 1)
+        found = predicted["frame_index"][at] == frames["frame_index"]
+        intensities.append(frames["intensities"][found])
+        labels.append(predicted["label"][at[found]])
+    labels = np.concatenate(labels)
+    counts = np.bincount(labels, minlength=NUM_EXPRESSIONS)
 
     empty = [EXPRESSIONS[c] for c in classes if not counts[c]]
     if empty:
@@ -120,7 +117,7 @@ def compute_dataset_knowledge(videos, reliable, theta=None, classes=None):
             f"no reliable frames for classes: {', '.join(empty)}"
         )
 
-    intensities = np.concatenate([frames["intensities"] for _, frames in videos])
+    intensities = np.concatenate(intensities)
     raw = np.empty((NUM_AUS, NUM_EXPRESSIONS))
     populated = np.zeros(NUM_EXPRESSIONS, dtype=bool)
     populated[list(classes)] = True
@@ -139,7 +136,7 @@ def compute_dataset_knowledge(videos, reliable, theta=None, classes=None):
         values=values,
         stage="per-dataset",
         dataset_count=1,
-        theta=theta,
+        theta=reliable.theta,
         support=support,
     )
 

@@ -18,8 +18,6 @@ import numpy as np
 from .domain import ContractError, NUM_AUS, NUM_EXPRESSIONS, NumericFailure, float_array
 from .knowledge import sigmoid
 
-AU_LOSS_REDUCTIONS = ("mean-elements", "mean-samples")
-
 
 @dataclass
 class GradReport:
@@ -85,15 +83,15 @@ def loss_knowledge(knowledge):
     return knowledge.values
 
 
-def au_loss(au_logits, au_labels, expr_labels, knowledge, pos_weights,
-            reduction="mean-elements"):
+def au_loss(au_logits, au_labels, expr_labels, knowledge, pos_weights):
     """Knowledge-weighted binary cross-entropy over the 18 AU logits.
 
     Element (i, j) contributes
         k[j, expr_i] * (pw[expr_i, j] * Y_ij * log s(x_ij)
                         + (1 - Y_ij) * log(1 - s(x_ij)))
-    negated and averaged over all N*18 elements ('mean-elements', default) or
-    over samples only ('mean-samples'). Returns (scalar, gradient wrt logits).
+    negated, summed over the 18 AUs and averaged over the N samples, as in
+    the combined objective's N-normalised form. Returns (scalar, gradient
+    wrt logits).
     A stack of R runs passes R x N x ... batches and R x 7 x 18 pos-weights
     and gets R losses. `knowledge` is a loss-scaled KnowledgeMatrix or its
     18 x 7 values (see loss_knowledge), `pos_weights` a PosWeightSpec or its
@@ -114,8 +112,6 @@ def au_loss(au_logits, au_labels, expr_labels, knowledge, pos_weights,
     knowledge = np.asarray(knowledge, dtype=au_logits.dtype)
     if knowledge.shape != (NUM_AUS, NUM_EXPRESSIONS):
         raise ContractError(f"knowledge must be {NUM_AUS}x{NUM_EXPRESSIONS}")
-    if reduction not in AU_LOSS_REDUCTIONS:
-        raise ContractError(f"unknown reduction: {reduction!r}")
 
     pw_values = pos_weights.values if hasattr(pos_weights, "values") else pos_weights
     pw_values = np.asarray(pw_values, dtype=au_logits.dtype)
@@ -139,15 +135,14 @@ def au_loss(au_logits, au_labels, expr_labels, knowledge, pos_weights,
     terms = both * log_sigmoid(x)
     terms -= neg * x
     terms *= k
-    denom = n * NUM_AUS if reduction == "mean-elements" else n
-    loss = -terms.sum(axis=(-2, -1)) / denom
+    loss = -terms.sum(axis=(-2, -1)) / n
 
     # d/dx log s(x) = 1 - s and d/dx log(1 - s(x)) = -s give the derivative
     # pos (1 - s) - neg s = pos - (pos + neg) s of each term
     grad = both * sigmoid(x)
     grad -= pos
     grad *= k
-    grad /= denom
+    grad /= n
     return loss, grad
 
 

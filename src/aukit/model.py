@@ -356,11 +356,8 @@ def load_checkpoint(path):
 
 
 def save_features(features, path):
-    """Binary matrix container: magic, N, F, float64 payload (CSV if *.csv)."""
+    """Binary matrix container: magic, N, F, float64 payload."""
     features = np.asarray(features, dtype=np.float64)
-    if str(path).endswith(".csv"):
-        np.savetxt(path, features, delimiter=",")
-        return
     n, f = features.shape
     with open(path, "wb") as fh:
         fh.write(b"AUKITFEAT1")
@@ -412,10 +409,6 @@ def load_features(path, dtype=np.float64):
     of rows at a time, so a narrower `dtype` never holds a float64 copy of
     the whole matrix.
     """
-    if str(path).endswith(".csv"):
-        values = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-        _reject_non_finite_cells(values, path, 0)
-        return cast_features(values, dtype)
     with open(path, "rb") as fh:
         head = fh.read(28)
         if not head.startswith(b"AUKITFEAT1"):

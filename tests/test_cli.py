@@ -14,6 +14,8 @@ import aukit
 from aukit.cli import EXIT_CONTRACT, EXIT_IO, EXIT_NUMERIC, EXIT_OK, build_parser, main
 from aukit.model import load_features, save_features
 
+from conftest import openface_csv
+
 
 def run(*argv):
     return main([str(a) for a in argv])
@@ -118,15 +120,32 @@ def test_eval_on_non_finite_features_is_contract_error(edit, cell, synth_dirs,
     assert not (tmp_path / "eval" / "metrics.csv").exists()
 
 
-def _aukit_in_child(*argv):
-    """Exit code and stderr lines of `aukit argv` run as a child process, so
-    numpy warnings reach stderr as they would in a shell."""
+def _run_aukit_child(*argv, **kwargs):
+    """subprocess.run of `aukit argv` in a child process, so numpy and
+    logging warnings reach stderr as they would in a shell."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(aukit.__file__)))
-    result = subprocess.run(
-        [sys.executable, "-m", "aukit.cli", *map(str, argv)],
-        capture_output=True, text=True, env=env,
-    )
+    return subprocess.run([sys.executable, "-m", "aukit.cli", *map(str, argv)],
+                          env=env, **kwargs)
+
+
+def _aukit_in_child(*argv):
+    """Exit code and stderr lines of `aukit argv` run as a child process."""
+    result = _run_aukit_child(*argv, capture_output=True, text=True)
     return result.returncode, result.stderr.splitlines()
+
+
+def test_ingest_warns_of_an_all_zero_series_once(tmp_path, capfd):
+    # the warning reaches stderr through logging alone, as every library
+    # warning does, not a second time from the command
+    csv = tmp_path / "v1.csv"
+    csv.write_text(openface_csv([{"AU01_r": "0.0"}] * 3))
+    # the child writes to the file descriptors capfd captures
+    result = _run_aukit_child("ingest", csv, "--out", tmp_path / "store")
+    assert result.returncode == EXIT_OK
+    err = capfd.readouterr().err.splitlines()
+    assert [line for line in err if "AU01 all-zero" in line] == [
+        "WARNING:aukit.ingest:v1: AU01 all-zero"
+    ], err
 
 
 def _train_scaled_features_in_child(synth_dirs, tmp_path, scale):
@@ -542,6 +561,10 @@ MALFORMED_JSON = {
     "config_bool_not_integer": (
         "train", "--config", '{"batch_size": true}', "'batch_size'"),
     "config_not_json": ("sweep", "--config", "{epochs: 2", "not valid JSON"),
+    # the AU loss has one reduction, the per-sample mean, and no key for it
+    "config_au_loss_reduction": (
+        "train", "--config", '{"au_loss_reduction": "mean-samples"}',
+        "unknown config keys: ['au_loss_reduction']"),
     "spec_total_not_integer": ("synth-gen", "--spec", '{"total": "abc"}', "'total'"),
     "spec_knowledge_not_settable": (
         "synth-gen", "--spec", '{"ground_truth_knowledge": [1]}',

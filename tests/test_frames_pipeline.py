@@ -150,11 +150,43 @@ def test_frame_stores_are_read_one_at_a_time(tmp_path, monkeypatch):
     spy(labeling, "derive_video_au_labels")
     assert run("extract-knowledge", "--frames", store, "--preds", preds["A"],
                "--out", tmp_path / "k.csv") == EXIT_OK
-    assert events == ["read_frame_store", "reliable_detections"] * len(videos)
+    # only the stores of dataset A's videos, which its predictions name
+    assert events == ["read_frame_store", "reliable_detections"] * len(EXPRESSIONS)
     events.clear()
     assert run("pseudo-label", "--frames", store, "--video-labels", video_labels,
                "--out", tmp_path / "au_labels.csv") == EXIT_OK
     assert events == ["read_frame_store", "derive_video_au_labels"] * len(videos)
+
+
+def _tamper(path):
+    blob = bytearray(path.read_bytes())
+    blob[-40] ^= 1
+    path.write_bytes(bytes(blob))
+
+
+@pytest.mark.parametrize("video_id, code", [("b3", EXIT_OK), ("a3", EXIT_CONTRACT)],
+                         ids=["unnamed", "named"])
+def test_extract_knowledge_reads_only_named_stores(tmp_path, capsys, video_id, code):
+    # dataset A's predictions name a0..a6: a tampered store of dataset B's
+    # b3 is never read, one of A's a3 fails the command
+    videos, preds, _ = build_corpus(tmp_path)
+    store = tmp_path / "store"
+    assert run("ingest", *videos, "--out", store) == EXIT_OK
+    intact = tmp_path / "intact.csv"
+    assert run("extract-knowledge", "--frames", store, "--preds", preds["A"],
+               "--out", intact) == EXIT_OK
+    _tamper(store / f"{video_id}{ingest.FRAME_STORE_SUFFIX}")
+    out = tmp_path / "k.csv"
+    capsys.readouterr()
+    assert run("extract-knowledge", "--frames", store, "--preds", preds["A"],
+               "--out", out) == code
+    if code == EXIT_OK:
+        assert out.read_bytes() == intact.read_bytes()
+        assert (tmp_path / "k.csv.support.csv").read_bytes() == \
+            (tmp_path / "intact.csv.support.csv").read_bytes()
+    else:
+        assert "checksum mismatch" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.fixture

@@ -4,7 +4,13 @@ import statistics
 import numpy as np
 import pytest
 
-from aukit.domain import AU28_INDEX, ContractError, KnowledgeMatrix, validate_knowledge
+from aukit.domain import (
+    AU28_INDEX,
+    EXPRESSIONS,
+    ContractError,
+    KnowledgeMatrix,
+    validate_knowledge,
+)
 from aukit.knowledge import (
     aggregate_knowledge,
     compute_dataset_knowledge,
@@ -80,6 +86,12 @@ class TestFilterReliableFrames:
             if previous is not None:
                 assert np.all(counts <= previous)
             previous = counts
+
+    def test_members_sorted_by_video_then_frame(self, rng):
+        rows = [("w", 3), ("v", 10), ("w", 1), ("v", 2), ("x", 0), ("v", 9)]
+        preds = [make_prediction(v, f, 0, 0.9) for v, f in rows]
+        kept = filter_reliable_frames(make_predictions(preds), 0.5)
+        assert kept.members[["video_id", "frame_index"]].tolist() == sorted(rows)
 
     def test_theta_range_enforced(self):
         with pytest.raises(ContractError):
@@ -238,6 +250,71 @@ class TestComputeDatasetKnowledge:
             videos, reliable, classes=np.flatnonzero(expected)
         )
         assert np.array_equal(matrix.support[0], expected)
+
+
+def random_join_case(seed):
+    """Videos and shuffled predictions for the frame-to-prediction join.
+
+    Frame indices repeat within a video and recur across videos; every
+    fourth video has no prediction, three predicted videos have no frames,
+    predictions also name frames no video has, and scores straddle 0.5.
+    """
+    rng = np.random.default_rng(seed)
+    videos, preds = [], []
+    for v in range(12):
+        n = int(rng.integers(0, 12))
+        frame_index = np.sort(rng.integers(0, 8, size=n))
+        intensities = rng.uniform(0.0, 5.0, (n, 17)).round(2)
+        video_id = f"v{v}"
+        videos.append((video_id, make_frames(n, frame_index=frame_index,
+                                             intensities=intensities)))
+        if v % 4 == 3:
+            continue
+        for f in np.unique(frame_index).tolist() + [8, 9]:
+            preds.append(make_prediction(video_id, f, int(rng.integers(0, 7)),
+                                         float(rng.uniform(0.2, 1.0))))
+    for v in range(3):
+        preds.append(make_prediction(f"gone{v}", 1, int(rng.integers(0, 7)), 0.9))
+    return videos, [preds[i] for i in rng.permutation(len(preds))]
+
+
+def oracle_frames_by_class(videos, preds, theta):
+    """Each class's matched intensity rows, by a {(video, frame): label} dict."""
+    label_of = {(v, f): label for v, f, label, scores in preds if scores[label] > theta}
+    by_class = {}
+    for video_id, frames in videos:
+        for f, x in zip(frames["frame_index"].tolist(), frames["intensities"]):
+            if (video_id, f) in label_of:
+                by_class.setdefault(label_of[(video_id, f)], []).append(x.tolist())
+    return by_class
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_join_matches_dict_oracle(seed):
+    videos, preds = random_join_case(seed)
+    by_class = oracle_frames_by_class(videos, preds, 0.5)
+    reliable = filter_reliable_frames(make_predictions(preds), 0.5)
+    populated = sorted(by_class)
+    for classes in (populated, populated[::2]):
+        matrix = compute_dataset_knowledge(videos, reliable, classes=classes)
+        oracle = brute_force_knowledge({c: by_class[c] for c in classes})
+        for c in range(7):
+            support = len(by_class[c]) if c in classes else 0
+            assert np.all(matrix.support[:, c] == support)
+            for i in range(18):
+                expected = 0.5 if oracle[i][c] is None else oracle[i][c]
+                assert matrix.values[i, c] == pytest.approx(expected, abs=1e-9)
+
+
+def test_join_with_empty_reliable_set_names_every_class():
+    videos, preds = random_join_case(0)
+    reliable = filter_reliable_frames(make_predictions(preds), 1.0)
+    assert not len(reliable.members)
+    with pytest.raises(ContractError, match="no reliable frames for classes: "
+                       + ", ".join(EXPRESSIONS)):
+        compute_dataset_knowledge(videos, reliable)
+    with pytest.raises(ContractError, match="no reliable frames for classes: Sad$"):
+        compute_dataset_knowledge(videos, reliable, classes=(1,))
 
 
 class TestAggregate:

@@ -73,11 +73,12 @@ class TestExpressionLoss:
 
 class TestAuLoss:
     def test_logit_zero_ln2(self):
+        # each of the 18 AU terms is ln 2, summed per sample
         loss, _ = au_loss(
             np.zeros((1, 18)), np.ones((1, 18)), np.array([0]),
             uniform_knowledge(1.0), ones_pw(),
         )
-        assert loss == pytest.approx(math.log(2.0), abs=1e-12)
+        assert loss == pytest.approx(18.0 * math.log(2.0), abs=1e-12)
 
     def test_pw_irrelevant_when_all_negative(self, rng):
         logits = rng.normal(size=(5, 18))
@@ -103,7 +104,7 @@ class TestAuLoss:
         expr = rng.integers(0, 7, size=6)
         loss, _ = au_loss(logits, labels, expr, uniform_knowledge(1.0), ones_pw())
         p = 1.0 / (1.0 + np.exp(-logits))
-        direct = -(labels * np.log(p) + (1 - labels) * np.log(1 - p)).mean()
+        direct = -(labels * np.log(p) + (1 - labels) * np.log(1 - p)).sum(axis=1).mean()
         assert loss == pytest.approx(direct, abs=1e-12)
 
     def test_batch_permutation_invariant(self, rng):
@@ -116,17 +117,6 @@ class TestAuLoss:
             logits[perm], labels[perm], expr[perm], uniform_knowledge(), ones_pw()
         )
         assert loss_b == pytest.approx(loss_a, abs=1e-12)
-
-    def test_mean_samples_reduction(self, rng):
-        logits = rng.normal(size=(3, 18))
-        labels = rng.integers(0, 2, (3, 18)).astype(float)
-        expr = rng.integers(0, 7, size=3)
-        elems, _ = au_loss(logits, labels, expr, uniform_knowledge(), ones_pw())
-        samples, _ = au_loss(
-            logits, labels, expr, uniform_knowledge(), ones_pw(),
-            reduction="mean-samples",
-        )
-        assert samples == pytest.approx(18.0 * elems, rel=1e-12)
 
     def test_stage_mismatch_rejected(self, rng):
         wrong = KnowledgeMatrix(values=np.full((18, 7), 0.5), stage="aggregate")

@@ -350,17 +350,6 @@ class TestFeatureFiles:
         save_features(features, path)
         assert np.array_equal(load_features(path), features)
 
-    def test_csv_roundtrip(self, rng, tmp_path):
-        features = rng.normal(size=(4, 3))
-        path = tmp_path / "f.csv"
-        save_features(features, path)
-        assert np.allclose(load_features(path), features)
-
-    def test_single_column_csv_is_n_by_1(self, tmp_path):
-        path = tmp_path / "one.csv"
-        path.write_text("1.5\n2.5\n3.5\n")
-        assert load_features(path).shape == (3, 1)
-
     def test_truncated_binary_rejected(self, rng, tmp_path):
         path = tmp_path / "features.bin"
         save_features(rng.normal(size=(5, 4)), path)
