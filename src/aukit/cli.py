@@ -118,7 +118,7 @@ def cmd_ingest(args):
         video_id = os.path.splitext(os.path.basename(path))[0]
         with open(path, "r", encoding="utf-8") as fh:
             frames = ingest.parse_openface_csv(fh, video_id)
-        repaired, _ = ingest.interpolate_zero_intensities(frames, video_id)
+        repaired = ingest.interpolate_zero_intensities(frames, video_id)
         out_path = os.path.join(args.out, video_id + ingest.FRAME_STORE_SUFFIX)
         ingest.write_frame_store(repaired, out_path)
         print(f"{video_id}: {len(repaired)} frames -> {out_path}")

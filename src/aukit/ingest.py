@@ -45,6 +45,8 @@ FRAME_STORE_MAGIC = b"AUKITFRAMES"
 FRAME_STORE_FORMAT = "aukit-frames"
 FRAME_STORE_VERSION = 2
 FRAME_STORE_SUFFIX = ".frames"
+# FRAME_DTYPE.descr as a frame store's JSON header holds it (lists, not tuples)
+FRAME_STORE_DTYPE = json.loads(json.dumps(FRAME_DTYPE.descr))
 
 INTENSITY_COLUMNS = tuple(f"{n}_r" for n in INTENSITY_AU_NAMES)
 PRESENCE_COLUMNS = tuple(f"{n}_c" for n in AU_NAMES)
@@ -253,32 +255,29 @@ def _openface_rows(text, video_id):
 def interpolate_zero_intensities(frames, video_id):
     """Repair exactly-zero intensities by per-AU linear interpolation.
 
-    Returns (repaired copy, flags). Leading/trailing zeros take the nearest
-    nonzero value; an all-zero AU series is left unchanged and flagged.
-    Input must be one video's frames sorted by frame_index.
+    Returns the repaired copy. Leading/trailing zeros take the nearest
+    nonzero value; an all-zero AU series is left unchanged, with one logged
+    warning. Input must be one video's frames sorted by frame_index.
     """
     if np.any(np.diff(frames["frame_index"]) <= 0):
         raise ContractError("frames must be sorted by frame_index")
     repaired = frames.copy()
     series, mask = repaired["intensities"], repaired["interpolated"]  # n x 17 views
     positions = frames["frame_index"].astype(np.float64)
-    flags = []
     for j, name in enumerate(INTENSITY_AU_NAMES):
         col = series[:, j]
         zero = col == 0.0
         if not zero.any():
             continue
         if zero.all():
-            flags.append(f"{video_id}: {name} all-zero")
+            log.warning("%s: %s all-zero", video_id, name)
             continue
         known = ~zero
         series[zero, j] = np.interp(
             positions[zero], positions[known], col[known]
         )
         mask[zero, j] = True
-    for flag in flags:
-        log.warning(flag)
-    return repaired, flags
+    return repaired
 
 
 def load_frame_predictions(stream):
@@ -358,26 +357,28 @@ def write_frame_store(frames, path):
     """One video's frames as a sealed file (see aukit.sealed).
 
     The header names the format, version and row dtype; the payload is the
-    rows' bytes. The video id is the file's stem.
+    rows' bytes, written from the array itself. The video id is the file's
+    stem.
     """
     if frames.dtype != FRAME_DTYPE or frames.ndim != 1:
         raise ContractError("frame store rows must be a 1-D FRAME_DTYPE array")
     header = {
         "format": FRAME_STORE_FORMAT,
         "version": FRAME_STORE_VERSION,
-        "dtype": FRAME_DTYPE.descr,
+        "dtype": FRAME_STORE_DTYPE,
     }
-    write_sealed(path, FRAME_STORE_MAGIC, header, frames.tobytes())
+    write_sealed(path, FRAME_STORE_MAGIC, header, np.ascontiguousarray(frames))
 
 
 def read_frame_store(path):
-    """Inverse of write_frame_store; rejects tampered, truncated or v1 files."""
+    """Inverse of write_frame_store; rejects tampered, truncated or v1 files.
+    The rows are copied once out of the file's buffer."""
     header, payload = read_sealed(path, FRAME_STORE_MAGIC, "frame store")
     if header.get("format") != FRAME_STORE_FORMAT:
         raise ContractError("corrupt frame store: unknown format")
     if header.get("version") != FRAME_STORE_VERSION:
         raise ContractError(f"frame store version mismatch: {header.get('version')}")
-    if header.get("dtype") != json.loads(json.dumps(FRAME_DTYPE.descr)):
+    if header.get("dtype") != FRAME_STORE_DTYPE:
         raise ContractError("corrupt frame store: unknown row dtype")
     if len(payload) % FRAME_DTYPE.itemsize:
         raise ContractError("corrupt frame store: payload is not whole rows")

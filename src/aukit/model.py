@@ -67,6 +67,11 @@ class ModelParams:
         self.hidden = tuple(hidden)
         self.seed = seed
         self.layout = param_layout(feature_dim, self.hidden)
+        # name -> (slice of the flat vector, shape): views() runs every step
+        self.slices = {
+            name: (slice(offset, offset + math.prod(shape)), shape)
+            for name, (offset, shape) in self.layout.items()
+        }
         if vector is None:
             vector = np.zeros(sum(math.prod(s) for _, s in self.layout.values()))
         self.vector = vector
@@ -87,8 +92,8 @@ class ModelParams:
         parameter layout."""
         lead = flat.shape[:-1]
         return {
-            name: flat[..., offset:offset + math.prod(shape)].reshape(lead + shape)
-            for name, (offset, shape) in self.layout.items()
+            name: flat[..., span].reshape(lead + shape)
+            for name, (span, shape) in self.slices.items()
         }
 
     def as_dict(self):
@@ -251,8 +256,8 @@ def _check_finite(params, flat, what):
     finite = np.isfinite(flat)
     if not finite.all():
         run, bad = divmod(int(np.flatnonzero(~finite)[0]), flat.shape[-1])
-        name = next(name for name, (offset, shape) in params.layout.items()
-                    if bad < offset + math.prod(shape))
+        name = next(name for name, (span, _) in params.slices.items()
+                    if bad < span.stop)
         where = f" in run {run}" if flat.ndim > 1 else ""
         raise NumericFailure(f"non-finite {what} for {name}{where}")
 
@@ -309,9 +314,10 @@ def save_checkpoint(params, state, path):
     The JSON header holds the parameter layout, the optimizer
     hyperparameters and the names of the payload blobs. The payload is the
     parameter vector, then the optimizer's m and v vectors when it has taken
-    a step, each as little-endian float64. Deliberately not np.savez: zip
-    entries carry timestamps, which would break bit-identical checkpoints
-    across reruns.
+    a step, each as little-endian float64 and written from the array itself
+    (copied only if it is in another dtype or not contiguous). Deliberately
+    not np.savez: zip entries carry timestamps, which would break
+    bit-identical checkpoints across reruns.
     """
     header = {
         "version": CHECKPOINT_VERSION,
@@ -328,8 +334,8 @@ def save_checkpoint(params, state, path):
         if state.m is not None:
             header["blobs"] += ["m", "v"]
             blobs += [state.m, state.v]
-    payload = b"".join(np.asarray(blob, dtype="<f8").tobytes() for blob in blobs)
-    write_sealed(path, CHECKPOINT_MAGIC, header, payload)
+    write_sealed(path, CHECKPOINT_MAGIC, header,
+                 *(np.ascontiguousarray(blob, dtype="<f8") for blob in blobs))
 
 
 def load_checkpoint(path):
@@ -356,15 +362,16 @@ def load_checkpoint(path):
 
 
 def save_features(features, path):
-    """Binary matrix container: magic, N, F, float64 payload."""
-    features = np.asarray(features, dtype=np.float64)
+    """Binary matrix container: magic, N, F, float64 payload (row-major,
+    written from the matrix's own buffer when it already is)."""
+    features = np.ascontiguousarray(features, dtype=np.float64)
     n, f = features.shape
     with open(path, "wb") as fh:
         fh.write(b"AUKITFEAT1")
         fh.write(n.to_bytes(8, "little"))
         fh.write(f.to_bytes(8, "little"))
         fh.write(b"f8")
-        fh.write(features.tobytes(order="C"))
+        fh.write(features)
 
 
 def cast_features(features, dtype):

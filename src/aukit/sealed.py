@@ -3,6 +3,11 @@
 Layout: magic, header length, JSON header (sorted keys), payload length,
 payload, then the SHA-256 of everything before it. Checkpoints and frame
 stores share this framing; each keeps its own magic and header fields.
+
+Neither direction copies the payload. A writer hands over the payload as
+one or more buffers (bytes or C-contiguous arrays), which are hashed and
+written piece by piece; a reader gets the file as one buffer, checks the
+digest over a view of it and receives the payload as a view into it.
 """
 
 import hashlib
@@ -13,27 +18,34 @@ from .domain import ContractError
 DIGEST_SIZE = 32
 
 
-def write_sealed(path, magic, header, payload):
-    """Write header (a JSON-able dict) and payload (bytes) as one sealed file."""
+def write_sealed(path, magic, header, *payload):
+    """Write header (a JSON-able dict) and the payload buffers (bytes or
+    C-contiguous arrays, concatenated in order) as one sealed file."""
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    body = (
-        magic
-        + len(header_bytes).to_bytes(8, "little")
-        + header_bytes
-        + len(payload).to_bytes(8, "little")
-        + payload
-    )
+    views = [memoryview(buffer) for buffer in payload]
+    if not all(view.c_contiguous for view in views):
+        raise ValueError("sealed payload buffers must be C-contiguous")
+    payload_len = sum(view.nbytes for view in views)
+    pieces = [magic, len(header_bytes).to_bytes(8, "little"), header_bytes,
+              payload_len.to_bytes(8, "little"), *views]
+    digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        fh.write(body + hashlib.sha256(body).digest())
+        for piece in pieces:
+            digest.update(piece)
+            fh.write(piece)
+        fh.write(digest.digest())
 
 
 def read_sealed(path, magic, what):
-    """(header, payload) of a sealed file; ContractError names it as `what`."""
+    """(header, payload) of a sealed file; ContractError names it as `what`.
+
+    The payload is a read-only memoryview into the file's one buffer.
+    """
     with open(path, "rb") as fh:
-        blob = fh.read()
+        blob = memoryview(fh.read())
     if len(blob) < len(magic) + 16 + DIGEST_SIZE:
         raise ContractError(f"corrupt {what}: truncated")
-    if not blob.startswith(magic):
+    if blob[:len(magic)] != magic:
         raise ContractError(f"corrupt {what}: bad magic")
     body, digest = blob[:-DIGEST_SIZE], blob[-DIGEST_SIZE:]
     if hashlib.sha256(body).digest() != digest:
@@ -42,7 +54,7 @@ def read_sealed(path, magic, what):
     header_len = int.from_bytes(body[offset:offset + 8], "little")
     offset += 8
     try:
-        header = json.loads(body[offset:offset + header_len].decode("utf-8"))
+        header = json.loads(str(body[offset:offset + header_len], "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError):
         header = None
     if not isinstance(header, dict):

@@ -1,14 +1,16 @@
-"""Property test: malformed or truncated inputs to the table readers never
-escape the CLI as a traceback.
+"""Malformed or truncated inputs never escape the CLI as a traceback.
 
-Each case starts from a valid input file, then either truncates it at a
-drawn offset or replaces one drawn cell with a drawn bad value. Whatever
-the outcome, `aukit` must return a documented exit code, and a failure must
-end stderr with its one-line message.
+The table readers get a property test: each case starts from a valid input
+file, then either truncates it at a drawn offset or replaces one drawn cell
+with a drawn bad value. Whatever the outcome, `aukit` must return a
+documented exit code, and a failure must end stderr with its one-line
+message. The sealed binary files (checkpoints and frame stores) are
+truncated inside, or have one byte flipped in, each region of their layout.
 """
 
 import contextlib
 import io
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -18,6 +20,9 @@ from hypothesis import strategies as st
 
 from aukit.cli import EXIT_CONTRACT, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 from aukit.domain import EXPRESSIONS, INTENSITY_AU_NAMES
+from aukit.ingest import FRAME_STORE_MAGIC
+from aukit.model import CHECKPOINT_MAGIC
+from aukit.sealed import DIGEST_SIZE
 
 from conftest import openface_csv
 
@@ -108,3 +113,60 @@ def test_malformed_input_exits_with_one_line_message(source, corpus, data):
     assert code in (EXIT_OK, EXIT_CONTRACT, EXIT_NUMERIC, EXIT_IO)
     if code != EXIT_OK:
         assert err.splitlines()[-1].startswith(MESSAGE_PREFIXES), err
+
+
+SEALED_REGIONS = ("magic", "header length", "header", "payload length",
+                  "payload", "digest")
+
+
+def damaged(blob, magic, region, kind):
+    """`blob`, a sealed file, cut short or with one byte flipped halfway
+    through `region`."""
+    header_at = len(magic) + 8
+    length_at = header_at + int.from_bytes(blob[len(magic):header_at], "little")
+    bounds = (0, len(magic), header_at, length_at, length_at + 8,
+              len(blob) - DIGEST_SIZE, len(blob))
+    i = SEALED_REGIONS.index(region)
+    middle = (bounds[i] + bounds[i + 1]) // 2
+    if kind == "truncate":
+        return blob[:middle]
+    flipped = bytearray(blob)
+    flipped[middle] ^= 0xFF
+    return bytes(flipped)
+
+
+def assert_one_error_line(code, err):
+    assert code == EXIT_CONTRACT, err
+    assert len(err.splitlines()) == 1 and err.startswith("error: corrupt"), err
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A small generated dataset and the checkpoint of one epoch on it."""
+    root = tmp_path_factory.mktemp("trained")
+    assert run("synth-gen", "--n", 60, "--seed", 0, "--out", root / "data")[0] == EXIT_OK
+    assert run("train", "--data", root / "data", "--epochs", 1, "--seed", 0,
+               "--out", root / "run")[0] == EXIT_OK
+    return root / "data", root / "run" / "checkpoint.bin"
+
+
+@pytest.mark.parametrize("kind", ("truncate", "flip"))
+@pytest.mark.parametrize("region", SEALED_REGIONS)
+def test_damaged_checkpoint_exits_with_one_error_line(trained, tmp_path, region, kind):
+    data, checkpoint = trained
+    path = tmp_path / "checkpoint.bin"
+    path.write_bytes(damaged(checkpoint.read_bytes(), CHECKPOINT_MAGIC, region, kind))
+    assert_one_error_line(*run("eval", "--checkpoint", path, "--data", data,
+                               "--out", tmp_path / "eval"))
+
+
+@pytest.mark.parametrize("kind", ("truncate", "flip"))
+@pytest.mark.parametrize("region", SEALED_REGIONS)
+def test_damaged_frame_store_exits_with_one_error_line(corpus, tmp_path, region, kind):
+    files, store = corpus
+    copy = tmp_path / "store"
+    shutil.copytree(store, copy)
+    path = copy / "v3.frames"
+    path.write_bytes(damaged(path.read_bytes(), FRAME_STORE_MAGIC, region, kind))
+    assert_one_error_line(*run("pseudo-label", "--frames", copy, "--video-labels",
+                               files["video_labels"], "--out", tmp_path / "au.csv"))

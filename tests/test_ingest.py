@@ -132,29 +132,31 @@ class TestInterpolation:
         frames["intensities"][:, au] = values
         return frames
 
-    def test_linear_midpoint(self):
-        repaired, flags = interpolate_zero_intensities(
-            self._series([1.0, 0.0, 3.0]), "v0"
-        )
+    def test_linear_midpoint(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="aukit.ingest"):
+            repaired = interpolate_zero_intensities(
+                self._series([1.0, 0.0, 3.0]), "v0"
+            )
         assert repaired["intensities"][:, 2].tolist() == [1.0, 2.0, 3.0]
         assert repaired[1]["interpolated"][2]
-        assert not flags
+        assert not caplog.messages
 
     def test_leading_zeros_take_nearest_nonzero(self):
-        repaired, _ = interpolate_zero_intensities(self._series([0.0, 0.0, 2.0]), "v0")
+        repaired = interpolate_zero_intensities(self._series([0.0, 0.0, 2.0]), "v0")
         assert repaired["intensities"][:, 2].tolist() == [2.0, 2.0, 2.0]
 
-    def test_all_zero_series_flagged_unchanged(self):
-        repaired, flags = interpolate_zero_intensities(
-            self._series([0.0, 0.0, 0.0]), "v0"
-        )
+    def test_all_zero_series_flagged_unchanged(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="aukit.ingest"):
+            repaired = interpolate_zero_intensities(
+                self._series([0.0, 0.0, 0.0]), "v0"
+            )
         assert repaired["intensities"][:, 2].tolist() == [0.0, 0.0, 0.0]
-        assert flags == ["v0: AU04 all-zero"]
+        assert caplog.messages == ["v0: AU04 all-zero"]
 
     def test_nonzero_values_never_change(self, rng):
         values = rng.uniform(0, 5, size=(20, 17))
         values[rng.random(values.shape) < 0.3] = 0.0
-        repaired, _ = interpolate_zero_intensities(
+        repaired = interpolate_zero_intensities(
             make_frames(20, intensities=values), "v0"
         )
         out = repaired["intensities"]
@@ -174,10 +176,10 @@ class TestInterpolation:
     def test_idempotent(self, rng):
         values = rng.uniform(0, 5, size=(12, 17))
         values[rng.random(values.shape) < 0.4] = 0.0
-        once, _ = interpolate_zero_intensities(
+        once = interpolate_zero_intensities(
             make_frames(12, intensities=values), "v0"
         )
-        twice, _ = interpolate_zero_intensities(once, "v0")
+        twice = interpolate_zero_intensities(once, "v0")
         assert np.array_equal(once["intensities"], twice["intensities"])
 
     def test_unsorted_rejected(self):

@@ -1,0 +1,57 @@
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from aukit.domain import ContractError
+from aukit.sealed import read_sealed, write_sealed
+
+MAGIC = b"AUKITTEST"
+
+
+def sealed_bytes(header, payload):
+    """The sealed layout built by concatenation: magic, header length,
+    header, payload length, payload, then the SHA-256 of all of it."""
+    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    body = (MAGIC + len(header_bytes).to_bytes(8, "little") + header_bytes
+            + len(payload).to_bytes(8, "little") + payload)
+    return body + hashlib.sha256(body).digest()
+
+
+def test_buffers_are_written_as_one_concatenated_payload(tmp_path):
+    header = {"b": [1, 2], "a": "x"}
+    buffers = [b"abc", np.arange(5.0), np.arange(6, dtype="<i4").reshape(2, 3),
+               np.zeros(2, dtype=[("i", "<i8"), ("f", "?", (3,))])]
+    path = tmp_path / "s.bin"
+    write_sealed(path, MAGIC, header, *buffers)
+    payload = b"".join(b if isinstance(b, bytes) else b.tobytes() for b in buffers)
+    assert path.read_bytes() == sealed_bytes(header, payload)
+    read_header, read_payload = read_sealed(path, MAGIC, "test file")
+    assert read_header == header
+    assert isinstance(read_payload, memoryview) and read_payload == payload
+
+
+@pytest.mark.parametrize("payload", [b"", b"one bytes object"])
+def test_one_or_no_buffer(tmp_path, payload):
+    path = tmp_path / "s.bin"
+    write_sealed(path, MAGIC, {}, *([payload] if payload else []))
+    assert path.read_bytes() == sealed_bytes({}, payload)
+    assert read_sealed(path, MAGIC, "test file") == ({}, payload)
+
+
+def test_non_contiguous_buffer_rejected_before_writing(tmp_path):
+    path = tmp_path / "s.bin"
+    with pytest.raises(ValueError, match="C-contiguous"):
+        write_sealed(path, MAGIC, {}, np.arange(6.0)[::2])
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("header_bytes", [b"[1]", b"{", b"\xff"])
+def test_bad_header_rejected(tmp_path, header_bytes):
+    body = (MAGIC + len(header_bytes).to_bytes(8, "little") + header_bytes
+            + (0).to_bytes(8, "little"))
+    path = tmp_path / "s.bin"
+    path.write_bytes(body + hashlib.sha256(body).digest())
+    with pytest.raises(ContractError, match="corrupt test file: bad header"):
+        read_sealed(path, MAGIC, "test file")
