@@ -10,7 +10,6 @@ from .domain import (
     NumericFailure,
     expression_index,
     expression_name,
-    validate_knowledge,
 )
 
 __all__ = [
@@ -21,6 +20,5 @@ __all__ = [
     "NumericFailure",
     "expression_index",
     "expression_name",
-    "validate_knowledge",
     "__version__",
 ]

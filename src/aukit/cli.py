@@ -20,9 +20,9 @@ from .domain import (
     NUM_AUS,
     NUM_EXPRESSIONS,
     NumericFailure,
-    parse_numbers,
 )
 from .losses import au_loss, combined_loss, expression_loss, finite_difference_check
+from .tables import numbers, read_table, write_table
 
 EXIT_OK = 0
 EXIT_CONTRACT = 1
@@ -144,8 +144,7 @@ def cmd_extract_knowledge(args):
 
 def cmd_aggregate_knowledge(args):
     matrices = [knowledge.import_knowledge(path) for path in args.inputs]
-    policy = "compat" if args.midpoint == "compat" else "general"
-    aggregate = knowledge.aggregate_knowledge(matrices, midpoint_policy=policy)
+    aggregate = knowledge.aggregate_knowledge(matrices, midpoint_policy=args.midpoint)
     if args.scale:
         aggregate = knowledge.scale_for_loss(aggregate)
     knowledge.export_knowledge(aggregate, args.out)
@@ -193,13 +192,9 @@ def cmd_synth_gen(args):
     dataset = synth.generate_dataset(spec)
     os.makedirs(args.out, exist_ok=True)
     model.save_features(dataset.features, os.path.join(args.out, "features.bin"))
-    np.savetxt(
-        os.path.join(args.out, "expression_labels.csv"),
-        dataset.expr_labels,
-        fmt="%d",
-        header="expression_index",
-        comments="# ",
-    )
+    write_table(os.path.join(args.out, "expression_labels.csv"),
+                ([label] for label in dataset.expr_labels.tolist()),
+                meta=("expression_index",))
     ids = [f"synth-{i:05d}" for i in range(spec.total)]  # one-frame videos
     table = labeling.label_table(ids, dataset.expr_labels, 1, dataset.au_presence)
     labeling.write_labels_csv(table, os.path.join(args.out, "au_labels.csv"))
@@ -216,12 +211,14 @@ def _load_dataset_dir(path):
     au_labels.csv must list the expressions of expression_labels.csv."""
     features = model.load_features(os.path.join(path, "features.bin"),
                                    dtype=harness.TRAIN_DTYPE)
-    try:
-        expr_labels = np.loadtxt(os.path.join(path, "expression_labels.csv"),
-                                 dtype=np.int64, comments="#", ndmin=1)
-    except ValueError as exc:
-        raise ContractError(f"corrupt expression label file: {exc}") from None
     table = labeling.read_labels_csv(os.path.join(path, "au_labels.csv"))
+    what = "expression label file"
+    _, rows = read_table(os.path.join(path, "expression_labels.csv"), what, width=1)
+    try:
+        expr_labels = np.array([int(cells[0]) for _, cells in rows], dtype=np.int64)
+    except (ValueError, OverflowError):
+        for line, cells in rows:  # words the error
+            numbers(cells, what, line, int)
     if len(table) != len(expr_labels):
         raise ContractError(f"{path}: au_labels.csv has {len(table)} rows, "
                             f"expression_labels.csv {len(expr_labels)}")
@@ -262,15 +259,14 @@ def cmd_train(args):
     params, state, logs = harness.train(config, data)
     os.makedirs(args.out, exist_ok=True)
     model.save_checkpoint(params, state, os.path.join(args.out, "checkpoint.bin"))
-    with open(os.path.join(args.out, "epochs.csv"), "w", encoding="utf-8") as fh:
-        fh.write("# aukit epochs v1\n")
-        fh.write("epoch,loss_e,loss_au,loss,train_war,train_uar,test_war,test_uar\n")
-        for entry in logs:
-            fh.write(
-                f"{entry.epoch},{entry.loss_expression!r},{entry.loss_au!r},"
-                f"{entry.loss_total!r},{entry.train_war!r},{entry.train_uar!r},"
-                f"{entry.test_war!r},{entry.test_uar!r}\n"
-            )
+    write_table(
+        os.path.join(args.out, "epochs.csv"),
+        ([e.epoch, e.loss_expression, e.loss_au, e.loss_total, e.train_war,
+          e.train_uar, e.test_war, e.test_uar] for e in logs),
+        ("epoch", "loss_e", "loss_au", "loss", "train_war", "train_uar", "test_war",
+         "test_uar"),
+        meta=("aukit epochs v1",),
+    )
     print(f"trained {len(logs)} epochs -> {args.out}")
     return EXIT_OK
 
@@ -285,13 +281,12 @@ def cmd_eval(args):
         os.path.join(args.out, "confusion.csv"),
         os.path.join(args.out, "confusion.svg"),
     )
-    recalls = ",".join(repr(float(v)) for v in report.per_class_recall)
-    with open(os.path.join(args.out, "metrics.csv"), "w", encoding="utf-8") as fh:
-        fh.write("# aukit metrics v1\n")
-        fh.write(
-            "war,uar," + ",".join(f"recall_{n}" for n in EXPRESSIONS) + "\n"
-        )
-        fh.write(f"{report.war!r},{report.uar!r},{recalls}\n")
+    write_table(
+        os.path.join(args.out, "metrics.csv"),
+        [[report.war, report.uar, *report.per_class_recall]],
+        ("war", "uar", *(f"recall_{name}" for name in EXPRESSIONS)),
+        meta=("aukit metrics v1",),
+    )
     print(f"WAR={report.war:.4f} UAR={report.uar:.4f} -> {args.out}")
     return EXIT_OK
 
@@ -299,9 +294,12 @@ def cmd_eval(args):
 def cmd_sweep(args):
     config = _load_config(args)
     data = _build_train_data(args)
-    grid = parse_numbers(args.grid.split(","), "--grid") if args.grid else list(
-        harness.DEFAULT_LAMBDA_GRID
-    )
+    try:
+        grid = [float(value) for value in args.grid.split(",")] if args.grid else list(
+            harness.DEFAULT_LAMBDA_GRID
+        )
+    except ValueError:
+        raise ContractError(f"--grid must list numbers, got {args.grid!r}") from None
     rows = harness.lambda_sweep(config, data, grid=grid)
     os.makedirs(args.out, exist_ok=True)
     harness.write_metric_rows(rows, os.path.join(args.out, "sweep.csv"), "lambda")
@@ -393,11 +391,7 @@ def cmd_gradcheck(args):
 
 
 def cmd_export_confusion(args):
-    confusion = harness.read_confusion_csv(args.confusion)
-    report = harness.evaluate_predictions(
-        np.repeat(np.arange(7), confusion.sum(axis=1)),
-        np.concatenate([np.repeat(np.arange(7), confusion[i]) for i in range(7)]),
-    )
+    report = harness.report_from_confusion(harness.read_confusion_csv(args.confusion))
     os.makedirs(args.out, exist_ok=True)
     harness.export_confusion(
         report,
@@ -445,7 +439,7 @@ def build_parser():
 
     p = add("aggregate-knowledge", cmd_aggregate_knowledge)
     p.add_argument("inputs", nargs="+")
-    p.add_argument("--midpoint", choices=["compat", "general"], default="general")
+    p.add_argument("--midpoint", choices=knowledge.MIDPOINT_POLICIES, default="general")
     p.add_argument("--scale", action="store_true", help="also apply the x5 rescale")
 
     p = add("pseudo-label", cmd_pseudo_label)

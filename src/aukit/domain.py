@@ -23,7 +23,8 @@ NUM_INTENSITY_AUS = 17
 # position of each intensity AU inside the 18-long presence ordering
 INTENSITY_TO_PRESENCE = tuple(AU_NAMES.index(n) for n in INTENSITY_AU_NAMES)
 
-KNOWLEDGE_STAGES = ("per-dataset", "aggregate", "loss-scaled")
+# knowledge stage -> the upper end of the closed range [0, hi] of its values
+KNOWLEDGE_STAGES = {"per-dataset": 1.0, "aggregate": 1.0, "loss-scaled": 5.0}
 
 _EXPR_LOOKUP = {name.lower(): i for i, name in enumerate(EXPRESSIONS)}
 
@@ -34,14 +35,6 @@ class ContractError(ValueError):
 
 class NumericFailure(RuntimeError):
     """A computation produced non-finite or otherwise unusable values."""
-
-
-def parse_numbers(cells, what, kind=float):
-    """Table cells as numbers of `kind`; ContractError naming the file otherwise."""
-    try:
-        return [kind(cell) for cell in cells]
-    except ValueError:
-        raise ContractError(f"corrupt {what}: non-numeric cell") from None
 
 
 def float_array(x):
@@ -80,7 +73,11 @@ def expression_name(index):
 
 @dataclass(frozen=True)
 class KnowledgeMatrix:
-    """18x7 AU-expression weight matrix (rows = AUs, columns = expressions)."""
+    """18x7 AU-expression weight matrix (rows = AUs, columns = expressions).
+
+    Only a valid matrix constructs: finite values in its stage's closed
+    range (KNOWLEDGE_STAGES), support counts >= 0 and theta in [0, 1].
+    """
 
     values: np.ndarray
     stage: str
@@ -97,8 +94,19 @@ class KnowledgeMatrix:
             )
         if self.stage not in KNOWLEDGE_STAGES:
             raise ContractError(f"unknown knowledge stage: {self.stage!r}")
+        hi = KNOWLEDGE_STAGES[self.stage]
+        outside = ~((values >= 0.0) & (values <= hi))  # nan is outside too
+        if outside.any():
+            i, j = np.argwhere(outside)[0]
+            raise ContractError(
+                f"knowledge value {values[i, j]} at ({AU_NAMES[i]}, {EXPRESSIONS[j]}) "
+                f"is outside [0, {hi}] for stage {self.stage}"
+            )
         if self.dataset_count < 1:
             raise ContractError("dataset_count must be >= 1")
+        theta = float(self.theta)
+        if not 0.0 <= theta <= 1.0:
+            raise ContractError(f"theta must be in [0, 1], got {theta}")
         support = self.support
         if support is None:
             support = np.zeros((NUM_AUS, NUM_EXPRESSIONS), dtype=np.int64)
@@ -106,37 +114,10 @@ class KnowledgeMatrix:
             support = np.asarray(support, dtype=np.int64)
             if support.shape != (NUM_AUS, NUM_EXPRESSIONS):
                 raise ContractError(f"support must be {NUM_AUS}x{NUM_EXPRESSIONS}")
+            if np.any(support < 0):
+                raise ContractError("knowledge support counts must be >= 0")
         values.setflags(write=False)
         support.setflags(write=False)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "support", support)
-
-
-def knowledge_value_bounds(stage):
-    """Open interval every cell must lie in for the given stage."""
-    if stage == "loss-scaled":
-        return 0.0, 5.0
-    return 0.0, 1.0
-
-
-def validate_knowledge(matrix):
-    """Report-only validation: returns a list of violation strings (empty = ok)."""
-    violations = []
-    values = np.asarray(matrix.values, dtype=np.float64)
-    if values.shape != (NUM_AUS, NUM_EXPRESSIONS):
-        return [f"shape: expected {NUM_AUS}x{NUM_EXPRESSIONS}, got {values.shape}"]
-    if matrix.stage not in KNOWLEDGE_STAGES:
-        violations.append(f"stage: unknown stage {matrix.stage!r}")
-        return violations
-    lo, hi = knowledge_value_bounds(matrix.stage)
-    for (i, j), v in np.ndenumerate(values):
-        if not np.isfinite(v):
-            violations.append(f"cell ({AU_NAMES[i]}, {EXPRESSIONS[j]}): non-finite {v}")
-        elif not lo < v < hi:
-            violations.append(
-                f"cell ({AU_NAMES[i]}, {EXPRESSIONS[j]}): {v} outside open "
-                f"({lo}, {hi}) for stage {matrix.stage}"
-            )
-    if matrix.support is not None and np.any(matrix.support < 0):
-        violations.append("support: negative counts present")
-    return violations

@@ -12,7 +12,6 @@ from .domain import (
     MAJOR_MASK,
     NUM_EXPRESSIONS,
     NumericFailure,
-    parse_numbers,
 )
 from .labeling import STRATEGIES, compute_pos_weights
 from .losses import au_loss, combined_loss, expression_loss, loss_knowledge
@@ -25,6 +24,7 @@ from .model import (
     optimizer_step,
     stack_params,
 )
+from .tables import read_matrix, write_matrix, write_table
 
 DEFAULT_LAMBDA_GRID = tuple(round(0.1 * i, 1) for i in range(10))
 
@@ -37,6 +37,9 @@ TRAIN_DTYPE = np.float32
 # together in one stack must share them
 SHARED_FIELDS = ("hidden", "epochs", "batch_size", "learning_rate", "weight_decay",
                  "factor")
+
+# the header of a confusion table: rows are true classes, columns predicted
+CONFUSION_HEADER = ("true", *EXPRESSIONS)
 
 
 @dataclass
@@ -102,8 +105,6 @@ class EpochLog:
 def evaluate_predictions(true_labels, predicted):
     true_labels = np.asarray(true_labels, dtype=np.int64)
     predicted = np.asarray(predicted, dtype=np.int64)
-    if true_labels.size == 0:
-        raise ContractError("cannot evaluate an empty dataset")
     if true_labels.shape != predicted.shape:
         raise ContractError("true and predicted labels differ in length")
     for labels in (true_labels, predicted):
@@ -111,12 +112,29 @@ def evaluate_predictions(true_labels, predicted):
             raise ContractError("expression label out of range")
     confusion = np.zeros((NUM_EXPRESSIONS, NUM_EXPRESSIONS), dtype=np.int64)
     np.add.at(confusion, (true_labels, predicted), 1)
-    row_totals = confusion.sum(axis=1)
-    with np.errstate(invalid="ignore"):
-        recalls = np.where(
-            row_totals > 0, np.diag(confusion) / np.maximum(row_totals, 1), np.nan
+    return report_from_confusion(confusion)
+
+
+def report_from_confusion(confusion):
+    """The EvalReport of a 7x7 matrix of counts (rows = true, columns =
+    predicted). Negative counts, a total beyond the int64 range and a
+    matrix without counts are ContractErrors."""
+    confusion = np.asarray(confusion, dtype=np.int64)
+    if confusion.shape != (NUM_EXPRESSIONS, NUM_EXPRESSIONS):
+        raise ContractError(
+            f"confusion matrix must be {NUM_EXPRESSIONS}x{NUM_EXPRESSIONS}"
         )
+    if np.any(confusion < 0):
+        raise ContractError("confusion counts must be >= 0")
+    if confusion.sum(dtype=np.float64) >= 2.0 ** 63:
+        raise ContractError("confusion counts total beyond the int64 range")
+    if not confusion.any():
+        raise ContractError("cannot evaluate an empty dataset")
+    row_totals = confusion.sum(axis=1)
     populated = row_totals > 0
+    recalls = np.where(
+        populated, np.diag(confusion) / np.maximum(row_totals, 1), np.nan
+    )
     return EvalReport(
         confusion=confusion,
         per_class_recall=recalls,
@@ -382,37 +400,28 @@ def strategy_compare(config, data, strategies=STRATEGIES):
 
 def write_metric_rows(rows, path, key_column):
     """Tables as CSV with a one-line metadata header."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# aukit table v1 key={key_column}\n")
-        fh.write(
-            key_column + ",war,uar,"
-            + ",".join(f"recall_{name}" for name in EXPRESSIONS) + "\n"
-        )
-        for row in rows:
-            recalls = ",".join(repr(float(v)) for v in row["per_class_recall"])
-            fh.write(f"{row[key_column]},{row['war']!r},{row['uar']!r},{recalls}\n")
+    write_table(
+        path,
+        ([row[key_column], row["war"], row["uar"], *row["per_class_recall"]]
+         for row in rows),
+        (key_column, "war", "uar", *(f"recall_{name}" for name in EXPRESSIONS)),
+        meta=(f"aukit table v1 key={key_column}",),
+    )
 
 
 def export_confusion(report, csv_path, svg_path=None):
     """Emit the 7x7 confusion matrix as CSV and (optionally) an SVG heatmap."""
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("# aukit confusion v1 rows=true cols=predicted\n")
-        fh.write("true," + ",".join(EXPRESSIONS) + "\n")
-        for i, name in enumerate(EXPRESSIONS):
-            fh.write(name + "," + ",".join(str(v) for v in report.confusion[i]) + "\n")
+    write_matrix(csv_path, EXPRESSIONS, report.confusion, CONFUSION_HEADER,
+                 meta=("aukit confusion v1 rows=true cols=predicted",))
     if svg_path is not None:
         write_confusion_svg(report, svg_path)
 
 
 def read_confusion_csv(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln and not ln.startswith("#")]
-    rows = [ln.split(",")[1:] for ln in lines[1:]]
-    if len(rows) != NUM_EXPRESSIONS or any(len(r) != NUM_EXPRESSIONS for r in rows):
-        raise ContractError("corrupt confusion file: expected 7 rows of 7 counts")
-    return np.array(
-        [parse_numbers(row, "confusion file", int) for row in rows], dtype=np.int64
-    )
+    """The 7x7 counts of an export_confusion file, as int64."""
+    _, confusion = read_matrix(path, "confusion file", EXPRESSIONS, NUM_EXPRESSIONS,
+                               CONFUSION_HEADER, kind=int)
+    return confusion
 
 
 def write_confusion_svg(report, path, cell=48, margin=72):
@@ -455,13 +464,11 @@ def export_embeddings(params, features, labels, path):
     """Per-sample embeddings plus labels, for external projection tools;
     computed in TRAIN_DTYPE, as predictions are."""
     _, _, embeddings = _forward_in_train_dtype(params, features)
-    labels = np.asarray(labels, dtype=np.int64)
-    with open(path, "w", encoding="utf-8") as fh:
-        width = embeddings.shape[1]
-        fh.write(f"# aukit embeddings v1 width={width}\n")
-        fh.write("label," + ",".join(f"e{k}" for k in range(width)) + "\n")
-        for i in range(embeddings.shape[0]):
-            fh.write(
-                EXPRESSIONS[labels[i]] + ","
-                + ",".join(repr(float(v)) for v in embeddings[i]) + "\n"
-            )
+    width = embeddings.shape[1]
+    write_table(
+        path,
+        ([EXPRESSIONS[label], *row] for label, row in zip(
+            np.asarray(labels, dtype=np.int64).tolist(), embeddings.tolist())),
+        ("label", *(f"e{k}" for k in range(width))),
+        meta=(f"aukit embeddings v1 width={width}",),
+    )

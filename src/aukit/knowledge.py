@@ -23,8 +23,8 @@ from .domain import (
     NUM_AUS,
     NUM_EXPRESSIONS,
     float_array,
-    parse_numbers,
 )
+from .tables import meta_fields, read_matrix, write_matrix
 
 log = logging.getLogger(__name__)
 
@@ -192,67 +192,32 @@ def _support_path(path):
 
 def export_knowledge(matrix, path):
     """Write a knowledge matrix as CSV with a metadata preamble (+ support sidecar)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# knowledge-matrix v{KNOWLEDGE_FILE_VERSION}\n")
-        fh.write(f"# stage={matrix.stage}\n")
-        fh.write(f"# datasets={matrix.dataset_count}\n")
-        fh.write(f"# theta={matrix.theta!r}\n")
-        fh.write(f"# tool=aukit {__version__}\n")
-        fh.write("# columns=" + ",".join(EXPRESSIONS) + "\n")
-        for i, name in enumerate(AU_NAMES):
-            fh.write(name + "," + ",".join(repr(float(v)) for v in matrix.values[i]) + "\n")
-    with open(_support_path(path), "w", encoding="utf-8") as fh:
-        fh.write("# columns=" + ",".join(EXPRESSIONS) + "\n")
-        for i, name in enumerate(AU_NAMES):
-            fh.write(name + "," + ",".join(str(v) for v in matrix.support[i]) + "\n")
-
-
-def _au_table(lines, what, kind=float):
-    """The 18x7 body (rows 'AUxx,v1,...,v7') of a knowledge or support file."""
-    rows = [ln.split(",") for ln in lines if ln.strip() and not ln.startswith("#")]
-    if any(len(row) != 1 + NUM_EXPRESSIONS for row in rows):
-        raise ContractError(f"corrupt {what}: bad row width")
-    if len(rows) != NUM_AUS:
-        raise ContractError(f"corrupt {what}: expected {NUM_AUS} rows, got {len(rows)}")
-    for row, expected in zip(rows, AU_NAMES):
-        if row[0] != expected:
-            raise ContractError(f"corrupt {what}: unexpected row {row[0]!r}")
-    return np.array([parse_numbers(row[1:], what, kind) for row in rows])
+    columns = "columns=" + ",".join(EXPRESSIONS)
+    write_matrix(path, AU_NAMES, matrix.values, meta=(
+        f"knowledge-matrix v{KNOWLEDGE_FILE_VERSION}", f"stage={matrix.stage}",
+        f"datasets={matrix.dataset_count}", f"theta={matrix.theta!r}",
+        f"tool=aukit {__version__}", columns,
+    ))
+    write_matrix(_support_path(path), AU_NAMES, matrix.support, meta=(columns,))
 
 
 def import_knowledge(path):
     """Read back a knowledge file; lossless inverse of export_knowledge.
 
-    A missing support sidecar reads as zero support; a malformed one fails.
+    The version, stage, datasets and theta lines are required. A missing
+    support sidecar reads as zero support; a malformed one fails.
     """
+    what = "knowledge file"
+    meta, values = read_matrix(path, what, AU_NAMES, NUM_EXPRESSIONS)
+    version = f"knowledge-matrix v{KNOWLEDGE_FILE_VERSION}"
+    if version not in meta:
+        raise ContractError(f"corrupt {what}: no '# {version}' version line")
+    stage, datasets, theta = meta_fields(meta, what, stage=str, datasets=int,
+                                         theta=float)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise ContractError(f"cannot read knowledge file: {exc}") from exc
-    if not lines or not lines[0].startswith("# knowledge-matrix v"):
-        raise ContractError("corrupt knowledge file: missing version header")
-    version = lines[0].split("v")[-1].strip()
-    if version != str(KNOWLEDGE_FILE_VERSION):
-        raise ContractError(f"knowledge file version mismatch: {version}")
-    meta = {}
-    for line in lines[1:]:
-        if line.startswith("#") and "=" in line:
-            key, value = line[1:].split("=", 1)
-            meta[key.strip()] = value.strip()
-    if "stage" not in meta:
-        raise ContractError("corrupt knowledge file: stage missing")
-    values = _au_table(lines, "knowledge file")
-    try:
-        with open(_support_path(path), "r", encoding="utf-8") as fh:
-            support = _au_table(fh.read().splitlines(), "knowledge support file", int)
+        _, support = read_matrix(_support_path(path), "knowledge support file",
+                                 AU_NAMES, NUM_EXPRESSIONS, kind=int)
     except FileNotFoundError:
         support = None  # zero support
-    datasets, theta = meta.get("datasets", "1"), meta.get("theta", "0.5")
-    return KnowledgeMatrix(
-        values=values,
-        stage=meta["stage"],
-        dataset_count=parse_numbers([datasets], "knowledge file", int)[0],
-        theta=parse_numbers([theta], "knowledge file")[0],
-        support=support,
-    )
+    return KnowledgeMatrix(values=values, stage=stage, dataset_count=datasets,
+                           theta=theta, support=support)

@@ -2,6 +2,7 @@
 
 import logging
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -14,8 +15,15 @@ from .domain import (
     NUM_EXPRESSIONS,
     expression_index,
     expression_name,
-    parse_numbers,
     video_table,
+)
+from .tables import (
+    meta_fields,
+    numbers,
+    read_matrix,
+    read_table,
+    write_matrix,
+    write_table,
 )
 
 log = logging.getLogger(__name__)
@@ -25,6 +33,9 @@ STRATEGIES = ("none", "global", "distinct", "minor")
 PW_FLOOR = 1e-6
 
 LABEL_FIELDS = [("expression", "<i8"), ("n", "<i8"), ("y", "u1", (NUM_AUS,))]
+
+LABEL_HEADER = ("video_id", "expression", "n", *AU_NAMES)
+POS_WEIGHT_HEADER = ("expression", *AU_NAMES)
 
 
 def label_table(video_ids, expressions, frame_counts, au_labels):
@@ -137,91 +148,56 @@ def compute_pos_weights(au_labels, expr_labels, strategy):
 
 def write_labels_csv(table, path):
     """A label_table as CSV: video_id, expression name, n, then the 18 AU bits."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("video_id,expression,n," + ",".join(AU_NAMES) + "\n")
-        for row in table:
-            fh.write(
-                f"{row['video_id']},{expression_name(row['expression'])},"
-                f"{row['n']}," + ",".join(str(v) for v in row["y"]) + "\n"
-            )
+    rows = zip(table["video_id"].tolist(), table["expression"].tolist(),
+               table["n"].tolist(), table["y"].tolist())
+    write_table(path, ([video_id, expression_name(expression), n, *y]
+                       for video_id, expression, n, y in rows), LABEL_HEADER)
 
 
 def read_labels_csv(path):
     """Inverse of write_labels_csv; n must be >= 1 and every AU cell 0 or 1."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith("video_id,"):
-        raise ContractError("corrupt label file: missing header")
-    video_ids, expressions, counts, au_labels = [], [], [], []
-    for line_number, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 3 + NUM_AUS:
-            raise ContractError("corrupt label file: bad row width")
-        numbers = parse_numbers(parts[2:], "label file", int)
-        if numbers[0] < 1:
-            raise ContractError(
-                f"corrupt label file line {line_number}: n = {numbers[0]} < 1"
-            )
-        bad = [j for j, v in enumerate(numbers[1:]) if v not in (0, 1)]
-        if bad:
-            raise ContractError(
-                f"corrupt label file line {line_number}: "
-                f"{AU_NAMES[bad[0]]} = {numbers[1 + bad[0]]} not in {{0, 1}}"
-            )
-        video_ids.append(parts[0])
-        expressions.append(expression_index(parts[1]))
-        counts.append(numbers[0])
-        au_labels.append(numbers[1:])
-    return label_table(
-        video_ids, expressions, counts, np.reshape(au_labels, (-1, NUM_AUS))
-    )
+    what = "label file"
+    _, rows = read_table(path, what, LABEL_HEADER)
+    columns = np.fromiter(chain.from_iterable(
+        numbers(cells[2:], what, line, int, column=3) for line, cells in rows
+    ), dtype=np.int64).reshape(-1, 1 + NUM_AUS)
+    counts, au_labels = columns[:, 0], columns[:, 1:]
+    non_binary = (au_labels != 0) & (au_labels != 1)
+    bad = np.flatnonzero((counts < 1) | non_binary.any(axis=1))
+    if bad.size:
+        r = bad[0]
+        problem = f"n = {counts[r]} < 1"
+        if counts[r] >= 1:
+            j = np.argmax(non_binary[r])
+            problem = f"{AU_NAMES[j]} = {au_labels[r, j]} not in {{0, 1}}"
+        raise ContractError(f"corrupt {what} line {rows[r][0]}: {problem}")
+    return label_table([cells[0] for _, cells in rows],
+                       [expression_index(cells[1]) for _, cells in rows],
+                       counts, au_labels)
 
 
 def read_video_labels_csv(path):
     """video_id -> expression index from a `video_id,label` file, one row per video."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0].split(",") != ["video_id", "label"]:
-        raise ContractError(f"{path}: header must be 'video_id,label'")
+    what = f"video label file {path}"
+    _, rows = read_table(path, what, ("video_id", "label"))
     expr_by_video = {}
-    for line_number, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        cells = line.split(",")
-        if len(cells) != 2 or not cells[0]:
-            raise ContractError(f"{path} line {line_number}: expected 'video_id,label'")
-        if cells[0] in expr_by_video:
+    for line, (video_id, label) in rows:
+        if not video_id or video_id in expr_by_video:
+            problem = "duplicate" if video_id else "empty"
             raise ContractError(
-                f"{path} line {line_number}: duplicate video {cells[0]!r}"
+                f"corrupt {what}: {problem} video {video_id!r} at line {line}"
             )
-        expr_by_video[cells[0]] = expression_index(cells[1])
+        expr_by_video[video_id] = expression_index(label)
     return expr_by_video
 
 
 def write_pos_weights_csv(spec, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# strategy={spec.strategy}\n")
-        fh.write("expression," + ",".join(AU_NAMES) + "\n")
-        for i in range(NUM_EXPRESSIONS):
-            fh.write(
-                EXPRESSIONS[i] + ","
-                + ",".join(repr(float(v)) for v in spec.values[i]) + "\n"
-            )
+    write_matrix(path, EXPRESSIONS, spec.values, POS_WEIGHT_HEADER,
+                 meta=(f"strategy={spec.strategy}",))
 
 
 def read_pos_weights_csv(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith("# strategy="):
-        raise ContractError("corrupt pos-weight file: missing strategy line")
-    strategy = lines[0].split("=", 1)[1].strip()
-    rows = [ln for ln in lines[1:] if ln.strip() and not ln.startswith("expression,")]
-    if len(rows) != NUM_EXPRESSIONS:
-        raise ContractError("corrupt pos-weight file: bad row count")
-    cells = [row.split(",")[1:] for row in rows]
-    if any(len(row) != NUM_AUS for row in cells):
-        raise ContractError("corrupt pos-weight file: bad row width")
-    values = np.array([parse_numbers(row, "pos-weight file") for row in cells])
+    what = "pos-weight file"
+    meta, values = read_matrix(path, what, EXPRESSIONS, NUM_AUS, POS_WEIGHT_HEADER)
+    (strategy,) = meta_fields(meta, what, strategy=str)
     return PosWeightSpec(strategy=strategy, values=values)

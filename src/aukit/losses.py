@@ -25,7 +25,6 @@ class GradReport:
 
     max_relative_error: float
     parameters_checked: int
-    epsilon: float
 
 
 def log_sigmoid(x):
@@ -187,8 +186,4 @@ def finite_difference_check(evaluator, point, epsilon=1e-5):
         analytic = grad.ravel()[idx]
         rel = abs(analytic - numeric) / max(1e-8, abs(analytic) + abs(numeric))
         max_rel = max(max_rel, rel)
-    return GradReport(
-        max_relative_error=max_rel,
-        parameters_checked=flat.size,
-        epsilon=epsilon,
-    )
+    return GradReport(max_relative_error=max_rel, parameters_checked=flat.size)

@@ -96,9 +96,6 @@ class ModelParams:
             for name, (span, shape) in self.slices.items()
         }
 
-    def as_dict(self):
-        return self.views(self.vector)
-
     def run(self, r):
         """Run r of a stack; its arrays are views into the stack's vector."""
         return ModelParams(self.feature_dim, self.hidden, self.seed[r], self.vector[r])

@@ -529,6 +529,28 @@ MALFORMED_TABLES = {
         "export-confusion", "--out", t / "c",
         "--confusion", _confusion_file(t, lambda row: row.replace(",3", ",x", 1))],
         "confusion file"),
+    "knowledge_nan_cell": (lambda d, t: [
+        "train", "--data", d, "--epochs", 1,
+        "--knowledge", _knowledge_file(d, t, "AU01,0.8,", "AU01,nan,")],
+        "knowledge file: non-finite cell 'nan' at line 7, column 2"),
+    "knowledge_theta_nan": (lambda d, t: [
+        "train", "--data", d, "--epochs", 1,
+        "--knowledge", _knowledge_file(d, t, "# theta=0.5", "# theta=nan")],
+        "theta must be in [0, 1], got nan"),
+    "knowledge_loss_scaled_negative": (lambda d, t: [
+        "train", "--data", d, "--epochs", 1,
+        "--knowledge", _knowledge_file(d, t, "AU04,0.8,0.8,0.8,4.2,",
+                                       "AU04,0.8,0.8,0.8,-40,")],
+        "-40.0 at (AU04, Angry) is outside [0, 5.0] for stage loss-scaled"),
+    "confusion_negative_count": (lambda d, t: [
+        "export-confusion", "--out", t / "c",
+        "--confusion", _confusion_file(t, lambda row: row.replace(",3", ",-1", 1))],
+        "confusion counts must be >= 0"),
+    "confusion_count_beyond_int64": (lambda d, t: [
+        "export-confusion", "--out", t / "c",
+        "--confusion", _confusion_file(
+            t, lambda row: row.replace(",3", ",100000000000000000000", 1))],
+        "out-of-range cell '100000000000000000000' at line 5, column 2"),
 }
 
 
@@ -542,6 +564,26 @@ def test_malformed_table_is_one_line_contract_error(case, synth_dirs, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert message in err
+
+
+def test_missing_knowledge_file_is_io_error(synth_dirs, tmp_path, capsys):
+    capsys.readouterr()
+    assert run("train", "--data", synth_dirs[0], "--epochs", 1,
+               "--knowledge", tmp_path / "absent.csv",
+               "--out", tmp_path / "run") == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and err.count("\n") == 1, err
+    assert "absent.csv" in err
+
+
+def test_export_confusion_takes_counts_as_counts(tmp_path):
+    # ten trillion samples in one cell: a report from the counts themselves,
+    # never one label per sample
+    src = _confusion_file(tmp_path, lambda row: row.replace(",3", ",10000000000000", 1))
+    out = tmp_path / "artifacts"
+    assert run("export-confusion", "--confusion", src, "--out", out) == EXIT_OK
+    assert (out / "confusion.csv").read_bytes() == src.read_bytes()
+    assert "Neutral as Happy: 10000000000000" in (out / "confusion.svg").read_text()
 
 
 def test_synth_gen_rejects_unknown_spec_key(tmp_path, capsys):

@@ -1,8 +1,9 @@
 """Malformed or truncated inputs never escape the CLI as a traceback.
 
 The table readers get a property test: each case starts from a valid input
-file, then either truncates it at a drawn offset or replaces one drawn cell
-with a drawn bad value. Whatever the outcome, `aukit` must return a
+file (the frames pipeline's inputs, or a file of a small generated dataset
+directory), then either truncates it at a drawn offset or replaces one drawn
+cell with a drawn bad value. Whatever the outcome, `aukit` must return a
 documented exit code, and a failure must end stderr with its one-line
 message. The sealed binary files (checkpoints and frame stores) are
 truncated inside, or have one byte flipped in, each region of their layout.
@@ -14,12 +15,14 @@ import shutil
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aukit.cli import EXIT_CONTRACT, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 from aukit.domain import EXPRESSIONS, INTENSITY_AU_NAMES
+from aukit.harness import export_confusion, report_from_confusion
 from aukit.ingest import FRAME_STORE_MAGIC
 from aukit.model import CHECKPOINT_MAGIC
 from aukit.sealed import DIGEST_SIZE
@@ -41,7 +44,9 @@ def run(*argv):
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
     """One three-frame video per class: OpenFace CSVs, their frame stores,
-    frame predictions, video labels and the derived AU labels."""
+    frame predictions, video labels and the derived AU labels; and a
+    generated dataset directory with its pos-weights and a confusion
+    matrix."""
     root = tmp_path_factory.mktemp("robustness")
     csvs, preds, video_labels = [], ["video_id,frame,label," + ",".join(
         f"s{j}" for j in range(7))], ["video_id,label"]
@@ -69,10 +74,30 @@ def corpus(tmp_path_factory):
     assert run("ingest", *csvs, "--out", store)[0] == EXIT_OK
     assert run("pseudo-label", "--frames", store, "--video-labels",
                files["video_labels"], "--out", files["au_labels"])[0] == EXIT_OK
+    data = root / "data"
+    assert run("synth-gen", "--n", 20, "--seed", 0, "--out", data)[0] == EXIT_OK
+    assert run("pos-weights", "--labels", data / "au_labels.csv", "--strategy",
+               "global", "--out", data)[0] == EXIT_OK
+    export_confusion(report_from_confusion(np.arange(49).reshape(7, 7)),
+                     data / "confusion.csv")
+    files.update({
+        "pos_weights": data / "pos_weights.csv",
+        "knowledge": data / "knowledge.csv",
+        "knowledge_support": data / "knowledge.csv.support.csv",
+        "confusion": data / "confusion.csv",
+        "expression_labels": data / "expression_labels.csv",
+    })
     return files, store
 
 
-# input file -> the command that reads it, given (its path, store, output dir)
+def train_on(path, store, out, *options):
+    """A one-epoch `train` of the dataset directory that holds `path`."""
+    return ["train", "--data", path.parent, "--epochs", 1, *options,
+            "--out", out / "run"]
+
+
+# input file -> the command that reads it, given (its path, store, output dir);
+# a dataset directory file is read from a copy of the directory
 COMMANDS = {
     "openface": lambda path, store, out: ["ingest", path, "--out", out / "store"],
     "preds": lambda path, store, out: [
@@ -83,6 +108,13 @@ COMMANDS = {
         "--out", out / "au_labels.csv"],
     "au_labels": lambda path, store, out: [
         "pos-weights", "--labels", path, "--out", out / "pw"],
+    "pos_weights": lambda path, store, out: train_on(
+        path, store, out, "--pos-weights-file", path),
+    "knowledge": train_on,
+    "knowledge_support": train_on,
+    "expression_labels": train_on,
+    "confusion": lambda path, store, out: [
+        "export-confusion", "--confusion", path, "--out", out / "c"],
 }
 
 
@@ -108,6 +140,8 @@ def test_malformed_input_exits_with_one_line_message(source, corpus, data):
     with tempfile.TemporaryDirectory() as scratch:
         out = Path(scratch)
         path = out / files[source].name
+        if files[source].parent.name == "data":
+            path = shutil.copytree(files[source].parent, out / "data") / path.name
         path.write_text(text)
         code, err = run(*COMMANDS[source](path, store, out))
     assert code in (EXIT_OK, EXIT_CONTRACT, EXIT_NUMERIC, EXIT_IO)

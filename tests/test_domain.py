@@ -10,7 +10,6 @@ from aukit.domain import (
     MAJOR_MASK,
     expression_index,
     expression_name,
-    validate_knowledge,
 )
 
 
@@ -48,25 +47,31 @@ def test_major_minor_partition():
     ]
 
 
-def test_validate_knowledge_interior_point():
-    m = KnowledgeMatrix(values=np.full((18, 7), 0.5), stage="per-dataset")
-    assert validate_knowledge(m) == []
-
-
-def test_validate_knowledge_boundary_violation():
+def test_knowledge_closed_range_constructs():
+    KnowledgeMatrix(values=np.full((18, 7), 0.5), stage="per-dataset")
     values = np.full((18, 7), 0.5)
-    values[0, 0] = 1.0
-    m = KnowledgeMatrix(values=values, stage="per-dataset")
-    violations = validate_knowledge(m)
-    assert len(violations) == 1
-    assert "AU01" in violations[0] and "Happy" in violations[0]
+    values[0, 0], values[1, 1] = 0.0, 1.0  # the closed range's ends
+    KnowledgeMatrix(values=values, stage="aggregate")
 
 
-def test_validate_knowledge_loss_scaled_range():
-    m = KnowledgeMatrix(values=np.full((18, 7), 2.5), stage="loss-scaled")
-    assert validate_knowledge(m) == []
-    bad = KnowledgeMatrix(values=np.full((18, 7), 4.999), stage="aggregate")
-    assert validate_knowledge(bad)  # aggregate stage needs (0, 1)
+@pytest.mark.parametrize("value", [1.0 + 1e-12, -1e-12, 4.999],
+                         ids=["above_one", "below_zero", "loss_scaled_size"])
+def test_knowledge_out_of_range_rejected(value):
+    values = np.full((18, 7), 0.5)
+    values[0, 0] = value
+    with pytest.raises(ContractError, match=r"\(AU01, Happy\) is outside \[0, 1.0\]"):
+        KnowledgeMatrix(values=values, stage="per-dataset")
+
+
+def test_knowledge_loss_scaled_range():
+    KnowledgeMatrix(values=np.full((18, 7), 2.5), stage="loss-scaled")
+    KnowledgeMatrix(values=np.full((18, 7), 5.0), stage="loss-scaled")
+    with pytest.raises(ContractError, match="outside"):
+        KnowledgeMatrix(values=np.full((18, 7), 4.999), stage="aggregate")
+    values = np.full((18, 7), 2.5)
+    values[3, 2] = -40.0
+    with pytest.raises(ContractError, match=r"-40.0 at \(AU05, Neutral\)"):
+        KnowledgeMatrix(values=values, stage="loss-scaled")
 
 
 def test_knowledge_shape_rejected():
@@ -77,7 +82,19 @@ def test_knowledge_shape_rejected():
 def test_knowledge_nan_reported():
     values = np.full((18, 7), 0.5)
     values[3, 3] = np.nan
-    violations = validate_knowledge(
+    with pytest.raises(ContractError, match=r"nan at \(AU05, Angry\) is outside"):
         KnowledgeMatrix(values=values, stage="per-dataset")
-    )
-    assert any("non-finite" in v for v in violations)
+
+
+@pytest.mark.parametrize("theta", [float("nan"), -0.1, 1.5])
+def test_knowledge_theta_outside_unit_interval_rejected(theta):
+    with pytest.raises(ContractError, match="theta"):
+        KnowledgeMatrix(values=np.full((18, 7), 0.5), stage="per-dataset", theta=theta)
+
+
+def test_knowledge_negative_support_rejected():
+    support = np.zeros((18, 7), dtype=np.int64)
+    support[2, 2] = -1
+    with pytest.raises(ContractError, match="support"):
+        KnowledgeMatrix(values=np.full((18, 7), 0.5), stage="per-dataset",
+                        support=support)

