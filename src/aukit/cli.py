@@ -206,11 +206,10 @@ def cmd_synth_gen(args):
 
 
 def _load_dataset_dir(path):
-    """Features (in harness.TRAIN_DTYPE, which training and evaluation run
+    """Features (in model.TRAIN_DTYPE, which training and evaluation run
     in), expression labels and N x 18 AU bits of a dataset directory, whose
     au_labels.csv must list the expressions of expression_labels.csv."""
-    features = model.load_features(os.path.join(path, "features.bin"),
-                                   dtype=harness.TRAIN_DTYPE)
+    features = model.load_features(os.path.join(path, "features.bin"))
     table = labeling.read_labels_csv(os.path.join(path, "au_labels.csv"))
     what = "expression label file"
     _, rows = read_table(os.path.join(path, "expression_labels.csv"), what, width=1)
@@ -337,9 +336,9 @@ def cmd_gradcheck(args):
     uses against central differences: expression_loss and au_loss wrt their
     logits, and forward/backward's combined-loss gradient wrt every model
     parameter."""
-    if args.batch < 1:
-        raise ContractError("--batch must be >= 1")
     seed = args.seed if args.seed is not None else 0
+    if args.batch < 1 or seed < 0:
+        raise ContractError("--batch must be >= 1 and --seed >= 0")
     rng = np.random.default_rng(seed)
     batch = args.batch
     labels = rng.integers(0, NUM_EXPRESSIONS, size=batch)

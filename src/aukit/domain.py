@@ -86,7 +86,8 @@ class KnowledgeMatrix:
     support: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
+        # copies, so freezing them never freezes the caller's arrays
+        values = np.array(self.values, dtype=np.float64)
         if values.shape != (NUM_AUS, NUM_EXPRESSIONS):
             raise ContractError(
                 f"knowledge matrix must be {NUM_AUS}x{NUM_EXPRESSIONS}, "
@@ -111,7 +112,7 @@ class KnowledgeMatrix:
         if support is None:
             support = np.zeros((NUM_AUS, NUM_EXPRESSIONS), dtype=np.int64)
         else:
-            support = np.asarray(support, dtype=np.int64)
+            support = np.array(support, dtype=np.int64)
             if support.shape != (NUM_AUS, NUM_EXPRESSIONS):
                 raise ContractError(f"support must be {NUM_AUS}x{NUM_EXPRESSIONS}")
             if np.any(support < 0):

@@ -1,7 +1,6 @@
 """Training loop, WAR/UAR evaluation, lambda sweep, strategy comparison, and
 report artifacts (confusion CSV + SVG heatmap, embedding export)."""
 
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -16,6 +15,7 @@ from .domain import (
 from .labeling import STRATEGIES, compute_pos_weights
 from .losses import au_loss, combined_loss, expression_loss, loss_knowledge
 from .model import (
+    TRAIN_DTYPE,
     OptimizerState,
     backward,
     cast_features,
@@ -27,11 +27,6 @@ from .model import (
 from .tables import read_matrix, write_matrix, write_table
 
 DEFAULT_LAMBDA_GRID = tuple(round(0.1 * i, 1) for i in range(10))
-
-# the dtype of training steps and evaluation: features, parameters, moments,
-# batches, losses, gradients and predictions; initialisation, checkpoints and
-# gradient checks stay float64
-TRAIN_DTYPE = np.float32
 
 # TrainConfig fields that fix a run's shapes or schedule; runs trained
 # together in one stack must share them
@@ -61,8 +56,15 @@ class TrainConfig:
             raise ContractError(f"lambda must be in [0, 1], got {self.lam}")
         if self.strategy not in STRATEGIES:
             raise ContractError(f"unknown strategy: {self.strategy!r}")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ContractError("epochs and batch_size must be >= 1")
+        if self.epochs < 1 or self.batch_size < 1 or self.seed < 0:
+            raise ContractError("epochs and batch_size must be >= 1, and seed >= 0")
+        for name in ("learning_rate", "factor"):
+            if not 0.0 < getattr(self, name) < np.inf:  # nan fails too
+                raise ContractError(f"{name} must be finite and > 0, "
+                                    f"got {getattr(self, name)}")
+        if not 0.0 <= self.weight_decay < np.inf:
+            raise ContractError(f"weight_decay must be finite and >= 0, "
+                                f"got {self.weight_decay}")
 
 
 @dataclass
@@ -99,7 +101,6 @@ class EpochLog:
     train_uar: float
     test_war: float = float("nan")
     test_uar: float = float("nan")
-    seconds: float = 0.0
 
 
 def evaluate_predictions(true_labels, predicted):
@@ -294,7 +295,6 @@ def train(config, data):
     TRAIN_DTYPE's range, or a non-finite loss, gradient or optimizer moment.
     """
     logs = []
-    start = time.perf_counter()
     data, epochs = _train_together([config], data, [data.pos_weights])
     for epoch, stack, state, loss_e, loss_au in epochs:
         params = stack.run(0)
@@ -313,9 +313,7 @@ def train(config, data):
             test_report = evaluate(params, data.test_features, data.test_expr_labels)
             entry.test_war = test_report.war
             entry.test_uar = test_report.uar
-        entry.seconds = time.perf_counter() - start
         logs.append(entry)
-        start = time.perf_counter()
     return params.astype(np.float64), state.run(0).astype(np.float64), logs
 
 

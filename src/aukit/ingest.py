@@ -372,7 +372,7 @@ def write_frame_store(frames, path):
 
 def read_frame_store(path):
     """Inverse of write_frame_store; rejects tampered, truncated or v1 files.
-    The rows are copied once out of the file's buffer."""
+    The rows are a view into the file's buffer."""
     header, payload = read_sealed(path, FRAME_STORE_MAGIC, "frame store")
     if header.get("format") != FRAME_STORE_FORMAT:
         raise ContractError("corrupt frame store: unknown format")
@@ -382,7 +382,7 @@ def read_frame_store(path):
         raise ContractError("corrupt frame store: unknown row dtype")
     if len(payload) % FRAME_DTYPE.itemsize:
         raise ContractError("corrupt frame store: payload is not whole rows")
-    return np.frombuffer(payload, dtype=FRAME_DTYPE).copy()
+    return np.frombuffer(payload, dtype=FRAME_DTYPE)
 
 
 def reliable_detections(frames, min_confidence=0.8):

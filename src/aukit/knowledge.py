@@ -204,8 +204,8 @@ def export_knowledge(matrix, path):
 def import_knowledge(path):
     """Read back a knowledge file; lossless inverse of export_knowledge.
 
-    The version, stage, datasets and theta lines are required. A missing
-    support sidecar reads as zero support; a malformed one fails.
+    The version, stage, datasets and theta lines and the support sidecar
+    are required.
     """
     what = "knowledge file"
     meta, values = read_matrix(path, what, AU_NAMES, NUM_EXPRESSIONS)
@@ -214,10 +214,7 @@ def import_knowledge(path):
         raise ContractError(f"corrupt {what}: no '# {version}' version line")
     stage, datasets, theta = meta_fields(meta, what, stage=str, datasets=int,
                                          theta=float)
-    try:
-        _, support = read_matrix(_support_path(path), "knowledge support file",
-                                 AU_NAMES, NUM_EXPRESSIONS, kind=int)
-    except FileNotFoundError:
-        support = None  # zero support
+    _, support = read_matrix(_support_path(path), "knowledge support file",
+                             AU_NAMES, NUM_EXPRESSIONS, kind=int)
     return KnowledgeMatrix(values=values, stage=stage, dataset_count=datasets,
                            theta=theta, support=support)

@@ -4,15 +4,15 @@ A small multilayer perceptron (affine + ReLU hidden layers) feeds two linear
 heads: a 7-way expression head and an 18-way AU head. Every trainable array
 is a view into one contiguous float vector, so gradients, AdamW moments and
 checkpoints share a single layout. Parameters are float64, except while
-training steps and evaluation run in float32 (harness.TRAIN_DTYPE); forward,
-backward and optimizer_step compute in their parameters' dtype. Gradients
-are written out by hand so they can be verified against finite differences,
-and the AdamW-style optimizer keeps training bit-reproducible.
+training steps and evaluation run in float32 (TRAIN_DTYPE, which feature
+files hold); forward, backward and optimizer_step compute in their
+parameters' dtype. Gradients are written out by hand so they can be verified
+against finite differences, and the AdamW-style optimizer keeps training
+bit-reproducible.
 """
 
 import json
 import math
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,14 +23,20 @@ from .sealed import read_sealed, write_sealed
 CHECKPOINT_MAGIC = b"AUKITCKPT"
 CHECKPOINT_VERSION = 2
 
+# not a prefix of the magic of the unsealed float64 files before version 2
+FEATURE_MAGIC = b"AUKITFEATS"
+FEATURE_VERSION = 2
+
+# the dtype of feature files, training steps and evaluation: features,
+# parameters, moments, batches, losses, gradients and predictions;
+# initialisation, checkpoints and gradient checks stay float64
+TRAIN_DTYPE = np.float32
+
 # the OptimizerState fields a checkpoint header records
 OPTIMIZER_FIELDS = ("learning_rate", "beta1", "beta2", "eps", "weight_decay", "step")
 
 DEFAULT_FEATURE_DIM = 1024
 DEFAULT_HIDDEN = (128,)
-
-# load_features reads a feature file's float64 payload in blocks of this size
-FEATURE_BLOCK_BYTES = 1 << 20
 
 
 def param_layout(feature_dim, hidden):
@@ -82,10 +88,6 @@ class ModelParams:
         self.expr_bias = named["expr.b"]
         self.au_weight = named["au.w"]  # 18 x F'
         self.au_bias = named["au.b"]
-
-    @property
-    def embedding_dim(self):
-        return self.hidden[-1] if self.hidden else self.feature_dim
 
     def views(self, flat):
         """name -> view of `flat`, a vector (or a stack of vectors) in this
@@ -336,39 +338,28 @@ def save_checkpoint(params, state, path):
 
 
 def load_checkpoint(path):
-    """Inverse of save_checkpoint; rejects truncated, tampered or v1 files."""
+    """Inverse of save_checkpoint; rejects truncated, tampered or v1 files.
+    The parameter vector and the moments are views into the file's buffer."""
     header, payload = read_sealed(path, CHECKPOINT_MAGIC, "checkpoint")
     if header.get("version") != CHECKPOINT_VERSION:
         raise ContractError(f"checkpoint version mismatch: {header.get('version')}")
-    params = ModelParams(header["feature_dim"], header["hidden"], seed=header["seed"])
-    if header["layout"] != json.loads(json.dumps(params.layout)):
+    layout = param_layout(header["feature_dim"], header["hidden"])
+    if header["layout"] != json.loads(json.dumps(layout)):
         raise ContractError("corrupt checkpoint: layout does not match the model")
     names = header["blobs"]
-    size = params.vector.size
+    size = sum(math.prod(shape) for _, shape in layout.values())
     if names not in (["params"], ["params", "m", "v"]) or (
         len(payload) != len(names) * size * 8
     ):
         raise ContractError("corrupt checkpoint: payload does not match the header")
     vectors = np.frombuffer(payload, dtype="<f8").reshape(len(names), size)
-    params.vector[...] = vectors[0]
+    params = ModelParams(header["feature_dim"], header["hidden"], seed=header["seed"],
+                         vector=vectors[0])
     state = None
     if header["optimizer"] is not None:
-        m, v = vectors[1:].copy() if len(names) == 3 else (None, None)
+        m, v = vectors[1:] if len(names) == 3 else (None, None)
         state = OptimizerState(**header["optimizer"], m=m, v=v)
     return params, state
-
-
-def save_features(features, path):
-    """Binary matrix container: magic, N, F, float64 payload (row-major,
-    written from the matrix's own buffer when it already is)."""
-    features = np.ascontiguousarray(features, dtype=np.float64)
-    n, f = features.shape
-    with open(path, "wb") as fh:
-        fh.write(b"AUKITFEAT1")
-        fh.write(n.to_bytes(8, "little"))
-        fh.write(f.to_bytes(8, "little"))
-        fh.write(b"f8")
-        fh.write(features)
 
 
 def cast_features(features, dtype):
@@ -393,43 +384,34 @@ def cast_features(features, dtype):
     return cast
 
 
-def _reject_non_finite_cells(values, path, first_row):
-    """ContractError naming the first nan or inf cell of `values`, rows
-    `first_row` on of the feature file `path` (numbered from 1)."""
-    bad = ~np.isfinite(values)
-    if bad.any():
-        row, column = np.argwhere(bad)[0]
+def save_features(features, path):
+    """An N x F matrix as a sealed file: its version and shape, then its
+    values as little-endian TRAIN_DTYPE, row-major. The cast goes through
+    cast_features, so nothing is written if it fails."""
+    features = cast_features(features, TRAIN_DTYPE)
+    n, f = features.shape
+    write_sealed(path, FEATURE_MAGIC, {"version": FEATURE_VERSION, "shape": [n, f]},
+                 np.ascontiguousarray(features, dtype="<f4"))
+
+
+def load_features(path):
+    """Inverse of save_features, as a view into the file's buffer; rejects
+    tampered, truncated or unsealed files, and names a nan or inf cell."""
+    header, payload = read_sealed(path, FEATURE_MAGIC, "feature file")
+    if header.get("version") != FEATURE_VERSION:
+        raise ContractError(f"feature file version mismatch: {header.get('version')}")
+    shape = header.get("shape")
+    if not (isinstance(shape, list) and len(shape) == 2
+            and all(type(d) is int and d >= 0 for d in shape)
+            and len(payload) == 4 * math.prod(shape)):
+        raise ContractError("corrupt feature file: payload does not match the header")
+    features = np.frombuffer(payload, dtype="<f4").reshape(shape)
+    # a nan or inf cell shows in the minimum or the maximum, which need no
+    # N x F mask
+    if features.size and not np.isfinite([features.min(), features.max()]).all():
+        row, column = np.argwhere(~np.isfinite(features))[0]
         raise ContractError(
-            f"{path}: non-finite feature {values[row, column]} at row "
-            f"{first_row + row + 1}, column {column + 1}"
+            f"{path}: non-finite feature {features[row, column]} at row {row + 1}, "
+            f"column {column + 1}"
         )
-
-
-def load_features(path, dtype=np.float64):
-    """The N x F matrix of a feature file (save_features' format), as `dtype`.
-
-    A nan or inf cell is a ContractError naming its row and column; the cast
-    goes through cast_features. The binary payload is read and cast a block
-    of rows at a time, so a narrower `dtype` never holds a float64 copy of
-    the whole matrix.
-    """
-    with open(path, "rb") as fh:
-        head = fh.read(28)
-        if not head.startswith(b"AUKITFEAT1"):
-            raise ContractError("corrupt feature file: bad magic")
-        n = int.from_bytes(head[10:18], "little")
-        f = int.from_bytes(head[18:26], "little")
-        if head[26:28] != b"f8":
-            raise ContractError("corrupt feature file: unknown dtype tag")
-        if os.fstat(fh.fileno()).st_size - len(head) != n * f * 8:
-            raise ContractError("corrupt feature file: truncated payload")
-        features = np.empty((n, f), dtype=dtype)
-        rows = max(1, min(n, FEATURE_BLOCK_BYTES // max(8 * f, 1)))
-        block = np.empty((rows, f))
-        for lo in range(0, n, rows):
-            part = block[:n - lo]
-            if fh.readinto(part) != part.nbytes:
-                raise ContractError("corrupt feature file: truncated payload")
-            _reject_non_finite_cells(part, path, lo)
-            features[lo:lo + len(part)] = cast_features(part, dtype)
     return features

@@ -1,8 +1,9 @@
 """Sealed binary files: a JSON header and a payload under a SHA-256 trailer.
 
 Layout: magic, header length, JSON header (sorted keys), payload length,
-payload, then the SHA-256 of everything before it. Checkpoints and frame
-stores share this framing; each keeps its own magic and header fields.
+payload, then the SHA-256 of everything before it. Checkpoints, frame
+stores and feature files share this framing; each keeps its own magic and
+header fields.
 
 Neither direction copies the payload. A writer hands over the payload as
 one or more buffers (bytes or C-contiguous arrays), which are hashed and
@@ -12,10 +13,16 @@ digest over a view of it and receives the payload as a view into it.
 
 import hashlib
 import json
+import os
+
+import numpy as np
 
 from .domain import ContractError
 
 DIGEST_SIZE = 32
+
+# read_sealed places a payload at an address that is a multiple of this
+PAYLOAD_ALIGNMENT = 64
 
 
 def write_sealed(path, magic, header, *payload):
@@ -39,10 +46,18 @@ def write_sealed(path, magic, header, *payload):
 def read_sealed(path, magic, what):
     """(header, payload) of a sealed file; ContractError names it as `what`.
 
-    The payload is a read-only memoryview into the file's one buffer.
+    The payload is a writable memoryview into the file's one buffer, placed
+    so that the payload starts on a PAYLOAD_ALIGNMENT boundary.
     """
     with open(path, "rb") as fh:
-        blob = memoryview(fh.read())
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(len(magic) + 8)
+        # where the payload starts if the header length is sound (checked below)
+        payload_at = len(head) + 8 + int.from_bytes(head[len(magic):], "little")
+        buffer = np.empty(size + PAYLOAD_ALIGNMENT, dtype=np.uint8)
+        start = -(buffer.ctypes.data + min(payload_at, size)) % PAYLOAD_ALIGNMENT
+        fh.seek(0)
+        blob = memoryview(buffer)[start:start + fh.readinto(buffer[start:start + size])]
     if len(blob) < len(magic) + 16 + DIGEST_SIZE:
         raise ContractError(f"corrupt {what}: truncated")
     if blob[:len(magic)] != magic:

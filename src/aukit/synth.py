@@ -75,14 +75,20 @@ class SynthSpec:
         self.class_proportions = np.asarray(self.class_proportions, dtype=np.float64)
         if self.class_proportions.shape != (NUM_EXPRESSIONS,):
             raise ContractError("class_proportions must be a 7-vector")
-        if np.any(self.class_proportions < 0):
+        if not np.all(self.class_proportions >= 0):  # nan fails too
             raise ContractError("class proportions must be nonnegative")
         if abs(self.class_proportions.sum() - 1.0) > 1e-9:
             raise ContractError("class proportions must sum to 1")
         if self.total < 1:
             raise ContractError("total must be >= 1")
-        if self.au_noise_sd < 0 or self.feature_noise_sd < 0:
-            raise ContractError("noise standard deviations must be >= 0")
+        if self.seed < 0 or (self.sample_seed or 0) < 0:
+            raise ContractError("seed and sample_seed must be >= 0")
+        if self.feature_dim < 1:
+            raise ContractError("feature_dim must be >= 1")
+        if not all(0 <= x < np.inf for x in  # nan fails too
+                   (self.au_noise_sd, self.feature_noise_sd, self.anchor_scale)):
+            raise ContractError("au_noise_sd, feature_noise_sd and anchor_scale "
+                                "must be finite and >= 0")
         if self.ground_truth_knowledge.stage != "loss-scaled":
             raise ContractError("ground-truth knowledge must be loss-scaled")
 

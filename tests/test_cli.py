@@ -159,31 +159,18 @@ def _train_scaled_features_in_child(synth_dirs, tmp_path, scale):
     return code, lines, (run_dir / "checkpoint.bin").exists()
 
 
-def test_huge_features_overflowing_optimizer_are_numeric_failure(
-    synth_dirs, tmp_path
-):
-    # 1e300 is beyond float32, the dtype training steps run in: the features
-    # are rejected before the first step, with no overflow warning
-    code, lines, wrote = _train_scaled_features_in_child(synth_dirs, tmp_path, 1e300)
-    assert code == EXIT_NUMERIC
-    assert not wrote
-    assert len(lines) == 1, lines
-    assert lines[0].startswith("numeric failure: features outside the float32 range")
-
-
-def test_eval_on_features_beyond_float32_is_numeric_failure(synth_dirs, tmp_path):
-    # eval loads features in float32, as training does, so 1e39 fails in the
-    # load's cast with one line and no overflow warning
-    train_dir, test_dir = synth_dirs
-    assert run("train", "--data", train_dir, "--epochs", 1, "--seed", 0,
-               "--out", tmp_path / "run") == EXIT_OK
-    data = _with_features(test_dir, tmp_path / "huge", lambda f: f * 1e39)
-    code, lines = _aukit_in_child("eval", "--checkpoint",
-                                  tmp_path / "run" / "checkpoint.bin",
-                                  "--data", data, "--out", tmp_path / "eval")
+def test_synth_gen_features_beyond_float32_are_numeric_failure(tmp_path):
+    # feature files hold float32, the dtype training steps run in, so values
+    # beyond its range fail as they are written, with one line and no
+    # overflow warning
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"feature_noise_sd": 1e300}))
+    code, lines = _aukit_in_child("synth-gen", "--n", 30, "--spec", spec,
+                                  "--out", tmp_path / "data")
     assert code == EXIT_NUMERIC
     assert len(lines) == 1, lines
     assert lines[0].startswith("numeric failure: features outside the float32 range")
+    assert not (tmp_path / "data" / "features.bin").exists()
 
 
 def test_float32_features_overflowing_second_moment_are_numeric_failure(
@@ -312,6 +299,7 @@ def test_gradcheck_checks_both_losses_and_the_model(capsys):
 @pytest.mark.parametrize("argv, message", [
     (["--batch", -1], "--batch must be >= 1"),
     (["--eps", 0], "epsilon"),
+    (["--seed", -1], "--seed >= 0"),
 ])
 def test_gradcheck_bad_argument_is_contract_error(argv, message, capsys):
     assert run("gradcheck", *argv) == EXIT_CONTRACT
@@ -576,6 +564,19 @@ def test_missing_knowledge_file_is_io_error(synth_dirs, tmp_path, capsys):
     assert "absent.csv" in err
 
 
+def test_missing_knowledge_support_sidecar_is_io_error(synth_dirs, tmp_path, capsys):
+    # the sidecar is required: no missing file reads as zero support
+    knowledge = _knowledge_file(synth_dirs[0], tmp_path)
+    (tmp_path / "k.csv.support.csv").unlink()
+    capsys.readouterr()
+    assert run("train", "--data", synth_dirs[0], "--epochs", 1,
+               "--knowledge", knowledge, "--out", tmp_path / "run") == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and err.count("\n") == 1, err
+    assert "k.csv.support.csv" in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_export_confusion_takes_counts_as_counts(tmp_path):
     # ten trillion samples in one cell: a report from the counts themselves,
     # never one label per sample
@@ -611,6 +612,36 @@ MALFORMED_JSON = {
     "spec_knowledge_not_settable": (
         "synth-gen", "--spec", '{"ground_truth_knowledge": [1]}',
         "'ground_truth_knowledge'"),
+    # values of the right type that no run or dataset can use: each used to
+    # train or generate with exit 0, or escape as a traceback
+    "config_learning_rate_infinite": (
+        "train", "--config", '{"learning_rate": 1e400}',
+        "learning_rate must be finite and > 0, got inf"),
+    "config_learning_rate_nan": (
+        "train", "--config", '{"learning_rate": NaN}',
+        "learning_rate must be finite and > 0, got nan"),
+    "config_learning_rate_negative": (
+        "train", "--config", '{"learning_rate": -1}', "learning_rate must be"),
+    "config_weight_decay_negative_infinity": (
+        "train", "--config", '{"weight_decay": -Infinity}',
+        "weight_decay must be finite and >= 0, got -inf"),
+    "config_factor_nan": (
+        "train", "--config", '{"factor": NaN}', "factor must be finite and > 0"),
+    "spec_feature_dim_negative": (
+        "synth-gen", "--spec", '{"feature_dim": -1}', "feature_dim must be >= 1"),
+    "spec_anchor_scale_negative": (
+        "synth-gen", "--spec", '{"anchor_scale": -1}', "anchor_scale must be"),
+    "spec_feature_noise_nan": (
+        "synth-gen", "--spec", '{"feature_noise_sd": NaN}', "must be finite and >= 0"),
+    "config_seed_negative": ("train", "--config", '{"seed": -1}', "seed >= 0"),
+    "spec_seed_negative": (
+        "synth-gen", "--spec", '{"seed": -1}', "seed and sample_seed must be >= 0"),
+    "spec_sample_seed_negative": (
+        "synth-gen", "--spec", '{"sample_seed": -1}', "seed and sample_seed must be"),
+    "spec_class_proportion_nan": (
+        "synth-gen", "--spec",
+        '{"class_proportions": [NaN, 0.2, 0.2, 0.1, 0.1, 0.05, 0.05]}',
+        "class proportions must be nonnegative"),
 }
 
 

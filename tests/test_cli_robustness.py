@@ -1,16 +1,18 @@
 """Malformed or truncated inputs never escape the CLI as a traceback.
 
-The table readers get a property test: each case starts from a valid input
-file (the frames pipeline's inputs, or a file of a small generated dataset
-directory), then either truncates it at a drawn offset or replaces one drawn
-cell with a drawn bad value. Whatever the outcome, `aukit` must return a
-documented exit code, and a failure must end stderr with its one-line
-message. The sealed binary files (checkpoints and frame stores) are
-truncated inside, or have one byte flipped in, each region of their layout.
+The table and JSON readers get a property test: each case starts from a
+valid input file (the frames pipeline's inputs, or a file of a small
+generated dataset directory), then either truncates it at a drawn offset or
+replaces one drawn cell (in a JSON file, one drawn value) with a drawn bad
+value. Whatever the outcome, `aukit` must return a documented exit code,
+and a failure must end stderr with its one-line message. The sealed binary
+files (checkpoints, frame stores and feature files) are truncated inside,
+or have one byte flipped in, each region of their layout.
 """
 
 import contextlib
 import io
+import json
 import shutil
 import tempfile
 from pathlib import Path
@@ -24,12 +26,14 @@ from aukit.cli import EXIT_CONTRACT, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 from aukit.domain import EXPRESSIONS, INTENSITY_AU_NAMES
 from aukit.harness import export_confusion, report_from_confusion
 from aukit.ingest import FRAME_STORE_MAGIC
-from aukit.model import CHECKPOINT_MAGIC
+from aukit.model import CHECKPOINT_MAGIC, FEATURE_MAGIC
 from aukit.sealed import DIGEST_SIZE
 
 from conftest import openface_csv
 
 BAD_CELLS = ("nan", "inf", "1.5", "-1", "x", "")
+BAD_JSON_VALUES = ("NaN", "-Infinity", "1e400", "1.5", "-1", "0", "true", "null",
+                   '"x"', "[]", "{}")
 MESSAGE_PREFIXES = ("error:", "numeric failure:", "i/o error:")
 
 
@@ -45,8 +49,8 @@ def run(*argv):
 def corpus(tmp_path_factory):
     """One three-frame video per class: OpenFace CSVs, their frame stores,
     frame predictions, video labels and the derived AU labels; and a
-    generated dataset directory with its pos-weights and a confusion
-    matrix."""
+    generated dataset directory with its pos-weights, a confusion matrix, a
+    training config and a synth-gen spec."""
     root = tmp_path_factory.mktemp("robustness")
     csvs, preds, video_labels = [], ["video_id,frame,label," + ",".join(
         f"s{j}" for j in range(7))], ["video_id,label"]
@@ -80,12 +84,22 @@ def corpus(tmp_path_factory):
                "global", "--out", data)[0] == EXIT_OK
     export_confusion(report_from_confusion(np.arange(49).reshape(7, 7)),
                      data / "confusion.csv")
+    (data / "config.json").write_text(json.dumps({
+        "lam": 0.3, "strategy": "global", "epochs": 1, "batch_size": 8,
+        "learning_rate": 0.01, "weight_decay": 0.05, "seed": 1, "hidden": [4, 3],
+        "factor": 5.0}))
+    (data / "spec.json").write_text(json.dumps({
+        "total": 20, "class_proportions": [0.3, 0.2, 0.2, 0.1, 0.1, 0.05, 0.05],
+        "au_noise_sd": 1.0, "feature_noise_sd": 2.0, "feature_dim": 6,
+        "anchor_scale": 0.3, "seed": 2, "sample_seed": 3}))
     files.update({
         "pos_weights": data / "pos_weights.csv",
         "knowledge": data / "knowledge.csv",
         "knowledge_support": data / "knowledge.csv.support.csv",
         "confusion": data / "confusion.csv",
         "expression_labels": data / "expression_labels.csv",
+        "config": data / "config.json",
+        "spec": data / "spec.json",
     })
     return files, store
 
@@ -115,13 +129,37 @@ COMMANDS = {
     "expression_labels": train_on,
     "confusion": lambda path, store, out: [
         "export-confusion", "--confusion", path, "--out", out / "c"],
+    "config": lambda path, store, out: [
+        "train", "--data", path.parent, "--config", path, "--out", out / "run"],
+    "spec": lambda path, store, out: [
+        "synth-gen", "--spec", path, "--out", out / "synth"],
 }
 
 
-def mutate(data, text):
-    """`text` truncated at a drawn offset, or with one drawn cell replaced."""
+def mutate_json(data, text):
+    """`text`, a JSON object, with one drawn value (a top-level value or an
+    item of a list) replaced by a drawn bad value."""
+    document = json.loads(text)
+    key = data.draw(st.sampled_from(sorted(document)), label="key")
+    cells = {name: json.dumps(value) for name, value in document.items()}
+    bad = data.draw(st.sampled_from(BAD_JSON_VALUES), label="value")
+    items = document[key]
+    if isinstance(items, list) and data.draw(st.booleans(), label="item"):
+        i = data.draw(st.integers(0, len(items) - 1), label="index")
+        bad = "[" + ", ".join(bad if j == i else json.dumps(item)
+                              for j, item in enumerate(items)) + "]"
+    cells[key] = bad
+    return "{" + ", ".join(f"{json.dumps(name)}: {cell}"
+                           for name, cell in cells.items()) + "}"
+
+
+def mutate(data, text, is_json=False):
+    """`text` truncated at a drawn offset, or with one drawn cell (or JSON
+    value) replaced."""
     if data.draw(st.booleans(), label="truncate"):
         return text[:data.draw(st.integers(0, len(text)), label="offset")]
+    if is_json:
+        return mutate_json(data, text)
     lines = text.splitlines()
     row = data.draw(st.integers(0, len(lines) - 1), label="line")
     cells = lines[row].split(",")
@@ -136,7 +174,7 @@ def mutate(data, text):
 @given(data=st.data())
 def test_malformed_input_exits_with_one_line_message(source, corpus, data):
     files, store = corpus
-    text = mutate(data, files[source].read_text())
+    text = mutate(data, files[source].read_text(), files[source].suffix == ".json")
     with tempfile.TemporaryDirectory() as scratch:
         out = Path(scratch)
         path = out / files[source].name
@@ -204,3 +242,14 @@ def test_damaged_frame_store_exits_with_one_error_line(corpus, tmp_path, region,
     path.write_bytes(damaged(path.read_bytes(), FRAME_STORE_MAGIC, region, kind))
     assert_one_error_line(*run("pseudo-label", "--frames", copy, "--video-labels",
                                files["video_labels"], "--out", tmp_path / "au.csv"))
+
+
+@pytest.mark.parametrize("kind", ("truncate", "flip"))
+@pytest.mark.parametrize("region", SEALED_REGIONS)
+def test_damaged_feature_file_exits_with_one_error_line(trained, tmp_path, region,
+                                                        kind):
+    data = shutil.copytree(trained[0], tmp_path / "data")
+    path = data / "features.bin"
+    path.write_bytes(damaged(path.read_bytes(), FEATURE_MAGIC, region, kind))
+    assert_one_error_line(*run("train", "--data", data, "--epochs", 1,
+                               "--out", tmp_path / "run"))

@@ -98,3 +98,13 @@ def test_knowledge_negative_support_rejected():
     with pytest.raises(ContractError, match="support"):
         KnowledgeMatrix(values=np.full((18, 7), 0.5), stage="per-dataset",
                         support=support)
+
+
+def test_knowledge_leaves_the_callers_arrays_writable():
+    values = np.full((18, 7), 0.5)
+    support = np.ones((18, 7), dtype=np.int64)
+    matrix = KnowledgeMatrix(values=values, stage="per-dataset", support=support)
+    assert values.flags.writeable and support.flags.writeable
+    assert not matrix.values.flags.writeable and not matrix.support.flags.writeable
+    values[0, 0] = 0.9  # the matrix holds its own copy
+    assert matrix.values[0, 0] == 0.5

@@ -21,7 +21,7 @@ from aukit.ingest import (
     reliable_detections,
     write_frame_store,
 )
-from aukit.sealed import write_sealed
+from aukit.sealed import PAYLOAD_ALIGNMENT, write_sealed
 
 from conftest import make_frames, openface_csv
 
@@ -415,6 +415,14 @@ def test_frame_store_roundtrip(tmp_path_factory, data):
     loaded = read_frame_store(path)
     assert loaded.dtype == FRAME_DTYPE
     assert loaded.tobytes() == frames.tobytes()
+
+
+def test_frame_store_rows_are_an_aligned_writable_view(rng, tmp_path):
+    path = tmp_path / "vid.frames"
+    write_frame_store(random_frames(rng, 5), path)
+    loaded = read_frame_store(path)
+    assert not loaded.flags.owndata and loaded.flags.writeable
+    assert loaded.ctypes.data % PAYLOAD_ALIGNMENT == 0
 
 
 def test_frame_store_rejects_garbage(tmp_path):

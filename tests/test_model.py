@@ -5,11 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from aukit import model
 from aukit.domain import ContractError, NumericFailure
 from aukit.losses import au_loss, combined_loss, expression_loss
 from aukit.model import (
     CHECKPOINT_MAGIC,
+    FEATURE_MAGIC,
+    TRAIN_DTYPE,
     OptimizerState,
     backward,
     forward,
@@ -22,6 +23,7 @@ from aukit.model import (
 )
 from aukit.domain import KnowledgeMatrix
 from aukit.labeling import PosWeightSpec
+from aukit.sealed import PAYLOAD_ALIGNMENT, read_sealed, write_sealed
 
 
 def reference_optimizer_step(tensors, grads, state):
@@ -73,7 +75,8 @@ class TestInitParams:
     def test_no_hidden_layers(self):
         p = init_params(0, feature_dim=12, hidden=())
         assert p.expr_weight.shape == (7, 12)
-        assert p.embedding_dim == 12
+        # with no hidden layer the embeddings are the features themselves
+        assert forward(p, np.ones((2, 12)))[2].shape == (2, 12)
 
     def test_head_shapes(self):
         p = init_params(0, feature_dim=1024, hidden=(128,))
@@ -349,6 +352,26 @@ class TestCheckpoint:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_load_is_a_view_of_the_file(self, rng, tmp_path):
+        # a wide checkpoint with moments (3.2 MB): the load holds the file's
+        # one buffer and returns views into it, with no second vector
+        params = init_params(0, feature_dim=1024, hidden=(128,))
+        state = OptimizerState()
+        optimizer_step(params, rng.normal(size=params.vector.size), state)
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(params, state, path)
+        tracemalloc.start()  # traces only what the load allocates
+        try:
+            loaded, loaded_state = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= path.stat().st_size + (64 << 10)
+        for array in (loaded.vector, loaded_state.m, loaded_state.v):
+            assert not array.flags.owndata and array.flags.writeable
+        assert loaded.vector.ctypes.data % PAYLOAD_ALIGNMENT == 0
+        assert loaded_state.m.tobytes() == state.m.tobytes()
+
     def test_save_is_deterministic(self, tmp_path):
         params = init_params(4, feature_dim=16, hidden=(8,))
         path_a = tmp_path / "a.bin"
@@ -363,36 +386,93 @@ class TestFeatureFiles:
         features = rng.normal(size=(13, 6))
         path = tmp_path / "features.bin"
         save_features(features, path)
-        assert np.array_equal(load_features(path), features)
+        header, payload = read_sealed(path, FEATURE_MAGIC, "feature file")
+        assert header == {"version": 2, "shape": [13, 6]}
+        assert bytes(payload) == features.astype("<f4").tobytes()
+        assert np.array_equal(load_features(path), features.astype(TRAIN_DTYPE))
+
+    def test_float32_load_in_blocks_equals_one_cast(self, rng, tmp_path):
+        # the file holds float32: loading a float64 matrix saved in it gives
+        # one cast of the whole matrix, whatever its size
+        features = rng.normal(size=(300, 7))
+        path = tmp_path / "features.bin"
+        save_features(features, path)
+        loaded = load_features(path)
+        assert loaded.dtype == np.float32
+        assert np.array_equal(loaded, features.astype(np.float32))
+
+    def test_load_is_an_aligned_writable_view_of_the_file(self, rng, tmp_path):
+        path = tmp_path / "features.bin"
+        save_features(rng.normal(size=(300, 64)), path)
+        tracemalloc.start()  # traces only what the load allocates
+        try:
+            loaded = load_features(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not loaded.flags.owndata and loaded.flags.writeable
+        assert loaded.ctypes.data % PAYLOAD_ALIGNMENT == 0
+        assert peak <= path.stat().st_size + (64 << 10)
+
+    def test_empty_matrix_roundtrip(self, tmp_path):
+        path = tmp_path / "features.bin"
+        save_features(np.zeros((0, 4)), path)
+        assert load_features(path).shape == (0, 4)
 
     def test_truncated_binary_rejected(self, rng, tmp_path):
         path = tmp_path / "features.bin"
         save_features(rng.normal(size=(5, 4)), path)
         path.write_bytes(path.read_bytes()[:-9])
-        with pytest.raises(ContractError, match="truncated"):
+        with pytest.raises(ContractError, match="corrupt feature file: checksum mismatch"):
             load_features(path)
 
-    def test_float32_load_in_blocks_equals_one_cast(self, rng, tmp_path,
-                                                   monkeypatch):
-        monkeypatch.setattr(model, "FEATURE_BLOCK_BYTES", 3 * 6 * 8)  # 3 rows
-        features = rng.normal(size=(13, 6))
+    def test_flipped_payload_byte_rejected(self, rng, tmp_path):
         path = tmp_path / "features.bin"
-        save_features(features, path)
-        loaded = load_features(path, dtype=np.float32)
-        assert loaded.dtype == np.float32
-        assert np.array_equal(loaded, features.astype(np.float32))
+        save_features(rng.normal(size=(5, 4)), path)
+        blob = bytearray(path.read_bytes())
+        blob[-40] ^= 1  # the last payload byte
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ContractError, match="corrupt feature file: checksum mismatch"):
+            load_features(path)
 
-    @pytest.mark.parametrize("value, error, message", [
-        (np.nan, ContractError, "non-finite feature nan at row 11, column 5"),
-        (-np.inf, ContractError, "non-finite feature -inf at row 11, column 5"),
-        (1e39, NumericFailure, "features outside the float32 range"),
-    ], ids=["nan", "negative_inf", "beyond_float32"])
-    def test_bad_cell_in_a_later_block_rejected(self, value, error, message, rng,
-                                                tmp_path, monkeypatch):
-        monkeypatch.setattr(model, "FEATURE_BLOCK_BYTES", 3 * 6 * 8)
+    def test_unsealed_float64_format_rejected(self, rng, tmp_path):
+        # the format before feature files were sealed: a 10-byte magic, N and
+        # F as 8-byte integers, the tag f8, then N x F float64 values
+        features = rng.normal(size=(5, 4))
+        path = tmp_path / "features.bin"
+        path.write_bytes(b"AUKITFEAT1" + (5).to_bytes(8, "little")
+                         + (4).to_bytes(8, "little") + b"f8" + features.tobytes())
+        with pytest.raises(ContractError, match="corrupt feature file: bad magic"):
+            load_features(path)
+
+    @pytest.mark.parametrize("header, payload, message", [
+        ({"version": 1, "shape": [2, 2]}, 16, "feature file version mismatch: 1"),
+        ({"version": 2, "shape": [2, 3]}, 16, "payload does not match the header"),
+        ({"version": 2, "shape": [4]}, 16, "payload does not match the header"),
+        ({"version": 2, "shape": [2, -2]}, 0, "payload does not match the header"),
+        ({"version": 2}, 16, "payload does not match the header"),
+    ], ids=["version_1", "shape_too_large", "one_dimension", "negative", "no_shape"])
+    def test_header_mismatch_rejected(self, header, payload, message, tmp_path):
+        path = tmp_path / "features.bin"
+        write_sealed(path, FEATURE_MAGIC, header, bytes(payload))
+        with pytest.raises(ContractError, match=message):
+            load_features(path)
+
+    @pytest.mark.parametrize("value, name", [(np.nan, "nan"), (-np.inf, "-inf")],
+                             ids=["nan", "negative_inf"])
+    def test_non_finite_cell_named(self, value, name, rng, tmp_path):
         features = rng.normal(size=(13, 6))
         features[10, 4] = value
         path = tmp_path / "features.bin"
         save_features(features, path)
-        with pytest.raises(error, match=message):
-            load_features(path, dtype=np.float32)
+        with pytest.raises(ContractError,
+                           match=f"non-finite feature {name} at row 11, column 5"):
+            load_features(path)
+
+    def test_values_beyond_float32_are_not_written(self, rng, tmp_path):
+        features = rng.normal(size=(13, 6))
+        features[10, 4] = 1e39
+        path = tmp_path / "features.bin"
+        with pytest.raises(NumericFailure, match="features outside the float32 range"):
+            save_features(features, path)
+        assert not path.exists()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from aukit.domain import ContractError
-from aukit.sealed import read_sealed, write_sealed
+from aukit.sealed import PAYLOAD_ALIGNMENT, read_sealed, write_sealed
 
 MAGIC = b"AUKITTEST"
 
@@ -55,3 +55,15 @@ def test_bad_header_rejected(tmp_path, header_bytes):
     path.write_bytes(body + hashlib.sha256(body).digest())
     with pytest.raises(ContractError, match="corrupt test file: bad header"):
         read_sealed(path, MAGIC, "test file")
+
+
+@pytest.mark.parametrize("key", ["", "k", "key", "a longer header key"])
+def test_payload_is_an_aligned_writable_view(tmp_path, key):
+    path = tmp_path / "s.bin"
+    write_sealed(path, MAGIC, {key: 1}, np.arange(7.0))
+    _, payload = read_sealed(path, MAGIC, "test file")
+    array = np.frombuffer(payload, dtype="<f8")
+    assert array.ctypes.data % PAYLOAD_ALIGNMENT == 0
+    array[0] = 9.0  # writable, and the file is untouched
+    assert np.array_equal(array, [9.0, *range(1, 7)])
+    assert read_sealed(path, MAGIC, "test file")[1] == np.arange(7.0).tobytes()
