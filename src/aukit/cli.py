@@ -255,9 +255,9 @@ def _build_train_data(args):
 def cmd_train(args):
     config = _load_config(args)
     data = _build_train_data(args)
-    params, state, logs = harness.train(config, data)
+    params, _, logs = harness.train(config, data)
     os.makedirs(args.out, exist_ok=True)
-    model.save_checkpoint(params, state, os.path.join(args.out, "checkpoint.bin"))
+    model.save_checkpoint(params, os.path.join(args.out, "checkpoint.bin"))
     write_table(
         os.path.join(args.out, "epochs.csv"),
         ([e.epoch, e.loss_expression, e.loss_au, e.loss_total, e.train_war,
@@ -271,7 +271,7 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    params, _ = model.load_checkpoint(args.checkpoint)
+    params = model.load_checkpoint(args.checkpoint)
     features, expr_labels, _ = _load_dataset_dir(args.data)
     report = harness.evaluate(params, features, expr_labels)
     os.makedirs(args.out, exist_ok=True)
@@ -402,7 +402,7 @@ def cmd_export_confusion(args):
 
 
 def cmd_export_embeddings(args):
-    params, _ = model.load_checkpoint(args.checkpoint)
+    params = model.load_checkpoint(args.checkpoint)
     features, expr_labels, _ = _load_dataset_dir(args.data)
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "embeddings.csv")

@@ -5,13 +5,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .domain import (
-    ContractError,
-    EXPRESSIONS,
-    MAJOR_MASK,
-    NUM_EXPRESSIONS,
-    NumericFailure,
-)
+from .domain import ContractError, EXPRESSIONS, NUM_EXPRESSIONS, NumericFailure
 from .labeling import STRATEGIES, compute_pos_weights
 from .losses import au_loss, combined_loss, expression_loss, loss_knowledge
 from .model import (
@@ -336,12 +330,20 @@ def train_stacked(configs, data, pos_weights=None):
     return [(params.run(r), state.run(r)) for r in range(len(configs))]
 
 
-def _score(params, data):
-    """Evaluate a trained run on the test split, or on the training split
-    when there is none."""
-    if data.test_features is not None:
-        return evaluate(params, data.test_features, data.test_expr_labels)
-    return evaluate(params, data.features, data.expr_labels)
+def _train_and_score(key, values, configs, data, pos_weights=None):
+    """train_stacked the runs of `configs`, then score each once at the end,
+    on the test split, or the training split when there is none. One row per
+    run: `key` (its entry of `values`), WAR, UAR and per-class recalls."""
+    if data.test_features is None:
+        features, labels = data.features, data.expr_labels
+    else:
+        features, labels = data.test_features, data.test_expr_labels
+    rows = []
+    for value, (params, _) in zip(values, train_stacked(configs, data, pos_weights)):
+        report = evaluate(params, features, labels)
+        rows.append({key: value, "war": report.war, "uar": report.uar,
+                     "per_class_recall": report.per_class_recall})
+    return rows
 
 
 def lambda_sweep(config, data, grid=DEFAULT_LAMBDA_GRID):
@@ -352,19 +354,9 @@ def lambda_sweep(config, data, grid=DEFAULT_LAMBDA_GRID):
     """
     if len(grid) == 0:
         raise ContractError("lambda grid must be nonempty")
-    runs = train_stacked([replace(config, lam=float(lam)) for lam in grid], data)
-    rows = []
-    for lam, (params, _) in zip(grid, runs):
-        report = _score(params, data)
-        rows.append(
-            {
-                "lambda": float(lam),
-                "war": report.war,
-                "uar": report.uar,
-                "per_class_recall": report.per_class_recall,
-            }
-        )
-    return rows
+    grid = [float(lam) for lam in grid]
+    return _train_and_score("lambda", grid,
+                            [replace(config, lam=lam) for lam in grid], data)
 
 
 def strategy_compare(config, data, strategies=STRATEGIES):
@@ -374,26 +366,9 @@ def strategy_compare(config, data, strategies=STRATEGIES):
     unknown = [s for s in strategies if s not in STRATEGIES]
     if unknown:
         raise ContractError(f"unknown strategies: {unknown}")
-    specs = [compute_pos_weights(data.au_labels, data.expr_labels, s)
-             for s in strategies]
-    runs = train_stacked(
-        [replace(config, strategy=s) for s in strategies], data, specs
-    )
-    rows = []
-    for strategy, spec, (params, _) in zip(strategies, specs, runs):
-        report = _score(params, data)
-        rows.append(
-            {
-                "strategy": strategy,
-                "war": report.war,
-                "uar": report.uar,
-                "per_class_recall": report.per_class_recall,
-                "major_pos_weights_all_one": bool(
-                    np.all(spec.values[MAJOR_MASK] == 1.0)
-                ),
-            }
-        )
-    return rows
+    return _train_and_score("strategy", list(strategies),
+                            [replace(config, strategy=s) for s in strategies], data,
+                            [None] * len(strategies))
 
 
 def write_metric_rows(rows, path, key_column):

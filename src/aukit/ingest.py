@@ -95,20 +95,6 @@ class _RowParse(Exception):
     """A block parse met input only the row-by-row parse can decide on."""
 
 
-def _read_text(stream):
-    """The whole input as one str: text, UTF-8 bytes, or a text or byte stream."""
-    if isinstance(stream, (bytes, bytearray)):
-        return stream.decode("utf-8")
-    if isinstance(stream, str):
-        return stream
-    if isinstance(stream.read(0), bytes):
-        wrapper = io.TextIOWrapper(stream, encoding="utf-8")
-        text = wrapper.read()
-        wrapper.detach()  # a collected wrapper would close the caller's stream
-        return text
-    return stream.read()
-
-
 def _csv_reader(text, required):
     """A csv.DictReader over text whose header (stripped of spaces) names
     every `required` column."""
@@ -139,13 +125,18 @@ def _block_parse(text, numbers, strings=(), optional=()):
     header has; their cells as an n x k float array; the `strings` cells as
     an n x m array of str objects).
 
-    Raises _RowParse where csv and loadtxt could read the text differently
-    (a quote or carriage return, which csv reads specially, or NUL, which
-    csv before Python 3.11 rejects), where the header lacks a column, or
+    Text with a NUL is a ContractError naming its file line (csv before
+    Python 3.11 rejects NUL with its own error). Raises _RowParse where csv
+    and loadtxt could read the text differently (a quote or carriage
+    return, which csv reads specially), where the header lacks a column, or
     where loadtxt cannot read a cell. As in a DictReader, a duplicated
     header name means its last column.
     """
-    if '"' in text or "\r" in text or "\0" in text:
+    nul = text.find("\0")
+    if nul >= 0:
+        line = text.count("\n", 0, nul) + 1
+        raise ContractError(f"row {line}: NUL byte")
+    if '"' in text or "\r" in text:
         raise _RowParse
     start = text.find("\n") + 1 or len(text)
     header = next(csv.reader([text[:start]], skipinitialspace=True), [])
@@ -174,13 +165,13 @@ def _integral(values):
 def parse_openface_csv(stream, video_id):
     """Parse one video's OpenFace output into an array of FRAME_DTYPE rows.
 
-    Accepts text, bytes, or a text or byte stream. Rows with success = 0 are
-    retained but flagged; rows for secondary faces (face_id > 0) are dropped
-    with a warning. The body is parsed as one numeric block and checked as
+    Accepts text or a text stream. Rows with success = 0 are retained but
+    flagged; rows for secondary faces (face_id > 0) are dropped with a
+    warning. The body is parsed as one numeric block and checked as
     column masks; input the block parse cannot read, or that fails a check,
     goes through the row-by-row reference parse, which words the error.
     """
-    text = _read_text(stream)
+    text = stream if isinstance(stream, str) else stream.read()
     try:
         return _openface_block(text, video_id)
     except _RowParse:
@@ -286,7 +277,7 @@ def load_frame_predictions(stream):
     non-negative and sum to 1 within SCORE_SUM_TOLERANCE, and are
     renormalised to sum to 1. Parsed as blocks like parse_openface_csv, with
     the same row-by-row reference parse behind them."""
-    text = _read_text(stream)
+    text = stream if isinstance(stream, str) else stream.read()
     try:
         columns = _prediction_columns(text)
     except _RowParse:

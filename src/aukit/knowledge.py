@@ -208,10 +208,8 @@ def import_knowledge(path):
     are required.
     """
     what = "knowledge file"
-    meta, values = read_matrix(path, what, AU_NAMES, NUM_EXPRESSIONS)
-    version = f"knowledge-matrix v{KNOWLEDGE_FILE_VERSION}"
-    if version not in meta:
-        raise ContractError(f"corrupt {what}: no '# {version}' version line")
+    meta, values = read_matrix(path, what, AU_NAMES, NUM_EXPRESSIONS,
+                               version=f"knowledge-matrix v{KNOWLEDGE_FILE_VERSION}")
     stage, datasets, theta = meta_fields(meta, what, stage=str, datasets=int,
                                          theta=float)
     _, support = read_matrix(_support_path(path), "knowledge support file",

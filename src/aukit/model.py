@@ -21,7 +21,7 @@ from .domain import ContractError, NUM_AUS, NUM_EXPRESSIONS, NumericFailure
 from .sealed import read_sealed, write_sealed
 
 CHECKPOINT_MAGIC = b"AUKITCKPT"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 # not a prefix of the magic of the unsealed float64 files before version 2
 FEATURE_MAGIC = b"AUKITFEATS"
@@ -31,9 +31,6 @@ FEATURE_VERSION = 2
 # parameters, moments, batches, losses, gradients and predictions;
 # initialisation, checkpoints and gradient checks stay float64
 TRAIN_DTYPE = np.float32
-
-# the OptimizerState fields a checkpoint header records
-OPTIMIZER_FIELDS = ("learning_rate", "beta1", "beta2", "eps", "weight_decay", "step")
 
 DEFAULT_FEATURE_DIM = 1024
 DEFAULT_HIDDEN = (128,)
@@ -307,16 +304,15 @@ def optimizer_step(params, grads, state):
     return params, state
 
 
-def save_checkpoint(params, state, path):
+def save_checkpoint(params, path):
     """Versioned sealed binary checkpoint (see aukit.sealed for the framing).
 
-    The JSON header holds the parameter layout, the optimizer
-    hyperparameters and the names of the payload blobs. The payload is the
-    parameter vector, then the optimizer's m and v vectors when it has taken
-    a step, each as little-endian float64 and written from the array itself
-    (copied only if it is in another dtype or not contiguous). Deliberately
-    not np.savez: zip entries carry timestamps, which would break
-    bit-identical checkpoints across reruns.
+    The JSON header holds the seed and the parameter layout; the payload is
+    the parameter vector as little-endian float64, written from the array
+    itself (copied only if it is in another dtype or not contiguous). No
+    optimizer state is kept: no command resumes training. Deliberately not
+    np.savez: zip entries carry timestamps, which would break bit-identical
+    checkpoints across reruns.
     """
     header = {
         "version": CHECKPOINT_VERSION,
@@ -324,42 +320,42 @@ def save_checkpoint(params, state, path):
         "feature_dim": params.feature_dim,
         "hidden": list(params.hidden),
         "layout": params.layout,
-        "blobs": ["params"],
-        "optimizer": None,
     }
-    blobs = [params.vector]
-    if state is not None:
-        header["optimizer"] = {k: getattr(state, k) for k in OPTIMIZER_FIELDS}
-        if state.m is not None:
-            header["blobs"] += ["m", "v"]
-            blobs += [state.m, state.v]
     write_sealed(path, CHECKPOINT_MAGIC, header,
-                 *(np.ascontiguousarray(blob, dtype="<f8") for blob in blobs))
+                 np.ascontiguousarray(params.vector, dtype="<f8"))
+
+
+def _whole(value, least):
+    """Whether a JSON value is an int >= least (JSON true is no int)."""
+    return type(value) is int and value >= least
 
 
 def load_checkpoint(path):
-    """Inverse of save_checkpoint; rejects truncated, tampered or v1 files.
-    The parameter vector and the moments are views into the file's buffer."""
+    """The ModelParams of a save_checkpoint file, their vector a view into
+    the file's buffer. Every header field is checked before anything is
+    allocated for it; a tampered, truncated or other-version file is a
+    ContractError."""
     header, payload = read_sealed(path, CHECKPOINT_MAGIC, "checkpoint")
-    if header.get("version") != CHECKPOINT_VERSION:
-        raise ContractError(f"checkpoint version mismatch: {header.get('version')}")
-    layout = param_layout(header["feature_dim"], header["hidden"])
+    version = header.get("version")
+    if type(version) is not int or version != CHECKPOINT_VERSION:
+        raise ContractError(f"checkpoint version mismatch: {version}")
+    if sorted(header) != ["feature_dim", "hidden", "layout", "seed", "version"]:
+        raise ContractError("corrupt checkpoint: header fields must be feature_dim, "
+                            "hidden, layout, seed and version")
+    feature_dim, hidden, seed = header["feature_dim"], header["hidden"], header["seed"]
+    if not _whole(feature_dim, 1):
+        raise ContractError("corrupt checkpoint: feature_dim must be an int >= 1")
+    if not (isinstance(hidden, list) and all(_whole(h, 1) for h in hidden)):
+        raise ContractError("corrupt checkpoint: hidden must be a list of ints >= 1")
+    if not _whole(seed, 0):
+        raise ContractError("corrupt checkpoint: seed must be an int >= 0")
+    layout = param_layout(feature_dim, hidden)
     if header["layout"] != json.loads(json.dumps(layout)):
         raise ContractError("corrupt checkpoint: layout does not match the model")
-    names = header["blobs"]
-    size = sum(math.prod(shape) for _, shape in layout.values())
-    if names not in (["params"], ["params", "m", "v"]) or (
-        len(payload) != len(names) * size * 8
-    ):
+    if len(payload) != 8 * sum(math.prod(shape) for _, shape in layout.values()):
         raise ContractError("corrupt checkpoint: payload does not match the header")
-    vectors = np.frombuffer(payload, dtype="<f8").reshape(len(names), size)
-    params = ModelParams(header["feature_dim"], header["hidden"], seed=header["seed"],
-                         vector=vectors[0])
-    state = None
-    if header["optimizer"] is not None:
-        m, v = vectors[1:] if len(names) == 3 else (None, None)
-        state = OptimizerState(**header["optimizer"], m=m, v=v)
-    return params, state
+    return ModelParams(feature_dim, hidden, seed=seed,
+                       vector=np.frombuffer(payload, dtype="<f8"))
 
 
 def cast_features(features, dtype):

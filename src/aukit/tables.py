@@ -39,10 +39,11 @@ def write_matrix(path, row_names, values, header=None, meta=()):
     write_table(path, rows, header, meta)
 
 
-def read_table(path, what, header=None, width=None):
+def read_table(path, what, header=None, width=None, version=None):
     """(meta, rows): meta maps each leading `# key=value` line's key to its
     value (a bare `# tag` to ""), and rows lists (file line, cells) of the
-    other non-blank lines after the exact `header`. Every row must have
+    other non-blank lines after the exact `header`. A `# version` line, if
+    given, is required, and checked before the rows. Every row must have
     `width` cells, by default the header's width; `what` names the file in
     errors."""
     meta, rows = {}, []
@@ -56,6 +57,8 @@ def read_table(path, what, header=None, width=None):
             else:
                 key, _, value = line[1:].partition("=")
                 meta[key.strip()] = value.strip()
+    if version is not None and version not in meta:
+        raise ContractError(f"corrupt {what}: no '# {version}' version line")
     if header is not None:
         if not rows or rows[0][1] != list(header):
             raise ContractError(f"corrupt {what}: header must be {','.join(header)!r}")
@@ -111,10 +114,12 @@ def meta_fields(meta, what, **kinds):
     return values
 
 
-def read_matrix(path, what, row_names, columns, header=None, kind=float):
+def read_matrix(path, what, row_names, columns, header=None, kind=float,
+                version=None):
     """(meta, values) of a table whose rows are `row_names`, in order, each
-    followed by `columns` numbers; values is a float64 (int64) array."""
-    meta, rows = read_table(path, what, header, 1 + columns)
+    followed by `columns` numbers; values is a float64 (int64) array. See
+    read_table for `version`."""
+    meta, rows = read_table(path, what, header, 1 + columns, version)
     if len(rows) != len(row_names):
         raise ContractError(f"corrupt {what}: expected {len(row_names)} rows, "
                             f"got {len(rows)}")

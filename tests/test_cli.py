@@ -148,6 +148,27 @@ def test_ingest_warns_of_an_all_zero_series_once(tmp_path, capfd):
     ], err
 
 
+def test_nul_byte_is_one_line_contract_error(tmp_path, capsys):
+    # csv before Python 3.11 raises its own error on NUL; on every version
+    # the readers report it as a contract error naming the file line
+    video = tmp_path / "v1.csv"
+    video.write_text(openface_csv([{}]))
+    store = tmp_path / "store"
+    assert run("ingest", video, "--out", store) == EXIT_OK
+    video.write_text(openface_csv([{}, {"timestamp": "0\0"}]))
+    preds = tmp_path / "scores.csv"
+    preds.write_text("video_id,frame,label," + ",".join(f"s{j}" for j in range(7))
+                     + "\nv1,1,Happy\0,1,0,0,0,0,0,0\n")
+    for argv, line in (
+        (["ingest", video, "--out", tmp_path / "again"], 3),
+        (["extract-knowledge", "--frames", store, "--preds", preds,
+          "--out", tmp_path / "k.csv"], 2),
+    ):
+        capsys.readouterr()
+        assert run(*argv) == EXIT_CONTRACT
+        assert capsys.readouterr().err == f"error: row {line}: NUL byte\n"
+
+
 def _train_scaled_features_in_child(synth_dirs, tmp_path, scale):
     """Exit code and stderr lines of `aukit train` on the training features
     times `scale`, and whether it wrote a checkpoint."""

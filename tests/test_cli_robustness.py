@@ -3,11 +3,13 @@
 The table and JSON readers get a property test: each case starts from a
 valid input file (the frames pipeline's inputs, or a file of a small
 generated dataset directory), then either truncates it at a drawn offset or
-replaces one drawn cell (in a JSON file, one drawn value) with a drawn bad
-value. Whatever the outcome, `aukit` must return a documented exit code,
-and a failure must end stderr with its one-line message. The sealed binary
-files (checkpoints, frame stores and feature files) are truncated inside,
-or have one byte flipped in, each region of their layout.
+(in a table) replaces one drawn cell with a drawn bad value; in the JSON
+files, every value is replaced by every bad value in turn. Whatever the
+outcome, `aukit` must return a documented exit code, and a failure must
+end stderr with its one-line message. The sealed binary files
+(checkpoints, frame stores and feature files) are truncated inside, or have
+one byte flipped in, each region of their layout, and each field of a
+checkpoint header is removed or mistyped in a validly sealed file.
 """
 
 import contextlib
@@ -27,7 +29,7 @@ from aukit.domain import EXPRESSIONS, INTENSITY_AU_NAMES
 from aukit.harness import export_confusion, report_from_confusion
 from aukit.ingest import FRAME_STORE_MAGIC
 from aukit.model import CHECKPOINT_MAGIC, FEATURE_MAGIC
-from aukit.sealed import DIGEST_SIZE
+from aukit.sealed import DIGEST_SIZE, read_sealed, write_sealed
 
 from conftest import openface_csv
 
@@ -35,6 +37,17 @@ BAD_CELLS = ("nan", "inf", "1.5", "-1", "x", "")
 BAD_JSON_VALUES = ("NaN", "-Infinity", "1e400", "1.5", "-1", "0", "true", "null",
                    '"x"', "[]", "{}")
 MESSAGE_PREFIXES = ("error:", "numeric failure:", "i/o error:")
+# the valid training config and synth-gen spec the JSON cases start from
+JSON_DOCUMENTS = {
+    "config": {
+        "lam": 0.3, "strategy": "global", "epochs": 1, "batch_size": 8,
+        "learning_rate": 0.01, "weight_decay": 0.05, "seed": 1, "hidden": [4, 3],
+        "factor": 5.0},
+    "spec": {
+        "total": 20, "class_proportions": [0.3, 0.2, 0.2, 0.1, 0.1, 0.05, 0.05],
+        "au_noise_sd": 1.0, "feature_noise_sd": 2.0, "feature_dim": 6,
+        "anchor_scale": 0.3, "seed": 2, "sample_seed": 3},
+}
 
 
 def run(*argv):
@@ -84,14 +97,8 @@ def corpus(tmp_path_factory):
                "global", "--out", data)[0] == EXIT_OK
     export_confusion(report_from_confusion(np.arange(49).reshape(7, 7)),
                      data / "confusion.csv")
-    (data / "config.json").write_text(json.dumps({
-        "lam": 0.3, "strategy": "global", "epochs": 1, "batch_size": 8,
-        "learning_rate": 0.01, "weight_decay": 0.05, "seed": 1, "hidden": [4, 3],
-        "factor": 5.0}))
-    (data / "spec.json").write_text(json.dumps({
-        "total": 20, "class_proportions": [0.3, 0.2, 0.2, 0.1, 0.1, 0.05, 0.05],
-        "au_noise_sd": 1.0, "feature_noise_sd": 2.0, "feature_dim": 6,
-        "anchor_scale": 0.3, "seed": 2, "sample_seed": 3}))
+    (data / "config.json").write_text(json.dumps(JSON_DOCUMENTS["config"]))
+    (data / "spec.json").write_text(json.dumps(JSON_DOCUMENTS["spec"]))
     files.update({
         "pos_weights": data / "pos_weights.csv",
         "knowledge": data / "knowledge.csv",
@@ -130,36 +137,18 @@ COMMANDS = {
     "confusion": lambda path, store, out: [
         "export-confusion", "--confusion", path, "--out", out / "c"],
     "config": lambda path, store, out: [
-        "train", "--data", path.parent, "--config", path, "--out", out / "run"],
+        "train", "--data", store.parent / "data", "--config", path,
+        "--out", out / "run"],
     "spec": lambda path, store, out: [
         "synth-gen", "--spec", path, "--out", out / "synth"],
 }
 
 
-def mutate_json(data, text):
-    """`text`, a JSON object, with one drawn value (a top-level value or an
-    item of a list) replaced by a drawn bad value."""
-    document = json.loads(text)
-    key = data.draw(st.sampled_from(sorted(document)), label="key")
-    cells = {name: json.dumps(value) for name, value in document.items()}
-    bad = data.draw(st.sampled_from(BAD_JSON_VALUES), label="value")
-    items = document[key]
-    if isinstance(items, list) and data.draw(st.booleans(), label="item"):
-        i = data.draw(st.integers(0, len(items) - 1), label="index")
-        bad = "[" + ", ".join(bad if j == i else json.dumps(item)
-                              for j, item in enumerate(items)) + "]"
-    cells[key] = bad
-    return "{" + ", ".join(f"{json.dumps(name)}: {cell}"
-                           for name, cell in cells.items()) + "}"
-
-
 def mutate(data, text, is_json=False):
-    """`text` truncated at a drawn offset, or with one drawn cell (or JSON
-    value) replaced."""
-    if data.draw(st.booleans(), label="truncate"):
+    """`text` truncated at a drawn offset, or (not for JSON, whose values
+    test_json_value_mutation enumerates) with one drawn cell replaced."""
+    if is_json or data.draw(st.booleans(), label="truncate"):
         return text[:data.draw(st.integers(0, len(text)), label="offset")]
-    if is_json:
-        return mutate_json(data, text)
     lines = text.splitlines()
     row = data.draw(st.integers(0, len(lines) - 1), label="line")
     cells = lines[row].split(",")
@@ -182,6 +171,44 @@ def test_malformed_input_exits_with_one_line_message(source, corpus, data):
             path = shutil.copytree(files[source].parent, out / "data") / path.name
         path.write_text(text)
         code, err = run(*COMMANDS[source](path, store, out))
+    assert code in (EXIT_OK, EXIT_CONTRACT, EXIT_NUMERIC, EXIT_IO)
+    if code != EXIT_OK:
+        assert err.splitlines()[-1].startswith(MESSAGE_PREFIXES), err
+
+
+def with_bad_value(document, key, index, bad):
+    """The JSON text of `document` with the value of `key` (its item
+    `index`, unless None) spelled `bad`."""
+    cells = {name: json.dumps(value) for name, value in document.items()}
+    if index is None:
+        cells[key] = bad
+    else:
+        cells[key] = "[" + ", ".join(bad if j == index else json.dumps(item)
+                                     for j, item in enumerate(document[key])) + "]"
+    return "{" + ", ".join(f"{json.dumps(name)}: {cell}"
+                           for name, cell in cells.items()) + "}"
+
+
+# every value position of each JSON document (each top-level value, and each
+# item of a list value) with every bad value
+JSON_CASES = [
+    pytest.param(source, key, index, bad,
+                 id=f"{source}-{key}{'' if index is None else [index]}-{bad}")
+    for source, document in JSON_DOCUMENTS.items()
+    for key, index in [(key, None) for key in document] + [
+        (key, i) for key, value in document.items() if isinstance(value, list)
+        for i in range(len(value))]
+    for bad in BAD_JSON_VALUES
+]
+
+
+@pytest.mark.parametrize("source,key,index,bad", JSON_CASES)
+def test_json_value_mutation_exits_with_one_line_message(corpus, tmp_path, source,
+                                                        key, index, bad):
+    files, store = corpus
+    path = tmp_path / files[source].name
+    path.write_text(with_bad_value(JSON_DOCUMENTS[source], key, index, bad))
+    code, err = run(*COMMANDS[source](path, store, tmp_path))
     assert code in (EXIT_OK, EXIT_CONTRACT, EXIT_NUMERIC, EXIT_IO)
     if code != EXIT_OK:
         assert err.splitlines()[-1].startswith(MESSAGE_PREFIXES), err
@@ -230,6 +257,34 @@ def test_damaged_checkpoint_exits_with_one_error_line(trained, tmp_path, region,
     path.write_bytes(damaged(checkpoint.read_bytes(), CHECKPOINT_MAGIC, region, kind))
     assert_one_error_line(*run("eval", "--checkpoint", path, "--data", data,
                                "--out", tmp_path / "eval"))
+
+
+def mistyped(value):
+    """`value` (a checkpoint header's) as the same number or numbers in
+    another JSON type, or, for the layout, its items as a list."""
+    if isinstance(value, dict):
+        return list(value.items())
+    if isinstance(value, list):
+        return [float(v) for v in value]
+    return float(value)
+
+
+@pytest.mark.parametrize("fault", ("removed", "mistyped"))
+@pytest.mark.parametrize("field", ("version", "seed", "feature_dim", "hidden", "layout"))
+def test_checkpoint_header_fault_exits_with_one_error_line(trained, tmp_path, field,
+                                                           fault):
+    data, checkpoint = trained
+    header, payload = read_sealed(checkpoint, CHECKPOINT_MAGIC, "checkpoint")
+    if fault == "removed":
+        del header[field]
+    else:
+        header[field] = mistyped(header[field])
+    path = tmp_path / "checkpoint.bin"
+    write_sealed(path, CHECKPOINT_MAGIC, header, payload)
+    code, err = run("eval", "--checkpoint", path, "--data", data,
+                    "--out", tmp_path / "eval")
+    assert code == EXIT_CONTRACT, err
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
 
 
 @pytest.mark.parametrize("kind", ("truncate", "flip"))

@@ -452,8 +452,6 @@ class TestSweepAndCompare:
         )
         rows = strategy_compare(TrainConfig(epochs=1, seed=0), data)
         assert [row["strategy"] for row in rows] == list(STRATEGIES)
-        minor_row = next(row for row in rows if row["strategy"] == "minor")
-        assert minor_row["major_pos_weights_all_one"] is True
 
     def test_compare_rejects_unknown_strategy(self):
         data = small_train_data(total=200)

@@ -81,22 +81,19 @@ class TestParseOpenfaceCsv:
         frames = parse_openface_csv(text, "v1")
         assert len(frames) == 1
 
-    def test_accepts_byte_stream(self):
-        blob = openface_csv([{}]).encode("utf-8")
-        frames = parse_openface_csv(io.BytesIO(blob), "v1")
-        assert len(frames) == 1
-
-    @pytest.mark.parametrize("form", [str, str.encode, lambda t: io.StringIO(t),
-                                      lambda t: io.BytesIO(t.encode())])
+    @pytest.mark.parametrize("form", [str, io.StringIO])
     def test_input_forms_agree(self, form):
         text = openface_csv([{"AU12_r": "2.5"}, {"face_id": "1"}, {}])
         expected = parse_openface_csv(text, "v1")
         assert parse_openface_csv(form(text), "v1").tobytes() == expected.tobytes()
 
-    def test_byte_stream_left_open(self):
-        stream = io.BytesIO(openface_csv([{}]).encode("utf-8"))
-        parse_openface_csv(stream, "v1")
-        assert not stream.closed
+    def test_nul_names_its_file_line(self):
+        # a NUL in a secondary-face row, whose cells are never read, on file
+        # line 4 (line 3 is blank)
+        lines = openface_csv([{}, {"face_id": "1", "timestamp": "0\0"}]).splitlines()
+        text = "\n".join(lines[:2] + [""] + lines[2:]) + "\n"
+        with pytest.raises(ContractError, match="^row 4: NUL byte$"):
+            parse_openface_csv(text, "v1")
 
     def test_rows_numbered_by_file_line(self):
         # file line 3 is blank, so the bad row is file line 4
@@ -215,6 +212,11 @@ class TestLoadFramePredictions:
     def test_rejects_unknown_label(self):
         text = self.HEADER + "\nv1,1,Calm,0.4,0.1,0.1,0.1,0.1,0.1,0.1\n"
         with pytest.raises(ContractError, match="Calm"):
+            load_frame_predictions(text)
+
+    def test_nul_names_its_file_line(self):
+        text = self.HEADER + "\nv1,1,Sad,0.4,0.1,0.1,0.1,0.1,0.1,0.1\nv\0,2,Sad\n"
+        with pytest.raises(ContractError, match="^row 3: NUL byte$"):
             load_frame_predictions(text)
 
     def test_score_sum_past_float_range_is_contract_error(self):

@@ -443,6 +443,19 @@ class TestKnowledgeIO:
         with pytest.raises(ContractError, match="version"):
             import_knowledge(path)
 
+    def test_version_checked_before_the_body(self, rng, tmp_path):
+        # another version, with a 5-row body this reader cannot parse, is
+        # reported by its version, not by its body
+        path = tmp_path / "k.csv"
+        export_knowledge(self._matrix(rng), path)
+        lines = path.read_text().replace("knowledge-matrix v1", "knowledge-matrix v2")
+        meta = [ln for ln in lines.splitlines() if ln.startswith("#")]
+        body = [ln for ln in lines.splitlines() if not ln.startswith("#")]
+        path.write_text("\n".join(meta + body[:5]) + "\n")
+        with pytest.raises(ContractError,
+                           match="no '# knowledge-matrix v1' version line"):
+            import_knowledge(path)
+
     def test_validate_accepts_all_pipeline_outputs(self, rng, tmp_path):
         per_dataset = KnowledgeMatrix(
             values=sigmoid(rng.normal(0, 2, (18, 7))), stage="per-dataset"

@@ -18,6 +18,7 @@ from aukit.model import (
     load_checkpoint,
     load_features,
     optimizer_step,
+    param_layout,
     save_checkpoint,
     save_features,
 )
@@ -281,34 +282,48 @@ class TestOptimizer:
             optimizer_step(params, grads, state)
 
 
+def sealed_checkpoint(path, header, payload=b""):
+    """A validly sealed checkpoint file holding `header` and `payload`."""
+    write_sealed(path, CHECKPOINT_MAGIC, header, payload)
+    return path
+
+
 class TestCheckpoint:
     def test_roundtrip_exact(self, rng, tmp_path):
         params = init_params(11, feature_dim=1024, hidden=(128,))
-        state = OptimizerState(step=5)
-        optimizer_step(params, rng.normal(size=params.vector.size), state)
+        optimizer_step(params, rng.normal(size=params.vector.size), OptimizerState())
         path = tmp_path / "ckpt.bin"
-        save_checkpoint(params, state, path)
-        loaded_params, loaded_state = load_checkpoint(path)
+        save_checkpoint(params, path)
+        loaded_params = load_checkpoint(path)
         assert loaded_params.feature_dim == 1024
+        assert loaded_params.hidden == (128,)
         assert loaded_params.seed == 11
         for (ka, va), (kb, vb) in zip(
             sorted(params.views(params.vector).items()),
             sorted(loaded_params.views(loaded_params.vector).items()),
         ):
             assert ka == kb and np.array_equal(va, vb)
-        assert loaded_state.step == state.step
         assert loaded_params.vector.tobytes() == params.vector.tobytes()
-        assert loaded_state.m.tobytes() == state.m.tobytes()
-        assert loaded_state.v.tobytes() == state.v.tobytes()
 
     def test_roundtrip_before_first_step(self, tmp_path):
         params = init_params(4, feature_dim=6, hidden=(3,))
         path = tmp_path / "ckpt.bin"
-        save_checkpoint(params, OptimizerState(learning_rate=0.02), path)
-        loaded_params, loaded_state = load_checkpoint(path)
+        save_checkpoint(params, path)
+        loaded_params = load_checkpoint(path)
+        assert (loaded_params.feature_dim, loaded_params.hidden) == (6, (3,))
         assert loaded_params.vector.tobytes() == params.vector.tobytes()
-        assert loaded_state.learning_rate == 0.02
-        assert loaded_state.m is None and loaded_state.v is None
+
+    def test_holds_only_the_parameters(self, tmp_path):
+        # the wide shape: 134 425 float64 parameters and a header, no moments
+        params = init_params(0, feature_dim=1024, hidden=(128,))
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(params, path)
+        header, payload = read_sealed(path, CHECKPOINT_MAGIC, "checkpoint")
+        assert header == {"version": 3, "seed": 0, "feature_dim": 1024,
+                          "hidden": [128],
+                          "layout": json.loads(json.dumps(params.layout))}
+        assert bytes(payload) == params.vector.astype("<f8").tobytes()
+        assert path.stat().st_size <= 1_076_000
 
     def test_version_1_rejected(self, tmp_path):
         # a well-formed file in the per-array v1 layout, checksum included
@@ -321,10 +336,56 @@ class TestCheckpoint:
         with pytest.raises(ContractError, match="version mismatch: 1"):
             load_checkpoint(path)
 
+    def test_version_2_rejected(self, tmp_path):
+        # a version 2 file: parameters, then the optimizer's moments
+        params = init_params(0, feature_dim=4, hidden=(3,))
+        header = {"version": 2, "seed": 0, "feature_dim": 4, "hidden": [3],
+                  "layout": params.layout, "blobs": ["params", "m", "v"],
+                  "optimizer": {"learning_rate": 1e-3, "beta1": 0.9, "beta2": 0.999,
+                                "eps": 1e-8, "weight_decay": 0.05, "step": 1}}
+        path = sealed_checkpoint(tmp_path / "v2.bin", header,
+                                 np.tile(params.vector, 3).astype("<f8"))
+        with pytest.raises(ContractError, match="^checkpoint version mismatch: 2$"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("field,value", [
+        ("version", "3"), ("version", 3.0), ("feature_dim", 4.0),
+        ("feature_dim", True), ("feature_dim", 0), ("hidden", 3), ("hidden", [3.0]),
+        ("hidden", [0]), ("hidden", [True]), ("seed", -1), ("seed", True),
+        ("seed", 0.0), ("seed", None), ("layout", {}), ("blobs", ["params"]),
+    ])
+    def test_mistyped_header_field_rejected(self, tmp_path, field, value):
+        params = init_params(0, feature_dim=4, hidden=(3,))
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(params, path)
+        header, payload = read_sealed(path, CHECKPOINT_MAGIC, "checkpoint")
+        header[field] = value
+        sealed_checkpoint(path, header, payload)
+        with pytest.raises(ContractError, match="corrupt checkpoint|version mismatch"):
+            load_checkpoint(path)
+
+    def test_header_checked_before_allocating(self, tmp_path):
+        # a billion hidden units declared over a 100-parameter payload: the
+        # load fails holding no more than the file
+        layout = param_layout(4, [10 ** 9])
+        path = sealed_checkpoint(
+            tmp_path / "ckpt.bin",
+            {"version": 3, "seed": 0, "feature_dim": 4, "hidden": [10 ** 9],
+             "layout": layout},
+            np.zeros(100))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ContractError, match="payload does not match"):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= path.stat().st_size + (64 << 10)
+
     def test_corrupted_tail_rejected(self, tmp_path):
         params = init_params(1, feature_dim=8, hidden=())
         path = tmp_path / "ckpt.bin"
-        save_checkpoint(params, None, path)
+        save_checkpoint(params, path)
         blob = path.read_bytes()
         path.write_bytes(blob[:-10] + b"corruption")
         with pytest.raises(ContractError, match="corrupt"):
@@ -333,51 +394,46 @@ class TestCheckpoint:
     def test_truncation_rejected(self, tmp_path):
         params = init_params(1, feature_dim=8, hidden=())
         path = tmp_path / "ckpt.bin"
-        save_checkpoint(params, None, path)
+        save_checkpoint(params, path)
         path.write_bytes(path.read_bytes()[:40])
         with pytest.raises(ContractError, match="corrupt"):
             load_checkpoint(path)
 
-    def test_save_allocates_no_copy_of_the_payload(self, rng, tmp_path):
-        # the payload (three 134 425-parameter float64 vectors, 3.2 MB) is
-        # written from the arrays themselves, not joined into new bytes
+    def test_save_allocates_no_copy_of_the_payload(self, tmp_path):
+        # the payload (134 425 float64 parameters, 1.08 MB) is written from
+        # the vector itself, not joined into new bytes
         params = init_params(0, feature_dim=1024, hidden=(128,))
-        state = OptimizerState()
-        optimizer_step(params, rng.normal(size=params.vector.size), state)
         tracemalloc.start()  # traces only what the save allocates
         try:
-            save_checkpoint(params, state, tmp_path / "ckpt.bin")
+            save_checkpoint(params, tmp_path / "ckpt.bin")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-    def test_load_is_a_view_of_the_file(self, rng, tmp_path):
-        # a wide checkpoint with moments (3.2 MB): the load holds the file's
-        # one buffer and returns views into it, with no second vector
+    def test_load_is_a_view_of_the_file(self, tmp_path):
+        # a wide checkpoint (1.08 MB): the load holds the file's one buffer
+        # and returns a view into it, with no second vector
         params = init_params(0, feature_dim=1024, hidden=(128,))
-        state = OptimizerState()
-        optimizer_step(params, rng.normal(size=params.vector.size), state)
         path = tmp_path / "ckpt.bin"
-        save_checkpoint(params, state, path)
+        save_checkpoint(params, path)
         tracemalloc.start()  # traces only what the load allocates
         try:
-            loaded, loaded_state = load_checkpoint(path)
+            loaded = load_checkpoint(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= path.stat().st_size + (64 << 10)
-        for array in (loaded.vector, loaded_state.m, loaded_state.v):
-            assert not array.flags.owndata and array.flags.writeable
+        assert not loaded.vector.flags.owndata and loaded.vector.flags.writeable
         assert loaded.vector.ctypes.data % PAYLOAD_ALIGNMENT == 0
-        assert loaded_state.m.tobytes() == state.m.tobytes()
+        assert loaded.vector.tobytes() == params.vector.tobytes()
 
     def test_save_is_deterministic(self, tmp_path):
         params = init_params(4, feature_dim=16, hidden=(8,))
         path_a = tmp_path / "a.bin"
         path_b = tmp_path / "b.bin"
-        save_checkpoint(params, OptimizerState(), path_a)
-        save_checkpoint(params, OptimizerState(), path_b)
+        save_checkpoint(params, path_a)
+        save_checkpoint(params, path_b)
         assert path_a.read_bytes() == path_b.read_bytes()
 
 
