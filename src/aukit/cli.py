@@ -4,6 +4,7 @@ Exit codes: 0 success, 1 usage/contract error, 2 numeric failure, 3 I/O error.
 """
 
 import argparse
+import contextlib
 import json
 import logging
 import os
@@ -112,13 +113,25 @@ def _frame_stores(frames_dir):
             for video_id in video_ids]
 
 
+@contextlib.contextmanager
+def _naming(path):
+    """Prefix the contract errors of reading the CSV file at `path` with
+    the path; a file that is not UTF-8 text is one of them."""
+    try:
+        yield
+    except UnicodeDecodeError:
+        raise ContractError(f"{path}: not UTF-8 text") from None
+    except ContractError as exc:
+        raise ContractError(f"{path}: {exc}") from None
+
+
 def cmd_ingest(args):
     os.makedirs(args.out, exist_ok=True)
     for path in args.inputs:
         video_id = os.path.splitext(os.path.basename(path))[0]
-        with open(path, "r", encoding="utf-8") as fh:
+        with _naming(path), open(path, "r", encoding="utf-8") as fh:
             frames = ingest.parse_openface_csv(fh, video_id)
-        repaired = ingest.interpolate_zero_intensities(frames, video_id)
+            repaired = ingest.interpolate_zero_intensities(frames, video_id)
         out_path = os.path.join(args.out, video_id + ingest.FRAME_STORE_SUFFIX)
         ingest.write_frame_store(repaired, out_path)
         print(f"{video_id}: {len(repaired)} frames -> {out_path}")
@@ -126,7 +139,7 @@ def cmd_ingest(args):
 
 
 def cmd_extract_knowledge(args):
-    with open(args.preds, "r", encoding="utf-8") as fh:
+    with _naming(args.preds), open(args.preds, "r", encoding="utf-8") as fh:
         predictions = ingest.load_frame_predictions(fh)
     reliable = knowledge.filter_reliable_frames(predictions, args.theta)
     # only the stores of videos with a reliable prediction can add a frame

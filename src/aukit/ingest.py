@@ -7,12 +7,8 @@ Zero-valued intensities are the tool's known failure mode and are repaired by
 within-video linear interpolation.
 """
 
-import array
-import csv
-import io
 import json
 import logging
-import math
 
 import numpy as np
 
@@ -53,6 +49,7 @@ PRESENCE_COLUMNS = tuple(f"{n}_c" for n in AU_NAMES)
 SCORE_COLUMNS = tuple(f"s{j}" for j in range(NUM_EXPRESSIONS))
 # the OpenFace columns every file must have, in the block parse's column order
 OPENFACE_REQUIRED = ("frame", "confidence", "success") + INTENSITY_COLUMNS + PRESENCE_COLUMNS
+PREDICTION_COLUMNS = ("video_id", "frame", "label") + SCORE_COLUMNS
 SCORE_SUM_TOLERANCE = 1e-3
 PREDICTION_FIELDS = [("frame_index", "<i8"), ("label", "<i8"),
                      ("scores", "<f8", (NUM_EXPRESSIONS,))]
@@ -65,47 +62,24 @@ def prediction_table(video_ids, frame_indices, labels, scores):
                        label=labels, scores=scores)
 
 
-def _cell_float(row, column, row_number):
-    raw = row.get(column)
-    if raw is None or raw.strip() == "":
-        raise ContractError(f"row {row_number}: empty cell in column {column!r}")
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ContractError(
-            f"row {row_number}: non-numeric value {raw!r} in column {column!r}"
-        ) from None
-    if not math.isfinite(value):
-        raise ContractError(
-            f"row {row_number}: non-finite value {raw!r} in column {column!r}"
-        )
-    return value
+def _loadtxt(records, columns, dtype=float):
+    """The `columns` cells of each record: the one grammar of every cell."""
+    return np.loadtxt(records, dtype=dtype, delimiter=",", comments=None, ndmin=2,
+                      usecols=columns)
 
 
-def _cell_int(row, column, row_number):
-    value = _cell_float(row, column, row_number)
-    if value.is_integer() and abs(value) < 2**63:
-        return int(value)
-    raise ContractError(
-        f"row {row_number}: non-integer value {row[column]!r} in column {column!r}"
-    )
-
-
-class _RowParse(Exception):
-    """A block parse met input only the row-by-row parse can decide on."""
-
-
-def _csv_reader(text, required):
-    """A csv.DictReader over text whose header (stripped of spaces) names
-    every `required` column."""
-    reader = csv.DictReader(io.StringIO(text), skipinitialspace=True)
-    if reader.fieldnames is None:
-        raise ContractError("empty input: no header row")
-    reader.fieldnames = [h.strip() for h in reader.fieldnames]
-    missing = [c for c in required if c not in reader.fieldnames]
-    if missing:
-        raise ContractError(f'missing column "{missing[0]}"')
-    return reader
+def _text(stream):
+    """The text of a str or text stream, read as a text-mode file reads it:
+    `\\r\\n` and a lone `\\r` each end a line. A NUL, or a quote (no writer of
+    these files quotes a cell), is a ContractError naming its file line."""
+    text = stream if isinstance(stream, str) else stream.read()
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    for char, problem in (("\0", "NUL byte"), ('"', "quoted cell")):
+        if char in text:
+            line = text.count("\n", 0, text.index(char)) + 1
+            raise ContractError(f"row {line}: {problem}")
+    return text
 
 
 def _records(text, start):
@@ -119,47 +93,119 @@ def _records(text, start):
         start = stop + 1
 
 
-def _block_parse(text, numbers, strings=(), optional=()):
-    """The cells of every record below the header, one np.loadtxt call per
-    cell type: (float column names: `numbers`, then the `optional` ones the
-    header has; their cells as an n x k float array; the `strings` cells as
-    an n x m array of str objects).
+class _Csv:
+    """A CSV text's records, read as one block per cell type: `floats` holds
+    the cells of the columns `names` (the `required` ones not in `strings`,
+    then the `optional` ones the header has); `strings` maps each `strings`
+    column to its cells; a duplicated header name means its last column.
+    `checks` lists (columns, test, message template; None for a cell that
+    is no number) in the order they run, each on one string column, or on
+    float columns consecutive in `names` (an optional one alone, left out
+    where the header lacks it); a record whose `secondary` cell is
+    a finite number above 0 needs only numbers. `error` words the first
+    unreadable or failing record's first failure; the blocks end before it."""
 
-    Text with a NUL is a ContractError naming its file line (csv before
-    Python 3.11 rejects NUL with its own error). Raises _RowParse where csv
-    and loadtxt could read the text differently (a quote or carriage
-    return, which csv reads specially), where the header lacks a column, or
-    where loadtxt cannot read a cell. As in a DictReader, a duplicated
-    header name means its last column.
-    """
-    nul = text.find("\0")
-    if nul >= 0:
-        line = text.count("\n", 0, nul) + 1
-        raise ContractError(f"row {line}: NUL byte")
-    if '"' in text or "\r" in text:
-        raise _RowParse
-    start = text.find("\n") + 1 or len(text)
-    header = next(csv.reader([text[:start]], skipinitialspace=True), [])
-    index = {name.strip(): i for i, name in enumerate(header)}
-    names = numbers + tuple(c for c in optional if c in index)
-    if any(c not in index for c in names + strings):
-        raise _RowParse
-    if text.count("\n", start) == len(text) - start:  # blank body: loadtxt would warn
-        return names, np.empty((0, len(names))), np.empty((0, len(strings)), object)
-    try:
-        floats = np.loadtxt(_records(text, start), delimiter=",", comments=None,
-                            ndmin=2, usecols=[index[c] for c in names])
-        cells = np.loadtxt(_records(text, start), dtype=object, delimiter=",",
-                           comments=None, ndmin=2, usecols=[index[c] for c in strings]
-                           ) if strings else np.empty((len(floats), 0), object)
-    except ValueError:
-        raise _RowParse from None
-    return names, floats, cells
+    def __init__(self, stream, required, checks, strings=(), optional=(), secondary=None):
+        self.text = text = _text(stream)
+        if not text:
+            raise ContractError("empty input: no header row")
+        self.start = text.find("\n") + 1 or len(text)
+        header = text[:self.start].rstrip("\n").split(",")
+        self.index = {name.strip(): i for i, name in enumerate(header)}
+        missing = [c for c in required if c not in self.index]
+        if missing:
+            raise ContractError(f'missing column "{missing[0]}"')
+        self.names = tuple(c for c in required + optional if c in self.index and c not in strings)
+        self.string_names, self.secondary, self.error = strings, secondary, None
+        self.checks = [check for check in checks if check[0][0] in self.index]
+        if not self._bad([] if text.count("\n", self.start) == len(text) - self.start else None):
+            return
+        records = list(_records(text, self.start))
+        lo, hi = 0, len(records)  # the first bad record is in records[lo:hi]
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if self._bad(records[lo:mid]) else (mid, hi)
+        self.floats, self.strings = self._read(records[:lo])
+        self.error = self._word(records[lo], self.lines()[lo])
+
+    def _read(self, records):
+        """The blocks of a list of record lines (None: every record)."""
+        lines = (lambda: _records(self.text, self.start)) if records is None else (lambda: records)
+        if records == []:  # loadtxt would warn
+            return np.empty((0, len(self.names))), {c: [] for c in self.string_names}
+        floats = _loadtxt(lines(), [self.index[c] for c in self.names])
+        strings = _loadtxt(lines(), [self.index[c] for c in self.string_names], object
+                           ).T.tolist() if self.string_names else []
+        return floats, dict(zip(self.string_names, strings))
+
+    def _masks(self, floats, strings):
+        """Each check's test of the blocks, and which records need only numbers."""
+        at = {c: i for i, c in enumerate(self.names)}
+        def cells(columns):  # a string column's list, or a view of float columns
+            if columns[0] in strings:
+                return strings[columns[0]]
+            return floats[:, at[columns[0]]:at[columns[0]] + len(columns)]
+        face = cells((self.secondary,)) if self.secondary in at else np.nan
+        return [test(cells(columns)) for columns, test, _ in self.checks], (
+            (face > 0.0) & (face < np.inf))
+
+    def _bad(self, records):
+        """Whether a record (see _read) fails; if none does, keep the blocks."""
+        try:
+            self.floats, self.strings = self._read(records)
+        except ValueError:
+            return True
+        masks, relax = self._masks(self.floats, self.strings)
+        return not all(mask.all() or (mask | relax).all() for mask in masks)
+
+    def _word(self, record, line):
+        """A bad record's first failure, its cells read one at a time."""
+        def value(raw):  # None for a blank cell, none (raw is None) or an unreadable one
+            try:
+                return _loadtxt([raw], [0])[0, 0] if raw and raw.strip() else None
+            except ValueError:
+                return None
+        cells = [cell.lstrip(" ") for cell in record.split(",")]
+        raw = {c: cells[i] if i < len(cells) else None for c, i in self.index.items()}
+        values = dict(zip(self.names, map(value, (raw[c] for c in self.names))))
+        floats = np.array([[np.nan if v is None else v for v in values.values()]])
+        strings = {c: [raw[c]] for c in self.string_names}
+        read = {c: values.get(c, raw[c]) is not None for c in self.names + self.string_names}
+        masks, relax = self._masks(floats, strings)
+        for (columns, _, template), mask in zip(self.checks, masks):
+            ok = np.broadcast_to(mask | relax, (1, len(columns)))[0] & [read[c] for c in columns]
+            if not ok.all():
+                column = columns[np.argmin(ok)]
+                break
+        raw, value = raw[column], values.get(column)
+        if template is None:  # a number check: the cell is blank, unreadable or not finite
+            problem = "empty cell" if not (raw and raw.strip()) else (
+                "non-numeric value {raw!r}" if value is None else "non-finite value {raw!r}")
+            template = "row {line}: " + problem + " in column {column!r}"
+        return template.format(line=line, column=column, raw=raw, value=value)
+
+    def lines(self):
+        """The file line of each record (blank lines are no records)."""
+        return np.flatnonzero([line != "" for line in self.text[self.start:].split("\n")]) + 2
 
 
-def _integral(values):
-    """Mask of the values that are integers below 2**63 in magnitude."""
-    return (values == np.trunc(values)) & (np.abs(values) < 2**63)
+_FRAME_CHECKS = (
+    (("frame",), np.isfinite, None),
+    (("frame",), lambda v: (v == np.trunc(v)) & (np.abs(v) < 2**63),  # fits int64
+     "row {line}: non-integer value {raw!r} in column {column!r}"),
+)
+_OPENFACE_CHECKS = (
+    (("face_id",), np.isfinite, None),
+    (INTENSITY_COLUMNS, np.isfinite, None),
+    (INTENSITY_COLUMNS, lambda v: (v >= 0.0) & (v <= 5.0),
+     "row {line}: intensity {column} = {value} outside [0, 5]"),
+    (PRESENCE_COLUMNS, np.isfinite, None),
+    (PRESENCE_COLUMNS, lambda v: (v == 0.0) | (v == 1.0),
+     "row {line}: presence {column} = {value} not in {{0, 1}}"),
+    *_FRAME_CHECKS,
+    (("timestamp",), np.isfinite, None),
+    (("confidence", "success"), np.isfinite, None),
+)
 
 
 def parse_openface_csv(stream, video_id):
@@ -167,80 +213,28 @@ def parse_openface_csv(stream, video_id):
 
     Accepts text or a text stream. Rows with success = 0 are retained but
     flagged; rows for secondary faces (face_id > 0) are dropped with a
-    warning. The body is parsed as one numeric block and checked as
-    column masks; input the block parse cannot read, or that fails a check,
-    goes through the row-by-row reference parse, which words the error.
+    warning. Read and checked as blocks (see _Csv).
     """
-    text = stream if isinstance(stream, str) else stream.read()
-    try:
-        return _openface_block(text, video_id)
-    except _RowParse:
-        return _openface_rows(text, video_id)
-
-
-def _openface_block(text, video_id):
-    """parse_openface_csv as one np.loadtxt block checked by column masks."""
-    names, cells, _ = _block_parse(text, OPENFACE_REQUIRED, optional=("face_id", "timestamp"))
-    face = cells[:, names.index("face_id")] if "face_id" in names else np.zeros(len(cells))
-    secondary = face > 0
-    kept = cells[~secondary]  # cells of dropped rows are never checked
-    frame, confidence, success = kept[:, 0], kept[:, 1], kept[:, 2]
-    intensities = kept[:, 3:3 + NUM_INTENSITY_AUS]
-    presences = kept[:, 3 + NUM_INTENSITY_AUS:3 + NUM_INTENSITY_AUS + NUM_AUS]
-    if not (np.isfinite(face).all() and np.isfinite(kept).all()
-            and ((intensities >= 0.0) & (intensities <= 5.0)).all()
-            and ((presences == 0.0) | (presences == 1.0)).all()
-            and _integral(frame).all()):
-        raise _RowParse
+    csv = _Csv(stream, OPENFACE_REQUIRED, _OPENFACE_CHECKS,
+               optional=("face_id", "timestamp"), secondary="face_id")
+    names, cells = csv.names, csv.floats
+    secondary = (cells[:, names.index("face_id")] > 0 if "face_id" in names
+                 else np.zeros(len(cells), bool))
+    if secondary.any():  # the rows before a bad one are dropped all the same
+        for line in csv.lines()[:len(cells)][secondary].tolist():
+            log.warning("%s row %d: dropping secondary face", video_id, line)
+    if csv.error:
+        raise ContractError(csv.error)
+    kept = cells[~secondary]
     frames = np.zeros(len(kept), dtype=FRAME_DTYPE)
-    frames["frame_index"] = frame.astype(np.int64)
+    frames["frame_index"] = kept[:, 0].astype(np.int64)
     if "timestamp" in names:
         frames["timestamp"] = kept[:, names.index("timestamp")]
-    frames["confidence"] = confidence
-    frames["success"] = success != 0.0
-    frames["intensities"] = intensities
-    frames["presences"] = presences
-    if secondary.any():
-        # file line of each record: blank lines are no records
-        line_numbers = np.flatnonzero([line != "" for line in text.split("\n")[1:]]) + 2
-        for line_number in line_numbers[secondary].tolist():
-            log.warning("%s row %d: dropping secondary face", video_id, line_number)
+    frames["confidence"] = kept[:, 1]
+    frames["success"] = kept[:, 2] != 0.0
+    frames["intensities"] = kept[:, 3:3 + NUM_INTENSITY_AUS]
+    frames["presences"] = kept[:, 3 + NUM_INTENSITY_AUS:3 + NUM_INTENSITY_AUS + NUM_AUS]
     return frames
-
-
-def _openface_rows(text, video_id):
-    """The reference parse of parse_openface_csv: one csv record at a time,
-    each cell through float(), rows numbered by file line."""
-    reader = _csv_reader(text, OPENFACE_REQUIRED)
-    header = reader.fieldnames
-    rows = []
-    for row in reader:
-        row_number = reader.line_num
-        if "face_id" in header and _cell_float(row, "face_id", row_number) > 0:
-            log.warning("%s row %d: dropping secondary face", video_id, row_number)
-            continue
-        intensities = [_cell_float(row, col, row_number) for col in INTENSITY_COLUMNS]
-        for col, v in zip(INTENSITY_COLUMNS, intensities):
-            if not 0.0 <= v <= 5.0:
-                raise ContractError(
-                    f"row {row_number}: intensity {col} = {v} outside [0, 5]"
-                )
-        presences = [_cell_float(row, col, row_number) for col in PRESENCE_COLUMNS]
-        for col, v in zip(PRESENCE_COLUMNS, presences):
-            if v not in (0.0, 1.0):
-                raise ContractError(
-                    f"row {row_number}: presence {col} = {v} not in {{0, 1}}"
-                )
-        rows.append((
-            _cell_int(row, "frame", row_number),
-            _cell_float(row, "timestamp", row_number) if "timestamp" in header else 0.0,
-            _cell_float(row, "confidence", row_number),
-            _cell_float(row, "success", row_number) != 0.0,
-            intensities,
-            presences,
-            False,
-        ))
-    return np.array(rows, dtype=FRAME_DTYPE)
 
 
 def interpolate_zero_intensities(frames, video_id):
@@ -271,77 +265,52 @@ def interpolate_zero_intensities(frames, video_id):
     return repaired
 
 
+def _label_code(name):
+    """A label's expression index; -1 where it names none."""
+    try:
+        return expression_index(name)
+    except ContractError:
+        return -1
+
+
+def _known(labels):
+    """Mask of the labels (a list) that name an expression, as a column."""
+    codes = {name: _label_code(name) for name in set(labels)}
+    return np.array([[codes[name] >= 0] for name in labels]) if -1 in codes.values() else np.True_
+
+
+_PREDICTION_CHECKS = (
+    (("video_id",), lambda ids: np.True_, "row {line}: empty cell in column {column!r}"),
+    *_FRAME_CHECKS,
+    (("label",), _known, "unknown expression label: {raw!r}"),
+    (SCORE_COLUMNS, np.isfinite, None),
+)
+
+
 def load_frame_predictions(stream):
     """Load per-frame expression predictions (video_id, frame, label, s0..s6)
     as a prediction_table. Every cell is checked; then the scores must be
     non-negative and sum to 1 within SCORE_SUM_TOLERANCE, and are
-    renormalised to sum to 1. Parsed as blocks like parse_openface_csv, with
-    the same row-by-row reference parse behind them."""
-    text = stream if isinstance(stream, str) else stream.read()
-    try:
-        columns = _prediction_columns(text)
-    except _RowParse:
-        return _predictions_rows(text)
-    return prediction_table(*columns)
-
-
-def _score_totals(scores):
-    """Row sums of finite, non-negative scores; a sum past the float range
-    is inf, which the tolerance check rejects, not a numpy warning."""
-    with np.errstate(over="ignore"):
-        return scores.sum(axis=1)
-
-
-def _prediction_columns(text):
-    """The prediction_table columns from np.loadtxt blocks checked by column
-    masks; the blocks are freed before the table is built."""
-    _, numbers, cells = _block_parse(text, ("frame",) + SCORE_COLUMNS,
-                                     strings=("video_id", "label"))
-    # scores as a contiguous copy: its row sums then add in the same order
-    # as the row parse's, so the renormalised scores are bit-identical
-    frame, scores = numbers[:, 0], np.ascontiguousarray(numbers[:, 1:])
-    labels = cells[:, 1].tolist()
-    try:
-        code = {name: expression_index(name) for name in set(labels)}
-    except ContractError:
-        raise _RowParse from None
-    if not (np.isfinite(numbers).all() and _integral(frame).all()
-            and (scores >= 0.0).all()):
-        raise _RowParse
-    totals = _score_totals(scores)
-    if not (np.abs(totals - 1.0) <= SCORE_SUM_TOLERANCE).all():
-        raise _RowParse
+    renormalised to sum to 1. Read as blocks like parse_openface_csv."""
+    csv = _Csv(stream, PREDICTION_COLUMNS, _PREDICTION_CHECKS, strings=("video_id", "label"))
+    if csv.error:
+        raise ContractError(csv.error)
+    # scores as a contiguous copy: its row sums then add in a fixed order
+    frame, scores = csv.floats[:, 0], np.ascontiguousarray(csv.floats[:, 1:])
+    with np.errstate(over="ignore"):  # a sum past the float range is inf: rejected below
+        totals = scores.sum(axis=1)
+    for bad, problem in ((scores < 0.0, "negative score"),
+                         (np.abs(totals - 1.0) > SCORE_SUM_TOLERANCE,
+                          "scores sum to {}, outside tolerance")):
+        if bad.any():  # rows x scores, or rows
+            first = np.argmax(bad.reshape(len(scores), -1).any(axis=1))
+            raise ContractError(f"row {csv.lines()[first]}: " + problem.format(totals[first]))
     scores /= totals[:, None]
-    video_ids = [v.strip() for v in cells[:, 0].tolist()]
-    return video_ids, frame.astype(np.int64), [code[name] for name in labels], scores
-
-
-def _predictions_rows(text):
-    """The reference parse of load_frame_predictions: one csv record at a
-    time, rows numbered by file line."""
-    reader = _csv_reader(text, ("video_id", "frame", "label") + SCORE_COLUMNS)
-    # scores go into one flat buffer, not a list per row, which spares the
-    # allocator one small object per row and per score
-    video_ids, frame_indices, labels, scores = [], [], [], array.array("d")
-    row_numbers = []
-    for row in reader:
-        row_number = reader.line_num
-        row_numbers.append(row_number)
-        video_ids.append((row["video_id"] or "").strip())
-        frame_indices.append(_cell_int(row, "frame", row_number))
-        labels.append(expression_index(row["label"]))
-        scores.extend([_cell_float(row, c, row_number) for c in SCORE_COLUMNS])
-    scores = np.frombuffer(scores).reshape(-1, NUM_EXPRESSIONS)
-    negative = np.flatnonzero((scores < 0).any(axis=1))
-    if negative.size:
-        raise ContractError(f"row {row_numbers[negative[0]]}: negative score")
-    totals = _score_totals(scores)
-    off = np.flatnonzero(np.abs(totals - 1.0) > SCORE_SUM_TOLERANCE)
-    if off.size:
-        raise ContractError(
-            f"row {row_numbers[off[0]]}: scores sum to {totals[off[0]]}, outside tolerance"
-        )
-    return prediction_table(video_ids, frame_indices, labels, scores / totals[:, None])
+    frame, strings = frame.astype(np.int64), csv.strings
+    del csv  # the blocks and the text are freed before the table is built
+    codes = {name: _label_code(name) for name in set(strings["label"])}
+    labels = [codes[name] for name in strings.pop("label")]
+    return prediction_table([v.strip() for v in strings["video_id"]], frame, labels, scores)
 
 
 def write_frame_store(frames, path):

@@ -47,16 +47,19 @@ def read_table(path, what, header=None, width=None, version=None):
     `width` cells, by default the header's width; `what` names the file in
     errors."""
     meta, rows = {}, []
-    with open(path, "r", encoding="utf-8") as fh:
-        for number, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            if rows or not line.startswith("#"):
-                rows.append((number, line.split(",")))
-            else:
-                key, _, value = line[1:].partition("=")
-                meta[key.strip()] = value.strip()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for number, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if not line.strip():
+                    continue
+                if rows or not line.startswith("#"):
+                    rows.append((number, line.split(",")))
+                else:
+                    key, _, value = line[1:].partition("=")
+                    meta[key.strip()] = value.strip()
+    except UnicodeDecodeError:
+        raise ContractError(f"corrupt {what}: {path} is not UTF-8 text") from None
     if version is not None and version not in meta:
         raise ContractError(f"corrupt {what}: no '# {version}' version line")
     if header is not None:

@@ -159,14 +159,27 @@ def test_nul_byte_is_one_line_contract_error(tmp_path, capsys):
     preds = tmp_path / "scores.csv"
     preds.write_text("video_id,frame,label," + ",".join(f"s{j}" for j in range(7))
                      + "\nv1,1,Happy\0,1,0,0,0,0,0,0\n")
-    for argv, line in (
-        (["ingest", video, "--out", tmp_path / "again"], 3),
+    for argv, path, line in (
+        (["ingest", video, "--out", tmp_path / "again"], video, 3),
         (["extract-knowledge", "--frames", store, "--preds", preds,
-          "--out", tmp_path / "k.csv"], 2),
+          "--out", tmp_path / "k.csv"], preds, 2),
     ):
         capsys.readouterr()
         assert run(*argv) == EXIT_CONTRACT
-        assert capsys.readouterr().err == f"error: row {line}: NUL byte\n"
+        assert capsys.readouterr().err == f"error: {path}: row {line}: NUL byte\n"
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([{}, {"AU12_r": "6.3"}], "row 3: intensity AU12_r = 6.3 outside [0, 5]"),
+    ([{"frame": "2"}, {"frame": "1"}], "frames must be sorted by frame_index"),
+    ([{}, {"AU12_r": '"2.5"'}], "row 3: quoted cell"),
+])
+def test_ingest_error_names_the_file(rows, message, tmp_path, capsys):
+    good, bad = tmp_path / "a.csv", tmp_path / "b.csv"
+    good.write_text(openface_csv([{}]))
+    bad.write_text(openface_csv(rows))
+    assert run("ingest", good, bad, "--out", tmp_path / "store") == EXIT_CONTRACT
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
 
 
 def _train_scaled_features_in_child(synth_dirs, tmp_path, scale):

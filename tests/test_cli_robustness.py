@@ -4,7 +4,8 @@ The table and JSON readers get a property test: each case starts from a
 valid input file (the frames pipeline's inputs, or a file of a small
 generated dataset directory), then either truncates it at a drawn offset or
 (in a table) replaces one drawn cell with a drawn bad value; in the JSON
-files, every value is replaced by every bad value in turn. Whatever the
+files, every value is replaced by every bad value in turn, and every table
+has a byte that is not UTF-8 written into its body. Whatever the
 outcome, `aukit` must return a documented exit code, and a failure must
 end stderr with its one-line message. The sealed binary files
 (checkpoints, frame stores and feature files) are truncated inside, or have
@@ -174,6 +175,21 @@ def test_malformed_input_exits_with_one_line_message(source, corpus, data):
     assert code in (EXIT_OK, EXIT_CONTRACT, EXIT_NUMERIC, EXIT_IO)
     if code != EXIT_OK:
         assert err.splitlines()[-1].startswith(MESSAGE_PREFIXES), err
+
+
+@pytest.mark.parametrize("source", sorted(s for s in COMMANDS if s not in JSON_DOCUMENTS))
+def test_non_utf8_csv_exits_with_one_line_naming_the_file(source, corpus, tmp_path):
+    files, store = corpus
+    path = tmp_path / files[source].name
+    if files[source].parent.name == "data":
+        path = shutil.copytree(files[source].parent, tmp_path / "data") / path.name
+    blob = files[source].read_bytes()
+    at = blob.index(b"\n") + 1
+    path.write_bytes(blob[:at] + b"\xff" + blob[at:])
+    code, err = run(*COMMANDS[source](path, store, tmp_path))
+    assert code == EXIT_CONTRACT, err
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert str(path) in err and "not UTF-8 text" in err, err
 
 
 def with_bad_value(document, key, index, bad):

@@ -1,6 +1,9 @@
+import array
+import csv
 import hashlib
 import io
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -8,15 +11,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aukit import ingest
-from aukit.domain import AU_NAMES, EXPRESSIONS, INTENSITY_AU_NAMES, ContractError
+from aukit.domain import (
+    AU_NAMES,
+    EXPRESSIONS,
+    INTENSITY_AU_NAMES,
+    NUM_EXPRESSIONS,
+    ContractError,
+    expression_index,
+)
 from aukit.ingest import (
     FRAME_DTYPE,
     FRAME_STORE_FORMAT,
     FRAME_STORE_MAGIC,
     FRAME_STORE_VERSION,
+    INTENSITY_COLUMNS,
+    OPENFACE_REQUIRED,
+    PRESENCE_COLUMNS,
+    SCORE_COLUMNS,
+    SCORE_SUM_TOLERANCE,
     interpolate_zero_intensities,
     load_frame_predictions,
     parse_openface_csv,
+    prediction_table,
     read_frame_store,
     reliable_detections,
     write_frame_store,
@@ -115,12 +131,31 @@ class TestParseOpenfaceCsv:
             frames = parse_openface_csv(text, "v1")
             assert frames.dtype == FRAME_DTYPE and frames.shape == (0,)
 
-    def test_valid_input_takes_block_parse(self, monkeypatch):
-        def row_parse(*args):
-            raise AssertionError("row-by-row parse used")
-        monkeypatch.setattr(ingest, "_openface_rows", row_parse)
-        text = openface_csv([{}, {"face_id": "1"}, {"timestamp": "1e0"}])
-        assert len(parse_openface_csv(text, "v1")) == 2
+    def test_lone_carriage_return_ends_a_line(self):
+        text = openface_csv([{"AU12_r": "2.5"}, {"face_id": "1"}, {}])
+        expected = parse_openface_csv(text, "v1")
+        assert parse_openface_csv(text.replace("\n", "\r"), "v1").tobytes() == expected.tobytes()
+
+    def test_quote_is_an_error_naming_its_line(self):
+        text = openface_csv([{}, {}, {"AU12_r": '"2.5"'}])
+        with pytest.raises(ContractError, match="^row 4: quoted cell$"):
+            parse_openface_csv(text, "v1")
+
+    @pytest.mark.parametrize("cell", ["1_0", "\uff11"])
+    def test_loadtxt_grammar_decides_numbers(self, cell):
+        text = openface_csv([{"AU06_r": cell}])
+        with pytest.raises(ContractError,
+                           match=f"^row 2: non-numeric value '{cell}' in column 'AU06_r'$"):
+            parse_openface_csv(text, "v1")
+
+    def test_secondary_face_cells_must_be_numbers(self):
+        text = openface_csv([{}, {"face_id": "1", "AU06_r": "nan", "confidence": "nan"}])
+        assert len(parse_openface_csv(text, "v1")) == 1
+        text = openface_csv([{}, {"face_id": "1", "AU06_r": "garbage"}])
+        with pytest.raises(ContractError,
+                           match="^row 3: non-numeric value 'garbage' in column 'AU06_r'$"):
+            parse_openface_csv(text, "v1")
+
 
 
 class TestInterpolation:
@@ -242,19 +277,154 @@ class TestLoadFramePredictions:
         for text in (self.HEADER, self.HEADER + "\n", self.HEADER + "\n\n"):
             preds = load_frame_predictions(text)
             assert preds.shape == (0,)
-            assert preds.tobytes() == ingest._predictions_rows(text).tobytes()
+            assert preds.tobytes() == _predictions_rows(text).tobytes()
 
-    def test_valid_input_takes_block_parse(self, monkeypatch):
-        def row_parse(*args):
-            raise AssertionError("row-by-row parse used")
-        monkeypatch.setattr(ingest, "_predictions_rows", row_parse)
-        text = "\n".join([self.HEADER, self.ROW, "v2, 7, sad ," + self.ROW[11:]])
-        preds = load_frame_predictions(text)
-        assert preds["video_id"].tolist() == ["v1", "v2"]
-        assert preds["label"].tolist() == [0, 1]
+    def test_lone_carriage_return_ends_a_line(self):
+        text = "\n".join([self.HEADER, self.ROW, "v2,2,Sad" + self.ROW[10:]]) + "\n"
+        expected = load_frame_predictions(text)
+        assert load_frame_predictions(text.replace("\n", "\r")).tobytes() == expected.tobytes()
+        mixed = self.HEADER + "\n" + self.ROW + "\r" + self.ROW.replace(",1,", ",2,") + "\n"
+        assert len(load_frame_predictions(mixed)) == 2
+
+    def test_quote_is_an_error_naming_its_line(self):
+        text = "\n".join([self.HEADER, self.ROW, '"v2",2,Sad' + self.ROW[10:]]) + "\n"
+        with pytest.raises(ContractError, match="^row 3: quoted cell$"):
+            load_frame_predictions(text)
+
+    @pytest.mark.parametrize("cell", ["1_0", "\uff11"])
+    def test_loadtxt_grammar_decides_numbers(self, cell):
+        text = self.HEADER + "\nv1,1,Happy," + cell + ",0.1,0.1,0.1,0.1,0.1,0.1\n"
+        with pytest.raises(ContractError,
+                           match=f"^row 2: non-numeric value '{cell}' in column 's0'$"):
+            load_frame_predictions(text)
+
+    def test_record_without_its_video_id_cell_is_an_error(self):
+        header = ",".join(["frame", "label"] + [f"s{j}" for j in range(7)] + ["video_id"])
+        text = header + "\n1,Happy,0.4,0.1,0.1,0.1,0.1,0.1,0.1\n"
+        with pytest.raises(ContractError, match="^row 2: empty cell in column 'video_id'$"):
+            load_frame_predictions(text)
+
 
 
 # --- block parse against the row-by-row reference parse ---------------------
+#
+# The reference parse reads one csv record at a time, each cell on its own,
+# rows numbered by file line. It decides the inputs the readers narrow as
+# they do: line ends as a text-mode file reads them, a quote an error, each
+# cell by the np.loadtxt grammar, a secondary face's cells numbers (nan
+# included), and a record lacking its video_id cell an error.
+
+log = logging.getLogger("aukit.ingest")
+
+
+def _cell_float(row, column, row_number, finite=True):
+    raw = row.get(column)
+    if raw is None or raw.strip() == "":
+        raise ContractError(f"row {row_number}: empty cell in column {column!r}")
+    try:
+        value = float(np.loadtxt([raw], delimiter=",", comments=None))
+    except ValueError:
+        raise ContractError(
+            f"row {row_number}: non-numeric value {raw!r} in column {column!r}"
+        ) from None
+    if finite and not math.isfinite(value):
+        raise ContractError(
+            f"row {row_number}: non-finite value {raw!r} in column {column!r}"
+        )
+    return value
+
+
+def _cell_int(row, column, row_number):
+    value = _cell_float(row, column, row_number)
+    if value.is_integer() and abs(value) < 2**63:
+        return int(value)
+    raise ContractError(
+        f"row {row_number}: non-integer value {row[column]!r} in column {column!r}"
+    )
+
+
+def _csv_reader(text, required):
+    """A csv.DictReader over text whose header (stripped of spaces) names
+    every `required` column."""
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    if '"' in text:
+        line = text.count("\n", 0, text.index('"')) + 1
+        raise ContractError(f"row {line}: quoted cell")
+    reader = csv.DictReader(io.StringIO(text), skipinitialspace=True)
+    if reader.fieldnames is None:
+        raise ContractError("empty input: no header row")
+    reader.fieldnames = [h.strip() for h in reader.fieldnames]
+    missing = [c for c in required if c not in reader.fieldnames]
+    if missing:
+        raise ContractError(f'missing column "{missing[0]}"')
+    return reader
+
+
+def _openface_rows(text, video_id):
+    """The reference parse of parse_openface_csv."""
+    reader = _csv_reader(text, OPENFACE_REQUIRED)
+    header = reader.fieldnames
+    rows = []
+    for row in reader:
+        row_number = reader.line_num
+        if "face_id" in header and _cell_float(row, "face_id", row_number) > 0:
+            for col in (INTENSITY_COLUMNS + PRESENCE_COLUMNS
+                        + ("frame", "timestamp", "confidence", "success")):
+                if col in header:
+                    _cell_float(row, col, row_number, finite=False)
+            log.warning("%s row %d: dropping secondary face", video_id, row_number)
+            continue
+        intensities = [_cell_float(row, col, row_number) for col in INTENSITY_COLUMNS]
+        for col, v in zip(INTENSITY_COLUMNS, intensities):
+            if not 0.0 <= v <= 5.0:
+                raise ContractError(
+                    f"row {row_number}: intensity {col} = {v} outside [0, 5]"
+                )
+        presences = [_cell_float(row, col, row_number) for col in PRESENCE_COLUMNS]
+        for col, v in zip(PRESENCE_COLUMNS, presences):
+            if v not in (0.0, 1.0):
+                raise ContractError(
+                    f"row {row_number}: presence {col} = {v} not in {{0, 1}}"
+                )
+        rows.append((
+            _cell_int(row, "frame", row_number),
+            _cell_float(row, "timestamp", row_number) if "timestamp" in header else 0.0,
+            _cell_float(row, "confidence", row_number),
+            _cell_float(row, "success", row_number) != 0.0,
+            intensities,
+            presences,
+            False,
+        ))
+    return np.array(rows, dtype=FRAME_DTYPE)
+
+
+def _predictions_rows(text):
+    """The reference parse of load_frame_predictions."""
+    reader = _csv_reader(text, ("video_id", "frame", "label") + SCORE_COLUMNS)
+    video_ids, frame_indices, labels, scores = [], [], [], array.array("d")
+    row_numbers = []
+    for row in reader:
+        row_number = reader.line_num
+        row_numbers.append(row_number)
+        if row["video_id"] is None:
+            raise ContractError(f"row {row_number}: empty cell in column 'video_id'")
+        video_ids.append(row["video_id"].strip())
+        frame_indices.append(_cell_int(row, "frame", row_number))
+        labels.append(expression_index(row["label"]))
+        scores.extend([_cell_float(row, c, row_number) for c in SCORE_COLUMNS])
+    scores = np.frombuffer(scores).reshape(-1, NUM_EXPRESSIONS)
+    negative = np.flatnonzero((scores < 0).any(axis=1))
+    if negative.size:
+        raise ContractError(f"row {row_numbers[negative[0]]}: negative score")
+    with np.errstate(over="ignore"):
+        totals = scores.sum(axis=1)
+    off = np.flatnonzero(np.abs(totals - 1.0) > SCORE_SUM_TOLERANCE)
+    if off.size:
+        raise ContractError(
+            f"row {row_numbers[off[0]]}: scores sum to {totals[off[0]]}, outside tolerance"
+        )
+    return prediction_table(video_ids, frame_indices, labels, scores / totals[:, None])
+
 
 # spellings float() and np.loadtxt may read differently, and values a check rejects
 EDGE_CELLS = (" 1.0", "1e0", "-0.0", "1_0", '"1.0"', "\uff11", "nan", "1e400", "",
@@ -354,7 +524,7 @@ def test_openface_block_parse_matches_row_parse(data):
         "frame", "face_id", "timestamp", "confidence", "success", "AU01_r", "AU45_r",
         "AU01_c", "AU28_c")))
     assert (_outcome(lambda t: parse_openface_csv(t, "v"), text)
-            == _outcome(lambda t: ingest._openface_rows(t, "v"), text))
+            == _outcome(lambda t: _openface_rows(t, "v"), text))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -362,7 +532,25 @@ def test_openface_block_parse_matches_row_parse(data):
 def test_prediction_block_parse_matches_row_parse(data):
     rows = [_prediction_cells(data.draw) for _ in range(data.draw(st.integers(0, 4)))]
     text = data.draw(csv_variants(PREDICTION_COLUMNS, rows, targets=PREDICTION_COLUMNS))
-    assert _outcome(load_frame_predictions, text) == _outcome(ingest._predictions_rows, text)
+    assert _outcome(load_frame_predictions, text) == _outcome(_predictions_rows, text)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_str_and_text_stream_read_alike(data):
+    # a text-mode stream translates \r\n and a lone \r to \n; a str is read the same way
+    if data.draw(st.booleans(), label="openface"):
+        rows = data.draw(st.lists(st.fixed_dictionaries(
+            {c: _openface_cell(c) for c in OPENFACE_COLUMNS}), max_size=3))
+        text = data.draw(csv_variants(OPENFACE_COLUMNS, rows, targets=("AU01_r", "face_id")))
+        read = lambda t: parse_openface_csv(t, "v")
+    else:
+        rows = [_prediction_cells(data.draw) for _ in range(data.draw(st.integers(0, 3)))]
+        text = data.draw(csv_variants(PREDICTION_COLUMNS, rows, targets=PREDICTION_COLUMNS))
+        read = load_frame_predictions
+    for variant in (text, text.replace("\n", "\r")):
+        stream = io.TextIOWrapper(io.BytesIO(variant.encode()), encoding="utf-8")
+        assert _outcome(read, variant) == _outcome(read, stream)
 
 
 def test_records_split_across_chunks():
@@ -379,7 +567,7 @@ def test_openface_edge_cells_match_row_parse():
             for rows in ([{}, {column: cell}], [{}, {"face_id": "1", column: cell}]):
                 text = openface_csv(rows)
                 assert (_outcome(lambda t: parse_openface_csv(t, "v"), text)
-                        == _outcome(lambda t: ingest._openface_rows(t, "v"), text)), text
+                        == _outcome(lambda t: _openface_rows(t, "v"), text)), text
 
 
 def test_prediction_edge_cells_match_row_parse():
@@ -390,7 +578,7 @@ def test_prediction_edge_cells_match_row_parse():
             row = valid.split(",")
             row[at] = cell
             text = "\n".join([header, valid, ",".join(row)]) + "\n"
-            assert _outcome(load_frame_predictions, text) == _outcome(ingest._predictions_rows, text), text
+            assert _outcome(load_frame_predictions, text) == _outcome(_predictions_rows, text), text
 
 
 def random_frames(rng, n):
