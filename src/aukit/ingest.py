@@ -279,8 +279,16 @@ def _known(labels):
     return np.array([[codes[name] >= 0] for name in labels]) if -1 in codes.values() else np.True_
 
 
+def _named(ids):
+    """Mask of the video ids (a list; None for a missing cell) that are not
+    blank, as a column."""
+    if all(v and v.strip() for v in set(ids)):
+        return np.True_
+    return np.array([[bool(v and v.strip())] for v in ids])
+
+
 _PREDICTION_CHECKS = (
-    (("video_id",), lambda ids: np.True_, "row {line}: empty cell in column {column!r}"),
+    (("video_id",), _named, "row {line}: empty cell in column {column!r}"),
     *_FRAME_CHECKS,
     (("label",), _known, "unknown expression label: {raw!r}"),
     (SCORE_COLUMNS, np.isfinite, None),

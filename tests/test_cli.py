@@ -169,6 +169,23 @@ def test_nul_byte_is_one_line_contract_error(tmp_path, capsys):
         assert capsys.readouterr().err == f"error: {path}: row {line}: NUL byte\n"
 
 
+def test_blank_video_id_is_one_line_contract_error(tmp_path, capsys):
+    # a blank id matches no frame store: its rows would be dropped unreported
+    video = tmp_path / "v1.csv"
+    video.write_text(openface_csv([{}, {}]))
+    store = tmp_path / "store"
+    assert run("ingest", video, "--out", store) == EXIT_OK
+    preds = tmp_path / "scores.csv"
+    preds.write_text("video_id,frame,label," + ",".join(f"s{j}" for j in range(7))
+                     + "\nv1,1,Happy,1,0,0,0,0,0,0\n ,2,Happy,1,0,0,0,0,0,0\n")
+    capsys.readouterr()
+    assert run("extract-knowledge", "--frames", store, "--preds", preds,
+               "--out", tmp_path / "k.csv") == EXIT_CONTRACT
+    assert capsys.readouterr().err == (
+        f"error: {preds}: row 3: empty cell in column 'video_id'\n")
+    assert not (tmp_path / "k.csv").exists()
+
+
 @pytest.mark.parametrize("rows, message", [
     ([{}, {"AU12_r": "6.3"}], "row 3: intensity AU12_r = 6.3 outside [0, 5]"),
     ([{"frame": "2"}, {"frame": "1"}], "frames must be sorted by frame_index"),
@@ -320,10 +337,10 @@ def test_gradcheck_json(capsys):
 def test_gradcheck_checks_both_losses_and_the_model(capsys):
     assert run("gradcheck", "--batch", 3, "--seed", 2) == EXIT_OK
     checks = json.loads(capsys.readouterr().out.strip())["checks"]
-    # every logit of a 3-sample batch, and every parameter of the 6-4 model
+    # every logit of a 3-sample batch, and every parameter of the 6-4-3 model
     assert {name: check["parameters_checked"] for name, check in checks.items()} == {
         "expression_loss": 3 * 7, "au_loss": 3 * 18,
-        "model": 6 * 4 + 4 + 7 * 4 + 7 + 18 * 4 + 18,
+        "model": 6 * 4 + 4 + 4 * 3 + 3 + 3 * 25 + 25,
     }
     for check in checks.values():
         assert check["passed"] is True

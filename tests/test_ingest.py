@@ -304,6 +304,17 @@ class TestLoadFramePredictions:
         with pytest.raises(ContractError, match="^row 2: empty cell in column 'video_id'$"):
             load_frame_predictions(text)
 
+    @pytest.mark.parametrize("cell", ["", " ", "  "])
+    def test_blank_video_id_is_an_error(self, cell):
+        # a blank id would match no frame store, so its rows would be dropped
+        good = "v1,1,Happy,0.4,0.1,0.1,0.1,0.1,0.1,0.1\n"
+        text = (self.HEADER + "\n" + good + cell + ",2,Happy,0.4,0.1,0.1,0.1,0.1,0.1,0.1\n"
+                + good)
+        with pytest.raises(ContractError, match="^row 3: empty cell in column 'video_id'$"):
+            load_frame_predictions(text)
+        with pytest.raises(ContractError, match="^row 3: empty cell in column 'video_id'$"):
+            _predictions_rows(text)
+
 
 
 # --- block parse against the row-by-row reference parse ---------------------
@@ -312,7 +323,8 @@ class TestLoadFramePredictions:
 # rows numbered by file line. It decides the inputs the readers narrow as
 # they do: line ends as a text-mode file reads them, a quote an error, each
 # cell by the np.loadtxt grammar, a secondary face's cells numbers (nan
-# included), and a record lacking its video_id cell an error.
+# included), and a record lacking its video_id cell, or with a blank one, an
+# error.
 
 log = logging.getLogger("aukit.ingest")
 
@@ -406,7 +418,7 @@ def _predictions_rows(text):
     for row in reader:
         row_number = reader.line_num
         row_numbers.append(row_number)
-        if row["video_id"] is None:
+        if not (row["video_id"] or "").strip():
             raise ContractError(f"row {row_number}: empty cell in column 'video_id'")
         video_ids.append(row["video_id"].strip())
         frame_indices.append(_cell_int(row, "frame", row_number))

@@ -84,6 +84,33 @@ class TestInitParams:
         assert p.expr_weight.shape == (7, 128)
         assert p.au_weight.shape == (18, 128)
 
+    @pytest.mark.parametrize("seed, feature_dim, hidden, digest", [
+        (0, 12, (),
+         "a7291ef2121d15075533a37f06ee400c2603fbdaa55c67151f89c75db30638c6"),
+        (7, 16, (8,),
+         "9947d1279658e938413e3b7010b0f0c1170c2f1858bfe1c7d1ecfd2671ce205a"),
+        (2, 5, (4, 3),
+         "08b6a644e5733b5744fb0b1ee2b200ac23437c85e0d04008c7426d75b7642ec2"),
+        (0, 1024, (128,),
+         "92dd907f8df437ab6fbc1af9d9f3fbbc8fce1f9025f249be22dd9a9f8fa4943f"),
+    ])
+    def test_initial_values_golden(self, seed, feature_dim, hidden, digest):
+        # the initial values, hashed in the checkpoint-v3 orientation whatever
+        # the stored layout: each weight fan-out-major, the expression head
+        # apart from the AU head; recorded on the v3 layout
+        named = init_params(seed, feature_dim=feature_dim, hidden=hidden)
+        named = dict(named.views(named.vector))
+        if "head.w" in named:
+            head_w, head_b = named.pop("head.w"), named.pop("head.b")
+            named.update({"expr.w": head_w[:, :7].T, "expr.b": head_b[:7],
+                          "au.w": head_w[:, 7:].T, "au.b": head_b[7:]})
+            for i in range(len(hidden)):
+                named[f"hidden.{i}.w"] = named[f"hidden.{i}.w"].T
+        h = hashlib.sha256()
+        for name in sorted(named):
+            h.update(name.encode() + np.ascontiguousarray(named[name], "<f8").tobytes())
+        assert h.hexdigest() == digest
+
     def test_biases_zero_weights_bounded(self):
         p = init_params(3, feature_dim=10, hidden=(6,))
         assert np.all(p.expr_bias == 0) and np.all(p.hidden_biases[0] == 0)
@@ -136,10 +163,15 @@ class TestBackward:
 
         return evaluator
 
-    def test_full_model_finite_difference(self, rng):
+    @pytest.mark.parametrize("hidden", [(), (4,), (4, 3)])
+    def test_full_model_finite_difference(self, rng, hidden):
         from aukit.losses import finite_difference_check
 
-        params = init_params(3, feature_dim=8, hidden=(4,))
+        params = init_params(3, feature_dim=8, hidden=hidden)
+        # biases off zero: with zero biases a sample whose first-layer units
+        # are all off puts the second layer exactly on the ReLU kink
+        for b in params.hidden_biases:
+            b[...] = rng.uniform(0.1, 0.5, b.shape)
         x = rng.normal(size=(5, 8))
         expr_labels = rng.integers(0, 7, size=5)
         au_labels = rng.integers(0, 2, (5, 18)).astype(float)
