@@ -362,8 +362,7 @@ def cmd_gradcheck(args):
     pw = rng.uniform(0.5, 6.0, (NUM_EXPRESSIONS, NUM_AUS))
     config = harness.TrainConfig()
     lam = config.lam
-    # two hidden layers reach every branch of backward; biases off zero keep
-    # the second layer off its ReLU kink when the first is all off
+    # two hidden layers cover all of backward; biases off zero keep units off ReLU kinks
     params = model.init_params(seed, feature_dim=6, hidden=(4, 3))
     for b in params.hidden_biases:
         b[...] = rng.uniform(0.1, 0.5, b.shape)

@@ -273,24 +273,19 @@ def _label_code(name):
         return -1
 
 
-def _known(labels):
-    """Mask of the labels (a list) that name an expression, as a column."""
-    codes = {name: _label_code(name) for name in set(labels)}
-    return np.array([[codes[name] >= 0] for name in labels]) if -1 in codes.values() else np.True_
-
-
-def _named(ids):
-    """Mask of the video ids (a list; None for a missing cell) that are not
-    blank, as a column."""
-    if all(v and v.strip() for v in set(ids)):
-        return np.True_
-    return np.array([[bool(v and v.strip())] for v in ids])
+def _cells_pass(test):
+    """The check that a string column's cells (a list; None: no cell) pass `test`."""
+    def mask(cells):  # a column, with one test per distinct cell
+        ok = {cell: cell is not None and bool(test(cell)) for cell in set(cells)}
+        return np.True_ if all(ok.values()) else np.array([[ok[cell]] for cell in cells])
+    return mask
 
 
 _PREDICTION_CHECKS = (
-    (("video_id",), _named, "row {line}: empty cell in column {column!r}"),
+    (("video_id",), _cells_pass(str.strip), "row {line}: empty cell in column {column!r}"),
     *_FRAME_CHECKS,
-    (("label",), _known, "unknown expression label: {raw!r}"),
+    (("label",), _cells_pass(lambda name: _label_code(name) >= 0),
+     "unknown expression label: {raw!r}"),
     (SCORE_COLUMNS, np.isfinite, None),
 )
 

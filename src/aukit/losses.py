@@ -125,7 +125,7 @@ def au_loss(au_logits, au_labels, expr_labels, knowledge, pos_weights):
     else:  # a stack: R x N x 18 from each run's table
         pw = pw_values[np.arange(len(pw_values))[:, None], expr_labels]
 
-    x = au_logits
+    x = np.ascontiguousarray(au_logits)  # a strided view slows every op below
     pos = pw * au_labels
     neg = 1.0 - au_labels
     both = pos + neg

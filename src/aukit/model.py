@@ -1,8 +1,10 @@
 """Desk-scale dual-head network over precomputed features.
 
-A small multilayer perceptron (affine + ReLU hidden layers) feeds two linear
-heads: a 7-way expression head and an 18-way AU head. Every trainable array
-is a view into one contiguous float vector, so gradients, AdamW moments and
+A small multilayer perceptron (affine + ReLU hidden layers) feeds one linear
+head of 25 logits, the two heads in one product: 7 expression logits
+(EXPRESSIONS order), then 18 AU logits (AU_NAMES order). Weights are stored
+fan-in-major, as the products read them, and every trainable array is a
+view into one contiguous float vector, so gradients, AdamW moments and
 checkpoints share a single layout. Parameters are float64, except while
 training steps and evaluation run in float32 (TRAIN_DTYPE, which feature
 files hold); forward, backward and optimizer_step compute in their
@@ -21,7 +23,7 @@ from .domain import ContractError, NUM_AUS, NUM_EXPRESSIONS, NumericFailure
 from .sealed import read_sealed, write_sealed
 
 CHECKPOINT_MAGIC = b"AUKITCKPT"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 # not a prefix of the magic of the unsealed float64 files before version 2
 FEATURE_MAGIC = b"AUKITFEATS"
@@ -41,12 +43,10 @@ def param_layout(feature_dim, hidden):
     widths = [feature_dim] + list(hidden)
     shapes = {}
     for i, (fan_in, fan_out) in enumerate(zip(widths, widths[1:])):
-        shapes[f"hidden.{i}.w"] = (fan_out, fan_in)
+        shapes[f"hidden.{i}.w"] = (fan_in, fan_out)
         shapes[f"hidden.{i}.b"] = (fan_out,)
-    shapes["expr.w"] = (NUM_EXPRESSIONS, widths[-1])
-    shapes["expr.b"] = (NUM_EXPRESSIONS,)
-    shapes["au.w"] = (NUM_AUS, widths[-1])
-    shapes["au.b"] = (NUM_AUS,)
+    shapes["head.w"] = (widths[-1], NUM_EXPRESSIONS + NUM_AUS)
+    shapes["head.b"] = (NUM_EXPRESSIONS + NUM_AUS,)
     layout = {}
     offset = 0
     for name in sorted(shapes):
@@ -81,10 +81,8 @@ class ModelParams:
         named = self.views(self.vector)
         self.hidden_weights = [named[f"hidden.{i}.w"] for i in range(len(self.hidden))]
         self.hidden_biases = [named[f"hidden.{i}.b"] for i in range(len(self.hidden))]
-        self.expr_weight = named["expr.w"]  # 7 x F'
-        self.expr_bias = named["expr.b"]
-        self.au_weight = named["au.w"]  # 18 x F'
-        self.au_bias = named["au.b"]
+        self.head_weight = named["head.w"]  # F' x 25
+        self.head_bias = named["head.b"]
 
     def views(self, flat):
         """name -> view of `flat`, a vector (or a stack of vectors) in this
@@ -150,17 +148,17 @@ class OptimizerState:
         return replace(self, m=self.m.astype(dtype), v=self.v.astype(dtype))
 
 
-def _glorot(rng, shape):
-    fan_out, fan_in = shape
+def _glorot(rng, fan_in, fan_out):
+    """A fan_in x fan_out uniform fan-based draw, drawn fan-out-major."""
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
+    return rng.uniform(-limit, limit, size=(fan_out, fan_in)).T
 
 
 def init_params(seed, feature_dim=DEFAULT_FEATURE_DIM, hidden=DEFAULT_HIDDEN):
     """Seeded uniform fan-based init; biases start at zero.
 
-    Weights are drawn hidden layers first, then the expression head, then the
-    AU head, whatever their places in the flat vector.
+    Weights are drawn hidden layers first, then the head's expression block,
+    then its AU block, each fan-out-major and stored transposed.
     """
     if feature_dim < 1:
         raise ContractError("feature_dim must be >= 1")
@@ -169,23 +167,23 @@ def init_params(seed, feature_dim=DEFAULT_FEATURE_DIM, hidden=DEFAULT_HIDDEN):
         raise ContractError("hidden sizes must be >= 1")
     rng = np.random.default_rng(seed)
     params = ModelParams(feature_dim, hidden, seed=seed)
-    for w in params.hidden_weights + [params.expr_weight, params.au_weight]:
-        w[...] = _glorot(rng, w.shape)
+    for w in params.hidden_weights + np.split(params.head_weight, [NUM_EXPRESSIONS], 1):
+        w[...] = _glorot(rng, *w.shape)
     return params
 
 
 def _affine(x, w, b):
-    """x @ w.T + b, for one run or a stack of runs."""
-    return x @ w.swapaxes(-1, -2) + b[..., None, :]
+    """x @ w + b, for one run or a stack of runs."""
+    return x @ w + b[..., None, :]
 
 
 def forward(params, features, return_hidden=False):
-    """Run the shared pathway and both heads.
+    """Run the shared pathway and the head.
 
-    Returns (expr_logits Nx7, au_logits Nx18, embeddings NxF'); with
-    return_hidden=True also returns the per-layer activations for backprop.
-    A stack of R runs takes R x N x F features and returns R x N x ...
-    outputs.
+    Returns (expr_logits Nx7, au_logits Nx18, embeddings NxF'), the logits
+    views of one N x 25 output; with return_hidden=True also returns the
+    per-layer activations for backprop. A stack of R runs takes R x N x F
+    features and returns R x N x ... outputs.
     """
     features = np.asarray(features, dtype=params.vector.dtype)
     if features.ndim != params.vector.ndim + 1 or (
@@ -199,8 +197,8 @@ def forward(params, features, return_hidden=False):
     for w, b in zip(params.hidden_weights, params.hidden_biases):
         h = np.maximum(_affine(h, w, b), 0.0)
         activations.append(h)
-    expr_logits = _affine(h, params.expr_weight, params.expr_bias)
-    au_logits = _affine(h, params.au_weight, params.au_bias)
+    logits = _affine(h, params.head_weight, params.head_bias)
+    expr_logits, au_logits = logits[..., :NUM_EXPRESSIONS], logits[..., NUM_EXPRESSIONS:]
     if return_hidden:
         return expr_logits, au_logits, h, activations
     return expr_logits, au_logits, h
@@ -209,18 +207,16 @@ def forward(params, features, return_hidden=False):
 def backward(params, features, d_expr, d_au, activations=None):
     """Exact gradients of the combined loss wrt every parameter.
 
-    d_expr and d_au are the loss gradients at the two heads; both flow back
-    into the shared hidden pathway. Returns one flat gradient vector in the
-    layout of params.vector (params.views(grad) names its parts); a stack
-    takes R x N x ... batches and returns R x P gradients.
+    d_expr and d_au are the loss gradients at the two heads' logits; joined,
+    they flow back through the head into the shared hidden pathway. Returns
+    one flat gradient vector in the layout of params.vector
+    (params.views(grad) names its parts); a stack takes R x N x ... batches
+    and returns R x P gradients.
     """
     dtype = params.vector.dtype
-    features = np.asarray(features, dtype=dtype)
-    d_expr = np.asarray(d_expr, dtype=dtype)
-    d_au = np.asarray(d_au, dtype=dtype)
-    n = features.shape[-2]
-    if d_expr.shape[-2:] != (n, NUM_EXPRESSIONS) or (
-        d_au.shape != d_expr.shape[:-1] + (NUM_AUS,)
+    n = np.shape(features)[-2]
+    if np.shape(d_expr)[-2:] != (n, NUM_EXPRESSIONS) or (
+        np.shape(d_au) != np.shape(d_expr)[:-1] + (NUM_AUS,)
     ):
         raise ContractError("head gradient shapes inconsistent with the batch")
     if activations is None:
@@ -231,18 +227,16 @@ def backward(params, features, d_expr, d_au, activations=None):
     # bias gradients sum over the batch as a product with a row of ones: one
     # BLAS call per run, where sum(axis=-2) loops over the batch's rows
     ones = np.ones(n, dtype=dtype)
-    h = activations[-1]
-    np.matmul(d_expr.swapaxes(-1, -2), h, out=named["expr.w"])
-    np.matmul(ones, d_expr, out=named["expr.b"])
-    np.matmul(d_au.swapaxes(-1, -2), h, out=named["au.w"])
-    np.matmul(ones, d_au, out=named["au.b"])
-    dh = d_expr @ params.expr_weight + d_au @ params.au_weight
+    d_head = np.concatenate([d_expr, d_au], axis=-1, dtype=dtype)
+    np.matmul(activations[-1].swapaxes(-1, -2), d_head, out=named["head.w"])
+    np.matmul(ones, d_head, out=named["head.b"])
+    dh = d_head @ params.head_weight.swapaxes(-1, -2)
     for i in reversed(range(len(params.hidden_weights))):
         dz = dh * (activations[i + 1] > 0.0)
-        np.matmul(dz.swapaxes(-1, -2), activations[i], out=named[f"hidden.{i}.w"])
+        np.matmul(activations[i].swapaxes(-1, -2), dz, out=named[f"hidden.{i}.w"])
         np.matmul(ones, dz, out=named[f"hidden.{i}.b"])
         if i > 0:  # the gradient wrt the input features is never used
-            dh = dz @ params.hidden_weights[i]
+            dh = dz @ params.hidden_weights[i].swapaxes(-1, -2)
     return grad
 
 

@@ -75,14 +75,14 @@ class TestInitParams:
 
     def test_no_hidden_layers(self):
         p = init_params(0, feature_dim=12, hidden=())
-        assert p.expr_weight.shape == (7, 12)
+        assert p.head_weight.shape == (12, 25)
         # with no hidden layer the embeddings are the features themselves
         assert forward(p, np.ones((2, 12)))[2].shape == (2, 12)
 
     def test_head_shapes(self):
         p = init_params(0, feature_dim=1024, hidden=(128,))
-        assert p.expr_weight.shape == (7, 128)
-        assert p.au_weight.shape == (18, 128)
+        assert p.hidden_weights[0].shape == (1024, 128)
+        assert p.head_weight.shape == (128, 25) and p.head_bias.shape == (25,)
 
     @pytest.mark.parametrize("seed, feature_dim, hidden, digest", [
         (0, 12, (),
@@ -113,7 +113,7 @@ class TestInitParams:
 
     def test_biases_zero_weights_bounded(self):
         p = init_params(3, feature_dim=10, hidden=(6,))
-        assert np.all(p.expr_bias == 0) and np.all(p.hidden_biases[0] == 0)
+        assert np.all(p.head_bias == 0) and np.all(p.hidden_biases[0] == 0)
         limit = np.sqrt(6.0 / (10 + 6))
         assert np.all(np.abs(p.hidden_weights[0]) <= limit)
 
@@ -121,8 +121,7 @@ class TestInitParams:
 class TestForward:
     def test_zero_params_uniform(self, rng):
         p = init_params(0, feature_dim=8, hidden=())
-        p.expr_weight[...] = 0.0
-        p.au_weight[...] = 0.0
+        p.head_weight[...] = 0.0
         expr_logits, au_logits, _ = forward(p, rng.normal(size=(3, 8)))
         assert np.all(expr_logits == 0) and np.all(au_logits == 0)
 
@@ -140,6 +139,16 @@ class TestForward:
         assert np.all(np.isfinite(expr_logits))
         assert np.all(np.isfinite(au_logits))
         assert emb.shape == (9, 5)
+
+    def test_heads_are_columns_of_one_output(self, rng):
+        # one head product: the expression logits are its first 7 columns and
+        # the AU logits the other 18, both views of the one N x 25 output
+        p = init_params(1, feature_dim=8, hidden=(4,))
+        p.head_bias[...] = rng.normal(size=25)
+        expr_logits, au_logits, emb = forward(p, rng.normal(size=(3, 8)))
+        assert expr_logits.base is au_logits.base and expr_logits.base.shape == (3, 25)
+        assert np.allclose(expr_logits, emb @ p.head_weight[:, :7] + p.head_bias[:7])
+        assert np.allclose(au_logits, emb @ p.head_weight[:, 7:] + p.head_bias[7:])
 
     def test_width_mismatch_rejected(self, rng):
         p = init_params(0, feature_dim=8, hidden=())
@@ -194,7 +203,8 @@ class TestBackward:
         grads = params.views(
             backward(params, x, grad_e, np.zeros((6, 18)), activations=acts)
         )
-        assert np.all(grads["au.w"] == 0) and np.all(grads["au.b"] == 0)
+        # the AU block of the head: its last 18 columns
+        assert np.all(grads["head.w"][:, 7:] == 0) and np.all(grads["head.b"][7:] == 0)
         assert np.any(grads["hidden.0.w"] != 0)
 
     def test_au_signal_reaches_shared_pathway(self, rng):
@@ -234,7 +244,7 @@ class TestBackward:
             params, x2, np.repeat(g, 2, axis=0), np.zeros((2, 18)),
             activations=acts2,
         ))
-        assert np.allclose(doubled["expr.w"], 2.0 * single["expr.w"])
+        assert np.allclose(doubled["head.w"], 2.0 * single["head.w"])
 
 
 class TestOptimizer:
@@ -257,10 +267,10 @@ class TestOptimizer:
     def test_hand_computed_first_update(self):
         params = init_params(1, feature_dim=2, hidden=())
         state = OptimizerState(learning_rate=0.01, weight_decay=0.1)
-        w0 = params.expr_weight.copy()
+        w0 = params.head_weight.copy()
         optimizer_step(params, np.ones_like(params.vector), state)
         expected = w0 - 0.01 * 0.1 * w0 - 0.01 * (1.0 / (1.0 + 1e-8))
-        assert np.allclose(params.expr_weight, expected, atol=1e-12)
+        assert np.allclose(params.head_weight, expected, atol=1e-12)
 
     def test_determinism_over_ten_steps(self, rng):
         results = []
@@ -309,8 +319,8 @@ class TestOptimizer:
         params = init_params(1, feature_dim=4, hidden=())
         state = OptimizerState()
         grads = np.zeros_like(params.vector)
-        params.views(grads)["expr.w"][0, 0] = np.nan
-        with pytest.raises(NumericFailure, match="expr.w"):
+        params.views(grads)["head.w"][0, 0] = np.nan
+        with pytest.raises(NumericFailure, match="head.w"):
             optimizer_step(params, grads, state)
 
 
@@ -351,7 +361,7 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.bin"
         save_checkpoint(params, path)
         header, payload = read_sealed(path, CHECKPOINT_MAGIC, "checkpoint")
-        assert header == {"version": 3, "seed": 0, "feature_dim": 1024,
+        assert header == {"version": 4, "seed": 0, "feature_dim": 1024,
                           "hidden": [128],
                           "layout": json.loads(json.dumps(params.layout))}
         assert bytes(payload) == params.vector.astype("<f8").tobytes()
@@ -380,8 +390,21 @@ class TestCheckpoint:
         with pytest.raises(ContractError, match="^checkpoint version mismatch: 2$"):
             load_checkpoint(path)
 
+    def test_version_3_rejected(self, tmp_path):
+        # a version 3 file: the same parameters, each weight fan-out-major and
+        # the expression and AU heads apart
+        layout = {"au.b": [0, [18]], "au.w": [18, [18, 3]], "expr.b": [72, [7]],
+                  "expr.w": [79, [7, 3]], "hidden.0.b": [100, [3]],
+                  "hidden.0.w": [103, [3, 4]]}
+        path = sealed_checkpoint(
+            tmp_path / "v3.bin",
+            {"version": 3, "seed": 0, "feature_dim": 4, "hidden": [3], "layout": layout},
+            np.zeros(115, dtype="<f8"))
+        with pytest.raises(ContractError, match="^checkpoint version mismatch: 3$"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("field,value", [
-        ("version", "3"), ("version", 3.0), ("feature_dim", 4.0),
+        ("version", "4"), ("version", 4.0), ("feature_dim", 4.0),
         ("feature_dim", True), ("feature_dim", 0), ("hidden", 3), ("hidden", [3.0]),
         ("hidden", [0]), ("hidden", [True]), ("seed", -1), ("seed", True),
         ("seed", 0.0), ("seed", None), ("layout", {}), ("blobs", ["params"]),
@@ -402,7 +425,7 @@ class TestCheckpoint:
         layout = param_layout(4, [10 ** 9])
         path = sealed_checkpoint(
             tmp_path / "ckpt.bin",
-            {"version": 3, "seed": 0, "feature_dim": 4, "hidden": [10 ** 9],
+            {"version": 4, "seed": 0, "feature_dim": 4, "hidden": [10 ** 9],
              "layout": layout},
             np.zeros(100))
         tracemalloc.start()
