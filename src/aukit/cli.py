@@ -78,11 +78,12 @@ def _load_json_fields(path, cls, what):
     return values
 
 
-def _load_config(args):
+def _load_config(args, varied=None):
     """Build a TrainConfig from --config JSON overridden by CLI flags.
 
     A --pos-weights-file replaces the strategy's pos-weights, so naming a
-    strategy as well (flag or config key) is a contract error.
+    strategy as well (flag or config key) is a contract error. So is
+    setting `varied`, the field a study sets per run.
     """
     values = {}
     if args.config:
@@ -96,6 +97,9 @@ def _load_config(args):
             "--pos-weights-file replaces the strategy's pos-weights; "
             "give a strategy or the file, not both"
         )
+    if varied in values:
+        raise ContractError(f"{args.command} sets {varied} per run; "
+                            f"give no --{varied} flag or {varied!r} config key")
     return harness.TrainConfig(**values)
 
 
@@ -268,13 +272,15 @@ def _build_train_data(args):
 def cmd_train(args):
     config = _load_config(args)
     data = _build_train_data(args)
-    params, _, logs = harness.train(config, data)
+    params, _, (logs,) = harness.train([config], data, every_epoch=True)
     os.makedirs(args.out, exist_ok=True)
-    model.save_checkpoint(params, os.path.join(args.out, "checkpoint.bin"))
+    model.save_checkpoint(params.run(0), os.path.join(args.out, "checkpoint.bin"))
+    nan = float("nan")
     write_table(
         os.path.join(args.out, "epochs.csv"),
-        ([e.epoch, e.loss_expression, e.loss_au, e.loss_total, e.train_war,
-          e.train_uar, e.test_war, e.test_uar] for e in logs),
+        ([e.epoch, e.loss_expression, e.loss_au, e.loss_total, e.train.war,
+          e.train.uar, e.test.war if e.test else nan, e.test.uar if e.test else nan]
+         for e in logs),
         ("epoch", "loss_e", "loss_au", "loss", "train_war", "train_uar", "test_war",
          "test_uar"),
         meta=("aukit epochs v1",),
@@ -303,15 +309,19 @@ def cmd_eval(args):
     return EXIT_OK
 
 
+def _listed(value):
+    """The items of a comma-separated list flag; an empty value lists none."""
+    return value.split(",") if value else []
+
+
 def cmd_sweep(args):
-    config = _load_config(args)
+    config = _load_config(args, varied="lam")
     data = _build_train_data(args)
     try:
-        grid = [float(value) for value in args.grid.split(",")] if args.grid else list(
-            harness.DEFAULT_LAMBDA_GRID
-        )
+        grid = [float(value) for value in args.grid]
     except ValueError:
-        raise ContractError(f"--grid must list numbers, got {args.grid!r}") from None
+        raise ContractError(
+            f"--grid must list numbers, got {','.join(args.grid)!r}") from None
     rows = harness.lambda_sweep(config, data, grid=grid)
     os.makedirs(args.out, exist_ok=True)
     harness.write_metric_rows(rows, os.path.join(args.out, "sweep.csv"), "lambda")
@@ -325,12 +335,9 @@ def cmd_compare_strategies(args):
             "compare-strategies computes each strategy's pos-weights; "
             "--pos-weights-file does not apply"
         )
-    config = _load_config(args)
+    config = _load_config(args, varied="strategy")
     data = _build_train_data(args)
-    strategies = args.strategies.split(",") if args.strategies else list(
-        labeling.STRATEGIES
-    )
-    rows = harness.strategy_compare(config, data, strategies)
+    rows = harness.strategy_compare(config, data, args.strategies)
     os.makedirs(args.out, exist_ok=True)
     harness.write_metric_rows(
         rows, os.path.join(args.out, "strategies.csv"), "strategy"
@@ -486,9 +493,9 @@ def build_parser():
         p.add_argument("--strategy", default=None)
         p.add_argument("--epochs", type=int, default=None)
         if name == "sweep":
-            p.add_argument("--grid", default=None)
+            p.add_argument("--grid", type=_listed, default=harness.DEFAULT_LAMBDA_GRID)
         if name == "compare-strategies":
-            p.add_argument("--strategies", default=None)
+            p.add_argument("--strategies", type=_listed, default=labeling.STRATEGIES)
 
     p = add("eval", cmd_eval)
     p.add_argument("--checkpoint", required=True)

@@ -69,7 +69,7 @@ class TrainData:
     expr_labels: np.ndarray       # N
     au_labels: np.ndarray         # N x 18 binary
     knowledge: object             # loss-scaled KnowledgeMatrix
-    pos_weights: object = None    # PosWeightSpec; the config's strategy's if None
+    pos_weights: object = None    # PosWeightSpec; each run's strategy's if None
     test_features: np.ndarray = None
     test_expr_labels: np.ndarray = None
 
@@ -87,14 +87,14 @@ class EvalReport:
 
 @dataclass
 class EpochLog:
+    """One run's mean batch losses over an epoch, and its evaluation after it."""
+
     epoch: int
     loss_expression: float
     loss_au: float
     loss_total: float
-    train_war: float
-    train_uar: float
-    test_war: float = float("nan")
-    test_uar: float = float("nan")
+    train: EvalReport
+    test: EvalReport = None       # None without a test split
 
 
 def evaluate_predictions(true_labels, predicted):
@@ -202,31 +202,19 @@ def _lockstep(configs, data, pos_weights):
             idx = orders[:, lo:lo + first.batch_size]
             batch_x = features[idx]
             batch_expr = expr_labels[idx]
-            expr_logits, au_logits, _, acts = forward(
-                params, batch_x, return_hidden=True
-            )
-            loss_e, grad_e = expression_loss(
-                expr_logits, batch_expr, factor=first.factor
-            )
-            loss_au, grad_au = au_loss(
-                au_logits,
-                au_labels[idx],
-                batch_expr,
-                knowledge,
-                pw,
-            )
+            expr_logits, au_logits, _, acts = forward(params, batch_x,
+                                                      return_hidden=True)
+            loss_e, grad_e = expression_loss(expr_logits, batch_expr,
+                                             factor=first.factor)
+            loss_au, grad_au = au_loss(au_logits, au_labels[idx], batch_expr,
+                                       knowledge, pw)
             finite = np.isfinite(loss_e) & np.isfinite(loss_au)
             if not finite.all():
                 run = np.flatnonzero(~finite)[0]
                 where = f" in run {run}" if len(configs) > 1 else ""
                 raise NumericFailure(f"non-finite loss at epoch {epoch}{where}")
-            grads = backward(
-                params,
-                batch_x,
-                expr_scale * grad_e,
-                au_scale * grad_au,
-                activations=acts,
-            )
+            grads = backward(params, batch_x, expr_scale * grad_e,
+                             au_scale * grad_au, acts)
             params, state = optimizer_step(params, grads, state)
             sum_e += loss_e
             sum_au += loss_au
@@ -234,21 +222,26 @@ def _lockstep(configs, data, pos_weights):
         yield epoch, params, state, sum_e / batches, sum_au / batches
 
 
-def _train_together(configs, data, pos_weights):
-    """`data` with its features and test features in TRAIN_DTYPE (cast once,
-    no copy if they already are), and _lockstep's epochs for the runs of
-    `configs` on it, once the runs and data are checked and each run's
-    pos-weight table is resolved.
+def train(configs, data, every_epoch=False):
+    """Train the runs of `configs` on `data` together, in lockstep, and score
+    them; one run is a one-config list, lambda = 0 the expression-only
+    baseline.
 
-    This is the one place a run's table is chosen: its entry of
-    `pos_weights` (a PosWeightSpec or 7 x 18 values) if it has one, else,
-    for None, the table of its config's strategy from data's labels
-    (computed once per strategy).
+    The runs may differ in seed, lambda and strategy, and must share every
+    field of SHARED_FIELDS. Every run's AU loss uses `data.pos_weights`, or,
+    if that is None, the table of its own config's strategy from the
+    training labels (computed once per strategy). A run's parameters equal,
+    bit for bit, those of training it alone.
+
+    After the last epoch, or after every epoch with `every_epoch`, each run
+    is evaluated as it trains, in TRAIN_DTYPE, on the training split and the
+    test split if there is one. Returns (params, state, logs): the stacked
+    parameters and optimizer state upcast to float64 (`.run(r)` is run r),
+    and logs[r], run r's EpochLogs. Raises NumericFailure on features outside
+    TRAIN_DTYPE's range, or a non-finite loss, gradient or optimizer moment.
     """
     if not configs:
         raise ContractError("no runs to train")
-    if len(pos_weights) != len(configs):
-        raise ContractError("one pos-weight table per run expected")
     first = configs[0]
     for name in SHARED_FIELDS:
         if any(getattr(config, name) != getattr(first, name) for config in configs):
@@ -260,87 +253,40 @@ def _train_together(configs, data, pos_weights):
         raise ContractError("data shapes inconsistent")
     if n == 0:
         raise ContractError("cannot train on an empty dataset")
-    runs = list(zip(configs, pos_weights))
-    computed = {
+    if data.test_features is not None and np.shape(data.test_features) != (
+            *np.shape(data.test_expr_labels), np.shape(data.features)[1]):
+        raise ContractError("test split shapes inconsistent with the training split")
+    tables = {
         strategy: compute_pos_weights(data.au_labels, data.expr_labels, strategy)
-        for strategy in dict.fromkeys(c.strategy for c, table in runs if table is None)
+        if data.pos_weights is None else data.pos_weights
+        for strategy in dict.fromkeys(config.strategy for config in configs)
     }
-    tables = [computed[c.strategy] if table is None else table for c, table in runs]
-    data = replace(
-        data,
-        features=cast_features(data.features, TRAIN_DTYPE),
-        test_features=None if data.test_features is None
-        else cast_features(data.test_features, TRAIN_DTYPE),
-    )
-    return data, _lockstep(
-        configs, data, np.stack([getattr(table, "values", table) for table in tables])
-    )
+    pos_weights = np.stack([tables[config.strategy].values for config in configs])
+    data = replace(data, features=cast_features(data.features, TRAIN_DTYPE))
+    splits = [(data.features, data.expr_labels)]
+    if data.test_features is not None:
+        splits.append((cast_features(data.test_features, TRAIN_DTYPE),
+                       data.test_expr_labels))
+    logs = [[] for _ in configs]
+    for epoch, params, state, loss_e, loss_au in _lockstep(configs, data, pos_weights):
+        if not every_epoch and epoch < first.epochs - 1:
+            continue
+        for r, config in enumerate(configs):
+            mean_e, mean_au = float(loss_e[r]), float(loss_au[r])
+            reports = [evaluate(params.run(r), x, labels) for x, labels in splits]
+            logs[r].append(EpochLog(epoch, mean_e, mean_au,
+                                    combined_loss(mean_e, mean_au, config.lam),
+                                    *reports))
+    return params.astype(np.float64), state.astype(np.float64), logs
 
 
-def train(config, data):
-    """Run the combined-loss loop; lambda = 0 is the expression-only baseline.
-
-    The AU loss uses `data.pos_weights`, or, if None, the table of
-    `config.strategy` from the training labels. Training steps and
-    evaluation run in TRAIN_DTYPE: the parameters are evaluated as they
-    train, on the training split, and the test split if there is one, after
-    every epoch. Returns (params, state, list of EpochLog), params and state
-    upcast to float64. Raises NumericFailure on features outside
-    TRAIN_DTYPE's range, or a non-finite loss, gradient or optimizer moment.
-    """
-    logs = []
-    data, epochs = _train_together([config], data, [data.pos_weights])
-    for epoch, stack, state, loss_e, loss_au in epochs:
-        params = stack.run(0)
-        mean_e = float(loss_e[0])
-        mean_au = float(loss_au[0])
-        train_report = evaluate(params, data.features, data.expr_labels)
-        entry = EpochLog(
-            epoch=epoch,
-            loss_expression=mean_e,
-            loss_au=mean_au,
-            loss_total=combined_loss(mean_e, mean_au, config.lam),
-            train_war=train_report.war,
-            train_uar=train_report.uar,
-        )
-        if data.test_features is not None:
-            test_report = evaluate(params, data.test_features, data.test_expr_labels)
-            entry.test_war = test_report.war
-            entry.test_uar = test_report.uar
-        logs.append(entry)
-    return params.astype(np.float64), state.run(0).astype(np.float64), logs
-
-
-def train_stacked(configs, data, pos_weights=None):
-    """Train several runs on one dataset together, in lockstep.
-
-    The runs may differ in seed, lambda and pos-weights (`pos_weights`: one
-    PosWeightSpec per run, or None for the table of the run's strategy; by
-    default `data.pos_weights` for every run) and must share every field of
-    SHARED_FIELDS. Nothing is evaluated. Returns one (params, state) per
-    run, in float64, bit-identical to what `train` returns for that run
-    alone.
-    """
-    if pos_weights is None:
-        pos_weights = [data.pos_weights] * len(configs)
-    _, epochs = _train_together(configs, data, pos_weights)
-    for _, params, state, _, _ in epochs:
-        pass
-    params, state = params.astype(np.float64), state.astype(np.float64)
-    return [(params.run(r), state.run(r)) for r in range(len(configs))]
-
-
-def _train_and_score(key, values, configs, data, pos_weights=None):
-    """train_stacked the runs of `configs`, then score each once at the end,
-    on the test split, or the training split when there is none. One row per
-    run: `key` (its entry of `values`), WAR, UAR and per-class recalls."""
-    if data.test_features is None:
-        features, labels = data.features, data.expr_labels
-    else:
-        features, labels = data.test_features, data.test_expr_labels
+def _last_rows(key, values, logs):
+    """One table row per run: `key` (its entry of `values`), then WAR, UAR
+    and per-class recalls of its last log, on the test split, or the
+    training split when there is none."""
     rows = []
-    for value, (params, _) in zip(values, train_stacked(configs, data, pos_weights)):
-        report = evaluate(params, features, labels)
+    for value, run_logs in zip(values, logs):
+        report = run_logs[-1].test or run_logs[-1].train
         rows.append({key: value, "war": report.war, "uar": report.uar,
                      "per_class_recall": report.per_class_recall})
     return rows
@@ -355,20 +301,26 @@ def lambda_sweep(config, data, grid=DEFAULT_LAMBDA_GRID):
     if len(grid) == 0:
         raise ContractError("lambda grid must be nonempty")
     grid = [float(lam) for lam in grid]
-    return _train_and_score("lambda", grid,
-                            [replace(config, lam=lam) for lam in grid], data)
+    _, _, logs = train([replace(config, lam=lam) for lam in grid], data)
+    return _last_rows("lambda", grid, logs)
 
 
 def strategy_compare(config, data, strategies=STRATEGIES):
     """Per-strategy WAR/UAR and per-class recall rows, one table row each;
-    each strategy's pos-weights come from the training split's labels, and
-    the runs train together and are evaluated once at the end."""
+    each strategy's pos-weights come from the training split's labels, so
+    `data` may hold no explicit table, and the runs train together and are
+    evaluated once at the end."""
+    if len(strategies) == 0:
+        raise ContractError("strategy list must be nonempty")
     unknown = [s for s in strategies if s not in STRATEGIES]
     if unknown:
         raise ContractError(f"unknown strategies: {unknown}")
-    return _train_and_score("strategy", list(strategies),
-                            [replace(config, strategy=s) for s in strategies], data,
-                            [None] * len(strategies))
+    if data.pos_weights is not None:
+        raise ContractError("a strategy comparison computes each strategy's "
+                            "pos-weights; an explicit table does not apply")
+    strategies = list(strategies)
+    _, _, logs = train([replace(config, strategy=s) for s in strategies], data)
+    return _last_rows("strategy", strategies, logs)
 
 
 def write_metric_rows(rows, path, key_column):

@@ -204,11 +204,12 @@ def forward(params, features, return_hidden=False):
     return expr_logits, au_logits, h
 
 
-def backward(params, features, d_expr, d_au, activations=None):
+def backward(params, features, d_expr, d_au, activations):
     """Exact gradients of the combined loss wrt every parameter.
 
     d_expr and d_au are the loss gradients at the two heads' logits; joined,
-    they flow back through the head into the shared hidden pathway. Returns
+    they flow back through the head into the shared hidden pathway, using
+    the activations forward(..., return_hidden=True) returned. Returns
     one flat gradient vector in the layout of params.vector
     (params.views(grad) names its parts); a stack takes R x N x ... batches
     and returns R x P gradients.
@@ -219,9 +220,6 @@ def backward(params, features, d_expr, d_au, activations=None):
         np.shape(d_au) != np.shape(d_expr)[:-1] + (NUM_AUS,)
     ):
         raise ContractError("head gradient shapes inconsistent with the batch")
-    if activations is None:
-        _, _, _, activations = forward(params, features, return_hidden=True)
-
     grad = np.empty_like(params.vector)
     named = params.views(grad)
     # bias gradients sum over the batch as a product with a row of ones: one

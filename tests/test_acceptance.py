@@ -20,7 +20,6 @@ from aukit.harness import (
     lambda_sweep,
     strategy_compare,
     train,
-    train_stacked,
     write_confusion_svg,
 )
 from aukit.knowledge import (
@@ -286,8 +285,9 @@ def test_criterion_6_range_invariants():
 
 def _benchmark_pair(structure_seed):
     """The baseline (lambda 0, unweighted) and the auxiliary (lambda 0.2,
-    distinct pos-weights) run of one seed, trained together on shared data;
-    (UAR, minor-class recall) of each on the test split."""
+    distinct pos-weights) run of one seed, trained together on shared data,
+    each with its strategy's pos-weights; (UAR, minor-class recall) of each
+    on the test split."""
     train_set = generate_dataset(
         SynthSpec(total=2000, seed=structure_seed, sample_seed=11)
     )
@@ -299,18 +299,17 @@ def _benchmark_pair(structure_seed):
         expr_labels=train_set.expr_labels,
         au_labels=train_set.au_presence.astype(float),
         knowledge=train_set.knowledge,
+        test_features=test_set.features,
+        test_expr_labels=test_set.expr_labels,
     )
     configs = [
         TrainConfig(lam=0.0, strategy="none", seed=structure_seed),
         TrainConfig(lam=0.2, strategy="distinct", seed=structure_seed),
     ]
-    pos_weights = [
-        None,
-        compute_pos_weights(train_set.au_presence, train_set.expr_labels, "distinct"),
-    ]
+    _, _, logs = train(configs, data)
     results = []
-    for params, _ in train_stacked(configs, data, pos_weights):
-        result = evaluate(params, test_set.features, test_set.expr_labels)
+    for run_logs in logs:
+        result = run_logs[-1].test
         results.append(
             (result.uar, float(np.nanmean(result.per_class_recall[MINOR_INDICES])))
         )
@@ -389,8 +388,8 @@ def test_criterion_9_artifact_fidelity(tmp_path):
     for row in strategy_rows:
         assert row["per_class_recall"].shape == (NUM_EXPRESSIONS,)
 
-    params, _, _ = train(config, data)
-    result = evaluate(params, data.features, data.expr_labels)
+    params, _, _ = train([config], data)
+    result = evaluate(params.run(0), data.features, data.expr_labels)
     svg_path = tmp_path / "confusion.svg"
     write_confusion_svg(result, svg_path)
     text = svg_path.read_text()

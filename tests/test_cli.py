@@ -721,6 +721,44 @@ def test_non_numeric_sweep_grid_is_contract_error(synth_dirs, tmp_path, capsys):
     assert "--grid" in err
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("sweep", "lam", 0.9),
+    ("compare-strategies", "strategy", "global"),
+])
+@pytest.mark.parametrize("given_by", ["flag", "config"])
+def test_study_rejects_the_field_it_varies(command, flag, value, given_by,
+                                           synth_dirs, tmp_path, capsys):
+    # a sweep sets lambda per run and a comparison the strategy; the value
+    # given once wrote the same table as any other
+    extra = [f"--{flag}", value]
+    if given_by == "config":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({flag: value}))
+        extra = ["--config", cfg]
+    capsys.readouterr()
+    assert run(command, "--data", synth_dirs[0], "--epochs", 1, *extra,
+               "--out", tmp_path / "out") == EXIT_CONTRACT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"--{flag}" in err and f"'{flag}' config key" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, option", [
+    ("sweep", "--grid"), ("compare-strategies", "--strategies"),
+])
+def test_empty_study_list_is_contract_error(command, option, synth_dirs, tmp_path,
+                                            capsys):
+    # an empty list once ran the default grid or every strategy
+    capsys.readouterr()
+    assert run(command, "--data", synth_dirs[0], "--epochs", 1, option, "",
+               "--out", tmp_path / "out") == EXIT_CONTRACT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "nonempty" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_json_config_values_are_converted(synth_dirs, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"hidden": [4], "lam": 0, "batch_size": 100}))

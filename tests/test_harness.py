@@ -22,7 +22,6 @@ from aukit.harness import (
     report_from_confusion,
     strategy_compare,
     train,
-    train_stacked,
     write_confusion_svg,
     write_metric_rows,
 )
@@ -137,19 +136,19 @@ class TestTrain:
     def test_same_seed_identical_logs(self):
         data = small_train_data()
         config = TrainConfig(epochs=3, seed=7)
-        _, _, logs_a = train(config, data)
-        _, _, logs_b = train(config, data)
+        _, _, (logs_a,) = train([config], data, every_epoch=True)
+        _, _, (logs_b,) = train([config], data, every_epoch=True)
         for a, b in zip(logs_a, logs_b):
             assert a.loss_total == b.loss_total
             assert a.loss_expression == b.loss_expression
             assert a.loss_au == b.loss_au
-            assert a.train_war == b.train_war
+            assert a.train.war == b.train.war
 
     def test_same_seed_identical_params(self):
         data = small_train_data()
         config = TrainConfig(epochs=3, seed=7)
-        params_a, _, _ = train(config, data)
-        params_b, _, _ = train(config, data)
+        params_a, _, _ = train([config], data)
+        params_b, _, _ = train([config], data)
         for key, value in params_a.views(params_a.vector).items():
             assert np.array_equal(value, params_b.views(params_b.vector)[key])
 
@@ -157,14 +156,15 @@ class TestTrain:
         # Noiseless generation is linearly separable by class anchors + AUs.
         data = small_train_data(au_noise_sd=0.0, feature_noise_sd=0.0)
         config = TrainConfig(epochs=5, seed=0, lam=0.2)
-        _, _, logs = train(config, data)
+        _, _, (logs,) = train([config], data, every_epoch=True)
         totals = [entry.loss_total for entry in logs]
         assert all(b < a for a, b in zip(totals, totals[1:]))
 
     def test_epoch_log_combination_identity(self):
         data = small_train_data()
         lam = 0.3
-        _, _, logs = train(TrainConfig(epochs=3, seed=1, lam=lam), data)
+        _, _, (logs,) = train([TrainConfig(epochs=3, seed=1, lam=lam)], data,
+                              every_epoch=True)
         for entry in logs:
             combined = (1.0 - lam) * entry.loss_expression + lam * entry.loss_au
             assert entry.loss_total == pytest.approx(combined, abs=1e-9)
@@ -179,8 +179,8 @@ class TestTrain:
             pos_weights=data.pos_weights,
         )
         config = TrainConfig(epochs=2, seed=3, lam=0.0)
-        params_a, _, _ = train(config, data)
-        params_b, _, _ = train(config, flipped)
+        params_a, _, _ = train([config], data)
+        params_b, _, _ = train([config], flipped)
         for key, value in params_a.views(params_a.vector).items():
             assert np.array_equal(value, params_b.views(params_b.vector)[key])
 
@@ -191,7 +191,7 @@ class TestTrain:
         # fan-in-major with one fused head (new byte order, and the fused
         # head product differs in the last bits)
         params, state, _ = train(
-            TrainConfig(epochs=3, hidden=(8,), seed=7, lam=0.3),
+            [TrainConfig(epochs=3, hidden=(8,), seed=7, lam=0.3)],
             small_train_data(),
         )
         assert state.step == 15
@@ -205,7 +205,7 @@ class TestTrain:
         data.features = data.features.copy()
         data.features[5, 0] = np.inf
         with pytest.raises(NumericFailure, match="non-finite loss at epoch 0"):
-            train(TrainConfig(epochs=2, seed=0), data)
+            train([TrainConfig(epochs=2, seed=0)], data)
 
     def test_shape_mismatch_rejected(self):
         data = small_train_data()
@@ -216,7 +216,25 @@ class TestTrain:
             knowledge=data.knowledge,
         )
         with pytest.raises(ContractError):
-            train(TrainConfig(epochs=1), bad)
+            train([TrainConfig(epochs=1)], bad)
+
+    @pytest.mark.parametrize("cut", ["features", "labels"])
+    def test_test_split_checked_before_training(self, cut, monkeypatch):
+        # a test split of another width or length once failed only in the
+        # evaluation after the last epoch, every epoch trained for nothing
+        data = small_train_data()
+        test = small_train_data(total=120)
+        data.test_features, data.test_expr_labels = test.features, test.expr_labels
+        if cut == "features":
+            data.test_features = test.features[:, :-1]
+        else:
+            data.test_expr_labels = test.expr_labels[:-1]
+        steps = []
+        monkeypatch.setattr(harness, "optimizer_step",
+                            lambda *args: steps.append(1) or args[::2])
+        with pytest.raises(ContractError, match="test split"):
+            train([TrainConfig(epochs=2, seed=0)], data)
+        assert steps == []
 
     def test_empty_dataset_rejected(self):
         data = small_train_data()
@@ -227,7 +245,7 @@ class TestTrain:
             knowledge=data.knowledge,
         )
         with pytest.raises(ContractError, match="empty"):
-            train(TrainConfig(epochs=1), empty)
+            train([TrainConfig(epochs=1)], empty)
 
     def test_config_validation(self):
         with pytest.raises(ContractError):
@@ -239,8 +257,8 @@ class TestTrain:
 
     def test_predict_tie_breaks_low_index(self):
         data = small_train_data()
-        params, _, _ = train(TrainConfig(epochs=1, seed=0), data)
-        labels = predict(params, data.features)
+        params, _, _ = train([TrainConfig(epochs=1, seed=0)], data)
+        labels = predict(params.run(0), data.features)
         assert labels.min() >= 0 and labels.max() < NUM_EXPRESSIONS
 
 
@@ -252,10 +270,12 @@ def strategy_specs(strategies, seed=0, total=300):
 
 class TestTrainStacked:
     def assert_equal_to_sequential(self, configs, data, pos_weights):
-        runs = train_stacked(configs, data, pos_weights)
-        assert len(runs) == len(configs)
-        for config, spec, (params, state) in zip(configs, pos_weights, runs):
-            alone, alone_state, _ = train(config, replace(data, pos_weights=spec))
+        stack, stack_state, logs = train(configs, data)
+        assert len(logs) == len(configs)
+        for r, (config, spec) in enumerate(zip(configs, pos_weights)):
+            params, state = stack.run(r), stack_state.run(r)
+            alone, alone_state, _ = train([config], replace(data, pos_weights=spec))
+            alone, alone_state = alone.run(0), alone_state.run(0)
             assert params.seed == alone.seed == config.seed
             assert params.vector.tobytes() == alone.vector.tobytes()
             assert state.step == alone_state.step
@@ -268,8 +288,10 @@ class TestTrainStacked:
             TrainConfig(epochs=4, seed=3, lam=0.3, strategy=s, hidden=(8,))
             for s in strategies
         ]
+        # each run of the stack resolves its own strategy's table
         self.assert_equal_to_sequential(
-            configs, small_train_data(), strategy_specs(strategies)
+            configs, replace(small_train_data(), pos_weights=None),
+            strategy_specs(strategies),
         )
 
     def test_seeds_per_run_match_sequential(self):
@@ -294,14 +316,11 @@ class TestTrainStacked:
         configs = [TrainConfig(epochs=2, seed=0), TrainConfig(epochs=2, seed=1)]
         configs[1] = replace(configs[1], **{field: value})
         with pytest.raises(ContractError, match=f"must share {field}"):
-            train_stacked(configs, small_train_data())
+            train(configs, small_train_data())
 
-    def test_empty_or_mismatched_runs_rejected(self):
-        data = small_train_data()
-        with pytest.raises(ContractError):
-            train_stacked([], data)
-        with pytest.raises(ContractError):
-            train_stacked([TrainConfig(epochs=1)] * 2, data, [None])
+    def test_no_runs_rejected(self):
+        with pytest.raises(ContractError, match="no runs"):
+            train([], small_train_data())
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_non_finite_loss_names_the_epoch(self):
@@ -310,7 +329,36 @@ class TestTrainStacked:
         data.features[5, 0] = np.inf
         configs = [TrainConfig(epochs=2, seed=seed) for seed in (0, 1)]
         with pytest.raises(NumericFailure, match="non-finite loss at epoch 0 in run"):
-            train_stacked(configs, data)
+            train(configs, data)
+
+    def test_last_epoch_log_equals_every_epoch_last_log(self):
+        # every_epoch=False evaluates once, after the last epoch, exactly as
+        # every_epoch=True does then
+        data = small_train_data()
+        test = small_train_data(total=120)
+        data.test_features, data.test_expr_labels = test.features, test.expr_labels
+        configs = [TrainConfig(epochs=3, seed=seed, lam=0.3, hidden=(8,))
+                   for seed in (0, 1)]
+        _, _, last = train(configs, data)
+        _, _, every = train(configs, data, every_epoch=True)
+        assert [len(logs) for logs in last] == [1, 1]
+        assert [len(logs) for logs in every] == [3, 3]
+        for (got,), logs in zip(last, every):
+            expected = logs[-1]
+            assert (got.epoch, got.loss_expression, got.loss_au, got.loss_total) == (
+                expected.epoch, expected.loss_expression, expected.loss_au,
+                expected.loss_total)
+            assert got.epoch == 2
+            for split in ("train", "test"):
+                a, b = getattr(got, split), getattr(expected, split)
+                assert np.array_equal(a.confusion, b.confusion)
+                assert np.array_equal(a.per_class_recall, b.per_class_recall,
+                                      equal_nan=True)
+                assert (a.war, a.uar, a.samples) == (b.war, b.uar, b.samples)
+
+    def test_no_test_split_logs_none(self):
+        _, _, ((log,),) = train([TrainConfig(epochs=1, seed=0)], small_train_data())
+        assert log.test is None and log.train.samples == 300
 
 
 class TestPosWeightResolution:
@@ -320,9 +368,9 @@ class TestPosWeightResolution:
         # a missing table once trained unweighted, whatever the strategy
         data = small_train_data()
         config = TrainConfig(epochs=2, seed=3, strategy="distinct", hidden=(8,))
-        explicit, _, _ = train(config, data)
-        resolved, _, _ = train(config, replace(data, pos_weights=None))
-        unweighted, _, _ = train(replace(config, strategy="none"),
+        explicit, _, _ = train([config], data)
+        resolved, _, _ = train([config], replace(data, pos_weights=None))
+        unweighted, _, _ = train([replace(config, strategy="none")],
                                  replace(data, pos_weights=None))
         assert resolved.vector.tobytes() == explicit.vector.tobytes()
         assert resolved.vector.tobytes() != unweighted.vector.tobytes()
@@ -330,19 +378,17 @@ class TestPosWeightResolution:
     def test_explicit_table_wins_over_the_strategy(self):
         data = small_train_data()
         config = TrainConfig(epochs=2, seed=3, hidden=(8,))
-        explicit, _, _ = train(replace(config, strategy="none"), data)
-        resolved, _, _ = train(config, replace(data, pos_weights=None))
+        explicit, _, _ = train([replace(config, strategy="none")], data)
+        resolved, _, _ = train([config], replace(data, pos_weights=None))
         assert explicit.vector.tobytes() == resolved.vector.tobytes()
 
-    def test_stacked_runs_resolve_their_own_strategies(self):
-        strategies = ("none", "global", "minor")
-        configs = [TrainConfig(epochs=2, seed=3, lam=0.3, strategy=s, hidden=(8,))
-                   for s in strategies]
-        data = replace(small_train_data(), pos_weights=None)
-        resolved = train_stacked(configs, data)
-        explicit = train_stacked(configs, data, strategy_specs(strategies))
-        for (params, _), (expected, _) in zip(resolved, explicit):
-            assert params.vector.tobytes() == expected.vector.tobytes()
+    def test_explicit_table_serves_every_run(self):
+        data = small_train_data()
+        configs = [TrainConfig(epochs=2, seed=3, strategy=s, hidden=(8,))
+                   for s in ("none", "minor")]
+        stack, _, _ = train(configs, data)
+        alone, _, _ = train(configs[:1], data)
+        assert stack.run(1).vector.tobytes() == alone.run(0).vector.tobytes()
 
 
 def step_arrays(value):
@@ -377,11 +423,10 @@ class TestTrainingPrecision:
 
         for name in self.STEP_FUNCTIONS:
             monkeypatch.setattr(harness, name, spy(name, getattr(harness, name)))
-        # train_stacked evaluates nothing; test_train_evaluates_in_float32
-        # covers the forward passes of evaluation
+        # the forward passes of the evaluation after the last epoch included
         configs = [TrainConfig(epochs=1, seed=seed, lam=0.3, hidden=(8,))
                    for seed in (0, 1)]
-        train_stacked(configs, small_train_data())
+        train(configs, small_train_data())
         assert seen == {name: {np.dtype(np.float32)} for name in self.STEP_FUNCTIONS}
 
     def test_train_evaluates_in_float32(self, monkeypatch):
@@ -401,7 +446,7 @@ class TestTrainingPrecision:
         data = small_train_data()
         test = small_train_data(total=120)
         data.test_features, data.test_expr_labels = test.features, test.expr_labels
-        train(TrainConfig(epochs=2, seed=0, hidden=(8,)), data)
+        train([TrainConfig(epochs=2, seed=0, hidden=(8,))], data, every_epoch=True)
         evaluated = sorted(rows for rows, _ in calls if rows in (300, 120))
         assert evaluated == [120, 120, 300, 300]  # each split after each epoch
         assert {dtype for _, dtypes in calls for dtype in dtypes} == {
@@ -411,8 +456,8 @@ class TestTrainingPrecision:
     def test_train_returns_float64_holding_float32_values(self):
         data = small_train_data()
         config = TrainConfig(epochs=2, seed=0, hidden=(8,))
-        params, state, _ = train(config, data)
-        ((stacked, stacked_state),) = train_stacked([config], data)
+        params, state, _ = train([config], data)
+        stacked, stacked_state, _ = train([config, replace(config, seed=1)], data)
         for vector in (params.vector, state.m, state.v,
                        stacked.vector, stacked_state.m, stacked_state.v):
             assert vector.dtype == np.float64
@@ -423,7 +468,7 @@ class TestTrainingPrecision:
         data.features = data.features.copy()
         data.features[7, 3] = 1e39
         with pytest.raises(NumericFailure, match="outside the float32 range"):
-            train(TrainConfig(epochs=1, seed=0), data)
+            train([TrainConfig(epochs=1, seed=0)], data)
 
 
 class TestSweepAndCompare:
@@ -459,6 +504,27 @@ class TestSweepAndCompare:
         data = small_train_data(total=200)
         with pytest.raises(ContractError):
             strategy_compare(TrainConfig(epochs=1), data, strategies=("bogus",))
+
+    def test_compare_rejects_no_strategies(self):
+        data = replace(small_train_data(total=200), pos_weights=None)
+        with pytest.raises(ContractError, match="nonempty"):
+            strategy_compare(TrainConfig(epochs=1), data, strategies=())
+
+    def test_compare_rejects_an_explicit_table(self):
+        # each strategy's own table is compared; one given table would
+        # silently replace them all
+        with pytest.raises(ContractError, match="explicit table"):
+            strategy_compare(TrainConfig(epochs=1), small_train_data(total=200))
+
+    def test_rows_score_the_test_split_when_there_is_one(self):
+        data = replace(small_train_data(total=200), pos_weights=None)
+        test = small_train_data(seed=1, total=120)
+        data.test_features, data.test_expr_labels = test.features, test.expr_labels
+        config = TrainConfig(epochs=1, seed=0, hidden=(8,))
+        (row,) = lambda_sweep(config, data, grid=(0.2,))
+        params, _, _ = train([config], data)
+        report = evaluate(params.run(0), test.features, test.expr_labels)
+        assert (row["war"], row["uar"]) == (report.war, report.uar)
 
 
 class TestArtifacts:
@@ -499,9 +565,9 @@ class TestArtifacts:
 
     def test_embeddings_export_shape(self, tmp_path):
         data = small_train_data(total=100)
-        params, _, _ = train(TrainConfig(epochs=1, seed=0), data)
+        params, _, _ = train([TrainConfig(epochs=1, seed=0)], data)
         path = tmp_path / "embeddings.csv"
-        export_embeddings(params, data.features, data.expr_labels, path)
+        export_embeddings(params.run(0), data.features, data.expr_labels, path)
         lines = path.read_text().splitlines()
         assert len(lines) == 2 + 100
         width = int(lines[0].split("width=")[1])
@@ -511,9 +577,9 @@ class TestArtifacts:
 
     def test_embeddings_deterministic(self, tmp_path):
         data = small_train_data(total=60)
-        params, _, _ = train(TrainConfig(epochs=1, seed=0), data)
+        params, _, _ = train([TrainConfig(epochs=1, seed=0)], data)
         path_a = tmp_path / "a.csv"
         path_b = tmp_path / "b.csv"
-        export_embeddings(params, data.features, data.expr_labels, path_a)
-        export_embeddings(params, data.features, data.expr_labels, path_b)
+        export_embeddings(params.run(0), data.features, data.expr_labels, path_a)
+        export_embeddings(params.run(0), data.features, data.expr_labels, path_b)
         assert path_a.read_bytes() == path_b.read_bytes()
