@@ -1,6 +1,7 @@
 """Training loop, WAR/UAR evaluation, lambda sweep, strategy comparison, and
 report artifacts (confusion CSV + SVG heatmap, embedding export)."""
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from .labeling import STRATEGIES, compute_pos_weights
 from .losses import au_loss, combined_loss, expression_loss, loss_knowledge
 from .model import (
     TRAIN_DTYPE,
+    ModelParams,
     OptimizerState,
     backward,
     cast_features,
@@ -97,14 +99,19 @@ class EpochLog:
     test: EvalReport = None       # None without a test split
 
 
+def _expression_labels(labels):
+    """`labels` as int64; one outside 0..6 is a ContractError."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if np.any((labels < 0) | (labels >= NUM_EXPRESSIONS)):
+        raise ContractError("expression label out of range")
+    return labels
+
+
 def evaluate_predictions(true_labels, predicted):
-    true_labels = np.asarray(true_labels, dtype=np.int64)
-    predicted = np.asarray(predicted, dtype=np.int64)
+    true_labels = _expression_labels(true_labels)
+    predicted = _expression_labels(predicted)
     if true_labels.shape != predicted.shape:
         raise ContractError("true and predicted labels differ in length")
-    for labels in (true_labels, predicted):
-        if np.any((labels < 0) | (labels >= NUM_EXPRESSIONS)):
-            raise ContractError("expression label out of range")
     confusion = np.zeros((NUM_EXPRESSIONS, NUM_EXPRESSIONS), dtype=np.int64)
     np.add.at(confusion, (true_labels, predicted), 1)
     return report_from_confusion(confusion)
@@ -235,10 +242,17 @@ def train(configs, data, every_epoch=False):
 
     After the last epoch, or after every epoch with `every_epoch`, each run
     is evaluated as it trains, in TRAIN_DTYPE, on the training split and the
-    test split if there is one. Returns (params, state, logs): the stacked
-    parameters and optimizer state upcast to float64 (`.run(r)` is run r),
-    and logs[r], run r's EpochLogs. Raises NumericFailure on features outside
-    TRAIN_DTYPE's range, or a non-finite loss, gradient or optimizer moment.
+    test split if there is one. With `every_epoch`, every epoch but the last
+    is scored on one worker thread, from a copy of its parameters, while the
+    next epoch trains; at most one scoring is in flight, and the last epoch
+    is scored in the calling thread, so a call that scores only its last
+    epoch starts no thread. The logs are those of scoring each epoch in turn.
+    Returns (params, state, logs): the stacked parameters and optimizer state
+    upcast to float64 (`.run(r)` is run r), and logs[r], run r's EpochLogs.
+    Raises NumericFailure on features outside TRAIN_DTYPE's range, or a
+    non-finite loss, gradient or optimizer moment, and ContractError on an
+    expression label outside 0..6, before the first step; an error raised
+    while scoring propagates unchanged.
     """
     if not configs:
         raise ContractError("no runs to train")
@@ -263,20 +277,41 @@ def train(configs, data, every_epoch=False):
     }
     pos_weights = np.stack([tables[config.strategy].values for config in configs])
     data = replace(data, features=cast_features(data.features, TRAIN_DTYPE))
-    splits = [(data.features, data.expr_labels)]
+    # the labels of both splits are checked here, before the first step,
+    # not when an epoch is scored
+    splits = [(data.features, _expression_labels(data.expr_labels))]
     if data.test_features is not None:
         splits.append((cast_features(data.test_features, TRAIN_DTYPE),
-                       data.test_expr_labels))
+                       _expression_labels(data.test_expr_labels)))
     logs = [[] for _ in configs]
-    for epoch, params, state, loss_e, loss_au in _lockstep(configs, data, pos_weights):
-        if not every_epoch and epoch < first.epochs - 1:
-            continue
+
+    def score(epoch, params, loss_e, loss_au):
         for r, config in enumerate(configs):
             mean_e, mean_au = float(loss_e[r]), float(loss_au[r])
             reports = [evaluate(params.run(r), x, labels) for x, labels in splits]
             logs[r].append(EpochLog(epoch, mean_e, mean_au,
                                     combined_loss(mean_e, mean_au, config.lam),
                                     *reports))
+
+    last = first.epochs - 1
+    scoring = None
+    # the worker thread starts at the first submit, so a call that scores
+    # only its last epoch never starts it
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        for epoch, params, state, loss_e, loss_au in _lockstep(configs, data,
+                                                               pos_weights):
+            if not every_epoch and epoch < last:
+                continue
+            if scoring is not None:
+                scoring.result()
+            if epoch < last:
+                # optimizer_step updates the live vector in place while the
+                # next epoch trains, so the worker scores a copy
+                snapshot = ModelParams(params.feature_dim, params.hidden,
+                                       params.seed, params.vector.copy())
+                scoring = worker.submit(score, epoch, snapshot, loss_e, loss_au)
+            else:
+                score(epoch, params, loss_e, loss_au)
     return params.astype(np.float64), state.astype(np.float64), logs
 
 

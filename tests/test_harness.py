@@ -1,6 +1,7 @@
 """Training loop, WAR/UAR evaluation, and report-artifact tests."""
 
 import hashlib
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -43,6 +44,21 @@ def brute_force_metrics(true_labels, predicted):
     return war, sum(recalls) / len(recalls)
 
 
+def assert_logs_equal(got, expected):
+    """Two EpochLogs agree field for field, their reports included."""
+    assert (got.epoch, got.loss_expression, got.loss_au, got.loss_total) == (
+        expected.epoch, expected.loss_expression, expected.loss_au,
+        expected.loss_total)
+    for split in ("train", "test"):
+        a, b = getattr(got, split), getattr(expected, split)
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert np.array_equal(a.confusion, b.confusion)
+            assert np.array_equal(a.per_class_recall, b.per_class_recall,
+                                  equal_nan=True)
+            assert (a.war, a.uar, a.samples) == (b.war, b.uar, b.samples)
+
+
 def small_train_data(seed=0, total=300, **spec_overrides):
     spec = SynthSpec(total=total, seed=seed, sample_seed=1, **spec_overrides)
     ds = generate_dataset(spec)
@@ -53,6 +69,14 @@ def small_train_data(seed=0, total=300, **spec_overrides):
         knowledge=ds.knowledge,
         pos_weights=compute_pos_weights(ds.au_presence, ds.expr_labels, "distinct"),
     )
+
+
+def split_pair_data():
+    """small_train_data with a 120-sample test split."""
+    data = small_train_data()
+    test = small_train_data(total=120)
+    data.test_features, data.test_expr_labels = test.features, test.expr_labels
+    return data
 
 
 class TestEvaluate:
@@ -236,6 +260,24 @@ class TestTrain:
             train([TrainConfig(epochs=2, seed=0)], data)
         assert steps == []
 
+    @pytest.mark.parametrize("split", ["train", "test"])
+    @pytest.mark.parametrize("label", [-1, NUM_EXPRESSIONS])
+    def test_label_out_of_range_rejected_before_training(self, split, label,
+                                                         monkeypatch):
+        # a bad test label once surfaced only when the split was scored,
+        # after every step of the epoch had run
+        data = split_pair_data()
+        field = "expr_labels" if split == "train" else "test_expr_labels"
+        labels = getattr(data, field).copy()
+        labels[-1] = label
+        setattr(data, field, labels)
+        steps = []
+        monkeypatch.setattr(harness, "optimizer_step",
+                            lambda *args: steps.append(1) or args[::2])
+        with pytest.raises(ContractError, match="expression label out of range"):
+            train([TrainConfig(epochs=2, seed=0)], data, every_epoch=True)
+        assert steps == []
+
     def test_empty_dataset_rejected(self):
         data = small_train_data()
         empty = TrainData(
@@ -334,9 +376,7 @@ class TestTrainStacked:
     def test_last_epoch_log_equals_every_epoch_last_log(self):
         # every_epoch=False evaluates once, after the last epoch, exactly as
         # every_epoch=True does then
-        data = small_train_data()
-        test = small_train_data(total=120)
-        data.test_features, data.test_expr_labels = test.features, test.expr_labels
+        data = split_pair_data()
         configs = [TrainConfig(epochs=3, seed=seed, lam=0.3, hidden=(8,))
                    for seed in (0, 1)]
         _, _, last = train(configs, data)
@@ -344,21 +384,140 @@ class TestTrainStacked:
         assert [len(logs) for logs in last] == [1, 1]
         assert [len(logs) for logs in every] == [3, 3]
         for (got,), logs in zip(last, every):
-            expected = logs[-1]
-            assert (got.epoch, got.loss_expression, got.loss_au, got.loss_total) == (
-                expected.epoch, expected.loss_expression, expected.loss_au,
-                expected.loss_total)
-            assert got.epoch == 2
-            for split in ("train", "test"):
-                a, b = getattr(got, split), getattr(expected, split)
-                assert np.array_equal(a.confusion, b.confusion)
-                assert np.array_equal(a.per_class_recall, b.per_class_recall,
-                                      equal_nan=True)
-                assert (a.war, a.uar, a.samples) == (b.war, b.uar, b.samples)
+            assert got.epoch == 2 and got.test is not None
+            assert_logs_equal(got, logs[-1])
 
     def test_no_test_split_logs_none(self):
         _, _, ((log,),) = train([TrainConfig(epochs=1, seed=0)], small_train_data())
         assert log.test is None and log.train.samples == 300
+
+
+def spy_evaluate(monkeypatch, before=None):
+    """Record the thread of every harness.evaluate call; `before(call)`, with
+    the call's 1-based number, runs first, on that thread."""
+    threads = []
+    evaluate = harness.evaluate
+
+    def spy(*args):
+        threads.append(threading.current_thread())
+        if before is not None:
+            before(len(threads))
+        return evaluate(*args)
+
+    monkeypatch.setattr(harness, "evaluate", spy)
+    return threads
+
+
+# optimizer steps per epoch of small_train_data's 300 samples in batches of 64
+BATCHES = 5
+
+
+class TestEpochScores:
+    """Each epoch's logs score that epoch's parameters, wherever they run."""
+
+    def test_each_epoch_log_equals_a_run_stopped_there(self, monkeypatch):
+        # the worker scores epoch e while epoch e + 1 updates the parameters
+        # in place; each of its evaluations waits for a step of epoch e + 1,
+        # so scoring the live vector instead of a copy would read it
+        data = split_pair_data()
+        configs = [TrainConfig(epochs=3, seed=seed, lam=0.3, hidden=(8,))
+                   for seed in (0, 1)]
+        stepped = threading.Condition()
+        steps = []
+        step = harness.optimizer_step
+
+        def counting_step(*args):
+            result = step(*args)
+            with stepped:
+                steps.append(1)
+                stepped.notify_all()
+            return result
+
+        def after_next_epoch_steps(call):
+            epoch = (call - 1) // 4  # 2 runs x 2 splits per epoch
+            if threading.current_thread() is not threading.main_thread():
+                with stepped:
+                    assert stepped.wait_for(
+                        lambda: len(steps) > (epoch + 1) * BATCHES, timeout=10)
+
+        monkeypatch.setattr(harness, "optimizer_step", counting_step)
+        spy_evaluate(monkeypatch, before=after_next_epoch_steps)
+        _, _, every = train(configs, data, every_epoch=True)
+        monkeypatch.undo()
+        assert [len(logs) for logs in every] == [3, 3]
+        for e in range(3):
+            _, _, stopped = train([replace(c, epochs=e + 1) for c in configs], data)
+            for r in range(2):
+                assert every[r][e].epoch == e
+                assert_logs_equal(every[r][e], stopped[r][-1])
+
+
+class TestScoringThread:
+    """Every epoch but the last is scored on one worker thread, which only
+    `every_epoch` over two or more epochs starts and `train` always joins."""
+
+    @pytest.mark.parametrize("epochs, every_epoch", [(3, False), (1, True)])
+    def test_last_epoch_only_scores_on_the_calling_thread(self, epochs, every_epoch,
+                                                          monkeypatch):
+        threads = spy_evaluate(monkeypatch)
+        count = threading.active_count()
+        configs = [TrainConfig(epochs=epochs, seed=seed, hidden=(8,))
+                   for seed in (0, 1)]
+        train(configs, split_pair_data(), every_epoch=every_epoch)
+        assert len(threads) == 4  # 2 runs x 2 splits, once
+        assert set(threads) == {threading.main_thread()}
+        assert threading.active_count() == count
+
+    def test_earlier_epochs_score_on_one_worker(self, monkeypatch):
+        threads = spy_evaluate(monkeypatch)
+        count = threading.active_count()
+        train([TrainConfig(epochs=3, seed=0, hidden=(8,))], split_pair_data(),
+              every_epoch=True)
+        assert len(threads) == 6  # 2 splits after each of 3 epochs
+        worker = threads[0]
+        assert worker is not threading.main_thread()
+        assert threads[:4] == [worker] * 4
+        assert threads[4:] == [threading.main_thread()] * 2
+        assert threading.active_count() == count
+
+    def test_numeric_failure_while_scoring_propagates(self, monkeypatch):
+        # epoch 1 fails at its last step while epoch 0's scoring waits for it
+        error = NumericFailure("non-finite gradient for head.w")
+        failed = threading.Event()
+        step = harness.optimizer_step
+        steps = []
+
+        def failing_step(*args):
+            steps.append(1)
+            if len(steps) == 2 * BATCHES:
+                failed.set()
+                raise error
+            return step(*args)
+
+        spy_evaluate(monkeypatch, before=lambda call: failed.wait(timeout=10))
+        monkeypatch.setattr(harness, "optimizer_step", failing_step)
+        count = threading.active_count()
+        with pytest.raises(NumericFailure) as raised:
+            train([TrainConfig(epochs=3, seed=0, hidden=(8,))], split_pair_data(),
+                  every_epoch=True)
+        assert raised.value is error
+        assert failed.is_set() and len(steps) == 2 * BATCHES
+        assert threading.active_count() == count
+
+    def test_scoring_error_propagates(self, monkeypatch):
+        error = RuntimeError("scoring failed")
+
+        def fail_first(call):
+            if call == 1:
+                raise error
+
+        spy_evaluate(monkeypatch, before=fail_first)
+        count = threading.active_count()
+        with pytest.raises(RuntimeError) as raised:
+            train([TrainConfig(epochs=3, seed=0, hidden=(8,))], split_pair_data(),
+                  every_epoch=True)
+        assert raised.value is error
+        assert threading.active_count() == count
 
 
 class TestPosWeightResolution:
@@ -443,10 +602,8 @@ class TestTrainingPrecision:
             return result
 
         monkeypatch.setattr(harness, "forward", spy)
-        data = small_train_data()
-        test = small_train_data(total=120)
-        data.test_features, data.test_expr_labels = test.features, test.expr_labels
-        train([TrainConfig(epochs=2, seed=0, hidden=(8,))], data, every_epoch=True)
+        train([TrainConfig(epochs=2, seed=0, hidden=(8,))], split_pair_data(),
+              every_epoch=True)
         evaluated = sorted(rows for rows, _ in calls if rows in (300, 120))
         assert evaluated == [120, 120, 300, 300]  # each split after each epoch
         assert {dtype for _, dtypes in calls for dtype in dtypes} == {
