@@ -200,6 +200,7 @@ def _lockstep(configs, data, pos_weights):
         learning_rate=first.learning_rate, weight_decay=first.weight_decay
     )
     rngs = [np.random.default_rng(config.seed) for config in configs]
+    grads = np.empty_like(params.vector)  # backward overwrites it every step
     for epoch in range(first.epochs):
         orders = np.stack([rng.permutation(n) for rng in rngs])
         sum_e = np.zeros(len(configs))
@@ -220,8 +221,8 @@ def _lockstep(configs, data, pos_weights):
                 run = np.flatnonzero(~finite)[0]
                 where = f" in run {run}" if len(configs) > 1 else ""
                 raise NumericFailure(f"non-finite loss at epoch {epoch}{where}")
-            grads = backward(params, batch_x, expr_scale * grad_e,
-                             au_scale * grad_au, acts)
+            backward(params, batch_x, expr_scale * grad_e, au_scale * grad_au,
+                     acts, out=grads)
             params, state = optimizer_step(params, grads, state)
             sum_e += loss_e
             sum_au += loss_au

@@ -15,7 +15,7 @@ bit-reproducible.
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -78,6 +78,7 @@ class ModelParams:
         if vector is None:
             vector = np.zeros(sum(math.prod(s) for _, s in self.layout.values()))
         self.vector = vector
+        self._gradient_views = None  # see gradient_views
         named = self.views(self.vector)
         self.hidden_weights = [named[f"hidden.{i}.w"] for i in range(len(self.hidden))]
         self.hidden_biases = [named[f"hidden.{i}.b"] for i in range(len(self.hidden))]
@@ -92,6 +93,17 @@ class ModelParams:
             name: flat[..., span].reshape(lead + shape)
             for name, (span, shape) in self.slices.items()
         }
+
+    def gradient_views(self, grad, n):
+        """views(grad) and a length-n ones vector in grad's dtype, kept from
+        the last call while the same `grad` and n come back, so a training
+        loop that has backward write every step into one buffer builds them
+        once."""
+        cached = self._gradient_views
+        if cached is None or cached[0] is not grad or len(cached[2]) != n:
+            cached = self._gradient_views = (grad, self.views(grad),
+                                             np.ones(n, dtype=grad.dtype))
+        return cached[1], cached[2]
 
     def run(self, r):
         """Run r of a stack; its arrays are views into the stack's vector."""
@@ -126,7 +138,9 @@ class OptimizerState:
 
     m and v are flat vectors in the parameter layout and dtype (R x P for a
     stack of R runs, which share the hyperparameters and the step count),
-    allocated at the first step.
+    allocated at the first step. optimizer_step keeps two work vectors of
+    the same shape in `scratch`, allocated with them; they hold no state,
+    and run() and astype() leave them out.
     """
 
     learning_rate: float = 1e-3
@@ -137,6 +151,7 @@ class OptimizerState:
     step: int = 0
     m: np.ndarray = None
     v: np.ndarray = None
+    scratch: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def run(self, r):
         """Run r's state in a stepped stack; its moments are views into the
@@ -204,7 +219,7 @@ def forward(params, features, return_hidden=False):
     return expr_logits, au_logits, h
 
 
-def backward(params, features, d_expr, d_au, activations):
+def backward(params, features, d_expr, d_au, activations, out=None):
     """Exact gradients of the combined loss wrt every parameter.
 
     d_expr and d_au are the loss gradients at the two heads' logits; joined,
@@ -212,7 +227,8 @@ def backward(params, features, d_expr, d_au, activations):
     the activations forward(..., return_hidden=True) returned. Returns
     one flat gradient vector in the layout of params.vector
     (params.views(grad) names its parts); a stack takes R x N x ... batches
-    and returns R x P gradients.
+    and returns R x P gradients. With `out`, a vector of params.vector's
+    shape and dtype, every entry of it is overwritten and it is returned.
     """
     dtype = params.vector.dtype
     n = np.shape(features)[-2]
@@ -220,11 +236,14 @@ def backward(params, features, d_expr, d_au, activations):
         np.shape(d_au) != np.shape(d_expr)[:-1] + (NUM_AUS,)
     ):
         raise ContractError("head gradient shapes inconsistent with the batch")
-    grad = np.empty_like(params.vector)
-    named = params.views(grad)
+    if out is None:
+        out = np.empty_like(params.vector)
+    elif out.shape != params.vector.shape or out.dtype != dtype:
+        raise ContractError(f"gradient buffer of {out.dtype} {out.shape} does not "
+                            f"match {dtype} {params.vector.shape} parameters")
     # bias gradients sum over the batch as a product with a row of ones: one
     # BLAS call per run, where sum(axis=-2) loops over the batch's rows
-    ones = np.ones(n, dtype=dtype)
+    named, ones = params.gradient_views(out, n)
     d_head = np.concatenate([d_expr, d_au], axis=-1, dtype=dtype)
     np.matmul(activations[-1].swapaxes(-1, -2), d_head, out=named["head.w"])
     np.matmul(ones, d_head, out=named["head.b"])
@@ -235,7 +254,7 @@ def backward(params, features, d_expr, d_au, activations):
         np.matmul(ones, dz, out=named[f"hidden.{i}.b"])
         if i > 0:  # the gradient wrt the input features is never used
             dh = dz @ params.hidden_weights[i].swapaxes(-1, -2)
-    return grad
+    return out
 
 
 def _check_finite(params, flat, what):
@@ -256,6 +275,11 @@ def optimizer_step(params, grads, state):
     grads is a flat vector in the layout of params.vector (R x P for a stack).
     The update is the per-tensor AdamW arithmetic, operation for operation,
     in one pass over the whole vector or stack.
+
+    A non-finite gradient, or one whose square overflows the second moment,
+    raises NumericFailure naming the first array at fault (and its run, in
+    a stack) with params.vector untouched; state.m, state.v and state.step
+    may already have been updated.
     """
     p = params.vector
     grads = np.asarray(grads, dtype=p.dtype)
@@ -263,16 +287,16 @@ def optimizer_step(params, grads, state):
         raise ContractError(
             f"gradient of shape {grads.shape} does not match {p.shape} parameters"
         )
-    _check_finite(params, grads, "gradient")
     if state.m is None:
         state.m = np.zeros_like(p)
         state.v = np.zeros_like(p)
+    if state.scratch is None:
+        state.scratch = (np.empty_like(p), np.empty_like(p))
     state.step += 1
     t = state.step
     lr = state.learning_rate
     m, v = state.m, state.v
-    update = np.empty_like(p)
-    scratch = np.empty_like(p)
+    update, scratch = state.scratch
 
     m *= state.beta1
     np.multiply(grads, 1.0 - state.beta1, out=update)
@@ -282,7 +306,11 @@ def optimizer_step(params, grads, state):
         np.multiply(grads, 1.0 - state.beta2, out=update)
         update *= grads
         v += update
-    _check_finite(params, v, "second moment (gradient too large)")
+    # a nan or infinite gradient makes v so too, and v >= 0 holds no -inf, so
+    # its maximum is finite exactly when the gradient and v both are
+    if not math.isfinite(v.max()):
+        _check_finite(params, grads, "gradient")
+        _check_finite(params, v, "second moment (gradient too large)")
     # update = lr * m_hat / (sqrt(v_hat) + eps)
     np.divide(m, 1.0 - state.beta1 ** t, out=update)
     update *= lr

@@ -297,6 +297,20 @@ class TestTrain:
         with pytest.raises(ContractError):
             TrainConfig(epochs=0)
 
+    def test_steps_write_into_one_gradient_buffer(self, monkeypatch):
+        buffers = []
+        backward = harness.backward
+
+        def spy(*args, out=None):
+            buffers.append(out)
+            return backward(*args, out=out)
+
+        monkeypatch.setattr(harness, "backward", spy)
+        train([TrainConfig(epochs=2, seed=seed, hidden=(8,)) for seed in (0, 1)],
+              small_train_data())
+        assert len(buffers) == 2 * BATCHES
+        assert all(out is buffers[0] for out in buffers)
+
     def test_predict_tie_breaks_low_index(self):
         data = small_train_data()
         params, _, _ = train([TrainConfig(epochs=1, seed=0)], data)

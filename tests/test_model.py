@@ -21,6 +21,7 @@ from aukit.model import (
     param_layout,
     save_checkpoint,
     save_features,
+    stack_params,
 )
 from aukit.domain import KnowledgeMatrix
 from aukit.labeling import PosWeightSpec
@@ -246,6 +247,35 @@ class TestBackward:
         ))
         assert np.allclose(doubled["head.w"], 2.0 * single["head.w"])
 
+    @pytest.mark.parametrize("hidden", [(), (4,), (4, 3)])
+    @pytest.mark.parametrize("runs", [1, 3])
+    def test_out_holds_the_returned_gradient(self, rng, runs, hidden):
+        # a float32 stack, as training steps it: every entry of a buffer
+        # filled with nan is overwritten with the bytes backward returns,
+        # again when the same buffer comes back with a smaller batch
+        params = stack_params([init_params(seed, feature_dim=6, hidden=hidden)
+                               for seed in range(runs)]).astype(np.float32)
+        out = np.full_like(params.vector, np.nan)
+        for n in (5, 5, 3):
+            x = rng.normal(size=(runs, n, 6)).astype(np.float32)
+            _, _, _, acts = forward(params, x, return_hidden=True)
+            d_expr = rng.normal(size=(runs, n, 7)).astype(np.float32)
+            d_au = rng.normal(size=(runs, n, 18)).astype(np.float32)
+            expected = backward(params, x, d_expr, d_au, acts)
+            out[...] = np.nan
+            assert backward(params, x, d_expr, d_au, acts, out=out) is out
+            assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("cut", ["shape", "dtype"])
+    def test_mismatched_out_rejected(self, rng, cut):
+        params = init_params(0, feature_dim=6, hidden=(4,))
+        x = rng.normal(size=(2, 6))
+        _, _, _, acts = forward(params, x, return_hidden=True)
+        out = (np.empty(params.vector.size - 1) if cut == "shape"
+               else np.empty(params.vector.size, dtype=np.float32))
+        with pytest.raises(ContractError, match="gradient buffer"):
+            backward(params, x, np.zeros((2, 7)), np.zeros((2, 18)), acts, out=out)
+
 
 class TestOptimizer:
     def test_zero_gradient_fixed_point(self):
@@ -311,17 +341,52 @@ class TestOptimizer:
         before = params.vector.copy()
         grads = np.zeros_like(params.vector)
         params.views(grads)["hidden.0.b"][1] = 1e200  # squared: inf
-        with pytest.raises(NumericFailure, match="hidden.0.b"):
+        with pytest.raises(NumericFailure, match=r"^non-finite second moment "
+                           r"\(gradient too large\) for hidden.0.b$"):
             optimizer_step(params, grads, OptimizerState())
         assert np.array_equal(params.vector, before)
 
-    def test_non_finite_gradient_rejected(self):
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gradient_rejected(self, value):
+        # the gradient is named, not the second moment it also makes
+        # non-finite; the parameters stay as they were
         params = init_params(1, feature_dim=4, hidden=())
-        state = OptimizerState()
+        before = params.vector.copy()
         grads = np.zeros_like(params.vector)
-        params.views(grads)["head.w"][0, 0] = np.nan
-        with pytest.raises(NumericFailure, match="head.w"):
+        params.views(grads)["head.w"][0, 0] = value
+        with pytest.raises(NumericFailure, match="^non-finite gradient for head.w$"):
+            optimizer_step(params, grads, OptimizerState())
+        assert params.vector.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("value, message", [
+        (np.inf, "non-finite gradient for head.b in run 2"),
+        (1e21, r"non-finite second moment \(gradient too large\) for head.b in run 2"),
+    ], ids=["inf", "overflow"])
+    def test_failure_in_a_stack_names_the_run(self, value, message):
+        # a float32 stack, as training steps it: 1e21 squared overflows
+        params = stack_params([init_params(seed, feature_dim=4, hidden=(3,))
+                               for seed in range(3)]).astype(np.float32)
+        state = OptimizerState()
+        optimizer_step(params, np.ones_like(params.vector), state)
+        before = params.vector.copy()
+        grads = np.ones_like(params.vector)
+        params.views(grads)["head.b"][2, 4] = value
+        with pytest.raises(NumericFailure, match=f"^{message}$"):
             optimizer_step(params, grads, state)
+        assert params.vector.tobytes() == before.tobytes()
+
+    def test_work_vectors_allocated_once_and_not_exposed(self):
+        params = stack_params([init_params(seed, feature_dim=4, hidden=(3,))
+                               for seed in range(2)]).astype(np.float32)
+        state = OptimizerState()
+        optimizer_step(params, np.ones_like(params.vector), state)
+        scratch = state.scratch
+        assert [a.shape for a in scratch] == [params.vector.shape] * 2
+        optimizer_step(params, np.ones_like(params.vector), state)
+        assert all(a is b for a, b in zip(state.scratch, scratch))
+        for copy in (state.run(1), state.astype(np.float64)):
+            assert copy.scratch is None
+            assert "scratch" not in repr(copy)
 
 
 def sealed_checkpoint(path, header, payload=b""):
