@@ -9,8 +9,10 @@ checkpoints share a single layout. Parameters are float64, except while
 training steps and evaluation run in float32 (TRAIN_DTYPE, which feature
 files hold); forward, backward and optimizer_step compute in their
 parameters' dtype. Gradients are written out by hand so they can be verified
-against finite differences, and the AdamW-style optimizer keeps training
-bit-reproducible.
+against finite differences. The optimizer is AdamW: the weight decay
+decoupled and applied first, as torch.optim.AdamW does, and the bias
+corrections folded into two scalars, as in the Adam paper's efficient form.
+Training is bit-reproducible.
 """
 
 import json
@@ -270,11 +272,20 @@ def _check_finite(params, flat, what):
 
 
 def optimizer_step(params, grads, state):
-    """One bias-corrected adaptive update with decoupled weight decay (in place).
+    """One AdamW update with decoupled weight decay (in place), over the
+    whole vector or stack at once.
 
     grads is a flat vector in the layout of params.vector (R x P for a stack).
-    The update is the per-tensor AdamW arithmetic, operation for operation,
-    in one pass over the whole vector or stack.
+    m and v are updated as usual; then, with the bias corrections
+    c1 = 1 - beta1^t and c2 = 1 - beta2^t,
+        p *= 1 - lr * wd
+        p -= (lr * sqrt(c2) / c1) * m / (sqrt(v) + eps * sqrt(c2))
+    The decay comes first, as in torch.optim.AdamW. The second line is the
+    textbook lr * m_hat / (sqrt(v_hat) + eps) in exact arithmetic, with the
+    corrections folded into two scalars, as in the efficient form of the
+    Adam paper (Kingma and Ba, section 2): one divide, and no pass for m_hat
+    or v_hat. Its rounding differs from the textbook form's in the last
+    bits.
 
     A non-finite gradient, or one whose square overflows the second moment,
     raises NumericFailure naming the first array at fault (and its run, in
@@ -295,6 +306,9 @@ def optimizer_step(params, grads, state):
     state.step += 1
     t = state.step
     lr = state.learning_rate
+    # Python floats: a numpy float64 scalar would run the in-place float32
+    # operations below through float64
+    c2_root = math.sqrt(1.0 - state.beta2 ** t)
     m, v = state.m, state.v
     update, scratch = state.scratch
 
@@ -311,15 +325,11 @@ def optimizer_step(params, grads, state):
     if not math.isfinite(v.max()):
         _check_finite(params, grads, "gradient")
         _check_finite(params, v, "second moment (gradient too large)")
-    # update = lr * m_hat / (sqrt(v_hat) + eps)
-    np.divide(m, 1.0 - state.beta1 ** t, out=update)
-    update *= lr
-    np.divide(v, 1.0 - state.beta2 ** t, out=scratch)
-    np.sqrt(scratch, out=scratch)
-    scratch += state.eps
-    update /= scratch
-    np.multiply(p, lr * state.weight_decay, out=scratch)
-    p -= scratch
+    np.sqrt(v, out=scratch)
+    scratch += state.eps * c2_root
+    np.divide(m, scratch, out=update)
+    update *= lr * c2_root / (1.0 - state.beta1 ** t)
+    p *= 1.0 - lr * state.weight_decay
     p -= update
     return params, state
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -29,7 +30,7 @@ from aukit.sealed import PAYLOAD_ALIGNMENT, read_sealed, write_sealed
 
 
 def reference_optimizer_step(tensors, grads, state):
-    """The per-tensor AdamW loop, kept as the reference for the flat update.
+    """The per-tensor textbook AdamW loop, the reference trainer's optimizer.
 
     tensors, grads, state.m and state.v are name -> array dicts.
     """
@@ -51,6 +52,26 @@ def reference_optimizer_step(tensors, grads, state):
         v_hat = v / (1.0 - state.beta2 ** t)
         p -= lr * state.weight_decay * p
         p -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+
+
+def per_tensor_optimizer_step(tensors, grads, state):
+    """optimizer_step's operations in its order, one tensor at a time: the
+    loop its flat update must equal bit for bit. Arguments as for
+    reference_optimizer_step."""
+    state.step += 1
+    t = state.step
+    c2_root = math.sqrt(1.0 - state.beta2 ** t)
+    step_size = state.learning_rate * c2_root / (1.0 - state.beta1 ** t)
+    for name, p in tensors.items():
+        g = grads[name]
+        m = state.m.setdefault(name, np.zeros_like(p))
+        v = state.v.setdefault(name, np.zeros_like(p))
+        m *= state.beta1
+        m += g * (1.0 - state.beta1)
+        v *= state.beta2
+        v += g * (1.0 - state.beta2) * g
+        p *= 1.0 - state.learning_rate * state.weight_decay
+        p -= m / (np.sqrt(v) + state.eps * c2_root) * step_size
 
 
 class TestInitParams:
@@ -314,22 +335,55 @@ class TestOptimizer:
             results.append(params.vector.copy())
         assert np.array_equal(results[0], results[1])
 
-    @pytest.mark.parametrize("hidden", [(), (3,), (8, 4)])
-    def test_flat_update_bitwise_equals_per_tensor_reference(self, hidden):
-        params = init_params(9, feature_dim=5, hidden=hidden)
+    def run_with_reference(self, hidden, dtype, reference_step):
+        """Ten steps of optimizer_step and of `reference_step` on the same
+        seeded gradients; the flat and the per-tensor parameters and states."""
+        params = init_params(9, feature_dim=5, hidden=hidden).astype(dtype)
         reference = {k: v.copy() for k, v in params.views(params.vector).items()}
         state = OptimizerState(learning_rate=0.01, weight_decay=0.05)
         ref_state = OptimizerState(learning_rate=0.01, weight_decay=0.05, m={}, v={})
         grad_rng = np.random.default_rng(42)
         for _ in range(10):
-            grads = grad_rng.normal(scale=3.0, size=params.vector.size)
+            grads = grad_rng.normal(scale=3.0, size=params.vector.size).astype(dtype)
             optimizer_step(params, grads, state)
-            reference_optimizer_step(reference, params.views(grads), ref_state)
+            reference_step(reference, params.views(grads), ref_state)
         assert state.step == ref_state.step == 10
+        return params, reference, state, ref_state
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("hidden", [(), (3,), (8, 4)])
+    def test_flat_update_bitwise_equals_per_tensor_reference(self, hidden, dtype):
+        # float32 too, as training steps: a numpy float64 scalar in the flat
+        # update would round the float32 operations differently
+        params, reference, state, ref_state = self.run_with_reference(
+            hidden, dtype, per_tensor_optimizer_step)
         for name, value in params.views(params.vector).items():
             assert value.tobytes() == reference[name].tobytes()
             assert params.views(state.m)[name].tobytes() == ref_state.m[name].tobytes()
             assert params.views(state.v)[name].tobytes() == ref_state.v[name].tobytes()
+
+    @pytest.mark.parametrize("hidden", [(), (3,), (8, 4)])
+    def test_flat_update_close_to_textbook_reference(self, hidden):
+        # the folded bias corrections equal the textbook form in exact
+        # arithmetic; the moments are the same operations, bit for bit
+        params, reference, state, ref_state = self.run_with_reference(
+            hidden, np.float64, reference_optimizer_step)
+        for name, value in params.views(params.vector).items():
+            assert np.allclose(value, reference[name], rtol=1e-13, atol=1e-15)
+            assert params.views(state.m)[name].tobytes() == ref_state.m[name].tobytes()
+            assert params.views(state.v)[name].tobytes() == ref_state.v[name].tobytes()
+
+    def test_large_finite_gradient_steps_without_overflow(self):
+        # 1e20 squared fits the float32 second moment, scaled by 1 - beta2;
+        # dividing v by its bias correction once overflowed with a warning
+        params = init_params(1, feature_dim=4, hidden=()).astype(np.float32)
+        grads = np.zeros_like(params.vector)
+        params.views(grads)["head.w"][0, 0] = 1e20
+        before = params.vector.copy()
+        optimizer_step(params, grads, OptimizerState(weight_decay=0.0))
+        step = before - params.vector
+        assert np.isfinite(step).all()
+        assert step[params.layout["head.w"][0]] == pytest.approx(1e-3, rel=1e-5)
 
     def test_gradient_size_mismatch_rejected(self):
         params = init_params(1, feature_dim=4, hidden=())
