@@ -276,16 +276,15 @@ def optimizer_step(params, grads, state):
     whole vector or stack at once.
 
     grads is a flat vector in the layout of params.vector (R x P for a stack).
-    m and v are updated as usual; then, with the bias corrections
-    c1 = 1 - beta1^t and c2 = 1 - beta2^t,
+    After the usual m and v updates, with c1 = 1 - beta1^t and
+    c2 = 1 - beta2^t, it decays first, as torch.optim.AdamW does, and folds
+    the bias corrections into two scalars, as the efficient form of the Adam
+    paper (Kingma and Ba, section 2) does:
         p *= 1 - lr * wd
         p -= (lr * sqrt(c2) / c1) * m / (sqrt(v) + eps * sqrt(c2))
-    The decay comes first, as in torch.optim.AdamW. The second line is the
-    textbook lr * m_hat / (sqrt(v_hat) + eps) in exact arithmetic, with the
-    corrections folded into two scalars, as in the efficient form of the
-    Adam paper (Kingma and Ba, section 2): one divide, and no pass for m_hat
-    or v_hat. Its rounding differs from the textbook form's in the last
-    bits.
+    That is the textbook lr * m_hat / (sqrt(v_hat) + eps) in exact
+    arithmetic, with one divide and no pass for m_hat or v_hat; its rounding
+    differs in the last bits.
 
     A non-finite gradient, or one whose square overflows the second moment,
     raises NumericFailure naming the first array at fault (and its run, in

@@ -44,9 +44,14 @@ def reference_forward(tensors, x):
             h @ tensors["au.w"] + tensors["au.b"])
 
 
+def rounded(values):
+    """`values` rounded to float32, as the library's steps receive them, in
+    float64."""
+    return np.asarray(values, dtype=np.float32).astype(np.float64)
+
+
 def reference_train(config, data):
     """One run of `config` on `data` in float64; its tensors, by name."""
-    rounded = lambda a: np.asarray(a, dtype=np.float32).astype(np.float64)  # noqa: E731
     x_all = rounded(data.features)
     y_all = np.asarray(data.expr_labels)
     au_all = np.asarray(data.au_labels, dtype=np.float64)
@@ -118,7 +123,6 @@ def test_final_uar_matches_float64_reference(seed):
     data = small_train_data(seed=seed)
     _, _, (logs,) = train([config], data)
     tensors = reference_train(config, data)
-    features = np.asarray(data.features, np.float32).astype(np.float64)
-    _, expr_logits, _ = reference_forward(tensors, features)
+    _, expr_logits, _ = reference_forward(tensors, rounded(data.features))
     reference = evaluate_predictions(data.expr_labels, expr_logits.argmax(axis=1))
     assert logs[-1].train.uar == reference.uar
