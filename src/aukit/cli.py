@@ -82,8 +82,8 @@ def _load_config(args, varied=None):
     """Build a TrainConfig from --config JSON overridden by CLI flags.
 
     A --pos-weights-file replaces the strategy's pos-weights, so naming a
-    strategy as well (flag or config key) is a contract error. So is
-    setting `varied`, the field a study sets per run.
+    strategy as well (flag or config key), or varying it, is a contract
+    error. So is setting `varied`, the field a study sets per run.
     """
     values = {}
     if args.config:
@@ -92,7 +92,7 @@ def _load_config(args, varied=None):
         override = getattr(args, name)
         if override is not None:
             values[name] = override
-    if args.pos_weights_file and "strategy" in values:
+    if args.pos_weights_file and ("strategy" in values or varied == "strategy"):
         raise ContractError(
             "--pos-weights-file replaces the strategy's pos-weights; "
             "give a strategy or the file, not both"
@@ -314,35 +314,35 @@ def _listed(value):
     return value.split(",") if value else []
 
 
-def cmd_sweep(args):
-    config = _load_config(args, varied="lam")
-    data = _build_train_data(args)
+def _grid(values):
+    """--grid's values as numbers."""
     try:
-        grid = [float(value) for value in args.grid]
+        return [float(value) for value in values]
     except ValueError:
         raise ContractError(
-            f"--grid must list numbers, got {','.join(args.grid)!r}") from None
-    rows = harness.lambda_sweep(config, data, grid=grid)
-    os.makedirs(args.out, exist_ok=True)
-    harness.write_metric_rows(rows, os.path.join(args.out, "sweep.csv"), "lambda")
-    print(f"{len(rows)} sweep rows -> {args.out}")
-    return EXIT_OK
+            f"--grid must list numbers, got {','.join(values)!r}") from None
 
 
-def cmd_compare_strategies(args):
-    if args.pos_weights_file:
-        raise ContractError(
-            "compare-strategies computes each strategy's pos-weights; "
-            "--pos-weights-file does not apply"
-        )
-    config = _load_config(args, varied="strategy")
+# a study subcommand: the TrainConfig field it sets per run, the list flag
+# that gives the values, its default and parser, the table it writes and the
+# name of its rows
+STUDIES = {
+    "sweep": ("lam", "grid", harness.DEFAULT_LAMBDA_GRID, _grid, "sweep.csv",
+              "sweep"),
+    "compare-strategies": ("strategy", "strategies", labeling.STRATEGIES, list,
+                           "strategies.csv", "strategy"),
+}
+
+
+def cmd_study(args):
+    field, flag, _, parse, table, rows_name = STUDIES[args.command]
+    config = _load_config(args, varied=field)
     data = _build_train_data(args)
-    rows = harness.strategy_compare(config, data, args.strategies)
+    rows = harness.study(config, data, field, parse(getattr(args, flag)))
     os.makedirs(args.out, exist_ok=True)
-    harness.write_metric_rows(
-        rows, os.path.join(args.out, "strategies.csv"), "strategy"
-    )
-    print(f"{len(rows)} strategy rows -> {args.out}")
+    harness.write_metric_rows(rows, os.path.join(args.out, table),
+                              harness.STUDY_FIELDS[field][0])
+    print(f"{len(rows)} {rows_name} rows -> {args.out}")
     return EXIT_OK
 
 
@@ -478,12 +478,8 @@ def build_parser():
     p.add_argument("--spec", default=None)
     p.add_argument("--n", type=int, default=2000)
 
-    for name, fn in (
-        ("train", cmd_train),
-        ("sweep", cmd_sweep),
-        ("compare-strategies", cmd_compare_strategies),
-    ):
-        p = add(name, fn, seed=True)
+    for name in ("train", *STUDIES):
+        p = add(name, cmd_study if name in STUDIES else cmd_train, seed=True)
         p.add_argument("--data", required=True)
         p.add_argument("--test-data", default=None)
         p.add_argument("--knowledge", default=None)
@@ -492,10 +488,9 @@ def build_parser():
         p.add_argument("--lam", type=float, default=None)
         p.add_argument("--strategy", default=None)
         p.add_argument("--epochs", type=int, default=None)
-        if name == "sweep":
-            p.add_argument("--grid", type=_listed, default=harness.DEFAULT_LAMBDA_GRID)
-        if name == "compare-strategies":
-            p.add_argument("--strategies", type=_listed, default=labeling.STRATEGIES)
+        if name in STUDIES:
+            flag, default = STUDIES[name][1:3]
+            p.add_argument(f"--{flag}", type=_listed, default=default)
 
     p = add("eval", cmd_eval)
     p.add_argument("--checkpoint", required=True)

@@ -1,5 +1,5 @@
-"""Training loop, WAR/UAR evaluation, lambda sweep, strategy comparison, and
-report artifacts (confusion CSV + SVG heatmap, embedding export)."""
+"""Training loop, WAR/UAR evaluation, studies (a lambda sweep, a strategy
+comparison), and report artifacts (confusion CSV + SVG heatmap, embedding export)."""
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -23,6 +23,11 @@ from .model import (
 from .tables import read_matrix, write_matrix, write_table
 
 DEFAULT_LAMBDA_GRID = tuple(round(0.1 * i, 1) for i in range(10))
+
+# the TrainConfig fields a study may vary: each one's table column, and what
+# its list of values is called in errors
+STUDY_FIELDS = {"lam": ("lambda", "lambda grid"),
+                "strategy": ("strategy", "strategy list")}
 
 # TrainConfig fields that fix a run's shapes or schedule; runs trained
 # together in one stack must share them
@@ -316,47 +321,28 @@ def train(configs, data, every_epoch=False):
     return params.astype(np.float64), state.astype(np.float64), logs
 
 
-def _last_rows(key, values, logs):
-    """One table row per run: `key` (its entry of `values`), then WAR, UAR
-    and per-class recalls of its last log, on the test split, or the
-    training split when there is none."""
+def study(config, data, field, values):
+    """One run of `config` per value of its field `field` (a key of
+    STUDY_FIELDS), trained together and evaluated once at the end. Returns
+    one row per run: the value under the field's table column, then WAR, UAR
+    and per-class recalls on the test split, or the training split when
+    there is none. A strategy study computes each strategy's pos-weights
+    from the training labels, so `data` may hold no explicit table."""
+    if field not in STUDY_FIELDS:
+        raise ContractError(f"cannot study {field!r}; fields: {sorted(STUDY_FIELDS)}")
+    column, listed = STUDY_FIELDS[field]
+    if len(values) == 0:
+        raise ContractError(f"{listed} must be nonempty")
+    if field == "strategy" and data.pos_weights is not None:
+        raise ContractError("a strategy comparison computes each strategy's "
+                            "pos-weights; an explicit table does not apply")
+    _, _, logs = train([replace(config, **{field: v}) for v in values], data)
     rows = []
     for value, run_logs in zip(values, logs):
         report = run_logs[-1].test or run_logs[-1].train
-        rows.append({key: value, "war": report.war, "uar": report.uar,
+        rows.append({column: value, "war": report.war, "uar": report.uar,
                      "per_class_recall": report.per_class_recall})
     return rows
-
-
-def lambda_sweep(config, data, grid=DEFAULT_LAMBDA_GRID):
-    """One run per grid point with a fixed seed set, trained together, each
-    evaluated once at the end.
-
-    Returns rows of (lambda, WAR, UAR, per-class recalls).
-    """
-    if len(grid) == 0:
-        raise ContractError("lambda grid must be nonempty")
-    grid = [float(lam) for lam in grid]
-    _, _, logs = train([replace(config, lam=lam) for lam in grid], data)
-    return _last_rows("lambda", grid, logs)
-
-
-def strategy_compare(config, data, strategies=STRATEGIES):
-    """Per-strategy WAR/UAR and per-class recall rows, one table row each;
-    each strategy's pos-weights come from the training split's labels, so
-    `data` may hold no explicit table, and the runs train together and are
-    evaluated once at the end."""
-    if len(strategies) == 0:
-        raise ContractError("strategy list must be nonempty")
-    unknown = [s for s in strategies if s not in STRATEGIES]
-    if unknown:
-        raise ContractError(f"unknown strategies: {unknown}")
-    if data.pos_weights is not None:
-        raise ContractError("a strategy comparison computes each strategy's "
-                            "pos-weights; an explicit table does not apply")
-    strategies = list(strategies)
-    _, _, logs = train([replace(config, strategy=s) for s in strategies], data)
-    return _last_rows("strategy", strategies, logs)
 
 
 def write_metric_rows(rows, path, key_column):

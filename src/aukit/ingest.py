@@ -349,5 +349,8 @@ def read_frame_store(path):
 
 
 def reliable_detections(frames, min_confidence=0.8):
-    """Frames usable for knowledge extraction: successful and confident."""
+    """Frames usable for knowledge extraction: successful and confident;
+    `min_confidence` must be in [0, 1]."""
+    if not 0.0 <= min_confidence <= 1.0:  # nan fails too
+        raise ContractError(f"min_confidence must be in [0, 1], got {min_confidence}")
     return frames[frames["success"] & (frames["confidence"] >= min_confidence)]

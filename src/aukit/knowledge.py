@@ -142,7 +142,7 @@ def compute_dataset_knowledge(videos, reliable, classes=None):
 
 
 def aggregate_knowledge(matrices, midpoint_policy="general"):
-    """Sum per-dataset matrices, re-center, and sigmoid-normalize.
+    """Sum per-dataset matrices of one theta, re-center, and sigmoid-normalize.
 
     'compat' subtracts the fixed 2.5 midpoint; 'general' subtracts D/2 so the
     centering stays symmetric for any dataset count D.
@@ -156,6 +156,10 @@ def aggregate_knowledge(matrices, midpoint_policy="general"):
             raise ContractError(
                 f"aggregate_knowledge expects per-dataset inputs, got {m.stage!r}"
             )
+    thetas = sorted({m.theta for m in matrices})
+    if len(thetas) > 1:
+        raise ContractError("aggregate_knowledge inputs must share theta, got "
+                            + " and ".join(map(repr, thetas)))
     d = len(matrices)
     # per-cell sorted reduction so dataset order cannot perturb the sum
     total = np.sort(np.stack([m.values for m in matrices]), axis=0).sum(axis=0)
@@ -166,7 +170,7 @@ def aggregate_knowledge(matrices, midpoint_policy="general"):
         values=values,
         stage="aggregate",
         dataset_count=d,
-        theta=matrices[0].theta,
+        theta=thetas[0],
         support=support,
     )
 

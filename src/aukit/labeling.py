@@ -1,4 +1,4 @@
-"""Video-level AU pseudo-labels and the three positive-class-weight strategies."""
+"""Video-level AU pseudo-labels and the four positive-class-weight strategies."""
 
 import logging
 from dataclasses import dataclass
@@ -85,8 +85,18 @@ def _ratio_weights(positives, count, context):
     return np.select([none, every], [float(count), PW_FLOOR], ratios)
 
 
-def _label_columns(au_labels, expr_labels):
-    """N x 18 AU bits as integers and N >= 1 expression labels, checked."""
+def compute_pos_weights(au_labels, expr_labels, strategy):
+    """The 7x18 pos-weights of `strategy` from N >= 1 videos' 18 AU bits
+    (N x 18) and their expression labels (N):
+
+    - none: all ones, plain unweighted binary cross-entropy;
+    - global: one negative/positive ratio per AU, shared by all 7 classes;
+    - distinct: each class's own ratios; an unpopulated class's row stays 1;
+    - minor: distinct's rows for the three minor classes, the major-class
+      rows at 1 (they are not computed, so they log no fallback).
+    """
+    if strategy not in STRATEGIES:
+        raise ContractError(f"unknown strategy: {strategy!r}")
     au_labels, expr_labels = np.asarray(au_labels), np.asarray(expr_labels)
     n = len(expr_labels)
     if not n or expr_labels.shape != (n,) or au_labels.shape != (n, NUM_AUS):
@@ -95,55 +105,19 @@ def _label_columns(au_labels, expr_labels):
         )
     if np.any((expr_labels < 0) | (expr_labels >= NUM_EXPRESSIONS)):
         raise ContractError("expression label out of range")
-    return au_labels.astype(np.int64), expr_labels
-
-
-def pos_weight_global(au_labels, expr_labels):
-    """One negative/positive ratio per AU, shared by all 7 classes."""
-    au_labels, _ = _label_columns(au_labels, expr_labels)
-    row = _ratio_weights(au_labels.sum(axis=0), len(au_labels), "global")
-    return PosWeightSpec(strategy="global", values=np.tile(row, (NUM_EXPRESSIONS, 1)))
-
-
-def pos_weight_distinct(au_labels, expr_labels):
-    """Per-class negative/positive ratios; unpopulated classes get all-ones rows."""
-    au_labels, expr_labels = _label_columns(au_labels, expr_labels)
+    au_labels = au_labels.astype(np.int64)
     values = np.ones((NUM_EXPRESSIONS, NUM_AUS))
-    for i in range(NUM_EXPRESSIONS):
+    if strategy == "global":
+        values[:] = _ratio_weights(au_labels.sum(axis=0), n, "global")
+    classes = {"distinct": range(NUM_EXPRESSIONS),
+               "minor": np.flatnonzero(~MAJOR_MASK)}.get(strategy, ())
+    for i in classes:
         in_class = au_labels[expr_labels == i]
         if not len(in_class):
             log.warning("no videos labeled %s; pos-weights left at 1", EXPRESSIONS[i])
             continue
         values[i] = _ratio_weights(in_class.sum(axis=0), len(in_class), EXPRESSIONS[i])
-    return PosWeightSpec(strategy="distinct", values=values)
-
-
-def pos_weight_minor(au_labels, expr_labels):
-    """Distinct weights on the three minor classes; major-class rows stay at 1."""
-    values = pos_weight_distinct(au_labels, expr_labels).values
-    values[MAJOR_MASK] = 1.0
-    return PosWeightSpec(strategy="minor", values=values)
-
-
-def pos_weight_none():
-    """All-ones weights: plain unweighted binary cross-entropy."""
-    return PosWeightSpec(
-        strategy="none", values=np.ones((NUM_EXPRESSIONS, NUM_AUS))
-    )
-
-
-def compute_pos_weights(au_labels, expr_labels, strategy):
-    """The 7x18 pos-weights of `strategy` from N x 18 AU bits and their N
-    expression labels."""
-    if strategy == "none":
-        return pos_weight_none()
-    if strategy == "global":
-        return pos_weight_global(au_labels, expr_labels)
-    if strategy == "distinct":
-        return pos_weight_distinct(au_labels, expr_labels)
-    if strategy == "minor":
-        return pos_weight_minor(au_labels, expr_labels)
-    raise ContractError(f"unknown strategy: {strategy!r}")
+    return PosWeightSpec(strategy=strategy, values=values)
 
 
 def write_labels_csv(table, path):
@@ -152,6 +126,16 @@ def write_labels_csv(table, path):
                table["n"].tolist(), table["y"].tolist())
     write_table(path, ([video_id, expression_name(expression), n, *y]
                        for video_id, expression, n, y in rows), LABEL_HEADER)
+
+
+def _expression_at(label, what, line):
+    """The expression index of the label in column 2 of file line `line`; an
+    unknown label is a ContractError naming the file, line and column."""
+    try:
+        return expression_index(label)
+    except ContractError:
+        raise ContractError(f"corrupt {what}: unknown expression label {label!r} "
+                            f"at line {line}, column 2") from None
 
 
 def read_labels_csv(path):
@@ -172,7 +156,7 @@ def read_labels_csv(path):
             problem = f"{AU_NAMES[j]} = {au_labels[r, j]} not in {{0, 1}}"
         raise ContractError(f"corrupt {what} line {rows[r][0]}: {problem}")
     return label_table([cells[0] for _, cells in rows],
-                       [expression_index(cells[1]) for _, cells in rows],
+                       [_expression_at(cells[1], what, line) for line, cells in rows],
                        counts, au_labels)
 
 
@@ -187,7 +171,7 @@ def read_video_labels_csv(path):
             raise ContractError(
                 f"corrupt {what}: {problem} video {video_id!r} at line {line}"
             )
-        expr_by_video[video_id] = expression_index(label)
+        expr_by_video[video_id] = _expression_at(label, what, line)
     return expr_by_video
 
 

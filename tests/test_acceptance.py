@@ -14,11 +14,11 @@ import pytest
 from aukit.cli import EXIT_OK, main as cli_main
 from aukit.domain import KnowledgeMatrix, NUM_EXPRESSIONS
 from aukit.harness import (
+    DEFAULT_LAMBDA_GRID,
     TrainConfig,
     TrainData,
     evaluate,
-    lambda_sweep,
-    strategy_compare,
+    study,
     train,
     write_confusion_svg,
 )
@@ -378,12 +378,12 @@ def test_criterion_9_artifact_fidelity(tmp_path):
         knowledge=dataset.knowledge,
     )
     config = TrainConfig(epochs=1, seed=0)
-    sweep_rows = lambda_sweep(config, data)
+    sweep_rows = study(config, data, "lam", DEFAULT_LAMBDA_GRID)
     assert len(sweep_rows) == 10
     assert [row["lambda"] for row in sweep_rows] == [
         round(0.1 * i, 1) for i in range(10)
     ]
-    strategy_rows = strategy_compare(config, data)
+    strategy_rows = study(config, data, "strategy", STRATEGIES)
     assert [row["strategy"] for row in strategy_rows] == list(STRATEGIES)
     for row in strategy_rows:
         assert row["per_class_recall"].shape == (NUM_EXPRESSIONS,)

@@ -294,6 +294,18 @@ def test_compare_strategies_rows(synth_dirs, tmp_path):
         ["none", "global", "distinct", "minor"]
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["sweep", "--grid", "0.0,0.5"], "2 sweep rows"),
+    (["compare-strategies", "--strategies", "none,global,minor"], "3 strategy rows"),
+])
+def test_study_commands_print_their_row_count(argv, line, synth_dirs, tmp_path,
+                                              capsys):
+    capsys.readouterr()
+    assert run(*argv, "--data", synth_dirs[0], "--epochs", 1,
+               "--out", tmp_path / "out") == EXIT_OK
+    assert capsys.readouterr().out == f"{line} -> {tmp_path / 'out'}\n"
+
+
 def test_sweep_and_strategy_tables_golden(synth_dirs, tmp_path):
     # sha256 of the two metric tables; recorded when every run was trained
     # on its own, one after another, which training the runs of a sweep or a
@@ -474,9 +486,9 @@ def _edit_copy(src, dst, old, new):
 
 
 def _pos_weights_file(tmp_path, old, new):
-    from aukit.labeling import pos_weight_none, write_pos_weights_csv
+    from aukit.labeling import compute_pos_weights, write_pos_weights_csv
     good = tmp_path / "good_pw.csv"
-    write_pos_weights_csv(pos_weight_none(), good)
+    write_pos_weights_csv(compute_pos_weights(np.zeros((1, 18)), [0], "none"), good)
     return _edit_copy(good, tmp_path / "pw.csv", old, new)
 
 
@@ -531,6 +543,10 @@ MALFORMED_TABLES = {
         "pos-weights", "--out", t / "pw",
         "--labels", _edit_copy(d / "au_labels.csv", t / "l.csv", ",0\n", ",zero\n")],
         "label file: non-numeric"),
+    "au_labels_unknown_expression": (lambda d, t: [
+        "pos-weights", "--out", t / "pw",
+        "--labels", _edit_copy(d / "au_labels.csv", t / "l.csv", ",Happy,", ",Bogus,")],
+        "label file: unknown expression label 'Bogus' at line 2, column 2"),
     "au_labels_non_binary": (lambda d, t: [
         "pos-weights", "--out", t / "pw",
         "--labels", _edit_copy(d / "au_labels.csv", t / "l.csv", ",0\n", ",2\n")],

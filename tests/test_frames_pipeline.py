@@ -203,7 +203,10 @@ def two_video_store(tmp_path):
     ("video,label\na0,Happy\na1,Sad\n", "header"),
     ("video_id,label\na0,Happy,Sad\na1,Sad\n", "line 2"),
     ("video_id,label\na0,Happy\na1,Sad\na0,Sad\n", "duplicate video 'a0'"),
-], ids=["video_without_label", "bad_header", "three_cells", "duplicate_video"])
+    ("video_id,label\na0,Happy\na1,Bogus\n",
+     "labels.csv: unknown expression label 'Bogus' at line 3, column 2"),
+], ids=["video_without_label", "bad_header", "three_cells", "duplicate_video",
+        "unknown_expression"])
 def test_pseudo_label_rejects_bad_video_labels(two_video_store, tmp_path, capsys,
                                                labels, message):
     path = tmp_path / "labels.csv"
@@ -212,6 +215,22 @@ def test_pseudo_label_rejects_bad_video_labels(two_video_store, tmp_path, capsys
     assert run("pseudo-label", "--frames", two_video_store, "--video-labels", path,
                "--out", out) == EXIT_CONTRACT
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bound", ["-1", "1.5", "nan"])
+def test_extract_knowledge_rejects_min_confidence_outside_unit_interval(
+        bound, tmp_path, capsys):
+    # 1.5 or nan once dropped every frame, and the error blamed the classes
+    videos, preds, _ = build_corpus(tmp_path)
+    store = tmp_path / "store"
+    assert run("ingest", *videos, "--out", store) == EXIT_OK
+    capsys.readouterr()
+    out = tmp_path / "knowledge.csv"
+    assert run("extract-knowledge", "--frames", store, "--preds", preds["A"],
+               "--min-confidence", bound, "--out", out) == EXIT_CONTRACT
+    err = capsys.readouterr().err
+    assert err == f"error: min_confidence must be in [0, 1], got {float(bound)}\n"
     assert not out.exists()
 
 

@@ -17,11 +17,10 @@ from aukit.harness import (
     evaluate_predictions,
     export_confusion,
     export_embeddings,
-    lambda_sweep,
     predict,
     read_confusion_csv,
     report_from_confusion,
-    strategy_compare,
+    study,
     train,
     write_confusion_svg,
     write_metric_rows,
@@ -644,11 +643,21 @@ class TestTrainingPrecision:
             train([TrainConfig(epochs=1, seed=0)], data)
 
 
-class TestSweepAndCompare:
-    def test_sweep_one_row_per_grid_point(self):
-        data = small_train_data(total=200)
-        rows = lambda_sweep(TrainConfig(epochs=1, seed=0), data, grid=(0.0, 0.4, 0.8))
-        assert [row["lambda"] for row in rows] == [0.0, 0.4, 0.8]
+def strategy_study_data():
+    """Training data without an explicit pos-weight table."""
+    return replace(small_train_data(total=200), pos_weights=None)
+
+
+class TestStudy:
+    @pytest.mark.parametrize("field, column, values", [
+        ("lam", "lambda", (0.0, 0.4, 0.8)),
+        ("strategy", "strategy", STRATEGIES),
+    ])
+    def test_one_row_per_value(self, field, column, values):
+        data = strategy_study_data() if field == "strategy" else small_train_data(
+            total=200)
+        rows = study(TrainConfig(epochs=1, seed=0), data, field, values)
+        assert [row[column] for row in rows] == list(values)
         for row in rows:
             assert 0.0 <= row["war"] <= 1.0
             assert row["per_class_recall"].shape == (NUM_EXPRESSIONS,)
@@ -656,46 +665,38 @@ class TestSweepAndCompare:
     def test_default_grid(self):
         assert DEFAULT_LAMBDA_GRID == tuple(round(0.1 * i, 1) for i in range(10))
 
-    def test_empty_grid_rejected(self):
-        data = small_train_data(total=200)
-        with pytest.raises(ContractError):
-            lambda_sweep(TrainConfig(epochs=1), data, grid=())
+    @pytest.mark.parametrize("field, message", [
+        ("lam", "lambda grid must be nonempty"),
+        ("strategy", "strategy list must be nonempty"),
+    ])
+    def test_empty_list_rejected(self, field, message):
+        with pytest.raises(ContractError, match=f"^{message}$"):
+            study(TrainConfig(epochs=1), strategy_study_data(), field, ())
 
-    def test_compare_emits_all_strategies(self):
-        spec = SynthSpec(total=200, seed=0, sample_seed=1)
-        ds = generate_dataset(spec)
-        data = TrainData(
-            features=ds.features,
-            expr_labels=ds.expr_labels,
-            au_labels=ds.au_presence.astype(float),
-            knowledge=ds.knowledge,
-        )
-        rows = strategy_compare(TrainConfig(epochs=1, seed=0), data)
-        assert [row["strategy"] for row in rows] == list(STRATEGIES)
+    def test_unknown_strategy_rejected(self):
+        with pytest.raises(ContractError, match="unknown strategy: 'bogus'"):
+            study(TrainConfig(epochs=1), strategy_study_data(), "strategy",
+                  ("none", "bogus"))
 
-    def test_compare_rejects_unknown_strategy(self):
-        data = small_train_data(total=200)
-        with pytest.raises(ContractError):
-            strategy_compare(TrainConfig(epochs=1), data, strategies=("bogus",))
+    def test_unknown_field_rejected(self):
+        with pytest.raises(ContractError, match="cannot study 'seed'"):
+            study(TrainConfig(epochs=1), strategy_study_data(), "seed", (0, 1))
 
-    def test_compare_rejects_no_strategies(self):
-        data = replace(small_train_data(total=200), pos_weights=None)
-        with pytest.raises(ContractError, match="nonempty"):
-            strategy_compare(TrainConfig(epochs=1), data, strategies=())
-
-    def test_compare_rejects_an_explicit_table(self):
+    def test_strategy_study_rejects_an_explicit_table(self):
         # each strategy's own table is compared; one given table would
         # silently replace them all
         with pytest.raises(ContractError, match="explicit table"):
-            strategy_compare(TrainConfig(epochs=1), small_train_data(total=200))
+            study(TrainConfig(epochs=1), small_train_data(total=200), "strategy",
+                  STRATEGIES)
 
-    def test_rows_score_the_test_split_when_there_is_one(self):
-        data = replace(small_train_data(total=200), pos_weights=None)
+    @pytest.mark.parametrize("field, value", [("lam", 0.2), ("strategy", "global")])
+    def test_rows_score_the_test_split_when_there_is_one(self, field, value):
+        data = strategy_study_data()
         test = small_train_data(seed=1, total=120)
         data.test_features, data.test_expr_labels = test.features, test.expr_labels
         config = TrainConfig(epochs=1, seed=0, hidden=(8,))
-        (row,) = lambda_sweep(config, data, grid=(0.2,))
-        params, _, _ = train([config], data)
+        (row,) = study(config, data, field, (value,))
+        params, _, _ = train([replace(config, **{field: value})], data)
         report = evaluate(params.run(0), test.features, test.expr_labels)
         assert (row["war"], row["uar"]) == (report.war, report.uar)
 

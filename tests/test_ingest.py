@@ -706,3 +706,18 @@ def test_reliable_detections_filters():
     frames = make_frames(3, confidence=[0.95, 0.5, 0.95], success=[True, True, False])
     kept = reliable_detections(frames)
     assert kept["frame_index"].tolist() == [1]
+
+
+@pytest.mark.parametrize("bound", [-1.0, 1.5, float("nan")])
+def test_reliable_detections_rejects_confidence_outside_unit_interval(bound):
+    # -1 once kept every frame silently, and 1.5 or nan dropped every frame
+    # so that knowledge extraction blamed the classes
+    with pytest.raises(ContractError, match=rf"min_confidence must be in \[0, 1\], "
+                       rf"got {bound}$"):
+        reliable_detections(make_frames(3), bound)
+
+
+def test_reliable_detections_accepts_the_interval_ends():
+    frames = make_frames(2, confidence=[0.0, 1.0])
+    assert len(reliable_detections(frames, 0.0)) == 2
+    assert reliable_detections(frames, 1.0)["frame_index"].tolist() == [2]

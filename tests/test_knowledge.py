@@ -1,5 +1,6 @@
 import math
 import statistics
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -366,6 +367,16 @@ class TestAggregate:
         scaled = KnowledgeMatrix(values=np.full((18, 7), 2.0), stage="loss-scaled")
         with pytest.raises(ContractError):
             aggregate_knowledge([scaled])
+
+    def test_rejects_inputs_of_different_theta(self):
+        # the aggregate once took the first input's theta, so the order of
+        # the inputs decided the theta it reported
+        low, high = (replace(self._uniform(0.5), theta=t) for t in (0.3, 0.7))
+        for inputs in ([low, high], [high, low, low]):
+            with pytest.raises(ContractError, match=r"must share theta, got "
+                               r"0\.3 and 0\.7$"):
+                aggregate_knowledge(inputs)
+        assert aggregate_knowledge([high, high]).theta == 0.7
 
 
 class TestScaleForLoss:

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -8,15 +9,13 @@ from hypothesis import strategies as st
 from aukit.domain import ContractError, EXPRESSIONS, MAJOR_CLASSES, MAJOR_MASK
 from aukit.labeling import (
     PW_FLOOR,
+    STRATEGIES,
     compute_pos_weights,
     derive_video_au_labels,
     label_table,
-    pos_weight_distinct,
-    pos_weight_global,
-    pos_weight_minor,
-    pos_weight_none,
     read_labels_csv,
     read_pos_weights_csv,
+    read_video_labels_csv,
     write_labels_csv,
     write_pos_weights_csv,
 )
@@ -87,22 +86,22 @@ class TestPosWeightGlobal:
     def test_balanced_gives_one(self):
         labels = [label_of(np.zeros(18)) for _ in range(2)]
         labels += [label_of(np.ones(18)) for _ in range(2)]
-        spec = pos_weight_global(*columns(labels))
+        spec = compute_pos_weights(*columns(labels), "global")
         assert np.all(spec.values == 1.0)
 
     def test_one_in_four_gives_three(self):
         labels = [label_of(np.zeros(18)) for _ in range(3)] + [label_of(np.ones(18))]
-        spec = pos_weight_global(*columns(labels))
+        spec = compute_pos_weights(*columns(labels), "global")
         assert np.all(spec.values == 3.0)
 
     def test_zero_positives_fallback(self, caplog):
         labels = [label_of(np.zeros(18)) for _ in range(4)]
-        spec = pos_weight_global(*columns(labels))
+        spec = compute_pos_weights(*columns(labels), "global")
         assert np.all(spec.values == 4.0)
 
     def test_broadcast_to_seven_rows(self):
         labels = [label_of(np.ones(18)), label_of(np.zeros(18))]
-        spec = pos_weight_global(*columns(labels))
+        spec = compute_pos_weights(*columns(labels), "global")
         assert spec.values.shape == (7, 18)
         assert np.all(spec.values == spec.values[0])
 
@@ -111,7 +110,7 @@ class TestPosWeightGlobal:
             label_of(rng.integers(0, 2, 18), expression=int(rng.integers(0, 7)))
             for _ in range(50)
         ]
-        spec = pos_weight_global(*columns(labels))
+        spec = compute_pos_weights(*columns(labels), "global")
         for j in range(18):
             positives = sum(int(y[j]) for y, _ in labels)
             negatives = len(labels) - positives
@@ -126,17 +125,17 @@ class TestPosWeightDistinct:
             label_of(np.zeros(18), expression=0),
             label_of(np.zeros(18), expression=0),
         ]
-        spec = pos_weight_distinct(*columns(labels))
+        spec = compute_pos_weights(*columns(labels), "distinct")
         assert np.all(spec.values[0] == 2.0)
 
     def test_all_positive_floored(self):
         labels = [label_of(np.ones(18), expression=0) for _ in range(3)]
-        spec = pos_weight_distinct(*columns(labels))
+        spec = compute_pos_weights(*columns(labels), "distinct")
         assert np.all(spec.values[0] == PW_FLOOR)
 
     def test_unpopulated_class_all_ones(self):
         labels = [label_of(np.ones(18), expression=0), label_of(np.zeros(18), 0)]
-        spec = pos_weight_distinct(*columns(labels))
+        spec = compute_pos_weights(*columns(labels), "distinct")
         for i in range(1, 7):
             assert np.all(spec.values[i] == 1.0)
 
@@ -146,9 +145,9 @@ class TestPosWeightDistinct:
             label_of(rng.integers(0, 2, 18), expression=int(rng.integers(1, 7)))
             for _ in range(20)
         ]
-        spec_a = pos_weight_distinct(*columns(class0 + others))
+        spec_a = compute_pos_weights(*columns(class0 + others), "distinct")
         shuffled = [others[i] for i in rng.permutation(len(others))]
-        spec_b = pos_weight_distinct(*columns(shuffled + class0))
+        spec_b = compute_pos_weights(*columns(shuffled + class0), "distinct")
         assert np.array_equal(spec_a.values[0], spec_b.values[0])
 
 
@@ -162,19 +161,19 @@ class TestPosWeightMinor:
         return labels
 
     def test_major_rows_all_one(self, rng):
-        spec = pos_weight_minor(*columns(self._toy_labels(rng)))
+        spec = compute_pos_weights(*columns(self._toy_labels(rng)), "minor")
         assert np.all(spec.values[MAJOR_MASK] == 1.0)
 
     def test_minor_rows_equal_distinct(self, rng):
         labels = self._toy_labels(rng)
-        minor_spec = pos_weight_minor(*columns(labels))
-        distinct_spec = pos_weight_distinct(*columns(labels))
+        minor_spec = compute_pos_weights(*columns(labels), "minor")
+        distinct_spec = compute_pos_weights(*columns(labels), "distinct")
         assert np.array_equal(minor_spec.values[~MAJOR_MASK],
                               distinct_spec.values[~MAJOR_MASK])
 
     def test_full_matrix_hand_enumeration(self, rng):
         labels = self._toy_labels(rng)
-        spec = pos_weight_minor(*columns(labels))
+        spec = compute_pos_weights(*columns(labels), "minor")
         for i, name in enumerate(EXPRESSIONS):
             class_labels = [y for y, expression in labels if expression == i]
             for j in range(18):
@@ -207,8 +206,9 @@ def test_duplication_scale_invariance(rng):
         assert np.array_equal(single.values, double.values), strategy
 
 
-def test_pos_weight_none_all_ones():
-    spec = pos_weight_none()
+def test_pos_weight_none_all_ones(rng):
+    labels = [label_of(rng.integers(0, 2, 18), expression=c) for c in range(7)]
+    spec = compute_pos_weights(*columns(labels), "none")
     assert np.all(spec.values == 1.0)
 
 
@@ -231,7 +231,7 @@ def test_pos_weights_csv_roundtrip(rng, tmp_path):
         label_of(rng.integers(0, 2, 18), expression=int(rng.integers(0, 7)))
         for _ in range(30)
     ]
-    spec = pos_weight_distinct(*columns(labels))
+    spec = compute_pos_weights(*columns(labels), "distinct")
     path = tmp_path / "pw.csv"
     write_pos_weights_csv(spec, path)
     loaded = read_pos_weights_csv(path)
@@ -254,6 +254,26 @@ def test_labels_csv_rejects_out_of_range_cells(tmp_path, old, new, message):
         read_labels_csv(path)
 
 
+def test_labels_csv_names_the_line_of_an_unknown_expression(tmp_path):
+    # the bare expression lookup once named neither the file nor the line
+    path = tmp_path / "labels.csv"
+    write_labels_csv(label_table(["a", "b"], [0, 1], [3, 3],
+                                 np.zeros((2, 18), dtype=np.int64)), path)
+    path.write_text(path.read_text().replace("b,Sad,", "b,Bogus,"))
+    with pytest.raises(ContractError, match=r"^corrupt label file: unknown expression "
+                       r"label 'Bogus' at line 3, column 2$"):
+        read_labels_csv(path)
+
+
+def test_video_labels_csv_names_the_line_of_an_unknown_expression(tmp_path):
+    path = tmp_path / "video_labels.csv"
+    path.write_text("video_id,label\na,Happy\nb,sad\nc,Bogus\n")
+    message = (f"corrupt video label file {path}: "
+               "unknown expression label 'Bogus' at line 4, column 2")
+    with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+        read_video_labels_csv(path)
+
+
 @pytest.mark.parametrize("au_labels, expr_labels, message", [
     (np.zeros((2, 17)), [0, 0], "N x 18"),
     (np.zeros((2, 18)), [0], "N x 18"),
@@ -261,6 +281,24 @@ def test_labels_csv_rejects_out_of_range_cells(tmp_path, old, new, message):
     (np.zeros((2, 18)), [0, 7], "out of range"),
 ])
 def test_pos_weight_label_columns_checked(au_labels, expr_labels, message):
-    for strategy in ("global", "distinct", "minor"):
+    for strategy in STRATEGIES:
         with pytest.raises(ContractError, match=message):
             compute_pos_weights(au_labels, np.array(expr_labels), strategy)
+
+
+def test_unknown_strategy_rejected():
+    with pytest.raises(ContractError, match="unknown strategy: 'bogus'"):
+        compute_pos_weights(np.zeros((1, 18)), np.zeros(1, dtype=np.int64), "bogus")
+
+
+def test_minor_logs_no_fallback_for_the_major_rows(caplog):
+    # the major classes' videos are all negative, a fallback for each AU;
+    # minor sets their rows to 1 without computing them
+    labels = [label_of(np.zeros(18), expression=c) for c in range(7)]
+    labels += [label_of(np.ones(18), expression=c)
+               for c, name in enumerate(EXPRESSIONS) if name not in MAJOR_CLASSES]
+    caplog.set_level("WARNING")
+    compute_pos_weights(*columns(labels), "minor")
+    assert caplog.records == []
+    compute_pos_weights(*columns(labels), "distinct")
+    assert len(caplog.records) == 18 * len(MAJOR_CLASSES)
