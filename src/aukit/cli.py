@@ -104,9 +104,10 @@ def _load_config(args, varied=None):
 
 
 def _frame_stores(frames_dir):
-    """(video_id, path) of every frame store in frames_dir, by video id; the
-    callers read one store at a time, so no list of every video's frames is
-    held at once."""
+    """(video_id, path) of every frame store in frames_dir, by video id. The
+    callers read one store at a time and reduce it (to its reliable frames,
+    which a generator hands to the join, or to its AU labels) before the
+    next, so no command holds every video's frames at once."""
     suffix = ingest.FRAME_STORE_SUFFIX
     video_ids = sorted(
         name[:-len(suffix)] for name in os.listdir(frames_dir) if name.endswith(suffix)
@@ -146,13 +147,15 @@ def cmd_extract_knowledge(args):
     with _naming(args.preds), open(args.preds, "r", encoding="utf-8") as fh:
         predictions = ingest.load_frame_predictions(fh)
     reliable = knowledge.filter_reliable_frames(predictions, args.theta)
+    del predictions  # the reliable members are a copy
     # only the stores of videos with a reliable prediction can add a frame
-    named = set(reliable.members["video_id"].tolist())
-    videos = [
+    named = set(np.unique(reliable.members["video_id"]).tolist())
+    # read as the join asks for them: one store and its reliable frames at a time
+    videos = (
         (video_id,
          ingest.reliable_detections(ingest.read_frame_store(path), args.min_confidence))
         for video_id, path in _frame_stores(args.frames) if video_id in named
-    ]
+    )
     matrix = knowledge.compute_dataset_knowledge(videos, reliable)
     knowledge.export_knowledge(matrix, args.out)
     print(f"knowledge matrix (per-dataset) -> {args.out}")

@@ -68,95 +68,154 @@ def _loadtxt(records, columns, dtype=float):
                       usecols=columns)
 
 
-def _text(stream):
-    """The text of a str or text stream, read as a text-mode file reads it:
-    `\\r\\n` and a lone `\\r` each end a line. A NUL, or a quote (no writer of
-    these files quotes a cell), is a ContractError naming its file line."""
-    text = stream if isinstance(stream, str) else stream.read()
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    for char, problem in (("\0", "NUL byte"), ('"', "quoted cell")):
-        if char in text:
-            line = text.count("\n", 0, text.index(char)) + 1
-            raise ContractError(f"row {line}: {problem}")
-    return text
+# characters read at a time; a block is the whole lines they complete
+BLOCK_CHARS = 1 << 16
 
 
-def _records(text, start):
-    """The non-blank lines of text from offset `start` on (csv skips blank
-    lines too), split about 64 KiB at a time so no list of all lines is held."""
-    while start < len(text):
-        stop = text.find("\n", start + 65536)
-        if stop < 0:
-            stop = len(text)
-        yield from filter(None, text[start:stop].split("\n"))
-        start = stop + 1
+def _newlines(text):
+    """Text with `\\r\\n` and a lone `\\r` each read as `\\n`."""
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
+def _blocks(stream):
+    """The text of a str or text stream as blocks of whole lines (the last
+    may lack its `\\n`), read as a text-mode file reads it: `\\r\\n` and a
+    lone `\\r` each end a line, also where one read ends between them."""
+    size = BLOCK_CHARS
+    if isinstance(stream, str):
+        pieces = (stream[i:i + size] for i in range(0, len(stream), size))
+    else:
+        pieces = iter(lambda: stream.read(size), "")
+    carry = ""  # the text after the last line end, and a `\r` the next read may pair
+    for piece in pieces:
+        text = carry + piece
+        held = "\r" if text.endswith("\r") else ""
+        text = _newlines(text.removesuffix(held))
+        cut = text.rfind("\n") + 1
+        if cut:
+            yield text[:cut]
+        carry = text[cut:] + held
+    if carry:
+        yield _newlines(carry)
 
 
 class _Csv:
-    """A CSV text's records, read as one block per cell type: `floats` holds
-    the cells of the columns `names` (the `required` ones not in `strings`,
-    then the `optional` ones the header has); `strings` maps each `strings`
-    column to its cells; a duplicated header name means its last column.
+    """A CSV text's records, read in blocks of whole lines (see _blocks) and
+    parsed one block per cell type: `floats` holds the cells of the columns
+    `names` (the `required` ones not in `strings`, then the `optional` ones
+    the header has); `strings` maps each `strings` column to its distinct
+    cells and each record's index into them; `lines` holds each record's
+    file line (blank lines are no records); a duplicated header name means
+    its last column.
     `checks` lists (columns, test, message template; None for a cell that
     is no number) in the order they run, each on one string column, or on
     float columns consecutive in `names` (an optional one alone, left out
     where the header lacks it); a record whose `secondary` cell is
     a finite number above 0 needs only numbers. `error` words the first
-    unreadable or failing record's first failure; the blocks end before it."""
+    unreadable or failing record's first failure, found by halving inside
+    its block; the records end before it. The whole input is read all the
+    same: a NUL, then a quote (no writer of these files quotes a cell), then
+    an empty input or a missing column anywhere in it is the ContractError
+    raised instead, and text that is not UTF-8 fails the stream's read."""
 
     def __init__(self, stream, required, checks, strings=(), optional=(), secondary=None):
-        self.text = text = _text(stream)
-        if not text:
-            raise ContractError("empty input: no header row")
-        self.start = text.find("\n") + 1 or len(text)
-        header = text[:self.start].rstrip("\n").split(",")
-        self.index = {name.strip(): i for i, name in enumerate(header)}
-        missing = [c for c in required if c not in self.index]
-        if missing:
-            raise ContractError(f'missing column "{missing[0]}"')
-        self.names = tuple(c for c in required + optional if c in self.index and c not in strings)
         self.string_names, self.secondary, self.error = strings, secondary, None
-        self.checks = [check for check in checks if check[0][0] in self.index]
-        if not self._bad([] if text.count("\n", self.start) == len(text) - self.start else None):
-            return
-        records = list(_records(text, self.start))
-        lo, hi = 0, len(records)  # the first bad record is in records[lo:hi]
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (lo, mid) if self._bad(records[lo:mid]) else (mid, hi)
-        self.floats, self.strings = self._read(records[:lo])
-        self.error = self._word(records[lo], self.lines()[lo])
+        fault, line = None, 1  # (rank, message) of the gravest NUL, quote or header; file line
+        for block in _blocks(stream):
+            for rank, (char, problem) in enumerate((("\0", "NUL byte"), ('"', "quoted cell"))):
+                if char in block and (fault is None or rank < fault[0]):
+                    at = line + block.count("\n", 0, block.index(char))
+                    fault = rank, f"row {at}: {problem}"
+            if line == 1:
+                cut = block.find("\n") + 1 or len(block)
+                missing = self._header(block[:cut].rstrip("\n").split(","), required, optional,
+                                       checks)
+                if missing and fault is None:
+                    fault = 2, f'missing column "{missing}"'
+                block, line = block[cut:], 2
+            if fault is None and self.error is None:
+                self._add(block, line)
+            line += block.count("\n")
+        if line == 1:
+            raise ContractError("empty input: no header row")
+        if fault:
+            raise ContractError(fault[1])
+        self.floats, self.lines = np.concatenate(self.floats), np.concatenate(self.lines)
+        self.strings = {c: (list(self.codes[c]), np.concatenate(self.strings[c]))
+                        for c in strings}
 
-    def _read(self, records):
-        """The blocks of a list of record lines (None: every record)."""
-        lines = (lambda: _records(self.text, self.start)) if records is None else (lambda: records)
-        if records == []:  # loadtxt would warn
-            return np.empty((0, len(self.names))), {c: [] for c in self.string_names}
-        floats = _loadtxt(lines(), [self.index[c] for c in self.names])
-        strings = _loadtxt(lines(), [self.index[c] for c in self.string_names], object
-                           ).T.tolist() if self.string_names else []
-        return floats, dict(zip(self.string_names, strings))
+    def _header(self, header, required, optional, checks):
+        """Read the column names and start the blocks (each a list, joined
+        at the end, its empty first block giving the shape); return the
+        first required column the header lacks."""
+        self.index = {name.strip(): i for i, name in enumerate(header)}
+        self.names = tuple(c for c in required + optional
+                           if c in self.index and c not in self.string_names)
+        self.checks = [check for check in checks if check[0][0] in self.index]
+        self.floats, self.lines = [np.empty((0, len(self.names)))], [np.empty(0, int)]
+        self.strings = {c: [np.empty(0, np.intp)] for c in self.string_names}
+        self.codes = {c: {} for c in self.string_names}  # each cell's index in `strings`
+        return next((c for c in required if c not in self.index), None)
+
+    def _add(self, body, line):
+        """Keep the records of a block of lines starting at file line
+        `line`, or those before its first bad record, which sets `error`."""
+        records = body.split("\n")
+        if not records[-1]:  # the text after the last line end
+            records.pop()
+        lines = np.arange(line, line + len(records))
+        if "" in records:  # blank lines are no records, but keep their numbers
+            lines = lines[np.fromiter(map(bool, records), bool, len(records))]
+            records = list(filter(None, records))
+        block = self._block(records)
+        if block is None:
+            lo, hi = 0, len(records)  # the first bad record is in records[lo:hi]
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (lo, mid) if self._block(records[lo:mid]) is None else (mid, hi)
+            self.error = self._word(records[lo], lines[lo])
+            block, lines = self._block(records[:lo]), lines[:lo]
+        floats, strings = block
+        self.floats.append(floats)
+        self.lines.append(lines)
+        for c, (cells, at) in strings.items():
+            codes = self.codes[c]
+            self.strings[c].append(
+                np.array([codes.setdefault(cell, len(codes)) for cell in cells], np.intp)[at])
+
+    def _block(self, records):
+        """The float cells and string columns (distinct cells, each record's
+        index into them) of record lines; None where a record is unreadable
+        or fails a check."""
+        if not records:  # loadtxt would warn
+            return np.empty((0, len(self.names))), {
+                c: ([], np.empty(0, np.intp)) for c in self.string_names}
+        try:
+            floats = _loadtxt(records, [self.index[c] for c in self.names])
+            cells = _loadtxt(records, [self.index[c] for c in self.string_names], object
+                             ).T.tolist() if self.string_names else []
+        except ValueError:
+            return None
+        strings = {}
+        for c, column in zip(self.string_names, cells):
+            index = {cell: i for i, cell in enumerate(dict.fromkeys(column))}
+            strings[c] = list(index), np.fromiter(map(index.__getitem__, column), np.intp,
+                                                  len(column))
+        masks, relax = self._masks(floats, strings)
+        if all(mask.all() or (mask | relax).all() for mask in masks):
+            return floats, strings
+        return None
 
     def _masks(self, floats, strings):
         """Each check's test of the blocks, and which records need only numbers."""
         at = {c: i for i, c in enumerate(self.names)}
-        def cells(columns):  # a string column's list, or a view of float columns
+        def cells(columns):  # a string column, or a view of float columns
             if columns[0] in strings:
                 return strings[columns[0]]
             return floats[:, at[columns[0]]:at[columns[0]] + len(columns)]
         face = cells((self.secondary,)) if self.secondary in at else np.nan
         return [test(cells(columns)) for columns, test, _ in self.checks], (
             (face > 0.0) & (face < np.inf))
-
-    def _bad(self, records):
-        """Whether a record (see _read) fails; if none does, keep the blocks."""
-        try:
-            self.floats, self.strings = self._read(records)
-        except ValueError:
-            return True
-        masks, relax = self._masks(self.floats, self.strings)
-        return not all(mask.all() or (mask | relax).all() for mask in masks)
 
     def _word(self, record, line):
         """A bad record's first failure, its cells read one at a time."""
@@ -169,7 +228,7 @@ class _Csv:
         raw = {c: cells[i] if i < len(cells) else None for c, i in self.index.items()}
         values = dict(zip(self.names, map(value, (raw[c] for c in self.names))))
         floats = np.array([[np.nan if v is None else v for v in values.values()]])
-        strings = {c: [raw[c]] for c in self.string_names}
+        strings = {c: ([raw[c]], np.zeros(1, np.intp)) for c in self.string_names}
         read = {c: values.get(c, raw[c]) is not None for c in self.names + self.string_names}
         masks, relax = self._masks(floats, strings)
         for (columns, _, template), mask in zip(self.checks, masks):
@@ -183,10 +242,6 @@ class _Csv:
                 "non-numeric value {raw!r}" if value is None else "non-finite value {raw!r}")
             template = "row {line}: " + problem + " in column {column!r}"
         return template.format(line=line, column=column, raw=raw, value=value)
-
-    def lines(self):
-        """The file line of each record (blank lines are no records)."""
-        return np.flatnonzero([line != "" for line in self.text[self.start:].split("\n")]) + 2
 
 
 _FRAME_CHECKS = (
@@ -213,7 +268,7 @@ def parse_openface_csv(stream, video_id):
 
     Accepts text or a text stream. Rows with success = 0 are retained but
     flagged; rows for secondary faces (face_id > 0) are dropped with a
-    warning. Read and checked as blocks (see _Csv).
+    warning. Read and checked in blocks of lines (see _Csv).
     """
     csv = _Csv(stream, OPENFACE_REQUIRED, _OPENFACE_CHECKS,
                optional=("face_id", "timestamp"), secondary="face_id")
@@ -221,7 +276,7 @@ def parse_openface_csv(stream, video_id):
     secondary = (cells[:, names.index("face_id")] > 0 if "face_id" in names
                  else np.zeros(len(cells), bool))
     if secondary.any():  # the rows before a bad one are dropped all the same
-        for line in csv.lines()[:len(cells)][secondary].tolist():
+        for line in csv.lines[secondary].tolist():
             log.warning("%s row %d: dropping secondary face", video_id, line)
     if csv.error:
         raise ContractError(csv.error)
@@ -242,26 +297,42 @@ def interpolate_zero_intensities(frames, video_id):
 
     Returns the repaired copy. Leading/trailing zeros take the nearest
     nonzero value; an all-zero AU series is left unchanged, with one logged
-    warning. Input must be one video's frames sorted by frame_index.
+    warning. Input must be one video's frames sorted by frame_index. All
+    AUs are repaired in one pass, with np.interp's arithmetic per column.
     """
     if np.any(np.diff(frames["frame_index"]) <= 0):
         raise ContractError("frames must be sorted by frame_index")
     repaired = frames.copy()
     series, mask = repaired["intensities"], repaired["interpolated"]  # n x 17 views
-    positions = frames["frame_index"].astype(np.float64)
-    for j, name in enumerate(INTENSITY_AU_NAMES):
-        col = series[:, j]
-        zero = col == 0.0
-        if not zero.any():
-            continue
-        if zero.all():
-            log.warning("%s: %s all-zero", video_id, name)
-            continue
-        known = ~zero
-        series[zero, j] = np.interp(
-            positions[zero], positions[known], col[known]
-        )
-        mask[zero, j] = True
+    zero = series == 0.0
+    unknown = zero.all(axis=0) & zero.any(axis=0)
+    for j in np.flatnonzero(unknown).tolist():
+        log.warning("%s: %s all-zero", video_id, INTENSITY_AU_NAMES[j])
+    rows, cols = np.nonzero(zero & ~unknown)
+    if not rows.size:
+        return repaired
+    n = len(frames)
+    x = frames["frame_index"].astype(np.float64)
+    order = np.arange(n)[:, None]
+    # np.interp's segment for a zero cell: the last known frame at or before
+    # its position (a row after it where positions round alike), and the
+    # known frame after that one; n or -1 where there is none
+    before = np.maximum.accumulate(np.where(zero, -1, order), axis=0)
+    after = np.minimum.accumulate(np.where(zero, n, order)[::-1], axis=0)[::-1]
+    left = before[np.searchsorted(x, x[rows], side="right") - 1, cols]
+    right = np.append(after, np.full((1, after.shape[1]), n), axis=0)[left + 1, cols]
+    lo, hi = np.maximum(left, 0), np.minimum(right, n - 1)
+    y0, y1, x0, x1, at = series[lo, cols], series[hi, cols], x[lo], x[hi], x[rows]
+    with np.errstate(all="ignore"):  # np.interp warns of no inf or nan either
+        slope = (y1 - y0) / (x1 - x0)
+        values = slope * (at - x0) + y0
+        nan = np.isnan(values)  # as np.interp: from the other end, then a flat segment
+        values[nan] = (slope * (at - x1) + y1)[nan]
+    values = np.where(np.isnan(values) & (y0 == y1), y0, values)
+    # before the first known frame, at or after the last, or on a known position
+    values = np.where(left < 0, y1, np.where((right == n) | (x0 == at), y0, values))
+    series[rows, cols] = values
+    mask[rows, cols] = True
     return repaired
 
 
@@ -274,10 +345,11 @@ def _label_code(name):
 
 
 def _cells_pass(test):
-    """The check that a string column's cells (a list; None: no cell) pass `test`."""
-    def mask(cells):  # a column, with one test per distinct cell
-        ok = {cell: cell is not None and bool(test(cell)) for cell in set(cells)}
-        return np.True_ if all(ok.values()) else np.array([[ok[cell]] for cell in cells])
+    """The check that a string column's cells pass `test`, given as its
+    distinct cells (None: no cell) and each record's index into them."""
+    def mask(column):  # one test per distinct cell
+        cells, at = column
+        return np.array([cell is not None and bool(test(cell)) for cell in cells])[at, None]
     return mask
 
 
@@ -294,7 +366,8 @@ def load_frame_predictions(stream):
     """Load per-frame expression predictions (video_id, frame, label, s0..s6)
     as a prediction_table. Every cell is checked; then the scores must be
     non-negative and sum to 1 within SCORE_SUM_TOLERANCE, and are
-    renormalised to sum to 1. Read as blocks like parse_openface_csv."""
+    renormalised to sum to 1. Read in blocks like parse_openface_csv; the
+    string cells are kept as indices into their distinct cells."""
     csv = _Csv(stream, PREDICTION_COLUMNS, _PREDICTION_CHECKS, strings=("video_id", "label"))
     if csv.error:
         raise ContractError(csv.error)
@@ -307,13 +380,14 @@ def load_frame_predictions(stream):
                           "scores sum to {}, outside tolerance")):
         if bad.any():  # rows x scores, or rows
             first = np.argmax(bad.reshape(len(scores), -1).any(axis=1))
-            raise ContractError(f"row {csv.lines()[first]}: " + problem.format(totals[first]))
+            raise ContractError(f"row {csv.lines[first]}: " + problem.format(totals[first]))
     scores /= totals[:, None]
-    frame, strings = frame.astype(np.int64), csv.strings
-    del csv  # the blocks and the text are freed before the table is built
-    codes = {name: _label_code(name) for name in set(strings["label"])}
-    labels = [codes[name] for name in strings.pop("label")]
-    return prediction_table([v.strip() for v in strings["video_id"]], frame, labels, scores)
+    (ids, id_at), (names, label_at) = csv.strings["video_id"], csv.strings["label"]
+    frame = frame.astype(np.int64)
+    del csv, totals  # the cells are freed before the table is built
+    labels = np.array([_label_code(name) for name in names], np.int64)[label_at]
+    video_ids = np.array([v.strip() for v in ids], str)[id_at]
+    return prediction_table(video_ids, frame, labels, scores)
 
 
 def write_frame_store(frames, path):

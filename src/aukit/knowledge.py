@@ -78,9 +78,11 @@ def filter_reliable_frames(predictions, theta):
 def compute_dataset_knowledge(videos, reliable, classes=None):
     """Per-dataset 18x7 knowledge matrix from one dataset's frames.
 
-    `videos` is a list of (video_id, frames) pairs; a frame counts for the
-    class of the reliable prediction for its (video_id, frame_index), if
-    there is one. Every expression class must have at least one reliable
+    `videos` is an iterable of (video_id, frames) pairs, consumed once; a
+    frame counts for the class of the reliable prediction for its
+    (video_id, frame_index), if there is one. Only the matched intensities
+    are kept, per class, and joined one class at a time for its median.
+    Every expression class must have at least one reliable
     frame; classes without any are reported rather than silently imputed. A
     corpus that deliberately covers only a subset of classes can declare
     that subset via `classes`; the remaining columns come out as the
@@ -97,19 +99,18 @@ def compute_dataset_knowledge(videos, reliable, classes=None):
     # are one slice, with its frame indices in order
     ids, starts = np.unique(members["video_id"], return_index=True)
     predicted_of = dict(zip(ids.tolist(), np.split(members, starts[1:])))
-    # the empty seed lets a dataset that matches no frame concatenate
-    intensities, labels = [], [np.empty(0, dtype=np.int64)]
+    matched = [[] for _ in range(NUM_EXPRESSIONS)]  # per class, one array per video
     for video_id, frames in videos:
         predicted = predicted_of.get(video_id)
         if predicted is None:
             continue
         at = np.searchsorted(predicted["frame_index"], frames["frame_index"])
         at = np.minimum(at, len(predicted) - 1)
-        found = predicted["frame_index"][at] == frames["frame_index"]
-        intensities.append(frames["intensities"][found])
-        labels.append(predicted["label"][at[found]])
-    labels = np.concatenate(labels)
-    counts = np.bincount(labels, minlength=NUM_EXPRESSIONS)
+        found = np.flatnonzero(predicted["frame_index"][at] == frames["frame_index"])
+        labels = predicted["label"][at[found]]
+        for c in np.unique(labels).tolist():
+            matched[c].append(frames["intensities"][found[labels == c]])
+    counts = [sum(map(len, arrays)) for arrays in matched]
 
     empty = [EXPRESSIONS[c] for c in classes if not counts[c]]
     if empty:
@@ -117,13 +118,13 @@ def compute_dataset_knowledge(videos, reliable, classes=None):
             f"no reliable frames for classes: {', '.join(empty)}"
         )
 
-    intensities = np.concatenate(intensities)
     raw = np.empty((NUM_AUS, NUM_EXPRESSIONS))
     populated = np.zeros(NUM_EXPRESSIONS, dtype=bool)
     populated[list(classes)] = True
     support = np.zeros((NUM_AUS, NUM_EXPRESSIONS), dtype=np.int64)
     for c in classes:
-        medians = np.median(intensities[labels == c], axis=0)
+        medians = np.median(np.concatenate(matched[c]), axis=0)
+        matched[c] = None
         raw[INTENSITY_TO_PRESENCE, c] = medians
         # AU28 has no intensity track; stand in with the mean of the 17 medians
         raw[AU28_INDEX, c] = medians.mean()

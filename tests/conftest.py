@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from aukit import ingest
 from aukit.domain import AU_NAMES, INTENSITY_AU_NAMES
 from aukit.ingest import FRAME_DTYPE, prediction_table
 
@@ -77,3 +78,10 @@ def make_predictions(rows):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """The CSV readers read 64 characters at a time, so a header, a record
+    and a failing record each cross block boundaries."""
+    monkeypatch.setattr(ingest, "BLOCK_CHARS", 64)

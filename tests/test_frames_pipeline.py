@@ -8,6 +8,7 @@ per-frame record pipeline and NDJSON store that the frame array replaced.
 """
 
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
@@ -128,21 +129,31 @@ def test_frames_pipeline_golden_hashes(tmp_path):
     assert hashes == GOLDEN
 
 
+def test_frames_pipeline_golden_hashes_in_small_blocks(tmp_path, small_blocks):
+    test_frames_pipeline_golden_hashes(tmp_path)
+
+
 def test_frame_stores_are_read_one_at_a_time(tmp_path, monkeypatch):
     # each video's store is reduced, to its reliable frames or to its AU
-    # labels, before the next is read, so no command holds every video's
-    # full frames at once
+    # labels, before the next is read, and at most one video's reliable
+    # frames are alive when it is, so no command holds every video's frames
+    # at once
     videos, preds, video_labels = build_corpus(tmp_path)
     store = tmp_path / "store"
     assert run("ingest", *videos, "--out", store) == EXIT_OK
-    events = []
+    events, reliable, alive = [], [], []
 
     def spy(module, name):
         fn = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             events.append(name)
-            return fn(*args, **kwargs)
+            if name == "read_frame_store":
+                alive.append(sum(ref() is not None for ref in reliable))
+            result = fn(*args, **kwargs)
+            if name == "reliable_detections":
+                reliable.append(weakref.ref(result))
+            return result
         monkeypatch.setattr(module, name, wrapper)
 
     spy(ingest, "read_frame_store")
@@ -152,10 +163,33 @@ def test_frame_stores_are_read_one_at_a_time(tmp_path, monkeypatch):
                "--out", tmp_path / "k.csv") == EXIT_OK
     # only the stores of dataset A's videos, which its predictions name
     assert events == ["read_frame_store", "reliable_detections"] * len(EXPRESSIONS)
+    assert max(alive) <= 1, alive
     events.clear()
     assert run("pseudo-label", "--frames", store, "--video-labels", video_labels,
                "--out", tmp_path / "au_labels.csv") == EXIT_OK
     assert events == ["read_frame_store", "derive_video_au_labels"] * len(videos)
+
+
+def test_extract_knowledge_reads_the_whole_file_past_a_bad_cell(tmp_path, capsys):
+    # a bad cell in the first block, then a byte that is not UTF-8 past it:
+    # the one error line says the file is not UTF-8 text
+    header = "video_id,frame,label," + ",".join(f"s{j}" for j in range(7))
+    lines = [header, "a0,1,Happy,x,0.1,0.1,0.1,0.1,0.1,0.1"] + [
+        f"a0,{i},Happy,0.4,0.1,0.1,0.1,0.1,0.1,0.1" for i in range(2, 2000)]
+    text = ("\n".join(lines) + "\n").encode()
+    assert len(text) > 1 << 16
+    path = tmp_path / "scores.csv"
+    path.write_bytes(text + b"a0,2000,Happy,0.4\xff,0.1,0.1,0.1,0.1,0.1,0.1\n")
+    out = tmp_path / "k.csv"
+    assert run("extract-knowledge", "--frames", tmp_path, "--preds", path,
+               "--out", out) == EXIT_CONTRACT
+    assert capsys.readouterr().err == f"error: {path}: not UTF-8 text\n"
+    assert not out.exists()
+    path.write_bytes(text)
+    assert run("extract-knowledge", "--frames", tmp_path, "--preds", path,
+               "--out", out) == EXIT_CONTRACT
+    assert capsys.readouterr().err == (
+        f"error: {path}: row 2: non-numeric value 'x' in column 's0'\n")
 
 
 def _tamper(path):

@@ -4,6 +4,7 @@ import hashlib
 import io
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from aukit.domain import (
     EXPRESSIONS,
     INTENSITY_AU_NAMES,
     NUM_EXPRESSIONS,
+    NUM_INTENSITY_AUS,
     ContractError,
     expression_index,
 )
@@ -217,6 +219,53 @@ class TestInterpolation:
     def test_unsorted_rejected(self):
         with pytest.raises(ContractError, match="sorted"):
             interpolate_zero_intensities(make_frames(2, frame_index=[2, 1]), "v0")
+
+
+def _interpolate_per_au(frames, video_id):
+    """The per-AU np.interp loop that interpolate_zero_intensities replaced,
+    kept as the oracle of its one pass over all AUs."""
+    repaired = frames.copy()
+    series, mask = repaired["intensities"], repaired["interpolated"]
+    positions = frames["frame_index"].astype(np.float64)
+    for j, name in enumerate(INTENSITY_AU_NAMES):
+        col = series[:, j]
+        zero = col == 0.0
+        if not zero.any():
+            continue
+        if zero.all():
+            log.warning("%s: %s all-zero", video_id, name)
+            continue
+        known = ~zero
+        series[zero, j] = np.interp(positions[zero], positions[known], col[known])
+        mask[zero, j] = True
+    return repaired
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 8, 50, 300])
+@pytest.mark.parametrize("start", [1, 2**53, 2**62],
+                         ids=["small", "float_spacing_2", "float_spacing_1024"])
+def test_interpolation_matches_per_au_interp(n, start):
+    # uneven frame gaps (from 2**53 on, neighbouring positions can round
+    # alike as floats); per AU: random zeros, leading and trailing zeros, one
+    # known value, an all-zero series, one with no zero at all, and known
+    # values np.interp meets as inf, nan and a slope past the float range
+    rng = np.random.default_rng(n)
+    values = rng.uniform(0.01, 5.0, size=(n, NUM_INTENSITY_AUS))
+    values[rng.random(values.shape) < 0.3] = 0.0
+    values[:2, 1] = values[-2:, 1] = 0.0
+    values[:, 2] = 0.0
+    values[n // 2:n // 2 + 1, 2] = 2.5
+    values[:, 3] = 0.0
+    values[:, 4] = 1.5
+    values[rng.random(n) < 0.2, 5] = np.inf
+    values[rng.random(n) < 0.2, 6] = -np.inf
+    values[rng.random(n) < 0.1, 7] = np.nan
+    values[rng.random(n) < 0.3, 8] = 1e308
+    values[rng.random(n) < 0.3, 8] = -1e308
+    frames = make_frames(n, frame_index=start + np.cumsum(rng.integers(1, 7, n)),
+                         intensities=values)
+    assert (_outcome(lambda f: interpolate_zero_intensities(f, "v"), frames)
+            == _outcome(lambda f: _interpolate_per_au(f, "v"), frames))
 
 
 class TestLoadFramePredictions:
@@ -565,14 +614,6 @@ def test_str_and_text_stream_read_alike(data):
         assert _outcome(read, variant) == _outcome(read, stream)
 
 
-def test_records_split_across_chunks():
-    # about 140 kB of lines of every length, blank ones included: several chunks
-    text = "\n".join("x" * (i % 97) for i in range(3000)) + "\n"
-    for start in (0, 1, 65535, 65536, 65537, len(text) - 1):
-        assert list(ingest._records(text, start)) == [
-            line for line in text[start:].split("\n") if line]
-
-
 def test_openface_edge_cells_match_row_parse():
     for column in ("frame", "face_id", "timestamp", "confidence", "success", "AU12_r", "AU28_c"):
         for cell in EDGE_CELLS:
@@ -591,6 +632,168 @@ def test_prediction_edge_cells_match_row_parse():
             row[at] = cell
             text = "\n".join([header, valid, ",".join(row)]) + "\n"
             assert _outcome(load_frame_predictions, text) == _outcome(_predictions_rows, text), text
+
+
+# --- the block reader ---------------------------------------------------------
+#
+# The readers read about BLOCK_CHARS characters at a time and parse the whole
+# lines they complete, one block after another. Records, their file lines,
+# errors and their precedence must not depend on where a read ends.
+
+
+def test_edge_cells_match_row_parse_in_small_blocks(small_blocks):
+    test_openface_edge_cells_match_row_parse()
+    test_prediction_edge_cells_match_row_parse()
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestParseOpenfaceCsvInSmallBlocks(TestParseOpenfaceCsv):
+    """The OpenFace reader's checks and wording, with headers and records
+    longer than a block."""
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestLoadFramePredictionsInSmallBlocks(TestLoadFramePredictions):
+    """The predictions reader's checks and wording, with headers and records
+    longer than a block."""
+
+
+def _stream_forms(text):
+    """text as a str, as a stream that leaves line ends as they are, and
+    as a text-mode stream, which translates them."""
+    return (text, io.StringIO(text),
+            io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8"))
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 5, 8, 64, 1 << 16])
+def test_block_reader_records_and_file_lines(monkeypatch, size):
+    # every kind of line end, blank lines among them (`\n\n`, `\r\n\r\n`,
+    # `\r\r`), and a last line without one; some read ends inside a `\r\n`
+    ends = ["\n", "\r\n", "\r", "\n\n", "\r\n\r\n", "\r\r"]
+    text = "a" + "".join(ends[i % len(ends)] + str(i) for i in range(400))
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    expected = [(float(line), number) for number, line in enumerate(lines, 1)
+                if line and number > 1]
+    monkeypatch.setattr(ingest, "BLOCK_CHARS", size)
+    for stream in _stream_forms(text):
+        csv = ingest._Csv(stream, ("a",), ())
+        assert list(zip(csv.floats[:, 0].tolist(), csv.lines.tolist())) == expected
+
+
+def test_crlf_split_between_two_reads_is_one_line_end():
+    # the first read ends with the `\r` of a `\r\n`; read as two line ends,
+    # the last record would sit on file line 32 770
+    text = "a\n" + "1\n" * 32766 + "3"
+    assert len(text) == ingest.BLOCK_CHARS - 1
+    text += "\r\n4\n"
+    for stream, again in zip(_stream_forms(text), _stream_forms(text)):
+        blocks = list(ingest._blocks(stream))
+        assert len(blocks) == 2 and all(block.endswith("\n") for block in blocks)
+        assert "".join(blocks) == text.replace("\r\n", "\n")
+        csv = ingest._Csv(again, ("a",), ())
+        assert csv.floats[-2:, 0].tolist() == [3.0, 4.0]
+        assert csv.lines[-2:].tolist() == [32768, 32769]
+
+
+def test_header_longer_than_a_block(monkeypatch):
+    monkeypatch.setattr(ingest, "BLOCK_CHARS", 16)
+    text = "\r\n".join([",".join(PREDICTION_COLUMNS), "", "v1,1,Happy,0.4,0.1,0.1,0.1,0.1,0.1,0.1"])
+    for stream in _stream_forms(text):
+        preds = load_frame_predictions(stream)
+        assert preds["video_id"].tolist() == ["v1"] and preds["frame_index"].tolist() == [1]
+
+
+PREDICTION_HEADER = ",".join(PREDICTION_COLUMNS)
+
+
+def _prediction_rows(count, start=1):
+    """`count` valid prediction lines of video v1 from frame `start` on."""
+    return [f"v1,{i},Happy,0.4,0.1,0.1,0.1,0.1,0.1,0.1" for i in range(start, start + count)]
+
+
+def _past_first_block(first, last, header=PREDICTION_HEADER):
+    """A predictions text: the line `first`, then valid lines past the first
+    64 KiB block, then the line `last`; and the file line of `last`."""
+    lines = [header, first] + _prediction_rows(2000, start=2) + [last]
+    text = "\n".join(lines) + "\n"
+    assert text.index(last) > 1 << 16
+    return text, len(lines)
+
+
+@pytest.mark.parametrize("first", [
+    "v1,1,Happy,x,0.1,0.1,0.1,0.1,0.1,0.1",  # a bad cell
+    '"v1",1,Happy,0.4,0.1,0.1,0.1,0.1,0.1,0.1',  # a quote
+], ids=["bad_cell", "quote"])
+def test_nul_past_the_first_block_wins(first):
+    text, line = _past_first_block(first, "v1,9999,Happy,0.4\0,0.1,0.1,0.1,0.1,0.1,0.1")
+    for stream in _stream_forms(text):
+        with pytest.raises(ContractError, match=f"^row {line}: NUL byte$"):
+            load_frame_predictions(stream)
+
+
+def test_quote_past_the_first_block_wins_over_a_bad_cell():
+    text, line = _past_first_block("v1,1,Happy,x,0.1,0.1,0.1,0.1,0.1,0.1",
+                                   'v1,9999,"Happy",0.4,0.1,0.1,0.1,0.1,0.1,0.1')
+    for stream in _stream_forms(text):
+        with pytest.raises(ContractError, match=f"^row {line}: quoted cell$"):
+            load_frame_predictions(stream)
+
+
+def test_bad_header_then_a_nul_names_the_nul():
+    header = PREDICTION_HEADER.replace(",s6", "")
+    text, line = _past_first_block("v1,1,Happy,0.4,0.1,0.1,0.1,0.1,0.1,0.1",
+                                   "v1,9999,Happy\0,0.4,0.1,0.1,0.1,0.1,0.1,0.1", header)
+    for stream in _stream_forms(text):
+        with pytest.raises(ContractError, match=f"^row {line}: NUL byte$"):
+            load_frame_predictions(stream)
+    with pytest.raises(ContractError, match='^missing column "s6"$'):
+        load_frame_predictions(text.replace("\0", ""))
+
+
+@pytest.mark.parametrize("last", [
+    "v1,9999,Happy,0.4,0.1,0.1,oops,0.1,0.1,0.1",
+    "v1,9999,Happy,-0.1,0.5,0.1,0.1,0.1,0.2,0.1",
+    "v1,9999,Happy,0.5,0.5,0.1,0.1,0.1,0.1,0.1",
+], ids=["bad_cell", "negative_score", "score_sum"])
+def test_prediction_errors_past_the_first_block_match_row_parse(last):
+    # blank lines in several blocks keep the file lines of the records after them
+    text, _ = _past_first_block("v1,1,Happy,0.4,0.1,0.1,0.1,0.1,0.1,0.1", last)
+    text = text.replace("v1,500,", "\nv1,500,").replace("v1,1900,", "\r\n\r\nv1,1900,")
+    expected = _outcome(_predictions_rows, text)
+    assert expected[0] == "error"
+    for stream in _stream_forms(text):
+        assert _outcome(load_frame_predictions, stream) == expected
+
+
+def test_openface_bad_record_past_the_first_block_matches_row_parse():
+    # the secondary faces before the bad record, in earlier blocks, are
+    # warned about; the bad record's file line counts the blank lines
+    rows = [{"face_id": "1"} if i % 400 == 7 else {} for i in range(1200)]
+    rows[1100]["AU12_r"] = "6.3"
+    text = openface_csv(rows).replace("\n500,", "\n\n500,")
+    assert text.index("\n1101, ") > 3 << 16  # the bad record, frame 1101
+    expected = _outcome(lambda t: _openface_rows(t, "v"), text)
+    assert expected[0] == "error" and len(expected[2]) == 3
+    for stream in _stream_forms(text):
+        assert _outcome(lambda t: parse_openface_csv(t, "v"), stream) == expected
+
+
+def test_load_frame_predictions_peak_memory(tmp_path):
+    # one block of text and the parsed cells at a time, with the string
+    # cells as indices: the peak stays within 3x the table returned
+    path = tmp_path / "scores.csv"
+    rows = [f"v{i // 300},{i % 300},{EXPRESSIONS[i % 7]},0.4,0.1,0.1,0.1,0.1,0.1,0.1"
+            for i in range(30000)]
+    path.write_text("\n".join([PREDICTION_HEADER] + rows) + "\n")
+    with open(path, encoding="utf-8") as fh:
+        tracemalloc.start()
+        try:
+            table = load_frame_predictions(fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert len(table) == 30000
+    assert peak <= 3 * table.nbytes, f"peak {peak} B for a {table.nbytes} B table"
 
 
 def random_frames(rng, n):
