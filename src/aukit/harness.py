@@ -6,18 +6,19 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .domain import ContractError, EXPRESSIONS, NUM_EXPRESSIONS, NumericFailure
+from .domain import ContractError, EXPRESSIONS, NUM_AUS, NUM_EXPRESSIONS, NumericFailure
 from .labeling import STRATEGIES, compute_pos_weights
-from .losses import au_loss, combined_loss, expression_loss, loss_knowledge
+from .losses import au_loss_kernel, combined_loss, expression_loss_kernel, loss_knowledge
 from .model import (
     TRAIN_DTYPE,
     ModelParams,
     OptimizerState,
-    backward,
+    backward_kernel,
     cast_features,
     forward,
+    forward_kernel,
     init_params,
-    optimizer_step,
+    optimizer_step_kernel,
     stack_params,
 )
 from .tables import read_matrix, write_matrix, write_table
@@ -173,7 +174,9 @@ def _lockstep(configs, data, pos_weights):
     """Train the runs of `configs` together on `data` as one stack.
 
     Parameters, AdamW moments and batches carry a leading run axis, so each
-    step is one forward, backward and optimizer call for all runs. Each run
+    step is one call of each kernel (forward, the two losses, backward,
+    AdamW) for all runs. `train` has checked the data, so nothing here checks
+    it again; what stays the same over the stack is built once. Each run
     keeps its own seed (initialisation and batch order), lambda and
     pos-weight table (`pos_weights`: R x 7 x 18), so its parameters equal,
     bit for bit, those of training it alone.
@@ -191,11 +194,10 @@ def _lockstep(configs, data, pos_weights):
     n, feature_dim = features.shape
     expr_labels = np.asarray(data.expr_labels, dtype=np.int64)
     au_labels = np.asarray(data.au_labels, dtype=TRAIN_DTYPE)
-    knowledge = loss_knowledge(data.knowledge).astype(TRAIN_DTYPE)
+    knowledge_by_class = np.ascontiguousarray(
+        loss_knowledge(data.knowledge).astype(TRAIN_DTYPE).T)
     pw = pos_weights.astype(TRAIN_DTYPE)
-    lam = np.array([config.lam for config in configs])
-    expr_scale = (1.0 - lam).astype(TRAIN_DTYPE)[:, None, None]
-    au_scale = lam.astype(TRAIN_DTYPE)[:, None, None]
+    runs = np.arange(len(configs))[:, None]
 
     params = stack_params([
         init_params(config.seed, feature_dim=feature_dim, hidden=first.hidden)
@@ -205,7 +207,20 @@ def _lockstep(configs, data, pos_weights):
         learning_rate=first.learning_rate, weight_decay=first.weight_decay
     )
     rngs = [np.random.default_rng(config.seed) for config in configs]
-    grads = np.empty_like(params.vector)  # backward overwrites it every step
+    grads = np.empty_like(params.vector)  # backward_kernel overwrites it every step
+    grad_views = params.views(grads)
+    # the loss gradients at the logits are joined in d_head and scaled there
+    # by 1 - lambda (expression logits) and lambda (AU logits); a shorter
+    # last batch takes a prefix of d_head, laid out as a fresh array would
+    # be, and of the ones that sum the bias gradients
+    batch = min(first.batch_size, n)
+    lam = np.array([config.lam for config in configs])[:, None, None]
+    head_scale = np.concatenate([
+        np.broadcast_to(1.0 - lam, (len(configs), batch, NUM_EXPRESSIONS)),
+        np.broadcast_to(lam, (len(configs), batch, NUM_AUS)),
+    ], axis=-1, dtype=TRAIN_DTYPE)
+    d_head_buffer = np.empty(head_scale.size, dtype=TRAIN_DTYPE)
+    ones = np.ones(batch, dtype=TRAIN_DTYPE)
     for epoch in range(first.epochs):
         orders = np.stack([rng.permutation(n) for rng in rngs])
         sum_e = np.zeros(len(configs))
@@ -213,22 +228,26 @@ def _lockstep(configs, data, pos_weights):
         batches = 0
         for lo in range(0, n, first.batch_size):
             idx = orders[:, lo:lo + first.batch_size]
-            batch_x = features[idx]
-            batch_expr = expr_labels[idx]
-            expr_logits, au_logits, _, acts = forward(params, batch_x,
-                                                      return_hidden=True)
-            loss_e, grad_e = expression_loss(expr_logits, batch_expr,
-                                             factor=first.factor)
-            loss_au, grad_au = au_loss(au_logits, au_labels[idx], batch_expr,
-                                       knowledge, pw)
+            batch_x = np.take(features, idx, axis=0)
+            batch_expr = np.take(expr_labels, idx)
+            expr_logits, au_logits, acts = forward_kernel(params, batch_x)
+            loss_e, grad_e = expression_loss_kernel(expr_logits, batch_expr,
+                                                    first.factor)
+            loss_au, grad_au = au_loss_kernel(
+                au_logits, np.take(au_labels, idx, axis=0), batch_expr,
+                knowledge_by_class, pw, runs)
             finite = np.isfinite(loss_e) & np.isfinite(loss_au)
             if not finite.all():
                 run = np.flatnonzero(~finite)[0]
                 where = f" in run {run}" if len(configs) > 1 else ""
                 raise NumericFailure(f"non-finite loss at epoch {epoch}{where}")
-            backward(params, batch_x, expr_scale * grad_e, au_scale * grad_au,
-                     acts, out=grads)
-            params, state = optimizer_step(params, grads, state)
+            scale = head_scale[:, :idx.shape[1]]
+            d_head = d_head_buffer[:scale.size].reshape(scale.shape)
+            d_head[..., :NUM_EXPRESSIONS] = grad_e
+            d_head[..., NUM_EXPRESSIONS:] = grad_au
+            d_head *= scale
+            backward_kernel(params, d_head, acts, grad_views, ones[:idx.shape[1]])
+            optimizer_step_kernel(params, grads, state)
             sum_e += loss_e
             sum_au += loss_au
             batches += 1
@@ -256,9 +275,9 @@ def train(configs, data, every_epoch=False):
     Returns (params, state, logs): the stacked parameters and optimizer state
     upcast to float64 (`.run(r)` is run r), and logs[r], run r's EpochLogs.
     Raises NumericFailure on features outside TRAIN_DTYPE's range, or a
-    non-finite loss, gradient or optimizer moment, and ContractError on an
-    expression label outside 0..6, before the first step; an error raised
-    while scoring propagates unchanged.
+    non-finite loss, gradient or optimizer moment, and ContractError on
+    inconsistent shapes or an expression label outside 0..6, before the
+    first step; an error raised while scoring propagates unchanged.
     """
     if not configs:
         raise ContractError("no runs to train")
@@ -269,7 +288,7 @@ def train(configs, data, every_epoch=False):
     if np.ndim(data.features) != 2:
         raise ContractError("features must be N x F")
     n = len(data.features)
-    if np.shape(data.expr_labels) != (n,) or np.shape(data.au_labels)[:1] != (n,):
+    if np.shape(data.expr_labels) != (n,) or np.shape(data.au_labels) != (n, NUM_AUS):
         raise ContractError("data shapes inconsistent")
     if n == 0:
         raise ContractError("cannot train on an empty dataset")
@@ -311,8 +330,8 @@ def train(configs, data, every_epoch=False):
             if scoring is not None:
                 scoring.result()
             if epoch < last:
-                # optimizer_step updates the live vector in place while the
-                # next epoch trains, so the worker scores a copy
+                # optimizer_step_kernel updates the live vector in place while
+                # the next epoch trains, so the worker scores a copy
                 snapshot = ModelParams(params.feature_dim, params.hidden,
                                        params.seed, params.vector.copy())
                 scoring = worker.submit(score, epoch, snapshot, loss_e, loss_au)

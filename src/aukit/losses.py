@@ -8,6 +8,11 @@ logit magnitude.
 The losses compute in their logits' dtype: float32 logits (a training step)
 give float32 losses and gradients, float64 ones float64; logits given as
 lists or integers are taken as float64.
+
+expression_loss and au_loss check and convert their arguments, then run
+their kernel (expression_loss_kernel, au_loss_kernel), which checks nothing
+and holds the one copy of the math; a training loop that has checked its
+data once calls the kernels.
 """
 
 import math
@@ -17,6 +22,8 @@ import numpy as np
 
 from .domain import ContractError, NUM_AUS, NUM_EXPRESSIONS, NumericFailure, float_array
 from .knowledge import sigmoid
+
+_CLASSES = np.arange(NUM_EXPRESSIONS)
 
 
 @dataclass
@@ -39,13 +46,13 @@ def expression_loss(expr_logits, labels, factor=5.0):
     Returns (scalar loss, analytic gradient wrt logits). The factor shifts the
     loss by -log(factor) per sample and leaves the gradient untouched. The
     R x N x 7 logits and R x N labels of a stack of runs give R losses.
+    Checks its arguments, then runs expression_loss_kernel.
     """
     expr_logits = float_array(expr_logits)
     labels = np.asarray(labels, dtype=np.int64)
     if expr_logits.ndim < 2 or expr_logits.shape[-1] != NUM_EXPRESSIONS:
         raise ContractError(f"expr_logits must be Nx{NUM_EXPRESSIONS}")
-    n = expr_logits.shape[-2]
-    if n < 1:
+    if expr_logits.shape[-2] < 1:
         raise ContractError("empty batch")
     if labels.shape != expr_logits.shape[:-1]:
         raise ContractError("labels must be a length-N vector")
@@ -53,10 +60,17 @@ def expression_loss(expr_logits, labels, factor=5.0):
         raise ContractError("expression label out of range")
     if factor <= 0:
         raise ContractError("factor must be > 0")
+    return expression_loss_kernel(expr_logits, labels, factor)
 
+
+def expression_loss_kernel(expr_logits, labels, factor):
+    """expression_loss on arguments it would accept, as it converts them:
+    float logits, int64 labels of their shape but the last axis, in 0..6,
+    and factor > 0. Nothing is checked."""
+    n = expr_logits.shape[-2]
     # log p_target via the log-sum-exp identity; the same exponentials give
     # the softmax of the gradient
-    target = labels[..., None] == np.arange(NUM_EXPRESSIONS)  # one-hot
+    target = labels[..., None] == _CLASSES  # one-hot
     # the row max over a contiguous logits-first copy: one vector op per
     # logit, where max(axis=-1) runs a 7-long loop per row; same values
     row_max = np.ascontiguousarray(expr_logits.T).max(axis=0).T
@@ -94,18 +108,21 @@ def au_loss(au_logits, au_labels, expr_labels, knowledge, pos_weights):
     A stack of R runs passes R x N x ... batches and R x 7 x 18 pos-weights
     and gets R losses. `knowledge` is a loss-scaled KnowledgeMatrix or its
     18 x 7 values (see loss_knowledge), `pos_weights` a PosWeightSpec or its
-    values.
+    values. Checks its arguments, then runs au_loss_kernel.
     """
     au_logits = float_array(au_logits)
     au_labels = np.asarray(au_labels, dtype=au_logits.dtype)
     expr_labels = np.asarray(expr_labels, dtype=np.int64)
     if au_logits.ndim < 2 or au_logits.shape[-1] != NUM_AUS:
         raise ContractError(f"au_logits must be Nx{NUM_AUS}")
-    n = au_logits.shape[-2]
     if au_labels.shape != au_logits.shape:
         raise ContractError("au_labels shape mismatch")
     if expr_labels.shape != au_logits.shape[:-1]:
         raise ContractError("expr_labels must be a length-N vector")
+    # a label of -1 would gather class 6's weights, one of 7 an IndexError
+    if expr_labels.size and (expr_labels.min() < 0
+                             or expr_labels.max() >= NUM_EXPRESSIONS):
+        raise ContractError("expression label out of range")
     if hasattr(knowledge, "stage"):
         knowledge = loss_knowledge(knowledge)
     knowledge = np.asarray(knowledge, dtype=au_logits.dtype)
@@ -118,12 +135,24 @@ def au_loss(au_logits, au_labels, expr_labels, knowledge, pos_weights):
         raise ContractError(
             f"pos-weights must be {NUM_EXPRESSIONS}x{NUM_AUS}, one table per run"
         )
+    runs = None if pw_values.ndim == 2 else np.arange(len(pw_values))[:, None]
+    return au_loss_kernel(au_logits, au_labels, expr_labels, knowledge.T, pw_values,
+                          runs)
 
-    k = knowledge.T[expr_labels]  # N x 18, per-sample expression column
-    if pw_values.ndim == 2:
-        pw = pw_values[expr_labels]  # N x 18
+
+def au_loss_kernel(au_logits, au_labels, expr_labels, knowledge_by_class,
+                   pos_weights, runs):
+    """au_loss on arguments it would accept, as it converts them: the
+    knowledge class-major (7 x 18) and everything in the logits' dtype but
+    the int64 expression labels, which must lie in 0..6. `runs` is None for
+    one run; for a stack of R it is the R x 1 column 0..R-1 that picks each
+    run's pos-weight table. Nothing is checked."""
+    n = au_logits.shape[-2]
+    k = knowledge_by_class[expr_labels]  # N x 18, per-sample expression column
+    if runs is None:
+        pw = pos_weights[expr_labels]  # N x 18
     else:  # a stack: R x N x 18 from each run's table
-        pw = pw_values[np.arange(len(pw_values))[:, None], expr_labels]
+        pw = pos_weights[runs, expr_labels]
 
     x = np.ascontiguousarray(au_logits)  # a strided view slows every op below
     pos = pw * au_labels

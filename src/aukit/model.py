@@ -8,11 +8,14 @@ view into one contiguous float vector, so gradients, AdamW moments and
 checkpoints share a single layout. Parameters are float64, except while
 training steps and evaluation run in float32 (TRAIN_DTYPE, which feature
 files hold); forward, backward and optimizer_step compute in their
-parameters' dtype. Gradients are written out by hand so they can be verified
-against finite differences. The optimizer is AdamW: the weight decay
-decoupled and applied first, as torch.optim.AdamW does, and the bias
-corrections folded into two scalars, as in the Adam paper's efficient form.
-Training is bit-reproducible.
+parameters' dtype. Each of the three checks its arguments and then runs its
+kernel (forward_kernel, backward_kernel, optimizer_step_kernel), which
+checks nothing and holds the one copy of the math; a training loop that has
+checked its data once calls the kernels. Gradients are written out by hand
+so they can be verified against finite differences. The optimizer is AdamW:
+the weight decay decoupled and applied first, as torch.optim.AdamW does, and
+the bias corrections folded into two scalars, as in the Adam paper's
+efficient form. Training is bit-reproducible.
 """
 
 import json
@@ -72,7 +75,7 @@ class ModelParams:
         self.hidden = tuple(hidden)
         self.seed = seed
         self.layout = param_layout(feature_dim, self.hidden)
-        # name -> (slice of the flat vector, shape): views() runs every step
+        # name -> (slice of the flat vector, shape), for views()
         self.slices = {
             name: (slice(offset, offset + math.prod(shape)), shape)
             for name, (offset, shape) in self.layout.items()
@@ -80,7 +83,6 @@ class ModelParams:
         if vector is None:
             vector = np.zeros(sum(math.prod(s) for _, s in self.layout.values()))
         self.vector = vector
-        self._gradient_views = None  # see gradient_views
         named = self.views(self.vector)
         self.hidden_weights = [named[f"hidden.{i}.w"] for i in range(len(self.hidden))]
         self.hidden_biases = [named[f"hidden.{i}.b"] for i in range(len(self.hidden))]
@@ -95,17 +97,6 @@ class ModelParams:
             name: flat[..., span].reshape(lead + shape)
             for name, (span, shape) in self.slices.items()
         }
-
-    def gradient_views(self, grad, n):
-        """views(grad) and a length-n ones vector in grad's dtype, kept from
-        the last call while the same `grad` and n come back, so a training
-        loop that has backward write every step into one buffer builds them
-        once."""
-        cached = self._gradient_views
-        if cached is None or cached[0] is not grad or len(cached[2]) != n:
-            cached = self._gradient_views = (grad, self.views(grad),
-                                             np.ones(n, dtype=grad.dtype))
-        return cached[1], cached[2]
 
     def run(self, r):
         """Run r of a stack; its arrays are views into the stack's vector."""
@@ -190,8 +181,10 @@ def init_params(seed, feature_dim=DEFAULT_FEATURE_DIM, hidden=DEFAULT_HIDDEN):
 
 
 def _affine(x, w, b):
-    """x @ w + b, for one run or a stack of runs."""
-    return x @ w + b[..., None, :]
+    """x @ w + b, for one run or a stack of runs, added in place."""
+    out = x @ w
+    out += b[..., None, :]
+    return out
 
 
 def forward(params, features, return_hidden=False):
@@ -200,7 +193,8 @@ def forward(params, features, return_hidden=False):
     Returns (expr_logits Nx7, au_logits Nx18, embeddings NxF'), the logits
     views of one N x 25 output; with return_hidden=True also returns the
     per-layer activations for backprop. A stack of R runs takes R x N x F
-    features and returns R x N x ... outputs.
+    features and returns R x N x ... outputs. Checks its arguments, then
+    runs forward_kernel.
     """
     features = np.asarray(features, dtype=params.vector.dtype)
     if features.ndim != params.vector.ndim + 1 or (
@@ -209,16 +203,25 @@ def forward(params, features, return_hidden=False):
         raise ContractError(
             f"features must be Nx{params.feature_dim}, got {features.shape}"
         )
+    expr_logits, au_logits, activations = forward_kernel(params, features)
+    if return_hidden:
+        return expr_logits, au_logits, activations[-1], activations
+    return expr_logits, au_logits, activations[-1]
+
+
+def forward_kernel(params, features):
+    """forward on features it would accept, in the parameters' dtype.
+    Returns (expr_logits, au_logits, activations): the activations are the
+    features, then each hidden layer's output, the embeddings last. Nothing
+    is checked."""
     activations = [features]
     h = features
     for w, b in zip(params.hidden_weights, params.hidden_biases):
-        h = np.maximum(_affine(h, w, b), 0.0)
+        h = _affine(h, w, b)
+        np.maximum(h, 0.0, out=h)
         activations.append(h)
     logits = _affine(h, params.head_weight, params.head_bias)
-    expr_logits, au_logits = logits[..., :NUM_EXPRESSIONS], logits[..., NUM_EXPRESSIONS:]
-    if return_hidden:
-        return expr_logits, au_logits, h, activations
-    return expr_logits, au_logits, h
+    return logits[..., :NUM_EXPRESSIONS], logits[..., NUM_EXPRESSIONS:], activations
 
 
 def backward(params, features, d_expr, d_au, activations, out=None):
@@ -231,6 +234,7 @@ def backward(params, features, d_expr, d_au, activations, out=None):
     (params.views(grad) names its parts); a stack takes R x N x ... batches
     and returns R x P gradients. With `out`, a vector of params.vector's
     shape and dtype, every entry of it is overwritten and it is returned.
+    Checks its arguments, then runs backward_kernel.
     """
     dtype = params.vector.dtype
     n = np.shape(features)[-2]
@@ -243,20 +247,29 @@ def backward(params, features, d_expr, d_au, activations, out=None):
     elif out.shape != params.vector.shape or out.dtype != dtype:
         raise ContractError(f"gradient buffer of {out.dtype} {out.shape} does not "
                             f"match {dtype} {params.vector.shape} parameters")
+    d_head = np.concatenate([d_expr, d_au], axis=-1, dtype=dtype)
+    backward_kernel(params, d_head, activations, params.views(out),
+                    np.ones(n, dtype=dtype))
+    return out
+
+
+def backward_kernel(params, d_head, activations, grads, ones):
+    """backward on arguments it would accept, all in the parameters' dtype:
+    d_head is the N x 25 loss gradient at the logits (d_expr and d_au
+    joined), `grads` the named views (params.views) of the gradient vector
+    it overwrites, and `ones` a length-N vector of ones. Nothing is
+    checked."""
     # bias gradients sum over the batch as a product with a row of ones: one
     # BLAS call per run, where sum(axis=-2) loops over the batch's rows
-    named, ones = params.gradient_views(out, n)
-    d_head = np.concatenate([d_expr, d_au], axis=-1, dtype=dtype)
-    np.matmul(activations[-1].swapaxes(-1, -2), d_head, out=named["head.w"])
-    np.matmul(ones, d_head, out=named["head.b"])
+    np.matmul(activations[-1].swapaxes(-1, -2), d_head, out=grads["head.w"])
+    np.matmul(ones, d_head, out=grads["head.b"])
     dh = d_head @ params.head_weight.swapaxes(-1, -2)
     for i in reversed(range(len(params.hidden_weights))):
         dz = dh * (activations[i + 1] > 0.0)
-        np.matmul(activations[i].swapaxes(-1, -2), dz, out=named[f"hidden.{i}.w"])
-        np.matmul(ones, dz, out=named[f"hidden.{i}.b"])
+        np.matmul(activations[i].swapaxes(-1, -2), dz, out=grads[f"hidden.{i}.w"])
+        np.matmul(ones, dz, out=grads[f"hidden.{i}.b"])
         if i > 0:  # the gradient wrt the input features is never used
             dh = dz @ params.hidden_weights[i].swapaxes(-1, -2)
-    return out
 
 
 def _check_finite(params, flat, what):
@@ -289,7 +302,8 @@ def optimizer_step(params, grads, state):
     A non-finite gradient, or one whose square overflows the second moment,
     raises NumericFailure naming the first array at fault (and its run, in
     a stack) with params.vector untouched; state.m, state.v and state.step
-    may already have been updated.
+    may already have been updated. Checks the gradient's shape, then runs
+    optimizer_step_kernel.
     """
     p = params.vector
     grads = np.asarray(grads, dtype=p.dtype)
@@ -297,6 +311,15 @@ def optimizer_step(params, grads, state):
         raise ContractError(
             f"gradient of shape {grads.shape} does not match {p.shape} parameters"
         )
+    optimizer_step_kernel(params, grads, state)
+    return params, state
+
+
+def optimizer_step_kernel(params, grads, state):
+    """optimizer_step (in place) on a gradient it would accept, in the
+    parameters' dtype and shape. Only the gradient and moments are checked,
+    for finiteness."""
+    p = params.vector
     if state.m is None:
         state.m = np.zeros_like(p)
         state.v = np.zeros_like(p)
@@ -330,7 +353,6 @@ def optimizer_step(params, grads, state):
     update *= lr * c2_root / (1.0 - state.beta1 ** t)
     p *= 1.0 - lr * state.weight_decay
     p -= update
-    return params, state
 
 
 def save_checkpoint(params, path):

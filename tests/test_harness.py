@@ -155,6 +155,14 @@ class TestEvaluate:
         )
 
 
+# optimizer steps per epoch of small_train_data's 300 samples in batches of 64
+BATCHES = 5
+
+# the unchecked functions each training step calls, at their harness names
+STEP_KERNELS = ("forward_kernel", "expression_loss_kernel", "au_loss_kernel",
+                "backward_kernel", "optimizer_step_kernel")
+
+
 class TestTrain:
     def test_same_seed_identical_logs(self):
         data = small_train_data()
@@ -255,7 +263,7 @@ class TestTrain:
         else:
             data.test_expr_labels = test.expr_labels[:-1]
         steps = []
-        monkeypatch.setattr(harness, "optimizer_step",
+        monkeypatch.setattr(harness, "optimizer_step_kernel",
                             lambda *args: steps.append(1) or args[::2])
         with pytest.raises(ContractError, match="test split"):
             train([TrainConfig(epochs=2, seed=0)], data)
@@ -273,7 +281,7 @@ class TestTrain:
         labels[-1] = label
         setattr(data, field, labels)
         steps = []
-        monkeypatch.setattr(harness, "optimizer_step",
+        monkeypatch.setattr(harness, "optimizer_step_kernel",
                             lambda *args: steps.append(1) or args[::2])
         with pytest.raises(ContractError, match="expression label out of range"):
             train([TrainConfig(epochs=2, seed=0)], data, every_epoch=True)
@@ -300,17 +308,46 @@ class TestTrain:
 
     def test_steps_write_into_one_gradient_buffer(self, monkeypatch):
         buffers = []
-        backward = harness.backward
+        backward_kernel = harness.backward_kernel
 
-        def spy(*args, out=None):
-            buffers.append(out)
-            return backward(*args, out=out)
+        def spy(params, d_head, activations, grads, ones):
+            buffers.append(grads["head.w"].base)  # the flat gradient vector
+            return backward_kernel(params, d_head, activations, grads, ones)
 
-        monkeypatch.setattr(harness, "backward", spy)
+        monkeypatch.setattr(harness, "backward_kernel", spy)
         train([TrainConfig(epochs=2, seed=seed, hidden=(8,)) for seed in (0, 1)],
               small_train_data())
         assert len(buffers) == 2 * BATCHES
         assert all(out is buffers[0] for out in buffers)
+
+    def test_each_kernel_runs_once_per_step(self, monkeypatch):
+        # train checks its data once per stack: every step calls each kernel
+        # once for all runs, and the evaluation forwards (public forward) none
+        calls = dict.fromkeys(STEP_KERNELS, 0)
+
+        def counted(name, kernel):
+            def spy(*args):
+                calls[name] += 1
+                return kernel(*args)
+            return spy
+
+        for name in STEP_KERNELS:
+            monkeypatch.setattr(harness, name, counted(name, getattr(harness, name)))
+        train([TrainConfig(epochs=3, seed=seed, hidden=(8,)) for seed in (0, 1, 2)],
+              split_pair_data(), every_epoch=True)
+        assert calls == dict.fromkeys(STEP_KERNELS, 3 * BATCHES)
+
+    def test_au_label_width_checked_before_training(self, monkeypatch):
+        # the kernels check nothing: N x 17 AU labels once reached au_loss's
+        # own check, and would now fail inside its arithmetic
+        data = small_train_data()
+        data.au_labels = data.au_labels[:, :-1]
+        steps = []
+        monkeypatch.setattr(harness, "optimizer_step_kernel",
+                            lambda *args: steps.append(1))
+        with pytest.raises(ContractError, match="data shapes inconsistent"):
+            train([TrainConfig(epochs=1, seed=0)], data)
+        assert steps == []
 
     def test_predict_tie_breaks_low_index(self):
         data = small_train_data()
@@ -423,10 +460,6 @@ def spy_evaluate(monkeypatch, before=None):
     return threads
 
 
-# optimizer steps per epoch of small_train_data's 300 samples in batches of 64
-BATCHES = 5
-
-
 class TestEpochScores:
     """Each epoch's logs score that epoch's parameters, wherever they run."""
 
@@ -439,7 +472,7 @@ class TestEpochScores:
                    for seed in (0, 1)]
         stepped = threading.Condition()
         steps = []
-        step = harness.optimizer_step
+        step = harness.optimizer_step_kernel
 
         def counting_step(*args):
             result = step(*args)
@@ -455,7 +488,7 @@ class TestEpochScores:
                     assert stepped.wait_for(
                         lambda: len(steps) > (epoch + 1) * BATCHES, timeout=10)
 
-        monkeypatch.setattr(harness, "optimizer_step", counting_step)
+        monkeypatch.setattr(harness, "optimizer_step_kernel", counting_step)
         spy_evaluate(monkeypatch, before=after_next_epoch_steps)
         _, _, every = train(configs, data, every_epoch=True)
         monkeypatch.undo()
@@ -499,7 +532,7 @@ class TestScoringThread:
         # epoch 1 fails at its last step while epoch 0's scoring waits for it
         error = NumericFailure("non-finite gradient for head.w")
         failed = threading.Event()
-        step = harness.optimizer_step
+        step = harness.optimizer_step_kernel
         steps = []
 
         def failing_step(*args):
@@ -510,7 +543,7 @@ class TestScoringThread:
             return step(*args)
 
         spy_evaluate(monkeypatch, before=lambda call: failed.wait(timeout=10))
-        monkeypatch.setattr(harness, "optimizer_step", failing_step)
+        monkeypatch.setattr(harness, "optimizer_step_kernel", failing_step)
         count = threading.active_count()
         with pytest.raises(NumericFailure) as raised:
             train([TrainConfig(epochs=3, seed=0, hidden=(8,))], split_pair_data(),
@@ -580,8 +613,7 @@ def step_arrays(value):
 
 
 class TestTrainingPrecision:
-    STEP_FUNCTIONS = ("forward", "expression_loss", "au_loss", "backward",
-                      "optimizer_step")
+    STEP_FUNCTIONS = ("forward", *STEP_KERNELS)
 
     def test_every_step_array_is_float32(self, monkeypatch):
         seen = {}

@@ -124,6 +124,18 @@ class TestAuLoss:
             au_loss(np.zeros((1, 18)), np.ones((1, 18)), np.array([0]),
                     wrong, ones_pw())
 
+    @pytest.mark.parametrize("label", [-1, 7])
+    @pytest.mark.parametrize("runs", [None, 2])
+    def test_label_out_of_range_rejected(self, rng, label, runs):
+        # -1 once gathered class 6's knowledge and pos-weights, so labels
+        # [0, 1, 2, -1] gave the loss of [0, 1, 2, 6]; 7 raised IndexError
+        lead = () if runs is None else (runs,)
+        expr = np.broadcast_to(np.array([0, 1, 2, label]), lead + (4,))
+        pw = np.ones(lead + (7, 18))
+        with pytest.raises(ContractError, match="expression label out of range"):
+            au_loss(rng.normal(size=lead + (4, 18)), np.ones(lead + (4, 18)), expr,
+                    uniform_knowledge(), pw)
+
     def test_extreme_logits_stay_finite(self):
         logits = np.array([[1000.0] * 9 + [-1000.0] * 9])
         loss, grad = au_loss(
