@@ -131,9 +131,15 @@ def _naming(path):
 
 
 def cmd_ingest(args):
-    os.makedirs(args.out, exist_ok=True)
+    paths = {}  # video id, the file stem that names its store -> input path
     for path in args.inputs:
         video_id = os.path.splitext(os.path.basename(path))[0]
+        if video_id in paths:
+            raise ContractError(f"two inputs share the video id {video_id!r}: "
+                                f"{paths[video_id]} and {path}")
+        paths[video_id] = path
+    os.makedirs(args.out, exist_ok=True)
+    for video_id, path in paths.items():
         with _naming(path), open(path, "r", encoding="utf-8") as fh:
             frames = ingest.parse_openface_csv(fh, video_id)
             repaired = ingest.interpolate_zero_intensities(frames, video_id)
@@ -205,9 +211,12 @@ def cmd_pos_weights(args):
 
 
 def cmd_synth_gen(args):
-    spec_kwargs = {"total": args.n, "seed": args.seed if args.seed is not None else 0}
+    # flags win over the spec, as over --config; 2000 samples if neither counts
+    spec_kwargs = {"total": 2000}
     if args.spec:
         spec_kwargs.update(_load_json_fields(args.spec, synth.SynthSpec, "spec"))
+    flags = {"total": args.n, "seed": args.seed}
+    spec_kwargs.update((k, v) for k, v in flags.items() if v is not None)
     spec = synth.SynthSpec(**spec_kwargs)
     dataset = synth.generate_dataset(spec)
     os.makedirs(args.out, exist_ok=True)
@@ -370,8 +379,7 @@ def cmd_gradcheck(args):
         values=rng.uniform(0.2, 4.8, (NUM_AUS, NUM_EXPRESSIONS)), stage="loss-scaled"
     )
     pw = rng.uniform(0.5, 6.0, (NUM_EXPRESSIONS, NUM_AUS))
-    config = harness.TrainConfig()
-    lam = config.lam
+    lam = harness.TrainConfig().lam
     # two hidden layers cover all of backward; biases off zero keep units off ReLU kinks
     params = model.init_params(seed, feature_dim=6, hidden=(4, 3))
     for b in params.hidden_biases:
@@ -386,7 +394,7 @@ def cmd_gradcheck(args):
         expr_logits, au_logits, _, acts = model.forward(
             params, features, return_hidden=True
         )
-        loss_e, grad_e = expression_loss(expr_logits, labels, factor=config.factor)
+        loss_e, grad_e = expression_loss(expr_logits, labels)
         loss_au, grad_au = au(au_logits)
         grads = model.backward(params, features, (1 - lam) * grad_e, lam * grad_au,
                                activations=acts)
@@ -394,7 +402,7 @@ def cmd_gradcheck(args):
 
     checks = {
         "expression_loss": (
-            lambda x: expression_loss(x, labels, factor=config.factor),
+            lambda x: expression_loss(x, labels),
             rng.normal(scale=2.0, size=(batch, NUM_EXPRESSIONS)),
         ),
         "au_loss": (au, rng.normal(scale=2.0, size=(batch, NUM_AUS))),
@@ -479,7 +487,7 @@ def build_parser():
 
     p = add("synth-gen", cmd_synth_gen, seed=True)
     p.add_argument("--spec", default=None)
-    p.add_argument("--n", type=int, default=2000)
+    p.add_argument("--n", type=int, default=None)
 
     for name in ("train", *STUDIES):
         p = add(name, cmd_study if name in STUDIES else cmd_train, seed=True)

@@ -65,6 +65,14 @@ def expression_index(name):
         raise ContractError(f"unknown expression label: {name!r}") from None
 
 
+def expression_labels(labels):
+    """Expression indices as int64; one outside 0..6 is a ContractError."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if np.any((labels < 0) | (labels >= NUM_EXPRESSIONS)):
+        raise ContractError("expression label out of range")
+    return labels
+
+
 def expression_name(index):
     if not 0 <= index < NUM_EXPRESSIONS:
         raise ContractError(f"expression index out of range: {index}")

@@ -6,7 +6,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .domain import ContractError, EXPRESSIONS, NUM_AUS, NUM_EXPRESSIONS, NumericFailure
+from .domain import (
+    ContractError,
+    EXPRESSIONS,
+    NUM_AUS,
+    NUM_EXPRESSIONS,
+    NumericFailure,
+    expression_labels,
+)
 from .labeling import STRATEGIES, compute_pos_weights
 from .losses import au_loss_kernel, combined_loss, expression_loss_kernel, loss_knowledge
 from .model import (
@@ -18,7 +25,7 @@ from .model import (
     forward,
     forward_kernel,
     init_params,
-    optimizer_step_kernel,
+    optimizer_step,
     stack_params,
 )
 from .tables import read_matrix, write_matrix, write_table
@@ -32,8 +39,7 @@ STUDY_FIELDS = {"lam": ("lambda", "lambda grid"),
 
 # TrainConfig fields that fix a run's shapes or schedule; runs trained
 # together in one stack must share them
-SHARED_FIELDS = ("hidden", "epochs", "batch_size", "learning_rate", "weight_decay",
-                 "factor")
+SHARED_FIELDS = ("hidden", "epochs", "batch_size", "learning_rate", "weight_decay")
 
 # the header of a confusion table: rows are true classes, columns predicted
 CONFUSION_HEADER = ("true", *EXPRESSIONS)
@@ -51,7 +57,6 @@ class TrainConfig:
     weight_decay: float = 0.05
     seed: int = 0
     hidden: tuple = (32,)
-    factor: float = 5.0
 
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
@@ -60,10 +65,9 @@ class TrainConfig:
             raise ContractError(f"unknown strategy: {self.strategy!r}")
         if self.epochs < 1 or self.batch_size < 1 or self.seed < 0:
             raise ContractError("epochs and batch_size must be >= 1, and seed >= 0")
-        for name in ("learning_rate", "factor"):
-            if not 0.0 < getattr(self, name) < np.inf:  # nan fails too
-                raise ContractError(f"{name} must be finite and > 0, "
-                                    f"got {getattr(self, name)}")
+        if not 0.0 < self.learning_rate < np.inf:  # nan fails too
+            raise ContractError(f"learning_rate must be finite and > 0, "
+                                f"got {self.learning_rate}")
         if not 0.0 <= self.weight_decay < np.inf:
             raise ContractError(f"weight_decay must be finite and >= 0, "
                                 f"got {self.weight_decay}")
@@ -105,17 +109,9 @@ class EpochLog:
     test: EvalReport = None       # None without a test split
 
 
-def _expression_labels(labels):
-    """`labels` as int64; one outside 0..6 is a ContractError."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if np.any((labels < 0) | (labels >= NUM_EXPRESSIONS)):
-        raise ContractError("expression label out of range")
-    return labels
-
-
 def evaluate_predictions(true_labels, predicted):
-    true_labels = _expression_labels(true_labels)
-    predicted = _expression_labels(predicted)
+    true_labels = expression_labels(true_labels)
+    predicted = expression_labels(predicted)
     if true_labels.shape != predicted.shape:
         raise ContractError("true and predicted labels differ in length")
     confusion = np.zeros((NUM_EXPRESSIONS, NUM_EXPRESSIONS), dtype=np.int64)
@@ -154,8 +150,8 @@ def report_from_confusion(confusion):
 
 def _forward_in_train_dtype(params, features):
     """forward in TRAIN_DTYPE. Float64 parameters are rounded to it, exactly
-    for trained ones and checkpoints, which hold TRAIN_DTYPE values; features
-    go through cast_features. Neither is copied if already in TRAIN_DTYPE."""
+    for checkpoints, which hold trained TRAIN_DTYPE values; features go
+    through cast_features. Neither is copied if already in TRAIN_DTYPE."""
     return forward(params.astype(TRAIN_DTYPE), cast_features(features, TRAIN_DTYPE))
 
 
@@ -231,8 +227,7 @@ def _lockstep(configs, data, pos_weights):
             batch_x = np.take(features, idx, axis=0)
             batch_expr = np.take(expr_labels, idx)
             expr_logits, au_logits, acts = forward_kernel(params, batch_x)
-            loss_e, grad_e = expression_loss_kernel(expr_logits, batch_expr,
-                                                    first.factor)
+            loss_e, grad_e = expression_loss_kernel(expr_logits, batch_expr)
             loss_au, grad_au = au_loss_kernel(
                 au_logits, np.take(au_labels, idx, axis=0), batch_expr,
                 knowledge_by_class, pw, runs)
@@ -247,7 +242,7 @@ def _lockstep(configs, data, pos_weights):
             d_head[..., NUM_EXPRESSIONS:] = grad_au
             d_head *= scale
             backward_kernel(params, d_head, acts, grad_views, ones[:idx.shape[1]])
-            optimizer_step_kernel(params, grads, state)
+            optimizer_step(params, grads, state)
             sum_e += loss_e
             sum_au += loss_au
             batches += 1
@@ -273,7 +268,8 @@ def train(configs, data, every_epoch=False):
     is scored in the calling thread, so a call that scores only its last
     epoch starts no thread. The logs are those of scoring each epoch in turn.
     Returns (params, state, logs): the stacked parameters and optimizer state
-    upcast to float64 (`.run(r)` is run r), and logs[r], run r's EpochLogs.
+    as trained, in TRAIN_DTYPE (`params.run(r)` is run r), and logs[r], run
+    r's EpochLogs.
     Raises NumericFailure on features outside TRAIN_DTYPE's range, or a
     non-finite loss, gradient or optimizer moment, and ContractError on
     inconsistent shapes or an expression label outside 0..6, before the
@@ -304,10 +300,10 @@ def train(configs, data, every_epoch=False):
     data = replace(data, features=cast_features(data.features, TRAIN_DTYPE))
     # the labels of both splits are checked here, before the first step,
     # not when an epoch is scored
-    splits = [(data.features, _expression_labels(data.expr_labels))]
+    splits = [(data.features, expression_labels(data.expr_labels))]
     if data.test_features is not None:
         splits.append((cast_features(data.test_features, TRAIN_DTYPE),
-                       _expression_labels(data.test_expr_labels)))
+                       expression_labels(data.test_expr_labels)))
     logs = [[] for _ in configs]
 
     def score(epoch, params, loss_e, loss_au):
@@ -330,14 +326,14 @@ def train(configs, data, every_epoch=False):
             if scoring is not None:
                 scoring.result()
             if epoch < last:
-                # optimizer_step_kernel updates the live vector in place while
+                # optimizer_step updates the live vector in place while
                 # the next epoch trains, so the worker scores a copy
                 snapshot = ModelParams(params.feature_dim, params.hidden,
                                        params.seed, params.vector.copy())
                 scoring = worker.submit(score, epoch, snapshot, loss_e, loss_au)
             else:
                 score(epoch, params, loss_e, loss_au)
-    return params.astype(np.float64), state.astype(np.float64), logs
+    return params, state, logs
 
 
 def study(config, data, field, values):

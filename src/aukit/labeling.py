@@ -14,6 +14,7 @@ from .domain import (
     NUM_AUS,
     NUM_EXPRESSIONS,
     expression_index,
+    expression_labels,
     expression_name,
     video_table,
 )
@@ -103,8 +104,7 @@ def compute_pos_weights(au_labels, expr_labels, strategy):
         raise ContractError(
             f"pos-weights need N >= 1 expression labels and N x {NUM_AUS} AU labels"
         )
-    if np.any((expr_labels < 0) | (expr_labels >= NUM_EXPRESSIONS)):
-        raise ContractError("expression label out of range")
+    expr_labels = expression_labels(expr_labels)
     au_labels = au_labels.astype(np.int64)
     values = np.ones((NUM_EXPRESSIONS, NUM_AUS))
     if strategy == "global":

@@ -20,10 +20,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import ContractError, NUM_AUS, NUM_EXPRESSIONS, NumericFailure, float_array
+from .domain import (
+    ContractError,
+    NUM_AUS,
+    NUM_EXPRESSIONS,
+    NumericFailure,
+    expression_labels,
+    float_array,
+)
 from .knowledge import sigmoid
 
 _CLASSES = np.arange(NUM_EXPRESSIONS)
+
+# expression_loss's factor, the one training and gradient checks use
+EXPRESSION_FACTOR = 5.0
 
 
 @dataclass
@@ -40,7 +50,7 @@ def log_sigmoid(x):
     return np.minimum(x, 0.0) - np.log1p(np.exp(-np.abs(x)))
 
 
-def expression_loss(expr_logits, labels, factor=5.0):
+def expression_loss(expr_logits, labels, factor=EXPRESSION_FACTOR):
     """Mean negative log(factor * p_target) with softmax probabilities.
 
     Returns (scalar loss, analytic gradient wrt logits). The factor shifts the
@@ -49,21 +59,19 @@ def expression_loss(expr_logits, labels, factor=5.0):
     Checks its arguments, then runs expression_loss_kernel.
     """
     expr_logits = float_array(expr_logits)
-    labels = np.asarray(labels, dtype=np.int64)
     if expr_logits.ndim < 2 or expr_logits.shape[-1] != NUM_EXPRESSIONS:
         raise ContractError(f"expr_logits must be Nx{NUM_EXPRESSIONS}")
     if expr_logits.shape[-2] < 1:
         raise ContractError("empty batch")
-    if labels.shape != expr_logits.shape[:-1]:
+    if np.shape(labels) != expr_logits.shape[:-1]:
         raise ContractError("labels must be a length-N vector")
-    if labels.min() < 0 or labels.max() >= NUM_EXPRESSIONS:
-        raise ContractError("expression label out of range")
+    labels = expression_labels(labels)
     if factor <= 0:
         raise ContractError("factor must be > 0")
     return expression_loss_kernel(expr_logits, labels, factor)
 
 
-def expression_loss_kernel(expr_logits, labels, factor):
+def expression_loss_kernel(expr_logits, labels, factor=EXPRESSION_FACTOR):
     """expression_loss on arguments it would accept, as it converts them:
     float logits, int64 labels of their shape but the last axis, in 0..6,
     and factor > 0. Nothing is checked."""
@@ -112,17 +120,14 @@ def au_loss(au_logits, au_labels, expr_labels, knowledge, pos_weights):
     """
     au_logits = float_array(au_logits)
     au_labels = np.asarray(au_labels, dtype=au_logits.dtype)
-    expr_labels = np.asarray(expr_labels, dtype=np.int64)
     if au_logits.ndim < 2 or au_logits.shape[-1] != NUM_AUS:
         raise ContractError(f"au_logits must be Nx{NUM_AUS}")
     if au_labels.shape != au_logits.shape:
         raise ContractError("au_labels shape mismatch")
-    if expr_labels.shape != au_logits.shape[:-1]:
+    if np.shape(expr_labels) != au_logits.shape[:-1]:
         raise ContractError("expr_labels must be a length-N vector")
     # a label of -1 would gather class 6's weights, one of 7 an IndexError
-    if expr_labels.size and (expr_labels.min() < 0
-                             or expr_labels.max() >= NUM_EXPRESSIONS):
-        raise ContractError("expression label out of range")
+    expr_labels = expression_labels(expr_labels)
     if hasattr(knowledge, "stage"):
         knowledge = loss_knowledge(knowledge)
     knowledge = np.asarray(knowledge, dtype=au_logits.dtype)

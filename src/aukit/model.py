@@ -5,22 +5,23 @@ head of 25 logits, the two heads in one product: 7 expression logits
 (EXPRESSIONS order), then 18 AU logits (AU_NAMES order). Weights are stored
 fan-in-major, as the products read them, and every trainable array is a
 view into one contiguous float vector, so gradients, AdamW moments and
-checkpoints share a single layout. Parameters are float64, except while
-training steps and evaluation run in float32 (TRAIN_DTYPE, which feature
-files hold); forward, backward and optimizer_step compute in their
-parameters' dtype. Each of the three checks its arguments and then runs its
-kernel (forward_kernel, backward_kernel, optimizer_step_kernel), which
-checks nothing and holds the one copy of the math; a training loop that has
-checked its data once calls the kernels. Gradients are written out by hand
-so they can be verified against finite differences. The optimizer is AdamW:
-the weight decay decoupled and applied first, as torch.optim.AdamW does, and
-the bias corrections folded into two scalars, as in the Adam paper's
-efficient form. Training is bit-reproducible.
+checkpoints share a single layout. Parameters are drawn and checkpointed
+in float64; training steps and evaluation run in float32 (TRAIN_DTYPE, which
+feature files hold), and trained parameters stay in it. forward, backward
+and optimizer_step compute in their parameters' dtype. forward and backward
+check their arguments and then run their kernel (forward_kernel,
+backward_kernel), which checks nothing and holds the one copy of the math;
+a training loop that has checked its data once calls the kernels and
+optimizer_step, which checks only finiteness. Gradients are written out by
+hand so they can be verified against finite differences. The optimizer is
+AdamW: the weight decay decoupled and applied first, as torch.optim.AdamW
+does, and the bias corrections folded into two scalars, as in the Adam
+paper's efficient form. Training is bit-reproducible.
 """
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,9 +39,6 @@ FEATURE_VERSION = 2
 # parameters, moments, batches, losses, gradients and predictions;
 # initialisation, checkpoints and gradient checks stay float64
 TRAIN_DTYPE = np.float32
-
-DEFAULT_FEATURE_DIM = 1024
-DEFAULT_HIDDEN = (128,)
 
 
 def param_layout(feature_dim, hidden):
@@ -70,7 +68,7 @@ class ModelParams:
     forward, backward and optimizer_step take a stack as they take one run.
     """
 
-    def __init__(self, feature_dim, hidden, seed=0, vector=None):
+    def __init__(self, feature_dim, hidden, seed, vector=None):
         self.feature_dim = feature_dim
         self.hidden = tuple(hidden)
         self.seed = seed
@@ -132,8 +130,7 @@ class OptimizerState:
     m and v are flat vectors in the parameter layout and dtype (R x P for a
     stack of R runs, which share the hyperparameters and the step count),
     allocated at the first step. optimizer_step keeps two work vectors of
-    the same shape in `scratch`, allocated with them; they hold no state,
-    and run() and astype() leave them out.
+    the same shape in `scratch`, allocated with them; they hold no state.
     """
 
     learning_rate: float = 1e-3
@@ -146,15 +143,6 @@ class OptimizerState:
     v: np.ndarray = None
     scratch: tuple = field(default=None, init=False, repr=False, compare=False)
 
-    def run(self, r):
-        """Run r's state in a stepped stack; its moments are views into the
-        stack's."""
-        return replace(self, m=self.m[r], v=self.v[r])
-
-    def astype(self, dtype):
-        """A copy of this stepped state with the moments cast to `dtype`."""
-        return replace(self, m=self.m.astype(dtype), v=self.v.astype(dtype))
-
 
 def _glorot(rng, fan_in, fan_out):
     """A fan_in x fan_out uniform fan-based draw, drawn fan-out-major."""
@@ -162,7 +150,7 @@ def _glorot(rng, fan_in, fan_out):
     return rng.uniform(-limit, limit, size=(fan_out, fan_in)).T
 
 
-def init_params(seed, feature_dim=DEFAULT_FEATURE_DIM, hidden=DEFAULT_HIDDEN):
+def init_params(seed, feature_dim, hidden):
     """Seeded uniform fan-based init; biases start at zero.
 
     Weights are drawn hidden layers first, then the head's expression block,
@@ -224,7 +212,7 @@ def forward_kernel(params, features):
     return logits[..., :NUM_EXPRESSIONS], logits[..., NUM_EXPRESSIONS:], activations
 
 
-def backward(params, features, d_expr, d_au, activations, out=None):
+def backward(params, features, d_expr, d_au, activations):
     """Exact gradients of the combined loss wrt every parameter.
 
     d_expr and d_au are the loss gradients at the two heads' logits; joined,
@@ -232,9 +220,8 @@ def backward(params, features, d_expr, d_au, activations, out=None):
     the activations forward(..., return_hidden=True) returned. Returns
     one flat gradient vector in the layout of params.vector
     (params.views(grad) names its parts); a stack takes R x N x ... batches
-    and returns R x P gradients. With `out`, a vector of params.vector's
-    shape and dtype, every entry of it is overwritten and it is returned.
-    Checks its arguments, then runs backward_kernel.
+    and returns R x P gradients. Checks its arguments, then runs
+    backward_kernel.
     """
     dtype = params.vector.dtype
     n = np.shape(features)[-2]
@@ -242,15 +229,11 @@ def backward(params, features, d_expr, d_au, activations, out=None):
         np.shape(d_au) != np.shape(d_expr)[:-1] + (NUM_AUS,)
     ):
         raise ContractError("head gradient shapes inconsistent with the batch")
-    if out is None:
-        out = np.empty_like(params.vector)
-    elif out.shape != params.vector.shape or out.dtype != dtype:
-        raise ContractError(f"gradient buffer of {out.dtype} {out.shape} does not "
-                            f"match {dtype} {params.vector.shape} parameters")
+    grads = np.empty_like(params.vector)
     d_head = np.concatenate([d_expr, d_au], axis=-1, dtype=dtype)
-    backward_kernel(params, d_head, activations, params.views(out),
+    backward_kernel(params, d_head, activations, params.views(grads),
                     np.ones(n, dtype=dtype))
-    return out
+    return grads
 
 
 def backward_kernel(params, d_head, activations, grads, ones):
@@ -288,37 +271,23 @@ def optimizer_step(params, grads, state):
     """One AdamW update with decoupled weight decay (in place), over the
     whole vector or stack at once.
 
-    grads is a flat vector in the layout of params.vector (R x P for a stack).
-    After the usual m and v updates, with c1 = 1 - beta1^t and
-    c2 = 1 - beta2^t, it decays first, as torch.optim.AdamW does, and folds
-    the bias corrections into two scalars, as the efficient form of the Adam
-    paper (Kingma and Ba, section 2) does:
+    grads is a flat vector in the layout, dtype and shape of params.vector
+    (R x P for a stack). After the usual m and v updates, with
+    c1 = 1 - beta1^t and c2 = 1 - beta2^t, it decays first, as
+    torch.optim.AdamW does, and folds the bias corrections into two
+    scalars, as the efficient form of the Adam paper (Kingma and Ba,
+    section 2) does:
         p *= 1 - lr * wd
         p -= (lr * sqrt(c2) / c1) * m / (sqrt(v) + eps * sqrt(c2))
     That is the textbook lr * m_hat / (sqrt(v_hat) + eps) in exact
     arithmetic, with one divide and no pass for m_hat or v_hat; its rounding
     differs in the last bits.
 
-    A non-finite gradient, or one whose square overflows the second moment,
-    raises NumericFailure naming the first array at fault (and its run, in
-    a stack) with params.vector untouched; state.m, state.v and state.step
-    may already have been updated. Checks the gradient's shape, then runs
-    optimizer_step_kernel.
+    Only finiteness is checked: a non-finite gradient, or one whose square
+    overflows the second moment, raises NumericFailure naming the first
+    array at fault (and its run, in a stack) with params.vector untouched;
+    state.m, state.v and state.step may already have been updated.
     """
-    p = params.vector
-    grads = np.asarray(grads, dtype=p.dtype)
-    if grads.shape != p.shape:
-        raise ContractError(
-            f"gradient of shape {grads.shape} does not match {p.shape} parameters"
-        )
-    optimizer_step_kernel(params, grads, state)
-    return params, state
-
-
-def optimizer_step_kernel(params, grads, state):
-    """optimizer_step (in place) on a gradient it would accept, in the
-    parameters' dtype and shape. Only the gradient and moments are checked,
-    for finiteness."""
     p = params.vector
     if state.m is None:
         state.m = np.zeros_like(p)

@@ -6,9 +6,9 @@ stores and feature files share this framing; each keeps its own magic and
 header fields.
 
 Neither direction copies the payload. A writer hands over the payload as
-one or more buffers (bytes or C-contiguous arrays), which are hashed and
-written piece by piece; a reader gets the file as one buffer, checks the
-digest over a view of it and receives the payload as a view into it.
+one buffer (bytes or a C-contiguous array), which is hashed and written as
+it is; a reader gets the file as one buffer, checks the digest over a view
+of it and receives the payload as a view into it.
 """
 
 import hashlib
@@ -25,16 +25,15 @@ DIGEST_SIZE = 32
 PAYLOAD_ALIGNMENT = 64
 
 
-def write_sealed(path, magic, header, *payload):
-    """Write header (a JSON-able dict) and the payload buffers (bytes or
-    C-contiguous arrays, concatenated in order) as one sealed file."""
+def write_sealed(path, magic, header, payload):
+    """Write header (a JSON-able dict) and the payload buffer (bytes or a
+    C-contiguous array) as one sealed file."""
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    views = [memoryview(buffer) for buffer in payload]
-    if not all(view.c_contiguous for view in views):
-        raise ValueError("sealed payload buffers must be C-contiguous")
-    payload_len = sum(view.nbytes for view in views)
+    view = memoryview(payload)
+    if not view.c_contiguous:
+        raise ValueError("sealed payload buffer must be C-contiguous")
     pieces = [magic, len(header_bytes).to_bytes(8, "little"), header_bytes,
-              payload_len.to_bytes(8, "little"), *views]
+              view.nbytes.to_bytes(8, "little"), view]
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
         for piece in pieces:

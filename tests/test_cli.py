@@ -199,6 +199,29 @@ def test_ingest_error_names_the_file(rows, message, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {bad}: {message}\n"
 
 
+# inputs, in order, of which the first and last share the video id v1
+SHARED_STEMS = {
+    "two_directories": ("a/v1.csv", "b/v1.csv"),
+    "top_and_nested": ("v1.csv", "a/v1.csv"),
+    "apart": ("a/v1.csv", "v2.csv", "b/v1.csv"),
+}
+
+
+@pytest.mark.parametrize("case", SHARED_STEMS)
+def test_ingest_rejects_two_inputs_of_one_video_id(tmp_path, capsys, case):
+    # both were once written to store/v1.frames, the second over the first,
+    # and the command exited 0
+    inputs = [tmp_path / name for name in SHARED_STEMS[case]]
+    for frames, path in enumerate(inputs, start=3):
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(openface_csv([{}] * frames))
+    store = tmp_path / "store"
+    assert run("ingest", *inputs, "--out", store) == EXIT_CONTRACT
+    assert capsys.readouterr().err == (
+        f"error: two inputs share the video id 'v1': {inputs[0]} and {inputs[-1]}\n")
+    assert not store.exists()
+
+
 def _train_scaled_features_in_child(synth_dirs, tmp_path, scale):
     """Exit code and stderr lines of `aukit train` on the training features
     times `scale`, and whether it wrote a checkpoint."""
@@ -663,6 +686,31 @@ def test_synth_gen_rejects_unknown_spec_key(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_synth_gen_flags_win_over_the_spec(tmp_path):
+    # --seed and --n were once ignored when the spec set seed or total
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"seed": 3, "total": 40}))
+
+    def features_digest(*argv):
+        out = tmp_path / f"out{len(os.listdir(tmp_path))}"
+        assert run("synth-gen", *argv, "--out", out) == EXIT_OK
+        return hashlib.sha256((out / "features.bin").read_bytes()).hexdigest()
+
+    spec_alone = features_digest("--spec", spec)
+    assert spec_alone == features_digest("--seed", 3, "--n", 40)
+    assert features_digest("--spec", spec, "--seed", 5) == (
+        features_digest("--seed", 5, "--n", 40)) != spec_alone
+    assert features_digest("--spec", spec, "--n", 30) == (
+        features_digest("--seed", 3, "--n", 30))
+
+
+def test_synth_gen_draws_2000_samples_unless_told(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"feature_dim": 2}))
+    assert run("synth-gen", "--spec", spec, "--out", tmp_path / "out") == EXIT_OK
+    assert load_features(tmp_path / "out" / "features.bin").shape == (2000, 2)
+
+
 # case -> (subcommand, option, file content, text the message must name)
 MALFORMED_JSON = {
     "config_not_an_object": ("train", "--config", "[1]", "JSON object"),
@@ -692,8 +740,8 @@ MALFORMED_JSON = {
     "config_weight_decay_negative_infinity": (
         "train", "--config", '{"weight_decay": -Infinity}',
         "weight_decay must be finite and >= 0, got -inf"),
-    "config_factor_nan": (
-        "train", "--config", '{"factor": NaN}', "factor must be finite and > 0"),
+    "config_factor_unknown": (
+        "train", "--config", '{"factor": 5.0}', "unknown config keys: ['factor']"),
     "spec_feature_dim_negative": (
         "synth-gen", "--spec", '{"feature_dim": -1}', "feature_dim must be >= 1"),
     "spec_anchor_scale_negative": (

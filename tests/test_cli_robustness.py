@@ -42,8 +42,7 @@ MESSAGE_PREFIXES = ("error:", "numeric failure:", "i/o error:")
 JSON_DOCUMENTS = {
     "config": {
         "lam": 0.3, "strategy": "global", "epochs": 1, "batch_size": 8,
-        "learning_rate": 0.01, "weight_decay": 0.05, "seed": 1, "hidden": [4, 3],
-        "factor": 5.0},
+        "learning_rate": 0.01, "weight_decay": 0.05, "seed": 1, "hidden": [4, 3]},
     "spec": {
         "total": 20, "class_proportions": [0.3, 0.2, 0.2, 0.1, 0.1, 0.05, 0.05],
         "au_noise_sd": 1.0, "feature_noise_sd": 2.0, "feature_dim": 6,

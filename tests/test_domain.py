@@ -9,8 +9,12 @@ from aukit.domain import (
     MAJOR_CLASSES,
     MAJOR_MASK,
     expression_index,
+    expression_labels,
     expression_name,
 )
+from aukit.harness import evaluate_predictions
+from aukit.labeling import PosWeightSpec, compute_pos_weights
+from aukit.losses import au_loss, expression_loss
 
 
 def test_expression_index_canonical_order():
@@ -32,6 +36,39 @@ def test_expression_index_rejects_unknown():
 def test_expression_roundtrip():
     for i in range(7):
         assert expression_index(expression_name(i)) == i
+
+
+def test_expression_labels_are_int64_in_range():
+    labels = expression_labels([[0, 6], [3, 1]])
+    assert labels.dtype == np.int64 and labels.tolist() == [[0, 6], [3, 1]]
+    assert expression_labels([]).shape == (0,)
+    for bad in ([0, -1], [7, 0]):
+        with pytest.raises(ContractError, match="^expression label out of range$"):
+            expression_labels(bad)
+
+
+# each function that takes expression labels, called on three of them with
+# every other argument valid
+LABEL_CALLERS = {
+    "evaluate_predictions": lambda labels: evaluate_predictions(labels, [0, 0, 0]),
+    "expression_loss": lambda labels: expression_loss(np.zeros((3, 7)), labels),
+    "au_loss": lambda labels: au_loss(
+        np.zeros((3, 18)), np.zeros((3, 18)), labels,
+        KnowledgeMatrix(values=np.ones((18, 7)), stage="loss-scaled"),
+        PosWeightSpec(strategy="none", values=np.ones((7, 18)))),
+    "compute_pos_weights": lambda labels: compute_pos_weights(
+        np.zeros((3, 18)), labels, "global"),
+}
+
+
+@pytest.mark.parametrize("label", [-1, 7])
+@pytest.mark.parametrize("caller", LABEL_CALLERS)
+def test_every_caller_rejects_a_label_out_of_range(caller, label):
+    # -1 would index class 6 (Fear) and 7 past the last class; each caller
+    # checks through expression_labels, with its one message
+    LABEL_CALLERS[caller]([0, 3, 6])
+    with pytest.raises(ContractError, match="^expression label out of range$"):
+        LABEL_CALLERS[caller]([0, 3, label])
 
 
 def test_au_ascending_order():

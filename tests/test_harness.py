@@ -27,7 +27,7 @@ from aukit.harness import (
 )
 from aukit import harness
 from aukit.labeling import STRATEGIES, compute_pos_weights
-from aukit.model import ModelParams, OptimizerState
+from aukit.model import TRAIN_DTYPE, ModelParams, OptimizerState
 from aukit.synth import SynthSpec, generate_dataset
 
 
@@ -160,7 +160,7 @@ BATCHES = 5
 
 # the unchecked functions each training step calls, at their harness names
 STEP_KERNELS = ("forward_kernel", "expression_loss_kernel", "au_loss_kernel",
-                "backward_kernel", "optimizer_step_kernel")
+                "backward_kernel", "optimizer_step")
 
 
 class TestTrain:
@@ -216,7 +216,7 @@ class TestTrain:
             assert np.array_equal(value, params_b.views(params_b.vector)[key])
 
     def test_trained_parameters_golden_hash(self):
-        # sha256 of the float64 parameter vector (sorted-name order) after a
+        # sha256 of the float64-cast parameter vector (sorted-name order) after a
         # seeded run, its steps in float32; re-recorded when training moved
         # from float64 to float32 steps, when the parameter layout became
         # fan-in-major with one fused head (new byte order, and the fused
@@ -228,7 +228,8 @@ class TestTrain:
             small_train_data(),
         )
         assert state.step == 15
-        assert hashlib.sha256(params.vector.tobytes()).hexdigest() == (
+        vector = params.vector.astype(np.float64)
+        assert hashlib.sha256(vector.tobytes()).hexdigest() == (
             "c6bbe70c313565d016da7d7eca115d4553e3d45e98b2359ba35b392bc1a9c1e3"
         )
 
@@ -263,7 +264,7 @@ class TestTrain:
         else:
             data.test_expr_labels = test.expr_labels[:-1]
         steps = []
-        monkeypatch.setattr(harness, "optimizer_step_kernel",
+        monkeypatch.setattr(harness, "optimizer_step",
                             lambda *args: steps.append(1) or args[::2])
         with pytest.raises(ContractError, match="test split"):
             train([TrainConfig(epochs=2, seed=0)], data)
@@ -281,7 +282,7 @@ class TestTrain:
         labels[-1] = label
         setattr(data, field, labels)
         steps = []
-        monkeypatch.setattr(harness, "optimizer_step_kernel",
+        monkeypatch.setattr(harness, "optimizer_step",
                             lambda *args: steps.append(1) or args[::2])
         with pytest.raises(ContractError, match="expression label out of range"):
             train([TrainConfig(epochs=2, seed=0)], data, every_epoch=True)
@@ -343,7 +344,7 @@ class TestTrain:
         data = small_train_data()
         data.au_labels = data.au_labels[:, :-1]
         steps = []
-        monkeypatch.setattr(harness, "optimizer_step_kernel",
+        monkeypatch.setattr(harness, "optimizer_step",
                             lambda *args: steps.append(1))
         with pytest.raises(ContractError, match="data shapes inconsistent"):
             train([TrainConfig(epochs=1, seed=0)], data)
@@ -367,14 +368,13 @@ class TestTrainStacked:
         stack, stack_state, logs = train(configs, data)
         assert len(logs) == len(configs)
         for r, (config, spec) in enumerate(zip(configs, pos_weights)):
-            params, state = stack.run(r), stack_state.run(r)
+            params = stack.run(r)
             alone, alone_state, _ = train([config], replace(data, pos_weights=spec))
-            alone, alone_state = alone.run(0), alone_state.run(0)
-            assert params.seed == alone.seed == config.seed
-            assert params.vector.tobytes() == alone.vector.tobytes()
-            assert state.step == alone_state.step
-            assert state.m.tobytes() == alone_state.m.tobytes()
-            assert state.v.tobytes() == alone_state.v.tobytes()
+            assert params.seed == alone.run(0).seed == config.seed
+            assert params.vector.tobytes() == alone.run(0).vector.tobytes()
+            assert stack_state.step == alone_state.step
+            assert stack_state.m[r].tobytes() == alone_state.m[0].tobytes()
+            assert stack_state.v[r].tobytes() == alone_state.v[0].tobytes()
 
     def test_strategies_with_one_seed_match_sequential(self):
         strategies = ("none", "global", "minor")
@@ -472,7 +472,7 @@ class TestEpochScores:
                    for seed in (0, 1)]
         stepped = threading.Condition()
         steps = []
-        step = harness.optimizer_step_kernel
+        step = harness.optimizer_step
 
         def counting_step(*args):
             result = step(*args)
@@ -488,7 +488,7 @@ class TestEpochScores:
                     assert stepped.wait_for(
                         lambda: len(steps) > (epoch + 1) * BATCHES, timeout=10)
 
-        monkeypatch.setattr(harness, "optimizer_step_kernel", counting_step)
+        monkeypatch.setattr(harness, "optimizer_step", counting_step)
         spy_evaluate(monkeypatch, before=after_next_epoch_steps)
         _, _, every = train(configs, data, every_epoch=True)
         monkeypatch.undo()
@@ -532,7 +532,7 @@ class TestScoringThread:
         # epoch 1 fails at its last step while epoch 0's scoring waits for it
         error = NumericFailure("non-finite gradient for head.w")
         failed = threading.Event()
-        step = harness.optimizer_step_kernel
+        step = harness.optimizer_step
         steps = []
 
         def failing_step(*args):
@@ -543,7 +543,7 @@ class TestScoringThread:
             return step(*args)
 
         spy_evaluate(monkeypatch, before=lambda call: failed.wait(timeout=10))
-        monkeypatch.setattr(harness, "optimizer_step_kernel", failing_step)
+        monkeypatch.setattr(harness, "optimizer_step", failing_step)
         count = threading.active_count()
         with pytest.raises(NumericFailure) as raised:
             train([TrainConfig(epochs=3, seed=0, hidden=(8,))], split_pair_data(),
@@ -657,15 +657,14 @@ class TestTrainingPrecision:
             np.dtype(np.float32)
         }
 
-    def test_train_returns_float64_holding_float32_values(self):
+    def test_train_returns_train_dtype(self):
         data = small_train_data()
         config = TrainConfig(epochs=2, seed=0, hidden=(8,))
         params, state, _ = train([config], data)
         stacked, stacked_state, _ = train([config, replace(config, seed=1)], data)
         for vector in (params.vector, state.m, state.v,
                        stacked.vector, stacked_state.m, stacked_state.v):
-            assert vector.dtype == np.float64
-            assert np.array_equal(vector, vector.astype(np.float32))
+            assert vector.dtype == TRAIN_DTYPE
 
     def test_features_beyond_float32_rejected_without_warning(self):
         data = small_train_data()

@@ -1,6 +1,8 @@
-"""Each public step function equals its kernel, bit for bit, on arguments it
+"""Each checked step function equals its kernel, bit for bit, on arguments it
 accepts, given to the kernel as the function prepares them: one run and a
-stack of runs, in float32 (training) and float64."""
+stack of runs, in float32 (training) and float64. optimizer_step, which has
+no checked twin, steps one run, or each run of a stack, as it steps that run
+in a stack of one."""
 
 import numpy as np
 import pytest
@@ -16,7 +18,6 @@ from aukit.model import (
     forward_kernel,
     init_params,
     optimizer_step,
-    optimizer_step_kernel,
     stack_params,
 )
 
@@ -115,13 +116,19 @@ def test_backward(rng, runs, dtype):
 @dtypes
 @runs
 def test_optimizer_step(rng, runs, dtype):
-    params, kernel_params = model_params(runs, dtype), model_params(runs, dtype)
-    state, kernel_state = OptimizerState(), OptimizerState()
-    for _ in range(3):
-        grads = normal(rng, params.vector.shape, dtype)
+    params, state = model_params(runs, dtype), OptimizerState()
+    steps = [normal(rng, params.vector.shape, dtype) for _ in range(3)]
+    for grads in steps:
         optimizer_step(params, grads, state)
-        optimizer_step_kernel(kernel_params, grads, kernel_state)
-    assert kernel_state.step == state.step == 3
-    for kernel_array, array in ((kernel_params.vector, params.vector),
-                                (kernel_state.m, state.m), (kernel_state.v, state.v)):
-        assert_same(kernel_array, array)
+    assert state.step == 3
+    for r in range(runs or 1):
+        alone = stack_params([init_params(r, feature_dim=FEATURES,
+                                          hidden=HIDDEN)]).astype(dtype)
+        alone_state = OptimizerState()
+        for grads in steps:
+            optimizer_step(alone, (grads if runs is None else grads[r])[None],
+                           alone_state)
+        at = () if runs is None else (r,)
+        for array, alone_array in ((params.vector, alone.vector),
+                                   (state.m, alone_state.m), (state.v, alone_state.v)):
+            assert_same(array[at], alone_array[0])

@@ -19,25 +19,33 @@ def sealed_bytes(header, payload):
     return body + hashlib.sha256(body).digest()
 
 
-def test_buffers_are_written_as_one_concatenated_payload(tmp_path):
-    header = {"b": [1, 2], "a": "x"}
-    buffers = [b"abc", np.arange(5.0), np.arange(6, dtype="<i4").reshape(2, 3),
-               np.zeros(2, dtype=[("i", "<i8"), ("f", "?", (3,))])]
-    path = tmp_path / "s.bin"
-    write_sealed(path, MAGIC, header, *buffers)
-    payload = b"".join(b if isinstance(b, bytes) else b.tobytes() for b in buffers)
-    assert path.read_bytes() == sealed_bytes(header, payload)
-    read_header, read_payload = read_sealed(path, MAGIC, "test file")
-    assert read_header == header
-    assert isinstance(read_payload, memoryview) and read_payload == payload
-
-
 @pytest.mark.parametrize("payload", [b"", b"one bytes object"])
 def test_one_or_no_buffer(tmp_path, payload):
     path = tmp_path / "s.bin"
-    write_sealed(path, MAGIC, {}, *([payload] if payload else []))
+    write_sealed(path, MAGIC, {}, payload)
     assert path.read_bytes() == sealed_bytes({}, payload)
     assert read_sealed(path, MAGIC, "test file") == ({}, payload)
+
+
+# the arrays a writer may pass: a flat vector, a 2-d table, records, nothing
+ARRAY_PAYLOADS = {
+    "float64": np.arange(5.0),
+    "int32_2d": np.arange(6, dtype="<i4").reshape(2, 3),
+    "records": np.zeros(2, dtype=[("i", "<i8"), ("f", "?", (3,))]),
+    "empty": np.zeros(0, dtype=np.uint8),
+}
+
+
+@pytest.mark.parametrize("kind", ARRAY_PAYLOADS)
+def test_array_payload_is_written_as_its_bytes(tmp_path, kind):
+    array = ARRAY_PAYLOADS[kind]
+    header = {"b": [1, 2], "a": "x"}
+    path = tmp_path / "s.bin"
+    write_sealed(path, MAGIC, header, array)
+    assert path.read_bytes() == sealed_bytes(header, array.tobytes())
+    read_header, payload = read_sealed(path, MAGIC, "test file")
+    assert read_header == header
+    assert isinstance(payload, memoryview) and payload == array.tobytes()
 
 
 def test_non_contiguous_buffer_rejected_before_writing(tmp_path):

@@ -109,8 +109,12 @@ def test_matrix_round_trip(tmp_path):
 # moved to aukit.tables; epochs.csv and embeddings.csv re-recorded when the
 # expression and AU heads became one fused product, and again when AdamW
 # folded its bias corrections into two scalars: each time the float32 losses
-# and embeddings differ in the last bits (every accuracy column is unchanged)
+# and embeddings differ in the last bits (every accuracy column is unchanged).
+# The feature file and the checkpoint, recorded later, pin the sealed binary
+# outputs across commits as well
 TRAINING_GOLDEN = {
+    "train/features.bin":
+        "0e903705629912bb3671a00d12f53c39cbcd8a7d05bb48c032162dc17dbe02f2",
     "train/expression_labels.csv":
         "701597b163b5c639e5ec3b1e7baac91b6cec5cf380f86ea8500cd3748f537e9e",
     "train/au_labels.csv":
@@ -119,6 +123,8 @@ TRAINING_GOLDEN = {
         "09ba21bd37a6a7e149764f16ac7be57829f029556262d978a1aa989703f73f9e",
     "train/knowledge.csv.support.csv":
         "24de3c7695d271fb1198c13b7f210453800fd6f6064e6bd6aa5f1e06f3c72472",
+    "run/checkpoint.bin":
+        "87b7ac33d33471691b20a474cdf9cc072838f26b42437e72081f167fde17e39d",
     "run/epochs.csv":
         "b69e440a6d21bd7cae884675b60cc3ba5e79f04fff52580ab76400d16543aed7",
     "eval/metrics.csv":
