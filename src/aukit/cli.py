@@ -67,8 +67,6 @@ def _load_json_fields(path, cls, what):
     for key, value in values.items():
         if value is None and declared[key].default is None:
             continue
-        if declared[key].type not in _JSON_FIELD_TYPES:
-            raise ContractError(f"{what} key {key!r} cannot be set from JSON")
         accepts, convert, expected = _JSON_FIELD_TYPES[declared[key].type]
         if not accepts(value):
             raise ContractError(
@@ -250,6 +248,9 @@ def _load_dataset_dir(path):
     if len(table) != len(expr_labels):
         raise ContractError(f"{path}: au_labels.csv has {len(table)} rows, "
                             f"expression_labels.csv {len(expr_labels)}")
+    if len(features) != len(expr_labels):
+        raise ContractError(f"{path}: features.bin has {len(features)} rows, "
+                            f"the label files {len(expr_labels)}")
     differ = np.flatnonzero(table["expression"] != expr_labels)
     if differ.size:
         raise ContractError(f"{path}: au_labels.csv and expression_labels.csv "

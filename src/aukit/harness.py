@@ -44,6 +44,10 @@ SHARED_FIELDS = ("hidden", "epochs", "batch_size", "learning_rate", "weight_deca
 # the header of a confusion table: rows are true classes, columns predicted
 CONFUSION_HEADER = ("true", *EXPRESSIONS)
 
+# the heatmap's cell side and axis-label margin, in SVG pixels
+SVG_CELL = 48
+SVG_MARGIN = 72
+
 
 @dataclass
 class TrainConfig:
@@ -94,7 +98,6 @@ class EvalReport:
     per_class_recall: np.ndarray  # 7; NaN for unpopulated classes
     war: float
     uar: float
-    samples: int
 
 
 @dataclass
@@ -144,7 +147,6 @@ def report_from_confusion(confusion):
         per_class_recall=recalls,
         war=float(np.diag(confusion).sum() / confusion.sum()),
         uar=float(np.nanmean(recalls[populated])),
-        samples=int(confusion.sum()),
     )
 
 
@@ -272,8 +274,9 @@ def train(configs, data, every_epoch=False):
     r's EpochLogs.
     Raises NumericFailure on features outside TRAIN_DTYPE's range, or a
     non-finite loss, gradient or optimizer moment, and ContractError on
-    inconsistent shapes or an expression label outside 0..6, before the
-    first step; an error raised while scoring propagates unchanged.
+    inconsistent shapes, an expression label outside 0..6 or knowledge that
+    is not a loss-scaled KnowledgeMatrix, before the first step; an error
+    raised while scoring propagates unchanged.
     """
     if not configs:
         raise ContractError("no runs to train")
@@ -371,12 +374,11 @@ def write_metric_rows(rows, path, key_column):
     )
 
 
-def export_confusion(report, csv_path, svg_path=None):
-    """Emit the 7x7 confusion matrix as CSV and (optionally) an SVG heatmap."""
+def export_confusion(report, csv_path, svg_path):
+    """Emit the 7x7 confusion matrix as CSV and as an SVG heatmap."""
     write_matrix(csv_path, EXPRESSIONS, report.confusion, CONFUSION_HEADER,
                  meta=("aukit confusion v1 rows=true cols=predicted",))
-    if svg_path is not None:
-        write_confusion_svg(report, svg_path)
+    write_confusion_svg(report, svg_path)
 
 
 def read_confusion_csv(path):
@@ -386,9 +388,9 @@ def read_confusion_csv(path):
     return confusion
 
 
-def write_confusion_svg(report, path, cell=48, margin=72):
+def write_confusion_svg(report, path):
     """Self-contained heatmap: exactly 49 value cells and 14 axis labels."""
-    size = margin + NUM_EXPRESSIONS * cell + 16
+    size = SVG_MARGIN + NUM_EXPRESSIONS * SVG_CELL + 16
     peak = max(1, int(report.confusion.max()))
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}">'
@@ -399,22 +401,23 @@ def write_confusion_svg(report, path, cell=48, margin=72):
             intensity = value / peak
             red = 255
             other = int(round(255 * (1.0 - intensity)))
-            x = margin + j * cell
-            y = margin + i * cell
+            x = SVG_MARGIN + j * SVG_CELL
+            y = SVG_MARGIN + i * SVG_CELL
             parts.append(
-                f'<rect class="cell" x="{x}" y="{y}" width="{cell}" height="{cell}" '
+                f'<rect class="cell" x="{x}" y="{y}" '
+                f'width="{SVG_CELL}" height="{SVG_CELL}" '
                 f'fill="rgb({red},{other},{other})" stroke="#444">'
                 f"<title>{EXPRESSIONS[i]} as {EXPRESSIONS[j]}: {value}</title></rect>"
             )
     for idx, name in enumerate(EXPRESSIONS):
-        x = margin + idx * cell + cell // 2
+        x = SVG_MARGIN + idx * SVG_CELL + SVG_CELL // 2
         parts.append(
-            f'<text class="axis-label" x="{x}" y="{margin - 8}" '
+            f'<text class="axis-label" x="{x}" y="{SVG_MARGIN - 8}" '
             f'text-anchor="middle" font-size="11">{name}</text>'
         )
-        y = margin + idx * cell + cell // 2 + 4
+        y = SVG_MARGIN + idx * SVG_CELL + SVG_CELL // 2 + 4
         parts.append(
-            f'<text class="axis-label" x="{margin - 8}" y="{y}" '
+            f'<text class="axis-label" x="{SVG_MARGIN - 8}" y="{y}" '
             f'text-anchor="end" font-size="11">{name}</text>'
         )
     parts.append("</svg>")
@@ -424,13 +427,17 @@ def write_confusion_svg(report, path, cell=48, margin=72):
 
 def export_embeddings(params, features, labels, path):
     """Per-sample embeddings plus labels, for external projection tools;
-    computed in TRAIN_DTYPE, as predictions are."""
+    computed in TRAIN_DTYPE, as predictions are. Labels outside 0..6, or
+    not one per feature row, are a ContractError."""
+    labels = expression_labels(labels)
+    if labels.shape != np.shape(features)[:1]:
+        raise ContractError(f"{labels.size} labels for {len(features)} feature rows")
     _, _, embeddings = _forward_in_train_dtype(params, features)
     width = embeddings.shape[1]
     write_table(
         path,
         ([EXPRESSIONS[label], *row] for label, row in zip(
-            np.asarray(labels, dtype=np.int64).tolist(), embeddings.tolist())),
+            labels.tolist(), embeddings.tolist())),
         ("label", *(f"e{k}" for k in range(width))),
         meta=(f"aukit embeddings v1 width={width}",),
     )

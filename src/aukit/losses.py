@@ -66,8 +66,8 @@ def expression_loss(expr_logits, labels, factor=EXPRESSION_FACTOR):
     if np.shape(labels) != expr_logits.shape[:-1]:
         raise ContractError("labels must be a length-N vector")
     labels = expression_labels(labels)
-    if factor <= 0:
-        raise ContractError("factor must be > 0")
+    if not 0 < factor < math.inf:  # nan fails too
+        raise ContractError(f"factor must be finite and > 0, got {factor}")
     return expression_loss_kernel(expr_logits, labels, factor)
 
 
@@ -95,11 +95,12 @@ def expression_loss_kernel(expr_logits, labels, factor=EXPRESSION_FACTOR):
 
 
 def loss_knowledge(knowledge):
-    """The 18 x 7 values of a loss-scaled knowledge matrix; ContractError for
-    a matrix of any other stage."""
-    if knowledge.stage != "loss-scaled":
+    """The 18 x 7 values of a loss-scaled KnowledgeMatrix; ContractError for
+    a matrix of any other stage, or anything else (such as its bare values)."""
+    stage = getattr(knowledge, "stage", type(knowledge).__name__)
+    if stage != "loss-scaled":
         raise ContractError(
-            f"au_loss expects a loss-scaled knowledge matrix, got {knowledge.stage!r}"
+            f"au_loss expects a loss-scaled knowledge matrix, got {stage!r}"
         )
     return knowledge.values
 
@@ -114,9 +115,9 @@ def au_loss(au_logits, au_labels, expr_labels, knowledge, pos_weights):
     the combined objective's N-normalised form. Returns (scalar, gradient
     wrt logits).
     A stack of R runs passes R x N x ... batches and R x 7 x 18 pos-weights
-    and gets R losses. `knowledge` is a loss-scaled KnowledgeMatrix or its
-    18 x 7 values (see loss_knowledge), `pos_weights` a PosWeightSpec or its
-    values. Checks its arguments, then runs au_loss_kernel.
+    and gets R losses. `knowledge` is a loss-scaled KnowledgeMatrix (see
+    loss_knowledge), `pos_weights` a PosWeightSpec or its values. Checks its
+    arguments, then runs au_loss_kernel.
     """
     au_logits = float_array(au_logits)
     au_labels = np.asarray(au_labels, dtype=au_logits.dtype)
@@ -128,11 +129,7 @@ def au_loss(au_logits, au_labels, expr_labels, knowledge, pos_weights):
         raise ContractError("expr_labels must be a length-N vector")
     # a label of -1 would gather class 6's weights, one of 7 an IndexError
     expr_labels = expression_labels(expr_labels)
-    if hasattr(knowledge, "stage"):
-        knowledge = loss_knowledge(knowledge)
-    knowledge = np.asarray(knowledge, dtype=au_logits.dtype)
-    if knowledge.shape != (NUM_AUS, NUM_EXPRESSIONS):
-        raise ContractError(f"knowledge must be {NUM_AUS}x{NUM_EXPRESSIONS}")
+    knowledge = np.asarray(loss_knowledge(knowledge), dtype=au_logits.dtype)
 
     pw_values = pos_weights.values if hasattr(pos_weights, "values") else pos_weights
     pw_values = np.asarray(pw_values, dtype=au_logits.dtype)

@@ -40,6 +40,11 @@ FEATURE_VERSION = 2
 # initialisation, checkpoints and gradient checks stay float64
 TRAIN_DTYPE = np.float32
 
+# AdamW's moment decay rates and denominator offset: torch.optim.AdamW's defaults
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 def param_layout(feature_dim, hidden):
     """name -> (offset, shape) of every trainable array, in sorted-name order."""
@@ -125,7 +130,7 @@ def stack_params(runs):
 
 @dataclass
 class OptimizerState:
-    """Moment accumulators and hyperparameters for the adaptive update.
+    """Moment accumulators, learning rate and weight decay of the AdamW update.
 
     m and v are flat vectors in the parameter layout and dtype (R x P for a
     stack of R runs, which share the hyperparameters and the step count),
@@ -134,9 +139,6 @@ class OptimizerState:
     """
 
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.05
     step: int = 0
     m: np.ndarray = None
@@ -273,12 +275,12 @@ def optimizer_step(params, grads, state):
 
     grads is a flat vector in the layout, dtype and shape of params.vector
     (R x P for a stack). After the usual m and v updates, with
-    c1 = 1 - beta1^t and c2 = 1 - beta2^t, it decays first, as
+    c1 = 1 - ADAM_BETA1^t and c2 = 1 - ADAM_BETA2^t, it decays first, as
     torch.optim.AdamW does, and folds the bias corrections into two
     scalars, as the efficient form of the Adam paper (Kingma and Ba,
     section 2) does:
         p *= 1 - lr * wd
-        p -= (lr * sqrt(c2) / c1) * m / (sqrt(v) + eps * sqrt(c2))
+        p -= (lr * sqrt(c2) / c1) * m / (sqrt(v) + ADAM_EPS * sqrt(c2))
     That is the textbook lr * m_hat / (sqrt(v_hat) + eps) in exact
     arithmetic, with one divide and no pass for m_hat or v_hat; its rounding
     differs in the last bits.
@@ -299,16 +301,16 @@ def optimizer_step(params, grads, state):
     lr = state.learning_rate
     # Python floats: a numpy float64 scalar would run the in-place float32
     # operations below through float64
-    c2_root = math.sqrt(1.0 - state.beta2 ** t)
+    c2_root = math.sqrt(1.0 - ADAM_BETA2 ** t)
     m, v = state.m, state.v
     update, scratch = state.scratch
 
-    m *= state.beta1
-    np.multiply(grads, 1.0 - state.beta1, out=update)
+    m *= ADAM_BETA1
+    np.multiply(grads, 1.0 - ADAM_BETA1, out=update)
     m += update
-    v *= state.beta2
+    v *= ADAM_BETA2
     with np.errstate(over="ignore"):  # an overflow fails the check below
-        np.multiply(grads, 1.0 - state.beta2, out=update)
+        np.multiply(grads, 1.0 - ADAM_BETA2, out=update)
         update *= grads
         v += update
     # a nan or infinite gradient makes v so too, and v >= 0 holds no -inf, so
@@ -317,9 +319,9 @@ def optimizer_step(params, grads, state):
         _check_finite(params, grads, "gradient")
         _check_finite(params, v, "second moment (gradient too large)")
     np.sqrt(v, out=scratch)
-    scratch += state.eps * c2_root
+    scratch += ADAM_EPS * c2_root
     np.divide(m, scratch, out=update)
-    update *= lr * c2_root / (1.0 - state.beta1 ** t)
+    update *= lr * c2_root / (1.0 - ADAM_BETA1 ** t)
     p *= 1.0 - lr * state.weight_decay
     p -= update
 
@@ -332,8 +334,12 @@ def save_checkpoint(params, path):
     itself (copied only if it is in another dtype or not contiguous). No
     optimizer state is kept: no command resumes training. Deliberately not
     np.savez: zip entries carry timestamps, which would break bit-identical
-    checkpoints across reruns.
+    checkpoints across reruns. A stack of runs is a ContractError: save
+    each run (params.run(r)) on its own.
     """
+    if params.vector.ndim != 1:
+        raise ContractError("a checkpoint holds one run, not a stack of "
+                            f"{len(params.vector)}; save params.run(r)")
     header = {
         "version": CHECKPOINT_VERSION,
         "seed": params.seed,

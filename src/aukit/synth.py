@@ -53,14 +53,12 @@ def default_ground_truth():
 
 @dataclass
 class SynthSpec:
-    """Parameters of one generated dataset."""
+    """Parameters of one generated dataset; its AU structure always follows
+    default_ground_truth()."""
 
     total: int
     class_proportions: np.ndarray = field(
         default_factory=lambda: np.array(DEFAULT_PROPORTIONS)
-    )
-    ground_truth_knowledge: KnowledgeMatrix = field(
-        default_factory=default_ground_truth
     )
     au_noise_sd: float = 1.5
     feature_noise_sd: float = 3.5
@@ -89,8 +87,6 @@ class SynthSpec:
                    (self.au_noise_sd, self.feature_noise_sd, self.anchor_scale)):
             raise ContractError("au_noise_sd, feature_noise_sd and anchor_scale "
                                 "must be finite and >= 0")
-        if self.ground_truth_knowledge.stage != "loss-scaled":
-            raise ContractError("ground-truth knowledge must be loss-scaled")
 
 
 @dataclass
@@ -116,7 +112,8 @@ def largest_remainder_counts(proportions, total):
 def generate_dataset(spec):
     """Deterministic imbalanced dataset from one seed."""
     counts = largest_remainder_counts(spec.class_proportions, spec.total)
-    g = spec.ground_truth_knowledge.values  # 18 x 7
+    truth = default_ground_truth()
+    g = truth.values  # 18 x 7
 
     # anchors and the AU-to-feature mixing map are fixed by the seed but drawn
     # from a separate stream so sample noise never shifts them
@@ -162,5 +159,5 @@ def generate_dataset(spec):
         features=features,
         expr_labels=expr_labels,
         au_presence=au_presence,
-        knowledge=spec.ground_truth_knowledge,
+        knowledge=truth,
     )

@@ -6,13 +6,24 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import aukit
-from aukit.cli import EXIT_CONTRACT, EXIT_IO, EXIT_NUMERIC, EXIT_OK, build_parser, main
+from aukit.cli import (
+    _JSON_FIELD_TYPES,
+    EXIT_CONTRACT,
+    EXIT_IO,
+    EXIT_NUMERIC,
+    EXIT_OK,
+    build_parser,
+    main,
+)
+from aukit.harness import TrainConfig
 from aukit.model import load_features, save_features
+from aukit.synth import SynthSpec
 
 from conftest import openface_csv
 
@@ -425,6 +436,29 @@ def test_export_embeddings_command(synth_dirs, tmp_path):
     assert (out / "embeddings.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "eval", "export-embeddings"])
+def test_feature_rows_must_match_the_label_files(command, synth_dirs, tmp_path,
+                                                 capsys):
+    # 5 extra feature rows once trained, evaluated or exported 250 rows
+    # without naming the mismatch
+    train_dir, _ = synth_dirs
+    data = _with_features(train_dir, tmp_path / "data",
+                          lambda f: np.concatenate([f, f[:5]]))
+    argv = [command, "--data", data, "--out", tmp_path / "out"]
+    if command == "train":
+        argv += ["--epochs", 1]
+    else:
+        assert run("train", "--data", train_dir, "--epochs", 1,
+                   "--out", tmp_path / "run") == EXIT_OK
+        argv += ["--checkpoint", tmp_path / "run" / "checkpoint.bin"]
+    capsys.readouterr()
+    assert run(*argv) == EXIT_CONTRACT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"{data}: features.bin has 255 rows, the label files 250" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_contract_error_exit_code(synth_dirs, tmp_path):
     train_dir, _ = synth_dirs
     assert run("train", "--data", train_dir, "--lam", 2.0,
@@ -758,6 +792,13 @@ MALFORMED_JSON = {
         '{"class_proportions": [NaN, 0.2, 0.2, 0.1, 0.1, 0.05, 0.05]}',
         "class proportions must be nonnegative"),
 }
+
+
+@pytest.mark.parametrize("cls", [TrainConfig, SynthSpec])
+def test_every_json_field_type_converts(cls):
+    # _load_json_fields looks each field's type up in _JSON_FIELD_TYPES
+    # unguarded, so a field of another type would escape as a KeyError
+    assert {f.type for f in fields(cls)} <= set(_JSON_FIELD_TYPES)
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_JSON))

@@ -96,7 +96,7 @@ def corpus(tmp_path_factory):
     assert run("pos-weights", "--labels", data / "au_labels.csv", "--strategy",
                "global", "--out", data)[0] == EXIT_OK
     export_confusion(report_from_confusion(np.arange(49).reshape(7, 7)),
-                     data / "confusion.csv")
+                     data / "confusion.csv", data / "confusion.svg")
     (data / "config.json").write_text(json.dumps(JSON_DOCUMENTS["config"]))
     (data / "spec.json").write_text(json.dumps(JSON_DOCUMENTS["spec"]))
     files.update({

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,10 @@ from aukit.domain import (
     expression_labels,
     expression_name,
 )
-from aukit.harness import evaluate_predictions
+from aukit.harness import evaluate_predictions, export_embeddings
 from aukit.labeling import PosWeightSpec, compute_pos_weights
 from aukit.losses import au_loss, expression_loss
+from aukit.model import init_params
 
 
 def test_expression_index_canonical_order():
@@ -58,6 +61,9 @@ LABEL_CALLERS = {
         PosWeightSpec(strategy="none", values=np.ones((7, 18)))),
     "compute_pos_weights": lambda labels: compute_pos_weights(
         np.zeros((3, 18)), labels, "global"),
+    "export_embeddings": lambda labels: export_embeddings(
+        init_params(0, feature_dim=4, hidden=(2,)), np.zeros((3, 4)), labels,
+        os.devnull),
 }
 
 

@@ -27,6 +27,7 @@ from aukit.harness import (
 )
 from aukit import harness
 from aukit.labeling import STRATEGIES, compute_pos_weights
+from aukit.losses import au_loss
 from aukit.model import TRAIN_DTYPE, ModelParams, OptimizerState
 from aukit.synth import SynthSpec, generate_dataset
 
@@ -55,7 +56,8 @@ def assert_logs_equal(got, expected):
             assert np.array_equal(a.confusion, b.confusion)
             assert np.array_equal(a.per_class_recall, b.per_class_recall,
                                   equal_nan=True)
-            assert (a.war, a.uar, a.samples) == (b.war, b.uar, b.samples)
+            assert (a.war, a.uar, a.confusion.sum()) == (
+                b.war, b.uar, b.confusion.sum())
 
 
 def small_train_data(seed=0, total=300, **spec_overrides):
@@ -89,7 +91,7 @@ class TestEvaluate:
         assert report.uar == pytest.approx(0.85, abs=1e-12)
         assert report.confusion[0, 0] == 8 and report.confusion[0, 1] == 2
         assert report.confusion[1, 0] == 1 and report.confusion[1, 1] == 9
-        assert report.samples == 20
+        assert report.confusion.sum() == 20
         assert np.isnan(report.per_class_recall[2:]).all()
 
     def test_matches_brute_force_on_random_pairs(self, rng):
@@ -133,8 +135,8 @@ class TestEvaluate:
         assert np.array_equal(again.confusion, report.confusion)
         assert np.array_equal(again.per_class_recall, report.per_class_recall,
                               equal_nan=True)
-        assert (again.war, again.uar, again.samples) == (
-            report.war, report.uar, report.samples)
+        assert (again.war, again.uar, again.confusion.sum()) == (
+            report.war, report.uar, report.confusion.sum())
 
     @pytest.mark.parametrize("counts, message", [
         (np.where(np.eye(NUM_EXPRESSIONS, dtype=bool), -1, 3), ">= 0"),
@@ -286,6 +288,23 @@ class TestTrain:
                             lambda *args: steps.append(1) or args[::2])
         with pytest.raises(ContractError, match="expression label out of range"):
             train([TrainConfig(epochs=2, seed=0)], data, every_epoch=True)
+        assert steps == []
+
+    @pytest.mark.parametrize("caller", ["au_loss", "train"])
+    def test_raw_knowledge_array_rejected(self, caller, monkeypatch):
+        # a bare 18 x 7 table skips the loss-scaled stage check: au_loss
+        # weighted by it unscaled, and train escaped with an AttributeError
+        data = replace(small_train_data(), knowledge=np.full((18, 7), 0.5))
+        steps = []
+        monkeypatch.setattr(harness, "optimizer_step",
+                            lambda *args: steps.append(1) or args[::2])
+        message = "^au_loss expects a loss-scaled knowledge matrix, got 'ndarray'$"
+        with pytest.raises(ContractError, match=message):
+            if caller == "au_loss":
+                au_loss(np.zeros((3, 18)), np.zeros((3, 18)), [0, 3, 6],
+                        data.knowledge, data.pos_weights)
+            else:
+                train([TrainConfig(epochs=1, seed=0)], data)
         assert steps == []
 
     def test_empty_dataset_rejected(self):
@@ -441,7 +460,7 @@ class TestTrainStacked:
 
     def test_no_test_split_logs_none(self):
         _, _, ((log,),) = train([TrainConfig(epochs=1, seed=0)], small_train_data())
-        assert log.test is None and log.train.samples == 300
+        assert log.test is None and log.train.confusion.sum() == 300
 
 
 def spy_evaluate(monkeypatch, before=None):
@@ -757,7 +776,7 @@ class TestArtifacts:
     def test_confusion_csv_round_trip(self, tmp_path, rng):
         report = self.make_report(rng)
         path = tmp_path / "confusion.csv"
-        export_confusion(report, path)
+        export_confusion(report, path, tmp_path / "confusion.svg")
         assert np.array_equal(read_confusion_csv(path), report.confusion)
 
     def test_svg_cell_and_label_counts(self, tmp_path, rng):
@@ -779,6 +798,16 @@ class TestArtifacts:
         first = lines[2].split(",")
         assert first[0] in EXPRESSIONS
         assert len(first) == 1 + width
+
+    def test_embeddings_need_one_label_per_feature_row(self, tmp_path):
+        # zip once wrote the 10 labelled rows of 100 without an error
+        data = small_train_data(total=100)
+        params, _, _ = train([TrainConfig(epochs=1, seed=0)], data)
+        path = tmp_path / "embeddings.csv"
+        with pytest.raises(ContractError, match="^10 labels for 100 feature rows$"):
+            export_embeddings(params.run(0), data.features, data.expr_labels[:10],
+                              path)
+        assert not path.exists()
 
     def test_embeddings_deterministic(self, tmp_path):
         data = small_train_data(total=60)

@@ -279,6 +279,10 @@ def test_video_labels_csv_names_the_line_of_an_unknown_expression(tmp_path):
     (np.zeros((2, 18)), [0], "N x 18"),
     (np.zeros((0, 18)), [], "N >= 1"),
     (np.zeros((2, 18)), [0, 7], "out of range"),
+    # astype(int64) once truncated 0.5 to 0: class 0 got the no-positives weight
+    (np.repeat([[0.5], [0.5], [0.0], [0.0]], 18, axis=1), [0, 0, 0, 0],
+     r"^AU labels must be 0 or 1, got 0\.5$"),
+    (np.full((2, 18), 2), [0, 0], "^AU labels must be 0 or 1, got 2$"),
 ])
 def test_pos_weight_label_columns_checked(au_labels, expr_labels, message):
     for strategy in STRATEGIES:

@@ -55,6 +55,13 @@ class TestExpressionLoss:
         with pytest.raises(ContractError):
             expression_loss(np.zeros((1, 7)), np.array([7]))
 
+    @pytest.mark.parametrize("factor", [0.0, math.nan, math.inf])
+    def test_factor_must_be_finite_and_positive(self, factor):
+        # a nan factor once gave a nan loss
+        with pytest.raises(ContractError,
+                           match=f"^factor must be finite and > 0, got {factor}$"):
+            expression_loss(np.zeros((1, 7)), np.array([0]), factor=factor)
+
     def test_gradient_matches_finite_differences(self, rng):
         labels = rng.integers(0, 7, size=8)
 

@@ -9,6 +9,9 @@ import pytest
 from aukit.domain import ContractError, NumericFailure
 from aukit.losses import au_loss, combined_loss, expression_loss
 from aukit.model import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     CHECKPOINT_MAGIC,
     FEATURE_MAGIC,
     TRAIN_DTYPE,
@@ -45,14 +48,14 @@ def reference_optimizer_step(tensors, grads, state):
             state.v[name] = np.zeros_like(p)
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        m_hat = m / (1.0 - state.beta1 ** t)
-        v_hat = v / (1.0 - state.beta2 ** t)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        m_hat = m / (1.0 - ADAM_BETA1 ** t)
+        v_hat = v / (1.0 - ADAM_BETA2 ** t)
         p -= lr * state.weight_decay * p
-        p -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def per_tensor_optimizer_step(tensors, grads, state):
@@ -61,18 +64,18 @@ def per_tensor_optimizer_step(tensors, grads, state):
     reference_optimizer_step."""
     state.step += 1
     t = state.step
-    c2_root = math.sqrt(1.0 - state.beta2 ** t)
-    step_size = state.learning_rate * c2_root / (1.0 - state.beta1 ** t)
+    c2_root = math.sqrt(1.0 - ADAM_BETA2 ** t)
+    step_size = state.learning_rate * c2_root / (1.0 - ADAM_BETA1 ** t)
     for name, p in tensors.items():
         g = grads[name]
         m = state.m.setdefault(name, np.zeros_like(p))
         v = state.v.setdefault(name, np.zeros_like(p))
-        m *= state.beta1
-        m += g * (1.0 - state.beta1)
-        v *= state.beta2
-        v += g * (1.0 - state.beta2) * g
+        m *= ADAM_BETA1
+        m += g * (1.0 - ADAM_BETA1)
+        v *= ADAM_BETA2
+        v += g * (1.0 - ADAM_BETA2) * g
         p *= 1.0 - state.learning_rate * state.weight_decay
-        p -= m / (np.sqrt(v) + state.eps * c2_root) * step_size
+        p -= m / (np.sqrt(v) + ADAM_EPS * c2_root) * step_size
 
 
 class TestInitParams:
@@ -461,6 +464,18 @@ class TestCheckpoint:
         loaded_params = load_checkpoint(path)
         assert (loaded_params.feature_dim, loaded_params.hidden) == (6, (3,))
         assert loaded_params.vector.tobytes() == params.vector.tobytes()
+
+    def test_stack_rejected_before_the_file_is_opened(self, tmp_path):
+        # a 2-run stack once wrote a file that load_checkpoint rejected for
+        # its tuple seed
+        stack = stack_params([init_params(seed, feature_dim=6, hidden=(3,))
+                              for seed in (0, 1)])
+        path = tmp_path / "ckpt.bin"
+        with pytest.raises(ContractError, match="not a stack of 2"):
+            save_checkpoint(stack, path)
+        assert not path.exists()
+        save_checkpoint(stack.run(1), path)
+        assert load_checkpoint(path).seed == 1
 
     def test_holds_only_the_parameters(self, tmp_path):
         # the wide shape: 134 425 float64 parameters and a header, no moments

@@ -56,7 +56,7 @@ def test_different_seeds_differ():
 def test_noiseless_presence_is_thresholded_ground_truth():
     spec = SynthSpec(total=140, au_noise_sd=0.0, feature_noise_sd=0.0, seed=3)
     dataset = generate_dataset(spec)
-    g = spec.ground_truth_knowledge.values
+    g = dataset.knowledge.values
     for c in range(7):
         members = dataset.au_presence[dataset.expr_labels == c]
         expected = (g[:, c] >= 2.5).astype(int)
@@ -91,7 +91,7 @@ def test_knowledge_closure_argmax_recovery():
     for i in range(spec.total):
         latent = np.zeros(17)
         # reconstruct the intensity view (17 AUs, skipping AU28)
-        g_col = spec.ground_truth_knowledge.values[:, dataset.expr_labels[i]]
+        g_col = dataset.knowledge.values[:, dataset.expr_labels[i]]
         keep = [j for j in range(18) if j != AU28_INDEX]
         latent[:] = np.clip(g_col[keep], 0, 5)
         records.append(
@@ -103,7 +103,7 @@ def test_knowledge_closure_argmax_recovery():
     )
     reliable = filter_reliable_frames(predictions, 0.5)
     matrix = compute_dataset_knowledge(group_videos(records), reliable)
-    g = spec.ground_truth_knowledge.values
+    g = dataset.knowledge.values
     for c in range(7):
         if np.ptp(g[:, c]) < 1e-9:
             continue  # flat column (Neutral): argmax is arbitrary
