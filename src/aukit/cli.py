@@ -132,6 +132,10 @@ def cmd_ingest(args):
     paths = {}  # video id, the file stem that names its store -> input path
     for path in args.inputs:
         video_id = os.path.splitext(os.path.basename(path))[0]
+        if video_id != video_id.strip() or any(c in video_id for c in ',"\n\r'):
+            # no prediction CSV cell can name such an id
+            raise ContractError(f"{path}: video id {video_id!r} holds a comma, quote or "
+                                "line break, or leading or trailing whitespace")
         if video_id in paths:
             raise ContractError(f"two inputs share the video id {video_id!r}: "
                                 f"{paths[video_id]} and {path}")
@@ -307,11 +311,7 @@ def cmd_eval(args):
     features, expr_labels, _ = _load_dataset_dir(args.data)
     report = harness.evaluate(params, features, expr_labels)
     os.makedirs(args.out, exist_ok=True)
-    harness.export_confusion(
-        report,
-        os.path.join(args.out, "confusion.csv"),
-        os.path.join(args.out, "confusion.svg"),
-    )
+    harness.export_confusion(report, args.out)
     write_table(
         os.path.join(args.out, "metrics.csv"),
         [[report.war, report.uar, *report.per_class_recall]],
@@ -379,7 +379,7 @@ def cmd_gradcheck(args):
     kn = KnowledgeMatrix(
         values=rng.uniform(0.2, 4.8, (NUM_AUS, NUM_EXPRESSIONS)), stage="loss-scaled"
     )
-    pw = rng.uniform(0.5, 6.0, (NUM_EXPRESSIONS, NUM_AUS))
+    pw = labeling.PosWeightSpec("global", rng.uniform(0.5, 6.0, (NUM_EXPRESSIONS, NUM_AUS)))
     lam = harness.TrainConfig().lam
     # two hidden layers cover all of backward; biases off zero keep units off ReLU kinks
     params = model.init_params(seed, feature_dim=6, hidden=(4, 3))
@@ -427,11 +427,7 @@ def cmd_gradcheck(args):
 def cmd_export_confusion(args):
     report = harness.report_from_confusion(harness.read_confusion_csv(args.confusion))
     os.makedirs(args.out, exist_ok=True)
-    harness.export_confusion(
-        report,
-        os.path.join(args.out, "confusion.csv"),
-        os.path.join(args.out, "confusion.svg"),
-    )
+    harness.export_confusion(report, args.out)
     print(f"confusion artifacts -> {args.out}")
     return EXIT_OK
 

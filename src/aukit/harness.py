@@ -1,6 +1,7 @@
 """Training loop, WAR/UAR evaluation, studies (a lambda sweep, a strategy
 comparison), and report artifacts (confusion CSV + SVG heatmap, embedding export)."""
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -374,11 +375,12 @@ def write_metric_rows(rows, path, key_column):
     )
 
 
-def export_confusion(report, csv_path, svg_path):
-    """Emit the 7x7 confusion matrix as CSV and as an SVG heatmap."""
-    write_matrix(csv_path, EXPRESSIONS, report.confusion, CONFUSION_HEADER,
-                 meta=("aukit confusion v1 rows=true cols=predicted",))
-    write_confusion_svg(report, svg_path)
+def export_confusion(report, out_dir):
+    """Write the 7x7 confusion matrix into the directory out_dir as
+    confusion.csv and as the SVG heatmap confusion.svg."""
+    write_matrix(os.path.join(out_dir, "confusion.csv"), EXPRESSIONS, report.confusion,
+                 CONFUSION_HEADER, meta=("aukit confusion v1 rows=true cols=predicted",))
+    write_confusion_svg(report, os.path.join(out_dir, "confusion.svg"))
 
 
 def read_confusion_csv(path):

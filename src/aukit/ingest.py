@@ -410,12 +410,11 @@ def write_frame_store(frames, path):
 def read_frame_store(path):
     """Inverse of write_frame_store; rejects tampered, truncated or v1 files.
     The rows are a view into the file's buffer."""
-    header, payload = read_sealed(path, FRAME_STORE_MAGIC, "frame store")
-    if header.get("format") != FRAME_STORE_FORMAT:
+    header, payload = read_sealed(path, FRAME_STORE_MAGIC, "frame store",
+                                  FRAME_STORE_VERSION, ("format", "dtype"))
+    if header["format"] != FRAME_STORE_FORMAT:
         raise ContractError("corrupt frame store: unknown format")
-    if header.get("version") != FRAME_STORE_VERSION:
-        raise ContractError(f"frame store version mismatch: {header.get('version')}")
-    if header.get("dtype") != FRAME_STORE_DTYPE:
+    if header["dtype"] != FRAME_STORE_DTYPE:
         raise ContractError("corrupt frame store: unknown row dtype")
     if len(payload) % FRAME_DTYPE.itemsize:
         raise ContractError("corrupt frame store: payload is not whole rows")

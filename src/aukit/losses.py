@@ -29,6 +29,7 @@ from .domain import (
     float_array,
 )
 from .knowledge import sigmoid
+from .labeling import PosWeightSpec
 
 _CLASSES = np.arange(NUM_EXPRESSIONS)
 
@@ -114,10 +115,11 @@ def au_loss(au_logits, au_labels, expr_labels, knowledge, pos_weights):
     negated, summed over the 18 AUs and averaged over the N samples, as in
     the combined objective's N-normalised form. Returns (scalar, gradient
     wrt logits).
-    A stack of R runs passes R x N x ... batches and R x 7 x 18 pos-weights
-    and gets R losses. `knowledge` is a loss-scaled KnowledgeMatrix (see
-    loss_knowledge), `pos_weights` a PosWeightSpec or its values. Checks its
-    arguments, then runs au_loss_kernel.
+    A stack of R runs passes R x N x ... batches, which share the one
+    pos-weight table, and gets R losses. `knowledge` is a loss-scaled
+    KnowledgeMatrix (see loss_knowledge), `pos_weights` a PosWeightSpec,
+    whose values are finite and > 0; anything else is a ContractError.
+    Checks its arguments, then runs au_loss_kernel.
     """
     au_logits = float_array(au_logits)
     au_labels = np.asarray(au_labels, dtype=au_logits.dtype)
@@ -130,16 +132,11 @@ def au_loss(au_logits, au_labels, expr_labels, knowledge, pos_weights):
     # a label of -1 would gather class 6's weights, one of 7 an IndexError
     expr_labels = expression_labels(expr_labels)
     knowledge = np.asarray(loss_knowledge(knowledge), dtype=au_logits.dtype)
-
-    pw_values = pos_weights.values if hasattr(pos_weights, "values") else pos_weights
-    pw_values = np.asarray(pw_values, dtype=au_logits.dtype)
-    if pw_values.shape != expr_labels.shape[:-1] + (NUM_EXPRESSIONS, NUM_AUS):
-        raise ContractError(
-            f"pos-weights must be {NUM_EXPRESSIONS}x{NUM_AUS}, one table per run"
-        )
-    runs = None if pw_values.ndim == 2 else np.arange(len(pw_values))[:, None]
-    return au_loss_kernel(au_logits, au_labels, expr_labels, knowledge.T, pw_values,
-                          runs)
+    if not isinstance(pos_weights, PosWeightSpec):
+        raise ContractError("au_loss expects pos-weights as a PosWeightSpec, "
+                            f"got {type(pos_weights).__name__!r}")
+    pw = np.asarray(pos_weights.values, dtype=au_logits.dtype)
+    return au_loss_kernel(au_logits, au_labels, expr_labels, knowledge.T, pw, None)
 
 
 def au_loss_kernel(au_logits, au_labels, expr_labels, knowledge_by_class,
@@ -147,12 +144,13 @@ def au_loss_kernel(au_logits, au_labels, expr_labels, knowledge_by_class,
     """au_loss on arguments it would accept, as it converts them: the
     knowledge class-major (7 x 18) and everything in the logits' dtype but
     the int64 expression labels, which must lie in 0..6. `runs` is None for
-    one run; for a stack of R it is the R x 1 column 0..R-1 that picks each
-    run's pos-weight table. Nothing is checked."""
+    one 7 x 18 pos-weight table that every run shares; for R x 7 x 18
+    per-run tables it is the R x 1 column 0..R-1 that picks each run's.
+    Nothing is checked."""
     n = au_logits.shape[-2]
     k = knowledge_by_class[expr_labels]  # N x 18, per-sample expression column
     if runs is None:
-        pw = pos_weights[expr_labels]  # N x 18
+        pw = pos_weights[expr_labels]  # N x 18, or R x N x 18 from the one table
     else:  # a stack: R x N x 18 from each run's table
         pw = pos_weights[runs, expr_labels]
 

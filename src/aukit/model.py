@@ -30,6 +30,7 @@ from .sealed import read_sealed, write_sealed
 
 CHECKPOINT_MAGIC = b"AUKITCKPT"
 CHECKPOINT_VERSION = 4
+CHECKPOINT_FIELDS = ("feature_dim", "hidden", "layout", "seed")  # and "version"
 
 # not a prefix of the magic of the unsealed float64 files before version 2
 FEATURE_MAGIC = b"AUKITFEATS"
@@ -259,13 +260,13 @@ def backward_kernel(params, d_head, activations, grads, ones):
 
 def _check_finite(params, flat, what):
     """NumericFailure naming the first array of `flat` with a non-finite entry
-    (and its run, in a stack)."""
+    (and its run, in a stack of more than one)."""
     finite = np.isfinite(flat)
     if not finite.all():
         run, bad = divmod(int(np.flatnonzero(~finite)[0]), flat.shape[-1])
         name = next(name for name, (span, _) in params.slices.items()
                     if bad < span.stop)
-        where = f" in run {run}" if flat.ndim > 1 else ""
+        where = f" in run {run}" if flat.ndim > 1 and len(flat) > 1 else ""
         raise NumericFailure(f"non-finite {what} for {name}{where}")
 
 
@@ -361,13 +362,8 @@ def load_checkpoint(path):
     the file's buffer. Every header field is checked before anything is
     allocated for it; a tampered, truncated or other-version file is a
     ContractError."""
-    header, payload = read_sealed(path, CHECKPOINT_MAGIC, "checkpoint")
-    version = header.get("version")
-    if type(version) is not int or version != CHECKPOINT_VERSION:
-        raise ContractError(f"checkpoint version mismatch: {version}")
-    if sorted(header) != ["feature_dim", "hidden", "layout", "seed", "version"]:
-        raise ContractError("corrupt checkpoint: header fields must be feature_dim, "
-                            "hidden, layout, seed and version")
+    header, payload = read_sealed(path, CHECKPOINT_MAGIC, "checkpoint",
+                                  CHECKPOINT_VERSION, CHECKPOINT_FIELDS)
     feature_dim, hidden, seed = header["feature_dim"], header["hidden"], header["seed"]
     if not _whole(feature_dim, 1):
         raise ContractError("corrupt checkpoint: feature_dim must be an int >= 1")
@@ -419,10 +415,9 @@ def save_features(features, path):
 def load_features(path):
     """Inverse of save_features, as a view into the file's buffer; rejects
     tampered, truncated or unsealed files, and names a nan or inf cell."""
-    header, payload = read_sealed(path, FEATURE_MAGIC, "feature file")
-    if header.get("version") != FEATURE_VERSION:
-        raise ContractError(f"feature file version mismatch: {header.get('version')}")
-    shape = header.get("shape")
+    header, payload = read_sealed(path, FEATURE_MAGIC, "feature file",
+                                  FEATURE_VERSION, ("shape",))
+    shape = header["shape"]
     if not (isinstance(shape, list) and len(shape) == 2
             and all(type(d) is int and d >= 0 for d in shape)
             and len(payload) == 4 * math.prod(shape)):

@@ -2,8 +2,8 @@
 
 Layout: magic, header length, JSON header (sorted keys), payload length,
 payload, then the SHA-256 of everything before it. Checkpoints, frame
-stores and feature files share this framing; each keeps its own magic and
-header fields.
+stores and feature files share this framing and read_sealed's one header
+rule; each keeps its own magic, version and header fields.
 
 Neither direction copies the payload. A writer hands over the payload as
 one buffer (bytes or a C-contiguous array), which is hashed and written as
@@ -42,11 +42,13 @@ def write_sealed(path, magic, header, payload):
         fh.write(digest.digest())
 
 
-def read_sealed(path, magic, what):
+def read_sealed(path, magic, what, version, fields):
     """(header, payload) of a sealed file; ContractError names it as `what`.
 
-    The payload is a writable memoryview into the file's one buffer, placed
-    so that the payload starts on a PAYLOAD_ALIGNMENT boundary.
+    The header must hold exactly the int `version` (not 2.0 or true) and
+    the names in `fields`; the reader checks what its fields hold. The
+    payload is a writable memoryview into the file's one buffer, placed so
+    that the payload starts on a PAYLOAD_ALIGNMENT boundary.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -78,4 +80,11 @@ def read_sealed(path, magic, what):
     offset += 8
     if offset + payload_len != len(body):
         raise ContractError(f"corrupt {what}: payload length mismatch")
+    found = header.get("version")
+    if type(found) is not int or found != version:
+        raise ContractError(f"{what} version mismatch: {found}")
+    names = sorted(("version", *fields))
+    if sorted(header) != names:
+        raise ContractError(f"corrupt {what}: header fields must be "
+                            f"{', '.join(names[:-1])} and {names[-1]}")
     return header, body[offset:]

@@ -72,6 +72,13 @@ def test_train_eval_flow(synth_dirs, tmp_path):
         assert (eval_dir / name).exists()
     assert (eval_dir / "confusion.svg").read_text().count('class="cell"') == 49
 
+    # the confusion.csv eval wrote gives export-confusion eval's very pair
+    again = tmp_path / "again"
+    assert run("export-confusion", "--confusion", eval_dir / "confusion.csv",
+               "--out", again) == EXIT_OK
+    for name in ("confusion.csv", "confusion.svg"):
+        assert (again / name).read_bytes() == (eval_dir / name).read_bytes()
+
 
 def test_epochs_csv_cells_are_plain_numbers(synth_dirs, tmp_path):
     train_dir, test_dir = synth_dirs
@@ -230,6 +237,24 @@ def test_ingest_rejects_two_inputs_of_one_video_id(tmp_path, capsys, case):
     assert run("ingest", *inputs, "--out", store) == EXIT_CONTRACT
     assert capsys.readouterr().err == (
         f"error: two inputs share the video id 'v1': {inputs[0]} and {inputs[-1]}\n")
+    assert not store.exists()
+
+
+@pytest.mark.parametrize("stem", ["a,b", 'a"b', "a\nb", " v2", "v2 ", "\tv2"],
+                         ids=["comma", "quote", "line_break", "leading_space",
+                              "trailing_space", "leading_tab"])
+def test_ingest_rejects_a_video_id_no_csv_can_name(tmp_path, capsys, stem):
+    # a comma splits the id's cell in a label or prediction CSV and a line
+    # break ends it; the prediction reader rejects a quote and strips the
+    # cell, so " v2.frames" was never joined
+    good, bad = tmp_path / "v1.csv", tmp_path / f"{stem}.csv"
+    for path in (good, bad):
+        path.write_text(openface_csv([{}] * 3))
+    store = tmp_path / "store"
+    assert run("ingest", good, bad, "--out", store) == EXIT_CONTRACT
+    assert capsys.readouterr().err == (
+        f"error: {bad}: video id {stem!r} holds a comma, quote or line break, or "
+        "leading or trailing whitespace\n")
     assert not store.exists()
 
 

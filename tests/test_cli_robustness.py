@@ -29,7 +29,7 @@ from aukit.cli import EXIT_CONTRACT, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 from aukit.domain import EXPRESSIONS, INTENSITY_AU_NAMES
 from aukit.harness import export_confusion, report_from_confusion
 from aukit.ingest import FRAME_STORE_MAGIC
-from aukit.model import CHECKPOINT_MAGIC, FEATURE_MAGIC
+from aukit.model import CHECKPOINT_FIELDS, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, FEATURE_MAGIC
 from aukit.sealed import DIGEST_SIZE, read_sealed, write_sealed
 
 from conftest import openface_csv
@@ -95,8 +95,7 @@ def corpus(tmp_path_factory):
     assert run("synth-gen", "--n", 20, "--seed", 0, "--out", data)[0] == EXIT_OK
     assert run("pos-weights", "--labels", data / "au_labels.csv", "--strategy",
                "global", "--out", data)[0] == EXIT_OK
-    export_confusion(report_from_confusion(np.arange(49).reshape(7, 7)),
-                     data / "confusion.csv", data / "confusion.svg")
+    export_confusion(report_from_confusion(np.arange(49).reshape(7, 7)), data)
     (data / "config.json").write_text(json.dumps(JSON_DOCUMENTS["config"]))
     (data / "spec.json").write_text(json.dumps(JSON_DOCUMENTS["spec"]))
     files.update({
@@ -289,7 +288,8 @@ def mistyped(value):
 def test_checkpoint_header_fault_exits_with_one_error_line(trained, tmp_path, field,
                                                            fault):
     data, checkpoint = trained
-    header, payload = read_sealed(checkpoint, CHECKPOINT_MAGIC, "checkpoint")
+    header, payload = read_sealed(checkpoint, CHECKPOINT_MAGIC, "checkpoint",
+                                  CHECKPOINT_VERSION, CHECKPOINT_FIELDS)
     if fault == "removed":
         del header[field]
     else:

@@ -444,6 +444,15 @@ class TestTrainStacked:
         with pytest.raises(NumericFailure, match="non-finite loss at epoch 0 in run"):
             train(configs, data)
 
+    def test_failure_in_one_run_names_no_run(self):
+        # "in run 0" once named the only run of a one-run train, where the
+        # non-finite-loss message names none
+        data = small_train_data()
+        data.features = data.features * 1e22
+        with pytest.raises(NumericFailure, match=r"^non-finite second moment "
+                           r"\(gradient too large\) for head\.w$"):
+            train([TrainConfig(epochs=2)], data)
+
     def test_last_epoch_log_equals_every_epoch_last_log(self):
         # every_epoch=False evaluates once, after the last epoch, exactly as
         # every_epoch=True does then
@@ -775,9 +784,10 @@ class TestArtifacts:
 
     def test_confusion_csv_round_trip(self, tmp_path, rng):
         report = self.make_report(rng)
-        path = tmp_path / "confusion.csv"
-        export_confusion(report, path, tmp_path / "confusion.svg")
-        assert np.array_equal(read_confusion_csv(path), report.confusion)
+        export_confusion(report, tmp_path)
+        assert np.array_equal(read_confusion_csv(tmp_path / "confusion.csv"),
+                              report.confusion)
+        assert (tmp_path / "confusion.svg").read_text().count('class="cell"') == 49
 
     def test_svg_cell_and_label_counts(self, tmp_path, rng):
         report = self.make_report(rng)

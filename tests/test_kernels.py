@@ -83,13 +83,13 @@ def test_au_loss(rng, runs, dtype):
     expr_labels = rng.integers(0, 7, size=lead(runs) + (N,))
     knowledge = KnowledgeMatrix(values=rng.uniform(0.5, 4.5, (18, 7)),
                                 stage="loss-scaled")
-    if runs is None:
-        pos_weights = PosWeightSpec(strategy="global",
-                                    values=rng.uniform(0.5, 4.0, (7, 18)))
-        pw_values, run_index = pos_weights.values.astype(dtype), None
-    else:
-        pos_weights = rng.uniform(0.5, 4.0, (runs, 7, 18)).astype(dtype)
-        pw_values, run_index = pos_weights, np.arange(runs)[:, None]
+    pos_weights = PosWeightSpec(strategy="global", values=rng.uniform(0.5, 4.0, (7, 18)))
+    pw_values, run_index = pos_weights.values.astype(dtype), None
+    if runs is not None:
+        # the stack shares au_loss's one table; training's per-run tables
+        # pick the same values
+        pw_values = np.broadcast_to(pw_values, (runs, 7, 18))
+        run_index = np.arange(runs)[:, None]
     loss, grad = au_loss(logits, au_labels, expr_labels, knowledge, pos_weights)
     kernel_loss, kernel_grad = au_loss_kernel(
         logits, au_labels, expr_labels, knowledge.values.astype(dtype).T, pw_values,

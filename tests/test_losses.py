@@ -12,6 +12,7 @@ from aukit.losses import (
     finite_difference_check,
     log_sigmoid,
 )
+from aukit.synth import default_ground_truth
 
 
 def uniform_knowledge(value=1.0):
@@ -138,10 +139,25 @@ class TestAuLoss:
         # [0, 1, 2, -1] gave the loss of [0, 1, 2, 6]; 7 raised IndexError
         lead = () if runs is None else (runs,)
         expr = np.broadcast_to(np.array([0, 1, 2, label]), lead + (4,))
-        pw = np.ones(lead + (7, 18))
         with pytest.raises(ContractError, match="expression label out of range"):
             au_loss(rng.normal(size=lead + (4, 18)), np.ones(lead + (4, 18)), expr,
-                    uniform_knowledge(), pw)
+                    uniform_knowledge(), ones_pw())
+
+    @pytest.mark.parametrize("cell", [np.nan, -5.0, 1.0], ids=["nan", "negative", "valid"])
+    def test_pos_weights_only_as_a_spec(self, cell):
+        # bare values skipped the spec's finite-and-positive check: a nan cell
+        # gave a nan loss and a -5 cell 15.83, with no error
+        values = np.ones((7, 18))
+        values[0, 0] = cell
+        args = (np.zeros((2, 18)), np.ones((2, 18)), [0, 1], default_ground_truth())
+        with pytest.raises(ContractError, match="^au_loss expects pos-weights as a "
+                           "PosWeightSpec, got 'ndarray'$"):
+            au_loss(*args, values)
+        if cell == 1.0:
+            assert np.isfinite(au_loss(*args, PosWeightSpec("global", values))[0])
+        else:
+            with pytest.raises(ContractError, match="must be finite and > 0"):
+                PosWeightSpec("global", values)
 
     def test_extreme_logits_stay_finite(self):
         logits = np.array([[1000.0] * 9 + [-1000.0] * 9])

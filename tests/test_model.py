@@ -12,8 +12,11 @@ from aukit.model import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
+    CHECKPOINT_FIELDS,
     CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
     FEATURE_MAGIC,
+    FEATURE_VERSION,
     TRAIN_DTYPE,
     OptimizerState,
     backward,
@@ -482,7 +485,8 @@ class TestCheckpoint:
         params = init_params(0, feature_dim=1024, hidden=(128,))
         path = tmp_path / "ckpt.bin"
         save_checkpoint(params, path)
-        header, payload = read_sealed(path, CHECKPOINT_MAGIC, "checkpoint")
+        header, payload = read_sealed(path, CHECKPOINT_MAGIC, "checkpoint",
+                                      CHECKPOINT_VERSION, CHECKPOINT_FIELDS)
         assert header == {"version": 4, "seed": 0, "feature_dim": 1024,
                           "hidden": [128],
                           "layout": json.loads(json.dumps(params.layout))}
@@ -535,7 +539,8 @@ class TestCheckpoint:
         params = init_params(0, feature_dim=4, hidden=(3,))
         path = tmp_path / "ckpt.bin"
         save_checkpoint(params, path)
-        header, payload = read_sealed(path, CHECKPOINT_MAGIC, "checkpoint")
+        header, payload = read_sealed(path, CHECKPOINT_MAGIC, "checkpoint",
+                                      CHECKPOINT_VERSION, CHECKPOINT_FIELDS)
         header[field] = value
         sealed_checkpoint(path, header, payload)
         with pytest.raises(ContractError, match="corrupt checkpoint|version mismatch"):
@@ -619,7 +624,8 @@ class TestFeatureFiles:
         features = rng.normal(size=(13, 6))
         path = tmp_path / "features.bin"
         save_features(features, path)
-        header, payload = read_sealed(path, FEATURE_MAGIC, "feature file")
+        header, payload = read_sealed(path, FEATURE_MAGIC, "feature file",
+                                      FEATURE_VERSION, ("shape",))
         assert header == {"version": 2, "shape": [13, 6]}
         assert bytes(payload) == features.astype("<f4").tobytes()
         assert np.array_equal(load_features(path), features.astype(TRAIN_DTYPE))
@@ -683,7 +689,7 @@ class TestFeatureFiles:
         ({"version": 2, "shape": [2, 3]}, 16, "payload does not match the header"),
         ({"version": 2, "shape": [4]}, 16, "payload does not match the header"),
         ({"version": 2, "shape": [2, -2]}, 0, "payload does not match the header"),
-        ({"version": 2}, 16, "payload does not match the header"),
+        ({"version": 2}, 16, "header fields must be shape and version"),
     ], ids=["version_1", "shape_too_large", "one_dimension", "negative", "no_shape"])
     def test_header_mismatch_rejected(self, header, payload, message, tmp_path):
         path = tmp_path / "features.bin"
