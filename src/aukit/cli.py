@@ -269,21 +269,20 @@ def _build_train_data(args):
     kn = knowledge.import_knowledge(
         args.knowledge or os.path.join(args.data, "knowledge.csv")
     )
-    spec = None
+    spec = test_features = test_labels = None
     if args.pos_weights_file:
         spec = labeling.read_pos_weights_csv(args.pos_weights_file)
-    data = harness.TrainData(
+    if args.test_data:
+        test_features, test_labels, _ = _load_dataset_dir(args.test_data)
+    return harness.TrainData(
         features=features,
         expr_labels=expr_labels,
         au_labels=au_labels,
         knowledge=kn,
         pos_weights=spec,
+        test_features=test_features,
+        test_expr_labels=test_labels,
     )
-    if args.test_data:
-        test_features, test_labels, _ = _load_dataset_dir(args.test_data)
-        data.test_features = test_features
-        data.test_expr_labels = test_labels
-    return data
 
 
 def cmd_train(args):

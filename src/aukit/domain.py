@@ -46,6 +46,14 @@ def float_array(x):
     return x.astype(np.float64)
 
 
+def check_integers(**values):
+    """ContractError naming the first of `values` that is not an int or a
+    numpy integer; a bool or a float is not one."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ContractError(f"{name} must be an integer, got {value!r}")
+
+
 def video_table(video_ids, fields, **columns):
     """A 1-D structured array: a video_id field as wide as the longest id,
     then `fields` (numpy field specs) filled from the same-named `columns`."""
@@ -111,6 +119,7 @@ class KnowledgeMatrix:
                 f"knowledge value {values[i, j]} at ({AU_NAMES[i]}, {EXPRESSIONS[j]}) "
                 f"is outside [0, {hi}] for stage {self.stage}"
             )
+        check_integers(dataset_count=self.dataset_count)
         if self.dataset_count < 1:
             raise ContractError("dataset_count must be >= 1")
         theta = float(self.theta)

@@ -13,6 +13,7 @@ from .domain import (
     NUM_AUS,
     NUM_EXPRESSIONS,
     NumericFailure,
+    check_integers,
     expression_labels,
 )
 from .labeling import STRATEGIES, compute_pos_weights
@@ -50,7 +51,7 @@ SVG_CELL = 48
 SVG_MARGIN = 72
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     """One training run's knobs."""
 
@@ -64,6 +65,9 @@ class TrainConfig:
     hidden: tuple = (32,)
 
     def __post_init__(self):
+        hidden = tuple(self.hidden)
+        check_integers(epochs=self.epochs, batch_size=self.batch_size, seed=self.seed,
+                       **{f"hidden[{i}]": size for i, size in enumerate(hidden)})
         if not 0.0 <= self.lam <= 1.0:
             raise ContractError(f"lambda must be in [0, 1], got {self.lam}")
         if self.strategy not in STRATEGIES:
@@ -76,11 +80,14 @@ class TrainConfig:
         if not 0.0 <= self.weight_decay < np.inf:
             raise ContractError(f"weight_decay must be finite and >= 0, "
                                 f"got {self.weight_decay}")
+        object.__setattr__(self, "hidden", hidden)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainData:
-    """Features, labels, and the knowledge/pos-weight inputs of one split pair."""
+    """Features, labels, and the knowledge/pos-weight inputs of one split
+    pair, checked once, here. Both feature splits are held in TRAIN_DTYPE
+    (cast_features: no copy if already in it), expression labels as int64."""
 
     features: np.ndarray          # N x F
     expr_labels: np.ndarray       # N
@@ -90,8 +97,29 @@ class TrainData:
     test_features: np.ndarray = None
     test_expr_labels: np.ndarray = None
 
+    def __post_init__(self):
+        if np.ndim(self.features) != 2:
+            raise ContractError("features must be N x F")
+        n, feature_dim = np.shape(self.features)
+        if np.shape(self.expr_labels) != (n,) or np.shape(self.au_labels) != (n, NUM_AUS):
+            raise ContractError("data shapes inconsistent")
+        if n == 0:
+            raise ContractError("cannot train on an empty dataset")
+        splits = [("features", "expr_labels")]
+        if self.test_features is not None or self.test_expr_labels is not None:
+            test_n = np.shape(self.test_expr_labels)  # () if None
+            if len(test_n) != 1 or np.shape(self.test_features) != (*test_n, feature_dim):
+                raise ContractError("test split shapes inconsistent with the training split")
+            if test_n == (0,):
+                raise ContractError("cannot evaluate an empty test split")
+            splits.append(("test_features", "test_expr_labels"))
+        for features, labels in splits:
+            object.__setattr__(self, labels, expression_labels(getattr(self, labels)))
+            object.__setattr__(self, features,
+                               cast_features(getattr(self, features), TRAIN_DTYPE))
 
-@dataclass
+
+@dataclass(frozen=True)
 class EvalReport:
     """Confusion matrix plus the recall-based summary metrics."""
 
@@ -101,7 +129,7 @@ class EvalReport:
     uar: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class EpochLog:
     """One run's mean batch losses over an epoch, and its evaluation after it."""
 
@@ -174,24 +202,24 @@ def _lockstep(configs, data, pos_weights):
 
     Parameters, AdamW moments and batches carry a leading run axis, so each
     step is one call of each kernel (forward, the two losses, backward,
-    AdamW) for all runs. `train` has checked the data, so nothing here checks
-    it again; what stays the same over the stack is built once. Each run
-    keeps its own seed (initialisation and batch order), lambda and
+    AdamW) for all runs. TrainData has checked the data, so nothing here
+    checks it again; what stays the same over the stack is built once. Each
+    run keeps its own seed (initialisation and batch order), lambda and
     pos-weight table (`pos_weights`: R x 7 x 18), so its parameters equal,
     bit for bit, those of training it alone.
 
-    Steps run in TRAIN_DTYPE, which `data.features` arrive in (batches are
-    gathered from them). Everything else stepped is cast once, before the
-    first epoch: AU labels, lambda scales, pos-weights and the knowledge
-    table; the float64 parameters init_params draws are rounded to it.
+    Steps run in TRAIN_DTYPE, which TrainData holds `data.features` in
+    (batches are gathered from them). Everything else stepped is cast once,
+    before the first epoch: AU labels, lambda scales, pos-weights and the
+    knowledge table; the float64 parameters init_params draws are rounded
+    to it.
     Yields (epoch, params, state, loss_e, loss_au) after each epoch: the
     stacked parameters and optimizer state, in TRAIN_DTYPE, and each run's
     mean batch losses.
     """
     first = configs[0]
-    features = data.features
+    features, expr_labels = data.features, data.expr_labels
     n, feature_dim = features.shape
-    expr_labels = np.asarray(data.expr_labels, dtype=np.int64)
     au_labels = np.asarray(data.au_labels, dtype=TRAIN_DTYPE)
     knowledge_by_class = np.ascontiguousarray(
         loss_knowledge(data.knowledge).astype(TRAIN_DTYPE).T)
@@ -273,11 +301,12 @@ def train(configs, data, every_epoch=False):
     Returns (params, state, logs): the stacked parameters and optimizer state
     as trained, in TRAIN_DTYPE (`params.run(r)` is run r), and logs[r], run
     r's EpochLogs.
-    Raises NumericFailure on features outside TRAIN_DTYPE's range, or a
-    non-finite loss, gradient or optimizer moment, and ContractError on
-    inconsistent shapes, an expression label outside 0..6 or knowledge that
-    is not a loss-scaled KnowledgeMatrix, before the first step; an error
-    raised while scoring propagates unchanged.
+    Raises NumericFailure on a non-finite loss, gradient or optimizer
+    moment, and ContractError on runs that do not share SHARED_FIELDS or
+    knowledge that is not a loss-scaled KnowledgeMatrix, before the first
+    step; an error raised while scoring propagates unchanged. Shape and
+    label errors, and features outside TRAIN_DTYPE's range, are raised by
+    TrainData, when `data` is built.
     """
     if not configs:
         raise ContractError("no runs to train")
@@ -285,29 +314,15 @@ def train(configs, data, every_epoch=False):
     for name in SHARED_FIELDS:
         if any(getattr(config, name) != getattr(first, name) for config in configs):
             raise ContractError(f"runs trained together must share {name}")
-    if np.ndim(data.features) != 2:
-        raise ContractError("features must be N x F")
-    n = len(data.features)
-    if np.shape(data.expr_labels) != (n,) or np.shape(data.au_labels) != (n, NUM_AUS):
-        raise ContractError("data shapes inconsistent")
-    if n == 0:
-        raise ContractError("cannot train on an empty dataset")
-    if data.test_features is not None and np.shape(data.test_features) != (
-            *np.shape(data.test_expr_labels), np.shape(data.features)[1]):
-        raise ContractError("test split shapes inconsistent with the training split")
     tables = {
         strategy: compute_pos_weights(data.au_labels, data.expr_labels, strategy)
         if data.pos_weights is None else data.pos_weights
         for strategy in dict.fromkeys(config.strategy for config in configs)
     }
     pos_weights = np.stack([tables[config.strategy].values for config in configs])
-    data = replace(data, features=cast_features(data.features, TRAIN_DTYPE))
-    # the labels of both splits are checked here, before the first step,
-    # not when an epoch is scored
-    splits = [(data.features, expression_labels(data.expr_labels))]
+    splits = [(data.features, data.expr_labels)]
     if data.test_features is not None:
-        splits.append((cast_features(data.test_features, TRAIN_DTYPE),
-                       expression_labels(data.test_expr_labels)))
+        splits.append((data.test_features, data.test_expr_labels))
     logs = [[] for _ in configs]
 
     def score(epoch, params, loss_e, loss_au):

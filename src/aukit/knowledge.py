@@ -38,7 +38,7 @@ def sigmoid(x):
     return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReliableFrameSet:
     """Predictions whose asserted-label score strictly exceeded theta."""
 

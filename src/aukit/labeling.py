@@ -46,9 +46,10 @@ def label_table(video_ids, expressions, frame_counts, au_labels):
                        n=frame_counts, y=au_labels)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PosWeightSpec:
-    """7x18 positive-class-weight matrix under one strategy."""
+    """7x18 positive-class-weight matrix under one strategy; only finite
+    values > 0 construct, held as a read-only copy."""
 
     strategy: str
     values: np.ndarray
@@ -56,11 +57,14 @@ class PosWeightSpec:
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ContractError(f"unknown strategy: {self.strategy!r}")
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape != (NUM_EXPRESSIONS, NUM_AUS):
+        # a copy, so freezing it never freezes the caller's array
+        values = np.array(self.values, dtype=np.float64)
+        if values.shape != (NUM_EXPRESSIONS, NUM_AUS):
             raise ContractError(f"values must be {NUM_EXPRESSIONS}x{NUM_AUS}")
-        if not np.all(np.isfinite(self.values)) or np.any(self.values <= 0):
+        if not np.all(np.isfinite(values)) or np.any(values <= 0):
             raise ContractError("pos-weights must be finite and > 0")
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
 
 
 def derive_video_au_labels(frames, video_id):

@@ -37,7 +37,7 @@ _CLASSES = np.arange(NUM_EXPRESSIONS)
 EXPRESSION_FACTOR = 5.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class GradReport:
     """Outcome of a finite-difference gradient check."""
 

@@ -8,7 +8,7 @@ therefore lives mostly in the AU pattern, which is what the auxiliary AU head
 is supposed to exploit.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,6 +18,7 @@ from .domain import (
     KnowledgeMatrix,
     NUM_AUS,
     NUM_EXPRESSIONS,
+    check_integers,
 )
 
 PRESENCE_THRESHOLD = 2.5  # midpoint of the [0, 5] intensity scale
@@ -51,15 +52,14 @@ def default_ground_truth():
     return KnowledgeMatrix(values=values, stage="loss-scaled", dataset_count=1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynthSpec:
     """Parameters of one generated dataset; its AU structure always follows
-    default_ground_truth()."""
+    default_ground_truth(). The class proportions are held as a read-only
+    copy."""
 
     total: int
-    class_proportions: np.ndarray = field(
-        default_factory=lambda: np.array(DEFAULT_PROPORTIONS)
-    )
+    class_proportions: np.ndarray = DEFAULT_PROPORTIONS
     au_noise_sd: float = 1.5
     feature_noise_sd: float = 3.5
     feature_dim: int = 64
@@ -70,13 +70,16 @@ class SynthSpec:
     sample_seed: int = None
 
     def __post_init__(self):
-        self.class_proportions = np.asarray(self.class_proportions, dtype=np.float64)
-        if self.class_proportions.shape != (NUM_EXPRESSIONS,):
+        proportions = np.array(self.class_proportions, dtype=np.float64)
+        if proportions.shape != (NUM_EXPRESSIONS,):
             raise ContractError("class_proportions must be a 7-vector")
-        if not np.all(self.class_proportions >= 0):  # nan fails too
+        if not np.all(proportions >= 0):  # nan fails too
             raise ContractError("class proportions must be nonnegative")
-        if abs(self.class_proportions.sum() - 1.0) > 1e-9:
+        if abs(proportions.sum() - 1.0) > 1e-9:
             raise ContractError("class proportions must sum to 1")
+        check_integers(total=self.total, feature_dim=self.feature_dim, seed=self.seed)
+        if self.sample_seed is not None:
+            check_integers(sample_seed=self.sample_seed)
         if self.total < 1:
             raise ContractError("total must be >= 1")
         if self.seed < 0 or (self.sample_seed or 0) < 0:
@@ -87,9 +90,11 @@ class SynthSpec:
                    (self.au_noise_sd, self.feature_noise_sd, self.anchor_scale)):
             raise ContractError("au_noise_sd, feature_noise_sd and anchor_scale "
                                 "must be finite and >= 0")
+        proportions.setflags(write=False)
+        object.__setattr__(self, "class_proportions", proportions)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynthDataset:
     features: np.ndarray       # N x F
     expr_labels: np.ndarray    # N ints

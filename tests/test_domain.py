@@ -1,7 +1,12 @@
+import dataclasses
+import importlib
 import os
+import pkgutil
 
 import numpy as np
 import pytest
+
+import aukit
 
 from aukit.domain import (
     AU_NAMES,
@@ -151,3 +156,30 @@ def test_knowledge_leaves_the_callers_arrays_writable():
     assert not matrix.values.flags.writeable and not matrix.support.flags.writeable
     values[0, 0] = 0.9  # the matrix holds its own copy
     assert matrix.values[0, 0] == 0.5
+
+
+@pytest.mark.parametrize("count", [1.5, True, np.float64(2.0), "2"])
+def test_knowledge_dataset_count_must_be_an_integer(count):
+    # dataset_count=1.5 once constructed and exported a file that
+    # import_knowledge rejected as "non-numeric datasets '1.5'"
+    with pytest.raises(ContractError, match="^dataset_count must be an integer, got "):
+        KnowledgeMatrix(values=np.full((18, 7), 0.5), stage="aggregate",
+                        dataset_count=count)
+    matrix = KnowledgeMatrix(values=np.full((18, 7), 0.5), stage="aggregate",
+                             dataset_count=np.int64(2))
+    assert matrix.dataset_count == 2
+
+
+def test_every_value_type_is_frozen():
+    # a value type is checked once, by its constructor, so a field that can
+    # be assigned after construction undoes the check; OptimizerState is
+    # training state, updated in place every step
+    mutable = []
+    for info in pkgutil.iter_modules(aukit.__path__):
+        module = importlib.import_module(f"aukit.{info.name}")
+        for name, value in vars(module).items():
+            if (isinstance(value, type) and dataclasses.is_dataclass(value)
+                    and value.__module__ == module.__name__
+                    and not value.__dataclass_params__.frozen):
+                mutable.append(f"{module.__name__}.{name}")
+    assert mutable == ["aukit.model.OptimizerState"]

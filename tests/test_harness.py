@@ -1,8 +1,9 @@
 """Training loop, WAR/UAR evaluation, and report-artifact tests."""
 
 import hashlib
+import re
 import threading
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -28,7 +29,13 @@ from aukit.harness import (
 from aukit import harness
 from aukit.labeling import STRATEGIES, compute_pos_weights
 from aukit.losses import au_loss
-from aukit.model import TRAIN_DTYPE, ModelParams, OptimizerState
+from aukit.model import (
+    TRAIN_DTYPE,
+    ModelParams,
+    OptimizerState,
+    load_features,
+    save_features,
+)
 from aukit.synth import SynthSpec, generate_dataset
 
 
@@ -74,10 +81,9 @@ def small_train_data(seed=0, total=300, **spec_overrides):
 
 def split_pair_data():
     """small_train_data with a 120-sample test split."""
-    data = small_train_data()
     test = small_train_data(total=120)
-    data.test_features, data.test_expr_labels = test.features, test.expr_labels
-    return data
+    return replace(small_train_data(), test_features=test.features,
+                   test_expr_labels=test.expr_labels)
 
 
 class TestEvaluate:
@@ -238,57 +244,53 @@ class TestTrain:
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_non_finite_loss_raises(self):
         data = small_train_data()
-        data.features = data.features.copy()
-        data.features[5, 0] = np.inf
+        features = data.features.copy()
+        features[5, 0] = np.inf
+        data = replace(data, features=features)
         with pytest.raises(NumericFailure, match="non-finite loss at epoch 0"):
             train([TrainConfig(epochs=2, seed=0)], data)
 
     def test_shape_mismatch_rejected(self):
         data = small_train_data()
-        bad = TrainData(
-            features=data.features,
-            expr_labels=data.expr_labels[:-1],
-            au_labels=data.au_labels,
-            knowledge=data.knowledge,
-        )
         with pytest.raises(ContractError):
-            train([TrainConfig(epochs=1)], bad)
+            TrainData(
+                features=data.features,
+                expr_labels=data.expr_labels[:-1],
+                au_labels=data.au_labels,
+                knowledge=data.knowledge,
+            )
 
-    @pytest.mark.parametrize("cut", ["features", "labels"])
-    def test_test_split_checked_before_training(self, cut, monkeypatch):
-        # a test split of another width or length once failed only in the
-        # evaluation after the last epoch, every epoch trained for nothing
-        data = small_train_data()
+    @pytest.mark.parametrize("cut", ["features", "labels", "rows", "no_features"])
+    def test_test_split_checked_before_training(self, cut):
+        # a test split of another width or length, or with no rows, once
+        # failed only in the evaluation after the last epoch, every epoch
+        # trained for nothing, and labels without features were ignored;
+        # now no such TrainData constructs
         test = small_train_data(total=120)
-        data.test_features, data.test_expr_labels = test.features, test.expr_labels
+        split = {"test_features": test.features, "test_expr_labels": test.expr_labels}
         if cut == "features":
-            data.test_features = test.features[:, :-1]
+            split["test_features"] = test.features[:, :-1]
+        elif cut == "labels":
+            split["test_expr_labels"] = test.expr_labels[:-1]
+        elif cut == "rows":
+            split = {name: value[:0] for name, value in split.items()}
         else:
-            data.test_expr_labels = test.expr_labels[:-1]
-        steps = []
-        monkeypatch.setattr(harness, "optimizer_step",
-                            lambda *args: steps.append(1) or args[::2])
+            del split["test_features"]
         with pytest.raises(ContractError, match="test split"):
-            train([TrainConfig(epochs=2, seed=0)], data)
-        assert steps == []
+            replace(small_train_data(), **split)
 
     @pytest.mark.parametrize("split", ["train", "test"])
     @pytest.mark.parametrize("label", [-1, NUM_EXPRESSIONS])
-    def test_label_out_of_range_rejected_before_training(self, split, label,
-                                                         monkeypatch):
+    def test_label_out_of_range_rejected_before_training(self, split, label):
         # a bad test label once surfaced only when the split was scored,
-        # after every step of the epoch had run
+        # after every step of the epoch had run; now no such TrainData
+        # constructs
         data = split_pair_data()
         field = "expr_labels" if split == "train" else "test_expr_labels"
         labels = getattr(data, field).copy()
         labels[-1] = label
-        setattr(data, field, labels)
-        steps = []
-        monkeypatch.setattr(harness, "optimizer_step",
-                            lambda *args: steps.append(1) or args[::2])
         with pytest.raises(ContractError, match="expression label out of range"):
-            train([TrainConfig(epochs=2, seed=0)], data, every_epoch=True)
-        assert steps == []
+            replace(data, **{field: labels})
 
     @pytest.mark.parametrize("caller", ["au_loss", "train"])
     def test_raw_knowledge_array_rejected(self, caller, monkeypatch):
@@ -309,14 +311,13 @@ class TestTrain:
 
     def test_empty_dataset_rejected(self):
         data = small_train_data()
-        empty = TrainData(
-            features=data.features[:0],
-            expr_labels=data.expr_labels[:0],
-            au_labels=data.au_labels[:0],
-            knowledge=data.knowledge,
-        )
         with pytest.raises(ContractError, match="empty"):
-            train([TrainConfig(epochs=1)], empty)
+            TrainData(
+                features=data.features[:0],
+                expr_labels=data.expr_labels[:0],
+                au_labels=data.au_labels[:0],
+                knowledge=data.knowledge,
+            )
 
     def test_config_validation(self):
         with pytest.raises(ContractError):
@@ -357,23 +358,93 @@ class TestTrain:
               split_pair_data(), every_epoch=True)
         assert calls == dict.fromkeys(STEP_KERNELS, 3 * BATCHES)
 
-    def test_au_label_width_checked_before_training(self, monkeypatch):
+    def test_au_label_width_checked_before_training(self):
         # the kernels check nothing: N x 17 AU labels once reached au_loss's
-        # own check, and would now fail inside its arithmetic
+        # own check, and would now fail inside its arithmetic; now no such
+        # TrainData constructs
         data = small_train_data()
-        data.au_labels = data.au_labels[:, :-1]
-        steps = []
-        monkeypatch.setattr(harness, "optimizer_step",
-                            lambda *args: steps.append(1))
         with pytest.raises(ContractError, match="data shapes inconsistent"):
-            train([TrainConfig(epochs=1, seed=0)], data)
-        assert steps == []
+            replace(data, au_labels=data.au_labels[:, :-1])
 
     def test_predict_tie_breaks_low_index(self):
         data = small_train_data()
         params, _, _ = train([TrainConfig(epochs=1, seed=0)], data)
         labels = predict(params.run(0), data.features)
         assert labels.min() >= 0 and labels.max() < NUM_EXPRESSIONS
+
+
+class TestValidatedValuesStayValid:
+    """A TrainConfig or TrainData is checked once, when it is built, and
+    cannot be changed after; dataclasses.replace builds a checked copy."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("lam", 7), ("epochs", 0), ("learning_rate", float("nan")),
+    ])
+    def test_config_fields_cannot_be_set_after_the_check(self, field, value):
+        # set on a mutable config, lam = 7 trained every step before scoring
+        # raised, epochs = 0 escaped train as an UnboundLocalError and a nan
+        # learning_rate failed as "runs trained together must share
+        # learning_rate"
+        config = TrainConfig(epochs=1)
+        with pytest.raises(FrozenInstanceError):
+            setattr(config, field, value)
+        with pytest.raises(ContractError):
+            replace(config, **{field: value})
+
+    @pytest.mark.parametrize("field, value, name", [
+        ("epochs", 2.5, "epochs"), ("batch_size", 16.5, "batch_size"),
+        ("seed", 1.5, "seed"), ("epochs", True, "epochs"),
+        ("hidden", (8, 4.7), "hidden[1]"), ("seed", np.float64(2.0), "seed"),
+    ])
+    def test_integer_fields_reject_floats_and_bools(self, field, value, name):
+        # epochs, batch_size and seed as floats once escaped train as a
+        # TypeError, hidden=(4.7,) trained a 4-unit layer and epochs=True trained
+        with pytest.raises(ContractError,
+                           match=rf"^{re.escape(name)} must be an integer, got "):
+            TrainConfig(**{field: value})
+
+    def test_integer_fields_take_numpy_integers(self):
+        config = TrainConfig(epochs=np.int64(2), seed=np.int32(1), hidden=[np.int64(8)])
+        assert config.hidden == (8,) and isinstance(config.hidden, tuple)
+
+    def test_train_data_fields_cannot_be_set(self):
+        data = small_train_data()
+        with pytest.raises(FrozenInstanceError):
+            data.expr_labels = data.expr_labels[:-1]
+        with pytest.raises(FrozenInstanceError):
+            data.test_features = data.features[:, :-1]
+
+    def test_float32_features_are_held_without_a_copy(self, tmp_path):
+        # feature files hold float32, so a dataset directory's features
+        # (and a test split's) need no cast; a copy of wide's two splits
+        # would add about 17 MB to its peak memory
+        test = small_train_data(total=120)
+        save_features(test.features, tmp_path / "features.bin")
+        features = load_features(tmp_path / "features.bin")
+        assert features.dtype == TRAIN_DTYPE
+        data = TrainData(features=features, expr_labels=test.expr_labels,
+                         au_labels=test.au_labels, knowledge=test.knowledge,
+                         test_features=features, test_expr_labels=test.expr_labels)
+        assert np.shares_memory(data.features, features)
+        assert np.shares_memory(data.test_features, features)
+
+    def test_float64_features_are_cast_once(self, monkeypatch):
+        # each split is cast when the TrainData is built; training and
+        # scoring it every epoch cast neither again
+        casts = []
+        cast_features = harness.cast_features
+
+        def spy(features, dtype):
+            if np.asarray(features).dtype != dtype:
+                casts.append(len(features))
+            return cast_features(features, dtype)
+
+        monkeypatch.setattr(harness, "cast_features", spy)
+        data = split_pair_data()
+        assert sorted(casts) == [120, 300]
+        assert data.features.dtype == data.test_features.dtype == TRAIN_DTYPE
+        train([TrainConfig(epochs=2, seed=0, hidden=(8,))], data, every_epoch=True)
+        assert sorted(casts) == [120, 300]
 
 
 def strategy_specs(strategies, seed=0, total=300):
@@ -438,8 +509,9 @@ class TestTrainStacked:
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_non_finite_loss_names_the_epoch(self):
         data = small_train_data()
-        data.features = data.features.copy()
-        data.features[5, 0] = np.inf
+        features = data.features.copy()
+        features[5, 0] = np.inf
+        data = replace(data, features=features)
         configs = [TrainConfig(epochs=2, seed=seed) for seed in (0, 1)]
         with pytest.raises(NumericFailure, match="non-finite loss at epoch 0 in run"):
             train(configs, data)
@@ -448,7 +520,7 @@ class TestTrainStacked:
         # "in run 0" once named the only run of a one-run train, where the
         # non-finite-loss message names none
         data = small_train_data()
-        data.features = data.features * 1e22
+        data = replace(data, features=data.features * 1e22)
         with pytest.raises(NumericFailure, match=r"^non-finite second moment "
                            r"\(gradient too large\) for head\.w$"):
             train([TrainConfig(epochs=2)], data)
@@ -696,10 +768,10 @@ class TestTrainingPrecision:
 
     def test_features_beyond_float32_rejected_without_warning(self):
         data = small_train_data()
-        data.features = data.features.copy()
-        data.features[7, 3] = 1e39
+        features = data.features.astype(np.float64)
+        features[7, 3] = 1e39
         with pytest.raises(NumericFailure, match="outside the float32 range"):
-            train([TrainConfig(epochs=1, seed=0)], data)
+            replace(data, features=features)
 
 
 def strategy_study_data():
@@ -750,9 +822,9 @@ class TestStudy:
 
     @pytest.mark.parametrize("field, value", [("lam", 0.2), ("strategy", "global")])
     def test_rows_score_the_test_split_when_there_is_one(self, field, value):
-        data = strategy_study_data()
         test = small_train_data(seed=1, total=120)
-        data.test_features, data.test_expr_labels = test.features, test.expr_labels
+        data = replace(strategy_study_data(), test_features=test.features,
+                       test_expr_labels=test.expr_labels)
         config = TrainConfig(epochs=1, seed=0, hidden=(8,))
         (row,) = study(config, data, field, (value,))
         params, _, _ = train([replace(config, **{field: value})], data)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from aukit.domain import ContractError, EXPRESSIONS, MAJOR_CLASSES, MAJOR_MASK
 from aukit.labeling import (
     PW_FLOOR,
+    PosWeightSpec,
     STRATEGIES,
     compute_pos_weights,
     derive_video_au_labels,
@@ -306,3 +307,11 @@ def test_minor_logs_no_fallback_for_the_major_rows(caplog):
     assert caplog.records == []
     compute_pos_weights(*columns(labels), "distinct")
     assert len(caplog.records) == 18 * len(MAJOR_CLASSES)
+
+
+def test_pos_weight_spec_holds_a_read_only_copy():
+    values = np.ones((7, 18))
+    spec = PosWeightSpec("global", values)
+    assert values.flags.writeable and not spec.values.flags.writeable
+    values[0, 0] = 2.0
+    assert spec.values[0, 0] == 1.0

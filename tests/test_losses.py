@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -158,6 +159,18 @@ class TestAuLoss:
         else:
             with pytest.raises(ContractError, match="must be finite and > 0"):
                 PosWeightSpec("global", values)
+
+    def test_a_spec_cannot_be_changed_after_its_check(self):
+        # the spec's check could once be undone after it ran: a nan cell
+        # written into its values made au_loss return nan, and values rebound
+        # to -5 made it return -87.47, both with no error
+        spec = PosWeightSpec("global", np.ones((7, 18)))
+        with pytest.raises(ValueError, match="read-only"):
+            spec.values[0, 0] = np.nan
+        with pytest.raises(FrozenInstanceError):
+            spec.values = -5 * np.ones((7, 18))
+        args = (np.zeros((2, 18)), np.ones((2, 18)), [0, 1], default_ground_truth())
+        assert au_loss(*args, spec)[0] == au_loss(*args, ones_pw())[0]
 
     def test_extreme_logits_stay_finite(self):
         logits = np.array([[1000.0] * 9 + [-1000.0] * 9])

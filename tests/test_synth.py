@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,36 @@ def test_degenerate_specs_rejected():
         SynthSpec(total=10, au_noise_sd=-1.0)
     with pytest.raises(ContractError):
         SynthSpec(total=10, class_proportions=np.full(7, 0.5))
+
+
+def test_spec_cannot_be_changed_after_its_check():
+    # class_proportions[0] = 5.0 after construction once escaped
+    # generate_dataset as a broadcast ValueError
+    proportions = np.full(7, 1 / 7)
+    spec = SynthSpec(total=10, class_proportions=proportions)
+    with pytest.raises(ValueError, match="read-only"):
+        spec.class_proportions[0] = 5.0
+    with pytest.raises(FrozenInstanceError):
+        spec.total = 0
+    proportions[0] = 5.0  # the spec holds its own copy
+    assert spec.class_proportions[0] == 1 / 7
+    assert len(generate_dataset(spec).expr_labels) == 10
+
+
+@pytest.mark.parametrize("field, value", [
+    ("total", 10.5), ("feature_dim", 3.5), ("seed", 1.5), ("sample_seed", 2.0),
+    ("total", True), ("feature_dim", np.float64(4.0)),
+])
+def test_integer_fields_reject_floats_and_bools(field, value):
+    # total and feature_dim as floats once escaped generate_dataset as a
+    # TypeError
+    with pytest.raises(ContractError, match=rf"^{field} must be an integer, got "):
+        SynthSpec(**{"total": 10, field: value})
+
+
+def test_integer_fields_take_numpy_integers():
+    spec = SynthSpec(total=np.int64(10), feature_dim=np.int32(3), sample_seed=np.int64(1))
+    assert generate_dataset(spec).features.shape == (10, 3)
 
 
 def test_presence_through_eq4_single_frame_videos():
