@@ -152,12 +152,12 @@ def cmd_ingest(args):
 
 
 def cmd_extract_knowledge(args):
+    rows = knowledge.ReliableRows(args.theta)  # applied as each block is read
     with _naming(args.preds), open(args.preds, "r", encoding="utf-8") as fh:
-        predictions = ingest.load_frame_predictions(fh)
-    reliable = knowledge.filter_reliable_frames(predictions, args.theta)
-    del predictions  # the reliable members are a copy
+        video_ids = ingest.read_predictions(fh, rows.add)
+    reliable = rows.frame_set(video_ids)  # theta's range, then duplicates
     # only the stores of videos with a reliable prediction can add a frame
-    named = set(np.unique(reliable.members["video_id"]).tolist())
+    named = set(reliable.video_ids.tolist())
     # read as the join asks for them: one store and its reliable frames at a time
     videos = (
         (video_id,

@@ -54,6 +54,20 @@ def check_integers(**values):
             raise ContractError(f"{name} must be an integer, got {value!r}")
 
 
+def check_au_labels(au_labels):
+    """ContractError naming the first AU label that is not 0 or 1."""
+    au_labels = np.asarray(au_labels)
+    binary = (au_labels == 0) | (au_labels == 1)
+    if not binary.all():
+        raise ContractError(f"AU labels must be 0 or 1, got {au_labels[~binary][0]}")
+
+
+def check_theta(theta):
+    """ContractError unless theta lies in [0, 1]; nan does not."""
+    if not 0.0 <= theta <= 1.0:
+        raise ContractError(f"theta must be in [0, 1], got {theta}")
+
+
 def video_table(video_ids, fields, **columns):
     """A 1-D structured array: a video_id field as wide as the longest id,
     then `fields` (numpy field specs) filled from the same-named `columns`."""
@@ -123,8 +137,7 @@ class KnowledgeMatrix:
         if self.dataset_count < 1:
             raise ContractError("dataset_count must be >= 1")
         theta = float(self.theta)
-        if not 0.0 <= theta <= 1.0:
-            raise ContractError(f"theta must be in [0, 1], got {theta}")
+        check_theta(theta)
         support = self.support
         if support is None:
             support = np.zeros((NUM_AUS, NUM_EXPRESSIONS), dtype=np.int64)

@@ -13,6 +13,7 @@ from .domain import (
     NUM_AUS,
     NUM_EXPRESSIONS,
     NumericFailure,
+    check_au_labels,
     check_integers,
     expression_labels,
 )
@@ -105,6 +106,7 @@ class TrainData:
             raise ContractError("data shapes inconsistent")
         if n == 0:
             raise ContractError("cannot train on an empty dataset")
+        check_au_labels(self.au_labels)
         splits = [("features", "expr_labels")]
         if self.test_features is not None or self.test_expr_labels is not None:
             test_n = np.shape(self.test_expr_labels)  # () if None

@@ -100,26 +100,30 @@ def _blocks(stream):
 
 
 class _Csv:
-    """A CSV text's records, read in blocks of whole lines (see _blocks) and
-    parsed one block per cell type: `floats` holds the cells of the columns
-    `names` (the `required` ones not in `strings`, then the `optional` ones
-    the header has); `strings` maps each `strings` column to its distinct
-    cells and each record's index into them; `lines` holds each record's
-    file line (blank lines are no records); a duplicated header name means
-    its last column.
+    """A CSV text's records, read in blocks of whole lines (see _blocks),
+    each block parsed one cell type at a time and handed on at once, when
+    checked, as consume(floats, lines, strings): `floats` holds the cells of
+    the columns `names` (the `required` ones not in `strings`, then the
+    `optional` ones the header has), `lines` each record's file line (blank
+    lines are no records), and `strings` maps each `strings` column to the
+    block's distinct cells and each record's index into them; a duplicated
+    header name means its last column.
     `checks` lists (columns, test, message template; None for a cell that
     is no number) in the order they run, each on one string column, or on
     float columns consecutive in `names` (an optional one alone, left out
     where the header lacks it); a record whose `secondary` cell is
     a finite number above 0 needs only numbers. `error` words the first
     unreadable or failing record's first failure, found by halving inside
-    its block; the records end before it. The whole input is read all the
-    same: a NUL, then a quote (no writer of these files quotes a cell), then
-    an empty input or a missing column anywhere in it is the ContractError
-    raised instead, and text that is not UTF-8 fails the stream's read."""
+    its block; the records handed on end before it. The whole input is read
+    all the same: a NUL, then a quote (no writer of these files quotes a
+    cell), then an empty input or a missing column anywhere in it is the
+    ContractError raised instead, and text that is not UTF-8 fails the
+    stream's read."""
 
-    def __init__(self, stream, required, checks, strings=(), optional=(), secondary=None):
+    def __init__(self, stream, required, checks, consume, strings=(), optional=(),
+                 secondary=None):
         self.string_names, self.secondary, self.error = strings, secondary, None
+        self.consume = consume
         fault, line = None, 1  # (rank, message) of the gravest NUL, quote or header; file line
         for block in _blocks(stream):
             for rank, (char, problem) in enumerate((("\0", "NUL byte"), ('"', "quoted cell"))):
@@ -140,25 +144,18 @@ class _Csv:
             raise ContractError("empty input: no header row")
         if fault:
             raise ContractError(fault[1])
-        self.floats, self.lines = np.concatenate(self.floats), np.concatenate(self.lines)
-        self.strings = {c: (list(self.codes[c]), np.concatenate(self.strings[c]))
-                        for c in strings}
 
     def _header(self, header, required, optional, checks):
-        """Read the column names and start the blocks (each a list, joined
-        at the end, its empty first block giving the shape); return the
-        first required column the header lacks."""
+        """Read the column names; return the first required column the
+        header lacks."""
         self.index = {name.strip(): i for i, name in enumerate(header)}
         self.names = tuple(c for c in required + optional
                            if c in self.index and c not in self.string_names)
         self.checks = [check for check in checks if check[0][0] in self.index]
-        self.floats, self.lines = [np.empty((0, len(self.names)))], [np.empty(0, int)]
-        self.strings = {c: [np.empty(0, np.intp)] for c in self.string_names}
-        self.codes = {c: {} for c in self.string_names}  # each cell's index in `strings`
         return next((c for c in required if c not in self.index), None)
 
     def _add(self, body, line):
-        """Keep the records of a block of lines starting at file line
+        """Hand on the records of a block of lines starting at file line
         `line`, or those before its first bad record, which sets `error`."""
         records = body.split("\n")
         if not records[-1]:  # the text after the last line end
@@ -176,12 +173,7 @@ class _Csv:
             self.error = self._word(records[lo], lines[lo])
             block, lines = self._block(records[:lo]), lines[:lo]
         floats, strings = block
-        self.floats.append(floats)
-        self.lines.append(lines)
-        for c, (cells, at) in strings.items():
-            codes = self.codes[c]
-            self.strings[c].append(
-                np.array([codes.setdefault(cell, len(codes)) for cell in cells], np.intp)[at])
+        self.consume(floats, lines, strings)
 
     def _block(self, records):
         """The float cells and string columns (distinct cells, each record's
@@ -270,13 +262,15 @@ def parse_openface_csv(stream, video_id):
     flagged; rows for secondary faces (face_id > 0) are dropped with a
     warning. Read and checked in blocks of lines (see _Csv).
     """
+    blocks = []
     csv = _Csv(stream, OPENFACE_REQUIRED, _OPENFACE_CHECKS,
+               lambda floats, lines, strings: blocks.append((floats, lines)),
                optional=("face_id", "timestamp"), secondary="face_id")
-    names, cells = csv.names, csv.floats
+    names, (cells, lines) = csv.names, map(np.concatenate, zip(*blocks))
     secondary = (cells[:, names.index("face_id")] > 0 if "face_id" in names
                  else np.zeros(len(cells), bool))
     if secondary.any():  # the rows before a bad one are dropped all the same
-        for line in csv.lines[secondary].tolist():
+        for line in lines[secondary].tolist():
             log.warning("%s row %d: dropping secondary face", video_id, line)
     if csv.error:
         raise ContractError(csv.error)
@@ -362,32 +356,60 @@ _PREDICTION_CHECKS = (
 )
 
 
+def read_predictions(stream, consume):
+    """Read per-frame expression predictions (video_id, frame, label,
+    s0..s6) block by block, like parse_openface_csv, and hand each checked
+    block on at once as consume(videos, frames, labels, scores): int32
+    codes into the returned video ids (the stripped cells, in order of
+    first appearance), int64 frames, int64 expression indices and the
+    scores renormalised to sum to 1.
+
+    Every cell is checked; then the scores must be non-negative and sum to
+    1 within SCORE_SUM_TOLERANCE. These two score errors are kept and
+    raised after the parse, so a bad cell anywhere comes first, then the
+    first negative score, then the first bad sum; no block is handed on
+    after either.
+    """
+    video_ids = {}  # stripped cell -> its code
+    faults = {}  # rank -> the first negative score (0), the first bad sum (1)
+
+    def block(floats, lines, strings):
+        # scores as a contiguous copy: its row sums then add in a fixed order
+        scores = np.ascontiguousarray(floats[:, 1:])
+        with np.errstate(over="ignore"):  # a sum past the float range is inf: rejected below
+            totals = scores.sum(axis=1)
+        for rank, (bad, problem) in enumerate((
+                ((scores < 0.0).any(axis=1), "negative score"),
+                (np.abs(totals - 1.0) > SCORE_SUM_TOLERANCE,
+                 "scores sum to {}, outside tolerance"))):
+            if rank not in faults and bad.any():
+                first = np.argmax(bad)
+                faults[rank] = f"row {lines[first]}: " + problem.format(totals[first])
+        if faults:
+            return
+        scores /= totals[:, None]
+        (ids, id_at), (names, label_at) = strings["video_id"], strings["label"]
+        videos = np.array([video_ids.setdefault(v.strip(), len(video_ids)) for v in ids],
+                          np.int32)[id_at]
+        labels = np.array([_label_code(name) for name in names], np.int64)[label_at]
+        consume(videos, floats[:, 0].astype(np.int64), labels, scores)
+
+    csv = _Csv(stream, PREDICTION_COLUMNS, _PREDICTION_CHECKS, block,
+               strings=("video_id", "label"))
+    for error in (csv.error, faults.get(0), faults.get(1)):
+        if error:
+            raise ContractError(error)
+    return list(video_ids)
+
+
 def load_frame_predictions(stream):
-    """Load per-frame expression predictions (video_id, frame, label, s0..s6)
-    as a prediction_table. Every cell is checked; then the scores must be
-    non-negative and sum to 1 within SCORE_SUM_TOLERANCE, and are
-    renormalised to sum to 1. Read in blocks like parse_openface_csv; the
-    string cells are kept as indices into their distinct cells."""
-    csv = _Csv(stream, PREDICTION_COLUMNS, _PREDICTION_CHECKS, strings=("video_id", "label"))
-    if csv.error:
-        raise ContractError(csv.error)
-    # scores as a contiguous copy: its row sums then add in a fixed order
-    frame, scores = csv.floats[:, 0], np.ascontiguousarray(csv.floats[:, 1:])
-    with np.errstate(over="ignore"):  # a sum past the float range is inf: rejected below
-        totals = scores.sum(axis=1)
-    for bad, problem in ((scores < 0.0, "negative score"),
-                         (np.abs(totals - 1.0) > SCORE_SUM_TOLERANCE,
-                          "scores sum to {}, outside tolerance")):
-        if bad.any():  # rows x scores, or rows
-            first = np.argmax(bad.reshape(len(scores), -1).any(axis=1))
-            raise ContractError(f"row {csv.lines[first]}: " + problem.format(totals[first]))
-    scores /= totals[:, None]
-    (ids, id_at), (names, label_at) = csv.strings["video_id"], csv.strings["label"]
-    frame = frame.astype(np.int64)
-    del csv, totals  # the cells are freed before the table is built
-    labels = np.array([_label_code(name) for name in names], np.int64)[label_at]
-    video_ids = np.array([v.strip() for v in ids], str)[id_at]
-    return prediction_table(video_ids, frame, labels, scores)
+    """Load per-frame expression predictions as a prediction_table, every
+    block read_predictions hands on joined."""
+    blocks = []
+    video_ids = read_predictions(stream, lambda *block: blocks.append(block))
+    videos, frames, labels, scores = map(np.concatenate, zip(*blocks))
+    del blocks  # the blocks are freed before the table is built
+    return prediction_table(np.array(video_ids, str)[videos], frames, labels, scores)
 
 
 def write_frame_store(frames, path):

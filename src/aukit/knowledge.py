@@ -22,6 +22,7 @@ from .domain import (
     KnowledgeMatrix,
     NUM_AUS,
     NUM_EXPRESSIONS,
+    check_theta,
     float_array,
 )
 from .tables import meta_fields, read_matrix, write_matrix
@@ -43,36 +44,76 @@ class ReliableFrameSet:
     """Predictions whose asserted-label score strictly exceeded theta."""
 
     theta: float
-    # the kept rows of the prediction table, sorted by (video_id, frame_index)
+    # the videos with a reliable prediction, sorted
+    video_ids: np.ndarray
+    # (video: index into video_ids, frame_index, label) of each reliable
+    # prediction, sorted by (video, frame_index)
     members: np.ndarray
+
+
+MEMBER_DTYPE = np.dtype([("video", "<i4"), ("frame_index", "<i8"), ("label", "i1")])
+
+
+class ReliableRows:
+    """Theta's rule, applied one block of predictions at a time (see
+    ingest.read_predictions): `add` keeps each row's key, its video code and
+    frame, for the duplicate check, and (video, frame, label) of the rows
+    whose scores[label] > theta (strict); `frame_set` then checks theta's
+    range and the keys, frees them and sorts the reliable rows."""
+
+    def __init__(self, theta):
+        self.theta = theta
+        empty = np.empty(0, np.int32), np.empty(0, np.int64), np.empty(0, np.int8)
+        self.keys, self.kept = [empty[:2]], [empty]
+
+    def add(self, videos, frames, labels, scores):
+        self.keys.append((videos, frames))
+        reliable = scores[np.arange(len(labels)), labels] > self.theta
+        self.kept.append((videos[reliable], frames[reliable], labels[reliable]))
+
+    def frame_set(self, video_ids):
+        """The ReliableFrameSet of the rows added, their video codes indexing
+        `video_ids`. Two predictions for one (video, frame) are a contract
+        violation."""
+        check_theta(self.theta)
+        # the ids sorted, and each code's rank among them: (rank, frame)
+        # sorts as (id, frame)
+        video_ids, rank = np.unique(np.asarray(video_ids, dtype=str), return_inverse=True)
+        videos, frames = map(np.concatenate, zip(*self.keys))
+        self.keys = None
+        videos = rank[videos]
+        at = np.lexsort((frames, videos))
+        videos, frames = videos[at], frames[at]
+        # sorted, a duplicate sits next to its twin
+        twins = np.flatnonzero((videos[1:] == videos[:-1]) & (frames[1:] == frames[:-1]))
+        if twins.size:
+            video_id, frame = video_ids[videos[twins[0]]], frames[twins[0]]
+            raise ContractError(f"duplicate prediction for video {str(video_id)!r} "
+                                f"frame {frame}")
+        del videos, frames, at
+        videos, frames, labels = map(np.concatenate, zip(*self.kept))
+        self.kept = None
+        present, videos = np.unique(rank[videos], return_inverse=True)
+        at = np.lexsort((frames, videos))
+        members = np.empty(len(at), MEMBER_DTYPE)
+        members["video"], members["frame_index"], members["label"] = (
+            videos[at], frames[at], labels[at])
+        if not len(members):
+            log.warning("no frames survive theta = %s", self.theta)
+        return ReliableFrameSet(theta=self.theta, video_ids=video_ids[present],
+                                members=members)
 
 
 def filter_reliable_frames(predictions, theta):
     """Keep the rows of a prediction table (see ingest.prediction_table)
-    whose scores[label] > theta (strict). `members` holds them sorted by
-    (video_id, frame_index), the order compute_dataset_knowledge looks
-    them up in.
-
-    Two predictions for one (video, frame) are a contract violation.
-    """
-    if not 0.0 <= theta <= 1.0:
-        raise ContractError(f"theta must be in [0, 1], got {theta}")
-    predictions = predictions[
-        np.lexsort((predictions["frame_index"], predictions["video_id"]))
-    ]
-    # sorted, a duplicate sits next to its twin
-    video_ids, frames = predictions["video_id"], predictions["frame_index"]
-    twins = np.flatnonzero((video_ids[1:] == video_ids[:-1]) & (frames[1:] == frames[:-1]))
-    if twins.size:
-        video_id, frame = predictions[["video_id", "frame_index"]][twins[0]].tolist()
-        raise ContractError(
-            f"duplicate prediction for video {video_id!r} frame {frame}"
-        )
-    asserted = predictions["scores"][np.arange(len(predictions)), predictions["label"]]
-    members = predictions[asserted > theta]
-    if not len(members):
-        log.warning("no frames survive theta = %s", theta)
-    return ReliableFrameSet(theta=theta, members=members)
+    whose scores[label] > theta: ReliableRows' rule, the table its one
+    block."""
+    check_theta(theta)  # before the table is read
+    rows = ReliableRows(theta)
+    video_ids, videos = np.unique(predictions["video_id"], return_inverse=True)
+    rows.add(videos.astype(np.int32), predictions["frame_index"], predictions["label"],
+             predictions["scores"])
+    return rows.frame_set(video_ids)
 
 
 def compute_dataset_knowledge(videos, reliable, classes=None):
@@ -81,7 +122,8 @@ def compute_dataset_knowledge(videos, reliable, classes=None):
     `videos` is an iterable of (video_id, frames) pairs, consumed once; a
     frame counts for the class of the reliable prediction for its
     (video_id, frame_index), if there is one. Only the matched intensities
-    are kept, per class, and joined one class at a time for its median.
+    are kept, per class, and joined one class at a time for its median,
+    taken in place.
     Every expression class must have at least one reliable
     frame; classes without any are reported rather than silently imputed. A
     corpus that deliberately covers only a subset of classes can declare
@@ -95,10 +137,10 @@ def compute_dataset_knowledge(videos, reliable, classes=None):
     if any(c < 0 or c >= NUM_EXPRESSIONS for c in classes) or not classes:
         raise ContractError(f"invalid class subset: {classes}")
     members = reliable.members
-    # members are sorted by (video_id, frame_index): each video's predictions
+    # members are sorted by (video, frame_index): each video's predictions
     # are one slice, with its frame indices in order
-    ids, starts = np.unique(members["video_id"], return_index=True)
-    predicted_of = dict(zip(ids.tolist(), np.split(members, starts[1:])))
+    starts = np.searchsorted(members["video"], np.arange(1, len(reliable.video_ids)))
+    predicted_of = dict(zip(reliable.video_ids.tolist(), np.split(members, starts)))
     matched = [[] for _ in range(NUM_EXPRESSIONS)]  # per class, one array per video
     for video_id, frames in videos:
         predicted = predicted_of.get(video_id)
@@ -123,8 +165,10 @@ def compute_dataset_knowledge(videos, reliable, classes=None):
     populated[list(classes)] = True
     support = np.zeros((NUM_AUS, NUM_EXPRESSIONS), dtype=np.int64)
     for c in classes:
-        medians = np.median(np.concatenate(matched[c]), axis=0)
+        intensities = np.concatenate(matched[c])
         matched[c] = None
+        medians = np.median(intensities, axis=0, overwrite_input=True)
+        del intensities
         raw[INTENSITY_TO_PRESENCE, c] = medians
         # AU28 has no intensity track; stand in with the mean of the 17 medians
         raw[AU28_INDEX, c] = medians.mean()

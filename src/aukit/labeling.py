@@ -13,6 +13,7 @@ from .domain import (
     MAJOR_MASK,
     NUM_AUS,
     NUM_EXPRESSIONS,
+    check_au_labels,
     expression_index,
     expression_labels,
     expression_name,
@@ -109,9 +110,7 @@ def compute_pos_weights(au_labels, expr_labels, strategy):
             f"pos-weights need N >= 1 expression labels and N x {NUM_AUS} AU labels"
         )
     expr_labels = expression_labels(expr_labels)
-    binary = (au_labels == 0) | (au_labels == 1)
-    if not binary.all():
-        raise ContractError(f"AU labels must be 0 or 1, got {au_labels[~binary][0]}")
+    check_au_labels(au_labels)
     au_labels = au_labels.astype(np.int64)
     values = np.ones((NUM_EXPRESSIONS, NUM_AUS))
     if strategy == "global":

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import ContractError, NUM_AUS, NUM_EXPRESSIONS, NumericFailure
+from .domain import ContractError, NUM_AUS, NUM_EXPRESSIONS, NumericFailure, check_integers
 from .sealed import read_sealed, write_sealed
 
 CHECKPOINT_MAGIC = b"AUKITCKPT"
@@ -161,7 +161,8 @@ def init_params(seed, feature_dim, hidden):
     """
     if feature_dim < 1:
         raise ContractError("feature_dim must be >= 1")
-    hidden = tuple(int(h) for h in hidden)
+    hidden = tuple(hidden)
+    check_integers(**{f"hidden[{i}]": size for i, size in enumerate(hidden)})
     if any(h < 1 for h in hidden):
         raise ContractError("hidden sizes must be >= 1")
     rng = np.random.default_rng(seed)

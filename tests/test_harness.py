@@ -407,6 +407,16 @@ class TestValidatedValuesStayValid:
         config = TrainConfig(epochs=np.int64(2), seed=np.int32(1), hidden=[np.int64(8)])
         assert config.hidden == (8,) and isinstance(config.hidden, tuple)
 
+    @pytest.mark.parametrize("strategy", [None, "distinct"])
+    def test_non_binary_au_labels_rejected_with_or_without_a_table(self, strategy):
+        # with an explicit pos-weight table, AU labels x2 used to train
+        # (loss_au 30.34); without one they failed in compute_pos_weights
+        data = small_train_data()
+        pos_weights = strategy and compute_pos_weights(data.au_labels, data.expr_labels,
+                                                       strategy)
+        with pytest.raises(ContractError, match=r"^AU labels must be 0 or 1, got 2\.0$"):
+            replace(data, au_labels=2 * data.au_labels, pos_weights=pos_weights)
+
     def test_train_data_fields_cannot_be_set(self):
         data = small_train_data()
         with pytest.raises(FrozenInstanceError):

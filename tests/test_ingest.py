@@ -665,6 +665,14 @@ def _stream_forms(text):
             io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8"))
 
 
+def _csv_records(stream):
+    """The float cells and file lines of the blocks _Csv hands on, joined:
+    one column `a`."""
+    blocks = []
+    ingest._Csv(stream, ("a",), (), lambda floats, lines, strings: blocks.append((floats, lines)))
+    return tuple(map(np.concatenate, zip(*blocks)))
+
+
 @pytest.mark.parametrize("size", [1, 2, 3, 5, 8, 64, 1 << 16])
 def test_block_reader_records_and_file_lines(monkeypatch, size):
     # every kind of line end, blank lines among them (`\n\n`, `\r\n\r\n`,
@@ -676,8 +684,8 @@ def test_block_reader_records_and_file_lines(monkeypatch, size):
                 if line and number > 1]
     monkeypatch.setattr(ingest, "BLOCK_CHARS", size)
     for stream in _stream_forms(text):
-        csv = ingest._Csv(stream, ("a",), ())
-        assert list(zip(csv.floats[:, 0].tolist(), csv.lines.tolist())) == expected
+        floats, lines = _csv_records(stream)
+        assert list(zip(floats[:, 0].tolist(), lines.tolist())) == expected
 
 
 def test_crlf_split_between_two_reads_is_one_line_end():
@@ -690,9 +698,9 @@ def test_crlf_split_between_two_reads_is_one_line_end():
         blocks = list(ingest._blocks(stream))
         assert len(blocks) == 2 and all(block.endswith("\n") for block in blocks)
         assert "".join(blocks) == text.replace("\r\n", "\n")
-        csv = ingest._Csv(again, ("a",), ())
-        assert csv.floats[-2:, 0].tolist() == [3.0, 4.0]
-        assert csv.lines[-2:].tolist() == [32768, 32769]
+        floats, lines = _csv_records(again)
+        assert floats[-2:, 0].tolist() == [3.0, 4.0]
+        assert lines[-2:].tolist() == [32768, 32769]
 
 
 def test_header_longer_than_a_block(monkeypatch):

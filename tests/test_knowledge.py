@@ -1,9 +1,13 @@
 import math
+import re
 import statistics
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aukit.domain import (
     AU28_INDEX,
@@ -12,7 +16,18 @@ from aukit.domain import (
     KNOWLEDGE_STAGES,
     KnowledgeMatrix,
 )
+from aukit import ingest
+from aukit.cli import EXIT_CONTRACT, EXIT_OK, main
+from aukit.ingest import (
+    FRAME_DTYPE,
+    PREDICTION_COLUMNS,
+    load_frame_predictions,
+    read_predictions,
+    write_frame_store,
+)
 from aukit.knowledge import (
+    MEMBER_DTYPE,
+    ReliableRows,
     aggregate_knowledge,
     compute_dataset_knowledge,
     export_knowledge,
@@ -36,6 +51,12 @@ def make_prediction(video_id, frame, label, score):
     return video_id, frame, label, scores
 
 
+def member_keys(reliable):
+    """(video_id, frame_index) of each reliable member, in its order."""
+    return [(reliable.video_ids[video], frame)
+            for video, frame in reliable.members[["video", "frame_index"]].tolist()]
+
+
 def class_counts(reliable):
     return np.bincount(reliable.members["label"], minlength=7)
 
@@ -44,7 +65,7 @@ class TestFilterReliableFrames:
     def test_strictly_above_kept(self):
         preds = make_predictions([make_prediction("v", 1, 0, 0.9)])
         kept = filter_reliable_frames(preds, 0.5)
-        assert kept.members[["video_id", "frame_index"]].tolist() == [("v", 1)]
+        assert member_keys(kept) == [("v", 1)]
 
     def test_equal_dropped(self):
         preds = make_predictions([make_prediction("v", 1, 0, 0.5)])
@@ -92,7 +113,7 @@ class TestFilterReliableFrames:
         rows = [("w", 3), ("v", 10), ("w", 1), ("v", 2), ("x", 0), ("v", 9)]
         preds = [make_prediction(v, f, 0, 0.9) for v, f in rows]
         kept = filter_reliable_frames(make_predictions(preds), 0.5)
-        assert kept.members[["video_id", "frame_index"]].tolist() == sorted(rows)
+        assert member_keys(kept) == sorted(rows)
 
     def test_theta_range_enforced(self):
         with pytest.raises(ContractError):
@@ -475,3 +496,191 @@ class TestKnowledgeIO:
         scaled = scale_for_loss(aggregate)
         for m in (per_dataset, aggregate, scaled):
             assert 0.0 <= m.values.min() <= m.values.max() <= KNOWLEDGE_STAGES[m.stage]
+
+
+# --- theta applied as the predictions are read --------------------------------
+#
+# extract-knowledge reads the predictions one block at a time (ingest's
+# BLOCK_CHARS, 64 characters under the small_blocks fixture) and keeps only
+# each row's key and the reliable rows. Errors and the rows kept must not
+# depend on where a block ends.
+
+THETA = 0.5
+
+
+def read_reliable(text):
+    """The ReliableFrameSet of a predictions text, read as extract-knowledge reads it."""
+    rows = ReliableRows(THETA)
+    return rows.frame_set(read_predictions(text, rows.add))
+
+
+def prediction_line(frame, label, top=0.70):
+    """A prediction of video v1, two decimals a score: `top` for `label`
+    and the rest spread over the others, which sums to 1 where the rest
+    splits into hundredths; for top 0.50, two cells at 0.25, so the
+    asserted score is exactly 0.5."""
+    if top == 0.50:
+        cells = [0.0] * 7
+        cells[(label + 1) % 7] = cells[(label + 2) % 7] = 0.25
+    else:
+        cells = [(1.0 - top) / 6] * 7
+    cells[label] = top
+    return f"v1,{frame:03d},{EXPRESSIONS[label]}," + ",".join(f"{c:.2f}" for c in cells)
+
+
+def predictions_text():
+    """Reliable predictions of v1's frames 1..70, the labels in turn."""
+    lines = [",".join(PREDICTION_COLUMNS)]
+    lines += [prediction_line(f, f % 7) for f in range(1, 71)]
+    return "\n".join(lines) + "\n"
+
+
+def write_store(directory):
+    """The frame store of v1: frames 1..70, each confident and successful."""
+    frames = np.zeros(70, FRAME_DTYPE)
+    frames["frame_index"] = np.arange(1, 71)
+    frames["confidence"], frames["success"] = 0.95, True
+    frames["intensities"] = np.random.default_rng(0).uniform(0.5, 4.5, (70, 17))
+    directory.mkdir(exist_ok=True)
+    write_frame_store(frames, directory / f"v1{ingest.FRAME_STORE_SUFFIX}")
+
+
+def extract(tmp_path, text):
+    """Exit code of extract-knowledge on a store of v1 and `text`."""
+    write_store(tmp_path / "store")
+    (tmp_path / "scores.csv").write_text(text)
+    return main(["extract-knowledge", "--frames", str(tmp_path / "store"),
+                 "--preds", str(tmp_path / "scores.csv"), "--theta", str(THETA),
+                 "--out", str(tmp_path / "k.csv")])
+
+
+def _replace_line(text, frame, line):
+    old = next(ln for ln in text.split("\n") if ln.startswith(f"v1,{frame:03d},"))
+    return text.replace(old, line)
+
+
+# (text, the error, whether extract-knowledge prefixes it with the file's
+# path: it does for a parse error, not for a duplicate)
+STREAMED_ERRORS = {
+    # the twin of frame 2 sits dozens of blocks after it
+    "duplicate_across_blocks": (
+        predictions_text() + prediction_line(2, 5) + "\n",
+        "duplicate prediction for video 'v1' frame 2", False),
+    # a bad sum in the first block loses to a bad cell or a negative score later
+    "sum_then_bad_cell": (
+        _replace_line(_replace_line(predictions_text(), 1, prediction_line(1, 1, 0.90)),
+                      60, prediction_line(60, 4).replace(",0.05,", ",x,", 1)),
+        "row 61: non-numeric value 'x' in column 's0'", True),
+    "sum_then_negative": (
+        _replace_line(_replace_line(predictions_text(), 1, prediction_line(1, 1, 0.90)),
+                      60, prediction_line(60, 4).replace(",0.05,", ",-0.05,", 1)),
+        "row 61: negative score", True),
+}
+
+
+@pytest.mark.usefixtures("small_blocks")
+@pytest.mark.parametrize("case", sorted(STREAMED_ERRORS))
+def test_streamed_errors_across_blocks(case, tmp_path, capsys):
+    text, message, named = STREAMED_ERRORS[case]
+    assert len(list(ingest._blocks(text))) > 30
+    with pytest.raises(ContractError, match="^" + re.escape(message) + "$"):
+        read_reliable(text)
+    capsys.readouterr()
+    assert extract(tmp_path, text) == EXIT_CONTRACT
+    prefix = f"{tmp_path / 'scores.csv'}: " if named else ""
+    assert capsys.readouterr().err == f"error: {prefix}{message}\n"
+    assert not (tmp_path / "k.csv").exists()
+
+
+@pytest.mark.usefixtures("small_blocks")
+def test_asserted_score_equal_to_theta_is_dropped_at_a_block_edge(tmp_path):
+    # the last row of one block and the first of the next both assert a
+    # score of exactly theta: neither is reliable
+    def first_frames(text):  # the frame cell of each block's first line
+        return [block.split(",", 2)[1] for block in ingest._blocks(text)]
+
+    text = predictions_text()
+    first = first_frames(text)
+    edge = int(first[len(first) // 2])
+    for frame in (edge - 1, edge):
+        text = _replace_line(text, frame, prediction_line(frame, frame % 7, 0.50))
+    assert first_frames(text) == first
+    reliable = read_reliable(text)
+    kept = [frame for frame in range(1, 71) if frame not in (edge - 1, edge)]
+    assert member_keys(reliable) == [("v1", frame) for frame in kept]
+    assert extract(tmp_path, text) == EXIT_OK
+    support = import_knowledge(tmp_path / "k.csv").support[0]
+    assert support.tolist() == np.bincount([f % 7 for f in kept], minlength=7).tolist()
+
+
+def _reliable_outcome(read):
+    """The sorted ids and members a reader keeps, or its error."""
+    try:
+        reliable = read()
+    except ContractError as exc:
+        return str(exc)
+    return reliable.video_ids.tolist(), member_keys(reliable), reliable.members.tobytes()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(rows=st.lists(st.tuples(st.sampled_from(["a", "b", " b", "c "]), st.integers(0, 20),
+                               st.integers(0, 6), st.sampled_from([0.40, 0.50, 0.94])),
+                     max_size=30, unique_by=lambda row: (row[0].strip(), row[1])),
+       twin=st.none() | st.integers(0, 29),
+       size=st.sampled_from([1, 7, 64, 1 << 16]))
+def test_streamed_rows_match_the_whole_table_rule(rows, twin, size):
+    # ids that strip alike are one video, duplicates are found across any
+    # block edge, and a score of exactly theta is dropped in every block
+    if twin is not None and rows:
+        video, frame, label, top = rows[twin % len(rows)]
+        rows.append((video.strip(), frame, (label + 1) % 7, top))
+    lines = [",".join(PREDICTION_COLUMNS)]
+    for video, frame, label, top in rows:
+        cells = prediction_line(frame, label, top).split(",")[3:]
+        lines.append(",".join([video, str(frame), EXPRESSIONS[label], *cells]))
+    text = "\n".join(lines) + "\n"
+    expected = _reliable_outcome(
+        lambda: filter_reliable_frames(load_frame_predictions(text), THETA))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "BLOCK_CHARS", size)
+        assert _reliable_outcome(lambda: read_reliable(text)) == expected
+
+
+def test_extract_knowledge_peak_memory(tmp_path):
+    # 30 000 predictions of 100 videos, about 60 % reliable, and their
+    # stores: the command holds one block of text, each row's key until the
+    # keys are checked, the reliable members and the matched intensities.
+    # The whole prediction table (about 2.5 MB here) and its sorted copy are
+    # never built.
+    rng = np.random.default_rng(0)
+    labels = rng.integers(0, 7, 30000)
+    reliable = rng.random(30000) < 0.6
+    lines = [",".join(PREDICTION_COLUMNS)]
+    for i, (label, top) in enumerate(zip(labels.tolist(), np.where(reliable, 0.9, 0.3))):
+        video, frame = divmod(i, 300)
+        cells = [f"{(1.0 - top) / 6:.6f}"] * 7
+        cells[label] = f"{top:.6f}"
+        lines.append(f"vid{video:03d},{frame},{EXPRESSIONS[label]}," + ",".join(cells))
+    (tmp_path / "scores.csv").write_text("\n".join(lines) + "\n")
+    for video in range(100):
+        frames = np.zeros(300, FRAME_DTYPE)
+        frames["frame_index"] = np.arange(300)
+        frames["confidence"], frames["success"] = 0.95, True
+        frames["intensities"] = rng.uniform(0.1, 5.0, (300, 17))
+        write_frame_store(frames, tmp_path / f"vid{video:03d}{ingest.FRAME_STORE_SUFFIX}")
+    argv = ["extract-knowledge", "--frames", str(tmp_path), "--preds",
+            str(tmp_path / "scores.csv"), "--theta", "0.5", "--out", str(tmp_path / "k.csv")]
+    assert main(argv) == EXIT_OK  # once first, so lazy imports are not counted
+    tracemalloc.start()
+    try:
+        assert main(argv) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # every reliable prediction matches a confident frame of its store
+    count = int(reliable.sum())
+    assert import_knowledge(tmp_path / "k.csv").support[0].sum() == count
+    members, matched = count * MEMBER_DTYPE.itemsize, count * 17 * 8
+    allowance = 3 << 19  # 1.5 MiB: a block of text, a store, a class's joined rows
+    assert peak <= members + matched + allowance, (
+        f"peak {peak} B; members {members} B, matched intensities {matched} B")

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -107,6 +108,17 @@ class TestInitParams:
         assert p.head_weight.shape == (12, 25)
         # with no hidden layer the embeddings are the features themselves
         assert forward(p, np.ones((2, 12)))[2].shape == (2, 12)
+
+    @pytest.mark.parametrize("hidden, name", [
+        ((4.7,), "hidden[0]"), ((8, 2.0), "hidden[1]"), ((True,), "hidden[0]"),
+    ])
+    def test_hidden_sizes_must_be_integers(self, hidden, name):
+        # a float was truncated: hidden=(4.7,) built a 4-unit layer
+        with pytest.raises(ContractError, match=rf"^{re.escape(name)} must be an integer, got "):
+            init_params(0, feature_dim=4, hidden=hidden)
+
+    def test_hidden_sizes_take_numpy_integers(self):
+        assert init_params(0, feature_dim=4, hidden=(np.int64(3),)).hidden == (3,)
 
     def test_head_shapes(self):
         p = init_params(0, feature_dim=1024, hidden=(128,))
