@@ -366,47 +366,40 @@ GRADCHECK_BOUNDS = {"expression_loss": 1e-5, "au_loss": 1e-5, "model": 1e-4}
 def cmd_gradcheck(args):
     """Check, in float64, the analytic gradients of what a training step
     uses against central differences: expression_loss and au_loss wrt their
-    logits, and forward/backward's combined-loss gradient wrt every model
-    parameter."""
+    logits, and harness.Step's gradient of the summed combined loss wrt every
+    parameter of a stack of 3 runs, each with its own seed, lambda,
+    pos-weight table and batch."""
     seed = args.seed if args.seed is not None else 0
     if args.batch < 1 or seed < 0:
         raise ContractError("--batch must be >= 1 and --seed >= 0")
     rng = np.random.default_rng(seed)
-    batch = args.batch
-    labels = rng.integers(0, NUM_EXPRESSIONS, size=batch)
-    au_labels = rng.integers(0, 2, size=(batch, NUM_AUS)).astype(np.float64)
-    kn = KnowledgeMatrix(
-        values=rng.uniform(0.2, 4.8, (NUM_AUS, NUM_EXPRESSIONS)), stage="loss-scaled"
-    )
-    pw = labeling.PosWeightSpec("global", rng.uniform(0.5, 6.0, (NUM_EXPRESSIONS, NUM_AUS)))
-    lam = harness.TrainConfig().lam
+    shape = (3, args.batch)  # runs, batch
+    labels = rng.integers(0, NUM_EXPRESSIONS, size=shape)
+    au_labels = rng.integers(0, 2, size=(*shape, NUM_AUS)).astype(np.float64)
+    kn = KnowledgeMatrix(rng.uniform(0.2, 4.8, (NUM_AUS, NUM_EXPRESSIONS)), "loss-scaled")
+    pw = rng.uniform(0.5, 6.0, (3, NUM_EXPRESSIONS, NUM_AUS))
+    lams = rng.uniform(0.1, 0.9, 3)
     # two hidden layers cover all of backward; biases off zero keep units off ReLU kinks
-    params = model.init_params(seed, feature_dim=6, hidden=(4, 3))
+    params = model.stack_params([model.init_params(seed + r, feature_dim=6, hidden=(4, 3))
+                                 for r in range(3)])
     for b in params.hidden_biases:
         b[...] = rng.uniform(0.1, 0.5, b.shape)
-    features = rng.normal(size=(batch, 6))
+    features = rng.normal(size=(*shape, 6))
+    step = harness.Step(lams, kn, pw, args.batch, np.float64)
 
-    def au(x):
-        return au_loss(x, au_labels, labels, kn, pw)
-
-    def combined(vector):
+    def stacked(vector):
         params.vector[...] = vector
-        expr_logits, au_logits, _, acts = model.forward(
-            params, features, return_hidden=True
-        )
-        loss_e, grad_e = expression_loss(expr_logits, labels)
-        loss_au, grad_au = au(au_logits)
-        grads = model.backward(params, features, (1 - lam) * grad_e, lam * grad_au,
-                               activations=acts)
-        return combined_loss(loss_e, loss_au, lam), grads
+        grads = np.empty_like(vector)
+        loss_e, loss_au = step(params, features, labels, au_labels, params.views(grads))
+        return combined_loss(loss_e, loss_au, lams).sum(), grads
 
+    spec = labeling.PosWeightSpec("global", pw[0])
     checks = {
-        "expression_loss": (
-            lambda x: expression_loss(x, labels),
-            rng.normal(scale=2.0, size=(batch, NUM_EXPRESSIONS)),
-        ),
-        "au_loss": (au, rng.normal(scale=2.0, size=(batch, NUM_AUS))),
-        "model": (combined, params.vector.copy()),
+        "expression_loss": (lambda x: expression_loss(x, labels[0]),
+                            rng.normal(scale=2.0, size=(args.batch, NUM_EXPRESSIONS))),
+        "au_loss": (lambda x: au_loss(x, au_labels[0], labels[0], kn, spec),
+                    rng.normal(scale=2.0, size=(args.batch, NUM_AUS))),
+        "model": (stacked, params.vector.copy()),
     }
     results = {}
     for name, (evaluator, point) in checks.items():
@@ -504,8 +497,8 @@ def build_parser():
     p.add_argument("--data", required=True)
 
     p = add("gradcheck", cmd_gradcheck, seed=True,
-            help="check expression_loss, au_loss and the model's gradients "
-                 "against central differences, in float64")
+            help="check expression_loss, au_loss and a training step's "
+                 "gradients against central differences, in float64")
     p.add_argument("--batch", type=int, default=8)
     p.add_argument("--eps", type=float, default=1e-5)
 

@@ -54,6 +54,15 @@ def check_integers(**values):
             raise ContractError(f"{name} must be an integer, got {value!r}")
 
 
+def check_numbers(**values):
+    """ContractError naming the first of `values` that is not an int, a float
+    or a numpy one; a bool, a str or None is not one."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(
+                value, (int, float, np.integer, np.floating)):
+            raise ContractError(f"{name} must be a number, got {value!r}")
+
+
 def check_au_labels(au_labels):
     """ContractError naming the first AU label that is not 0 or 1."""
     au_labels = np.asarray(au_labels)

@@ -15,10 +15,12 @@ from .domain import (
     NumericFailure,
     check_au_labels,
     check_integers,
+    check_numbers,
     expression_labels,
 )
 from .labeling import STRATEGIES, compute_pos_weights
-from .losses import au_loss_kernel, combined_loss, expression_loss_kernel, loss_knowledge
+from .losses import (au_loss_kernel, combined_loss, expression_loss_kernel, loss_knowledge,
+                     loss_pos_weights)
 from .model import (
     TRAIN_DTYPE,
     ModelParams,
@@ -66,9 +68,13 @@ class TrainConfig:
     hidden: tuple = (32,)
 
     def __post_init__(self):
+        if isinstance(self.hidden, str) or not np.iterable(self.hidden):
+            raise ContractError(f"hidden must be a list of integers, got {self.hidden!r}")
         hidden = tuple(self.hidden)
         check_integers(epochs=self.epochs, batch_size=self.batch_size, seed=self.seed,
                        **{f"hidden[{i}]": size for i, size in enumerate(hidden)})
+        check_numbers(lam=self.lam, learning_rate=self.learning_rate,
+                      weight_decay=self.weight_decay)
         if not 0.0 <= self.lam <= 1.0:
             raise ContractError(f"lambda must be in [0, 1], got {self.lam}")
         if self.strategy not in STRATEGIES:
@@ -87,7 +93,8 @@ class TrainConfig:
 @dataclass(frozen=True)
 class TrainData:
     """Features, labels, and the knowledge/pos-weight inputs of one split
-    pair, checked once, here. Both feature splits are held in TRAIN_DTYPE
+    pair, checked once, here (the knowledge and a pos-weight table as
+    au_loss checks them). Both feature splits are held in TRAIN_DTYPE
     (cast_features: no copy if already in it), expression labels as int64."""
 
     features: np.ndarray          # N x F
@@ -107,6 +114,9 @@ class TrainData:
         if n == 0:
             raise ContractError("cannot train on an empty dataset")
         check_au_labels(self.au_labels)
+        loss_knowledge(self.knowledge)
+        if self.pos_weights is not None:
+            loss_pos_weights(self.pos_weights)
         splits = [("features", "expr_labels")]
         if self.test_features is not None or self.test_expr_labels is not None:
             test_n = np.shape(self.test_expr_labels)  # () if None
@@ -170,9 +180,7 @@ def report_from_confusion(confusion):
         raise ContractError("cannot evaluate an empty dataset")
     row_totals = confusion.sum(axis=1)
     populated = row_totals > 0
-    recalls = np.where(
-        populated, np.diag(confusion) / np.maximum(row_totals, 1), np.nan
-    )
+    recalls = np.where(populated, np.diag(confusion) / np.maximum(row_totals, 1), np.nan)
     return EvalReport(
         confusion=confusion,
         per_class_recall=recalls,
@@ -199,22 +207,55 @@ def evaluate(params, features, labels):
     return evaluate_predictions(labels, predict(params, features))
 
 
+class Step:
+    """One training step for a stack of R runs, built once per stack. A call
+    on R x B batches runs the forward kernel and both loss kernels, joins
+    the loss gradients at the logits in one reused d_head, scales them there
+    by each run's 1 - lambda (expression logits) and lambda (AU logits), and
+    runs the backward kernel, which writes the gradient of each run's
+    combined_loss into `grads` (params.views of an R x P vector). It returns
+    each run's (loss_e, loss_au) and checks nothing. Each run has its own
+    lambda (`lams`) and pos-weight table (`pos_weights`: R x 7 x 18), all
+    share `knowledge`, a loss-scaled KnowledgeMatrix, and all are cast to
+    `dtype` once. A batch shorter than `batch` takes a prefix of d_head (laid
+    out as a fresh array would be) and of the ones that sum bias gradients."""
+
+    def __init__(self, lams, knowledge, pos_weights, batch, dtype):
+        self.knowledge_by_class = np.array(knowledge.values.T, dtype=dtype, order="C")
+        self.pos_weights = pos_weights.astype(dtype)
+        self.runs = np.arange(len(lams))[:, None]
+        lam = np.asarray(lams, dtype=np.float64)[:, None, None]
+        self.head_scale = np.concatenate([
+            np.broadcast_to(1.0 - lam, (len(lams), batch, NUM_EXPRESSIONS)),
+            np.broadcast_to(lam, (len(lams), batch, NUM_AUS)),
+        ], axis=-1, dtype=dtype)
+        self.d_head = np.empty(self.head_scale.size, dtype=dtype)
+        self.ones = np.ones(batch, dtype=dtype)
+
+    def __call__(self, params, features, expr_labels, au_labels, grads):
+        expr_logits, au_logits, acts = forward_kernel(params, features)
+        loss_e, grad_e = expression_loss_kernel(expr_logits, expr_labels)
+        loss_au, grad_au = au_loss_kernel(au_logits, au_labels, expr_labels,
+                                          self.knowledge_by_class, self.pos_weights,
+                                          self.runs)
+        scale = self.head_scale[:, :expr_labels.shape[1]]
+        d_head = self.d_head[:scale.size].reshape(scale.shape)
+        d_head[..., :NUM_EXPRESSIONS] = grad_e
+        d_head[..., NUM_EXPRESSIONS:] = grad_au
+        d_head *= scale
+        backward_kernel(params, d_head, acts, grads, self.ones[:expr_labels.shape[1]])
+        return loss_e, loss_au
+
+
 def _lockstep(configs, data, pos_weights):
-    """Train the runs of `configs` together on `data` as one stack.
-
-    Parameters, AdamW moments and batches carry a leading run axis, so each
-    step is one call of each kernel (forward, the two losses, backward,
-    AdamW) for all runs. TrainData has checked the data, so nothing here
-    checks it again; what stays the same over the stack is built once. Each
-    run keeps its own seed (initialisation and batch order), lambda and
-    pos-weight table (`pos_weights`: R x 7 x 18), so its parameters equal,
-    bit for bit, those of training it alone.
-
-    Steps run in TRAIN_DTYPE, which TrainData holds `data.features` in
-    (batches are gathered from them). Everything else stepped is cast once,
-    before the first epoch: AU labels, lambda scales, pos-weights and the
-    knowledge table; the float64 parameters init_params draws are rounded
-    to it.
+    """Train the runs of `configs` together on `data` as one stack: one Step
+    and one AdamW update per batch, for all runs. TrainData has checked the
+    data, so nothing here checks it again. Each run keeps its own seed
+    (initialisation and batch order), lambda and pos-weight table
+    (`pos_weights`: R x 7 x 18), so its parameters equal, bit for bit, those
+    of training it alone. Steps run in TRAIN_DTYPE, which TrainData holds
+    `data.features` in; the AU labels are cast to it once, and the float64
+    parameters init_params draws are rounded to it.
     Yields (epoch, params, state, loss_e, loss_au) after each epoch: the
     stacked parameters and optimizer state, in TRAIN_DTYPE, and each run's
     mean batch losses.
@@ -223,62 +264,34 @@ def _lockstep(configs, data, pos_weights):
     features, expr_labels = data.features, data.expr_labels
     n, feature_dim = features.shape
     au_labels = np.asarray(data.au_labels, dtype=TRAIN_DTYPE)
-    knowledge_by_class = np.ascontiguousarray(
-        loss_knowledge(data.knowledge).astype(TRAIN_DTYPE).T)
-    pw = pos_weights.astype(TRAIN_DTYPE)
-    runs = np.arange(len(configs))[:, None]
-
+    step = Step([config.lam for config in configs], data.knowledge, pos_weights,
+                min(first.batch_size, n), TRAIN_DTYPE)
     params = stack_params([
         init_params(config.seed, feature_dim=feature_dim, hidden=first.hidden)
         for config in configs
     ]).astype(TRAIN_DTYPE)
-    state = OptimizerState(
-        learning_rate=first.learning_rate, weight_decay=first.weight_decay
-    )
+    state = OptimizerState(learning_rate=first.learning_rate,
+                           weight_decay=first.weight_decay)
     rngs = [np.random.default_rng(config.seed) for config in configs]
-    grads = np.empty_like(params.vector)  # backward_kernel overwrites it every step
+    grads = np.empty_like(params.vector)  # every step overwrites it
     grad_views = params.views(grads)
-    # the loss gradients at the logits are joined in d_head and scaled there
-    # by 1 - lambda (expression logits) and lambda (AU logits); a shorter
-    # last batch takes a prefix of d_head, laid out as a fresh array would
-    # be, and of the ones that sum the bias gradients
-    batch = min(first.batch_size, n)
-    lam = np.array([config.lam for config in configs])[:, None, None]
-    head_scale = np.concatenate([
-        np.broadcast_to(1.0 - lam, (len(configs), batch, NUM_EXPRESSIONS)),
-        np.broadcast_to(lam, (len(configs), batch, NUM_AUS)),
-    ], axis=-1, dtype=TRAIN_DTYPE)
-    d_head_buffer = np.empty(head_scale.size, dtype=TRAIN_DTYPE)
-    ones = np.ones(batch, dtype=TRAIN_DTYPE)
     for epoch in range(first.epochs):
         orders = np.stack([rng.permutation(n) for rng in rngs])
         sum_e = np.zeros(len(configs))
         sum_au = np.zeros(len(configs))
-        batches = 0
-        for lo in range(0, n, first.batch_size):
+        for batches, lo in enumerate(range(0, n, first.batch_size), start=1):
             idx = orders[:, lo:lo + first.batch_size]
-            batch_x = np.take(features, idx, axis=0)
-            batch_expr = np.take(expr_labels, idx)
-            expr_logits, au_logits, acts = forward_kernel(params, batch_x)
-            loss_e, grad_e = expression_loss_kernel(expr_logits, batch_expr)
-            loss_au, grad_au = au_loss_kernel(
-                au_logits, np.take(au_labels, idx, axis=0), batch_expr,
-                knowledge_by_class, pw, runs)
+            loss_e, loss_au = step(params, np.take(features, idx, axis=0),
+                                   np.take(expr_labels, idx),
+                                   np.take(au_labels, idx, axis=0), grad_views)
             finite = np.isfinite(loss_e) & np.isfinite(loss_au)
             if not finite.all():
                 run = np.flatnonzero(~finite)[0]
                 where = f" in run {run}" if len(configs) > 1 else ""
                 raise NumericFailure(f"non-finite loss at epoch {epoch}{where}")
-            scale = head_scale[:, :idx.shape[1]]
-            d_head = d_head_buffer[:scale.size].reshape(scale.shape)
-            d_head[..., :NUM_EXPRESSIONS] = grad_e
-            d_head[..., NUM_EXPRESSIONS:] = grad_au
-            d_head *= scale
-            backward_kernel(params, d_head, acts, grad_views, ones[:idx.shape[1]])
             optimizer_step(params, grads, state)
             sum_e += loss_e
             sum_au += loss_au
-            batches += 1
         yield epoch, params, state, sum_e / batches, sum_au / batches
 
 
@@ -304,11 +317,11 @@ def train(configs, data, every_epoch=False):
     as trained, in TRAIN_DTYPE (`params.run(r)` is run r), and logs[r], run
     r's EpochLogs.
     Raises NumericFailure on a non-finite loss, gradient or optimizer
-    moment, and ContractError on runs that do not share SHARED_FIELDS or
-    knowledge that is not a loss-scaled KnowledgeMatrix, before the first
-    step; an error raised while scoring propagates unchanged. Shape and
-    label errors, and features outside TRAIN_DTYPE's range, are raised by
-    TrainData, when `data` is built.
+    moment, and ContractError on runs that do not share SHARED_FIELDS,
+    before the first step; an error raised while scoring propagates
+    unchanged. Shape and label errors, features outside TRAIN_DTYPE's range,
+    knowledge that is not a loss-scaled KnowledgeMatrix and pos-weights that
+    are not a PosWeightSpec are raised by TrainData, when `data` is built.
     """
     if not configs:
         raise ContractError("no runs to train")
@@ -417,15 +430,13 @@ def write_confusion_svg(report, path):
     for i in range(NUM_EXPRESSIONS):
         for j in range(NUM_EXPRESSIONS):
             value = int(report.confusion[i, j])
-            intensity = value / peak
-            red = 255
-            other = int(round(255 * (1.0 - intensity)))
+            other = int(round(255 * (1.0 - value / peak)))
             x = SVG_MARGIN + j * SVG_CELL
             y = SVG_MARGIN + i * SVG_CELL
             parts.append(
                 f'<rect class="cell" x="{x}" y="{y}" '
                 f'width="{SVG_CELL}" height="{SVG_CELL}" '
-                f'fill="rgb({red},{other},{other})" stroke="#444">'
+                f'fill="rgb(255,{other},{other})" stroke="#444">'
                 f"<title>{EXPRESSIONS[i]} as {EXPRESSIONS[j]}: {value}</title></rect>"
             )
     for idx, name in enumerate(EXPRESSIONS):

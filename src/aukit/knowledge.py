@@ -8,7 +8,7 @@ squash again. A final x5 puts the weights back on the OpenFace intensity scale.
 """
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -156,9 +156,7 @@ def compute_dataset_knowledge(videos, reliable, classes=None):
 
     empty = [EXPRESSIONS[c] for c in classes if not counts[c]]
     if empty:
-        raise ContractError(
-            f"no reliable frames for classes: {', '.join(empty)}"
-        )
+        raise ContractError(f"no reliable frames for classes: {', '.join(empty)}")
 
     raw = np.empty((NUM_AUS, NUM_EXPRESSIONS))
     populated = np.zeros(NUM_EXPRESSIONS, dtype=bool)
@@ -177,13 +175,8 @@ def compute_dataset_knowledge(videos, reliable, classes=None):
     midpoint = 0.5 * (raw[:, populated].max() + raw[:, populated].min())
     values = np.full((NUM_AUS, NUM_EXPRESSIONS), 0.5)
     values[:, populated] = sigmoid(raw[:, populated] - midpoint)
-    return KnowledgeMatrix(
-        values=values,
-        stage="per-dataset",
-        dataset_count=1,
-        theta=reliable.theta,
-        support=support,
-    )
+    return KnowledgeMatrix(values=values, stage="per-dataset", theta=reliable.theta,
+                           support=support)
 
 
 def aggregate_knowledge(matrices, midpoint_policy="general"):
@@ -211,13 +204,8 @@ def aggregate_knowledge(matrices, midpoint_policy="general"):
     midpoint = 2.5 if midpoint_policy == "compat" else d / 2.0
     values = sigmoid(total - midpoint)
     support = np.sum([m.support for m in matrices], axis=0)
-    return KnowledgeMatrix(
-        values=values,
-        stage="aggregate",
-        dataset_count=d,
-        theta=thetas[0],
-        support=support,
-    )
+    return KnowledgeMatrix(values=values, stage="aggregate", dataset_count=d,
+                           theta=thetas[0], support=support)
 
 
 def scale_for_loss(matrix):
@@ -226,13 +214,7 @@ def scale_for_loss(matrix):
         raise ContractError(
             f"scale_for_loss expects stage 'aggregate', got {matrix.stage!r}"
         )
-    return KnowledgeMatrix(
-        values=matrix.values * 5.0,
-        stage="loss-scaled",
-        dataset_count=matrix.dataset_count,
-        theta=matrix.theta,
-        support=matrix.support,
-    )
+    return replace(matrix, values=matrix.values * 5.0, stage="loss-scaled")
 
 
 def _support_path(path):

@@ -106,6 +106,14 @@ def loss_knowledge(knowledge):
     return knowledge.values
 
 
+def loss_pos_weights(pos_weights):
+    """The 7 x 18 values of a PosWeightSpec; ContractError for anything else."""
+    if not isinstance(pos_weights, PosWeightSpec):
+        raise ContractError("au_loss expects pos-weights as a PosWeightSpec, "
+                            f"got {type(pos_weights).__name__!r}")
+    return pos_weights.values
+
+
 def au_loss(au_logits, au_labels, expr_labels, knowledge, pos_weights):
     """Knowledge-weighted binary cross-entropy over the 18 AU logits.
 
@@ -117,8 +125,8 @@ def au_loss(au_logits, au_labels, expr_labels, knowledge, pos_weights):
     wrt logits).
     A stack of R runs passes R x N x ... batches, which share the one
     pos-weight table, and gets R losses. `knowledge` is a loss-scaled
-    KnowledgeMatrix (see loss_knowledge), `pos_weights` a PosWeightSpec,
-    whose values are finite and > 0; anything else is a ContractError.
+    KnowledgeMatrix (see loss_knowledge), `pos_weights` a PosWeightSpec
+    (see loss_pos_weights); anything else is a ContractError.
     Checks its arguments, then runs au_loss_kernel.
     """
     au_logits = float_array(au_logits)
@@ -132,10 +140,7 @@ def au_loss(au_logits, au_labels, expr_labels, knowledge, pos_weights):
     # a label of -1 would gather class 6's weights, one of 7 an IndexError
     expr_labels = expression_labels(expr_labels)
     knowledge = np.asarray(loss_knowledge(knowledge), dtype=au_logits.dtype)
-    if not isinstance(pos_weights, PosWeightSpec):
-        raise ContractError("au_loss expects pos-weights as a PosWeightSpec, "
-                            f"got {type(pos_weights).__name__!r}")
-    pw = np.asarray(pos_weights.values, dtype=au_logits.dtype)
+    pw = np.asarray(loss_pos_weights(pos_weights), dtype=au_logits.dtype)
     return au_loss_kernel(au_logits, au_labels, expr_labels, knowledge.T, pw, None)
 
 

@@ -19,6 +19,7 @@ from .domain import (
     NUM_AUS,
     NUM_EXPRESSIONS,
     check_integers,
+    check_numbers,
 )
 
 PRESENCE_THRESHOLD = 2.5  # midpoint of the [0, 5] intensity scale
@@ -70,16 +71,20 @@ class SynthSpec:
     sample_seed: int = None
 
     def __post_init__(self):
-        proportions = np.array(self.class_proportions, dtype=np.float64)
+        proportions = np.asarray(self.class_proportions)
         if proportions.shape != (NUM_EXPRESSIONS,):
             raise ContractError("class_proportions must be a 7-vector")
+        check_numbers(au_noise_sd=self.au_noise_sd, feature_noise_sd=self.feature_noise_sd,
+                      anchor_scale=self.anchor_scale, **{
+                          f"class_proportions[{i}]": p
+                          for i, p in enumerate(proportions.tolist())})
+        proportions = proportions.astype(np.float64)  # a copy, frozen below
         if not np.all(proportions >= 0):  # nan fails too
             raise ContractError("class proportions must be nonnegative")
         if abs(proportions.sum() - 1.0) > 1e-9:
             raise ContractError("class proportions must sum to 1")
-        check_integers(total=self.total, feature_dim=self.feature_dim, seed=self.seed)
-        if self.sample_seed is not None:
-            check_integers(sample_seed=self.sample_seed)
+        check_integers(total=self.total, feature_dim=self.feature_dim, seed=self.seed,
+                       sample_seed=self.seed if self.sample_seed is None else self.sample_seed)
         if self.total < 1:
             raise ContractError("total must be >= 1")
         if self.seed < 0 or (self.sample_seed or 0) < 0:

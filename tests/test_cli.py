@@ -408,10 +408,11 @@ def test_gradcheck_json(capsys):
 def test_gradcheck_checks_both_losses_and_the_model(capsys):
     assert run("gradcheck", "--batch", 3, "--seed", 2) == EXIT_OK
     checks = json.loads(capsys.readouterr().out.strip())["checks"]
-    # every logit of a 3-sample batch, and every parameter of the 6-4-3 model
+    # every logit of a 3-sample batch, and every parameter of a stack of 3
+    # runs of the 6-4-3 model
     assert {name: check["parameters_checked"] for name, check in checks.items()} == {
         "expression_loss": 3 * 7, "au_loss": 3 * 18,
-        "model": 6 * 4 + 4 + 4 * 3 + 3 + 3 * 25 + 25,
+        "model": 3 * (6 * 4 + 4 + 4 * 3 + 3 + 3 * 25 + 25),
     }
     for check in checks.values():
         assert check["passed"] is True

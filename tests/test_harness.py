@@ -27,6 +27,7 @@ from aukit.harness import (
     write_metric_rows,
 )
 from aukit import harness
+from aukit.cli import main as cli_main
 from aukit.labeling import STRATEGIES, compute_pos_weights
 from aukit.losses import au_loss
 from aukit.model import (
@@ -295,8 +296,10 @@ class TestTrain:
     @pytest.mark.parametrize("caller", ["au_loss", "train"])
     def test_raw_knowledge_array_rejected(self, caller, monkeypatch):
         # a bare 18 x 7 table skips the loss-scaled stage check: au_loss
-        # weighted by it unscaled, and train escaped with an AttributeError
-        data = replace(small_train_data(), knowledge=np.full((18, 7), 0.5))
+        # weighted by it unscaled, and train escaped with an AttributeError;
+        # now the TrainData holding one is rejected when it is built
+        data = small_train_data()
+        raw = np.full((18, 7), 0.5)
         steps = []
         monkeypatch.setattr(harness, "optimizer_step",
                             lambda *args: steps.append(1) or args[::2])
@@ -304,9 +307,9 @@ class TestTrain:
         with pytest.raises(ContractError, match=message):
             if caller == "au_loss":
                 au_loss(np.zeros((3, 18)), np.zeros((3, 18)), [0, 3, 6],
-                        data.knowledge, data.pos_weights)
+                        raw, data.pos_weights)
             else:
-                train([TrainConfig(epochs=1, seed=0)], data)
+                train([TrainConfig(epochs=1, seed=0)], replace(data, knowledge=raw))
         assert steps == []
 
     def test_empty_dataset_rejected(self):
@@ -340,6 +343,27 @@ class TestTrain:
               small_train_data())
         assert len(buffers) == 2 * BATCHES
         assert all(out is buffers[0] for out in buffers)
+
+    def test_train_and_gradcheck_call_the_one_step(self, monkeypatch, capsys):
+        # the step finite differences check is the step training runs
+        calls = []
+        step_call = harness.Step.__call__
+
+        def spy(step, params, features, *args):
+            calls.append((features.dtype, features.shape[:2]))
+            return step_call(step, params, features, *args)
+
+        monkeypatch.setattr(harness.Step, "__call__", spy)
+        train([TrainConfig(epochs=1, seed=seed, hidden=(8,)) for seed in (0, 1)],
+              small_train_data())
+        assert len(calls) == BATCHES
+        assert calls[0] == (TRAIN_DTYPE, (2, 64))
+        calls.clear()
+        assert cli_main(["gradcheck", "--batch", "3"]) == 0
+        capsys.readouterr()
+        # the analytic gradient once, then a pair of differences per parameter
+        assert len(calls) == 1 + 2 * 3 * 143
+        assert set(calls) == {(np.dtype(np.float64), (3, 3))}
 
     def test_each_kernel_runs_once_per_step(self, monkeypatch):
         # train checks its data once per stack: every step calls each kernel
@@ -416,6 +440,44 @@ class TestValidatedValuesStayValid:
                                                        strategy)
         with pytest.raises(ContractError, match=r"^AU labels must be 0 or 1, got 2\.0$"):
             replace(data, au_labels=2 * data.au_labels, pos_weights=pos_weights)
+
+    @pytest.mark.parametrize("pos_weights, kind", [
+        (np.ones((NUM_EXPRESSIONS, 18)), "ndarray"), ("distinct", "str"),
+    ])
+    def test_pos_weights_other_than_a_spec_rejected(self, pos_weights, kind, monkeypatch):
+        # a bare 7 x 18 table or a strategy name constructed, and then
+        # escaped train as AttributeError: no attribute 'values'
+        steps = []
+        monkeypatch.setattr(harness, "optimizer_step",
+                            lambda *args: steps.append(1) or args[::2])
+        message = rf"^au_loss expects pos-weights as a PosWeightSpec, got '{kind}'$"
+        with pytest.raises(ContractError, match=message):
+            train([TrainConfig(epochs=1, seed=0)],
+                  replace(small_train_data(), pos_weights=pos_weights))
+        assert steps == []
+
+    @pytest.mark.parametrize("field, value", [
+        ("lam", "0.5"), ("lam", True), ("lam", None), ("learning_rate", None),
+        ("learning_rate", "1e-3"), ("weight_decay", False),
+    ])
+    def test_float_fields_reject_non_numbers(self, field, value):
+        # a str or None escaped as a TypeError from the range check, and a
+        # bool trained as 0 or 1
+        message = rf"^{field} must be a number, got {re.escape(repr(value))}$"
+        with pytest.raises(ContractError, match=message):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("hidden", [5, "32", None])
+    def test_hidden_must_be_a_list(self, hidden):
+        # hidden=5 escaped as "TypeError: 'int' object is not iterable", and
+        # "32" named its first character
+        message = rf"^hidden must be a list of integers, got {re.escape(repr(hidden))}$"
+        with pytest.raises(ContractError, match=message):
+            TrainConfig(hidden=hidden)
+
+    def test_float_fields_take_ints_and_numpy_floats(self):
+        config = TrainConfig(lam=1, learning_rate=np.float32(0.01), weight_decay=0)
+        assert (config.lam, config.weight_decay) == (1, 0)
 
     def test_train_data_fields_cannot_be_set(self):
         data = small_train_data()

@@ -1,3 +1,4 @@
+import re
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -97,6 +98,27 @@ def test_integer_fields_reject_floats_and_bools(field, value):
     # TypeError
     with pytest.raises(ContractError, match=rf"^{field} must be an integer, got "):
         SynthSpec(**{"total": 10, field: value})
+
+
+@pytest.mark.parametrize("field, value, name", [
+    ("au_noise_sd", "x", "au_noise_sd"), ("anchor_scale", None, "anchor_scale"),
+    ("feature_noise_sd", True, "feature_noise_sd"),
+    ("class_proportions", ["a"] * 7, "class_proportions[0]"),
+    ("class_proportions", [1 / 7] * 6 + [None], "class_proportions[6]"),
+    ("class_proportions", [True] + [False] * 6, "class_proportions[0]"),
+])
+def test_float_fields_reject_non_numbers(field, value, name):
+    # a str or None escaped as a TypeError, proportions of "a" as a bare
+    # ValueError, and a bool was taken as 0 or 1
+    with pytest.raises(ContractError, match=rf"^{re.escape(name)} must be a number, got "):
+        SynthSpec(**{"total": 10, field: value})
+
+
+def test_float_fields_take_ints_and_numpy_floats():
+    spec = SynthSpec(total=10, au_noise_sd=1, anchor_scale=np.float32(0.5),
+                     class_proportions=[1, 0, 0, 0, 0, 0, 0])
+    assert spec.class_proportions.dtype == np.float64
+    assert set(generate_dataset(spec).expr_labels.tolist()) == {0}
 
 
 def test_integer_fields_take_numpy_integers():
