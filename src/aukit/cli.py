@@ -361,6 +361,9 @@ def cmd_study(args):
 # bound on each gradient check's max relative error; the model's is looser,
 # as in the acceptance gate, since its differences pass through ReLU kinks
 GRADCHECK_BOUNDS = {"expression_loss": 1e-5, "au_loss": 1e-5, "model": 1e-4}
+# the largest relative difference between harness.Step's per-run losses and
+# the public losses on each run's own batch and pos-weight table
+GRADCHECK_LOSS_BOUND = 1e-10
 
 
 def cmd_gradcheck(args):
@@ -368,7 +371,9 @@ def cmd_gradcheck(args):
     uses against central differences: expression_loss and au_loss wrt their
     logits, and harness.Step's gradient of the summed combined loss wrt every
     parameter of a stack of 3 runs, each with its own seed, lambda,
-    pos-weight table and batch."""
+    pos-weight table and batch. The model check also compares each run's
+    losses from the step with expression_loss and au_loss on that run's own
+    batch and table, which a gradient that matches its own loss cannot."""
     seed = args.seed if args.seed is not None else 0
     if args.batch < 1 or seed < 0:
         raise ContractError("--batch must be >= 1 and --seed >= 0")
@@ -393,11 +398,20 @@ def cmd_gradcheck(args):
         loss_e, loss_au = step(params, features, labels, au_labels, params.views(grads))
         return combined_loss(loss_e, loss_au, lams).sum(), grads
 
-    spec = labeling.PosWeightSpec("global", pw[0])
+    specs = [labeling.PosWeightSpec("global", table) for table in pw]
+    step_losses = np.array(step(params, features, labels, au_labels,
+                                params.views(np.empty_like(params.vector))))
+    own_losses = np.empty_like(step_losses)  # 2 x R: expression, AU
+    for r, spec in enumerate(specs):
+        expr_logits, au_logits, _ = model.forward(params.run(r), features[r])
+        own_losses[:, r] = (expression_loss(expr_logits, labels[r])[0],
+                            au_loss(au_logits, au_labels[r], labels[r], kn, spec)[0])
+    loss_error = float(np.max(np.abs(step_losses - own_losses) / np.maximum(
+        1e-8, np.abs(step_losses) + np.abs(own_losses))))
     checks = {
         "expression_loss": (lambda x: expression_loss(x, labels[0]),
                             rng.normal(scale=2.0, size=(args.batch, NUM_EXPRESSIONS))),
-        "au_loss": (lambda x: au_loss(x, au_labels[0], labels[0], kn, spec),
+        "au_loss": (lambda x: au_loss(x, au_labels[0], labels[0], kn, specs[0]),
                     rng.normal(scale=2.0, size=(args.batch, NUM_AUS))),
         "model": (stacked, params.vector.copy()),
     }
@@ -411,6 +425,8 @@ def cmd_gradcheck(args):
             "bound": GRADCHECK_BOUNDS[name],
             "passed": error <= GRADCHECK_BOUNDS[name],
         }
+    results["model"].update(loss_relative_error=loss_error, loss_bound=GRADCHECK_LOSS_BOUND)
+    results["model"]["passed"] &= loss_error <= GRADCHECK_LOSS_BOUND
     passed = all(result["passed"] for result in results.values())
     print(json.dumps({"passed": passed, "epsilon": args.eps, "checks": results}))
     return EXIT_OK if passed else EXIT_NUMERIC

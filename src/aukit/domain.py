@@ -54,6 +54,16 @@ def check_integers(**values):
             raise ContractError(f"{name} must be an integer, got {value!r}")
 
 
+def integer_tuple(name, values):
+    """`values`, a sequence of integers as check_integers takes them, as a
+    tuple of Python ints; anything else is a ContractError naming `name`."""
+    if isinstance(values, str) or not np.iterable(values):
+        raise ContractError(f"{name} must be a list of integers, got {values!r}")
+    values = tuple(values)
+    check_integers(**{f"{name}[{i}]": value for i, value in enumerate(values)})
+    return tuple(map(int, values))
+
+
 def check_numbers(**values):
     """ContractError naming the first of `values` that is not an int, a float
     or a numpy one; a bool, a str or None is not one."""

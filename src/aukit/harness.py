@@ -17,6 +17,7 @@ from .domain import (
     check_integers,
     check_numbers,
     expression_labels,
+    integer_tuple,
 )
 from .labeling import STRATEGIES, compute_pos_weights
 from .losses import (au_loss_kernel, combined_loss, expression_loss_kernel, loss_knowledge,
@@ -68,11 +69,8 @@ class TrainConfig:
     hidden: tuple = (32,)
 
     def __post_init__(self):
-        if isinstance(self.hidden, str) or not np.iterable(self.hidden):
-            raise ContractError(f"hidden must be a list of integers, got {self.hidden!r}")
-        hidden = tuple(self.hidden)
-        check_integers(epochs=self.epochs, batch_size=self.batch_size, seed=self.seed,
-                       **{f"hidden[{i}]": size for i, size in enumerate(hidden)})
+        hidden = integer_tuple("hidden", self.hidden)
+        check_integers(epochs=self.epochs, batch_size=self.batch_size, seed=self.seed)
         check_numbers(lam=self.lam, learning_rate=self.learning_rate,
                       weight_decay=self.weight_decay)
         if not 0.0 <= self.lam <= 1.0:
@@ -87,7 +85,9 @@ class TrainConfig:
         if not 0.0 <= self.weight_decay < np.inf:
             raise ContractError(f"weight_decay must be finite and >= 0, "
                                 f"got {self.weight_decay}")
+        # Python ints, as the JSON header of a checkpoint takes them
         object.__setattr__(self, "hidden", hidden)
+        object.__setattr__(self, "seed", int(self.seed))
 
 
 @dataclass(frozen=True)

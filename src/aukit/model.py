@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import ContractError, NUM_AUS, NUM_EXPRESSIONS, NumericFailure, check_integers
+from .domain import (ContractError, NUM_AUS, NUM_EXPRESSIONS, NumericFailure, check_integers,
+                     integer_tuple)
 from .sealed import read_sealed, write_sealed
 
 CHECKPOINT_MAGIC = b"AUKITCKPT"
@@ -153,18 +154,24 @@ def _glorot(rng, fan_in, fan_out):
     return rng.uniform(-limit, limit, size=(fan_out, fan_in)).T
 
 
+def _model_fields(feature_dim, hidden, seed):
+    """feature_dim, hidden (a tuple) and seed as Python ints; a ContractError
+    unless feature_dim and each hidden size are integers >= 1 and seed an
+    integer >= 0, as domain.check_integers takes them (no bool or float)."""
+    hidden = integer_tuple("hidden", hidden)
+    check_integers(feature_dim=feature_dim, seed=seed)
+    if feature_dim < 1 or seed < 0 or any(h < 1 for h in hidden):
+        raise ContractError("feature_dim and hidden sizes must be >= 1, and seed >= 0")
+    return int(feature_dim), hidden, int(seed)
+
+
 def init_params(seed, feature_dim, hidden):
     """Seeded uniform fan-based init; biases start at zero.
 
     Weights are drawn hidden layers first, then the head's expression block,
     then its AU block, each fan-out-major and stored transposed.
     """
-    if feature_dim < 1:
-        raise ContractError("feature_dim must be >= 1")
-    hidden = tuple(hidden)
-    check_integers(**{f"hidden[{i}]": size for i, size in enumerate(hidden)})
-    if any(h < 1 for h in hidden):
-        raise ContractError("hidden sizes must be >= 1")
+    feature_dim, hidden, seed = _model_fields(feature_dim, hidden, seed)
     rng = np.random.default_rng(seed)
     params = ModelParams(feature_dim, hidden, seed=seed)
     for w in params.hidden_weights + np.split(params.head_weight, [NUM_EXPRESSIONS], 1):
@@ -353,11 +360,6 @@ def save_checkpoint(params, path):
                  np.ascontiguousarray(params.vector, dtype="<f8"))
 
 
-def _whole(value, least):
-    """Whether a JSON value is an int >= least (JSON true is no int)."""
-    return type(value) is int and value >= least
-
-
 def load_checkpoint(path):
     """The ModelParams of a save_checkpoint file, their vector a view into
     the file's buffer. Every header field is checked before anything is
@@ -365,13 +367,11 @@ def load_checkpoint(path):
     ContractError."""
     header, payload = read_sealed(path, CHECKPOINT_MAGIC, "checkpoint",
                                   CHECKPOINT_VERSION, CHECKPOINT_FIELDS)
-    feature_dim, hidden, seed = header["feature_dim"], header["hidden"], header["seed"]
-    if not _whole(feature_dim, 1):
-        raise ContractError("corrupt checkpoint: feature_dim must be an int >= 1")
-    if not (isinstance(hidden, list) and all(_whole(h, 1) for h in hidden)):
-        raise ContractError("corrupt checkpoint: hidden must be a list of ints >= 1")
-    if not _whole(seed, 0):
-        raise ContractError("corrupt checkpoint: seed must be an int >= 0")
+    try:
+        feature_dim, hidden, seed = _model_fields(header["feature_dim"], header["hidden"],
+                                                  header["seed"])
+    except ContractError as exc:
+        raise ContractError(f"corrupt checkpoint: {exc}") from None
     layout = param_layout(feature_dim, hidden)
     if header["layout"] != json.loads(json.dumps(layout)):
         raise ContractError("corrupt checkpoint: layout does not match the model")

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import aukit
+from aukit import harness
 from aukit.cli import (
     _JSON_FIELD_TYPES,
     EXIT_CONTRACT,
@@ -417,6 +418,26 @@ def test_gradcheck_checks_both_losses_and_the_model(capsys):
     for check in checks.values():
         assert check["passed"] is True
         assert 0.0 <= check["max_relative_error"] <= check["bound"]
+
+
+def test_gradcheck_model_compares_each_runs_losses(monkeypatch, capsys):
+    # a step that gathers every run's pos-weights from run 0 computes its
+    # loss and gradient from the same wrong table, so only the losses show it
+    init = harness.Step.__init__
+
+    def run_0_tables(step, *args):
+        init(step, *args)
+        step.runs = np.zeros_like(step.runs)
+
+    assert run("gradcheck") == EXIT_OK
+    model_check = json.loads(capsys.readouterr().out.strip())["checks"]["model"]
+    assert 0.0 <= model_check["loss_relative_error"] <= model_check["loss_bound"]
+    monkeypatch.setattr(harness.Step, "__init__", run_0_tables)
+    assert run("gradcheck") == EXIT_NUMERIC
+    model_check = json.loads(capsys.readouterr().out.strip())["checks"]["model"]
+    assert model_check["max_relative_error"] <= model_check["bound"]
+    assert model_check["loss_relative_error"] > model_check["loss_bound"]
+    assert model_check["passed"] is False
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -34,7 +34,9 @@ from aukit.model import (
     TRAIN_DTYPE,
     ModelParams,
     OptimizerState,
+    load_checkpoint,
     load_features,
+    save_checkpoint,
     save_features,
 )
 from aukit.synth import SynthSpec, generate_dataset
@@ -361,8 +363,9 @@ class TestTrain:
         calls.clear()
         assert cli_main(["gradcheck", "--batch", "3"]) == 0
         capsys.readouterr()
-        # the analytic gradient once, then a pair of differences per parameter
-        assert len(calls) == 1 + 2 * 3 * 143
+        # the losses and the analytic gradient once each, then a pair of
+        # differences per parameter
+        assert len(calls) == 2 + 2 * 3 * 143
         assert set(calls) == {(np.dtype(np.float64), (3, 3))}
 
     def test_each_kernel_runs_once_per_step(self, monkeypatch):
@@ -430,6 +433,17 @@ class TestValidatedValuesStayValid:
     def test_integer_fields_take_numpy_integers(self):
         config = TrainConfig(epochs=np.int64(2), seed=np.int32(1), hidden=[np.int64(8)])
         assert config.hidden == (8,) and isinstance(config.hidden, tuple)
+
+    def test_numpy_integer_config_checkpoint_saves_and_loads(self, tmp_path):
+        # numpy seed and hidden sizes reached the checkpoint's JSON header:
+        # TypeError: Object of type int64 is not JSON serializable
+        config = TrainConfig(epochs=1, hidden=[np.int64(8)], seed=np.int64(3))
+        assert type(config.seed) is int and type(config.hidden[0]) is int
+        params, _, _ = train([config], small_train_data())
+        save_checkpoint(params.run(0), tmp_path / "checkpoint.bin")
+        loaded = load_checkpoint(tmp_path / "checkpoint.bin")
+        assert (loaded.seed, loaded.hidden) == (3, (8,))
+        assert np.array_equal(loaded.vector, params.run(0).vector)
 
     @pytest.mark.parametrize("strategy", [None, "distinct"])
     def test_non_binary_au_labels_rejected_with_or_without_a_table(self, strategy):

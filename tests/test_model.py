@@ -117,6 +117,19 @@ class TestInitParams:
         with pytest.raises(ContractError, match=rf"^{re.escape(name)} must be an integer, got "):
             init_params(0, feature_dim=4, hidden=hidden)
 
+    @pytest.mark.parametrize("seed, feature_dim, hidden, message", [
+        (0, 4.5, (4,), "feature_dim must be an integer"),
+        (0, "4", (4,), "feature_dim must be an integer"),
+        (0.5, 4, (4,), "seed must be an integer"),
+        (0, 4, 5, "hidden must be a list of integers"),
+        (-1, 4, (4,), r"feature_dim and hidden sizes must be >= 1, and seed >= 0$"),
+    ], ids=["float_feature_dim", "str_feature_dim", "float_seed", "int_hidden",
+            "negative_seed"])
+    def test_bad_arguments_are_contract_errors(self, seed, feature_dim, hidden, message):
+        # the first four escaped as TypeError, a negative seed as numpy's ValueError
+        with pytest.raises(ContractError, match=f"^{message}"):
+            init_params(seed, feature_dim=feature_dim, hidden=hidden)
+
     def test_hidden_sizes_take_numpy_integers(self):
         assert init_params(0, feature_dim=4, hidden=(np.int64(3),)).hidden == (3,)
 
