@@ -141,13 +141,16 @@ def cmd_ingest(args):
                                 f"{paths[video_id]} and {path}")
         paths[video_id] = path
     os.makedirs(args.out, exist_ok=True)
-    for video_id, path in paths.items():
-        with _naming(path), open(path, "r", encoding="utf-8") as fh:
-            frames = ingest.parse_openface_csv(fh, video_id)
-            repaired = ingest.interpolate_zero_intensities(frames, video_id)
+    # files are read in groups; one read alone raises its own error in turn
+    for video_id, path, frames in ingest.read_openface_files(paths.items()):
+        if frames is None:
+            with _naming(path), open(path, "r", encoding="utf-8") as fh:
+                frames = ingest.interpolate_zero_intensities(
+                    ingest.parse_openface_csv(fh, video_id), video_id)
         out_path = os.path.join(args.out, video_id + ingest.FRAME_STORE_SUFFIX)
-        ingest.write_frame_store(repaired, out_path)
-        print(f"{video_id}: {len(repaired)} frames -> {out_path}")
+        ingest.write_frame_store(frames, out_path)
+        print(f"{video_id}: {len(frames)} frames -> {out_path}")
+        del frames  # a view of its group's rows: they are freed before the next group
     return EXIT_OK
 
 

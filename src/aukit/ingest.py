@@ -4,11 +4,14 @@ OpenFace 2.2.0 writes one comma-separated file per video with a header row;
 columns are addressed by name so column order never matters. A video's frames
 are one 1-D array of FRAME_DTYPE rows, kept on disk as a sealed frame store.
 Zero-valued intensities are the tool's known failure mode and are repaired by
-within-video linear interpolation.
+within-video linear interpolation. `aukit ingest` parses and repairs
+consecutive files in groups (read_openface_files).
 """
 
 import json
 import logging
+import os
+import stat
 
 import numpy as np
 
@@ -77,6 +80,14 @@ def _newlines(text):
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
+def _lines(text):
+    """The lines of a text of whole lines, the last of which may lack its `\\n`."""
+    lines = text.split("\n")
+    if not lines[-1]:  # the text after the last line end
+        lines.pop()
+    return lines
+
+
 def _blocks(stream):
     """The text of a str or text stream as blocks of whole lines (the last
     may lack its `\\n`), read as a text-mode file reads it: `\\r\\n` and a
@@ -116,9 +127,10 @@ class _Csv:
     unreadable or failing record's first failure, found by halving inside
     its block; the records handed on end before it. The whole input is read
     all the same: a NUL, then a quote (no writer of these files quotes a
-    cell), then an empty input or a missing column anywhere in it is the
-    ContractError raised instead, and text that is not UTF-8 fails the
-    stream's read."""
+    cell), then an empty input, a byte-order mark or a missing column
+    anywhere in it is the ContractError raised instead, and text that is not
+    UTF-8 fails the stream's read. `add` hands on more records of the
+    header as one block."""
 
     def __init__(self, stream, required, checks, consume, strings=(), optional=(),
                  secondary=None):
@@ -134,11 +146,13 @@ class _Csv:
                 cut = block.find("\n") + 1 or len(block)
                 missing = self._header(block[:cut].rstrip("\n").split(","), required, optional,
                                        checks)
-                if missing and fault is None:
+                if fault is None and block.startswith("\ufeff"):
+                    fault = 2, "row 1: byte-order mark before the header"
+                elif fault is None and missing:
                     fault = 2, f'missing column "{missing}"'
                 block, line = block[cut:], 2
             if fault is None and self.error is None:
-                self._add(block, line)
+                self.add(_lines(block), line)
             line += block.count("\n")
         if line == 1:
             raise ContractError("empty input: no header row")
@@ -154,12 +168,12 @@ class _Csv:
         self.checks = [check for check in checks if check[0][0] in self.index]
         return next((c for c in required if c not in self.index), None)
 
-    def _add(self, body, line):
-        """Hand on the records of a block of lines starting at file line
-        `line`, or those before its first bad record, which sets `error`."""
-        records = body.split("\n")
-        if not records[-1]:  # the text after the last line end
-            records.pop()
+    def add(self, records, line):
+        """Hand on a block of record lines (blank ones included) from file
+        line `line` on, or those before its first bad record, which sets
+        `error`; nothing once `error` is set."""
+        if self.error is not None:
+            return
         lines = np.arange(line, line + len(records))
         if "" in records:  # blank lines are no records, but keep their numbers
             lines = lines[np.fromiter(map(bool, records), bool, len(records))]
@@ -255,6 +269,51 @@ _OPENFACE_CHECKS = (
 )
 
 
+def _openface_csv(stream):
+    """A _Csv over OpenFace text, and the (cells, file lines) blocks it hands on."""
+    blocks = []
+    csv = _Csv(stream, OPENFACE_REQUIRED, _OPENFACE_CHECKS,
+               lambda floats, lines, strings: blocks.append((floats, lines)),
+               optional=("face_id", "timestamp"), secondary="face_id")
+    return csv, blocks
+
+
+def _pack(names, blocks, starts):
+    """The FRAME_DTYPE rows of the records a _Csv of columns `names` handed
+    on, for videos one after another: video k's records start at file line
+    starts[k] of the pass. Returns the rows, each video's first row and then
+    their end, and each video's dropped secondary-face rows as its own file
+    lines."""
+    # the blocks' cells and file lines, not copied where one block holds them all
+    blocks = [block for block in blocks if len(block[1])] or blocks
+    cells, lines = blocks[0] if len(blocks) == 1 else map(np.concatenate, zip(*blocks))
+    secondary = (cells[:, names.index("face_id")] > 0 if "face_id" in names
+                 else np.zeros(len(cells), bool))
+    faces = lines[secondary]
+    faces = [(part - start + 2).tolist() for part, start in
+             zip(np.split(faces, np.searchsorted(faces, starts[1:])), starts)]
+    kept = ~secondary  # each column is packed from its kept cells
+    frames = np.zeros(np.count_nonzero(kept), dtype=FRAME_DTYPE)
+    bounds = np.append(np.searchsorted(lines[kept], starts), len(frames))
+    frames["frame_index"] = cells[kept, 0].astype(np.int64)
+    if "timestamp" in names:
+        frames["timestamp"] = cells[kept, names.index("timestamp")]
+    frames["confidence"] = cells[kept, 1]
+    frames["success"] = cells[kept, 2] != 0.0
+    frames["intensities"] = cells[kept, 3:3 + NUM_INTENSITY_AUS]
+    frames["presences"] = cells[kept, 3 + NUM_INTENSITY_AUS:3 + NUM_INTENSITY_AUS + NUM_AUS]
+    return frames, bounds, faces
+
+
+def _warn(video_id, faces=(), all_zero=()):
+    """Log a video's dropped secondary faces (file lines) and all-zero AU
+    series (a mask over the intensity AUs)."""
+    for line in faces:
+        log.warning("%s row %d: dropping secondary face", video_id, line)
+    for j in np.flatnonzero(all_zero).tolist():
+        log.warning("%s: %s all-zero", video_id, INTENSITY_AU_NAMES[j])
+
+
 def parse_openface_csv(stream, video_id):
     """Parse one video's OpenFace output into an array of FRAME_DTYPE rows.
 
@@ -262,28 +321,67 @@ def parse_openface_csv(stream, video_id):
     flagged; rows for secondary faces (face_id > 0) are dropped with a
     warning. Read and checked in blocks of lines (see _Csv).
     """
-    blocks = []
-    csv = _Csv(stream, OPENFACE_REQUIRED, _OPENFACE_CHECKS,
-               lambda floats, lines, strings: blocks.append((floats, lines)),
-               optional=("face_id", "timestamp"), secondary="face_id")
-    names, (cells, lines) = csv.names, map(np.concatenate, zip(*blocks))
-    secondary = (cells[:, names.index("face_id")] > 0 if "face_id" in names
-                 else np.zeros(len(cells), bool))
-    if secondary.any():  # the rows before a bad one are dropped all the same
-        for line in lines[secondary].tolist():
-            log.warning("%s row %d: dropping secondary face", video_id, line)
+    csv, blocks = _openface_csv(stream)
+    frames, _, (faces,) = _pack(csv.names, blocks, [2])
+    _warn(video_id, faces)  # the rows before a bad one are dropped all the same
     if csv.error:
         raise ContractError(csv.error)
-    kept = cells[~secondary]
-    frames = np.zeros(len(kept), dtype=FRAME_DTYPE)
-    frames["frame_index"] = kept[:, 0].astype(np.int64)
-    if "timestamp" in names:
-        frames["timestamp"] = kept[:, names.index("timestamp")]
-    frames["confidence"] = kept[:, 1]
-    frames["success"] = kept[:, 2] != 0.0
-    frames["intensities"] = kept[:, 3:3 + NUM_INTENSITY_AUS]
-    frames["presences"] = kept[:, 3 + NUM_INTENSITY_AUS:3 + NUM_INTENSITY_AUS + NUM_AUS]
     return frames
+
+
+def _repair(frames, bounds):
+    """Repair in place the zero intensities of videos one after another,
+    video k's rows being frames[bounds[k]:bounds[k + 1]], each as
+    interpolate_zero_intensities repairs one video; return each video's
+    all-zero AU series, a (videos, AUs) mask."""
+    bounds = np.asarray(bounds)
+    index, n = frames["frame_index"], len(frames)
+    begins = np.zeros(n + 1, bool)
+    begins[bounds] = True  # the rows that begin a video, and the end
+    if np.any((np.diff(index) <= 0) & ~begins[1:n]):
+        raise ContractError("frames must be sorted by frame_index")
+    series, mask = frames["intensities"], frames["interpolated"]  # n x 17 views
+    zero = series == 0.0
+    all_zero = np.zeros((len(bounds) - 1, NUM_INTENSITY_AUS), bool)
+    if not zero.any():
+        return all_zero
+    order = np.arange(n, dtype=np.int32)[:, None]
+    # the last known row at or before each row and the first at or after it,
+    # -1 or n where there is none; a row of another video is none either
+    before = np.maximum.accumulate(np.where(zero, -1, order), axis=0)
+    after = np.minimum.accumulate(np.where(zero, n, order)[::-1], axis=0)[::-1]
+    filled = bounds[:-1] < bounds[1:]
+    all_zero[filled] = after[bounds[:-1][filled]] >= bounds[1:][filled, None]
+    rows, cols = np.nonzero(zero)
+    video = np.searchsorted(bounds, rows, side="right") - 1
+    keep = ~all_zero[video, cols]
+    rows, cols, video = rows[keep], cols[keep], video[keep]
+    if not rows.size:
+        return all_zero
+    first, end = bounds[video], bounds[video + 1]
+    x = index.astype(np.float64)
+    # np.interp's segment for a zero cell: the last known row at or before
+    # the last row of its position (a later row of its video where positions
+    # round alike), and the known row after that one
+    ends = np.flatnonzero(~np.append((x[1:] == x[:-1]) & ~begins[1:n], False))
+    left = before[ends[np.searchsorted(ends, rows)], cols]
+    no_left = left < first
+    after_left = np.where(no_left, first, left + 1)
+    right = after[np.minimum(after_left, n - 1), cols]
+    no_right = (after_left == end) | (right >= end)
+    lo, hi = np.where(no_left, first, left), np.where(no_right, end - 1, right)
+    y0, y1, x0, x1, at = series[lo, cols], series[hi, cols], x[lo], x[hi], x[rows]
+    with np.errstate(all="ignore"):  # np.interp warns of no inf or nan either
+        slope = (y1 - y0) / (x1 - x0)
+        values = slope * (at - x0) + y0
+        nan = np.isnan(values)  # as np.interp: from the other end, then a flat segment
+        values[nan] = (slope * (at - x1) + y1)[nan]
+    values = np.where(np.isnan(values) & (y0 == y1), y0, values)
+    # before the first known frame, at or after the last, or on a known position
+    values = np.where(no_left, y1, np.where(no_right | (x0 == at), y0, values))
+    series[rows, cols] = values
+    mask[rows, cols] = True
+    return all_zero
 
 
 def interpolate_zero_intensities(frames, video_id):
@@ -294,40 +392,94 @@ def interpolate_zero_intensities(frames, video_id):
     warning. Input must be one video's frames sorted by frame_index. All
     AUs are repaired in one pass, with np.interp's arithmetic per column.
     """
-    if np.any(np.diff(frames["frame_index"]) <= 0):
-        raise ContractError("frames must be sorted by frame_index")
     repaired = frames.copy()
-    series, mask = repaired["intensities"], repaired["interpolated"]  # n x 17 views
-    zero = series == 0.0
-    unknown = zero.all(axis=0) & zero.any(axis=0)
-    for j in np.flatnonzero(unknown).tolist():
-        log.warning("%s: %s all-zero", video_id, INTENSITY_AU_NAMES[j])
-    rows, cols = np.nonzero(zero & ~unknown)
-    if not rows.size:
-        return repaired
-    n = len(frames)
-    x = frames["frame_index"].astype(np.float64)
-    order = np.arange(n)[:, None]
-    # np.interp's segment for a zero cell: the last known frame at or before
-    # its position (a row after it where positions round alike), and the
-    # known frame after that one; n or -1 where there is none
-    before = np.maximum.accumulate(np.where(zero, -1, order), axis=0)
-    after = np.minimum.accumulate(np.where(zero, n, order)[::-1], axis=0)[::-1]
-    left = before[np.searchsorted(x, x[rows], side="right") - 1, cols]
-    right = np.append(after, np.full((1, after.shape[1]), n), axis=0)[left + 1, cols]
-    lo, hi = np.maximum(left, 0), np.minimum(right, n - 1)
-    y0, y1, x0, x1, at = series[lo, cols], series[hi, cols], x[lo], x[hi], x[rows]
-    with np.errstate(all="ignore"):  # np.interp warns of no inf or nan either
-        slope = (y1 - y0) / (x1 - x0)
-        values = slope * (at - x0) + y0
-        nan = np.isnan(values)  # as np.interp: from the other end, then a flat segment
-        values[nan] = (slope * (at - x1) + y1)[nan]
-    values = np.where(np.isnan(values) & (y0 == y1), y0, values)
-    # before the first known frame, at or after the last, or on a known position
-    values = np.where(left < 0, y1, np.where((right == n) | (x0 == at), y0, values))
-    series[rows, cols] = values
-    mask[rows, cols] = True
+    _warn(video_id, all_zero=_repair(repaired, [0, len(frames)])[0])
     return repaired
+
+
+# the most text, in bytes, of the consecutive OpenFace files that
+# read_openface_files parses, checks, packs and repairs at once
+GROUP_BYTES = 1 << 18
+
+
+def _group_lines(path):
+    """The lines (see _lines) and size of the OpenFace file at `path` if it
+    can join a group: a regular file of at most GROUP_BYTES, UTF-8 text with
+    a header line and no NUL or quote; else None."""
+    try:
+        info = os.stat(path)
+        if not stat.S_ISREG(info.st_mode) or info.st_size > GROUP_BYTES:
+            return None
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError):  # raised when the file is read alone
+        return None
+    if not text or "\0" in text or '"' in text:
+        return None
+    return _lines(text), info.st_size
+
+
+def _parse_group(files):
+    """parse_openface_csv and _repair of files of one header line at once,
+    given as their lines: one _Csv pass over all their records, each file's
+    numbered by its own file lines. Returns the rows, each file's first row
+    and then their end, each file's secondary-face lines and all-zero AU
+    series. Where any file fails a check, raises a ContractError that is
+    not worded for the file."""
+    csv, blocks = _openface_csv(files[0][0])  # the header line alone
+    starts, records = [], []
+    for lines in files:
+        starts.append(2 + len(records))
+        records += lines[1:]
+        lines.clear()  # the records alone hold the text, freed once parsed
+    csv.add(records, 2)
+    del records
+    if csv.error:
+        raise ContractError(csv.error)
+    frames, bounds, faces = _pack(csv.names, blocks, starts)
+    blocks.clear()  # frees the cells, now packed
+    return frames, bounds, faces, _repair(frames, bounds)
+
+
+def _group_frames(group):
+    """The (video id, path, frames) of a group of (video id, path, lines),
+    parsed and repaired at once, each video's warnings logged as it is
+    yielded; frames None for each file of a group that fails."""
+    try:
+        frames, bounds, faces, all_zero = _parse_group([lines for _, _, lines in group])
+    except ContractError:  # read alone, the first bad file raises its own error
+        frames = None
+    for k, (video_id, path, _) in enumerate(group):
+        if frames is None:
+            yield video_id, path, None
+        else:
+            _warn(video_id, faces[k], all_zero[k])
+            yield video_id, path, frames[bounds[k]:bounds[k + 1]]
+
+
+def read_openface_files(inputs):
+    """The repaired frames of OpenFace files, given as (video id, path)
+    pairs, as (video id, path, frames) in their order: parse_openface_csv
+    and interpolate_zero_intensities run once over each group of
+    consecutive files of one header line and at most GROUP_BYTES of text.
+    A video's warnings are logged as it is yielded. frames is None for a
+    file the caller reads alone, which then raises its own error in turn:
+    one that cannot join a group (see _group_lines), and each file of a
+    group that fails a check. So reading ahead raises nothing."""
+    group, size = [], 0  # the files read ahead: (video id, path, lines)
+    for video_id, path in inputs:
+        read = _group_lines(path)
+        if group and (read is None or size + read[1] > GROUP_BYTES
+                      or read[0][0] != group[0][2][0]):
+            yield from _group_frames(group)
+            group, size = [], 0
+        if read is None:
+            yield video_id, path, None
+        else:
+            group.append((video_id, path, read[0]))
+            size += read[1]
+    if group:
+        yield from _group_frames(group)
 
 
 def _label_code(name):

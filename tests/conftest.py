@@ -83,5 +83,7 @@ def rng():
 @pytest.fixture
 def small_blocks(monkeypatch):
     """The CSV readers read 64 characters at a time, so a header, a record
-    and a failing record each cross block boundaries."""
+    and a failing record each cross block boundaries; `ingest` reads every
+    OpenFace file alone, as such a stream, not in groups."""
     monkeypatch.setattr(ingest, "BLOCK_CHARS", 64)
+    monkeypatch.setattr(ingest, "GROUP_BYTES", 0)

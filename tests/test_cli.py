@@ -1,18 +1,28 @@
 """Command-line smoke tests: end-to-end flows and exit-code mapping."""
 
+import contextlib
 import hashlib
+import io
 import json
+import logging
 import os
+import pathlib
 import shutil
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import aukit
-from aukit import harness
+from aukit import harness, ingest
+from aukit.ingest import INTENSITY_COLUMNS, PRESENCE_COLUMNS
 from aukit.cli import (
     _JSON_FIELD_TYPES,
     EXIT_CONTRACT,
@@ -188,6 +198,29 @@ def test_nul_byte_is_one_line_contract_error(tmp_path, capsys):
         assert capsys.readouterr().err == f"error: {path}: row {line}: NUL byte\n"
 
 
+def test_byte_order_mark_is_one_line_contract_error(tmp_path, capsys):
+    # a file saved as utf-8-sig used to read as lacking its first column
+    video = tmp_path / "v1.csv"
+    video.write_text(openface_csv([{}]))
+    store = tmp_path / "store"
+    assert run("ingest", video, "--out", store) == EXIT_OK
+    video.write_text(openface_csv([{}]), encoding="utf-8-sig")
+    preds = tmp_path / "scores.csv"
+    preds.write_text("video_id,frame,label," + ",".join(f"s{j}" for j in range(7))
+                     + "\nv1,1,Happy,1,0,0,0,0,0,0\n", encoding="utf-8-sig")
+    for argv, path in (
+        (["ingest", video, "--out", tmp_path / "again"], video),
+        (["extract-knowledge", "--frames", store, "--preds", preds,
+          "--out", tmp_path / "k.csv"], preds),
+    ):
+        capsys.readouterr()
+        assert run(*argv) == EXIT_CONTRACT
+        assert capsys.readouterr().err == (
+            f"error: {path}: row 1: byte-order mark before the header\n")
+    assert os.listdir(tmp_path / "again") == []
+    assert not (tmp_path / "k.csv").exists()
+
+
 def test_blank_video_id_is_one_line_contract_error(tmp_path, capsys):
     # a blank id matches no frame store: its rows would be dropped unreported
     video = tmp_path / "v1.csv"
@@ -216,6 +249,58 @@ def test_ingest_error_names_the_file(rows, message, tmp_path, capsys):
     bad.write_text(openface_csv(rows))
     assert run("ingest", good, bad, "--out", tmp_path / "store") == EXIT_CONTRACT
     assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
+
+def _with_extra_cell(cell):
+    """Three frames, a secondary face on file line 3, and `cell` past the
+    header's last column on line 4: a cell no check reads."""
+    lines = openface_csv([{}, {"face_id": 1}, {}]).splitlines()
+    lines[3] += ", " + cell
+    return "\n".join(lines) + "\n"
+
+
+# c.csv, the first bad input, sits amid inputs small enough to be read as one
+# group; each case: how c.csv is written, the exit code, the error line, and
+# whether c.csv's secondary face (file line 3) is warned about before it
+BAD_IN_A_GROUP = {
+    "bad_cell": (lambda path: path.write_text(openface_csv([{}, {"face_id": 1}, {"AU12_r": "x"}])),
+                 EXIT_CONTRACT, "error: {c}: row 4: non-numeric value 'x' in column 'AU12_r'",
+                 True),
+    "nul": (lambda path: path.write_text(_with_extra_cell("0\0")),
+            EXIT_CONTRACT, "error: {c}: row 4: NUL byte", False),
+    "quote": (lambda path: path.write_text(_with_extra_cell('"1"')),
+              EXIT_CONTRACT, "error: {c}: row 4: quoted cell", False),
+    "unsorted": (lambda path: path.write_text(
+        openface_csv([{"frame": 2}, {"face_id": 1}, {"frame": 1}])),
+        EXIT_CONTRACT, "error: {c}: frames must be sorted by frame_index", True),
+    "missing": (lambda path: None, EXIT_IO,
+                "i/o error: [Errno 2] No such file or directory: '{c}'", False),
+    "not_utf8": (lambda path: path.write_bytes(openface_csv([{}, {"face_id": 1}]).encode()
+                                               + b"\xff\n"),
+                 EXIT_CONTRACT, "error: {c}: not UTF-8 text", False),
+}
+
+
+@pytest.mark.parametrize("case", BAD_IN_A_GROUP)
+def test_ingest_stops_at_a_bad_input_amid_a_group(tmp_path, capsys, caplog, case):
+    # the inputs before c.csv are stored and printed, their warnings and c's
+    # own logged; its error is the one error line, and nothing after it is stored
+    write, code, error, warned = BAD_IN_A_GROUP[case]
+    paths = {name: tmp_path / f"{name}.csv" for name in "abcde"}
+    for name, path in paths.items():
+        if name != "c":
+            path.write_text(openface_csv([{}, {"face_id": 1} if name == "b" else {}, {}]))
+    write(paths["c"])
+    store = tmp_path / "store"
+    capsys.readouterr()
+    assert run("ingest", *paths.values(), "--out", store) == code
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [f"a: 3 frames -> {store / 'a'}.frames",
+                                f"b: 2 frames -> {store / 'b'}.frames"]
+    assert err == error.format(c=paths["c"]) + "\n"
+    assert sorted(os.listdir(store)) == ["a.frames", "b.frames"]
+    assert [r.getMessage() for r in caplog.records if r.name == "aukit.ingest"] == [
+        "b row 3: dropping secondary face"] + ["c row 3: dropping secondary face"] * warned
 
 
 # inputs, in order, of which the first and last share the video id v1
@@ -257,6 +342,120 @@ def test_ingest_rejects_a_video_id_no_csv_can_name(tmp_path, capsys, stem):
         f"error: {bad}: video id {stem!r} holds a comma, quote or line break, or "
         "leading or trailing whitespace\n")
     assert not store.exists()
+
+
+OPENFACE_COLUMNS = ["frame", "face_id", "timestamp", "confidence", "success",
+                    *INTENSITY_COLUMNS, *PRESENCE_COLUMNS]
+# column orders of the generated corpora; files of one order can share a group
+OPENFACE_ORDERS = tuple(list(order) for order in (
+    OPENFACE_COLUMNS, OPENFACE_COLUMNS[::-1],
+    [c for c in OPENFACE_COLUMNS if c not in ("face_id", "timestamp")]))
+
+
+@st.composite
+def openface_file(draw, columns, sep):
+    """An OpenFace file's text: up to five frames (header-only files too),
+    blank lines, CRLF or lone CR line ends with or without a final one,
+    secondary faces, all-zero AU series, and, rarely, frames past 2**53
+    that can round alike (unsorted), a bad cell, or a NUL or quote in an
+    extra cell."""
+    frame = draw(st.sampled_from([0, 0, 0, 0, 0, 2**53 - 2]))
+    silent = draw(st.sets(st.sampled_from(INTENSITY_COLUMNS), max_size=2))
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        frame += draw(st.integers(1, 2))
+        row = {"frame": str(frame), "face_id": "0", "timestamp": f"{frame / 30:.3f}",
+               "confidence": "0.9", "success": draw(st.sampled_from("01"))}
+        for c in INTENSITY_COLUMNS:
+            row[c] = "0" if c in silent else draw(st.sampled_from(["0", "0.5", "2.25", "5"]))
+        for c in PRESENCE_COLUMNS:
+            row[c] = draw(st.sampled_from("01"))
+        rows.append(row)
+        if "face_id" in columns and draw(st.integers(0, 3)) == 0:
+            rows.append(dict(row, face_id="1", AU01_r="9"))  # dropped, never range-checked
+    if rows and draw(st.integers(0, 9)) == 0:
+        rows[draw(st.integers(0, len(rows) - 1))]["AU12_r"] = "6.5"
+    lines = [sep.join(columns)] + [sep.join(row[c] for c in columns) for row in rows]
+    if rows and draw(st.integers(0, 9)) == 0:  # a cell past the header's: never read
+        lines[draw(st.integers(1, len(rows)))] += sep + draw(st.sampled_from(["x", "\0", '"']))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(1, len(lines))), "")
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+@st.composite
+def openface_corpora(draw):
+    """Up to six OpenFace files' texts, most of them of one header line."""
+    headers = st.tuples(st.sampled_from(OPENFACE_ORDERS), st.sampled_from([",", ", "]))
+    common = draw(headers)
+    return [draw(openface_file(*(common if draw(st.integers(0, 3)) else draw(headers))))
+            for _ in range(draw(st.integers(1, 6)))]
+
+
+def _ingest(paths, out):
+    """What `aukit ingest paths` makes: its exit code, stdout, stderr and
+    warnings, and then the bytes of every store in `out`."""
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    logger = logging.getLogger("aukit.ingest")
+    logger.addHandler(handler)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = run("ingest", *paths, "--out", out)
+    finally:
+        logger.removeHandler(handler)
+    stores = {name: (out / name).read_bytes() for name in sorted(os.listdir(out))}
+    return code, stdout.getvalue(), stderr.getvalue(), [r.getMessage() for r in records], stores
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(texts=openface_corpora(), bound=st.sampled_from([2000, 5000, ingest.GROUP_BYTES]))
+def test_ingest_in_groups_matches_each_file_alone(texts, bound):
+    # one run over the set, its files read in groups of at most `bound`
+    # bytes, against one run per file in turn, each read alone as a stream
+    # (GROUP_BYTES 0), until the first that fails
+    with tempfile.TemporaryDirectory() as root:
+        root = pathlib.Path(root)
+        paths = [root / f"v{k}.csv" for k in range(len(texts))]
+        for path, text in zip(paths, texts):
+            path.write_bytes(text.encode())
+        with mock.patch.object(ingest, "GROUP_BYTES", bound):
+            grouped = _ingest(paths, root / "store")
+        shutil.rmtree(root / "store")
+        alone = [0, "", "", [], {}]
+        with mock.patch.object(ingest, "GROUP_BYTES", 0):
+            for path in paths:
+                code, *outputs, stores = _ingest([path], root / "store")
+                alone = [code] + [a + b for a, b in zip(alone[1:4], outputs)] + [stores]
+                if code:
+                    break
+    assert grouped == tuple(alone)
+
+
+def test_ingest_peak_memory_is_bounded_by_a_group(tmp_path):
+    # a group of files is read, parsed and repaired at a time, and each is
+    # written from it: the peak stays within a few group bounds, whatever
+    # the corpus (no warnings here, which the test's log capture would keep)
+    text = openface_csv([{"AU04_r": "0.0"} if i % 7 == 3 else {} for i in range(200)])
+    paths = [tmp_path / f"v{k}.csv" for k in range(64)]
+    for path in paths:
+        path.write_text(text)
+    peaks = []
+    with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+        assert run("ingest", *paths[:2], "--out", tmp_path / "warm") == EXIT_OK
+        for count in (16, 64):
+            tracemalloc.start()
+            try:
+                assert run("ingest", *paths[:count], "--out", tmp_path / f"s{count}") == EXIT_OK
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    assert sum(map(os.path.getsize, paths)) > 8 * ingest.GROUP_BYTES
+    assert peaks[1] <= 5 * ingest.GROUP_BYTES, peaks
+    assert peaks[1] <= peaks[0] + 48 * 1024, peaks  # 48 more inputs: their names
 
 
 def _train_scaled_features_in_child(synth_dirs, tmp_path, scale):

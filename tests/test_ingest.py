@@ -150,6 +150,25 @@ class TestParseOpenfaceCsv:
                            match=f"^row 2: non-numeric value '{cell}' in column 'AU06_r'$"):
             parse_openface_csv(text, "v1")
 
+    @pytest.mark.parametrize("exclude", [(), ("frame",)], ids=["whole", "missing_column"])
+    def test_byte_order_mark_is_named(self, exclude):
+        # it read as part of the first column's name: a missing "frame", or an
+        # optional first column such as face_id silently left out
+        text = "\ufeff" + openface_csv([{}, {"AU12_r": "x"}], exclude=exclude)
+        with pytest.raises(ContractError, match="^row 1: byte-order mark before the header$"):
+            parse_openface_csv(text, "v1")
+        face_first = "\ufeffface_id, " + openface_csv([{}], exclude=("face_id",)).replace(
+            "\n", "\n0, ", 1)
+        with pytest.raises(ContractError, match="^row 1: byte-order mark before the header$"):
+            parse_openface_csv(face_first, "v1")
+        assert len(parse_openface_csv(face_first[1:], "v1")) == 1
+
+    def test_byte_order_mark_ranks_below_a_nul_or_quote(self):
+        for cell, message in (("0\0", "^row 3: NUL byte$"), ('"0"', "^row 3: quoted cell$")):
+            text = "\ufeff" + openface_csv([{}, {"timestamp": cell}])
+            with pytest.raises(ContractError, match=message):
+                parse_openface_csv(text, "v1")
+
     def test_secondary_face_cells_must_be_numbers(self):
         text = openface_csv([{}, {"face_id": "1", "AU06_r": "nan", "confidence": "nan"}])
         assert len(parse_openface_csv(text, "v1")) == 1
@@ -241,15 +260,12 @@ def _interpolate_per_au(frames, video_id):
     return repaired
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 3, 8, 50, 300])
-@pytest.mark.parametrize("start", [1, 2**53, 2**62],
-                         ids=["small", "float_spacing_2", "float_spacing_1024"])
-def test_interpolation_matches_per_au_interp(n, start):
-    # uneven frame gaps (from 2**53 on, neighbouring positions can round
-    # alike as floats); per AU: random zeros, leading and trailing zeros, one
-    # known value, an all-zero series, one with no zero at all, and known
-    # values np.interp meets as inf, nan and a slope past the float range
-    rng = np.random.default_rng(n)
+def _zero_repair_case(rng, n, start):
+    """n frames from past `start` on, with uneven frame gaps (from 2**53 on,
+    neighbouring positions can round alike as floats); per AU: random zeros,
+    leading and trailing zeros, one known value, an all-zero series, one
+    with no zero at all, and known values np.interp meets as inf, nan and a
+    slope past the float range."""
     values = rng.uniform(0.01, 5.0, size=(n, NUM_INTENSITY_AUS))
     values[rng.random(values.shape) < 0.3] = 0.0
     values[:2, 1] = values[-2:, 1] = 0.0
@@ -262,10 +278,47 @@ def test_interpolation_matches_per_au_interp(n, start):
     values[rng.random(n) < 0.1, 7] = np.nan
     values[rng.random(n) < 0.3, 8] = 1e308
     values[rng.random(n) < 0.3, 8] = -1e308
-    frames = make_frames(n, frame_index=start + np.cumsum(rng.integers(1, 7, n)),
-                         intensities=values)
+    return make_frames(n, frame_index=start + np.cumsum(rng.integers(1, 7, n)),
+                       intensities=values)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 8, 50, 300])
+@pytest.mark.parametrize("start", [1, 2**53, 2**62],
+                         ids=["small", "float_spacing_2", "float_spacing_1024"])
+def test_interpolation_matches_per_au_interp(n, start):
+    frames = _zero_repair_case(np.random.default_rng(n), n, start)
     assert (_outcome(lambda f: interpolate_zero_intensities(f, "v"), frames)
             == _outcome(lambda f: _interpolate_per_au(f, "v"), frames))
+
+
+def test_repair_of_videos_one_after_another_matches_each_alone(caplog):
+    # ingest repairs a group's videos in one pass: no known value of one
+    # video may reach into the next, whose frames start over; videos are
+    # empty, one frame long, or have neighbouring positions that round alike
+    rng = np.random.default_rng(3)
+    videos = [_zero_repair_case(rng, n, start) for n, start in (
+        (0, 1), (6, 1), (1, 2**53), (0, 1), (0, 5), (40, 2**53), (30, 2**62), (9, 1),
+        (3, 2**62), (2, 1), (0, 1))]
+    group = np.concatenate(videos)
+    bounds = np.cumsum([0] + [len(video) for video in videos])
+    all_zero = ingest._repair(group, bounds)
+    assert all_zero[:, 3].tolist() == [len(video) > 0 for video in videos]
+    for k, video in enumerate(videos):
+        caplog.clear()
+        alone = interpolate_zero_intensities(video, f"v{k}")
+        warnings = caplog.messages
+        assert group[bounds[k]:bounds[k + 1]].tobytes() == alone.tobytes(), k
+        caplog.clear()
+        ingest._warn(f"v{k}", all_zero=all_zero[k])
+        assert caplog.messages == warnings
+
+
+def test_repair_checks_the_order_within_each_video():
+    group = make_frames(4, frame_index=[5, 9, 1, 2])
+    assert not ingest._repair(group, [0, 2, 4]).any()
+    for bounds in ([0, 4], [0, 3, 4], [0, 0, 4]):
+        with pytest.raises(ContractError, match="^frames must be sorted by frame_index$"):
+            ingest._repair(group, bounds)
 
 
 class TestLoadFramePredictions:
@@ -352,6 +405,16 @@ class TestLoadFramePredictions:
         text = header + "\n1,Happy,0.4,0.1,0.1,0.1,0.1,0.1,0.1\n"
         with pytest.raises(ContractError, match="^row 2: empty cell in column 'video_id'$"):
             load_frame_predictions(text)
+
+    @pytest.mark.parametrize("text", [
+        HEADER + "\n" + ROW + "\n",
+        HEADER + "\nv1,1,Calm,0.4,0.1,0.1,0.1,0.1,0.1,0.1\n",
+        HEADER.replace("s6", "s") + "\n",
+        "",
+    ], ids=["valid", "bad_cell", "missing_column", "empty"])
+    def test_byte_order_mark_is_named(self, text):
+        with pytest.raises(ContractError, match="^row 1: byte-order mark before the header$"):
+            load_frame_predictions("\ufeff" + text)
 
     @pytest.mark.parametrize("cell", ["", " ", "  "])
     def test_blank_video_id_is_an_error(self, cell):
