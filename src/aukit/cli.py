@@ -4,7 +4,6 @@ Exit codes: 0 success, 1 usage/contract error, 2 numeric failure, 3 I/O error.
 """
 
 import argparse
-import contextlib
 import json
 import logging
 import os
@@ -21,6 +20,7 @@ from .domain import (
     NUM_AUS,
     NUM_EXPRESSIONS,
     NumericFailure,
+    check_unit_interval,
 )
 from .losses import au_loss, combined_loss, expression_loss, finite_difference_check
 from .tables import numbers, read_table, write_table
@@ -116,18 +116,6 @@ def _frame_stores(frames_dir):
             for video_id in video_ids]
 
 
-@contextlib.contextmanager
-def _naming(path):
-    """Prefix the contract errors of reading the CSV file at `path` with
-    the path; a file that is not UTF-8 text is one of them."""
-    try:
-        yield
-    except UnicodeDecodeError:
-        raise ContractError(f"{path}: not UTF-8 text") from None
-    except ContractError as exc:
-        raise ContractError(f"{path}: {exc}") from None
-
-
 def cmd_ingest(args):
     paths = {}  # video id, the file stem that names its store -> input path
     for path in args.inputs:
@@ -141,12 +129,8 @@ def cmd_ingest(args):
                                 f"{paths[video_id]} and {path}")
         paths[video_id] = path
     os.makedirs(args.out, exist_ok=True)
-    # files are read in groups; one read alone raises its own error in turn
+    # files are read in groups; a bad one raises its own error in its turn
     for video_id, path, frames in ingest.read_openface_files(paths.items()):
-        if frames is None:
-            with _naming(path), open(path, "r", encoding="utf-8") as fh:
-                frames = ingest.interpolate_zero_intensities(
-                    ingest.parse_openface_csv(fh, video_id), video_id)
         out_path = os.path.join(args.out, video_id + ingest.FRAME_STORE_SUFFIX)
         ingest.write_frame_store(frames, out_path)
         print(f"{video_id}: {len(frames)} frames -> {out_path}")
@@ -155,8 +139,9 @@ def cmd_ingest(args):
 
 
 def cmd_extract_knowledge(args):
+    check_unit_interval("min_confidence", args.min_confidence)  # before anything is read
     rows = knowledge.ReliableRows(args.theta)  # applied as each block is read
-    with _naming(args.preds), open(args.preds, "r", encoding="utf-8") as fh:
+    with ingest.naming(args.preds), open(args.preds, "r", encoding="utf-8") as fh:
         video_ids = ingest.read_predictions(fh, rows.add)
     reliable = rows.frame_set(video_ids)  # theta's range, then duplicates
     # only the stores of videos with a reliable prediction can add a frame
@@ -387,7 +372,7 @@ def cmd_gradcheck(args):
     kn = KnowledgeMatrix(rng.uniform(0.2, 4.8, (NUM_AUS, NUM_EXPRESSIONS)), "loss-scaled")
     pw = rng.uniform(0.5, 6.0, (3, NUM_EXPRESSIONS, NUM_AUS))
     lams = rng.uniform(0.1, 0.9, 3)
-    # two hidden layers cover all of backward; biases off zero keep units off ReLU kinks
+    # two hidden layers cover all of backward_kernel; biases off zero keep units off ReLU kinks
     params = model.stack_params([model.init_params(seed + r, feature_dim=6, hidden=(4, 3))
                                  for r in range(3)])
     for b in params.hidden_biases:

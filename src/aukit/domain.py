@@ -81,10 +81,10 @@ def check_au_labels(au_labels):
         raise ContractError(f"AU labels must be 0 or 1, got {au_labels[~binary][0]}")
 
 
-def check_theta(theta):
-    """ContractError unless theta lies in [0, 1]; nan does not."""
-    if not 0.0 <= theta <= 1.0:
-        raise ContractError(f"theta must be in [0, 1], got {theta}")
+def check_unit_interval(name, value):
+    """ContractError unless `value` lies in [0, 1]; nan does not."""
+    if not 0.0 <= value <= 1.0:
+        raise ContractError(f"{name} must be in [0, 1], got {value}")
 
 
 def video_table(video_ids, fields, **columns):
@@ -156,7 +156,7 @@ class KnowledgeMatrix:
         if self.dataset_count < 1:
             raise ContractError("dataset_count must be >= 1")
         theta = float(self.theta)
-        check_theta(theta)
+        check_unit_interval("theta", theta)
         support = self.support
         if support is None:
             support = np.zeros((NUM_AUS, NUM_EXPRESSIONS), dtype=np.int64)

@@ -4,10 +4,12 @@ OpenFace 2.2.0 writes one comma-separated file per video with a header row;
 columns are addressed by name so column order never matters. A video's frames
 are one 1-D array of FRAME_DTYPE rows, kept on disk as a sealed frame store.
 Zero-valued intensities are the tool's known failure mode and are repaired by
-within-video linear interpolation. `aukit ingest` parses and repairs
-consecutive files in groups (read_openface_files).
+within-video linear interpolation. read_openface_files reads the files of
+`aukit ingest`: consecutive files in groups, and a file alone where it cannot
+join one. naming words the errors of either kind of CSV file for the file.
 """
 
+import contextlib
 import json
 import logging
 import os
@@ -22,8 +24,8 @@ from .domain import (
     NUM_AUS,
     NUM_EXPRESSIONS,
     NUM_INTENSITY_AUS,
+    check_unit_interval,
     expression_index,
-    video_table,
 )
 from .sealed import read_sealed, write_sealed
 
@@ -54,15 +56,18 @@ SCORE_COLUMNS = tuple(f"s{j}" for j in range(NUM_EXPRESSIONS))
 OPENFACE_REQUIRED = ("frame", "confidence", "success") + INTENSITY_COLUMNS + PRESENCE_COLUMNS
 PREDICTION_COLUMNS = ("video_id", "frame", "label") + SCORE_COLUMNS
 SCORE_SUM_TOLERANCE = 1e-3
-PREDICTION_FIELDS = [("frame_index", "<i8"), ("label", "<i8"),
-                     ("scores", "<f8", (NUM_EXPRESSIONS,))]
 
 
-def prediction_table(video_ids, frame_indices, labels, scores):
-    """Per-frame expression predictions as one table (see domain.video_table):
-    video_id, frame_index, label (the asserted expression index), scores."""
-    return video_table(video_ids, PREDICTION_FIELDS, frame_index=frame_indices,
-                       label=labels, scores=scores)
+@contextlib.contextmanager
+def naming(path):
+    """Prefix the contract errors of reading the CSV file at `path` with
+    the path; a file that is not UTF-8 text is one of them."""
+    try:
+        yield
+    except UnicodeDecodeError:
+        raise ContractError(f"{path}: not UTF-8 text") from None
+    except ContractError as exc:
+        raise ContractError(f"{path}: {exc}") from None
 
 
 def _loadtxt(records, columns, dtype=float):
@@ -441,17 +446,24 @@ def _parse_group(files):
     return frames, bounds, faces, _repair(frames, bounds)
 
 
+def _read_alone(video_id, path):
+    """The repaired frames of the OpenFace file at `path`, read as a stream,
+    its errors worded for the file (see naming)."""
+    with naming(path), open(path, "r", encoding="utf-8") as fh:
+        return interpolate_zero_intensities(parse_openface_csv(fh, video_id), video_id)
+
+
 def _group_frames(group):
     """The (video id, path, frames) of a group of (video id, path, lines),
     parsed and repaired at once, each video's warnings logged as it is
-    yielded; frames None for each file of a group that fails."""
+    yielded; where the group fails a check, each file read alone in turn."""
     try:
         frames, bounds, faces, all_zero = _parse_group([lines for _, _, lines in group])
     except ContractError:  # read alone, the first bad file raises its own error
         frames = None
     for k, (video_id, path, _) in enumerate(group):
         if frames is None:
-            yield video_id, path, None
+            yield video_id, path, _read_alone(video_id, path)
         else:
             _warn(video_id, faces[k], all_zero[k])
             yield video_id, path, frames[bounds[k]:bounds[k + 1]]
@@ -462,10 +474,11 @@ def read_openface_files(inputs):
     pairs, as (video id, path, frames) in their order: parse_openface_csv
     and interpolate_zero_intensities run once over each group of
     consecutive files of one header line and at most GROUP_BYTES of text.
-    A video's warnings are logged as it is yielded. frames is None for a
-    file the caller reads alone, which then raises its own error in turn:
-    one that cannot join a group (see _group_lines), and each file of a
-    group that fails a check. So reading ahead raises nothing."""
+    A video's warnings are logged as it is yielded. A file is read alone,
+    as a stream, when its turn comes, and raises its own error, worded for
+    it (see naming): one that cannot join a group (see _group_lines), and
+    each file of a group that fails a check. So the files before a bad one
+    are yielded before its error, and reading ahead raises nothing."""
     group, size = [], 0  # the files read ahead: (video id, path, lines)
     for video_id, path in inputs:
         read = _group_lines(path)
@@ -474,7 +487,7 @@ def read_openface_files(inputs):
             yield from _group_frames(group)
             group, size = [], 0
         if read is None:
-            yield video_id, path, None
+            yield video_id, path, _read_alone(video_id, path)
         else:
             group.append((video_id, path, read[0]))
             size += read[1]
@@ -554,16 +567,6 @@ def read_predictions(stream, consume):
     return list(video_ids)
 
 
-def load_frame_predictions(stream):
-    """Load per-frame expression predictions as a prediction_table, every
-    block read_predictions hands on joined."""
-    blocks = []
-    video_ids = read_predictions(stream, lambda *block: blocks.append(block))
-    videos, frames, labels, scores = map(np.concatenate, zip(*blocks))
-    del blocks  # the blocks are freed before the table is built
-    return prediction_table(np.array(video_ids, str)[videos], frames, labels, scores)
-
-
 def write_frame_store(frames, path):
     """One video's frames as a sealed file (see aukit.sealed).
 
@@ -598,6 +601,5 @@ def read_frame_store(path):
 def reliable_detections(frames, min_confidence=0.8):
     """Frames usable for knowledge extraction: successful and confident;
     `min_confidence` must be in [0, 1]."""
-    if not 0.0 <= min_confidence <= 1.0:  # nan fails too
-        raise ContractError(f"min_confidence must be in [0, 1], got {min_confidence}")
+    check_unit_interval("min_confidence", min_confidence)
     return frames[frames["success"] & (frames["confidence"] >= min_confidence)]

@@ -22,7 +22,7 @@ from .domain import (
     KnowledgeMatrix,
     NUM_AUS,
     NUM_EXPRESSIONS,
-    check_theta,
+    check_unit_interval,
     float_array,
 )
 from .tables import meta_fields, read_matrix, write_matrix
@@ -75,7 +75,7 @@ class ReliableRows:
         """The ReliableFrameSet of the rows added, their video codes indexing
         `video_ids`. Two predictions for one (video, frame) are a contract
         violation."""
-        check_theta(self.theta)
+        check_unit_interval("theta", self.theta)
         # the ids sorted, and each code's rank among them: (rank, frame)
         # sorts as (id, frame)
         video_ids, rank = np.unique(np.asarray(video_ids, dtype=str), return_inverse=True)
@@ -102,18 +102,6 @@ class ReliableRows:
             log.warning("no frames survive theta = %s", self.theta)
         return ReliableFrameSet(theta=self.theta, video_ids=video_ids[present],
                                 members=members)
-
-
-def filter_reliable_frames(predictions, theta):
-    """Keep the rows of a prediction table (see ingest.prediction_table)
-    whose scores[label] > theta: ReliableRows' rule, the table its one
-    block."""
-    check_theta(theta)  # before the table is read
-    rows = ReliableRows(theta)
-    video_ids, videos = np.unique(predictions["video_id"], return_inverse=True)
-    rows.add(videos.astype(np.int32), predictions["frame_index"], predictions["label"],
-             predictions["scores"])
-    return rows.frame_set(video_ids)
 
 
 def compute_dataset_knowledge(videos, reliable, classes=None):

@@ -3,20 +3,20 @@
 A small multilayer perceptron (affine + ReLU hidden layers) feeds one linear
 head of 25 logits, the two heads in one product: 7 expression logits
 (EXPRESSIONS order), then 18 AU logits (AU_NAMES order). Weights are stored
-fan-in-major, as the products read them, and every trainable array is a
-view into one contiguous float vector, so gradients, AdamW moments and
-checkpoints share a single layout. Parameters are drawn and checkpointed
-in float64; training steps and evaluation run in float32 (TRAIN_DTYPE, which
-feature files hold), and trained parameters stay in it. forward, backward
-and optimizer_step compute in their parameters' dtype. forward and backward
-check their arguments and then run their kernel (forward_kernel,
-backward_kernel), which checks nothing and holds the one copy of the math;
-a training loop that has checked its data once calls the kernels and
-optimizer_step, which checks only finiteness. Gradients are written out by
-hand so they can be verified against finite differences. The optimizer is
-AdamW: the weight decay decoupled and applied first, as torch.optim.AdamW
-does, and the bias corrections folded into two scalars, as in the Adam
-paper's efficient form. Training is bit-reproducible.
+fan-in-major, as the products read them, and every trainable array is a view
+into one contiguous float vector, so gradients, AdamW moments and
+checkpoints share a single layout. Parameters are drawn and checkpointed in
+float64; training steps and evaluation run in float32 (TRAIN_DTYPE, which
+feature files hold), and trained parameters stay in it. forward, the kernels
+and optimizer_step compute in their parameters' dtype. forward checks its
+arguments and then runs forward_kernel, which checks nothing and holds the
+one copy of the math; a training step (harness.Step), whose data is checked
+once, runs forward_kernel and backward_kernel, then optimizer_step, which
+checks only finiteness. Gradients are written out by hand so they can be
+verified against finite differences. The optimizer is AdamW: the weight
+decay decoupled and applied first, as torch.optim.AdamW does, and the bias
+corrections folded into two scalars, as in the Adam paper's efficient form.
+Training is bit-reproducible.
 """
 
 import json
@@ -72,7 +72,7 @@ class ModelParams:
 
     A stack of R runs trained together has an R x P `vector`, one row and
     one seed per run, and its named arrays carry the same leading run axis;
-    forward, backward and optimizer_step take a stack as they take one run.
+    forward, the kernels and optimizer_step take a stack as they take one run.
     """
 
     def __init__(self, feature_dim, hidden, seed, vector=None):
@@ -186,14 +186,13 @@ def _affine(x, w, b):
     return out
 
 
-def forward(params, features, return_hidden=False):
+def forward(params, features):
     """Run the shared pathway and the head.
 
     Returns (expr_logits Nx7, au_logits Nx18, embeddings NxF'), the logits
-    views of one N x 25 output; with return_hidden=True also returns the
-    per-layer activations for backprop. A stack of R runs takes R x N x F
-    features and returns R x N x ... outputs. Checks its arguments, then
-    runs forward_kernel.
+    views of one N x 25 output. A stack of R runs takes R x N x F features
+    and returns R x N x ... outputs. Checks its arguments, then runs
+    forward_kernel.
     """
     features = np.asarray(features, dtype=params.vector.dtype)
     if features.ndim != params.vector.ndim + 1 or (
@@ -203,8 +202,6 @@ def forward(params, features, return_hidden=False):
             f"features must be Nx{params.feature_dim}, got {features.shape}"
         )
     expr_logits, au_logits, activations = forward_kernel(params, features)
-    if return_hidden:
-        return expr_logits, au_logits, activations[-1], activations
     return expr_logits, au_logits, activations[-1]
 
 
@@ -223,36 +220,14 @@ def forward_kernel(params, features):
     return logits[..., :NUM_EXPRESSIONS], logits[..., NUM_EXPRESSIONS:], activations
 
 
-def backward(params, features, d_expr, d_au, activations):
-    """Exact gradients of the combined loss wrt every parameter.
-
-    d_expr and d_au are the loss gradients at the two heads' logits; joined,
-    they flow back through the head into the shared hidden pathway, using
-    the activations forward(..., return_hidden=True) returned. Returns
-    one flat gradient vector in the layout of params.vector
-    (params.views(grad) names its parts); a stack takes R x N x ... batches
-    and returns R x P gradients. Checks its arguments, then runs
-    backward_kernel.
-    """
-    dtype = params.vector.dtype
-    n = np.shape(features)[-2]
-    if np.shape(d_expr)[-2:] != (n, NUM_EXPRESSIONS) or (
-        np.shape(d_au) != np.shape(d_expr)[:-1] + (NUM_AUS,)
-    ):
-        raise ContractError("head gradient shapes inconsistent with the batch")
-    grads = np.empty_like(params.vector)
-    d_head = np.concatenate([d_expr, d_au], axis=-1, dtype=dtype)
-    backward_kernel(params, d_head, activations, params.views(grads),
-                    np.ones(n, dtype=dtype))
-    return grads
-
-
 def backward_kernel(params, d_head, activations, grads, ones):
-    """backward on arguments it would accept, all in the parameters' dtype:
-    d_head is the N x 25 loss gradient at the logits (d_expr and d_au
-    joined), `grads` the named views (params.views) of the gradient vector
-    it overwrites, and `ones` a length-N vector of ones. Nothing is
-    checked."""
+    """Exact gradients of a loss wrt every parameter, from its N x 25
+    gradient d_head at the logits (the expression columns, then the AU
+    ones), back through the head into the shared hidden pathway, using the
+    activations forward_kernel returned. Overwrites `grads`, the named views
+    (params.views) of a gradient vector in the layout of params.vector;
+    `ones` is a length-N vector of ones. Everything is in the parameters'
+    dtype, and a stack takes R x N x ... arrays. Nothing is checked."""
     # bias gradients sum over the batch as a product with a row of ones: one
     # BLAS call per run, where sum(axis=-2) loops over the batch's rows
     np.matmul(activations[-1].swapaxes(-1, -2), d_head, out=grads["head.w"])

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from aukit import ingest
-from aukit.domain import AU_NAMES, INTENSITY_AU_NAMES
-from aukit.ingest import FRAME_DTYPE, prediction_table
+from aukit.domain import AU_NAMES, INTENSITY_AU_NAMES, NUM_EXPRESSIONS
+from aukit.ingest import FRAME_DTYPE
+from aukit.knowledge import ReliableRows
 
 
 def openface_csv(rows, include=None, exclude=()):
@@ -70,9 +71,18 @@ def group_videos(records):
     return [(video_id, np.concatenate(parts)) for video_id, parts in groups.items()]
 
 
-def make_predictions(rows):
-    """A prediction table from (video_id, frame_index, label, scores) rows."""
-    return prediction_table(*(list(column) for column in zip(*rows)))
+def reliable_frames(rows, theta):
+    """The ReliableFrameSet that ReliableRows keeps of (video_id,
+    frame_index, label, scores) rows, given to it as one block coded as
+    read_predictions codes one. The scores are taken as they are, with no
+    check or renormalisation."""
+    video_ids, frames, labels, scores = [list(column) for column in zip(*rows)] or [[]] * 4
+    codes = {}  # video id -> its code
+    kept = ReliableRows(theta)
+    kept.add(np.array([codes.setdefault(v, len(codes)) for v in video_ids], np.int32),
+             np.array(frames, np.int64), np.array(labels, np.int64),
+             np.array(scores, np.float64).reshape(-1, NUM_EXPRESSIONS))
+    return kept.frame_set(list(codes))
 
 
 @pytest.fixture

@@ -15,6 +15,7 @@ from aukit.cli import EXIT_OK, main as cli_main
 from aukit.domain import KnowledgeMatrix, NUM_EXPRESSIONS
 from aukit.harness import (
     DEFAULT_LAMBDA_GRID,
+    Step,
     TrainConfig,
     TrainData,
     evaluate,
@@ -25,7 +26,6 @@ from aukit.harness import (
 from aukit.knowledge import (
     aggregate_knowledge,
     compute_dataset_knowledge,
-    filter_reliable_frames,
     scale_for_loss,
 )
 from aukit.labeling import (
@@ -40,10 +40,10 @@ from aukit.losses import (
     expression_loss,
     finite_difference_check,
 )
-from aukit.model import backward, forward, init_params
+from aukit.model import init_params, stack_params
 from aukit.synth import SynthSpec, generate_dataset
 
-from conftest import group_videos, make_frames, make_predictions, make_record
+from conftest import group_videos, make_frames, make_record, reliable_frames
 
 MINOR_INDICES = [4, 5, 6]
 
@@ -84,7 +84,7 @@ def test_criterion_1_gradient_correctness():
 
     worst_model = 0.0
     for trial in range(20):
-        params = init_params(trial, feature_dim=6, hidden=(4,))
+        params = stack_params([init_params(trial, feature_dim=6, hidden=(4,))])
         x = rng.normal(size=(4, 6))
         labels = rng.integers(0, 7, size=4)
         au_labels = rng.integers(0, 2, size=(4, 18)).astype(float)
@@ -93,15 +93,14 @@ def test_criterion_1_gradient_correctness():
         )
         pw = PosWeightSpec(strategy="none", values=np.ones((7, 18)))
         lam = float(rng.uniform(0.1, 0.9))
+        step = Step([lam], knowledge, pw.values[None], 4, np.float64)
 
         def evaluator(vector):
             params.vector[...] = vector
-            expr_logits, au_logits, _, acts = forward(params, x, return_hidden=True)
-            loss_e, grad_e = expression_loss(expr_logits, labels)
-            loss_au, grad_au = au_loss(au_logits, au_labels, labels, knowledge, pw)
-            grads = backward(params, x, (1 - lam) * grad_e, lam * grad_au,
-                             activations=acts)
-            return combined_loss(loss_e, loss_au, lam), grads
+            grads = np.empty_like(params.vector)
+            loss_e, loss_au = step(params, x[None], labels[None], au_labels[None],
+                                   params.views(grads))
+            return combined_loss(loss_e, loss_au, lam)[0], grads
 
         check = finite_difference_check(evaluator, params.vector.copy())
         worst_model = max(worst_model, check.max_relative_error)
@@ -204,7 +203,7 @@ def test_criterion_4_knowledge_pipeline_oracle():
             scores[c] = 0.94
             predictions.append((f"v{c}", index, c, scores))
             index += 1
-    reliable = filter_reliable_frames(make_predictions(predictions), 0.5)
+    reliable = reliable_frames(predictions, 0.5)
     matrix = compute_dataset_knowledge(group_videos(records), reliable, classes=(1, 5))
 
     raw = {}
@@ -268,7 +267,7 @@ def test_criterion_6_range_invariants():
                 scores[c] = 0.9
                 predictions.append((f"v{c}", index, c, scores))
                 index += 1
-        reliable = filter_reliable_frames(make_predictions(predictions), 0.5)
+        reliable = reliable_frames(predictions, 0.5)
         per_dataset = compute_dataset_knowledge(group_videos(records), reliable)
         assert np.all(per_dataset.values > 0.0)
         assert np.all(per_dataset.values < 1.0)

@@ -238,6 +238,26 @@ def test_blank_video_id_is_one_line_contract_error(tmp_path, capsys):
     assert not (tmp_path / "k.csv").exists()
 
 
+@pytest.mark.parametrize("bound", ["7", "-1", "nan"])
+def test_extract_knowledge_checks_min_confidence_before_reading(bound, tmp_path, capsys):
+    # checked before any input is read: with no prediction above theta no
+    # store is read, and the inputs of the second call do not exist
+    video = tmp_path / "v1.csv"
+    video.write_text(openface_csv([{}]))
+    store = tmp_path / "store"
+    assert run("ingest", video, "--out", store) == EXIT_OK
+    preds = tmp_path / "scores.csv"
+    preds.write_text("video_id,frame,label," + ",".join(f"s{j}" for j in range(7))
+                     + "\nv1,1,Happy,0.4,0.1,0.1,0.1,0.1,0.1,0.1\n")
+    for frames, scores in ((store, preds), (tmp_path / "none", tmp_path / "none.csv")):
+        capsys.readouterr()
+        assert run("extract-knowledge", "--frames", frames, "--preds", scores,
+                   "--min-confidence", bound, "--out", tmp_path / "k.csv") == EXIT_CONTRACT
+        assert capsys.readouterr().err == (
+            f"error: min_confidence must be in [0, 1], got {float(bound)}\n")
+        assert not (tmp_path / "k.csv").exists()
+
+
 @pytest.mark.parametrize("rows, message", [
     ([{}, {"AU12_r": "6.3"}], "row 3: intensity AU12_r = 6.3 outside [0, 5]"),
     ([{"frame": "2"}, {"frame": "1"}], "frames must be sorted by frame_index"),

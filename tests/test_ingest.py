@@ -20,6 +20,7 @@ from aukit.domain import (
     NUM_INTENSITY_AUS,
     ContractError,
     expression_index,
+    video_table,
 )
 from aukit.ingest import (
     FRAME_DTYPE,
@@ -32,16 +33,35 @@ from aukit.ingest import (
     SCORE_COLUMNS,
     SCORE_SUM_TOLERANCE,
     interpolate_zero_intensities,
-    load_frame_predictions,
     parse_openface_csv,
-    prediction_table,
     read_frame_store,
+    read_predictions,
     reliable_detections,
     write_frame_store,
 )
+from aukit.knowledge import ReliableRows
 from aukit.sealed import PAYLOAD_ALIGNMENT, write_sealed
 
 from conftest import make_frames, openface_csv
+
+PREDICTION_FIELDS = [("frame_index", "<i8"), ("label", "<i8"),
+                     ("scores", "<f8", (NUM_EXPRESSIONS,))]
+
+
+def prediction_table(video_ids, frame_indices, labels, scores):
+    """Predictions as one table (see domain.video_table): video_id,
+    frame_index, label (the asserted expression index), scores."""
+    return video_table(video_ids, PREDICTION_FIELDS, frame_index=frame_indices,
+                       label=labels, scores=scores)
+
+
+def read_prediction_table(stream):
+    """What read_predictions reads from `stream`: every block it hands on,
+    collected and joined into one prediction_table."""
+    blocks = []
+    video_ids = read_predictions(stream, lambda *block: blocks.append(block))
+    videos, frames, labels, scores = map(np.concatenate, zip(*blocks))
+    return prediction_table(np.array(video_ids, str)[videos], frames, labels, scores)
 
 
 class TestParseOpenfaceCsv:
@@ -321,46 +341,46 @@ def test_repair_checks_the_order_within_each_video():
             ingest._repair(group, bounds)
 
 
-class TestLoadFramePredictions:
+class TestReadPredictions:
     HEADER = "video_id,frame,label," + ",".join(f"s{j}" for j in range(7))
 
     def test_valid_simplex_point(self):
         text = self.HEADER + "\nv1,1,Happy,0.7,0.05,0.05,0.05,0.05,0.05,0.05\n"
-        preds = load_frame_predictions(text)
+        preds = read_prediction_table(text)
         assert preds[0]["video_id"] == "v1" and preds[0]["frame_index"] == 1
         assert preds[0]["label"] == 0
         assert preds[0]["scores"][0] == pytest.approx(0.7)
 
     def test_renormalizes_within_tolerance(self):
         text = self.HEADER + "\nv1,1,Sad,0.2005,0.3,0.1,0.1,0.1,0.1,0.1\n"
-        preds = load_frame_predictions(text)
+        preds = read_prediction_table(text)
         assert preds[0]["scores"].sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_bad_sum(self):
         text = self.HEADER + "\nv1,1,Sad,0.5,0.3,0.1,0.1,0.1,0.1,0.1\n"
         with pytest.raises(ContractError, match="sum"):
-            load_frame_predictions(text)
+            read_prediction_table(text)
 
     def test_rejects_negative_score(self):
         text = self.HEADER + "\nv1,1,Sad,-0.1,0.4,0.2,0.1,0.1,0.2,0.1\n"
         with pytest.raises(ContractError, match="negative"):
-            load_frame_predictions(text)
+            read_prediction_table(text)
 
     def test_rejects_unknown_label(self):
         text = self.HEADER + "\nv1,1,Calm,0.4,0.1,0.1,0.1,0.1,0.1,0.1\n"
         with pytest.raises(ContractError, match="Calm"):
-            load_frame_predictions(text)
+            read_prediction_table(text)
 
     def test_nul_names_its_file_line(self):
         text = self.HEADER + "\nv1,1,Sad,0.4,0.1,0.1,0.1,0.1,0.1,0.1\nv\0,2,Sad\n"
         with pytest.raises(ContractError, match="^row 3: NUL byte$"):
-            load_frame_predictions(text)
+            read_prediction_table(text)
 
     def test_score_sum_past_float_range_is_contract_error(self):
         # the sum overflows to inf: rejected by the tolerance, with no numpy warning
         text = self.HEADER + "\nv1,1,Sad,1e308,1e308,0,0,0,0,0\n"
         with pytest.raises(ContractError, match="^row 2: scores sum to inf"):
-            load_frame_predictions(text)
+            read_prediction_table(text)
 
     ROW = "v1,1,Happy,0.4,0.1,0.1,0.1,0.1,0.1,0.1"
 
@@ -373,38 +393,38 @@ class TestLoadFramePredictions:
         # file line 3 is blank, so the bad row is file line 4
         text = "\n".join([self.HEADER, self.ROW, "", bad_row]) + "\n"
         with pytest.raises(ContractError, match=message):
-            load_frame_predictions(text)
+            read_prediction_table(text)
 
     def test_header_only(self):
         for text in (self.HEADER, self.HEADER + "\n", self.HEADER + "\n\n"):
-            preds = load_frame_predictions(text)
+            preds = read_prediction_table(text)
             assert preds.shape == (0,)
             assert preds.tobytes() == _predictions_rows(text).tobytes()
 
     def test_lone_carriage_return_ends_a_line(self):
         text = "\n".join([self.HEADER, self.ROW, "v2,2,Sad" + self.ROW[10:]]) + "\n"
-        expected = load_frame_predictions(text)
-        assert load_frame_predictions(text.replace("\n", "\r")).tobytes() == expected.tobytes()
+        expected = read_prediction_table(text)
+        assert read_prediction_table(text.replace("\n", "\r")).tobytes() == expected.tobytes()
         mixed = self.HEADER + "\n" + self.ROW + "\r" + self.ROW.replace(",1,", ",2,") + "\n"
-        assert len(load_frame_predictions(mixed)) == 2
+        assert len(read_prediction_table(mixed)) == 2
 
     def test_quote_is_an_error_naming_its_line(self):
         text = "\n".join([self.HEADER, self.ROW, '"v2",2,Sad' + self.ROW[10:]]) + "\n"
         with pytest.raises(ContractError, match="^row 3: quoted cell$"):
-            load_frame_predictions(text)
+            read_prediction_table(text)
 
     @pytest.mark.parametrize("cell", ["1_0", "\uff11"])
     def test_loadtxt_grammar_decides_numbers(self, cell):
         text = self.HEADER + "\nv1,1,Happy," + cell + ",0.1,0.1,0.1,0.1,0.1,0.1\n"
         with pytest.raises(ContractError,
                            match=f"^row 2: non-numeric value '{cell}' in column 's0'$"):
-            load_frame_predictions(text)
+            read_prediction_table(text)
 
     def test_record_without_its_video_id_cell_is_an_error(self):
         header = ",".join(["frame", "label"] + [f"s{j}" for j in range(7)] + ["video_id"])
         text = header + "\n1,Happy,0.4,0.1,0.1,0.1,0.1,0.1,0.1\n"
         with pytest.raises(ContractError, match="^row 2: empty cell in column 'video_id'$"):
-            load_frame_predictions(text)
+            read_prediction_table(text)
 
     @pytest.mark.parametrize("text", [
         HEADER + "\n" + ROW + "\n",
@@ -414,7 +434,7 @@ class TestLoadFramePredictions:
     ], ids=["valid", "bad_cell", "missing_column", "empty"])
     def test_byte_order_mark_is_named(self, text):
         with pytest.raises(ContractError, match="^row 1: byte-order mark before the header$"):
-            load_frame_predictions("\ufeff" + text)
+            read_prediction_table("\ufeff" + text)
 
     @pytest.mark.parametrize("cell", ["", " ", "  "])
     def test_blank_video_id_is_an_error(self, cell):
@@ -423,7 +443,7 @@ class TestLoadFramePredictions:
         text = (self.HEADER + "\n" + good + cell + ",2,Happy,0.4,0.1,0.1,0.1,0.1,0.1,0.1\n"
                 + good)
         with pytest.raises(ContractError, match="^row 3: empty cell in column 'video_id'$"):
-            load_frame_predictions(text)
+            read_prediction_table(text)
         with pytest.raises(ContractError, match="^row 3: empty cell in column 'video_id'$"):
             _predictions_rows(text)
 
@@ -523,7 +543,7 @@ def _openface_rows(text, video_id):
 
 
 def _predictions_rows(text):
-    """The reference parse of load_frame_predictions."""
+    """The reference parse of read_predictions, as read_prediction_table joins it."""
     reader = _csv_reader(text, ("video_id", "frame", "label") + SCORE_COLUMNS)
     video_ids, frame_indices, labels, scores = [], [], [], array.array("d")
     row_numbers = []
@@ -656,7 +676,7 @@ def test_openface_block_parse_matches_row_parse(data):
 def test_prediction_block_parse_matches_row_parse(data):
     rows = [_prediction_cells(data.draw) for _ in range(data.draw(st.integers(0, 4)))]
     text = data.draw(csv_variants(PREDICTION_COLUMNS, rows, targets=PREDICTION_COLUMNS))
-    assert _outcome(load_frame_predictions, text) == _outcome(_predictions_rows, text)
+    assert _outcome(read_prediction_table, text) == _outcome(_predictions_rows, text)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -671,7 +691,7 @@ def test_str_and_text_stream_read_alike(data):
     else:
         rows = [_prediction_cells(data.draw) for _ in range(data.draw(st.integers(0, 3)))]
         text = data.draw(csv_variants(PREDICTION_COLUMNS, rows, targets=PREDICTION_COLUMNS))
-        read = load_frame_predictions
+        read = read_prediction_table
     for variant in (text, text.replace("\n", "\r")):
         stream = io.TextIOWrapper(io.BytesIO(variant.encode()), encoding="utf-8")
         assert _outcome(read, variant) == _outcome(read, stream)
@@ -694,7 +714,7 @@ def test_prediction_edge_cells_match_row_parse():
             row = valid.split(",")
             row[at] = cell
             text = "\n".join([header, valid, ",".join(row)]) + "\n"
-            assert _outcome(load_frame_predictions, text) == _outcome(_predictions_rows, text), text
+            assert _outcome(read_prediction_table, text) == _outcome(_predictions_rows, text), text
 
 
 # --- the block reader ---------------------------------------------------------
@@ -716,7 +736,7 @@ class TestParseOpenfaceCsvInSmallBlocks(TestParseOpenfaceCsv):
 
 
 @pytest.mark.usefixtures("small_blocks")
-class TestLoadFramePredictionsInSmallBlocks(TestLoadFramePredictions):
+class TestReadPredictionsInSmallBlocks(TestReadPredictions):
     """The predictions reader's checks and wording, with headers and records
     longer than a block."""
 
@@ -770,7 +790,7 @@ def test_header_longer_than_a_block(monkeypatch):
     monkeypatch.setattr(ingest, "BLOCK_CHARS", 16)
     text = "\r\n".join([",".join(PREDICTION_COLUMNS), "", "v1,1,Happy,0.4,0.1,0.1,0.1,0.1,0.1,0.1"])
     for stream in _stream_forms(text):
-        preds = load_frame_predictions(stream)
+        preds = read_prediction_table(stream)
         assert preds["video_id"].tolist() == ["v1"] and preds["frame_index"].tolist() == [1]
 
 
@@ -799,7 +819,7 @@ def test_nul_past_the_first_block_wins(first):
     text, line = _past_first_block(first, "v1,9999,Happy,0.4\0,0.1,0.1,0.1,0.1,0.1,0.1")
     for stream in _stream_forms(text):
         with pytest.raises(ContractError, match=f"^row {line}: NUL byte$"):
-            load_frame_predictions(stream)
+            read_prediction_table(stream)
 
 
 def test_quote_past_the_first_block_wins_over_a_bad_cell():
@@ -807,7 +827,7 @@ def test_quote_past_the_first_block_wins_over_a_bad_cell():
                                    'v1,9999,"Happy",0.4,0.1,0.1,0.1,0.1,0.1,0.1')
     for stream in _stream_forms(text):
         with pytest.raises(ContractError, match=f"^row {line}: quoted cell$"):
-            load_frame_predictions(stream)
+            read_prediction_table(stream)
 
 
 def test_bad_header_then_a_nul_names_the_nul():
@@ -816,9 +836,9 @@ def test_bad_header_then_a_nul_names_the_nul():
                                    "v1,9999,Happy\0,0.4,0.1,0.1,0.1,0.1,0.1,0.1", header)
     for stream in _stream_forms(text):
         with pytest.raises(ContractError, match=f"^row {line}: NUL byte$"):
-            load_frame_predictions(stream)
+            read_prediction_table(stream)
     with pytest.raises(ContractError, match='^missing column "s6"$'):
-        load_frame_predictions(text.replace("\0", ""))
+        read_prediction_table(text.replace("\0", ""))
 
 
 @pytest.mark.parametrize("last", [
@@ -833,7 +853,7 @@ def test_prediction_errors_past_the_first_block_match_row_parse(last):
     expected = _outcome(_predictions_rows, text)
     assert expected[0] == "error"
     for stream in _stream_forms(text):
-        assert _outcome(load_frame_predictions, stream) == expected
+        assert _outcome(read_prediction_table, stream) == expected
 
 
 def test_openface_bad_record_past_the_first_block_matches_row_parse():
@@ -849,22 +869,27 @@ def test_openface_bad_record_past_the_first_block_matches_row_parse():
         assert _outcome(lambda t: parse_openface_csv(t, "v"), stream) == expected
 
 
-def test_load_frame_predictions_peak_memory(tmp_path):
-    # one block of text and the parsed cells at a time, with the string
-    # cells as indices: the peak stays within 3x the table returned
+def test_read_predictions_into_reliable_rows_peak_memory(tmp_path):
+    # extract-knowledge's read: one block of text and its parsed cells at a
+    # time, with the string cells as indices, handed to ReliableRows, which
+    # keeps each row's key and the reliable rows (here all of them); the
+    # peak stays within 3x the prediction table of the rows, never built
     path = tmp_path / "scores.csv"
     rows = [f"v{i // 300},{i % 300},{EXPRESSIONS[i % 7]},0.4,0.1,0.1,0.1,0.1,0.1,0.1"
             for i in range(30000)]
     path.write_text("\n".join([PREDICTION_HEADER] + rows) + "\n")
+    table_bytes = 30000 * np.dtype([("video_id", "<U3"), *PREDICTION_FIELDS]).itemsize
+    assert table_bytes == 2_520_000
     with open(path, encoding="utf-8") as fh:
         tracemalloc.start()
         try:
-            table = load_frame_predictions(fh)
+            kept = ReliableRows(0.05)
+            reliable = kept.frame_set(read_predictions(fh, kept.add))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert len(table) == 30000
-    assert peak <= 3 * table.nbytes, f"peak {peak} B for a {table.nbytes} B table"
+    assert len(reliable.members) == 30000
+    assert peak <= 3 * table_bytes, f"peak {peak} B for a {table_bytes} B table"
 
 
 def random_frames(rng, n):

@@ -1,8 +1,10 @@
-"""Each checked step function equals its kernel, bit for bit, on arguments it
-accepts, given to the kernel as the function prepares them: one run and a
-stack of runs, in float32 (training) and float64. optimizer_step, which has
-no checked twin, steps one run, or each run of a stack, as it steps that run
-in a stack of one."""
+"""Each checked function (forward and the two losses) equals its kernel, bit
+for bit, on arguments it accepts, given to the kernel as the function
+prepares them: one run and a stack of runs, in float32 (training) and
+float64. optimizer_step, which has no checked twin, steps one run, or each
+run of a stack, as it steps that run in a stack of one. backward_kernel has
+no checked twin either; tests/test_model.py::TestBackward checks it and the
+training step."""
 
 import numpy as np
 import pytest
@@ -12,8 +14,6 @@ from aukit.labeling import PosWeightSpec
 from aukit.losses import au_loss, au_loss_kernel, expression_loss, expression_loss_kernel
 from aukit.model import (
     OptimizerState,
-    backward,
-    backward_kernel,
     forward,
     forward_kernel,
     init_params,
@@ -53,15 +53,12 @@ def assert_same(actual, expected):
 def test_forward(rng, runs, dtype):
     params = model_params(runs, dtype)
     x = normal(rng, lead(runs) + (N, FEATURES), dtype)
-    expr_logits, au_logits, embeddings, activations = forward(params, x,
-                                                              return_hidden=True)
+    expr_logits, au_logits, embeddings = forward(params, x)
     kernel_expr, kernel_au, kernel_activations = forward_kernel(params, x)
     assert_same(kernel_expr, expr_logits)
     assert_same(kernel_au, au_logits)
     assert_same(kernel_activations[-1], embeddings)
-    assert len(kernel_activations) == len(activations) == len(HIDDEN) + 1
-    for kernel_h, h in zip(kernel_activations, activations):
-        assert_same(kernel_h, h)
+    assert len(kernel_activations) == len(HIDDEN) + 1
 
 
 @dtypes
@@ -96,21 +93,6 @@ def test_au_loss(rng, runs, dtype):
         run_index)
     assert_same(np.asarray(kernel_loss), np.asarray(loss))
     assert_same(kernel_grad, grad)
-
-
-@dtypes
-@runs
-def test_backward(rng, runs, dtype):
-    params = model_params(runs, dtype)
-    x = normal(rng, lead(runs) + (N, FEATURES), dtype)
-    _, _, _, activations = forward(params, x, return_hidden=True)
-    d_expr = normal(rng, lead(runs) + (N, 7), dtype)
-    d_au = normal(rng, lead(runs) + (N, 18), dtype)
-    grads = backward(params, x, d_expr, d_au, activations)
-    kernel_grads = np.full_like(params.vector, np.nan)
-    backward_kernel(params, np.concatenate([d_expr, d_au], axis=-1), activations,
-                    params.views(kernel_grads), np.ones(N, dtype=dtype))
-    assert_same(kernel_grads, grads)
 
 
 @dtypes

@@ -21,7 +21,6 @@ from aukit.cli import EXIT_CONTRACT, EXIT_OK, main
 from aukit.ingest import (
     FRAME_DTYPE,
     PREDICTION_COLUMNS,
-    load_frame_predictions,
     read_predictions,
     write_frame_store,
 )
@@ -31,13 +30,12 @@ from aukit.knowledge import (
     aggregate_knowledge,
     compute_dataset_knowledge,
     export_knowledge,
-    filter_reliable_frames,
     import_knowledge,
     scale_for_loss,
     sigmoid,
 )
 
-from conftest import group_videos, make_frames, make_predictions, make_record
+from conftest import group_videos, make_frames, make_record, reliable_frames
 
 
 def ref_sigmoid(x):
@@ -61,20 +59,17 @@ def class_counts(reliable):
     return np.bincount(reliable.members["label"], minlength=7)
 
 
-class TestFilterReliableFrames:
+class TestReliableRows:
     def test_strictly_above_kept(self):
-        preds = make_predictions([make_prediction("v", 1, 0, 0.9)])
-        kept = filter_reliable_frames(preds, 0.5)
+        kept = reliable_frames([make_prediction("v", 1, 0, 0.9)], 0.5)
         assert member_keys(kept) == [("v", 1)]
 
     def test_equal_dropped(self):
-        preds = make_predictions([make_prediction("v", 1, 0, 0.5)])
-        kept = filter_reliable_frames(preds, 0.5)
+        kept = reliable_frames([make_prediction("v", 1, 0, 0.5)], 0.5)
         assert not len(kept.members)
 
     def test_theta_one_empty(self):
-        preds = make_predictions([make_prediction("v", 1, 0, 0.99)])
-        kept = filter_reliable_frames(preds, 1.0)
+        kept = reliable_frames([make_prediction("v", 1, 0, 0.99)], 1.0)
         assert not len(kept.members)
 
     def test_duplicate_frame_rejected(self):
@@ -85,7 +80,7 @@ class TestFilterReliableFrames:
             make_prediction("v", 1, 2, 0.3),
         ]
         with pytest.raises(ContractError, match="duplicate prediction.*'v' frame 1"):
-            filter_reliable_frames(make_predictions(preds), 0.5)
+            reliable_frames(preds, 0.5)
 
     def test_per_class_counts(self):
         preds = [
@@ -93,18 +88,18 @@ class TestFilterReliableFrames:
             make_prediction("v", 2, 0, 0.9),
             make_prediction("v", 3, 4, 0.9),
         ]
-        kept = filter_reliable_frames(make_predictions(preds), 0.5)
+        kept = reliable_frames(preds, 0.5)
         assert class_counts(kept)[0] == 2
         assert class_counts(kept)[4] == 1
 
     def test_monotone_in_theta(self, rng):
-        preds = make_predictions([
+        preds = [
             make_prediction("v", i, int(rng.integers(0, 7)), float(rng.uniform(0.2, 1)))
             for i in range(200)
-        ])
+        ]
         previous = None
         for theta in (0.1, 0.3, 0.5, 0.7, 0.9):
-            counts = class_counts(filter_reliable_frames(preds, theta))
+            counts = class_counts(reliable_frames(preds, theta))
             if previous is not None:
                 assert np.all(counts <= previous)
             previous = counts
@@ -112,12 +107,12 @@ class TestFilterReliableFrames:
     def test_members_sorted_by_video_then_frame(self, rng):
         rows = [("w", 3), ("v", 10), ("w", 1), ("v", 2), ("x", 0), ("v", 9)]
         preds = [make_prediction(v, f, 0, 0.9) for v, f in rows]
-        kept = filter_reliable_frames(make_predictions(preds), 0.5)
+        kept = reliable_frames(preds, 0.5)
         assert member_keys(kept) == sorted(rows)
 
     def test_theta_range_enforced(self):
-        with pytest.raises(ContractError):
-            filter_reliable_frames([], 1.5)
+        with pytest.raises(ContractError, match=r"^theta must be in \[0, 1\], got 1\.5$"):
+            reliable_frames([], 1.5)
 
 
 def brute_force_knowledge(frames_by_class):
@@ -180,14 +175,14 @@ class TestComputeDatasetKnowledge:
 
     def test_constant_matrix_maps_to_half(self):
         records, predictions = self._full_corpus([2.0] * 7)
-        reliable = filter_reliable_frames(make_predictions(predictions), 0.5)
+        reliable = reliable_frames(predictions, 0.5)
         matrix = compute_dataset_knowledge(group_videos(records), reliable)
         assert np.allclose(matrix.values, 0.5, atol=1e-12)
 
     def test_two_point_medians_map_to_hand_values(self):
         # medians 1.0 and 3.0: midpoint 2.0, centered to -1/+1
         records, predictions = self._full_corpus([1.0, 3.0, 1.0, 3.0, 1.0, 3.0, 1.0])
-        reliable = filter_reliable_frames(make_predictions(predictions), 0.5)
+        reliable = reliable_frames(predictions, 0.5)
         matrix = compute_dataset_knowledge(group_videos(records), reliable)
         low = 1.0 / (1.0 + math.exp(1.0))
         high = 1.0 / (1.0 + math.exp(-1.0))
@@ -210,7 +205,7 @@ class TestComputeDatasetKnowledge:
             predictions.append(make_prediction(f"pad{c}", next_frame, c, 0.9))
             frames[c] = [np.full(17, 2.5)]
             next_frame += 1
-        reliable = filter_reliable_frames(make_predictions(predictions), 0.5)
+        reliable = reliable_frames(predictions, 0.5)
         matrix = compute_dataset_knowledge(group_videos(records), reliable)
         oracle = brute_force_knowledge(frames)
         for i in range(18):
@@ -219,13 +214,13 @@ class TestComputeDatasetKnowledge:
 
     def test_empty_class_fails_listing_names(self):
         frames, records, predictions = two_class_corpus()
-        reliable = filter_reliable_frames(make_predictions(predictions), 0.5)
+        reliable = reliable_frames(predictions, 0.5)
         with pytest.raises(ContractError, match="Sad"):
             compute_dataset_knowledge(group_videos(records), reliable)
 
     def test_support_counts(self):
         records, predictions = self._full_corpus([2.0] * 7)
-        reliable = filter_reliable_frames(make_predictions(predictions), 0.5)
+        reliable = reliable_frames(predictions, 0.5)
         matrix = compute_dataset_knowledge(group_videos(records), reliable)
         assert np.all(matrix.support == 1)
 
@@ -243,7 +238,7 @@ class TestComputeDatasetKnowledge:
                             intensities=np.full(17, 3.0))
             )
             predictions.append(make_prediction(f"p{c}", 50 + c, c, 0.9))
-        reliable = filter_reliable_frames(make_predictions(predictions), 0.5)
+        reliable = reliable_frames(predictions, 0.5)
         matrix = compute_dataset_knowledge(group_videos(records), reliable)
         # raw median for class 0 is 3.0 everywhere, same as all other classes
         assert np.allclose(matrix.values, 0.5, atol=1e-12)
@@ -261,7 +256,7 @@ class TestComputeDatasetKnowledge:
             for f in frame_index[:6].tolist() + [100 + v]:
                 preds.append(make_prediction(video_id, f, int(rng.integers(0, 7)), 0.9))
         preds = [preds[i] for i in rng.permutation(len(preds))]
-        reliable = filter_reliable_frames(make_predictions(preds), 0.5)
+        reliable = reliable_frames(preds, 0.5)
         lookup = {(p[0], p[1]): p[2] for p in preds}
         expected = np.zeros(7, dtype=np.int64)
         for video_id, frames in videos:
@@ -315,7 +310,7 @@ def oracle_frames_by_class(videos, preds, theta):
 def test_join_matches_dict_oracle(seed):
     videos, preds = random_join_case(seed)
     by_class = oracle_frames_by_class(videos, preds, 0.5)
-    reliable = filter_reliable_frames(make_predictions(preds), 0.5)
+    reliable = reliable_frames(preds, 0.5)
     populated = sorted(by_class)
     for classes in (populated, populated[::2]):
         matrix = compute_dataset_knowledge(videos, reliable, classes=classes)
@@ -330,7 +325,7 @@ def test_join_matches_dict_oracle(seed):
 
 def test_join_with_empty_reliable_set_names_every_class():
     videos, preds = random_join_case(0)
-    reliable = filter_reliable_frames(make_predictions(preds), 1.0)
+    reliable = reliable_frames(preds, 1.0)
     assert not len(reliable.members)
     with pytest.raises(ContractError, match="no reliable frames for classes: "
                        + ", ".join(EXPRESSIONS)):
@@ -639,8 +634,8 @@ def test_streamed_rows_match_the_whole_table_rule(rows, twin, size):
         cells = prediction_line(frame, label, top).split(",")[3:]
         lines.append(",".join([video, str(frame), EXPRESSIONS[label], *cells]))
     text = "\n".join(lines) + "\n"
-    expected = _reliable_outcome(
-        lambda: filter_reliable_frames(load_frame_predictions(text), THETA))
+    assert len(list(ingest._blocks(text))) == 1  # read as one block: the whole table
+    expected = _reliable_outcome(lambda: read_reliable(text))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ingest, "BLOCK_CHARS", size)
         assert _reliable_outcome(lambda: read_reliable(text)) == expected

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from aukit.domain import ContractError, NumericFailure
-from aukit.losses import au_loss, combined_loss, expression_loss
+from aukit.harness import Step
+from aukit.losses import combined_loss, expression_loss
 from aukit.model import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -20,9 +21,9 @@ from aukit.model import (
     FEATURE_VERSION,
     TRAIN_DTYPE,
     OptimizerState,
-    backward,
     backward_kernel,
     forward,
+    forward_kernel,
     init_params,
     load_checkpoint,
     load_features,
@@ -33,7 +34,6 @@ from aukit.model import (
     stack_params,
 )
 from aukit.domain import KnowledgeMatrix
-from aukit.labeling import PosWeightSpec
 from aukit.sealed import PAYLOAD_ALIGNMENT, read_sealed, write_sealed
 
 
@@ -210,94 +210,80 @@ class TestForward:
             forward(p, rng.normal(size=(3, 9)))
 
 
-class TestBackward:
-    def _combined_evaluator(self, params, x, expr_labels, au_labels, knowledge,
-                            pw, lam):
-        def evaluator(vector):
-            params.vector[...] = vector
-            expr_logits, au_logits, _, acts = forward(params, x, return_hidden=True)
-            loss_e, grad_e = expression_loss(expr_logits, expr_labels)
-            loss_au, grad_au = au_loss(au_logits, au_labels, expr_labels,
-                                       knowledge, pw)
-            total = combined_loss(loss_e, loss_au, lam)
-            grads = backward(params, x, (1 - lam) * grad_e, lam * grad_au,
-                             activations=acts)
-            return total, grads
+def _grads(params, d_head, activations):
+    """backward_kernel's gradient vector for d_head, in a fresh buffer."""
+    out = np.empty_like(params.vector)
+    backward_kernel(params, d_head, activations, params.views(out),
+                    np.ones(d_head.shape[-2], dtype=params.vector.dtype))
+    return out
 
-        return evaluator
+
+class TestBackward:
+    """The gradients of a training step (harness.Step) and of its
+    backward_kernel."""
+
+    @staticmethod
+    def _step(runs, lams, rng, n):
+        """A float64 Step of `lams` on a stack of `runs` and its batch,
+        with unweighted pos-weights."""
+        x = rng.normal(size=(len(lams), n, runs.feature_dim))
+        expr_labels = rng.integers(0, 7, size=(len(lams), n))
+        au_labels = rng.integers(0, 2, (len(lams), n, 18)).astype(float)
+        knowledge = KnowledgeMatrix(
+            values=rng.uniform(0.5, 4.5, (18, 7)), stage="loss-scaled"
+        )
+        step = Step(lams, knowledge, np.ones((len(lams), 7, 18)), n, np.float64)
+        return step, (x, expr_labels, au_labels)
 
     @pytest.mark.parametrize("hidden", [(), (4,), (4, 3)])
     def test_full_model_finite_difference(self, rng, hidden):
         from aukit.losses import finite_difference_check
 
-        params = init_params(3, feature_dim=8, hidden=hidden)
+        params = stack_params([init_params(3, feature_dim=8, hidden=hidden)])
         # biases off zero: with zero biases a sample whose first-layer units
         # are all off puts the second layer exactly on the ReLU kink
         for b in params.hidden_biases:
             b[...] = rng.uniform(0.1, 0.5, b.shape)
-        x = rng.normal(size=(5, 8))
-        expr_labels = rng.integers(0, 7, size=5)
-        au_labels = rng.integers(0, 2, (5, 18)).astype(float)
-        knowledge = KnowledgeMatrix(
-            values=rng.uniform(0.5, 4.5, (18, 7)), stage="loss-scaled"
-        )
-        pw = PosWeightSpec(strategy="none", values=np.ones((7, 18)))
-        evaluator = self._combined_evaluator(
-            params, x, expr_labels, au_labels, knowledge, pw, lam=0.3
-        )
+        step, batch = self._step(params, [0.3], rng, 5)
+
+        def evaluator(vector):
+            params.vector[...] = vector
+            grads = np.empty_like(params.vector)
+            loss_e, loss_au = step(params, *batch, params.views(grads))
+            return combined_loss(loss_e, loss_au, 0.3)[0], grads
+
         report = finite_difference_check(evaluator, params.vector.copy())
         assert report.max_relative_error < 1e-4
 
     def test_lambda_zero_au_head_gradients_zero(self, rng):
-        params = init_params(5, feature_dim=8, hidden=(4,))
-        x = rng.normal(size=(6, 8))
-        expr_labels = rng.integers(0, 7, size=6)
-        expr_logits, au_logits, _, acts = forward(params, x, return_hidden=True)
-        _, grad_e = expression_loss(expr_logits, expr_labels)
-        grads = params.views(
-            backward(params, x, grad_e, np.zeros((6, 18)), activations=acts)
-        )
+        params = stack_params([init_params(5, feature_dim=8, hidden=(4,))])
+        step, batch = self._step(params, [0.0], rng, 6)
+        grads = params.views(np.empty_like(params.vector))
+        step(params, *batch, grads)
         # the AU block of the head: its last 18 columns
-        assert np.all(grads["head.w"][:, 7:] == 0) and np.all(grads["head.b"][7:] == 0)
+        assert np.all(grads["head.w"][..., 7:] == 0) and np.all(grads["head.b"][..., 7:] == 0)
         assert np.any(grads["hidden.0.w"] != 0)
 
     def test_au_signal_reaches_shared_pathway(self, rng):
-        params = init_params(5, feature_dim=8, hidden=(4,))
-        x = rng.normal(size=(6, 8))
-        expr_labels = rng.integers(0, 7, size=6)
-        au_labels = rng.integers(0, 2, (6, 18)).astype(float)
-        knowledge = KnowledgeMatrix(
-            values=np.full((18, 7), 2.0), stage="loss-scaled"
-        )
-        pw = PosWeightSpec(strategy="none", values=np.ones((7, 18)))
-        expr_logits, au_logits, _, acts = forward(params, x, return_hidden=True)
-        _, grad_e = expression_loss(expr_logits, expr_labels)
-        _, grad_au = au_loss(au_logits, au_labels, expr_labels, knowledge, pw)
-        base = params.views(
-            backward(params, x, grad_e, np.zeros((6, 18)), activations=acts)
-        )
-        mixed = params.views(
-            backward(params, x, 0.8 * grad_e, 0.2 * grad_au, activations=acts)
-        )
-        assert not np.allclose(base["hidden.0.w"], mixed["hidden.0.w"])
+        # one run twice, with lambda 0 and 0.2, on one batch
+        params = stack_params([init_params(5, feature_dim=8, hidden=(4,))] * 2)
+        step, (x, expr_labels, au_labels) = self._step(params, [0.0, 0.2], rng, 6)
+        grads = params.views(np.empty_like(params.vector))
+        step(params, x[[0, 0]], expr_labels[[0, 0]], au_labels[[0, 0]], grads)
+        base, mixed = grads["hidden.0.w"]
+        assert not np.allclose(base, mixed)
 
     def test_duplicated_sample_doubles_contribution(self, rng):
         params = init_params(2, feature_dim=6, hidden=())
         x = rng.normal(size=(1, 6))
         labels = np.array([3])
-        expr_logits, _, _, acts = forward(params, x, return_hidden=True)
-        _, grad_e = expression_loss(expr_logits, labels)
-        single = params.views(
-            backward(params, x, grad_e, np.zeros((1, 18)), activations=acts)
-        )
-        x2 = np.repeat(x, 2, axis=0)
-        expr_logits2, _, _, acts2 = forward(params, x2, return_hidden=True)
+        expr_logits, _, acts = forward_kernel(params, x)
         # use sum-scaled gradients (no 1/N) to see pure additivity
-        g = grad_e * 1.0
-        doubled = params.views(backward(
-            params, x2, np.repeat(g, 2, axis=0), np.zeros((2, 18)),
-            activations=acts2,
-        ))
+        _, grad_e = expression_loss(expr_logits, labels)
+        d_head = np.concatenate([grad_e, np.zeros((1, 18))], axis=-1)
+        single = params.views(_grads(params, d_head, acts))
+        _, _, acts2 = forward_kernel(params, np.repeat(x, 2, axis=0))
+        doubled = params.views(_grads(params, np.repeat(d_head, 2, axis=0), acts2))
         assert np.allclose(doubled["head.w"], 2.0 * single["head.w"])
 
     @pytest.mark.parametrize("hidden", [(), (4,), (4, 3)])
@@ -305,8 +291,8 @@ class TestBackward:
     def test_out_holds_the_returned_gradient(self, rng, runs, hidden):
         # a float32 stack, as training steps it: every entry of a buffer
         # filled with nan is overwritten, through its named views, with the
-        # bytes backward returns, again when the same buffer comes back with
-        # a smaller batch
+        # bytes of a fresh buffer's gradient, again when the same buffer
+        # comes back with a smaller batch and a prefix of its ones
         params = stack_params([init_params(seed, feature_dim=6, hidden=hidden)
                                for seed in range(runs)]).astype(np.float32)
         out = np.full_like(params.vector, np.nan)
@@ -314,13 +300,11 @@ class TestBackward:
         ones = np.ones(5, dtype=np.float32)
         for n in (5, 5, 3):
             x = rng.normal(size=(runs, n, 6)).astype(np.float32)
-            _, _, _, acts = forward(params, x, return_hidden=True)
-            d_expr = rng.normal(size=(runs, n, 7)).astype(np.float32)
-            d_au = rng.normal(size=(runs, n, 18)).astype(np.float32)
-            expected = backward(params, x, d_expr, d_au, acts)
+            _, _, acts = forward_kernel(params, x)
+            d_head = rng.normal(size=(runs, n, 25)).astype(np.float32)
+            expected = _grads(params, d_head, acts)
             out[...] = np.nan
-            backward_kernel(params, np.concatenate([d_expr, d_au], axis=-1), acts,
-                            grads, ones[:n])
+            backward_kernel(params, d_head, acts, grads, ones[:n])
             assert out.tobytes() == expected.tobytes()
 
 

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from aukit.domain import AU28_INDEX, ContractError
-from aukit.ingest import prediction_table
-from aukit.knowledge import compute_dataset_knowledge, filter_reliable_frames
+from aukit.knowledge import compute_dataset_knowledge
 from aukit.labeling import derive_video_au_labels
 from aukit.synth import (
     DEFAULT_PROPORTIONS,
@@ -16,7 +15,7 @@ from aukit.synth import (
     largest_remainder_counts,
 )
 
-from conftest import group_videos, make_frames, make_record
+from conftest import group_videos, make_frames, make_record, reliable_frames
 
 
 def test_default_ground_truth_valid():
@@ -151,11 +150,9 @@ def test_knowledge_closure_argmax_recovery():
         records.append(
             make_record(video_id=f"v{i}", frame_index=1, intensities=latent)
         )
-    predictions = prediction_table(
-        [f"v{i}" for i in range(spec.total)], 1, dataset.expr_labels,
-        np.eye(7)[dataset.expr_labels],
-    )
-    reliable = filter_reliable_frames(predictions, 0.5)
+    predictions = [(f"v{i}", 1, label, np.eye(7)[label])
+                   for i, label in enumerate(dataset.expr_labels.tolist())]
+    reliable = reliable_frames(predictions, 0.5)
     matrix = compute_dataset_knowledge(group_videos(records), reliable)
     g = dataset.knowledge.values
     for c in range(7):
