@@ -87,17 +87,6 @@ def check_unit_interval(name, value):
         raise ContractError(f"{name} must be in [0, 1], got {value}")
 
 
-def video_table(video_ids, fields, **columns):
-    """A 1-D structured array: a video_id field as wide as the longest id,
-    then `fields` (numpy field specs) filled from the same-named `columns`."""
-    video_ids = np.asarray(video_ids, dtype=str)
-    table = np.empty(len(video_ids), dtype=[("video_id", video_ids.dtype), *fields])
-    table["video_id"] = video_ids
-    for name, *_ in fields:
-        table[name] = columns[name]
-    return table
-
-
 def expression_index(name):
     """Map an expression label (case-insensitive) to its canonical index 0..6."""
     try:

@@ -17,7 +17,6 @@ from .domain import (
     expression_index,
     expression_labels,
     expression_name,
-    video_table,
 )
 from .tables import (
     meta_fields,
@@ -34,17 +33,21 @@ STRATEGIES = ("none", "global", "distinct", "minor")
 
 PW_FLOOR = 1e-6
 
-LABEL_FIELDS = [("expression", "<i8"), ("n", "<i8"), ("y", "u1", (NUM_AUS,))]
-
 LABEL_HEADER = ("video_id", "expression", "n", *AU_NAMES)
 POS_WEIGHT_HEADER = ("expression", *AU_NAMES)
 
 
 def label_table(video_ids, expressions, frame_counts, au_labels):
-    """Video AU labels as one table (see domain.video_table): video_id,
-    expression (index 0..6), n (the video's frame count), y (18 AU bits)."""
-    return video_table(video_ids, LABEL_FIELDS, expression=expressions,
-                       n=frame_counts, y=au_labels)
+    """Video AU labels as one structured array: video_id (as wide as the
+    longest id), expression (index 0..6), n (the video's frame count), y (18
+    AU bits)."""
+    video_ids = np.asarray(video_ids, dtype=str)
+    table = np.empty(len(video_ids), dtype=[
+        ("video_id", video_ids.dtype), ("expression", "<i8"), ("n", "<i8"),
+        ("y", "u1", (NUM_AUS,))])
+    table["video_id"], table["expression"] = video_ids, expressions
+    table["n"], table["y"] = frame_counts, au_labels
+    return table
 
 
 @dataclass(frozen=True)

@@ -141,23 +141,21 @@ def au_loss(au_logits, au_labels, expr_labels, knowledge, pos_weights):
     expr_labels = expression_labels(expr_labels)
     knowledge = np.asarray(loss_knowledge(knowledge), dtype=au_logits.dtype)
     pw = np.asarray(loss_pos_weights(pos_weights), dtype=au_logits.dtype)
-    return au_loss_kernel(au_logits, au_labels, expr_labels, knowledge.T, pw, None)
+    # one table as a one-run stack, so the kernel has one gather
+    return au_loss_kernel(au_logits, au_labels, expr_labels, knowledge.T, pw[None], 0)
 
 
 def au_loss_kernel(au_logits, au_labels, expr_labels, knowledge_by_class,
                    pos_weights, runs):
     """au_loss on arguments it would accept, as it converts them: the
     knowledge class-major (7 x 18) and everything in the logits' dtype but
-    the int64 expression labels, which must lie in 0..6. `runs` is None for
-    one 7 x 18 pos-weight table that every run shares; for R x 7 x 18
-    per-run tables it is the R x 1 column 0..R-1 that picks each run's.
-    Nothing is checked."""
+    the int64 expression labels, which must lie in 0..6. `pos_weights` is a
+    stack of 7 x 18 tables and `runs` picks each sample's: 0 for a stack of
+    one table that every run shares (au_loss), or the R x 1 column 0..R-1
+    for R per-run tables (harness.Step). Nothing is checked."""
     n = au_logits.shape[-2]
     k = knowledge_by_class[expr_labels]  # N x 18, per-sample expression column
-    if runs is None:
-        pw = pos_weights[expr_labels]  # N x 18, or R x N x 18 from the one table
-    else:  # a stack: R x N x 18 from each run's table
-        pw = pos_weights[runs, expr_labels]
+    pw = pos_weights[runs, expr_labels]  # (R x) N x 18, each run's table
 
     x = np.ascontiguousarray(au_logits)  # a strided view slows every op below
     pos = pw * au_labels

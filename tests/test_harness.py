@@ -34,6 +34,7 @@ from aukit.model import (
     TRAIN_DTYPE,
     ModelParams,
     OptimizerState,
+    init_params,
     load_checkpoint,
     load_features,
     save_checkpoint,
@@ -852,12 +853,19 @@ class TestTrainingPrecision:
                        stacked.vector, stacked_state.m, stacked_state.v):
             assert vector.dtype == TRAIN_DTYPE
 
-    def test_features_beyond_float32_rejected_without_warning(self):
+    def test_features_beyond_float32_rejected_without_warning(self, tmp_path):
+        # wherever float64 features are cast: TrainData and the scoring calls
         data = small_train_data()
         features = data.features.astype(np.float64)
         features[7, 3] = 1e39
-        with pytest.raises(NumericFailure, match="outside the float32 range"):
-            replace(data, features=features)
+        params = init_params(0, feature_dim=features.shape[1], hidden=(8,))
+        labels = data.expr_labels
+        for cast in (lambda: replace(data, features=features),
+                     lambda: predict(params, features),
+                     lambda: evaluate(params, features, labels),
+                     lambda: export_embeddings(params, features, labels, tmp_path / "e.csv")):
+            with pytest.raises(NumericFailure, match="outside the float32 range"):
+                cast()
 
 
 def strategy_study_data():

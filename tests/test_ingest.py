@@ -20,7 +20,6 @@ from aukit.domain import (
     NUM_INTENSITY_AUS,
     ContractError,
     expression_index,
-    video_table,
 )
 from aukit.ingest import (
     FRAME_DTYPE,
@@ -49,10 +48,14 @@ PREDICTION_FIELDS = [("frame_index", "<i8"), ("label", "<i8"),
 
 
 def prediction_table(video_ids, frame_indices, labels, scores):
-    """Predictions as one table (see domain.video_table): video_id,
-    frame_index, label (the asserted expression index), scores."""
-    return video_table(video_ids, PREDICTION_FIELDS, frame_index=frame_indices,
-                       label=labels, scores=scores)
+    """Predictions as one structured array: video_id, frame_index, label
+    (the asserted expression index), scores."""
+    video_ids = np.asarray(video_ids, dtype=str)
+    table = np.empty(len(video_ids),
+                     dtype=[("video_id", video_ids.dtype), *PREDICTION_FIELDS])
+    table["video_id"], table["frame_index"] = video_ids, frame_indices
+    table["label"], table["scores"] = labels, scores
+    return table
 
 
 def read_prediction_table(stream):
@@ -916,6 +919,15 @@ def test_frame_store_roundtrip(tmp_path_factory, data):
     loaded = read_frame_store(path)
     assert loaded.dtype == FRAME_DTYPE
     assert loaded.tobytes() == frames.tobytes()
+
+
+def test_frame_store_row_layout():
+    # the row dtype a store's header names: little-endian, packed
+    assert FRAME_DTYPE.descr == [
+        ("frame_index", "<i8"), ("timestamp", "<f8"), ("confidence", "<f8"),
+        ("success", "|b1"), ("intensities", "<f8", (17,)), ("presences", "|u1", (18,)),
+        ("interpolated", "|b1", (17,))]
+    assert FRAME_DTYPE.itemsize == 196
 
 
 def test_frame_store_rows_are_an_aligned_writable_view(rng, tmp_path):

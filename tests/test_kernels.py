@@ -81,10 +81,10 @@ def test_au_loss(rng, runs, dtype):
     knowledge = KnowledgeMatrix(values=rng.uniform(0.5, 4.5, (18, 7)),
                                 stage="loss-scaled")
     pos_weights = PosWeightSpec(strategy="global", values=rng.uniform(0.5, 4.0, (7, 18)))
-    pw_values, run_index = pos_weights.values.astype(dtype), None
+    # au_loss passes its one table as a one-run stack with run 0; a stack's
+    # per-run tables, as training passes them, pick the same values
+    pw_values, run_index = pos_weights.values.astype(dtype)[None], 0
     if runs is not None:
-        # the stack shares au_loss's one table; training's per-run tables
-        # pick the same values
         pw_values = np.broadcast_to(pw_values, (runs, 7, 18))
         run_index = np.arange(runs)[:, None]
     loss, grad = au_loss(logits, au_labels, expr_labels, knowledge, pos_weights)

@@ -1,10 +1,15 @@
 """The code and its documents carry nothing stale: every top-level function
-and class of the package is used in it, and every test the README names is
-defined. Both read source with `ast`; nothing is imported or collected."""
+and class of the package is used in it, every test the README names is
+defined, and every command line the README shows parses. The README stays
+within its size bound. Source is read with `ast`; nothing is collected, and
+no command is run."""
 
 import ast
 import pathlib
 import re
+import shlex
+
+from aukit.cli import build_parser
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "aukit"
@@ -72,3 +77,18 @@ def test_readme_names_only_tests_that_exist():
     stale += sorted(named - defined - set(trees))
     assert named, "the README names no test"
     assert stale == []
+
+
+def test_readme_is_at_most_30000_bytes():
+    # one statement per contract; measurements belong in CHANGES.md
+    assert len((ROOT / "README.md").read_bytes()) <= 30_000
+
+
+def test_readme_command_lines_parse():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    lines = [line for block in re.findall(r"```sh\n(.*?)```", readme, re.DOTALL)
+             for line in block.splitlines() if line.startswith("aukit ")]
+    parser = build_parser()
+    commands = {parser.parse_args(shlex.split(line)[1:]).command for line in lines}
+    # one example of every subcommand
+    assert commands == set(parser._subparsers._group_actions[0].choices)
