@@ -23,7 +23,7 @@ from .domain import (
     check_unit_interval,
 )
 from .losses import au_loss, combined_loss, expression_loss, finite_difference_check
-from .tables import numbers, read_table, write_table
+from .tables import number_columns, read_table, write_table
 
 EXIT_OK = 0
 EXIT_CONTRACT = 1
@@ -232,11 +232,7 @@ def _load_dataset_dir(path):
     table = labeling.read_labels_csv(os.path.join(path, "au_labels.csv"))
     what = "expression label file"
     _, rows = read_table(os.path.join(path, "expression_labels.csv"), what, width=1)
-    try:
-        expr_labels = np.array([int(cells[0]) for _, cells in rows], dtype=np.int64)
-    except (ValueError, OverflowError):
-        for line, cells in rows:  # words the error
-            numbers(cells, what, line, int)
+    expr_labels = number_columns(rows, what, [0], int)[:, 0]
     if len(table) != len(expr_labels):
         raise ContractError(f"{path}: au_labels.csv has {len(table)} rows, "
                             f"expression_labels.csv {len(expr_labels)}")

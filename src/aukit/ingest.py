@@ -28,6 +28,7 @@ from .domain import (
     expression_index,
 )
 from .sealed import read_sealed, write_sealed
+from .tables import cell_value, parse_cells
 
 log = logging.getLogger(__name__)
 
@@ -68,12 +69,6 @@ def naming(path):
         raise ContractError(f"{path}: not UTF-8 text") from None
     except ContractError as exc:
         raise ContractError(f"{path}: {exc}") from None
-
-
-def _loadtxt(records, columns, dtype=float):
-    """The `columns` cells of each record: the one grammar of every cell."""
-    return np.loadtxt(records, dtype=dtype, delimiter=",", comments=None, ndmin=2,
-                      usecols=columns)
 
 
 # characters read at a time; a block is the whole lines they complete
@@ -198,13 +193,10 @@ class _Csv:
         """The float cells and string columns (distinct cells, each record's
         index into them) of record lines; None where a record is unreadable
         or fails a check."""
-        if not records:  # loadtxt would warn
-            return np.empty((0, len(self.names))), {
-                c: ([], np.empty(0, np.intp)) for c in self.string_names}
         try:
-            floats = _loadtxt(records, [self.index[c] for c in self.names])
-            cells = _loadtxt(records, [self.index[c] for c in self.string_names], object
-                             ).T.tolist() if self.string_names else []
+            floats = parse_cells(records, [self.index[c] for c in self.names])
+            cells = parse_cells(records, [self.index[c] for c in self.string_names], object
+                                ).T.tolist() if self.string_names else []
         except ValueError:
             return None
         strings = {}
@@ -212,7 +204,7 @@ class _Csv:
             index = {cell: i for i, cell in enumerate(dict.fromkeys(column))}
             strings[c] = list(index), np.fromiter(map(index.__getitem__, column), np.intp,
                                                   len(column))
-        masks, relax = self._masks(floats, strings)
+        masks, relax = self._masks(floats, strings) if records else ((), None)  # none to check
         if all(mask.all() or (mask | relax).all() for mask in masks):
             return floats, strings
         return None
@@ -230,14 +222,9 @@ class _Csv:
 
     def _word(self, record, line):
         """A bad record's first failure, its cells read one at a time."""
-        def value(raw):  # None for a blank cell, none (raw is None) or an unreadable one
-            try:
-                return _loadtxt([raw], [0])[0, 0] if raw and raw.strip() else None
-            except ValueError:
-                return None
         cells = [cell.lstrip(" ") for cell in record.split(",")]
         raw = {c: cells[i] if i < len(cells) else None for c, i in self.index.items()}
-        values = dict(zip(self.names, map(value, (raw[c] for c in self.names))))
+        values = {c: cell_value(raw[c]) for c in self.names}  # None: none, blank or bad
         floats = np.array([[np.nan if v is None else v for v in values.values()]])
         strings = {c: ([raw[c]], np.zeros(1, np.intp)) for c in self.string_names}
         read = {c: values.get(c, raw[c]) is not None for c in self.names + self.string_names}

@@ -2,7 +2,6 @@
 
 import logging
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -20,7 +19,7 @@ from .domain import (
 )
 from .tables import (
     meta_fields,
-    numbers,
+    number_columns,
     read_matrix,
     read_table,
     write_matrix,
@@ -151,9 +150,7 @@ def read_labels_csv(path):
     """Inverse of write_labels_csv; n must be >= 1 and every AU cell 0 or 1."""
     what = "label file"
     _, rows = read_table(path, what, LABEL_HEADER)
-    columns = np.fromiter(chain.from_iterable(
-        numbers(cells[2:], what, line, int, column=3) for line, cells in rows
-    ), dtype=np.int64).reshape(-1, 1 + NUM_AUS)
+    columns = number_columns(rows, what, range(2, 3 + NUM_AUS), int)
     counts, au_labels = columns[:, 0], columns[:, 1:]
     non_binary = (au_labels != 0) & (au_labels != 1)
     bad = np.flatnonzero((counts < 1) | non_binary.any(axis=1))

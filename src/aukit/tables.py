@@ -8,13 +8,13 @@ their repr, so they read back bit for bit. A bad cell is a ContractError
 naming its file line and column, both counted from 1.
 """
 
-import math
+import re
 
 import numpy as np
 
 from .domain import ContractError
 
-_INT64_BOUND = 2 ** 63  # int cells must fit the int64 arrays they are read into
+_DTYPES = {float: np.float64, int: np.int64}
 
 
 def _cell(value):
@@ -60,6 +60,8 @@ def read_table(path, what, header=None, width=None, version=None):
                     meta[key.strip()] = value.strip()
     except UnicodeDecodeError:
         raise ContractError(f"corrupt {what}: {path} is not UTF-8 text") from None
+    if rows and rows[0][0] == 1 and rows[0][1][0].startswith("\ufeff"):
+        raise ContractError(f"corrupt {what}: byte-order mark at line 1")
     if version is not None and version not in meta:
         raise ContractError(f"corrupt {what}: no '# {version}' version line")
     if header is not None:
@@ -74,46 +76,65 @@ def read_table(path, what, header=None, width=None, version=None):
     return meta, rows
 
 
-def _fit(values, kind):
-    """Whether numbers of `kind` are all finite floats or int64-range ints."""
-    if kind is float:
-        return all(map(math.isfinite, values))
-    return not values or -_INT64_BOUND <= min(values) <= max(values) < _INT64_BOUND
+def parse_cells(records, columns, dtype=float):
+    """The `columns` cells of each record, a line of comma-separated cells:
+    np.loadtxt's grammar, the one grammar of every number aukit reads. A bad
+    cell is a ValueError; an empty record would be skipped."""
+    if not records:  # loadtxt would warn of no data
+        return np.empty((0, len(columns)), dtype)
+    return np.loadtxt(records, dtype=dtype, delimiter=",", comments=None, ndmin=2,
+                      usecols=columns)
+
+
+def cell_value(cell, kind=float):
+    """A cell as parse_cells reads it alone, a float or an int64-range int;
+    None where it is empty or no number of `kind` (a comma makes two)."""
+    try:
+        return parse_cells([cell], None, _DTYPES[kind]).item() if cell else None
+    except ValueError:  # .item() raises it for two cells
+        return None
 
 
 def numbers(cells, what, line, kind=float, column=1):
-    """`cells`, of file line `line`, as finite floats or int64-range ints.
-    A bad cell is a ContractError naming its column; `column` is cells[0]'s."""
-    try:  # one conversion per row; an error is worded only when it fails
-        values = [kind(cell) for cell in cells]
-        if _fit(values, kind):
+    """`cells`, of file line `line`, as finite floats or int64-range ints,
+    read one at a time (cell_value). A bad cell is a ContractError naming
+    its column; `column` is cells[0]'s."""
+    values = [cell_value(cell, kind) for cell in cells]
+    for offset, (cell, value) in enumerate(zip(cells, values)):
+        if value is None or not np.isfinite(value):  # digits alone: out of int64's range
+            problem = "non-finite" if value is not None else "out-of-range" if (
+                kind is int and re.fullmatch(r"\s*[+-]?[0-9]+\s*", cell)) else "non-numeric"
+            raise ContractError(f"corrupt {what}: {problem} cell {cell!r} at line {line}, "
+                                f"column {column + offset}")
+    return values
+
+
+def number_columns(rows, what, columns, kind=float):
+    """The cells `columns` (consecutive indices) of read_table's `rows`, as
+    one float64 array of finite values (int64 for kind int), in one
+    parse_cells call (a row is never blank, so none is skipped); only where
+    it fails does numbers read the rows, to word the first bad cell."""
+    try:  # texts joined one at a time, not all held; [] shows parse_cells no rows
+        texts = (",".join(cells) for _, cells in rows) if rows else []
+        values = parse_cells(texts, columns, _DTYPES[kind])
+        if np.isfinite(values).all():
             return values
     except ValueError:
         pass
-    for offset, cell in enumerate(cells):
-        try:
-            if _fit([kind(cell)], kind):
-                continue
-            problem = "non-finite" if kind is float else "out-of-range"
-        except ValueError:
-            problem = "non-numeric"
-        raise ContractError(f"corrupt {what}: {problem} cell {cell!r} at line {line}, "
-                            f"column {column + offset}")
+    for line, cells in rows:
+        numbers([cells[i] for i in columns], what, line, kind, columns[0] + 1)
 
 
 def meta_fields(meta, what, **kinds):
-    """The values of the required metadata keys named in `kinds` (key=kind),
-    in order."""
+    """The values of the required metadata keys named in `kinds` (key=kind:
+    str, or int or float as cell_value reads them), in order."""
     values = []
     for key, kind in kinds.items():
-        try:
-            values.append(kind(meta[key]))
-        except KeyError:
-            raise ContractError(f"corrupt {what}: {key} missing") from None
-        except ValueError:
-            raise ContractError(
-                f"corrupt {what}: non-numeric {key} {meta[key]!r}"
-            ) from None
+        if key not in meta:
+            raise ContractError(f"corrupt {what}: {key} missing")
+        values.append(meta[key] if kind is str else cell_value(meta[key], kind))
+        if values[-1] is None:
+            raise ContractError(f"corrupt {what}: non-numeric {key} {meta[key]!r}")
     return values
 
 
@@ -130,5 +151,4 @@ def read_matrix(path, what, row_names, columns, header=None, kind=float,
         if cells[0] != name:
             raise ContractError(f"corrupt {what}: line {line} is row {cells[0]!r}, "
                                 f"expected {name!r}")
-    values = [numbers(cells[1:], what, line, kind, column=2) for line, cells in rows]
-    return meta, np.array(values, dtype=np.float64 if kind is float else np.int64)
+    return meta, number_columns(rows, what, range(1, 1 + columns), kind)

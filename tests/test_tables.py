@@ -3,14 +3,17 @@ training-side commands write."""
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
 
+from aukit import cli, harness, knowledge, labeling
 from aukit.cli import EXIT_OK, main
 from aukit.domain import ContractError
 from aukit.tables import (
     meta_fields,
+    number_columns,
     numbers,
     read_matrix,
     read_table,
@@ -103,6 +106,93 @@ def test_matrix_round_trip(tmp_path):
         read_matrix(path, "demo file", ("r1", "r0"), 2, ("row", "a", "b"))
     with pytest.raises(ContractError, match="expected 3 rows, got 2"):
         read_matrix(path, "demo file", ("r0", "r1", "r2"), 2, ("row", "a", "b"))
+
+
+@pytest.fixture
+def tables_dir(tmp_path):
+    """One of each table aukit reads: a synth-gen dataset directory (its
+    au_labels.csv, expression_labels.csv and knowledge files), plus a
+    pos-weight file and a confusion file."""
+    assert main(["synth-gen", "--n", "14", "--seed", "0", "--out", str(tmp_path)]) == EXIT_OK
+    labeling.write_pos_weights_csv(labeling.PosWeightSpec("global", np.ones((7, 18))),
+                                   tmp_path / "pos_weights.csv")
+    harness.export_confusion(harness.report_from_confusion(np.eye(7, dtype=np.int64)),
+                             tmp_path)
+    return tmp_path
+
+
+# each table reader: (file, what, the file line and column of a number in
+# it, or the key of a `# key=` line, and the read)
+TABLE_READERS = {
+    "labels_n": ("au_labels.csv", "label file", 2, 3, labeling.read_labels_csv),
+    "labels_au": ("au_labels.csv", "label file", 2, 4, labeling.read_labels_csv),
+    "pos_weight": ("pos_weights.csv", "pos-weight file", 3, 2,
+                   labeling.read_pos_weights_csv),
+    "knowledge": ("knowledge.csv", "knowledge file", 7, 2, knowledge.import_knowledge),
+    "support": ("knowledge.csv.support.csv", "knowledge support file", 2, 2,
+                lambda path: knowledge.import_knowledge(path.parent / "knowledge.csv")),
+    "confusion": ("confusion.csv", "confusion file", 3, 2, harness.read_confusion_csv),
+    "expression_labels": ("expression_labels.csv", "expression label file", 2, 1,
+                          lambda path: cli._load_dataset_dir(path.parent)),
+    "datasets": ("knowledge.csv", "knowledge file", "datasets", None,
+                 knowledge.import_knowledge),
+    "theta": ("knowledge.csv", "knowledge file", "theta", None, knowledge.import_knowledge),
+}
+
+
+@pytest.mark.parametrize("cell", ["1_0", "1_5", "\uff11"])
+@pytest.mark.parametrize("reader", TABLE_READERS)
+def test_every_table_reads_numbers_in_one_grammar(tables_dir, reader, cell):
+    # Python's int() and float() read these as 10, 15 and 1; np.loadtxt,
+    # which decides every OpenFace and prediction cell, reads no number
+    name, what, line, column, read = TABLE_READERS[reader]
+    path = tables_dir / name
+    lines = path.read_text(encoding="utf-8").split("\n")
+    if column is None:  # a `# key=value` line
+        at = next(i for i, text in enumerate(lines) if text.startswith(f"# {line}="))
+        lines[at] = f"# {line}={cell}"
+        message = f"corrupt {what}: non-numeric {line} {cell!r}"
+    else:
+        cells = lines[line - 1].split(",")
+        cells[column - 1] = cell
+        lines[line - 1] = ",".join(cells)
+        message = f"corrupt {what}: non-numeric cell {cell!r} at line {line}, column {column}"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(ContractError, match="^" + re.escape(message) + "$"):
+        read(path)
+
+
+@pytest.mark.parametrize("reader", [r for r in TABLE_READERS if r not in (
+    "labels_au", "datasets", "theta")])
+def test_byte_order_mark_is_named(tables_dir, reader):
+    # it read as part of the first cell: before, a label file's header did
+    # not match and a knowledge file had no version line
+    name, what, _, _, read = TABLE_READERS[reader]
+    path = tables_dir / name
+    path.write_text("\ufeff" + path.read_text(encoding="utf-8"), encoding="utf-8")
+    with pytest.raises(ContractError,
+                       match=f"^corrupt {what}: byte-order mark at line 1$"):
+        read(path)
+
+
+def test_an_empty_table_makes_no_parse(tmp_path):
+    # np.loadtxt warns of no data, and the suite turns warnings into errors
+    assert number_columns([], "demo file", range(2, 5), int).shape == (0, 3)
+    path = tmp_path / "au_labels.csv"
+    labeling.write_labels_csv(labeling.label_table([], [], [], np.zeros((0, 18))), path)
+    assert len(labeling.read_labels_csv(path)) == 0
+
+
+def test_one_conversion_per_table(tmp_path, monkeypatch):
+    path = tmp_path / "au_labels.csv"
+    labeling.write_labels_csv(labeling.label_table(
+        [f"v{i}" for i in range(50)], [i % 7 for i in range(50)], 3,
+        np.eye(50, 18, dtype=np.int64)), path)
+    calls = []
+    real = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(1) or real(*a, **k))
+    assert labeling.read_labels_csv(path)["y"].sum() == 18
+    assert calls == [1]
 
 
 # sha256 of every table the commands below write, recorded before the tables
