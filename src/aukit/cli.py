@@ -23,7 +23,7 @@ from .domain import (
     check_unit_interval,
 )
 from .losses import au_loss, combined_loss, expression_loss, finite_difference_check
-from .tables import number_columns, read_table, write_table
+from .tables import cell_value, number_columns, read_table, write_table
 
 EXIT_OK = 0
 EXIT_CONTRACT = 1
@@ -311,12 +311,20 @@ def _listed(value):
 
 
 def _grid(values):
-    """--grid's values as numbers."""
-    try:
-        return [float(value) for value in values]
-    except ValueError:
-        raise ContractError(
-            f"--grid must list numbers, got {','.join(values)!r}") from None
+    """--grid's values as numbers, read as every table cell is (cell_value)."""
+    if None in (grid := [cell_value(value) for value in values]):
+        raise ContractError(f"--grid must list numbers, got {','.join(values)!r}")
+    return grid
+
+
+def _number(kind):
+    """An argparse type reading a flag's value as every table cell is
+    (cell_value); argparse makes anything else a usage error."""
+    def parse(text):
+        if (value := cell_value(text, kind)) is None:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}")
+        return value
+    return parse
 
 
 # a study subcommand: the TrainConfig field it sets per run, the list flag
@@ -446,7 +454,7 @@ def build_parser():
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(fn=fn)
         if seed:
-            p.add_argument("--seed", type=int, default=None)
+            p.add_argument("--seed", type=_number(int), default=None)
         p.add_argument("--out", default="out")
         return p
 
@@ -456,8 +464,8 @@ def build_parser():
     p = add("extract-knowledge", cmd_extract_knowledge)
     p.add_argument("--frames", required=True)
     p.add_argument("--preds", required=True)
-    p.add_argument("--theta", type=float, default=0.5)
-    p.add_argument("--min-confidence", type=float, default=0.8)
+    p.add_argument("--theta", type=_number(float), default=0.5)
+    p.add_argument("--min-confidence", type=_number(float), default=0.8)
 
     p = add("aggregate-knowledge", cmd_aggregate_knowledge)
     p.add_argument("inputs", nargs="+")
@@ -476,7 +484,7 @@ def build_parser():
 
     p = add("synth-gen", cmd_synth_gen, seed=True)
     p.add_argument("--spec", default=None)
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=_number(int), default=None)
 
     for name in ("train", *STUDIES):
         p = add(name, cmd_study if name in STUDIES else cmd_train, seed=True)
@@ -485,9 +493,9 @@ def build_parser():
         p.add_argument("--knowledge", default=None)
         p.add_argument("--pos-weights-file", default=None)
         p.add_argument("--config", default=None)
-        p.add_argument("--lam", type=float, default=None)
+        p.add_argument("--lam", type=_number(float), default=None)
         p.add_argument("--strategy", default=None)
-        p.add_argument("--epochs", type=int, default=None)
+        p.add_argument("--epochs", type=_number(int), default=None)
         if name in STUDIES:
             flag, default = STUDIES[name][1:3]
             p.add_argument(f"--{flag}", type=_listed, default=default)
@@ -499,8 +507,8 @@ def build_parser():
     p = add("gradcheck", cmd_gradcheck, seed=True,
             help="check expression_loss, au_loss and a training step's "
                  "gradients against central differences, in float64")
-    p.add_argument("--batch", type=int, default=8)
-    p.add_argument("--eps", type=float, default=1e-5)
+    p.add_argument("--batch", type=_number(int), default=8)
+    p.add_argument("--eps", type=_number(float), default=1e-5)
 
     p = add("export-confusion", cmd_export_confusion)
     p.add_argument("--confusion", required=True)

@@ -20,8 +20,8 @@ from .domain import (
     integer_tuple,
 )
 from .labeling import STRATEGIES, compute_pos_weights
-from .losses import (au_loss_kernel, combined_loss, expression_loss_kernel, loss_knowledge,
-                     loss_pos_weights)
+from .losses import (EXPRESSION_FACTOR, au_loss_kernel, combined_loss, expression_loss_kernel,
+                     loss_knowledge, loss_pos_weights)
 from .model import (
     TRAIN_DTYPE,
     ModelParams,
@@ -214,11 +214,12 @@ class Step:
     by each run's 1 - lambda (expression logits) and lambda (AU logits), and
     runs the backward kernel, which writes the gradient of each run's
     combined_loss into `grads` (params.views of an R x P vector). It returns
-    each run's (loss_e, loss_au) and checks nothing. Each run has its own
-    lambda (`lams`) and pos-weight table (`pos_weights`: R x 7 x 18), all
-    share `knowledge`, a loss-scaled KnowledgeMatrix, and all are cast to
-    `dtype` once. A batch shorter than `batch` takes a prefix of d_head (laid
-    out as a fresh array would be) and of the ones that sum bias gradients."""
+    each run's (loss_e, loss_au), None without `losses` unless a logit is
+    non-finite, and checks nothing. Each run has its own lambda (`lams`) and
+    pos-weight table (`pos_weights`: R x 7 x 18), all share `knowledge`, a
+    loss-scaled KnowledgeMatrix, and all are cast to `dtype` once. A batch
+    shorter than `batch` takes a prefix of d_head (laid out as a fresh array
+    would be) and of the ones that sum bias gradients."""
 
     def __init__(self, lams, knowledge, pos_weights, batch, dtype):
         self.knowledge_by_class = np.array(knowledge.values.T, dtype=dtype, order="C")
@@ -232,12 +233,14 @@ class Step:
         self.d_head = np.empty(self.head_scale.size, dtype=dtype)
         self.ones = np.ones(batch, dtype=dtype)
 
-    def __call__(self, params, features, expr_labels, au_labels, grads):
+    def __call__(self, params, features, expr_labels, au_labels, grads, losses=True):
         expr_logits, au_logits, acts = forward_kernel(params, features)
-        loss_e, grad_e = expression_loss_kernel(expr_logits, expr_labels)
+        losses = losses or not np.isfinite(expr_logits.base).all()  # all R x B x 25
+        loss_e, grad_e = expression_loss_kernel(expr_logits, expr_labels, EXPRESSION_FACTOR,
+                                                losses)
         loss_au, grad_au = au_loss_kernel(au_logits, au_labels, expr_labels,
                                           self.knowledge_by_class, self.pos_weights,
-                                          self.runs)
+                                          self.runs, losses)
         scale = self.head_scale[:, :expr_labels.shape[1]]
         d_head = self.d_head[:scale.size].reshape(scale.shape)
         d_head[..., :NUM_EXPRESSIONS] = grad_e
@@ -247,7 +250,7 @@ class Step:
         return loss_e, loss_au
 
 
-def _lockstep(configs, data, pos_weights):
+def _lockstep(configs, data, pos_weights, every_epoch):
     """Train the runs of `configs` together on `data` as one stack: one Step
     and one AdamW update per batch, for all runs. TrainData has checked the
     data, so nothing here checks it again. Each run keeps its own seed
@@ -256,9 +259,10 @@ def _lockstep(configs, data, pos_weights):
     of training it alone. Steps run in TRAIN_DTYPE, which TrainData holds
     `data.features` in; the AU labels are cast to it once, and the float64
     parameters init_params draws are rounded to it.
-    Yields (epoch, params, state, loss_e, loss_au) after each epoch: the
-    stacked parameters and optimizer state, in TRAIN_DTYPE, and each run's
-    mean batch losses.
+    Yields (epoch, params, state, loss_e, loss_au) after each scored epoch
+    (every one with `every_epoch`, else the last), whose steps alone compute
+    the losses: the stacked parameters and optimizer state, in TRAIN_DTYPE,
+    and each run's mean batch losses.
     """
     first = configs[0]
     features, expr_labels = data.features, data.expr_labels
@@ -276,6 +280,7 @@ def _lockstep(configs, data, pos_weights):
     grads = np.empty_like(params.vector)  # every step overwrites it
     grad_views = params.views(grads)
     for epoch in range(first.epochs):
+        scored = every_epoch or epoch == first.epochs - 1
         orders = np.stack([rng.permutation(n) for rng in rngs])
         sum_e = np.zeros(len(configs))
         sum_au = np.zeros(len(configs))
@@ -283,16 +288,18 @@ def _lockstep(configs, data, pos_weights):
             idx = orders[:, lo:lo + first.batch_size]
             loss_e, loss_au = step(params, np.take(features, idx, axis=0),
                                    np.take(expr_labels, idx),
-                                   np.take(au_labels, idx, axis=0), grad_views)
-            finite = np.isfinite(loss_e) & np.isfinite(loss_au)
-            if not finite.all():
-                run = np.flatnonzero(~finite)[0]
-                where = f" in run {run}" if len(configs) > 1 else ""
-                raise NumericFailure(f"non-finite loss at epoch {epoch}{where}")
+                                   np.take(au_labels, idx, axis=0), grad_views, scored)
+            if loss_e is not None:
+                finite = np.isfinite(loss_e) & np.isfinite(loss_au)
+                if not finite.all():
+                    run = np.flatnonzero(~finite)[0]
+                    where = f" in run {run}" if len(configs) > 1 else ""
+                    raise NumericFailure(f"non-finite loss at epoch {epoch}{where}")
+                sum_e += loss_e
+                sum_au += loss_au
             optimizer_step(params, grads, state)
-            sum_e += loss_e
-            sum_au += loss_au
-        yield epoch, params, state, sum_e / batches, sum_au / batches
+        if scored:
+            yield epoch, params, state, sum_e / batches, sum_au / batches
 
 
 def train(configs, data, every_epoch=False):
@@ -316,6 +323,9 @@ def train(configs, data, every_epoch=False):
     Returns (params, state, logs): the stacked parameters and optimizer state
     as trained, in TRAIN_DTYPE (`params.run(r)` is run r), and logs[r], run
     r's EpochLogs.
+    Only scored epochs compute loss values (and a step with a non-finite
+    logit), so in another epoch a float32 loss that alone would overflow
+    raises nothing; no gradient or parameter reads it, and each is checked.
     Raises NumericFailure on a non-finite loss, gradient or optimizer
     moment, and ContractError on runs that do not share SHARED_FIELDS,
     before the first step; an error raised while scoring propagates
@@ -354,9 +364,7 @@ def train(configs, data, every_epoch=False):
     # only its last epoch never starts it
     with ThreadPoolExecutor(max_workers=1) as worker:
         for epoch, params, state, loss_e, loss_au in _lockstep(configs, data,
-                                                               pos_weights):
-            if not every_epoch and epoch < last:
-                continue
+                                                               pos_weights, every_epoch):
             if scoring is not None:
                 scoring.result()
             if epoch < last:

@@ -72,10 +72,10 @@ def expression_loss(expr_logits, labels, factor=EXPRESSION_FACTOR):
     return expression_loss_kernel(expr_logits, labels, factor)
 
 
-def expression_loss_kernel(expr_logits, labels, factor=EXPRESSION_FACTOR):
+def expression_loss_kernel(expr_logits, labels, factor=EXPRESSION_FACTOR, value=True):
     """expression_loss on arguments it would accept, as it converts them:
     float logits, int64 labels of their shape but the last axis, in 0..6,
-    and factor > 0. Nothing is checked."""
+    and factor > 0. Nothing is checked. Without `value` the loss is None."""
     n = expr_logits.shape[-2]
     # log p_target via the log-sum-exp identity; the same exponentials give
     # the softmax of the gradient
@@ -86,13 +86,14 @@ def expression_loss_kernel(expr_logits, labels, factor=EXPRESSION_FACTOR):
     shifted = expr_logits - row_max[..., None]
     e = np.exp(shifted)
     z = e.sum(axis=-1, keepdims=True)
-    log_p = shifted[target].reshape(labels.shape) - np.log(z[..., 0])
-    loss = -(math.log(factor) + log_p).sum(axis=-1) / n
+    if value:
+        log_p = shifted[target].reshape(labels.shape) - np.log(z[..., 0])
+        loss = -(math.log(factor) + log_p).sum(axis=-1) / n
 
     grad = e / z
     grad -= target
     grad /= n
-    return loss, grad
+    return loss if value else None, grad
 
 
 def loss_knowledge(knowledge):
@@ -146,13 +147,14 @@ def au_loss(au_logits, au_labels, expr_labels, knowledge, pos_weights):
 
 
 def au_loss_kernel(au_logits, au_labels, expr_labels, knowledge_by_class,
-                   pos_weights, runs):
+                   pos_weights, runs, value=True):
     """au_loss on arguments it would accept, as it converts them: the
     knowledge class-major (7 x 18) and everything in the logits' dtype but
     the int64 expression labels, which must lie in 0..6. `pos_weights` is a
     stack of 7 x 18 tables and `runs` picks each sample's: 0 for a stack of
     one table that every run shares (au_loss), or the R x 1 column 0..R-1
-    for R per-run tables (harness.Step). Nothing is checked."""
+    for R per-run tables (harness.Step). Nothing is checked. Without `value`
+    the loss is None."""
     n = au_logits.shape[-2]
     k = knowledge_by_class[expr_labels]  # N x 18, per-sample expression column
     pw = pos_weights[runs, expr_labels]  # (R x) N x 18, each run's table
@@ -161,12 +163,13 @@ def au_loss_kernel(au_logits, au_labels, expr_labels, knowledge_by_class,
     pos = pw * au_labels
     neg = 1.0 - au_labels
     both = pos + neg
-    # one log-sigmoid serves both terms: log(1 - s(x)) = log s(-x) = log s(x) - x,
-    # so pos log s(x) + neg log(1 - s(x)) = (pos + neg) log s(x) - neg x
-    terms = both * log_sigmoid(x)
-    terms -= neg * x
-    terms *= k
-    loss = -terms.sum(axis=(-2, -1)) / n
+    if value:
+        # one log-sigmoid serves both terms: log(1 - s(x)) = log s(-x) = log s(x) - x,
+        # so pos log s(x) + neg log(1 - s(x)) = (pos + neg) log s(x) - neg x
+        terms = both * log_sigmoid(x)
+        terms -= neg * x
+        terms *= k
+        loss = -terms.sum(axis=(-2, -1)) / n
 
     # d/dx log s(x) = 1 - s and d/dx log(1 - s(x)) = -s give the derivative
     # pos (1 - s) - neg s = pos - (pos + neg) s of each term
@@ -174,7 +177,7 @@ def au_loss_kernel(au_logits, au_labels, expr_labels, knowledge_by_class,
     grad -= pos
     grad *= k
     grad /= n
-    return loss, grad
+    return loss if value else None, grad
 
 
 def combined_loss(expression, au, lam):

@@ -207,9 +207,9 @@ def forward(params, features):
 
 def forward_kernel(params, features):
     """forward on features it would accept, in the parameters' dtype.
-    Returns (expr_logits, au_logits, activations): the activations are the
-    features, then each hidden layer's output, the embeddings last. Nothing
-    is checked."""
+    Returns (expr_logits, au_logits, activations): the logits are views of
+    one N x 25 output, their base; the activations are the features, then
+    each hidden layer's output, the embeddings last. Nothing is checked."""
     activations = [features]
     h = features
     for w, b in zip(params.hidden_weights, params.hidden_biases):

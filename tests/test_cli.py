@@ -1084,12 +1084,33 @@ def test_malformed_json_is_one_line_contract_error(case, synth_dirs, tmp_path,
 
 
 def test_non_numeric_sweep_grid_is_contract_error(synth_dirs, tmp_path, capsys):
-    capsys.readouterr()
-    assert run("sweep", "--data", synth_dirs[0], "--epochs", 1, "--grid", "0.1,x",
-               "--out", tmp_path / "out") == EXIT_CONTRACT
+    # Python's float() once read 0_5 as 5.0 and a fullwidth 1 as 1.0, so a
+    # sweep trained at those lambdas; a grid value is read as a table cell is
+    for grid in ("0.1,x", "0_5", "\uff11"):
+        capsys.readouterr()
+        assert run("sweep", "--data", synth_dirs[0], "--epochs", 1, "--grid", grid,
+                   "--out", tmp_path / "out") == EXIT_CONTRACT, grid
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "--grid" in err
+
+
+@pytest.mark.parametrize("value", ["1_0", "\uff11"])
+@pytest.mark.parametrize("command, flag, kind", [
+    ("gradcheck", "--seed", "int"), ("synth-gen", "--n", "int"),
+    ("sweep", "--epochs", "int"), ("gradcheck", "--batch", "int"),
+    ("train", "--lam", "float"), ("gradcheck", "--eps", "float"),
+    ("extract-knowledge", "--theta", "float"),
+    ("extract-knowledge", "--min-confidence", "float"),
+])
+def test_numeric_flag_reads_the_table_grammar(command, flag, kind, value, capsys):
+    # Python's int() and float() once read 1_0 as 10 and a fullwidth 1 as 1;
+    # a numeric flag reads its value as a table cell is, or is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main([command, *SUBCOMMANDS[command], flag, value])
+    assert exc.value.code == EXIT_CONTRACT
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert "--grid" in err
+    assert f"error: argument {flag}: invalid {kind} value: {value!r}" in err, err
 
 
 @pytest.mark.parametrize("command, flag, value", [

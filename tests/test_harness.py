@@ -26,7 +26,7 @@ from aukit.harness import (
     write_confusion_svg,
     write_metric_rows,
 )
-from aukit import harness
+from aukit import harness, losses
 from aukit.cli import main as cli_main
 from aukit.labeling import STRATEGIES, compute_pos_weights
 from aukit.losses import au_loss
@@ -385,6 +385,27 @@ class TestTrain:
         train([TrainConfig(epochs=3, seed=seed, hidden=(8,)) for seed in (0, 1, 2)],
               split_pair_data(), every_epoch=True)
         assert calls == dict.fromkeys(STEP_KERNELS, 3 * BATCHES)
+
+    def test_loss_values_only_in_scored_epochs(self, monkeypatch):
+        # a study scores only its last epoch, and every step once computed
+        # both loss values; the AU value's log_sigmoid, which no gradient
+        # uses, now runs once per step of a scored epoch, for the whole stack
+        calls = []
+        log_sigmoid = losses.log_sigmoid
+
+        def spy(x):
+            calls.append(x.shape[0])
+            return log_sigmoid(x)
+
+        monkeypatch.setattr(losses, "log_sigmoid", spy)
+        data = small_train_data()
+        configs = [TrainConfig(epochs=3, seed=seed, hidden=(8,)) for seed in (0, 1)]
+        for scored, run in ((1, lambda: train(configs, data)),
+                            (3, lambda: train(configs, data, every_epoch=True)),
+                            (1, lambda: study(configs[0], data, "lam", (0.0, 0.5)))):
+            calls.clear()
+            run()
+            assert calls == [2] * (scored * BATCHES)
 
     def test_au_label_width_checked_before_training(self):
         # the kernels check nothing: N x 17 AU labels once reached au_loss's

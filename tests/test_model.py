@@ -255,6 +255,28 @@ class TestBackward:
         report = finite_difference_check(evaluator, params.vector.copy())
         assert report.max_relative_error < 1e-4
 
+    def test_step_without_losses_gives_the_same_gradient(self, rng):
+        # a step of an epoch that is not scored skips the loss values only
+        params = stack_params([init_params(seed, feature_dim=8, hidden=(4,))
+                               for seed in (5, 6)])
+        step, batch = self._step(params, [0.2, 0.7], rng, 6)
+        with_losses, without = np.empty_like(params.vector), np.empty_like(params.vector)
+        assert all(loss is not None for loss in step(params, *batch,
+                                                      params.views(with_losses)))
+        assert step(params, *batch, params.views(without), False) == (None, None)
+        assert np.array_equal(with_losses, without)
+
+    def test_step_without_losses_computes_them_for_a_non_finite_logit(self, rng):
+        params = stack_params([init_params(seed, feature_dim=8, hidden=(4,))
+                               for seed in (5, 6)])
+        step, (x, expr_labels, au_labels) = self._step(params, [0.2, 0.7], rng, 6)
+        x[1, 2, 0] = np.inf
+        with np.errstate(all="ignore"):  # the non-finite values are the point
+            loss_e, loss_au = step(params, x, expr_labels, au_labels,
+                                   params.views(np.empty_like(params.vector)), False)
+        assert np.isfinite(loss_e[0]) and np.isfinite(loss_au[0])
+        assert not (np.isfinite(loss_e[1]) and np.isfinite(loss_au[1]))
+
     def test_lambda_zero_au_head_gradients_zero(self, rng):
         params = stack_params([init_params(5, feature_dim=8, hidden=(4,))])
         step, batch = self._step(params, [0.0], rng, 6)
