@@ -23,12 +23,14 @@ from .domain import (
     check_unit_interval,
 )
 from .losses import au_loss, combined_loss, expression_loss, finite_difference_check
-from .tables import cell_value, number_columns, read_table, write_table
+from .tables import cell_value, write_table
 
 EXIT_OK = 0
 EXIT_CONTRACT = 1
 EXIT_NUMERIC = 2
 EXIT_IO = 3
+
+log = logging.getLogger(__name__)
 
 
 # dataclass field type -> (accepts a JSON value, converts it, what it expects);
@@ -146,11 +148,15 @@ def cmd_extract_knowledge(args):
     reliable = rows.frame_set(video_ids)  # theta's range, then duplicates
     # only the stores of videos with a reliable prediction can add a frame
     named = set(reliable.video_ids.tolist())
+    stores = _frame_stores(args.frames)
+    if unstored := sorted(named.difference(video_id for video_id, _ in stores)):
+        log.warning("no frame store in %s for %d video(s) with reliable predictions, "
+                    "which are dropped: %s", args.frames, len(unstored), ", ".join(unstored))
     # read as the join asks for them: one store and its reliable frames at a time
     videos = (
         (video_id,
          ingest.reliable_detections(ingest.read_frame_store(path), args.min_confidence))
-        for video_id, path in _frame_stores(args.frames) if video_id in named
+        for video_id, path in stores if video_id in named
     )
     matrix = knowledge.compute_dataset_knowledge(videos, reliable)
     knowledge.export_knowledge(matrix, args.out)
@@ -226,24 +232,14 @@ def cmd_synth_gen(args):
 
 def _load_dataset_dir(path):
     """Features (in model.TRAIN_DTYPE, which training and evaluation run
-    in), expression labels and N x 18 AU bits of a dataset directory, whose
-    au_labels.csv must list the expressions of expression_labels.csv."""
+    in), expression labels and N x 18 AU bits of a dataset directory: its
+    features.bin and au_labels.csv, one row per sample in each."""
     features = model.load_features(os.path.join(path, "features.bin"))
     table = labeling.read_labels_csv(os.path.join(path, "au_labels.csv"))
-    what = "expression label file"
-    _, rows = read_table(os.path.join(path, "expression_labels.csv"), what, width=1)
-    expr_labels = number_columns(rows, what, [0], int)[:, 0]
-    if len(table) != len(expr_labels):
-        raise ContractError(f"{path}: au_labels.csv has {len(table)} rows, "
-                            f"expression_labels.csv {len(expr_labels)}")
-    if len(features) != len(expr_labels):
+    if len(features) != len(table):
         raise ContractError(f"{path}: features.bin has {len(features)} rows, "
-                            f"the label files {len(expr_labels)}")
-    differ = np.flatnonzero(table["expression"] != expr_labels)
-    if differ.size:
-        raise ContractError(f"{path}: au_labels.csv and expression_labels.csv "
-                            f"disagree on the expression of video {differ[0] + 1}")
-    return features, expr_labels, table["y"]
+                            f"au_labels.csv {len(table)}")
+    return features, table["expression"], table["y"]
 
 
 def _build_train_data(args):
@@ -289,9 +285,19 @@ def cmd_train(args):
     return EXIT_OK
 
 
-def cmd_eval(args):
+def _load_scored_data(args):
+    """The --checkpoint parameters, and the features and expression labels
+    of the --data directory, which must be as wide as the checkpoint's input."""
     params = model.load_checkpoint(args.checkpoint)
     features, expr_labels, _ = _load_dataset_dir(args.data)
+    if features.shape[1] != params.feature_dim:
+        raise ContractError(f"{args.data}: features.bin is {features.shape[1]} wide, "
+                            f"the checkpoint {params.feature_dim}")
+    return params, features, expr_labels
+
+
+def cmd_eval(args):
+    params, features, expr_labels = _load_scored_data(args)
     report = harness.evaluate(params, features, expr_labels)
     os.makedirs(args.out, exist_ok=True)
     harness.export_confusion(report, args.out)
@@ -433,8 +439,7 @@ def cmd_export_confusion(args):
 
 
 def cmd_export_embeddings(args):
-    params = model.load_checkpoint(args.checkpoint)
-    features, expr_labels, _ = _load_dataset_dir(args.data)
+    params, features, expr_labels = _load_scored_data(args)
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "embeddings.csv")
     harness.export_embeddings(params, features, expr_labels, out_path)

@@ -120,8 +120,12 @@ class TrainData:
         splits = [("features", "expr_labels")]
         if self.test_features is not None or self.test_expr_labels is not None:
             test_n = np.shape(self.test_expr_labels)  # () if None
-            if len(test_n) != 1 or np.shape(self.test_features) != (*test_n, feature_dim):
+            test_shape = np.shape(self.test_features)
+            if len(test_n) != 1 or test_shape[:-1] != test_n:
                 raise ContractError("test split shapes inconsistent with the training split")
+            if test_shape[-1] != feature_dim:
+                raise ContractError(f"test split is {test_shape[-1]} features wide, "
+                                    f"the training split {feature_dim}")
             if test_n == (0,):
                 raise ContractError("cannot evaluate an empty test split")
             splits.append(("test_features", "test_expr_labels"))
@@ -390,6 +394,8 @@ def study(config, data, field, values):
     column, listed = STUDY_FIELDS[field]
     if len(values) == 0:
         raise ContractError(f"{listed} must be nonempty")
+    if repeats := [v for i, v in enumerate(values) if v in values[:i]]:
+        raise ContractError(f"{listed} repeats {repeats[0]}")
     if field == "strategy" and data.pos_weights is not None:
         raise ContractError("a strategy comparison computes each strategy's "
                             "pos-weights; an explicit table does not apply")

@@ -721,7 +721,68 @@ def test_feature_rows_must_match_the_label_files(command, synth_dirs, tmp_path,
     assert run(*argv) == EXIT_CONTRACT
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert f"{data}: features.bin has 255 rows, the label files 250" in err
+    assert f"{data}: features.bin has 255 rows, au_labels.csv 250" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_dataset_directory_needs_no_expression_labels_file(synth_dirs, tmp_path):
+    # each sample's expression is read from au_labels.csv: without
+    # expression_labels.csv, every command that reads a dataset directory
+    # once exited 3, and now writes what it writes with the file there
+    def outputs(train_dir, test_dir, out):
+        steps = [
+            ("train", "--data", train_dir, "--test-data", test_dir, "--epochs", 2,
+             "--out", out / "run"),
+            ("eval", "--checkpoint", out / "run" / "checkpoint.bin", "--data", test_dir,
+             "--out", out / "eval"),
+            ("sweep", "--data", train_dir, "--grid", "0.0,0.3", "--epochs", 1,
+             "--out", out / "sweep"),
+            ("compare-strategies", "--data", train_dir, "--strategies", "none,global",
+             "--epochs", 1, "--out", out / "cmp"),
+            ("export-embeddings", "--checkpoint", out / "run" / "checkpoint.bin",
+             "--data", train_dir, "--out", out / "emb"),
+        ]
+        for argv in steps:
+            assert run(*argv) == EXIT_OK, argv
+        return {path.relative_to(out): path.read_bytes()
+                for path in sorted(out.rglob("*")) if path.is_file()}
+
+    bare = []
+    for split in synth_dirs:
+        bare.append(shutil.copytree(split, tmp_path / "bare" / split.name))
+        (bare[-1] / "expression_labels.csv").unlink()
+    expected = outputs(*synth_dirs, tmp_path / "with")
+    assert len(expected) == 8
+    assert outputs(*bare, tmp_path / "without") == expected
+
+
+def _narrow_data(tmp_path):
+    """A 60-sample dataset directory of 8-wide features."""
+    spec = tmp_path / "narrow.json"
+    spec.write_text(json.dumps({"feature_dim": 8, "sample_seed": 3}))
+    assert run("synth-gen", "--n", 60, "--spec", spec, "--out", tmp_path / "narrow") == EXIT_OK
+    return tmp_path / "narrow"
+
+
+@pytest.mark.parametrize("command", ["eval", "export-embeddings", "train"])
+def test_width_mismatch_names_both_widths(command, synth_dirs, tmp_path, capsys):
+    # 8-wide data once read "features must be Nx64, got (60, 8)" against a
+    # 64-wide checkpoint, and "test split shapes inconsistent with the
+    # training split" as a test split
+    train_dir, _ = synth_dirs
+    narrow = _narrow_data(tmp_path)
+    if command == "train":
+        argv = ["train", "--data", train_dir, "--test-data", narrow, "--epochs", 1]
+        message = "error: test split is 8 features wide, the training split 64\n"
+    else:
+        assert run("train", "--data", train_dir, "--epochs", 1,
+                   "--out", tmp_path / "run") == EXIT_OK
+        argv = [command, "--checkpoint", tmp_path / "run" / "checkpoint.bin",
+                "--data", narrow]
+        message = f"error: {narrow}: features.bin is 8 wide, the checkpoint 64\n"
+    capsys.readouterr()
+    assert run(*argv, "--out", tmp_path / "out") == EXIT_CONTRACT
+    assert capsys.readouterr().err == message
     assert not (tmp_path / "out").exists()
 
 
@@ -835,14 +896,6 @@ def _confusion_file(tmp_path, edit):
     return path
 
 
-def _expression_labels_dir(train_dir, tmp_path):
-    data = tmp_path / "data"
-    shutil.copytree(train_dir, data)
-    _edit_copy(train_dir / "expression_labels.csv",
-               data / "expression_labels.csv", "\n0\n", "\nabc\n")
-    return data
-
-
 def _au_labels_dir(train_dir, tmp_path, edit):
     """A copy of the dataset directory with au_labels.csv edited."""
     data = tmp_path / "data"
@@ -874,19 +927,11 @@ MALFORMED_TABLES = {
         "pos-weights", "--out", t / "pw",
         "--labels", _edit_copy(d / "au_labels.csv", t / "l.csv", ",0\n", ",2\n")],
         "AU45 = 2 not in {0, 1}"),
-    "au_labels_expression_disagrees": (lambda d, t: [
-        "train", "--data", _au_labels_dir(
-            d, t, lambda text: text.replace("synth-00000,Happy,", "synth-00000,Sad,")),
-        "--epochs", 1],
-        "disagree on the expression of video 1"),
     "au_labels_row_missing": (lambda d, t: [
         "train", "--data", _au_labels_dir(
             d, t, lambda text: text.rstrip("\n").rsplit("\n", 1)[0] + "\n"),
         "--epochs", 1],
-        "au_labels.csv has 249 rows, expression_labels.csv 250"),
-    "expression_labels_non_numeric": (lambda d, t: [
-        "train", "--data", _expression_labels_dir(d, t), "--epochs", 1],
-        "expression label file"),
+        "features.bin has 250 rows, au_labels.csv 249"),
     "knowledge_datasets_not_integer": (lambda d, t: [
         "train", "--data", d, "--epochs", 1,
         "--knowledge", _knowledge_file(d, t, "# datasets=1", "# datasets=abc")],
@@ -1133,6 +1178,21 @@ def test_study_rejects_the_field_it_varies(command, flag, value, given_by,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert f"--{flag}" in err and f"'{flag}' config key" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, option, values, message", [
+    ("sweep", "--grid", "0.2,0.2", "lambda grid repeats 0.2"),
+    ("compare-strategies", "--strategies", "none,none", "strategy list repeats none"),
+], ids=["sweep", "compare-strategies"])
+def test_repeated_study_value_is_contract_error(command, option, values, message,
+                                               synth_dirs, tmp_path, capsys):
+    # it once trained the same run twice and wrote two identical rows under
+    # one key
+    capsys.readouterr()
+    assert run(command, "--data", synth_dirs[0], "--epochs", 1, option, values,
+               "--out", tmp_path / "out") == EXIT_CONTRACT
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -103,7 +103,7 @@ def corpus(tmp_path_factory):
         "knowledge": data / "knowledge.csv",
         "knowledge_support": data / "knowledge.csv.support.csv",
         "confusion": data / "confusion.csv",
-        "expression_labels": data / "expression_labels.csv",
+        "dataset_au_labels": data / "au_labels.csv",
         "config": data / "config.json",
         "spec": data / "spec.json",
     })
@@ -132,7 +132,7 @@ COMMANDS = {
         path, store, out, "--pos-weights-file", path),
     "knowledge": train_on,
     "knowledge_support": train_on,
-    "expression_labels": train_on,
+    "dataset_au_labels": train_on,
     "confusion": lambda path, store, out: [
         "export-confusion", "--confusion", path, "--out", out / "c"],
     "config": lambda path, store, out: [

@@ -8,6 +8,7 @@ per-frame record pipeline and NDJSON store that the frame array replaced.
 """
 
 import hashlib
+import logging
 import weakref
 
 import numpy as np
@@ -221,6 +222,34 @@ def test_extract_knowledge_reads_only_named_stores(tmp_path, capsys, video_id, c
     else:
         assert "checksum mismatch" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_extract_knowledge_warns_of_predictions_without_a_store(tmp_path, caplog):
+    # reliable predictions of a video with no store once were dropped without
+    # a word: the matrix is that of the stored videos, and a warning names
+    # the others
+    caplog.set_level(logging.WARNING)
+    videos, preds, _ = build_corpus(tmp_path)
+    store = tmp_path / "store"
+    assert run("ingest", *videos, "--out", store) == EXIT_OK
+    caplog.clear()
+    intact = tmp_path / "intact.csv"
+    assert run("extract-knowledge", "--frames", store, "--preds", preds["A"],
+               "--out", intact) == EXIT_OK
+    assert not caplog.records
+    scores = "0.7," + ",".join(["0.05"] * 6)
+    extra = tmp_path / "extra.csv"
+    extra.write_text(preds["A"].read_text()
+                     + "".join(f"ZZZ,{i},Happy,{scores}\n" for i in range(1, 150)))
+    out = tmp_path / "k.csv"
+    assert run("extract-knowledge", "--frames", store, "--preds", extra,
+               "--out", out) == EXIT_OK
+    assert [r.getMessage() for r in caplog.records] == [
+        f"no frame store in {store} for 1 video(s) with reliable predictions, "
+        "which are dropped: ZZZ"]
+    assert out.read_bytes() == intact.read_bytes()
+    assert (tmp_path / "k.csv.support.csv").read_bytes() == \
+        (tmp_path / "intact.csv.support.csv").read_bytes()
 
 
 @pytest.fixture

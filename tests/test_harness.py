@@ -919,6 +919,18 @@ class TestStudy:
         with pytest.raises(ContractError, match=f"^{message}$"):
             study(TrainConfig(epochs=1), strategy_study_data(), field, ())
 
+    @pytest.mark.parametrize("field, values, message", [
+        ("lam", [0.2, 0.4, 0.2, 0.4], "lambda grid repeats 0.2"),
+        ("strategy", ["none", "global", "none"], "strategy list repeats none"),
+    ], ids=["lam", "strategy"])
+    def test_repeated_value_rejected_before_training(self, field, values, message,
+                                                     monkeypatch):
+        # a repeated value once trained the same run twice and wrote two
+        # identical rows under one key
+        monkeypatch.setattr(harness, "train", lambda *args, **kwargs: pytest.fail("trained"))
+        with pytest.raises(ContractError, match=f"^{message}$"):
+            study(TrainConfig(epochs=1), strategy_study_data(), field, values)
+
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ContractError, match="unknown strategy: 'bogus'"):
             study(TrainConfig(epochs=1), strategy_study_data(), "strategy",

@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from aukit import cli, harness, knowledge, labeling
+from aukit import harness, knowledge, labeling
 from aukit.cli import EXIT_OK, main
 from aukit.domain import ContractError
 from aukit.tables import (
@@ -111,7 +111,7 @@ def test_matrix_round_trip(tmp_path):
 @pytest.fixture
 def tables_dir(tmp_path):
     """One of each table aukit reads: a synth-gen dataset directory (its
-    au_labels.csv, expression_labels.csv and knowledge files), plus a
+    au_labels.csv and knowledge files), plus a
     pos-weight file and a confusion file."""
     assert main(["synth-gen", "--n", "14", "--seed", "0", "--out", str(tmp_path)]) == EXIT_OK
     labeling.write_pos_weights_csv(labeling.PosWeightSpec("global", np.ones((7, 18))),
@@ -132,8 +132,6 @@ TABLE_READERS = {
     "support": ("knowledge.csv.support.csv", "knowledge support file", 2, 2,
                 lambda path: knowledge.import_knowledge(path.parent / "knowledge.csv")),
     "confusion": ("confusion.csv", "confusion file", 3, 2, harness.read_confusion_csv),
-    "expression_labels": ("expression_labels.csv", "expression label file", 2, 1,
-                          lambda path: cli._load_dataset_dir(path.parent)),
     "datasets": ("knowledge.csv", "knowledge file", "datasets", None,
                  knowledge.import_knowledge),
     "theta": ("knowledge.csv", "knowledge file", "theta", None, knowledge.import_knowledge),
